@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -89,12 +89,11 @@ def _fmt(value) -> str:
 
 
 def _print_header(args):
-    threads = os.environ.get("DENSITY_LAB_THREADS", "1")
     print(f"density-lab {__version__}")
     print(
         f"defaults: tol={rat_str(DEFAULT_ESTIMATION.tol)} r0={rat_str(DEFAULT_ESTIMATION.r0)} "
         f"k_max={DEFAULT_ESTIMATION.k_max} oracle_cap={DEFAULT_CAPS.oracle_order} "
-        f"cover_cap={DEFAULT_CAPS.exact_cover_cells} threads={threads}"
+        f"cover_cap={DEFAULT_CAPS.exact_cover_cells}"
     )
     print("values: p/q rationals are authoritative; decimals are 6-digit approximations")
 
@@ -123,13 +122,15 @@ def _estimation_params(args, instance) -> EstimationParams:
     tol = rat(args.tol) if args.tol else rat(params.get("tol", DEFAULT_ESTIMATION.tol))
     r0 = rat(args.r0) if args.r0 else rat(params.get("r0", DEFAULT_ESTIMATION.r0))
     k_max = args.kmax if args.kmax is not None else int(params.get("k_max", DEFAULT_ESTIMATION.k_max))
+    estimation = EstimationParams(tol=tol, r0=r0, k_max=k_max)
     if getattr(args, "rmax", None):
         # cap the geometric schedule r0 * 2^k at rmax
         rmax = rat(args.rmax)
         k_max = 0
         while r0 * (2 ** (k_max + 1)) <= rmax:
             k_max += 1
-    return EstimationParams(tol=tol, r0=r0, k_max=k_max)
+        estimation = replace(estimation, k_max=k_max)
+    return estimation
 
 
 def _window_shape(spec: str, group):
@@ -139,8 +140,13 @@ def _window_shape(spec: str, group):
         return CenteredCube()
     if spec == "interval":
         return IntervalWindow()
-    pairs = json.loads(spec)
-    return CustomK(IntervalUnion(tuple((rat(a), rat(b)) for a, b in pairs)))
+    try:
+        pairs = [(rat(a), rat(b)) for a, b in json.loads(spec)]
+    except (ValueError, TypeError) as exc:
+        raise InstanceParseError(
+            f"--K must be cube, interval or a JSON list of [a, b] pairs, got {spec!r}"
+        ) from exc
+    return CustomK(IntervalUnion(tuple(pairs)))
 
 
 def _emit(args, results) -> dict:

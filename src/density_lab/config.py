@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import PreconditionError
+
 
 @dataclass(frozen=True)
 class EstimationParams:
@@ -13,6 +15,12 @@ class EstimationParams:
     tol: Fraction = Fraction(1, 1000)
     r0: Fraction = Fraction(8)
     k_max: int = 12
+
+    def __post_init__(self):
+        if self.r0 <= 0:
+            raise PreconditionError(f"window schedule needs r0 > 0, got {self.r0}")
+        if self.k_max < 0:
+            raise PreconditionError(f"window schedule needs k_max >= 0, got {self.k_max}")
 
 
 @dataclass(frozen=True)

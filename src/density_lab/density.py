@@ -15,6 +15,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 from .config import DEFAULT_CAPS, DEFAULT_ESTIMATION, EstimationParams
@@ -244,13 +245,14 @@ def _geometric_radii(params: EstimationParams):
 
 
 def _estimate(nu, group, K, params: EstimationParams):
+    """(Estimated schedule, least argmax at its last radius), or (Infinite, None)."""
     schedule = []
     prev = None
     converged = False
     for r in _geometric_radii(params):
-        ((r_, ratio, _),) = window_density_profile(nu, group, K, [r])
+        ((r_, ratio, argmax),) = window_density_profile(nu, group, K, [r])
         if is_infinite(ratio):
-            return ratio
+            return ratio, None
         schedule.append((rat(r_), ratio))
         if prev is not None:
             scale = max(abs(ratio), Fraction(1, 10**12))
@@ -258,12 +260,13 @@ def _estimate(nu, group, K, params: EstimationParams):
                 converged = True
                 break
         prev = ratio
-    return Estimated(
+    estimated = Estimated(
         schedule=tuple(schedule),
         extrapolated=float(schedule[-1][1]),
         converged=converged,
         tol=params.tol,
     )
+    return estimated, argmax
 
 
 def auud_window(
@@ -301,17 +304,12 @@ def auud_window(
             annotations=(annotation,),
             settings=_settings(params),
         )
-    est = _estimate(nu, group, K, params)
+    est, argmax = _estimate(nu, group, K, params)
     if is_infinite(est):
         return DensityReport(
             notion="window", value=est, method="window-scan", settings=_settings(params)
         )
     r_last = est.schedule[-1][0]
-    window, _ = _scan_window(K, r_last)
-    if isinstance(group, ZLattice):
-        argmax = zd_shift_sup(nu, group, window).argmax
-    else:
-        argmax = real_shift_sup(nu, window).argmax
     return DensityReport(
         notion="window",
         value=est,
@@ -430,9 +428,7 @@ def kahane_oracle_finite(nu, group: FiniteAbelian, cap: int = DEFAULT_CAPS.oracl
         warnings.warn(f"brute-force oracle on order {n}: ~4^{n} ratio evaluations")
     elems, index, translate = _finite_group_tables(group)
     masses = _point_masses(nu, group, elems, index)
-    denom_lcm = 1
-    for m in masses:
-        denom_lcm = denom_lcm * m.denominator // _gcd(denom_lcm, m.denominator)
+    denom_lcm = lcm(*(m.denominator for m in masses))
     scaled = [int(m * denom_lcm) for m in masses]
     size = 1 << n
     nu_of = [0] * size
@@ -476,12 +472,6 @@ def _bit_values(mask):
 
 def _bits(mask):
     return [b.bit_length() - 1 for b in _bit_values(mask)]
-
-
-def _gcd(a, b):
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def oracle_counting_sweep(group: FiniteAbelian):
@@ -770,9 +760,7 @@ def _lattice_witness_candidates(nu, group: ZLattice, W):
     layers = zd_layers(nu, group)
     periods = [l.period for l in layers if l.period is not None]
     if periods:
-        period = periods[0]
-        for p in periods[1:]:
-            period = tuple(_lcm_i(a, b) for a, b in zip(period, p))
+        period = tuple(lcm(*ms) for ms in zip(*periods))
         return list(itertools.product(*(range(m) for m in period)))
     points = [p for l in layers for p, _ in l.atoms]
     if not points:
@@ -782,12 +770,6 @@ def _lattice_witness_candidates(nu, group: ZLattice, W):
         for w in W.elements:
             cands.add(tuple(a - b for a, b in zip(p, w)))
     return sorted(cands)
-
-
-def _lcm_i(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from typing import Optional, Union
 
 from .errors import PreconditionError, ShapeMismatchError
@@ -367,7 +367,7 @@ def _minkowski_directed(a, b, group):
     if isinstance(a, ExplicitFinite) and isinstance(b, ExplicitFinite):
         return ExplicitFinite(tuple(group.add(x, y) for x in a.elements for y in b.elements))
     if isinstance(a, PeriodicDiscrete) and isinstance(b, PeriodicDiscrete):
-        period = tuple(_lcm_int(m, n) for m, n in zip(a.period, b.period))
+        period = tuple(map(lcm, a.period, b.period))
         ra = _expand_residues(a, period)
         rb = _expand_residues(b, period)
         sums = {
@@ -410,12 +410,6 @@ def _minkowski_directed(a, b, group):
     if isinstance(a, FinitePoints) and isinstance(b, FinitePoints):
         return FinitePoints(tuple(x + y for x in a.points for y in b.points))
     return NotImplemented
-
-
-def _lcm_int(m: int, n: int) -> int:
-    from math import gcd
-
-    return m * n // gcd(m, n)
 
 
 def _expand_residues(s: PeriodicDiscrete, period: tuple[int, ...]):

@@ -15,6 +15,18 @@ supremum, and the supremum is attained at a true event point. Perturbed
 lattices mix periodic and finite layers; there the candidates are the events
 inside the perturbation zone plus one clean far-field period.
 
+The line scan runs in integer arithmetic. Every atom position, trace endpoint,
+period and window endpoint is multiplied by D, the lcm of their denominators,
+and every atom weight by Dw, the lcm of the weight denominators; masses are
+then ints in units of 1/(D * Dw). Each layer is indexed once (sorted atom
+positions with prefix weights, trace starts with cumulative lengths, periodic
+layers folded into one period by divmod), so f(x) costs two bisects per layer
+and window interval. Multiplying by the positive constants D and D * Dw keeps
+the order of candidates and of values, and the candidates are scanned in
+increasing order with a strict comparison, so the value, the least argmax and
+the candidate count are those of the exact rational scan. real_mass keeps the
+Fraction evaluation as the independent reference.
+
 Counting measures of configurations with an accumulation marker have infinite
 mass on any window containing a one-sided neighborhood of the marked point;
 such results are returned as a certified Infinite.
@@ -22,15 +34,17 @@ such results are returned as a certified Infinite.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from itertools import accumulate, product
+from math import ceil, floor, lcm
 from typing import Optional, Union
 
 from .errors import PreconditionError
 from .groups import GroupSpec, RealLine, ZLattice
 from .intervals import IntervalUnion, PeriodicPattern
-from .rational import Infinite, frac_lcm, rat
+from .rational import Infinite, rat
 from .sets import (
     AccumulationPoint,
     Counting,
@@ -135,18 +149,14 @@ def _finite_atom_index(layer: AtomLayer):
     return positions, prefix
 
 
-def _layer_mass(layer: RealLayer, window: IntervalUnion, finite_index=None) -> Fraction:
+def _layer_mass(layer: RealLayer, window: IntervalUnion) -> Fraction:
     total = Fraction(0)
     if isinstance(layer, AtomLayer):
         if layer.period is None:
-            import bisect
-
-            positions, prefix = (
-                finite_index if finite_index is not None else _finite_atom_index(layer)
-            )
+            positions, prefix = _finite_atom_index(layer)
             for a, b in window.intervals:
-                lo = bisect.bisect_left(positions, a)
-                hi = bisect.bisect_right(positions, b)
+                lo = bisect_left(positions, a)
+                hi = bisect_right(positions, b)
                 total += prefix[hi] - prefix[lo]
         else:
             period = layer.period
@@ -180,24 +190,12 @@ def _accumulation_hit(acc, window: IntervalUnion):
     return None
 
 
-def _make_evaluator(layers):
-    """f(window) = total mass, with finite atom layers indexed once."""
-    indexed = [
-        (l, _finite_atom_index(l) if isinstance(l, AtomLayer) and l.period is None else None)
-        for l in layers
-    ]
-
-    def evaluate(window: IntervalUnion) -> Fraction:
-        return sum(
-            (_layer_mass(l, window, finite_index=idx) for l, idx in indexed), Fraction(0)
-        )
-
-    return evaluate
-
-
 def real_mass(nu, window: IntervalUnion):
     """Exact nu(window); certified Infinite when the window traps an
-    accumulation marker on its accumulating side."""
+    accumulation marker on its accumulating side.
+
+    This Fraction evaluation shares no code with the integer kernel of the
+    shift scans below, so re-evaluating a scan's argmax here checks it."""
     layers, acc = real_layers(nu)
     hit = _accumulation_hit(acc, window)
     if hit is not None:
@@ -205,12 +203,14 @@ def real_mass(nu, window: IntervalUnion):
     return sum((_layer_mass(l, window) for l in layers), Fraction(0))
 
 
+def _trace_union(layer: TraceLayer) -> IntervalUnion:
+    return layer.finite if layer.period is None else layer.periodic.pattern
+
+
 def _base_positions(layer: RealLayer) -> list[Fraction]:
     if isinstance(layer, AtomLayer):
         return [p for p, _ in layer.atoms]
-    if layer.period is None:
-        return layer.finite.endpoints()
-    return layer.periodic.pattern.endpoints()
+    return _trace_union(layer).endpoints()
 
 
 @dataclass(frozen=True)
@@ -220,58 +220,149 @@ class ShiftScan:
     candidates: int
 
 
-def _real_candidates(layers, window: IntervalUnion) -> list[Fraction]:
-    """Finite candidate superset of the event points of x -> nu(x + W)."""
-    ws = window.endpoints()
-    periodic = [l for l in layers if l.period is not None]
-    finite = [l for l in layers if l.period is None]
-    cands: set[Fraction] = {Fraction(0)}
-    if periodic and not finite:
-        big = periodic[0].period
-        for l in periodic[1:]:
-            big = frac_lcm(big, l.period)
-        for l in periodic:
-            reps = int(big / l.period)
-            for base in _base_positions(l):
-                for w in ws:
-                    e = (base - w) % l.period
-                    for j in range(reps):
-                        cands.add(e + j * l.period)
+# ---------------------------------------------------------------------------
+# integer line-scan kernel
+
+
+def _scaled(q: Fraction, scale: int) -> int:
+    """q * scale, for a scale that the denominator of q divides."""
+    return q.numerator * (scale // q.denominator)
+
+
+def _atom_mass(atoms: list[tuple[int, int]], period: Optional[int]):
+    """(a, b) -> total weight of the atoms in [a, b], from two bisects.
+
+    A periodic layer folds a and b into [0, period) with divmod and counts the
+    whole periods in between separately."""
+    if period is not None:
+        atoms = [(p % period, w) for p, w in atoms]
+    atoms.sort()
+    positions = [p for p, _ in atoms]
+    prefix = list(accumulate((w for _, w in atoms), initial=0))
+    if period is None:
+
+        def mass(a, b):
+            return prefix[bisect_right(positions, b)] - prefix[bisect_left(positions, a)]
+
+        return mass
+    total = prefix[-1]
+
+    def periodic_mass(a, b):
+        qa, sa = divmod(a, period)
+        qb, sb = divmod(b, period)
+        return (
+            (qb - qa) * total
+            + prefix[bisect_right(positions, sb)]
+            - prefix[bisect_left(positions, sa)]
+        )
+
+    return periodic_mass
+
+
+def _trace_mass(pieces: list[tuple[int, int]], period: Optional[int], unit: int):
+    """(a, b) -> unit * length of the canonical union of pieces inside [a, b].
+
+    A periodic trace repeats pieces, which lie in [0, period], with period."""
+    starts = [s for s, _ in pieces]
+    ends = [e for _, e in pieces]
+    before = list(accumulate((e - s for s, e in pieces), initial=0))
+
+    def below(t):  # length of the union inside (-inf, t]
+        i = bisect_right(starts, t)
+        return before[i - 1] + min(t, ends[i - 1]) - starts[i - 1] if i else 0
+
+    if period is None:
+
+        def mass(a, b):
+            return unit * (below(b) - below(a))
+
+        return mass
+    total = before[-1]
+
+    def periodic_mass(a, b):
+        qa, sa = divmod(a, period)
+        qb, sb = divmod(b, period)
+        return unit * ((qb - qa) * total + below(sb) - below(sa))
+
+    return periodic_mass
+
+
+def _scaled_layer(layer: RealLayer, D: int, Dw: int):
+    """(period, event positions, mass function) with positions scaled by D
+    and masses by D * Dw, so that every one of them is an int."""
+    period = None if layer.period is None else _scaled(layer.period, D)
+    if isinstance(layer, AtomLayer):
+        atoms = [(_scaled(p, D), _scaled(w, Dw) * D) for p, w in layer.atoms]
+        mass = _atom_mass(atoms, period)
+    else:
+        pieces = [(_scaled(a, D), _scaled(b, D)) for a, b in _trace_union(layer).intervals]
+        mass = _trace_mass(pieces, period, Dw)
+    return period, [_scaled(q, D) for q in _base_positions(layer)], mass
+
+
+def _line_candidates(scaled, ws: list[int]) -> list[int]:
+    """Sorted finite superset of the event points of x -> nu(x + W), scaled."""
+    periodic = [(period, bases) for period, bases, _ in scaled if period is not None]
+    finite = [bases for period, bases, _ in scaled if period is None]
+    cands = {0}
+    for bases in finite:
+        cands.update(base - w for base in bases for w in ws)
+    if not periodic:
         return sorted(cands)
-    if finite and not periodic:
-        for l in finite:
-            for base in _base_positions(l):
+    big = lcm(*(period for period, _ in periodic))
+    if not finite:
+        for period, bases in periodic:
+            for base in bases:
                 for w in ws:
-                    cands.add(base - w)
+                    e = (base - w) % period
+                    cands.update(range(e, e + big, period))
         return sorted(cands)
-    if not layers:
-        return [Fraction(0)]
     # mixed: event points inside the perturbation zone plus one clean period
-    big = periodic[0].period
-    for l in periodic[1:]:
-        big = frac_lcm(big, l.period)
-    support = [p for l in finite for p in _base_positions(l)]
-    w_lo, w_hi = min(ws), max(ws)
-    zone_lo = min(support) - w_hi - big
-    zone_hi = max(support) - w_lo + big
-    for l in finite:
-        for base in _base_positions(l):
-            for w in ws:
-                cands.add(base - w)
-    for l in periodic:
-        for base in _base_positions(l):
+    support = [p for bases in finite for p in bases]
+    zone_lo = min(support) - max(ws) - big
+    zone_hi = max(support) - min(ws) + big
+    for period, bases in periodic:
+        for base in bases:
             for w in ws:
                 e = base - w
-                k = ceil((zone_lo - e) / l.period)
-                while e + k * l.period <= zone_hi:
-                    cands.add(e + k * l.period)
-                    k += 1
+                cands.update(range(e - (e - zone_lo) // period * period, zone_hi + 1, period))
                 # one clean far-field period, unaffected by the perturbation
-                far = zone_hi + ((e - zone_hi) % big)
-                reps = int(big / l.period)
-                for j in range(reps):
-                    cands.add(far + j * l.period)
+                far = zone_hi + (e - zone_hi) % big
+                cands.update(range(far, far + big, period))
     return sorted(cands)
+
+
+def _line_scan(layers, window: IntervalUnion, threshold: Optional[Fraction] = None):
+    """Evaluate x -> nu(x + window) at every candidate, in increasing order.
+
+    Returns the least candidate reaching threshold (None if none does or no
+    threshold is given) and the ShiftScan with the least maximizer."""
+    ws = window.endpoints()
+    coords = ws + [q for l in layers for q in _base_positions(l)]
+    coords += [l.period for l in layers if l.period is not None]
+    D = lcm(*(q.denominator for q in coords))
+    Dw = lcm(*(w.denominator for l in layers if isinstance(l, AtomLayer) for _, w in l.atoms))
+    scaled = [_scaled_layer(l, D, Dw) for l in layers]
+    masses = [mass for _, _, mass in scaled]
+    pieces = [(_scaled(a, D), _scaled(b, D)) for a, b in window.intervals]
+    cands = _line_candidates(scaled, [_scaled(w, D) for w in ws])
+    searching = threshold is not None
+    if searching:
+        # least int at or above threshold * D * Dw
+        limit = -(-threshold.numerator * D * Dw // threshold.denominator)
+    best = best_x = found = None
+    for x in cands:
+        v = 0
+        for a, b in pieces:
+            a += x
+            b += x
+            for mass in masses:
+                v += mass(a, b)
+        if searching and v >= limit:
+            found, searching = Fraction(x, D), False
+        if best is None or v > best:
+            best, best_x = v, x
+    return found, ShiftScan(Fraction(best, D * Dw), Fraction(best_x, D), len(cands))
 
 
 def _trap_shift(ap: AccumulationPoint, window: IntervalUnion) -> Fraction:
@@ -286,15 +377,7 @@ def real_shift_sup(nu, window: IntervalUnion) -> ShiftScan:
     if acc and any(b > a for a, b in window.intervals):
         x = _trap_shift(acc[0], window)
         return ShiftScan(Infinite(("accumulation", acc[0], window.translate(x))), x, 0)
-    cands = _real_candidates(layers, window)
-    evaluate = _make_evaluator(layers)
-    best = None
-    best_x = None
-    for x in cands:
-        v = evaluate(window.translate(x))
-        if best is None or v > best:
-            best, best_x = v, x
-    return ShiftScan(best if best is not None else Fraction(0), best_x, len(cands))
+    return _line_scan(layers, window)[1]
 
 
 def real_threshold_witness(nu, window: IntervalUnion, threshold: Fraction):
@@ -302,19 +385,7 @@ def real_threshold_witness(nu, window: IntervalUnion, threshold: Fraction):
     layers, acc = real_layers(nu)
     if acc and any(b > a for a, b in window.intervals):
         return _trap_shift(acc[0], window), real_shift_sup(nu, window)
-    cands = _real_candidates(layers, window)
-    evaluate = _make_evaluator(layers)
-    best = None
-    best_x = None
-    found = None
-    for x in cands:
-        v = evaluate(window.translate(x))
-        if found is None and v >= threshold:
-            found = x
-        if best is None or v > best:
-            best, best_x = v, x
-    return found, ShiftScan(best if best is not None else Fraction(0), best_x, len(cands))
-
+    return _line_scan(layers, window, threshold)
 
 # ---------------------------------------------------------------------------
 # discrete (Z^d) engine
@@ -397,42 +468,31 @@ def zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
         return ShiftScan(Fraction(0), group.zero(), 1)
     periodic = [l for l in layers if l.period is not None]
     finite = [l for l in layers if l.period is None]
-    import itertools
-
     if periodic and not finite:
-        period = periodic[0].period
-        for l in periodic[1:]:
-            period = tuple(_lcm(a, b) for a, b in zip(period, l.period))
-        cands = itertools.product(*(range(m) for m in period))
+        period = tuple(lcm(*ms) for ms in zip(*(l.period for l in periodic)))
+        cands = product(*(range(m) for m in period))
     elif finite and not periodic:
         per_coord = [
             sorted({p[i] - r for l in finite for p, _ in l.atoms} | {0}) for i in range(d)
         ]
-        cands = itertools.product(*per_coord)
+        cands = product(*per_coord)
     else:
         if d != 1:
             raise PreconditionError("mixed periodic and finite lattice layers need d = 1")
-        period = 1
-        for l in periodic:
-            period = _lcm(period, l.period[0])
+        period = lcm(*(l.period[0] for l in periodic))
         support = [p[0] for l in finite for p, _ in l.atoms]
         lo = min(support) - r - period
         hi = max(support) + r + period
-        cs = set(range(lo, hi + period + 1))
-        cands = ((c,) for c in sorted(cs))
+        cands = ((c,) for c in range(lo, hi + period + 1))
     best = None
     best_x = None
+    scanned = 0
     for x in cands:
+        scanned += 1
         v = _zd_mass_at(layers, x, r)
         if best is None or v > best:
             best, best_x = v, x
-    return ShiftScan(best, best_x, 0)
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
+    return ShiftScan(best, best_x, scanned)
 
 
 def zd_set_window(nu, group: ZLattice, window: ExplicitFinite):

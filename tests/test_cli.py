@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from density_lab.cli import main
 
 INSTANCES = "instances"
@@ -118,6 +120,23 @@ def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "density", "--instance", "no/such/file.json",
                        "--notion", "kahane")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "instance, extra, code",
+    [
+        ("dirac.json", ["--K", "notjson"], 2),
+        ("dirac.json", ["--r0", "0", "--force-scan"], 3),
+        ("dirac.json", ["--kmax", "-3", "--force-scan"], 3),
+        ("perturbed_lattice.json", ["--r0", "0", "--rmax", "40"], 3),
+    ],
+)
+def test_bad_window_arguments_keep_exit_contract(capsys, instance, extra, code):
+    got, _, err = run(
+        capsys, "density", "--instance", f"{INSTANCES}/{instance}", "--notion", "window", *extra,
+    )
+    assert got == code
+    assert ("parse error" if code == 2 else "precondition failure") in err
 
 
 def test_syndetic_verification_failure_exit_4(tmp_path, capsys):

@@ -2,6 +2,9 @@
 
 import random
 from fractions import Fraction
+from math import ceil
+
+from hypothesis import given, settings, strategies as st
 
 from density_lab import (
     Counting,
@@ -19,7 +22,15 @@ from density_lab import (
     real_shift_sup,
     zd_shift_sup,
 )
+from density_lab.density import CustomK
+from density_lab.rational import frac_lcm
 from density_lab.sets import DiracAtZero, PeriodicDiscrete
+from density_lab.windows import (
+    _base_positions,
+    _layer_mass,
+    real_layers,
+    real_threshold_witness,
+)
 
 rng = random.Random(5)
 R = RealLine()
@@ -133,6 +144,7 @@ def test_zd_periodic_sup_golden():
 def test_zd_sup_two_dimensional():
     nu = Counting(PeriodicDiscrete((2, 3), ((0, 0), (1, 2))))
     scan = zd_shift_sup(nu, ZLattice(2), 2)
+    assert scan.candidates == 6  # every center of the 2 x 3 period box
     # oracle: enumerate all centers in the period box and count directly
     pts = [
         (a + 2 * i, b + 3 * j)
@@ -204,3 +216,142 @@ def test_perturbed_lattice_with_removals_sup_oracle():
         for _ in range(80):
             x = Fraction(rng.randrange(-160, 160), rng.randrange(1, 8))
             assert brute_count_in(pts, w.translate(x)) <= scan.value
+
+
+# ---------------------------------------------------------------------------
+# the integer line scan against the per-candidate Fraction scan it replaced
+
+
+def fraction_candidates(layers, window):
+    """The Fraction candidate generator of the rational scan."""
+    ws = window.endpoints()
+    periodic = [l for l in layers if l.period is not None]
+    finite = [l for l in layers if l.period is None]
+    cands = {Fraction(0)}
+    if periodic and not finite:
+        big = periodic[0].period
+        for l in periodic[1:]:
+            big = frac_lcm(big, l.period)
+        for l in periodic:
+            reps = int(big / l.period)
+            for base in _base_positions(l):
+                for w in ws:
+                    e = (base - w) % l.period
+                    for j in range(reps):
+                        cands.add(e + j * l.period)
+        return sorted(cands)
+    if finite and not periodic:
+        for l in finite:
+            for base in _base_positions(l):
+                for w in ws:
+                    cands.add(base - w)
+        return sorted(cands)
+    if not layers:
+        return [Fraction(0)]
+    big = periodic[0].period
+    for l in periodic[1:]:
+        big = frac_lcm(big, l.period)
+    support = [p for l in finite for p in _base_positions(l)]
+    w_lo, w_hi = min(ws), max(ws)
+    zone_lo = min(support) - w_hi - big
+    zone_hi = max(support) - w_lo + big
+    for l in finite:
+        for base in _base_positions(l):
+            for w in ws:
+                cands.add(base - w)
+    for l in periodic:
+        for base in _base_positions(l):
+            for w in ws:
+                e = base - w
+                k = ceil((zone_lo - e) / l.period)
+                while e + k * l.period <= zone_hi:
+                    cands.add(e + k * l.period)
+                    k += 1
+                far = zone_hi + ((e - zone_hi) % big)
+                for j in range(int(big / l.period)):
+                    cands.add(far + j * l.period)
+    return sorted(cands)
+
+
+def fraction_values(nu, window):
+    """[(x, nu(x + window))] over the candidates, in increasing x, re-evaluating
+    every layer on a freshly translated window per candidate."""
+    layers, _ = real_layers(nu)
+    return [
+        (x, sum((_layer_mass(l, window.translate(x)) for l in layers), Fraction(0)))
+        for x in fraction_candidates(layers, window)
+    ]
+
+
+# periods with denominators 1, 2, 3 and 4; their lcms stay at most 15
+PERIODS = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 3), Fraction(3, 4))
+coords = st.builds(Fraction, st.integers(-16, 16), st.sampled_from((1, 2, 3, 4)))
+weights = st.builds(Fraction, st.integers(1, 7), st.sampled_from((1, 2, 3, 5)))
+
+
+@st.composite
+def line_component(draw):
+    kind = draw(
+        st.sampled_from(
+            ("points", "periodic", "perturbed", "diracs", "trace", "pattern", "dirac")
+        )
+    )
+    period = draw(st.sampled_from(PERIODS))
+    if kind == "points":
+        return Counting(FinitePoints(tuple(draw(st.lists(coords, min_size=1, max_size=4)))))
+    if kind == "periodic":
+        residues = draw(st.lists(coords, min_size=1, max_size=3))
+        return Counting(PeriodicPoints(period, tuple(residues)))
+    if kind == "perturbed":
+        extra = [p for p in draw(st.lists(coords, max_size=3)) if (p / period).denominator != 1]
+        removed = [period * k for k in draw(st.lists(st.integers(-5, 5), max_size=3))]
+        return Counting(PerturbedLattice(period, tuple(extra), tuple(removed)))
+    if kind == "diracs":
+        atoms = draw(st.lists(st.tuples(coords, weights), min_size=1, max_size=4))
+        return WeightedDiracs(tuple(atoms))
+    if kind == "trace":
+        starts = draw(st.lists(coords, min_size=1, max_size=3))
+        return HaarTrace(IntervalUnion(tuple((a, a + draw(weights) / 2) for a in starts)))
+    if kind == "pattern":
+        starts = draw(st.lists(coords, min_size=1, max_size=2))
+        pairs = [(a % period, a % period + period * draw(weights) / 8) for a in starts]
+        return HaarTrace(PeriodicPattern.from_pairs(period, [(a, min(b, period)) for a, b in pairs]))
+    return DiracAtZero()
+
+
+@st.composite
+def custom_windows(draw):
+    """rK for a unit-length K of one to three pieces, maybe plus a point."""
+    cuts = draw(st.lists(st.integers(1, 11), max_size=2, unique=True))
+    edges = [0] + sorted(cuts) + [12]
+    pieces = []
+    cursor = draw(coords)
+    for lo, hi in zip(edges, edges[1:]):
+        pieces.append((cursor, cursor + Fraction(hi - lo, 12)))
+        cursor += Fraction(hi - lo, 12) + draw(st.sampled_from((Fraction(1, 3), Fraction(1, 2), 1)))
+    if draw(st.booleans()):
+        pieces.append((cursor, cursor))
+    shape = CustomK(IntervalUnion(tuple(pieces))).shape
+    return shape.scale(draw(st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(7, 3), 4))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(line_component(), min_size=1, max_size=3),
+    custom_windows(),
+    st.integers(0, 4),
+)
+def test_integer_scan_matches_fraction_scan(components, window, step):
+    nu = components[0] if len(components) == 1 else MeasureSum(tuple(components))
+    values = fraction_values(nu, window)
+    best_x, best = values[0]
+    for x, v in values:
+        if v > best:
+            best_x, best = x, v
+    scan = real_shift_sup(nu, window)
+    assert (scan.value, scan.argmax, scan.candidates) == (best, best_x, len(values))
+    # step 0 asks for a hair more than the attained sup, so no candidate reaches it
+    threshold = best - Fraction(step, 2) if step else best + Fraction(1, 10**9)
+    found, witness_scan = real_threshold_witness(nu, window, threshold)
+    assert found == next((x for x, v in values if v >= threshold), None)
+    assert witness_scan == scan

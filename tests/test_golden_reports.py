@@ -1,0 +1,90 @@
+"""Golden CLI reports: every subcommand and notion on every instance file, every
+demo, the self-test and a set of window scans, run in-process through
+`cli.main`. `golden_reports.json` maps each argv (joined by single spaces) to
+its exit code and the SHA-256 of its `--out` report with `wall_time_s` and
+`command` removed (null when the run writes no report). Refactors must keep
+every entry unchanged.
+"""
+
+import hashlib
+import json
+import pathlib
+
+from density_lab.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_reports.json")
+NOTIONS = ("classical", "window", "kahane", "delta", "hegyvari")
+SUBCOMMANDS = ("diffset", "cover", "partition", "pipeline", "syndetic")
+SPLIT_K = '[["0","1/2"],["3/4","5/4"]]'
+EXTRA = [
+    ["density", "--instance", "instances/chain_half.json", "--notion", "hegyvari", "--nmax", "3"],
+    ["density", "--instance", "instances/z6_pair.json", "--notion", "kahane", "--mode", "oracle"],
+    ["density", "--instance", "instances/z6_pair.json", "--notion", "delta", "--mode", "oracle"],
+    ["density", "--instance", "instances/z6_pair.json", "--notion", "kahane", "--mode", "oracle",
+     "--cap", "4"],
+    ["density", "--instance", "instances/dirac.json", "--notion", "window", "--force-scan"],
+    ["density", "--instance", "instances/dirac.json", "--notion", "window", "--K", "notjson"],
+    ["density", "--instance", "instances/half_pattern.json", "--notion", "window", "--force-scan"],
+    ["density", "--instance", "instances/half_pattern.json", "--notion", "window", "--K", SPLIT_K],
+    ["density", "--instance", "instances/half_pattern.json", "--notion", "window", "--force-scan",
+     "--K", SPLIT_K, "--r0", "8", "--kmax", "8"],
+    ["density", "--instance", "instances/half_pattern.json", "--notion", "window", "--force-scan",
+     "--K", "interval", "--kmax", "4"],
+    ["density", "--instance", "instances/half_pattern.json", "--notion", "window", "--K", "cube"],
+    ["density", "--instance", "instances/perturbed_lattice.json", "--notion", "window",
+     "--rmax", "40"],
+    ["density", "--instance", "instances/perturbed_lattice.json", "--notion", "window",
+     "--r0", "10", "--rmax", "40", "--tol", "1/1000000"],
+    ["density", "--instance", "instances/perturbed_lattice.json", "--notion", "window",
+     "--K", '[["0","1"]]', "--kmax", "3"],
+    ["density", "--instance", "instances/three_z.json", "--object", "nu", "--notion", "window",
+     "--force-scan", "--K", "cube", "--r0", "3", "--kmax", "3"],
+    ["density", "--instance", "instances/three_z.json", "--object", "nu", "--notion", "kahane",
+     "--force-scan"],
+    ["diffset", "--instance", "instances/reciprocal_perturbation.json", "--object", "S",
+     "--window", "-1", "1"],
+    ["pipeline", "--instance", "instances/two_residues.json", "--object", "S", "--H", "H"],
+    ["pipeline", "--instance", "instances/two_residues.json", "--object", "S", "--epsilon", "1/4"],
+    ["selftest", "--cap", "6"],
+]
+DEMOS = ("totik", "accumulation", "erdos-sarkozy", "hegyvari", "theorem3")
+
+
+def _argvs():
+    out = []
+    for path in sorted(pathlib.Path("instances").glob("*.json")):
+        objects = sorted(json.loads(path.read_text(encoding="utf-8"))["objects"])
+        picks = [[]] if len(objects) == 1 else [["--object", name] for name in objects]
+        for pick in picks:
+            base = ["--instance", f"instances/{path.name}", *pick]
+            out += [["density", *base, "--notion", notion] for notion in NOTIONS]
+            out += [[command, *base] for command in SUBCOMMANDS]
+    out += [["demo", name] for name in DEMOS]
+    return out + EXTRA
+
+
+def run_one(argv, out_dir) -> dict:
+    """Exit code and report digest of one in-process CLI run."""
+    out = pathlib.Path(out_dir) / "report.json"
+    out.unlink(missing_ok=True)
+    code = main([*argv, "--out", str(out)])
+    digest = None
+    if out.exists():
+        report = json.loads(out.read_text(encoding="utf-8"))
+        del report["wall_time_s"], report["command"]
+        canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return {"exit": code, "sha256": digest}
+
+
+def test_golden_reports(tmp_path, capsys):
+    argvs = _argvs()
+    assert all(" " not in arg for argv in argvs for arg in argv)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = {}
+    for argv in argvs:
+        got[" ".join(argv)] = run_one(argv, tmp_path)
+        capsys.readouterr()
+    assert sorted(got) == sorted(golden)
+    changed = {key: (golden[key], got[key]) for key in got if got[key] != golden[key]}
+    assert not changed, changed

@@ -40,13 +40,10 @@ from .errors import (
 from .groups import (
     FiniteAbelian,
     GroupSpec,
-    LatticeBox,
-    LineSegment,
     RealLine,
     SigmaFiniteChain,
     ZLattice,
     all_finite_abelian_up_to,
-    fundamental_domain,
     moduli_factorizations,
 )
 from .instances import Instance, canonical_json, instance_to_text, parse_instance, to_jsonable

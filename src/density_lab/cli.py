@@ -514,3 +514,7 @@ def main(argv=None) -> int:
 
 def console_main():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

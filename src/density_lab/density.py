@@ -15,7 +15,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Optional, Union
 
 from .config import DEFAULT_CAPS, DEFAULT_ESTIMATION, EstimationParams
@@ -23,21 +23,12 @@ from .errors import CapExceededError, PreconditionError, VerificationError
 from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
 from .intervals import IntervalUnion
 from .rational import Infinite, is_infinite, rat, rat_str
-from .sets import (
-    Counting,
-    CylinderSet,
-    DiracAtZero,
-    ExplicitFinite,
-    HaarTrace,
-    MeasureSum,
-    PeriodicDiscrete,
-    WeightedDiracs,
-)
+from .sets import CylinderSet, ExplicitFinite, PeriodicDiscrete
 from .windows import (
-    real_layers,
+    TraceLayer,
+    measure_layers,
     real_shift_sup,
     real_threshold_witness,
-    zd_layers,
     zd_set_window,
     zd_shift_sup,
 )
@@ -154,59 +145,30 @@ def _settings(params: EstimationParams) -> tuple[tuple[str, str], ...]:
 
 def measure_total_finite(nu, group: FiniteAbelian) -> Fraction:
     """Total mass on a finite group."""
-    if isinstance(nu, MeasureSum):
-        return sum((measure_total_finite(c, group) for c in nu.components), Fraction(0))
-    if isinstance(nu, DiracAtZero):
-        return Fraction(1)
-    if isinstance(nu, WeightedDiracs):
-        return sum((w for _, w in nu.atoms), Fraction(0))
-    if isinstance(nu, (Counting, HaarTrace)):
-        s = nu.of
-        if isinstance(s, ExplicitFinite):
-            for e in s.elements:
-                group.check(e)
-            return Fraction(len(s.elements))
-        raise PreconditionError("finite-group measures must have explicit finite support")
-    raise PreconditionError(f"unsupported measure: {type(nu).__name__}")
+    layers, _ = measure_layers(nu, group)
+    return sum((w for l in layers for _, w in l.atoms), Fraction(0))
 
 
 def periodic_mean_density(nu, group: GroupSpec) -> Optional[Union[Fraction, Infinite]]:
     """Exact asymptotic mean when every layer is periodic (the closed form),
     0 when all layers have finite support, Infinite with a certificate for
     accumulating counting measures; None when only estimation applies."""
-    if isinstance(group, RealLine):
-        layers, acc = real_layers(nu)
-        if acc:
-            return Infinite(("accumulation", acc[0]))
-        periodic = [l for l in layers if l.period is not None]
-        finite = [l for l in layers if l.period is None]
-        if periodic and finite:
-            return None
-        if not periodic:
-            return Fraction(0)
-        total = Fraction(0)
-        for l in periodic:
-            if hasattr(l, "atoms"):
-                total += sum((w for _, w in l.atoms), Fraction(0)) / l.period
-            else:
-                total += l.periodic.mass / l.period
-        return total
-    if isinstance(group, ZLattice):
-        layers = zd_layers(nu, group)
-        periodic = [l for l in layers if l.period is not None]
-        finite = [l for l in layers if l.period is None]
-        if periodic and finite:
-            return None
-        if not periodic:
-            return Fraction(0)
-        total = Fraction(0)
-        for l in periodic:
-            cells = 1
-            for m in l.period:
-                cells *= m
-            total += sum((w for _, w in l.atoms), Fraction(0)) / cells
-        return total
-    raise PreconditionError("closed forms run on Z^d or the real line")
+    if not isinstance(group, (RealLine, ZLattice)):
+        raise PreconditionError("closed forms run on Z^d or the real line")
+    layers, acc = measure_layers(nu, group)
+    if acc:
+        return Infinite(("accumulation", acc[0]))
+    periodic = [l for l in layers if l.period is not None]
+    if len(periodic) < len(layers):
+        return None if periodic else Fraction(0)
+    total = Fraction(0)
+    for l in periodic:
+        if isinstance(l, TraceLayer):
+            mass = l.periodic.mass
+        else:
+            mass = sum((w for _, w in l.atoms), Fraction(0))
+        total += mass / (prod(l.period) if isinstance(l.period, tuple) else l.period)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +256,7 @@ def auud_window(
     if closed is not None and not force_scan:
         annotation = (
             "fully periodic instance: exact mean mass per period"
-            if closed != 0 or _has_periodic_layer(nu, group)
+            if closed != 0 or any(l.period is not None for l in measure_layers(nu, group)[0])
             else "finite support: density 0 in the limit"
         )
         return DensityReport(
@@ -317,14 +279,6 @@ def auud_window(
         witness=Witness("shift", (r_last, argmax, est.last)),
         settings=_settings(params),
     )
-
-
-def _has_periodic_layer(nu, group) -> bool:
-    if isinstance(group, RealLine):
-        layers, _ = real_layers(nu)
-    else:
-        layers = zd_layers(nu, group)
-    return any(l.period is not None for l in layers)
 
 
 # ---------------------------------------------------------------------------
@@ -390,28 +344,11 @@ def _finite_group_tables(group: FiniteAbelian):
     return elems, index, translate
 
 
-def _point_masses(nu, group: FiniteAbelian, elems, index):
-    masses = [Fraction(0)] * len(elems)
-    def add(point, w):
-        masses[index[group.check(point)]] += w
-    def walk(m):
-        if isinstance(m, MeasureSum):
-            for c in m.components:
-                walk(c)
-        elif isinstance(m, DiracAtZero):
-            add(group.zero(), Fraction(1))
-        elif isinstance(m, WeightedDiracs):
-            for p, w in m.atoms:
-                add(p, w)
-        elif isinstance(m, (Counting, HaarTrace)):
-            s = m.of
-            if not isinstance(s, ExplicitFinite):
-                raise PreconditionError("finite-group measures must have explicit support")
-            for e in s.elements:
-                add(e, Fraction(1))
-        else:
-            raise PreconditionError(f"unsupported measure: {type(m).__name__}")
-    walk(nu)
+def _point_masses(nu, group: FiniteAbelian, index):
+    masses = [Fraction(0)] * len(index)
+    for layer in measure_layers(nu, group)[0]:
+        for p, w in layer.atoms:
+            masses[index[p]] += w
     return masses
 
 
@@ -427,7 +364,7 @@ def kahane_oracle_finite(nu, group: FiniteAbelian, cap: int = DEFAULT_CAPS.oracl
     if cap > DEFAULT_CAPS.oracle_warn_above and n > DEFAULT_CAPS.oracle_warn_above:
         warnings.warn(f"brute-force oracle on order {n}: ~4^{n} ratio evaluations")
     elems, index, translate = _finite_group_tables(group)
-    masses = _point_masses(nu, group, elems, index)
+    masses = _point_masses(nu, group, index)
     denom_lcm = lcm(*(m.denominator for m in masses))
     scaled = [int(m * denom_lcm) for m in masses]
     size = 1 << n
@@ -616,8 +553,7 @@ def delta_density(
             + ("finite test sets = compact test sets on a discrete group",),
         )
     if isinstance(group, RealLine):
-        layers, acc = real_layers(nu)
-        atom = _first_atom(layers, acc)
+        atom = _first_atom(*measure_layers(nu, group))
         if atom is not None:
             point, weight = atom
             return DensityReport(
@@ -757,7 +693,7 @@ def translation_witness(nu, group: GroupSpec, W, gamma) -> Union[Fraction, tuple
 
 
 def _lattice_witness_candidates(nu, group: ZLattice, W):
-    layers = zd_layers(nu, group)
+    layers, _ = measure_layers(nu, group)
     periods = [l.period for l in layers if l.period is not None]
     if periods:
         period = tuple(lcm(*ms) for ms in zip(*periods))

@@ -19,9 +19,6 @@ from .config import DEFAULT_CAPS
 from .errors import CapExceededError, PreconditionError, ShapeMismatchError
 from .rational import rat
 
-Element = Union[tuple, Fraction]
-
-
 def _as_int_tuple(g, dimension: int, what: str = "element") -> tuple[int, ...]:
     if isinstance(g, int) and not isinstance(g, bool) and dimension == 1:
         return (g,)
@@ -55,9 +52,6 @@ class ZLattice:
     def negate(self, g):
         g = self.check(g)
         return tuple(-a for a in g)
-
-    def lex_key(self, g):
-        return self.check(g)
 
 
 @dataclass(frozen=True)
@@ -108,9 +102,6 @@ class FiniteAbelian:
             raise CapExceededError(f"group order {self.order} exceeds enumeration cap {cap}")
         return list(itertools.product(*(range(m) for m in self.moduli)))
 
-    def lex_key(self, g):
-        return self.check(g)
-
 
 @dataclass(frozen=True)
 class RealLine:
@@ -133,9 +124,6 @@ class RealLine:
 
     def negate(self, g):
         return -self.check(g)
-
-    def lex_key(self, g):
-        return self.check(g)
 
 
 @dataclass(frozen=True)
@@ -193,9 +181,6 @@ class SigmaFiniteChain:
         g = self.check(g)
         return g + (0,) * (n - len(g))
 
-    def lex_key(self, g):
-        return self.pad(g, self.depth)
-
     def subgroup_order(self, n: int) -> int:
         self._check_depth(n)
         out = 1
@@ -229,65 +214,6 @@ def _strip(g: tuple[int, ...]) -> tuple[int, ...]:
 
 
 GroupSpec = Union[ZLattice, FiniteAbelian, RealLine, SigmaFiniteChain]
-
-
-@dataclass(frozen=True)
-class LatticeBox:
-    """Fundamental domain [0,m_1) x ... x [0,m_d) of a diagonal period lattice."""
-
-    period: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "period", tuple(self.period))
-        if any(not isinstance(m, int) or m < 1 for m in self.period):
-            raise PreconditionError("all periods must be positive integers")
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for m in self.period:
-            n *= m
-        return n
-
-    def cells(self, cap: int = DEFAULT_CAPS.enumeration) -> list[tuple[int, ...]]:
-        if self.size > cap:
-            raise CapExceededError(f"fundamental domain of size {self.size} exceeds cap {cap}")
-        return list(itertools.product(*(range(m) for m in self.period)))
-
-    def reduce(self, g) -> tuple[int, ...]:
-        g = _as_int_tuple(g, len(self.period))
-        return tuple(c % m for c, m in zip(g, self.period))
-
-
-@dataclass(frozen=True)
-class LineSegment:
-    """Fundamental domain [0, p) of the period-p translation on the real line."""
-
-    period: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "period", rat(self.period))
-        if self.period <= 0:
-            raise PreconditionError("period must be positive")
-
-    def reduce(self, q: Fraction) -> Fraction:
-        q = rat(q)
-        return q - (q / self.period).__floor__() * self.period
-
-
-def fundamental_domain(period) -> Union[LatticeBox, LineSegment]:
-    """Domain descriptor for a diagonal lattice period (ints) or a rational period.
-
-    A bare int is read as a one-dimensional lattice period; pass a Fraction for
-    the real line.
-    """
-    if isinstance(period, int) and not isinstance(period, bool):
-        return LatticeBox((period,))
-    if isinstance(period, (tuple, list)):
-        return LatticeBox(tuple(period))
-    if isinstance(period, (Fraction, str)):
-        return LineSegment(rat(period))
-    raise PreconditionError(f"cannot build a fundamental domain from {period!r}")
 
 
 def moduli_factorizations(n: int) -> list[tuple[int, ...]]:

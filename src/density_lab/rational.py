@@ -65,8 +65,6 @@ class Infinite:
 
 INFINITE = Infinite()
 
-ExtendedRational = Union[Fraction, Infinite]
-
 
 def is_infinite(value) -> bool:
     return isinstance(value, Infinite)

@@ -82,9 +82,6 @@ class PeriodicDiscrete:
         g = tuple(g) if not isinstance(g, int) else (g,)
         return tuple(c % m for c, m in zip(g, self.period)) in set(self.residues)
 
-    def per_period_count(self) -> int:
-        return len(self.residues)
-
     def cell_count(self) -> int:
         n = 1
         for m in self.period:
@@ -118,10 +115,6 @@ class FinitePoints:
         object.__setattr__(self, "points", tuple(sorted({rat(p) for p in self.points})))
         object.__setattr__(self, "accumulation", tuple(self.accumulation))
 
-    @property
-    def has_accumulation(self) -> bool:
-        return bool(self.accumulation)
-
     def __len__(self):
         return len(self.points)
 
@@ -144,10 +137,6 @@ class PeriodicPoints:
     @classmethod
     def lattice(cls, step) -> "PeriodicPoints":
         return cls(rat(step), (Fraction(0),))
-
-    @property
-    def per_period_count(self) -> int:
-        return len(self.residues)
 
     @property
     def counting_density(self) -> Fraction:
@@ -227,10 +216,6 @@ class PerturbedLattice:
         object.__setattr__(self, "extra", extra)
         object.__setattr__(self, "removed", removed)
         object.__setattr__(self, "accumulation", tuple(self.accumulation))
-
-    @property
-    def has_accumulation(self) -> bool:
-        return bool(self.accumulation)
 
     def perturbation_span(self) -> Optional[tuple[Fraction, Fraction]]:
         pts = self.extra + self.removed
@@ -343,9 +328,6 @@ class MeasureSum:
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-
-
-MeasureSpec = Union[Counting, HaarTrace, DiracAtZero, WeightedDiracs, MeasureSum]
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Optional
 
-from .density import RudinWindow, rudin_window
+from .density import RudinWindow, measure_total_finite, periodic_mean_density, rudin_window
 from .errors import PreconditionError, VerificationError
-from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
+from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice, _strip
 from .intervals import IntervalUnion, PeriodicPattern
 from .rational import INFINITE, Infinite, is_infinite, rat, rat_str
 from .sets import (
@@ -140,13 +140,6 @@ def greedy_translates(A, group: GroupSpec) -> CoverResult:
             )
         raise PreconditionError("line covers need a periodic pattern")
     raise PreconditionError(f"unsupported group: {type(group).__name__}")
-
-
-def _strip(e):
-    end = len(e)
-    while end > 0 and e[end - 1] == 0:
-        end -= 1
-    return e[:end]
 
 
 def _greedy_finite(a_elements, quotient: FiniteAbelian, base_set, group, domain: str):
@@ -661,8 +654,6 @@ class SubadditivityCheck:
 
 
 def _exact_density(nu, group: GroupSpec):
-    from .density import measure_total_finite, periodic_mean_density
-
     if isinstance(group, FiniteAbelian):
         return measure_total_finite(nu, group) / group.order
     value = periodic_mean_density(nu, group)

@@ -1,11 +1,18 @@
 """Exact window-mass evaluation and shift suprema.
 
-Every supported measure decomposes into layers: weighted atoms (finite or
-fully periodic) and Haar traces (finite interval unions or periodic patterns).
-For a bounded closed window W, the shift function f(x) = nu(x + W) is then
-upper semicontinuous and piecewise linear, with breakpoints only where a
-window endpoint crosses an atom or a trace endpoint. Hence sup_x f is attained
-at one of finitely many event points:
+measure_layers is the one walker over a measure tree, for the real line, Z^d
+and finite abelian groups alike. It decomposes nu into layers: weighted atoms
+(AtomLayer; finite, or periodic with a Fraction period on the line and an
+integer tuple period on Z^d) and, on the line, Haar traces (TraceLayer; finite
+interval unions or periodic patterns), plus the accumulation markers of line
+configurations. Every Dirac point, ExplicitFinite element and lattice residue
+goes through group.check there (line configurations hold Fractions by
+construction), so every layer's atoms belong to the group.
+
+For a bounded closed window W on the line, the shift function
+f(x) = nu(x + W) is upper semicontinuous and piecewise linear, with
+breakpoints only where a window endpoint crosses an atom or a trace endpoint.
+Hence sup_x f is attained at one of finitely many event points:
 
   x = s - w   for s an atom position or trace endpoint, w a window endpoint,
 
@@ -60,13 +67,13 @@ from .sets import (
 )
 
 # ---------------------------------------------------------------------------
-# layer decomposition (real line)
+# layer decomposition
 
 
 @dataclass(frozen=True)
 class AtomLayer:
-    period: Optional[Fraction]  # None for a finite layer
-    atoms: tuple[tuple[Fraction, Fraction], ...]  # (position or residue, weight)
+    period: Union[None, Fraction, tuple[int, ...]]  # None for a finite layer
+    atoms: tuple[tuple[object, Fraction], ...]  # (position or residue, weight)
 
 
 @dataclass(frozen=True)
@@ -76,67 +83,67 @@ class TraceLayer:
     finite: Optional[IntervalUnion] = None
 
 
-RealLayer = Union[AtomLayer, TraceLayer]
+Layer = Union[AtomLayer, TraceLayer]
 
 
-def real_layers(nu) -> tuple[list[RealLayer], tuple[AccumulationPoint, ...]]:
-    layers: list[RealLayer] = []
+def measure_layers(nu, group: GroupSpec) -> tuple[list[Layer], tuple[AccumulationPoint, ...]]:
+    """The nonempty layers of nu on the line, Z^d or a finite group, plus the
+    accumulation markers of its counting measures (only line configurations
+    carry them). Atoms are checked against the group."""
+    layers: list[Layer] = []
     acc: list[AccumulationPoint] = []
-    _collect_real(nu, layers, acc)
+    _collect(nu, group, layers, acc)
     return layers, tuple(acc)
 
 
-def _collect_real(nu, layers, acc):
-    one = Fraction(1)
+def _collect(nu, group, layers, acc):
+    def add(period, points, weight=Fraction(1)):
+        if points:
+            layers.append(AtomLayer(period, tuple((p, weight) for p in points)))
+
     if isinstance(nu, MeasureSum):
         for c in nu.components:
-            _collect_real(c, layers, acc)
+            _collect(c, group, layers, acc)
         return
     if isinstance(nu, DiracAtZero):
-        layers.append(AtomLayer(None, ((Fraction(0), one),)))
+        add(None, (group.zero(),))
         return
     if isinstance(nu, WeightedDiracs):
         if nu.atoms:
-            layers.append(AtomLayer(None, tuple((rat(p), w) for p, w in nu.atoms)))
+            layers.append(AtomLayer(None, tuple((group.check(p), w) for p, w in nu.atoms)))
         return
-    if isinstance(nu, Counting):
-        s = nu.of
-        if isinstance(s, FinitePoints):
-            if s.points:
-                layers.append(AtomLayer(None, tuple((p, one) for p in s.points)))
-            acc.extend(s.accumulation)
-            return
-        if isinstance(s, PeriodicPoints):
-            if s.residues:
-                layers.append(AtomLayer(s.period, tuple((r, one) for r in s.residues)))
-            return
-        if isinstance(s, PerturbedLattice):
-            layers.append(AtomLayer(s.step, ((Fraction(0), one),)))
-            if s.extra:
-                layers.append(AtomLayer(None, tuple((p, one) for p in s.extra)))
-            if s.removed:
-                layers.append(AtomLayer(None, tuple((p, -one) for p in s.removed)))
-            acc.extend(s.accumulation)
-            return
-        if isinstance(s, ExplicitFinite):
-            if s.elements:
-                layers.append(AtomLayer(None, tuple((rat(p), one) for p in s.elements)))
-            return
-        raise PreconditionError(f"counting measure of {type(s).__name__} is not a line measure")
-    if isinstance(nu, HaarTrace):
-        s = nu.of
-        if isinstance(s, IntervalUnion):
-            if not s.is_empty:
-                layers.append(TraceLayer(None, finite=s))
-            return
-        if isinstance(s, PeriodicPattern):
-            if not s.pattern.is_empty:
-                layers.append(TraceLayer(s.period, periodic=s))
-            return
-        if isinstance(s, (FinitePoints, PeriodicPoints, ExplicitFinite)):
-            return  # Lebesgue-null support, the zero measure
-        raise PreconditionError(f"Haar trace of {type(s).__name__} is not a line measure")
-    raise PreconditionError(f"unsupported measure: {type(nu).__name__}")
+    if not isinstance(nu, (Counting, HaarTrace)):
+        raise PreconditionError(f"unsupported measure: {type(nu).__name__}")
+    s = nu.of
+    line = isinstance(group, RealLine)
+    trace = line and isinstance(nu, HaarTrace)  # Lebesgue measure restricted to s
+    count = line and isinstance(nu, Counting)
+    if trace and isinstance(s, (FinitePoints, PeriodicPoints, ExplicitFinite)):
+        pass  # Lebesgue-null support, the zero measure
+    elif trace and isinstance(s, IntervalUnion):
+        if not s.is_empty:
+            layers.append(TraceLayer(None, finite=s))
+    elif trace and isinstance(s, PeriodicPattern):
+        if not s.pattern.is_empty:
+            layers.append(TraceLayer(s.period, periodic=s))
+    elif isinstance(s, ExplicitFinite):
+        add(None, [group.check(e) for e in s.elements])
+    elif count and isinstance(s, FinitePoints):
+        add(None, s.points)
+        acc.extend(s.accumulation)
+    elif count and isinstance(s, PeriodicPoints):
+        add(s.period, s.residues)
+    elif count and isinstance(s, PerturbedLattice):
+        add(s.step, (Fraction(0),))
+        add(None, s.extra)
+        add(None, s.removed, Fraction(-1))
+        acc.extend(s.accumulation)
+    elif isinstance(group, ZLattice) and isinstance(s, PeriodicDiscrete):
+        add(s.period, [group.check(r) for r in s.residues])
+    else:
+        raise PreconditionError(
+            f"{type(nu).__name__} of {type(s).__name__} is not a measure on {type(group).__name__}"
+        )
 
 
 def _finite_atom_index(layer: AtomLayer):
@@ -149,7 +156,7 @@ def _finite_atom_index(layer: AtomLayer):
     return positions, prefix
 
 
-def _layer_mass(layer: RealLayer, window: IntervalUnion) -> Fraction:
+def _layer_mass(layer: Layer, window: IntervalUnion) -> Fraction:
     total = Fraction(0)
     if isinstance(layer, AtomLayer):
         if layer.period is None:
@@ -196,7 +203,7 @@ def real_mass(nu, window: IntervalUnion):
 
     This Fraction evaluation shares no code with the integer kernel of the
     shift scans below, so re-evaluating a scan's argmax here checks it."""
-    layers, acc = real_layers(nu)
+    layers, acc = measure_layers(nu, RealLine())
     hit = _accumulation_hit(acc, window)
     if hit is not None:
         return Infinite(("accumulation", hit, window))
@@ -207,7 +214,7 @@ def _trace_union(layer: TraceLayer) -> IntervalUnion:
     return layer.finite if layer.period is None else layer.periodic.pattern
 
 
-def _base_positions(layer: RealLayer) -> list[Fraction]:
+def _base_positions(layer: Layer) -> list[Fraction]:
     if isinstance(layer, AtomLayer):
         return [p for p, _ in layer.atoms]
     return _trace_union(layer).endpoints()
@@ -287,7 +294,7 @@ def _trace_mass(pieces: list[tuple[int, int]], period: Optional[int], unit: int)
     return periodic_mass
 
 
-def _scaled_layer(layer: RealLayer, D: int, Dw: int):
+def _scaled_layer(layer: Layer, D: int, Dw: int):
     """(period, event positions, mass function) with positions scaled by D
     and masses by D * Dw, so that every one of them is an int."""
     period = None if layer.period is None else _scaled(layer.period, D)
@@ -373,7 +380,7 @@ def _trap_shift(ap: AccumulationPoint, window: IntervalUnion) -> Fraction:
 
 def real_shift_sup(nu, window: IntervalUnion) -> ShiftScan:
     """sup over x of nu(x + window), with the least maximizing event point."""
-    layers, acc = real_layers(nu)
+    layers, acc = measure_layers(nu, RealLine())
     if acc and any(b > a for a, b in window.intervals):
         x = _trap_shift(acc[0], window)
         return ShiftScan(Infinite(("accumulation", acc[0], window.translate(x))), x, 0)
@@ -382,58 +389,13 @@ def real_shift_sup(nu, window: IntervalUnion) -> ShiftScan:
 
 def real_threshold_witness(nu, window: IntervalUnion, threshold: Fraction):
     """Least event point x with nu(x + window) >= threshold, else None plus scan data."""
-    layers, acc = real_layers(nu)
+    layers, acc = measure_layers(nu, RealLine())
     if acc and any(b > a for a, b in window.intervals):
         return _trap_shift(acc[0], window), real_shift_sup(nu, window)
     return _line_scan(layers, window, threshold)
 
 # ---------------------------------------------------------------------------
 # discrete (Z^d) engine
-
-
-@dataclass(frozen=True)
-class DiscreteAtomLayer:
-    period: Optional[tuple[int, ...]]
-    atoms: tuple[tuple[tuple[int, ...], Fraction], ...]
-
-
-def zd_layers(nu, group: ZLattice) -> list[DiscreteAtomLayer]:
-    layers: list[DiscreteAtomLayer] = []
-    _collect_zd(nu, group, layers)
-    return layers
-
-
-def _collect_zd(nu, group, layers):
-    one = Fraction(1)
-    if isinstance(nu, MeasureSum):
-        for c in nu.components:
-            _collect_zd(c, group, layers)
-        return
-    if isinstance(nu, DiracAtZero):
-        layers.append(DiscreteAtomLayer(None, ((group.zero(), one),)))
-        return
-    if isinstance(nu, WeightedDiracs):
-        if nu.atoms:
-            layers.append(
-                DiscreteAtomLayer(None, tuple((group.check(p), w) for p, w in nu.atoms))
-            )
-        return
-    if isinstance(nu, (Counting, HaarTrace)):
-        s = nu.of
-        if isinstance(s, ExplicitFinite):
-            if s.elements:
-                layers.append(
-                    DiscreteAtomLayer(None, tuple((group.check(p), one) for p in s.elements))
-                )
-            return
-        if isinstance(s, PeriodicDiscrete):
-            if s.residues:
-                layers.append(DiscreteAtomLayer(s.period, tuple((r, one) for r in s.residues)))
-            return
-        raise PreconditionError(
-            f"{type(nu).__name__} of {type(s).__name__} is not a lattice measure"
-        )
-    raise PreconditionError(f"unsupported measure: {type(nu).__name__}")
 
 
 def _zd_mass_at(layers, x: tuple[int, ...], r: int) -> Fraction:
@@ -457,12 +419,12 @@ def _zd_mass_at(layers, x: tuple[int, ...], r: int) -> Fraction:
 def zd_mass(nu, group: ZLattice, x, r: int) -> Fraction:
     """nu over the cube of side 2r+1 centered at x."""
     x = group.check(x)
-    return _zd_mass_at(zd_layers(nu, group), x, r)
+    return _zd_mass_at(measure_layers(nu, group)[0], x, r)
 
 
 def zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
     """sup over integer centers x of the cube mass, least maximizer first."""
-    layers = zd_layers(nu, group)
+    layers, _ = measure_layers(nu, group)
     d = group.dimension
     if not layers:
         return ShiftScan(Fraction(0), group.zero(), 1)
@@ -497,7 +459,7 @@ def zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
 
 def zd_set_window(nu, group: ZLattice, window: ExplicitFinite):
     """nu evaluated on translates of a finite set: the map x -> nu(window + x)."""
-    layers = zd_layers(nu, group)
+    layers, _ = measure_layers(nu, group)
 
     def mass_at(x):
         x = group.check(x)

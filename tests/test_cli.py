@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -137,6 +141,36 @@ def test_bad_window_arguments_keep_exit_contract(capsys, instance, extra, code):
     )
     assert got == code
     assert ("parse error" if code == 2 else "precondition failure") in err
+
+
+@pytest.mark.parametrize("mode", ["closed-form", "oracle"])
+def test_finite_group_atom_outside_moduli_exit_3(tmp_path, capsys, mode):
+    inst = {
+        "group": {"family": "finite_abelian", "moduli": [6]},
+        "objects": {
+            "nu": {"kind": "weighted_diracs", "atoms": [{"point": [7], "weight": "1"}]},
+        },
+    }
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(inst))
+    code, _, err = run(capsys, "density", "--instance", str(f), "--notion", "kahane",
+                       "--mode", mode)
+    assert code == 3
+    assert "outside the moduli" in err
+
+
+@pytest.mark.parametrize("module", ["density_lab", "density_lab.cli"])
+@pytest.mark.parametrize("extra, code", [(["--K", "notjson"], 2), ([], 0)])
+def test_python_m_runs_the_cli(module, extra, code):
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "density", "--instance", f"{INSTANCES}/dirac.json",
+         "--notion", "window", *extra],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert ("window density: 0" in proc.stdout) == (code == 0)
 
 
 def test_syndetic_verification_failure_exit_4(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from density_lab import (
     AccumulationPoint,
     CenteredCube,
@@ -21,6 +23,7 @@ from density_lab import (
     PeriodicPoints,
     PerturbedLattice,
     RealLine,
+    ShapeMismatchError,
     SigmaFiniteChain,
     WeightedDiracs,
     ZLattice,
@@ -224,6 +227,16 @@ def test_finite_group_examples():
     full = Counting(ExplicitFinite(tuple((i,) for i in range(6))))
     assert kahane_density_finite_group(full, G).value == 1
     assert kahane_density_finite_group(Counting(ExplicitFinite(())), G).value == 0
+
+
+def test_finite_group_atoms_are_checked():
+    G = FiniteAbelian((6,))
+    nu = WeightedDiracs((((7,), 1),))
+    for mode in ("closed-form", "oracle"):
+        with pytest.raises(ShapeMismatchError):
+            kahane_density_finite_group(nu, G, mode=mode)
+    with pytest.raises(ShapeMismatchError):
+        measure_total_finite(nu, G)
 
 
 def test_oracle_witness_reevaluates():

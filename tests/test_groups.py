@@ -7,13 +7,11 @@ from hypothesis import given, strategies as st
 from density_lab import (
     CapExceededError,
     FiniteAbelian,
-    PreconditionError,
     RealLine,
     ShapeMismatchError,
     SigmaFiniteChain,
     ZLattice,
     all_finite_abelian_up_to,
-    fundamental_domain,
     moduli_factorizations,
 )
 
@@ -109,17 +107,6 @@ def test_shape_mismatch():
         FiniteAbelian((3,)).check((5,))
     with pytest.raises(ShapeMismatchError):
         SigmaFiniteChain((2, 2)).check((0, 0, 1))
-
-
-def test_fundamental_domain_examples():
-    box = fundamental_domain(6)
-    assert box.cells() == [(i,) for i in range(6)]
-    seg = fundamental_domain(Fraction(1))
-    assert seg.period == 1 and seg.reduce(Fraction(7, 3)) == Fraction(1, 3)
-    box2 = fundamental_domain((2, 3))
-    assert box2.size == 6
-    with pytest.raises(PreconditionError):
-        fundamental_domain((0, 3))
 
 
 def test_moduli_factorizations():

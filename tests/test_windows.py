@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 from math import ceil
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from density_lab import (
     Counting,
+    CylinderSet,
+    ExplicitFinite,
+    FiniteAbelian,
     FinitePoints,
     HaarTrace,
     IntervalUnion,
@@ -15,7 +19,10 @@ from density_lab import (
     PeriodicPattern,
     PeriodicPoints,
     PerturbedLattice,
+    PreconditionError,
     RealLine,
+    ShapeMismatchError,
+    SigmaFiniteChain,
     WeightedDiracs,
     ZLattice,
     real_mass,
@@ -28,7 +35,7 @@ from density_lab.sets import DiracAtZero, PeriodicDiscrete
 from density_lab.windows import (
     _base_positions,
     _layer_mass,
-    real_layers,
+    measure_layers,
     real_threshold_witness,
 )
 
@@ -174,6 +181,43 @@ def test_empty_measure_sup_zero():
     assert scan.value == 0 and scan.argmax == 0
 
 
+CYLINDER = Counting(CylinderSet(1, ((0,),)))
+
+
+@pytest.mark.parametrize(
+    "nu, group",
+    [
+        (Counting(PeriodicDiscrete.line(3, [0])), FiniteAbelian((3,))),
+        (Counting(IntervalUnion.closed(0, 1)), R),
+        (HaarTrace(PerturbedLattice(1, extra=(Fraction(1, 2),))), R),
+        (HaarTrace(PeriodicPattern.from_pairs(1, [(0, Fraction(1, 2))])), ZLattice(2)),
+        (CYLINDER, R),
+        (CYLINDER, ZLattice(1)),
+        (CYLINDER, FiniteAbelian((2,))),
+        (CYLINDER, SigmaFiniteChain((2, 2))),
+    ],
+)
+def test_measure_layers_rejects_unsupported_pairs(nu, group):
+    with pytest.raises(PreconditionError) as info:
+        measure_layers(nu, group)
+    assert info.type is PreconditionError
+
+
+def test_lattice_residues_must_match_the_dimension():
+    nu = Counting(PeriodicDiscrete((2, 3), ((0, 0),)))
+    with pytest.raises(ShapeMismatchError):
+        measure_layers(nu, ZLattice(1))
+
+
+def test_haar_trace_of_points_on_line_has_no_layers():
+    for s in (
+        FinitePoints((Fraction(1), Fraction(2))),
+        PeriodicPoints(Fraction(1), (Fraction(0),)),
+        ExplicitFinite((Fraction(1),)),
+    ):
+        assert measure_layers(HaarTrace(s), R) == ([], ())
+
+
 def test_sum_of_different_periods_sup():
     # counting on 2Z plus a trace of period 3: the scan works over lcm 6
     nu = MeasureSum(
@@ -276,7 +320,7 @@ def fraction_candidates(layers, window):
 def fraction_values(nu, window):
     """[(x, nu(x + window))] over the candidates, in increasing x, re-evaluating
     every layer on a freshly translated window per candidate."""
-    layers, _ = real_layers(nu)
+    layers, _ = measure_layers(nu, R)
     return [
         (x, sum((_layer_mass(l, window.translate(x)) for l in layers), Fraction(0)))
         for x in fraction_candidates(layers, window)

@@ -11,7 +11,6 @@ from .density import (
     CenteredCube,
     CustomK,
     DensityReport,
-    Estimated,
     IntervalWindow,
     NotFound,
     RudinWindow,
@@ -28,6 +27,7 @@ from .density import (
     rudin_window,
     translation_witness,
     window_density_profile,
+    window_profile_schedule,
 )
 from .errors import (
     CapExceededError,

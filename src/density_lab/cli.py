@@ -24,8 +24,9 @@ from .config import DEFAULT_CAPS, DEFAULT_ESTIMATION, EstimationParams
 from .density import (
     CenteredCube,
     CustomK,
-    Estimated,
     IntervalWindow,
+    Witness,
+    auud_window,
     classical_upper_density,
     delta_density,
     hegyvari_density,
@@ -33,6 +34,7 @@ from .density import (
     kahane_density_finite_group,
     oracle_counting_sweep,
     window_density_profile,
+    window_profile_schedule,
 )
 from .errors import (
     InstanceParseError,
@@ -81,11 +83,13 @@ def _fmt(value) -> str:
         if kind == "accumulation":
             return "Infinite (certified: accumulation window)"
         return "Infinite (certified)"
-    if isinstance(value, Estimated):
-        tail = value.schedule[-1]
-        flag = "converged" if value.converged else "not converged"
-        return f"~{value.extrapolated} ({flag}; last exact ratio {rat_str(tail[1])} at r={rat_str(tail[0])})"
     return str(value)
+
+
+def _cell(x) -> str:
+    if isinstance(x, Fraction):
+        return rat_str(x)
+    return "Infinite" if is_infinite(x) else str(x)
 
 
 def _print_header(args):
@@ -168,26 +172,44 @@ def _emit(args, results) -> dict:
 # subcommands
 
 
+# density flags that set the window profile, meaningless for the other notions
+PROFILE_FLAGS = ("K", "tol", "r0", "kmax", "rmax")
+
+
 def cmd_density(args) -> int:
     instance = _load(args)
     nu = _pick(instance, args.object)
     group = instance.group
-    params = _estimation_params(args, instance)
-    K = _window_shape(args.K, group)
     notion = args.notion
+    given = [f"--{flag}" for flag in PROFILE_FLAGS if getattr(args, flag) is not None]
+    if given and notion != "window":
+        raise PreconditionError(
+            f"{', '.join(given)}: window profile options, valid with --notion window only"
+        )
+    rows = ()
     if notion == "classical":
         report = classical_upper_density(nu.of if isinstance(nu, Counting) else nu, group)
     elif notion == "window":
-        from .density import auud_window
-
-        report = auud_window(nu, group, K=K, params=params, force_scan=args.force_scan)
+        params = _estimation_params(args, instance)
+        K = _window_shape(args.K, group)
+        report = auud_window(nu, group)
+        rows = tuple(window_profile_schedule(nu, group, K, params))
+        report = replace(
+            report,
+            witness=Witness("window-profile", rows),
+            settings=(
+                ("tol", rat_str(params.tol)),
+                ("r0", rat_str(params.r0)),
+                ("k_max", str(params.k_max)),
+            ),
+        )
     elif notion == "kahane":
         if isinstance(group, FiniteAbelian):
             report = kahane_density_finite_group(nu, group, mode=args.mode, cap=args.cap)
         else:
-            report = kahane_density(nu, group, K=K, params=params)
+            report = kahane_density(nu, group)
     elif notion == "delta":
-        report = delta_density(nu, group, K=K, params=params, mode=args.mode, cap=args.cap)
+        report = delta_density(nu, group, mode=args.mode, cap=args.cap)
     elif notion == "hegyvari":
         if not isinstance(group, SigmaFiniteChain):
             raise PreconditionError("the chain density needs a sigma_finite_chain group")
@@ -198,10 +220,11 @@ def cmd_density(args) -> int:
     print(f"{notion} density: {_fmt(report.value)} [{report.method}]")
     for note in report.annotations:
         print(f"  note: {note}")
-    if isinstance(report.value, Estimated):
-        print("  r        sup ratio")
-        for r, ratio in report.value.schedule:
-            print(f"  {rat_str(r):>8} {rat_str(ratio)}")
+    if rows:
+        print("  window profile (finite-r evidence; the value above is exact):")
+        print(f"  {'r':>8} {'sup ratio':<12} least argmax")
+        for r, ratio, argmax in rows:
+            print(f"  {rat_str(r):>8} {_cell(ratio):<12} {_cell(argmax)}")
     _emit(args, report)
     return 0
 
@@ -432,15 +455,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--notion", required=True,
                    choices=["classical", "window", "kahane", "delta", "hegyvari"])
-    p.add_argument("--K", default=None, help="cube | interval | JSON interval list")
-    p.add_argument("--tol", default=None)
-    p.add_argument("--r0", default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--rmax", default=None, help="cap the window schedule at this radius")
+    p.add_argument("--K", default=None,
+                   help="window profile shape: cube | interval | JSON interval list")
+    p.add_argument("--tol", default=None, help="window profile stopping tolerance")
+    p.add_argument("--r0", default=None, help="first window profile radius")
+    p.add_argument("--kmax", type=int, default=None, help="window profile radii r0 * 2^k, k <= kmax")
+    p.add_argument("--rmax", default=None, help="cap the window profile radii at this one")
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--mode", default="closed-form", choices=["closed-form", "oracle"])
     p.add_argument("--cap", type=int, default=DEFAULT_CAPS.oracle_order)
-    p.add_argument("--force-scan", action="store_true")
 
     p = sub.add_parser("diffset", help="difference set")
     common(p)

@@ -10,7 +10,8 @@ from .errors import PreconditionError
 
 @dataclass(frozen=True)
 class EstimationParams:
-    """Geometric window schedule r0 * 2^k and relative convergence tolerance."""
+    """Radii r0 * 2^k (k <= k_max) of the window profile, which stops once a
+    ratio is within relative tolerance tol of the previous one."""
 
     tol: Fraction = Fraction(1, 1000)
     r0: Fraction = Fraction(8)

@@ -2,18 +2,20 @@
 finite-test-set, and chain densities, plus the translation witness and the
 neighborhood-growth window construction.
 
-Exact closed forms are used where the instance is fully periodic or has finite
-support; everything else is reported as an Estimated schedule of exact finite-r
-values, or as a certified Infinite. A brute-force inf-sup oracle over all
-nonempty (C, V) pairs is available for small finite groups and doubles as the
-acceptance oracle.
+On Z^d and the line every measure the layer walker accepts is periodic plus a
+finite part, so the window density is an exact closed form: the periodic mean
+(a finite mass M adds at most M/|rK| -> 0), or a certified Infinite on an
+accumulation marker. Finite-radius sup ratios are kept as labelled evidence
+(window_density_profile, window_profile_schedule), never as the value. A
+brute-force inf-sup oracle over all nonempty (C, V) pairs is available for
+small finite groups and doubles as the acceptance oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm, prod
 from typing import Optional, Union
@@ -89,21 +91,6 @@ def default_window(group: GroupSpec) -> WindowShape:
 
 
 @dataclass(frozen=True)
-class Estimated:
-    """The literal computed finite-r data; converged iff the last two sup
-    ratios differ relatively by less than the stated tolerance."""
-
-    schedule: tuple[tuple[Fraction, Fraction], ...]
-    extrapolated: float
-    converged: bool
-    tol: Fraction
-
-    @property
-    def last(self) -> Fraction:
-        return self.schedule[-1][1]
-
-
-@dataclass(frozen=True)
 class Witness:
     """Re-evaluatable evidence for a reported value."""
 
@@ -114,8 +101,8 @@ class Witness:
 @dataclass(frozen=True)
 class DensityReport:
     notion: str
-    value: Union[Fraction, Infinite, Estimated]
-    method: str  # closed-form | window-scan | brute-force | certified-lower-bound
+    value: Union[Fraction, Infinite]
+    method: str  # closed-form | brute-force | certified-lower-bound
     witness: Optional[Witness] = None
     annotations: tuple[str, ...] = ()
     settings: tuple[tuple[str, str], ...] = ()
@@ -131,14 +118,6 @@ class DensityReport:
         return is_infinite(self.value)
 
 
-def _settings(params: EstimationParams) -> tuple[tuple[str, str], ...]:
-    return (
-        ("tol", rat_str(params.tol)),
-        ("r0", rat_str(params.r0)),
-        ("k_max", str(params.k_max)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # exact closed forms
 
@@ -149,18 +128,17 @@ def measure_total_finite(nu, group: FiniteAbelian) -> Fraction:
     return sum((w for l in layers for _, w in l.atoms), Fraction(0))
 
 
-def periodic_mean_density(nu, group: GroupSpec) -> Optional[Union[Fraction, Infinite]]:
-    """Exact asymptotic mean when every layer is periodic (the closed form),
-    0 when all layers have finite support, Infinite with a certificate for
-    accumulating counting measures; None when only estimation applies."""
+def _closed_form(nu, group: GroupSpec) -> tuple[Union[Fraction, Infinite], str]:
+    """(exact window density, how it arises) from one walk of nu."""
     if not isinstance(group, (RealLine, ZLattice)):
         raise PreconditionError("closed forms run on Z^d or the real line")
     layers, acc = measure_layers(nu, group)
     if acc:
-        return Infinite(("accumulation", acc[0]))
+        return (
+            Infinite(("accumulation", acc[0])),
+            "accumulating configuration: every positive-length window has infinite mass",
+        )
     periodic = [l for l in layers if l.period is not None]
-    if len(periodic) < len(layers):
-        return None if periodic else Fraction(0)
     total = Fraction(0)
     for l in periodic:
         if isinstance(l, TraceLayer):
@@ -168,7 +146,19 @@ def periodic_mean_density(nu, group: GroupSpec) -> Optional[Union[Fraction, Infi
         else:
             mass = sum((w for _, w in l.atoms), Fraction(0))
         total += mass / (prod(l.period) if isinstance(l.period, tuple) else l.period)
-    return total
+    if not periodic:
+        return total, "finite support: density 0 in the limit"
+    if len(periodic) == len(layers):
+        return total, "fully periodic instance: exact mean mass per period"
+    return total, "finitely perturbed periodic: the finite part adds at most M/|rK| -> 0"
+
+
+def periodic_mean_density(nu, group: GroupSpec) -> Union[Fraction, Infinite]:
+    """The exact window density on Z^d or the line, for every window shape K:
+    the sum over the periodic layers of mass/period, the finite layers adding
+    0 (their total mass M adds at most M/|rK| -> 0); Infinite with a
+    certificate for accumulating counting measures."""
+    return _closed_form(nu, group)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,83 +192,36 @@ def window_density_profile(nu, group: GroupSpec, K: WindowShape, radii):
     return out
 
 
-def _geometric_radii(params: EstimationParams):
-    return [params.r0 * (2**k) for k in range(params.k_max + 1)]
-
-
-def _estimate(nu, group, K, params: EstimationParams):
-    """(Estimated schedule, least argmax at its last radius), or (Infinite, None)."""
-    schedule = []
-    prev = None
-    converged = False
-    for r in _geometric_radii(params):
-        ((r_, ratio, argmax),) = window_density_profile(nu, group, K, [r])
-        if is_infinite(ratio):
-            return ratio, None
-        schedule.append((rat(r_), ratio))
-        if prev is not None:
-            scale = max(abs(ratio), Fraction(1, 10**12))
-            if abs(ratio - prev) / scale < params.tol:
-                converged = True
-                break
-        prev = ratio
-    estimated = Estimated(
-        schedule=tuple(schedule),
-        extrapolated=float(schedule[-1][1]),
-        converged=converged,
-        tol=params.tol,
-    )
-    return estimated, argmax
-
-
-def auud_window(
+def window_profile_schedule(
     nu,
     group: GroupSpec,
     K: Optional[WindowShape] = None,
     params: EstimationParams = DEFAULT_ESTIMATION,
-    force_scan: bool = False,
-) -> DensityReport:
-    """Asymptotic uniform upper density through growing windows rK + x.
-
-    Periodic instances get the exact closed form; otherwise the geometric
-    schedule of exact sup ratios is reported with its convergence flag.
-    """
+):
+    """Finite-radius evidence for the window density: window_density_profile
+    rows (r, ratio, least argmax) at r = r0 * 2^k for k <= k_max, stopping
+    after the first ratio within relative tol of the previous one, or at an
+    Infinite ratio. The rows are evidence, never the value."""
     K = K or default_window(group)
-    closed = periodic_mean_density(nu, group)
-    if is_infinite(closed):
-        return DensityReport(
-            notion="window",
-            value=closed,
-            method="closed-form",
-            annotations=("accumulating configuration: every positive-length window has infinite mass",),
-            settings=_settings(params),
-        )
-    if closed is not None and not force_scan:
-        annotation = (
-            "fully periodic instance: exact mean mass per period"
-            if closed != 0 or any(l.period is not None for l in measure_layers(nu, group)[0])
-            else "finite support: density 0 in the limit"
-        )
-        return DensityReport(
-            notion="window",
-            value=closed,
-            method="closed-form",
-            annotations=(annotation,),
-            settings=_settings(params),
-        )
-    est, argmax = _estimate(nu, group, K, params)
-    if is_infinite(est):
-        return DensityReport(
-            notion="window", value=est, method="window-scan", settings=_settings(params)
-        )
-    r_last = est.schedule[-1][0]
-    return DensityReport(
-        notion="window",
-        value=est,
-        method="window-scan",
-        witness=Witness("shift", (r_last, argmax, est.last)),
-        settings=_settings(params),
-    )
+    rows = []
+    for k in range(params.k_max + 1):
+        (row,) = window_density_profile(nu, group, K, [params.r0 * 2**k])
+        rows.append(row)
+        ratio = row[1]
+        if is_infinite(ratio):
+            break
+        if len(rows) > 1:
+            scale = max(abs(ratio), Fraction(1, 10**12))
+            if abs(ratio - rows[-2][1]) / scale < params.tol:
+                break
+    return rows
+
+
+def auud_window(nu, group: GroupSpec) -> DensityReport:
+    """Asymptotic uniform upper density through growing windows rK + x, for
+    every window shape K: the exact closed form of periodic_mean_density."""
+    value, note = _closed_form(nu, group)
+    return DensityReport(notion="window", value=value, method="closed-form", annotations=(note,))
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +248,16 @@ def classical_upper_density(A, group: ZLattice, n_max: int = 10_000) -> DensityR
         n = 10
         while n <= n_max:
             count = sum(1 for p in pts if 1 <= p <= n)
-            schedule.append((Fraction(n), Fraction(count, n)))
+            schedule.append(f"n={n}: {rat_str(Fraction(count, n))}")
             n *= 10
-        value = Estimated(
-            schedule=tuple(schedule),
-            extrapolated=0.0,
-            converged=True,
-            tol=DEFAULT_ESTIMATION.tol,
-        )
         return DensityReport(
             notion="classical",
-            value=value,
-            method="window-scan",
-            annotations=("finite set: the counts stop growing, the limit is 0",),
+            value=Fraction(0),
+            method="closed-form",
+            annotations=(
+                "finite set: the counts stop growing, the limit is 0",
+                "schedule " + ", ".join(schedule),
+            ),
         )
     raise PreconditionError(f"unsupported set for the classical density: {type(A).__name__}")
 
@@ -484,22 +424,12 @@ def kahane_density_finite_group(
     )
 
 
-def kahane_density(
-    nu,
-    group: GroupSpec,
-    K: Optional[WindowShape] = None,
-    params: EstimationParams = DEFAULT_ESTIMATION,
-) -> DensityReport:
+def kahane_density(nu, group: GroupSpec) -> DensityReport:
     """The compact-test-set density on Z^d or R, computed through its
     window-equivalent form."""
-    report = auud_window(nu, group, K=K, params=params)
-    return DensityReport(
-        notion="kahane",
-        value=report.value,
-        method=report.method,
-        witness=report.witness,
-        annotations=report.annotations + ("window-equivalent form",),
-        settings=report.settings,
+    report = auud_window(nu, group)
+    return replace(
+        report, notion="kahane", annotations=report.annotations + ("window-equivalent form",)
     )
 
 
@@ -516,8 +446,6 @@ def _eta_schedule(max_exponent: int = 7):
 def delta_density(
     nu,
     group: GroupSpec,
-    K: Optional[WindowShape] = None,
-    params: EstimationParams = DEFAULT_ESTIMATION,
     mode: str = "closed-form",
     cap: int = DEFAULT_CAPS.oracle_order,
 ) -> DensityReport:
@@ -530,28 +458,15 @@ def delta_density(
     the certificate. Atomless traces report the Kahane value as a certified
     lower bound.
     """
+    discrete = "finite test sets = compact test sets on a discrete group"
     if isinstance(group, FiniteAbelian):
         base = kahane_density_finite_group(nu, group, mode=mode, cap=cap)
-        return DensityReport(
-            notion="delta",
-            value=base.value,
-            method=base.method,
-            witness=base.witness,
-            annotations=base.annotations
-            + ("finite test sets = compact test sets on a discrete group",),
-        )
-    if isinstance(group, (ZLattice, SigmaFiniteChain)):
-        if isinstance(group, SigmaFiniteChain):
-            raise PreconditionError("use hegyvari_density for chain instances")
-        base = kahane_density(nu, group, K=K, params=params)
-        return DensityReport(
-            notion="delta",
-            value=base.value,
-            method=base.method,
-            witness=base.witness,
-            annotations=base.annotations
-            + ("finite test sets = compact test sets on a discrete group",),
-        )
+        return replace(base, notion="delta", annotations=base.annotations + (discrete,))
+    if isinstance(group, SigmaFiniteChain):
+        raise PreconditionError("use hegyvari_density for chain instances")
+    if isinstance(group, ZLattice):
+        base = kahane_density(nu, group)
+        return replace(base, notion="delta", annotations=base.annotations + (discrete,))
     if isinstance(group, RealLine):
         atom = _first_atom(*measure_layers(nu, group))
         if atom is not None:
@@ -572,12 +487,11 @@ def delta_density(
                     "an atom makes the finite-test-set density infinite on a non-discrete group",
                 ),
             )
-        base = kahane_density(nu, group, K=K, params=params)
-        return DensityReport(
+        base = kahane_density(nu, group)
+        return replace(
+            base,
             notion="delta",
-            value=base.value,
             method="certified-lower-bound",
-            witness=base.witness,
             annotations=base.annotations
             + ("lower bound: the finite-test-set density dominates the compact-test-set density",),
         )

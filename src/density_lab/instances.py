@@ -293,8 +293,6 @@ def to_jsonable(obj) -> Any:
     """Deterministic JSON form for reports and results."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
-        return repr(obj)
     if isinstance(obj, Fraction):
         return rat_str(obj)
     if is_infinite(obj):

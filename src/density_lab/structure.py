@@ -24,7 +24,7 @@ from .density import RudinWindow, measure_total_finite, periodic_mean_density, r
 from .errors import PreconditionError, VerificationError
 from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice, _strip
 from .intervals import IntervalUnion, PeriodicPattern
-from .rational import INFINITE, Infinite, is_infinite, rat, rat_str
+from .rational import INFINITE, is_infinite, rat, rat_str
 from .sets import (
     Counting,
     CylinderSet,
@@ -45,26 +45,7 @@ from .windows import real_mass, real_shift_sup
 
 def counting_density(S, group: GroupSpec):
     """Exact counting density of a configuration; Infinite for accumulating ones."""
-    if isinstance(group, RealLine):
-        if isinstance(S, PeriodicPoints):
-            return S.counting_density
-        if isinstance(S, FinitePoints):
-            if S.accumulation:
-                return Infinite(("accumulation", S.accumulation[0]))
-            return Fraction(0)
-        if isinstance(S, PerturbedLattice):
-            if S.accumulation:
-                return Infinite(("accumulation", S.accumulation[0]))
-            raise PreconditionError(
-                "a perturbed lattice has no exact counting density; use the window scan"
-            )
-        raise PreconditionError(f"unsupported configuration: {type(S).__name__}")
-    if isinstance(group, ZLattice):
-        if isinstance(S, PeriodicDiscrete):
-            return Fraction(len(S.residues), S.cell_count())
-        if isinstance(S, ExplicitFinite):
-            return Fraction(0)
-    raise PreconditionError(f"unsupported configuration: {type(S).__name__}")
+    return periodic_mean_density(Counting(S), group)
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +637,7 @@ class SubadditivityCheck:
 def _exact_density(nu, group: GroupSpec):
     if isinstance(group, FiniteAbelian):
         return measure_total_finite(nu, group) / group.order
-    value = periodic_mean_density(nu, group)
-    if value is None:
-        raise PreconditionError(
-            "exact subadditivity checks need periodic or finite-support measures"
-        )
-    return value
+    return periodic_mean_density(nu, group)
 
 
 def subadditivity_check(nu_list, group: GroupSpec) -> SubadditivityCheck:

@@ -37,11 +37,12 @@ def test_density_delta_dirac_infinite(capsys):
 def test_density_window_custom_K(capsys):
     code, out, _ = run(
         capsys, "density", "--instance", f"{INSTANCES}/half_pattern.json",
-        "--notion", "window", "--force-scan",
+        "--notion", "window",
         "--K", '[["0","1/2"],["3/4","5/4"]]', "--r0", "8", "--kmax", "8",
     )
     assert code == 0
-    assert "1/2" in out
+    assert "window density: 1/2" in out
+    assert "       8 1/2" in out and "      16 1/2" in out and "      32" not in out
 
 
 def test_density_window_rmax_caps_schedule(capsys):
@@ -50,7 +51,10 @@ def test_density_window_rmax_caps_schedule(capsys):
         "--notion", "window", "--r0", "10", "--rmax", "40", "--tol", "1/1000000",
     )
     assert code == 0
+    assert "window density: 1 (= 1.0) [closed-form]" in out
     assert "40" in out and "80" not in out  # schedule stops at rmax
+    ratios = [line.split()[1] for line in out.split("least argmax\n")[1].splitlines()]
+    assert ratios == ["41/20", "81/40", "13/8"]
 
 
 def test_density_oracle_mode(capsys):
@@ -129,16 +133,22 @@ def test_missing_file_exit_2(capsys):
 @pytest.mark.parametrize(
     "instance, extra, code",
     [
-        ("dirac.json", ["--K", "notjson"], 2),
-        ("dirac.json", ["--r0", "0", "--force-scan"], 3),
-        ("dirac.json", ["--kmax", "-3", "--force-scan"], 3),
-        ("perturbed_lattice.json", ["--r0", "0", "--rmax", "40"], 3),
+        ("dirac.json", ["--notion", "window", "--K", "notjson"], 2),
+        ("dirac.json", ["--notion", "window", "--r0", "0"], 3),
+        ("dirac.json", ["--notion", "window", "--kmax", "-3"], 3),
+        ("perturbed_lattice.json", ["--notion", "window", "--r0", "0", "--rmax", "40"], 3),
+        # the window profile always runs, so a lattice window on the line is refused
+        ("half_pattern.json", ["--notion", "window", "--K", "cube"], 3),
+        # profile flags are refused outside --notion window rather than ignored
+        ("three_z.json", ["--object", "nu", "--notion", "kahane", "--K", "cube"], 3),
+        ("half_pattern.json", ["--notion", "delta", "--tol", "1/10"], 3),
+        ("half_pattern.json", ["--notion", "kahane", "--r0", "2"], 3),
+        ("three_z.json", ["--object", "A", "--notion", "classical", "--kmax", "2"], 3),
+        ("perturbed_lattice.json", ["--notion", "kahane", "--rmax", "40"], 3),
     ],
 )
 def test_bad_window_arguments_keep_exit_contract(capsys, instance, extra, code):
-    got, _, err = run(
-        capsys, "density", "--instance", f"{INSTANCES}/{instance}", "--notion", "window", *extra,
-    )
+    got, _, err = run(capsys, "density", "--instance", f"{INSTANCES}/{instance}", *extra)
     assert got == code
     assert ("parse error" if code == 2 else "precondition failure") in err
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from density_lab import (
     AccumulationPoint,
@@ -10,7 +11,7 @@ from density_lab import (
     CustomK,
     CylinderSet,
     DiracAtZero,
-    Estimated,
+    EstimationParams,
     ExplicitFinite,
     FiniteAbelian,
     FinitePoints,
@@ -36,10 +37,12 @@ from density_lab import (
     kahane_density,
     kahane_density_finite_group,
     kahane_oracle_finite,
+    real_mass,
     rudin_window,
     translate_measure,
     translation_witness,
     window_density_profile,
+    window_profile_schedule,
 )
 from density_lab.density import delta_lower_bound_check, measure_total_finite
 
@@ -56,6 +59,11 @@ def test_classical_examples():
     assert classical_upper_density(PeriodicDiscrete.line(3, [0]), Z).value == Fraction(1, 3)
     empty = classical_upper_density(PeriodicDiscrete.line(5, []), Z)
     assert empty.value == 0
+    finite = classical_upper_density(ExplicitFinite(((3,), (-2,), (40,), (70,))), Z)
+    assert finite.value == 0 and finite.method == "closed-form"
+    assert finite.annotations[-1] == (
+        "schedule n=10: 1/10, n=100: 3/100, n=1000: 3/1000, n=10000: 3/10000"
+    )
 
 
 def test_classical_residue_count_vs_direct_scan():
@@ -160,13 +168,15 @@ def test_auud_closed_forms():
 
 
 def test_auud_perturbed_lattice_estimates_two():
+    """The finite-r profile sits near 2 up to r = 1000, yet the density is
+    exactly 1: the extra points have finite mass M, which adds at most
+    M/(2r) -> 0 to the lattice's ratio."""
     extras = tuple(Fraction(n * n + 1, n) for n in range(2, 2200))
     nu = Counting(PerturbedLattice(1, extra=extras))
-    from density_lab import EstimationParams
-
-    report = auud_window(nu, R, params=EstimationParams(tol=Fraction(1, 100), r0=Fraction(10), k_max=7))
-    assert isinstance(report.value, Estimated)
-    last = report.value.schedule[-1][1]
+    for report in (auud_window(nu, R), kahane_density(nu, R)):
+        assert report.value == 1 and report.method == "closed-form"
+    params = EstimationParams(tol=Fraction(1, 100), r0=Fraction(10), k_max=7)
+    last = window_profile_schedule(nu, R, params=params)[-1][1]
     assert abs(last - 2) < Fraction(1, 10)
     # spot-check the scan at r in {10, 100, 1000} stays within 2 +- 1/2
     rows = window_density_profile(nu, R, IntervalWindow(), [10, 100, 1000])
@@ -175,15 +185,40 @@ def test_auud_perturbed_lattice_estimates_two():
 
 
 def test_estimated_witness_reevaluates():
-    from density_lab import EstimationParams, real_mass
-
+    """Every row of the window profile schedule re-evaluates through the
+    independent Fraction path real_mass."""
     extras = tuple(Fraction(n * n + 1, n) for n in range(2, 400))
     nu = Counting(PerturbedLattice(1, extra=extras))
     params = EstimationParams(tol=Fraction(1, 50), r0=Fraction(8), k_max=5)
-    report = auud_window(nu, R, params=params)
-    r_last, argmax, ratio = report.witness.data
-    window = IntervalUnion.closed(argmax - r_last, argmax + r_last)
-    assert real_mass(nu, window) / (2 * r_last) == ratio == report.value.last
+    rows = window_profile_schedule(nu, R, params=params)
+    assert [r for r, _, _ in rows] == [8 * 2**k for k in range(len(rows))]
+    for r, ratio, argmax in rows:
+        window = IntervalUnion.closed(argmax - r, argmax + r)
+        assert real_mass(nu, window) / (2 * r) == ratio
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    step=st.builds(Fraction, st.integers(1, 4), st.integers(1, 3)),
+    extra=st.lists(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 5)), max_size=6),
+    removed=st.lists(st.integers(-15, 15), max_size=4),
+)
+def test_window_profile_brackets_perturbed_lattice_closed_form(step, extra, removed):
+    """The interval-window scan is the oracle of the closed form: the lattice
+    meets a closed window of length 2r in 2r/step + [0, 1] points at its best
+    shift, and the extra and removed points move the count by at most their
+    number, so |ratio - 1/step| <= (1 + #extra + #removed) / (2r)."""
+    s = PerturbedLattice(
+        step,
+        extra=tuple(p for p in extra if (p / step).denominator != 1),
+        removed=tuple(step * k for k in removed),
+    )
+    nu = Counting(s)
+    value = auud_window(nu, R).value
+    assert value == 1 / step
+    slack = 1 + len(s.extra) + len(s.removed)
+    for r, ratio, _ in window_density_profile(nu, R, IntervalWindow(), [1, 3, 10, 40]):
+        assert abs(ratio - value) <= slack / (2 * r)
 
 
 def test_auud_closed_form_two_dimensional():

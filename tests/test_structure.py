@@ -169,6 +169,17 @@ def test_packing_on_integers():
         packing_bound_check(s, ExplicitFinite(((0,), (4,))), Z)
 
 
+def test_packing_on_perturbed_lattice():
+    """A perturbed lattice has counting density 1/step; its extra points set
+    the shortest difference that H - H must avoid."""
+    s = PerturbedLattice(2, extra=(Fraction(5, 2), Fraction(31, 3)), removed=(Fraction(4),))
+    check = packing_bound_check(s, IntervalUnion.closed(0, Fraction(1, 4)))
+    assert check.density == Fraction(1, 2) and check.bound == 2
+    assert check.mu_H == Fraction(1, 4) <= check.bound
+    with pytest.raises(PreconditionError, match="common difference 1/3"):
+        packing_bound_check(s, IntervalUnion.closed(0, Fraction(1, 2)))
+
+
 # ---------------------------------------------------------------------------
 # fattening
 
@@ -342,6 +353,10 @@ def test_subadditivity_examples():
     odds = Counting(PeriodicDiscrete.line(2, [1]))
     check2 = subadditivity_check([evens, odds], Z)
     assert check2.total_density == 1 and check2.slack == 0
+    perturbed = Counting(PerturbedLattice(1, extra=(Fraction(1, 2), Fraction(7, 3))))
+    thirds = Counting(PeriodicPoints(3, (Fraction(1, 3), Fraction(2, 3))))
+    check3 = subadditivity_check([perturbed, thirds], R)
+    assert check3.part_densities == (1, Fraction(2, 3)) and check3.slack == 0
 
 
 def test_subadditivity_partition_of_group_sums_to_one():

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -130,6 +131,10 @@ def _estimation_params(args, instance) -> EstimationParams:
     if getattr(args, "rmax", None):
         # cap the geometric schedule r0 * 2^k at rmax
         rmax = rat(args.rmax)
+        if rmax < r0:
+            raise PreconditionError(
+                f"--rmax {rat_str(rmax)} is below the first radius r0 = {rat_str(r0)}"
+            )
         k_max = 0
         while r0 * (2 ** (k_max + 1)) <= rmax:
             k_max += 1
@@ -535,8 +540,39 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
 
+class _ClosedPipeGuard:
+    """stdout for a reader that may close the pipe early (`| head -1`): the
+    first BrokenPipeError points the stream's file descriptor at os.devnull,
+    as the Python signal docs advise, and the run goes on to its own exit
+    code instead of a traceback with exit 1."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def _guarded(self, op, *args):
+        try:
+            op(*args)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, self._stream.fileno())
+            os.close(devnull)
+
+    def write(self, text):
+        self._guarded(self._stream.write, text)
+        return len(text)
+
+    def flush(self):
+        self._guarded(self._stream.flush)
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
 def console_main():
-    sys.exit(main())
+    sys.stdout = _ClosedPipeGuard(sys.stdout)
+    code = main()
+    sys.stdout.flush()  # a block-buffered stdout meets the closed pipe only here
+    sys.exit(code)
 
 
 if __name__ == "__main__":

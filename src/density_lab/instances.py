@@ -32,7 +32,7 @@ from .sets import (
     WeightedDiracs,
 )
 
-KNOWN_PARAMS = {"tol", "r0", "k_max", "epsilon", "gamma", "cap", "n_max", "window", "notion", "K"}
+KNOWN_PARAMS = {"tol", "r0", "k_max", "epsilon", "window"}  # the keys the CLI reads
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,38 @@ certified; syndetic_pipeline chains all stages and re-verifies each one.
 
 Every emitted result is re-verified from scratch in exact arithmetic; a failed
 re-verification raises VerificationError with a counterexample.
+
+The discrete greedy indexes the quotient's elements in lexicographic (hence
+row-major) order and keeps a first-blocker table: when a candidate b is
+accepted, every slot b + d with d in (A-A) minus {0} that holds nothing yet
+gets d. A candidate c is rejected iff some accepted b has c - b in that set;
+the slot of c was written first by the earliest such b, with d = c - b, which
+is the blocker a scan of B in acceptance order finds first. So the translates
+and blockers are those of the candidate-by-candidate scan, in O(|G| + |B| *
+|A-A|) instead of O(|G| * |B|). The cover re-verification marks B + (A-A) in
+a bytearray from scratch.
+
+The partition's first-fit runs on ints: the points, the coloring period P and
+the endpoints of Q = H - H are scaled by the lcm of their denominators, which
+keeps every difference and every membership test. Q lies in [-R, R], so an
+earlier point t can conflict with q only if q - t <= R, that is t in
+[q - R, q), or on the circle of circumference P > 2R only if q - t >= P - R,
+that is t in [0, q - P + R]; first-fit visits just those two bisect windows
+and tests membership in Q by bisecting its interval starts. The finite
+window bound counts over [s - R, s + R] the same way. Colors, classes, n and
+k_bound are those of the all-pairs Fraction loop. The class-packing
+re-verification still tests every pair within distance R with Fraction
+IntervalUnion.contains; the pairs it skips differ by more than R and so by no
+element of Q.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm, prod
 from typing import Optional
 
 from .density import RudinWindow, measure_total_finite, periodic_mean_density, rudin_window
@@ -37,7 +61,7 @@ from .sets import (
     difference_set,
     minkowski_sum,
 )
-from .windows import real_mass, real_shift_sup
+from .windows import _scaled, real_mass, real_shift_sup
 
 # ---------------------------------------------------------------------------
 # counting density of a point configuration
@@ -132,24 +156,33 @@ def _greedy_finite(a_elements, quotient: FiniteAbelian, base_set, group, domain:
     bound = floor(1 / density)
     diff = {quotient.add(x, quotient.negate(y)) for x in a_set for y in a_set}
     zero = quotient.zero()
+    moduli = quotient.moduli
+    strides = [prod(moduli[i + 1 :]) for i in range(len(moduli))]
+
+    def slot(b, d):  # row-major index of b + d: lexicographic, as elements() lists them
+        return sum((x + y) % m * s for x, y, m, s in zip(b, d, moduli, strides))
+
+    elements = quotient.elements()  # raises CapExceededError before the tables exist
+    shifts = [d for d in diff if d != zero]
+    first_blocker: list = [None] * order
     B: list = []
     blocked: list = []
-    for cand in quotient.elements():
-        blocker = None
-        for b in B:
-            d = quotient.add(cand, quotient.negate(b))
-            if d != zero and d in diff:
-                blocker = d
-                break
+    for i, cand in enumerate(elements):
+        blocker = first_blocker[i]
         if blocker is None:
             B.append(cand)
+            for d in shifts:
+                j = slot(cand, d)
+                if first_blocker[j] is None:
+                    first_blocker[j] = d
         else:
             blocked.append((cand, blocker))
     # re-verify from scratch
-    cover_ok = all(
-        any(quotient.add(g, quotient.negate(b)) in diff for b in B)
-        for g in quotient.elements()
-    )
+    hit = bytearray(order)
+    for b in B:
+        for d in diff:
+            hit[slot(b, d)] = 1
+    cover_ok = all(hit)
     packing_ok = all(
         quotient.add(b1, quotient.negate(b2)) == zero
         or quotient.add(b1, quotient.negate(b2)) not in diff
@@ -422,6 +455,7 @@ def partition_by_coloring(
     Q = H.difference_set()
     if Q.is_empty:
         raise PreconditionError("H is empty")
+    radius = max(abs(Q.inf), abs(Q.sup))  # Q lies in [-radius, radius]
     if isinstance(S, PeriodicPoints):
         if not S.residues:
             raise PreconditionError("S is empty")
@@ -431,23 +465,18 @@ def partition_by_coloring(
             L += 1
         P = L * S.period
         expanded = sorted(r + j * S.period for r in S.residues for j in range(L))
-
-        def conflict(u: Fraction, v: Fraction) -> bool:
-            d = (v - u) % P
-            if d == 0:
-                return False
-            return Q.contains(d) or Q.contains(d - P)
-
-        colors = _first_fit(expanded, conflict)
-        n = max(colors.values()) + 1
+        D = lcm(*(q.denominator for q in [P, *expanded, *Q.endpoints()]))
+        ints = [_scaled(q, D) for q in expanded]
+        colors = _first_fit(ints, _int_membership(Q, D), _scaled(radius, D), _scaled(P, D))
+        n = max(colors) + 1
         raw_classes = tuple(
-            PeriodicPoints(P, tuple(r for r in expanded if colors[r] == c))
-            for c in range(n)
+            PeriodicPoints(P, tuple(r for r, c in zip(expanded, colors) if c == j))
+            for j in range(n)
         )
         k_bound = max(
             real_mass(Counting(S), Q.translate(s)) for s in S.residues
         )
-        _verify_partition_periodic(S, raw_classes, Q, P, expanded)
+        _verify_partition_periodic(S, raw_classes, Q, P, expanded, radius)
         if n > k_bound:
             raise VerificationError(
                 f"class count {n} exceeds the window bound {k_bound}",
@@ -466,27 +495,21 @@ def partition_by_coloring(
             group=group,
         )
     points = _materialize_config(S, materialize_range)
-    radius = max(abs(Q.inf), abs(Q.sup))
-
-    def conflict_pts(u: Fraction, v: Fraction) -> bool:
-        return u != v and Q.contains(v - u)
-
-    colors = _first_fit(points, conflict_pts)
-    n = max(colors.values()) + 1 if points else 0
+    D = lcm(*(q.denominator for q in [*points, *Q.endpoints()]))
+    ints = [_scaled(q, D) for q in points]
+    in_q = _int_membership(Q, D)
+    R = _scaled(radius, D)
+    colors = _first_fit(ints, in_q, R)
+    n = max(colors) + 1 if points else 0
     classes = tuple(
-        FinitePoints(tuple(q for q in points if colors[q] == c)) for c in range(n)
+        FinitePoints(tuple(q for q, c in zip(points, colors) if c == j)) for j in range(n)
     )
-    k_bound = (
-        max(
-            sum(1 for t in points if Q.contains(t - s))
-            for s in points
-        )
-        if points
-        else Fraction(0)
+    k_bound = max(
+        (sum(1 for t in _near(ints, s, R) if in_q(t - s)) for s in ints), default=0
     )
     for j, cl in enumerate(classes):
         for a in cl.points:
-            for b in cl.points:
+            for b in _near(cl.points, a, radius):
                 if a != b and Q.contains(a - b):
                     raise VerificationError(
                         "class packing verification failed", counterexample=(j, a, b)
@@ -511,15 +534,46 @@ def partition_by_coloring(
     )
 
 
-def _first_fit(points, conflict):
-    colors = {}
+def _int_membership(Q: IntervalUnion, D: int):
+    """x -> whether x / D lies in Q, for the ints x; D must clear Q's denominators."""
+    starts = [_scaled(a, D) for a, _ in Q.intervals]
+    ends = [_scaled(b, D) for _, b in Q.intervals]
+
+    def in_q(x: int) -> bool:
+        i = bisect_right(starts, x)
+        return i > 0 and x <= ends[i - 1]
+
+    return in_q
+
+
+def _first_fit(points: list[int], in_q, R: int, P: Optional[int] = None) -> list[int]:
+    """First-fit colors of sorted distinct points, t ~ q iff q - t lies in Q,
+    or (on the circle of circumference P > 2R) iff (q - t) mod P lies in Q or
+    Q + P. Q lies in [-R, R], so an earlier t can conflict with q only from
+    [q - R, q), or on the circle also from [0, q - P + R]."""
+    colors: list[int] = []
     for i, q in enumerate(points):
-        taken = {colors[t] for t in points[:i] if conflict(t, q)}
+        lo = bisect_left(points, q - R, 0, i)
+        taken = {colors[j] for j in range(lo, i) if in_q(q - points[j])}
+        if P is not None:
+            wrapped = bisect_right(points, q - P + R, 0, lo)
+            taken.update(colors[j] for j in range(wrapped) if in_q(q - points[j] - P))
         c = 0
         while c in taken:
             c += 1
-        colors[q] = c
+        colors.append(c)
     return colors
+
+
+def _near(points, a, radius, period=None):
+    """The points of a sorted sequence within distance radius of a, on the
+    line or on the circle [0, period); the others differ from a by no element
+    of a set inside [-radius, radius]."""
+    near = points[bisect_left(points, a - radius) : bisect_right(points, a + radius)]
+    if period is not None:
+        near += points[bisect_left(points, a - radius + period) :]
+        near += points[: bisect_right(points, a + radius - period)]
+    return near
 
 
 def _materialize_config(S, materialize_range):
@@ -545,13 +599,13 @@ def _materialize_config(S, materialize_range):
     raise PreconditionError(f"unsupported configuration: {type(S).__name__}")
 
 
-def _verify_partition_periodic(S, classes, Q, P, expanded):
+def _verify_partition_periodic(S, classes, Q, P, expanded, radius):
     seen = sorted(r for c in classes for r in c.residues)
     if seen != sorted(expanded):
         raise VerificationError("partition does not reproduce S", counterexample=S)
     for j, cl in enumerate(classes):
         for a in cl.residues:
-            for b in cl.residues:
+            for b in _near(cl.residues, a, radius, P):
                 d = (a - b) % P
                 if d == 0:
                     continue

@@ -37,6 +37,22 @@ Fraction evaluation as the independent reference.
 Counting measures of configurations with an accumulation marker have infinite
 mass on any window containing a one-sided neighborhood of the marked point;
 such results are returned as a certified Infinite.
+
+On Z^d a fully periodic measure is invariant under its combined period
+lattice P (the coordinatewise lcm of the layer periods), so the cube mass
+x -> nu(x + [-r, r]^d) is a function on the torus prod Z_{P_i}, and its sup
+is a max over that torus. zd_shift_sup computes every value at once: each
+layer's residues are lifted to residues mod P on one int grid (weights times
+Dw, the lcm of their denominators), and the cube sum, being a product of
+intervals, is taken one axis at a time. Along an axis of period m the window
+of 2r+1 consecutive integers covers floor((2r+1)/m) whole periods plus an arc
+of (2r+1) mod m cells, so each line is replaced by its circular window sums:
+that many line totals plus one prefix-sum difference. This is O(d * |P|) int
+operations, exact, and the first maximum of the row-major grid is the least
+lexicographic maximizer, as in a scan of product(range(P_i)) with a strict
+comparison. _zd_mass_at stays the Fraction reference for single windows
+(window_mass) and for the finite and mixed branches. Every Z^d enumeration is
+checked against Caps.enumeration before anything is allocated.
 """
 
 from __future__ import annotations
@@ -45,10 +61,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from math import ceil, floor, lcm
+from math import ceil, floor, lcm, prod
 from typing import Optional, Union
 
-from .errors import PreconditionError
+from .config import DEFAULT_CAPS
+from .errors import CapExceededError, PreconditionError
 from .groups import GroupSpec, RealLine, ZLattice
 from .intervals import IntervalUnion, PeriodicPattern
 from .rational import Infinite, rat
@@ -422,8 +439,54 @@ def zd_mass(nu, group: ZLattice, x, r: int) -> Fraction:
     return _zd_mass_at(measure_layers(nu, group)[0], x, r)
 
 
+def _check_enumeration(count: int, what: str):
+    cap = DEFAULT_CAPS.enumeration
+    if count > cap:
+        raise CapExceededError(f"{what}: {count} cube centers exceed the enumeration cap {cap}")
+
+
+def _circular_window_sums(line: list[int], wraps: int, rem: int, off: int) -> list[int]:
+    """[wraps * sum(line) + line[x+off] + ... + line[x+off+rem-1]] for every x,
+    indices mod len(line): the sums over the circular windows [x - r, x + r]."""
+    m = len(line)
+    base = wraps * sum(line)
+    if not rem:
+        return [base] * m
+    pre = list(accumulate(line * 3, initial=0))  # off + x + rem < 3m
+    return [base + b - a for a, b in zip(pre[off : off + m], pre[off + rem : off + rem + m])]
+
+
+def _torus_cube_masses(periodic: list[AtomLayer], period: tuple[int, ...], r: int):
+    """The cube mass at every center of the torus prod Z_{P_i}, in row-major
+    order and in units of 1/Dw, with Dw returned alongside."""
+    Dw = lcm(*(w.denominator for l in periodic for _, w in l.atoms))
+    strides = [prod(period[i + 1 :]) for i in range(len(period))]
+    grid = [0] * prod(period)
+    for layer in periodic:
+        for res, w in layer.atoms:
+            w = _scaled(w, Dw)
+            lifts = [
+                range((c % m) * s, P * s, m * s)
+                for c, m, P, s in zip(res, layer.period, period, strides)
+            ]
+            for cell in product(*lifts):
+                grid[sum(cell)] += w
+    L = max(0, 2 * r + 1)
+    for P, s in zip(period, strides):
+        wraps, rem = divmod(L, P)
+        off = -r % P
+        block = P * s
+        for outer in range(0, len(grid), block):
+            for start in range(outer, outer + s):
+                line = grid[start : start + block : s]
+                grid[start : start + block : s] = _circular_window_sums(line, wraps, rem, off)
+    return grid, Dw
+
+
 def zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
-    """sup over integer centers x of the cube mass, least maximizer first."""
+    """sup over integer centers x of the cube mass, least maximizer first.
+
+    Raises CapExceededError when the centers to scan exceed Caps.enumeration."""
     layers, _ = measure_layers(nu, group)
     d = group.dimension
     if not layers:
@@ -432,11 +495,18 @@ def zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
     finite = [l for l in layers if l.period is None]
     if periodic and not finite:
         period = tuple(lcm(*ms) for ms in zip(*(l.period for l in periodic)))
-        cands = product(*(range(m) for m in period))
-    elif finite and not periodic:
+        size = prod(period)
+        _check_enumeration(size, "the period torus")
+        masses, Dw = _torus_cube_masses(periodic, period, r)
+        best = max(masses)
+        i = masses.index(best)  # row-major: the least maximizer in lexicographic order
+        argmax = tuple(i // prod(period[k + 1 :]) % P for k, P in enumerate(period))
+        return ShiftScan(Fraction(best, Dw), argmax, size)
+    if finite and not periodic:
         per_coord = [
             sorted({p[i] - r for l in finite for p, _ in l.atoms} | {0}) for i in range(d)
         ]
+        _check_enumeration(prod(len(c) for c in per_coord), "the support's bounding grid")
         cands = product(*per_coord)
     else:
         if d != 1:
@@ -445,6 +515,7 @@ def zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
         support = [p[0] for l in finite for p, _ in l.atoms]
         lo = min(support) - r - period
         hi = max(support) + r + period
+        _check_enumeration(hi + period + 1 - lo, "the perturbation zone")
         cands = ((c,) for c in range(lo, hi + period + 1))
     best = None
     best_x = None

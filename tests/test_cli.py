@@ -145,6 +145,8 @@ def test_missing_file_exit_2(capsys):
         ("half_pattern.json", ["--notion", "kahane", "--r0", "2"], 3),
         ("three_z.json", ["--object", "A", "--notion", "classical", "--kmax", "2"], 3),
         ("perturbed_lattice.json", ["--notion", "kahane", "--rmax", "40"], 3),
+        # a cap below the first radius would leave no radius to report
+        ("perturbed_lattice.json", ["--notion", "window", "--r0", "10", "--rmax", "5"], 3),
     ],
 )
 def test_bad_window_arguments_keep_exit_contract(capsys, instance, extra, code):
@@ -181,6 +183,54 @@ def test_python_m_runs_the_cli(module, extra, code):
     )
     assert proc.returncode == code, proc.stderr
     assert ("window density: 0" in proc.stdout) == (code == 0)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_reader_closing_the_pipe_early_is_no_traceback(unbuffered, lines_read):
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "density_lab", "density", "--instance",
+         f"{INSTANCES}/perturbed_lattice.json", "--notion", "window"],
+        env=dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) in (0, 2, 3, 4)
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def test_instance_param_K_is_a_parse_error(tmp_path, capsys):
+    data = json.loads(pathlib.Path(f"{INSTANCES}/half_pattern.json").read_text())
+    data["params"] = {"K": "cube"}  # --K cube exits 3; the file key is not read at all
+    path = tmp_path / "half_pattern_K.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "density", "--instance", str(path), "--notion", "window")
+    assert code == 2
+    assert "parse error" in err
+
+
+def test_cube_scan_over_the_cap_exits_3(tmp_path, capsys):
+    inst = {
+        "group": {"family": "z_lattice", "dimension": 2},
+        "objects": {
+            "nu": {
+                "kind": "counting",
+                "of": {"kind": "periodic_discrete", "period": [2048, 1024], "residues": [[0, 0]]},
+            },
+        },
+    }
+    path = tmp_path / "big_torus.json"
+    path.write_text(json.dumps(inst))
+    code, _, err = run(capsys, "density", "--instance", str(path), "--notion", "window",
+                       "--K", "cube", "--kmax", "0")
+    assert code == 3
+    assert "enumeration cap" in err
 
 
 def test_syndetic_verification_failure_exit_4(tmp_path, capsys):

@@ -48,6 +48,15 @@ def test_unknown_fields_rejected():
         parse_instance(bad3)
 
 
+@pytest.mark.parametrize("key", ["K", "notion", "gamma", "cap", "n_max"])
+def test_params_that_nothing_reads_are_rejected(key):
+    with open("instances/half_pattern.json", "r", encoding="utf-8") as f:
+        data = json.load(f)
+    data["params"] = {key: "cube"}
+    with pytest.raises(InstanceParseError, match="unknown fields"):
+        parse_instance(json.dumps(data))
+
+
 def test_parse_error_carries_location():
     with pytest.raises(InstanceParseError, match="line 1"):
         parse_instance("{not json")

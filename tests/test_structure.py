@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from density_lab import (
     AccumulationPoint,
@@ -29,6 +30,9 @@ from density_lab import (
     subadditivity_check,
     syndetic_pipeline,
 )
+from density_lab.groups import _strip
+from density_lab.structure import _materialize_config
+from density_lab.windows import real_mass
 
 rng = random.Random(31337)
 Z = ZLattice(1)
@@ -485,3 +489,157 @@ def test_pipeline_stage_evidence_consistency():
     assert result.cover.size <= result.cover.size_bound
     # mu(T) is at most #B * mu(H - H)
     assert result.mu_T <= result.cover.size * result.partition.Q.length
+
+
+# ---------------------------------------------------------------------------
+# the indexed greedy and the integer first-fit against the loops they replaced
+
+
+def fraction_greedy(a_elements, quotient):
+    """The greedy loop the first-blocker table replaced: each candidate, in
+    lexicographic order, is tested against every accepted translate."""
+    a_set = {quotient.reduce(e) for e in a_elements}
+    diff = {quotient.add(x, quotient.negate(y)) for x in a_set for y in a_set}
+    zero = quotient.zero()
+    B: list = []
+    blocked: list = []
+    for cand in quotient.elements():
+        blocker = None
+        for b in B:
+            d = quotient.add(cand, quotient.negate(b))
+            if d != zero and d in diff:
+                blocker = d
+                break
+        if blocker is None:
+            B.append(cand)
+        else:
+            blocked.append((cand, blocker))
+    return tuple(B), tuple(blocked)
+
+
+@st.composite
+def greedy_instances(draw):
+    """(A, group, expected translates, expected blocked) on Z_m, a multi-modulus
+    finite group, or a chain subgroup."""
+    kind = draw(st.sampled_from(("Z_m", "finite", "chain")))
+    if kind == "Z_m":
+        m = draw(st.integers(2, 60))
+        residues = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6, unique=True))
+        A = PeriodicDiscrete.line(m, residues)
+        return A, Z, *fraction_greedy(A.residues, FiniteAbelian((m,)))
+    if kind == "finite":
+        G = FiniteAbelian(tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))))
+        elements = G.elements()
+        subset = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=6, unique=True))
+        return ExplicitFinite(tuple(subset)), G, *fraction_greedy(subset, G)
+    chain = SigmaFiniteChain(tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))))
+    depth = draw(st.integers(0, chain.depth))
+    cells = FiniteAbelian(chain.moduli[:depth]).elements()
+    A = CylinderSet(depth, tuple(draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4))))
+    quotient = chain.subgroup(chain.depth)
+    elems = [e for e in quotient.elements() if A.contains(_strip(e), chain)]
+    B, blocked = fraction_greedy(elems, quotient)
+    return (
+        A,
+        chain,
+        tuple(_strip(b) for b in B),
+        tuple((_strip(c), _strip(d)) for c, d in blocked),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(greedy_instances())
+def test_first_blocker_greedy_matches_fraction_greedy(drawn):
+    A, group, translates, blocked = drawn
+    cover = greedy_translates(A, group)
+    assert cover.translates == translates
+    assert cover.blocked == blocked
+
+
+def fraction_partition(S, H):
+    """(classes, n, k_bound) from the first-fit loop the integer kernel
+    replaced: every earlier point is tested for a conflict in Fractions."""
+
+    def first_fit(points, conflict):
+        colors = {}
+        for i, q in enumerate(points):
+            taken = {colors[t] for t in points[:i] if conflict(t, q)}
+            c = 0
+            while c in taken:
+                c += 1
+            colors[q] = c
+        return colors
+
+    Q = H.difference_set()
+    if isinstance(S, PeriodicPoints):
+        span = Q.sup - Q.inf
+        L = max(1, int(span / S.period) + 1)
+        while L * S.period <= span:
+            L += 1
+        P = L * S.period
+        expanded = sorted(r + j * S.period for r in S.residues for j in range(L))
+
+        def conflict(u, v):
+            d = (v - u) % P
+            if d == 0:
+                return False
+            return Q.contains(d) or Q.contains(d - P)
+
+        colors = first_fit(expanded, conflict)
+        n = max(colors.values()) + 1
+        classes = tuple(
+            PeriodicPoints(P, tuple(r for r in expanded if colors[r] == c)).reduced()
+            for c in range(n)
+        )
+        k_bound = max(real_mass(Counting(S), Q.translate(s)) for s in S.residues)
+        return classes, n, k_bound
+    points = _materialize_config(S, None)
+
+    def conflict_pts(u, v):
+        return u != v and Q.contains(v - u)
+
+    colors = first_fit(points, conflict_pts)
+    n = max(colors.values()) + 1 if points else 0
+    classes = tuple(FinitePoints(tuple(q for q in points if colors[q] == c)) for c in range(n))
+    k_bound = max(sum(1 for t in points if Q.contains(t - s)) for s in points) if points else 0
+    return classes, n, Fraction(k_bound)
+
+
+twelfths = st.builds(Fraction, st.integers(0, 48), st.just(12))
+
+
+@st.composite
+def partition_instances(draw):
+    """(S, H): a periodic, finite or perturbed configuration and an H of one
+    to three intervals whose diameter R is small, or just below a multiple of
+    half the period (then the coloring period P is about 2R)."""
+    kind = draw(st.sampled_from(("periodic", "finite", "perturbed")))
+    period = draw(st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 4))))
+    if kind == "periodic":
+        S = PeriodicPoints(period, tuple(draw(st.lists(twelfths, min_size=1, max_size=6))))
+    elif kind == "finite":
+        S = FinitePoints(tuple(draw(st.lists(twelfths, max_size=25))))
+    else:
+        off_lattice = st.integers(1, 47).filter(lambda k: k % 12).map(lambda k: Fraction(k, 12))
+        extra = draw(st.lists(off_lattice, min_size=1, max_size=8))
+        removed = [Fraction(k) for k in draw(st.lists(st.integers(0, 4), max_size=2))]
+        S = PerturbedLattice(1, tuple(extra), tuple(removed))
+    if draw(st.booleans()):
+        top = draw(st.sampled_from((Fraction(1, 12), Fraction(1, 6), Fraction(1, 3))))
+    else:
+        top = draw(st.integers(1, 4)) * period / 2 - Fraction(1, 24)
+    cuts = sorted(draw(st.lists(st.integers(1, 23), max_size=4, unique=True)))
+    cuts = [top * c / 24 for c in cuts[: len(cuts) // 2 * 2]]
+    edges = [Fraction(0), *cuts, top]
+    return S, IntervalUnion(tuple(zip(edges[::2], edges[1::2])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(partition_instances())
+# 5/6 and 0 conflict only across the seam of the coloring circle P = 1
+@example((PeriodicPoints(1, (0, Fraction(5, 6))), IntervalUnion.closed(0, Fraction(11, 24))))
+def test_integer_first_fit_matches_fraction_first_fit(drawn):
+    S, H = drawn
+    classes, n, k_bound = fraction_partition(S, H)
+    part = partition_by_coloring(S, H)
+    assert (part.classes, part.n, part.k_bound) == (classes, n, k_bound)

@@ -1,13 +1,16 @@
 """The shift-supremum engine against brute-force materialized oracles."""
 
 import random
+import tracemalloc
 from fractions import Fraction
-from math import ceil
+from itertools import product
+from math import ceil, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from density_lab import (
+    CapExceededError,
     Counting,
     CylinderSet,
     ExplicitFinite,
@@ -33,8 +36,12 @@ from density_lab.density import CustomK
 from density_lab.rational import frac_lcm
 from density_lab.sets import DiracAtZero, PeriodicDiscrete
 from density_lab.windows import (
+    AtomLayer,
+    ShiftScan,
     _base_positions,
     _layer_mass,
+    _torus_cube_masses,
+    _zd_mass_at,
     measure_layers,
     real_threshold_witness,
 )
@@ -399,3 +406,81 @@ def test_integer_scan_matches_fraction_scan(components, window, step):
     found, witness_scan = real_threshold_witness(nu, window, threshold)
     assert found == next((x for x, v in values if v >= threshold), None)
     assert witness_scan == scan
+
+
+# ---------------------------------------------------------------------------
+# the Z^d torus window table against the per-center Fraction scan
+
+
+def fraction_cube_scan(layers, r):
+    """The cube scan the torus table replaced: every center of the period box,
+    in lexicographic order, each evaluated layer by layer in Fractions."""
+    periodic = [l for l in layers if l.period is not None]
+    period = tuple(lcm(*ms) for ms in zip(*(l.period for l in periodic)))
+    cands = product(*(range(m) for m in period))
+    best = None
+    best_x = None
+    scanned = 0
+    for x in cands:
+        scanned += 1
+        v = _zd_mass_at(layers, x, r)
+        if best is None or v > best:
+            best, best_x = v, x
+    return ShiftScan(best, best_x, scanned)
+
+
+@st.composite
+def periodic_zd_layers(draw):
+    """One to three periodic layers on Z^d, d = 1..3, with their own periods
+    and weighted residues (Counting layers have weight 1; AtomLayer takes any)."""
+    d = draw(st.integers(1, 3))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        period = tuple(draw(st.integers(1, 6 if d < 3 else 3)) for _ in range(d))
+        cells = st.tuples(*(st.integers(0, m - 1) for m in period))
+        residues = draw(st.lists(cells, min_size=1, max_size=4, unique=True))
+        atoms = tuple((res, draw(weights)) for res in residues)
+        layers.append(AtomLayer(period, atoms))
+    return d, layers
+
+
+@settings(max_examples=40, deadline=None)
+@given(periodic_zd_layers(), st.integers(0, 13))
+def test_torus_table_matches_fraction_cube_scan(drawn, r):
+    d, layers = drawn
+    want = fraction_cube_scan(layers, r)
+    period = tuple(lcm(*ms) for ms in zip(*(l.period for l in layers)))
+    masses, Dw = _torus_cube_masses(layers, period, r)
+    cells = list(product(*(range(m) for m in period)))
+    assert [Fraction(v, Dw) for v in masses] == [_zd_mass_at(layers, x, r) for x in cells]
+    # the public scan on the same residues, each layer as a counting measure
+    nu = MeasureSum(
+        tuple(Counting(PeriodicDiscrete(l.period, tuple(p for p, _ in l.atoms))) for l in layers)
+    )
+    unit = [AtomLayer(l.period, tuple((p, Fraction(1)) for p, _ in l.atoms)) for l in layers]
+    assert zd_shift_sup(nu, ZLattice(d), r) == fraction_cube_scan(unit, r)
+    best = max(masses)
+    assert (Fraction(best, Dw), cells[masses.index(best)], len(cells)) == (
+        want.value,
+        want.argmax,
+        want.candidates,
+    )
+
+
+def test_zd_shift_sup_caps_the_torus_before_building_it():
+    nu = Counting(PeriodicDiscrete((2048, 1024), ((0, 0),)))  # 2^21 centers > 2^20
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            zd_shift_sup(nu, ZLattice(2), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a 2^21-cell table alone would take 16 MB
+
+
+def test_zd_shift_sup_caps_the_finite_grid():
+    # 1100 distinct coordinates on each axis: 1.21e6 centers > 2^20
+    nu = Counting(ExplicitFinite(tuple((k, 2 * k) for k in range(1100))))
+    with pytest.raises(CapExceededError):
+        zd_shift_sup(nu, ZLattice(2), 0)

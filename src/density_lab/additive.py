@@ -16,6 +16,7 @@ from .sets import (
     FinitePoints,
     PeriodicDiscrete,
     PeriodicPoints,
+    discrete_quotient,
     minkowski_sum,
 )
 
@@ -92,33 +93,30 @@ def syndetic_check(S, K, group: GroupSpec) -> SyndeticCertificate:
     translate per cell; on failure the least uncovered cell is the witness. On
     the line, S + K must be periodic and is checked by interval covering.
     """
-    if isinstance(group, FiniteAbelian):
-        if not isinstance(S, ExplicitFinite) or not isinstance(K, ExplicitFinite):
-            raise PreconditionError("finite-group syndetic checks need explicit sets")
-        sset = set(S.elements)
-        witness = {}
-        for g in group.elements():
-            hit = next((k for k in K.elements if group.add(g, group.negate(k)) in sset), None)
-            if hit is None:
-                return SyndeticCertificate(K, False, g)
-            witness[g] = hit
-        return SyndeticCertificate(K, True, witness)
-    if isinstance(group, ZLattice):
-        if not isinstance(S, PeriodicDiscrete) or not isinstance(K, ExplicitFinite):
-            raise PreconditionError("lattice syndetic checks need periodic S and finite K")
-        box = S.period
-        witness = {}
-        for g in itertools.product(*(range(m) for m in box)):
-            hit = None
-            for k in K.elements:
-                shifted = tuple((c - kc) % m for c, kc, m in zip(g, k, box))
-                if shifted in set(S.residues):
-                    hit = k
-                    break
-            if hit is None:
-                return SyndeticCertificate(K, False, g)
-            witness[g] = hit
-        return SyndeticCertificate(K, True, witness)
+    if isinstance(group, (FiniteAbelian, ZLattice)):
+        found = discrete_quotient(S, group) if isinstance(K, ExplicitFinite) else None
+        if found is None:
+            raise PreconditionError(
+                "finite-group syndetic checks need explicit sets"
+                if isinstance(group, FiniteAbelian)
+                else "lattice syndetic checks need periodic S and finite K"
+            )
+        quotient, s_indices, lift = found
+        translates = [group.check(k) for k in K.elements]
+        in_s = bytearray(quotient.order)
+        for i in s_indices:
+            in_s[i] = 1
+        # first[g]: position in K of the first k with g - k in S, as a per-cell scan finds it
+        first = [None] * quotient.order
+        for j, k in enumerate(translates):
+            minus_k = quotient.translate(tuple(-c for c in k))
+            first = [j if f is None and in_s[t] else f for f, t in zip(first, minus_k)]
+            if None not in first:
+                break
+        cells = quotient.elements()
+        if None in first:
+            return SyndeticCertificate(K, False, lift(cells[first.index(None)]))
+        return SyndeticCertificate(K, True, {lift(g): K.elements[j] for g, j in zip(cells, first)})
     if isinstance(group, RealLine):
         if isinstance(S, (PeriodicPoints, PeriodicPattern)):
             if isinstance(K, FinitePoints):
@@ -195,29 +193,15 @@ def minimal_translates(
 def _cover_instance(S, group):
     """Cells of the fundamental domain, the coverage bitmask of each candidate
     translate, and a lift back to group elements."""
-    if isinstance(group, FiniteAbelian) and isinstance(S, ExplicitFinite):
-        cells = group.elements()
-        index = {c: i for i, c in enumerate(cells)}
-        sset = set(S.elements)
-        covers = []
-        for k in cells:
-            mask = 0
-            for s in sset:
-                mask |= 1 << index[group.add(s, k)]
-            covers.append(mask)
-        return cells, covers, lambda c: c
-    if isinstance(group, ZLattice) and isinstance(S, PeriodicDiscrete):
-        box = S.period
-        cells = list(itertools.product(*(range(m) for m in box)))
-        index = {c: i for i, c in enumerate(cells)}
-        covers = []
-        for k in cells:
-            mask = 0
-            for r in S.residues:
-                cell = tuple((a + b) % m for a, b, m in zip(r, k, box))
-                mask |= 1 << index[cell]
-            covers.append(mask)
-        return cells, covers, lambda c: c
-    raise PreconditionError(
-        f"minimum covers need a finite group or a periodic subset of Z^d, got {type(S).__name__}"
-    )
+    found = discrete_quotient(S, group) if isinstance(group, (FiniteAbelian, ZLattice)) else None
+    if found is None:
+        raise PreconditionError(
+            f"minimum covers need a finite group or a periodic subset of Z^d, got {type(S).__name__}"
+        )
+    quotient, s_indices, lift = found
+    cells = quotient.elements()
+    covers = [0] * len(cells)
+    for i in s_indices:
+        for k, j in enumerate(quotient.translate(cells[i])):  # j = index of s + k
+            covers[k] |= 1 << j
+    return cells, covers, lift

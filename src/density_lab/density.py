@@ -13,7 +13,6 @@ small finite groups and doubles as the acceptance oracle.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -268,11 +267,10 @@ def classical_upper_density(A, group: ZLattice, n_max: int = 10_000) -> DensityR
 
 def _finite_group_tables(group: FiniteAbelian):
     elems = group.elements()
-    index = {e: i for i, e in enumerate(elems)}
     n = len(elems)
     translate = []
     for g in elems:
-        perm = [index[group.add(e, g)] for e in elems]
+        perm = group.translate(g)
         table = [0] * (1 << n)
         for mask in range(1 << n):
             low = mask & (-mask)
@@ -281,14 +279,14 @@ def _finite_group_tables(group: FiniteAbelian):
             i = low.bit_length() - 1
             table[mask] = table[mask ^ low] | (1 << perm[i])
         translate.append(table)
-    return elems, index, translate
+    return elems, translate
 
 
-def _point_masses(nu, group: FiniteAbelian, index):
-    masses = [Fraction(0)] * len(index)
+def _point_masses(nu, group: FiniteAbelian):
+    masses = [Fraction(0)] * group.order
     for layer in measure_layers(nu, group)[0]:
         for p, w in layer.atoms:
-            masses[index[p]] += w
+            masses[group.index(p)] += w
     return masses
 
 
@@ -303,8 +301,8 @@ def kahane_oracle_finite(nu, group: FiniteAbelian, cap: int = DEFAULT_CAPS.oracl
         raise CapExceededError(f"group order {n} exceeds the oracle cap {cap}")
     if cap > DEFAULT_CAPS.oracle_warn_above and n > DEFAULT_CAPS.oracle_warn_above:
         warnings.warn(f"brute-force oracle on order {n}: ~4^{n} ratio evaluations")
-    elems, index, translate = _finite_group_tables(group)
-    masses = _point_masses(nu, group, index)
+    elems, translate = _finite_group_tables(group)
+    masses = _point_masses(nu, group)
     denom_lcm = lcm(*(m.denominator for m in masses))
     scaled = [int(m * denom_lcm) for m in masses]
     size = 1 << n
@@ -357,7 +355,7 @@ def oracle_counting_sweep(group: FiniteAbelian):
     Returns the list of mismatches (empty on success) and the subset count.
     """
     n = group.order
-    elems, index, translate = _finite_group_tables(group)
+    elems, translate = _finite_group_tables(group)
     size = 1 << n
     cv = [None] * size
     for C in range(1, size):
@@ -595,13 +593,11 @@ def translation_witness(nu, group: GroupSpec, W, gamma) -> Union[Fraction, tuple
             raise PreconditionError("lattice windows are explicit finite sets")
         threshold = gamma * len(W.elements)
         mass_at = zd_set_window(nu, group, W)
-        for x in _lattice_witness_candidates(nu, group, W):
+        candidates = _lattice_witness_candidates(nu, group, W)
+        for x in candidates:
             if mass_at(x) >= threshold:
                 return x
-        scan = max(
-            ((mass_at(x), x) for x in _lattice_witness_candidates(nu, group, W)),
-            default=(Fraction(0), group.zero()),
-        )
+        scan = max(((mass_at(x), x) for x in candidates), default=(Fraction(0), group.zero()))
         return NotFound(scan[0], scan[1])
     raise PreconditionError(f"translation witness unsupported on {type(group).__name__}")
 
@@ -610,8 +606,8 @@ def _lattice_witness_candidates(nu, group: ZLattice, W):
     layers, _ = measure_layers(nu, group)
     periods = [l.period for l in layers if l.period is not None]
     if periods:
-        period = tuple(lcm(*ms) for ms in zip(*periods))
-        return list(itertools.product(*(range(m) for m in period)))
+        # the torus of the combined period, held to Caps.enumeration
+        return FiniteAbelian(tuple(lcm(*ms) for ms in zip(*periods))).elements()
     points = [p for l in layers for p, _ in l.atoms]
     if not points:
         return [group.zero()]

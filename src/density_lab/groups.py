@@ -6,6 +6,12 @@ materializations of sigma-finite chains (increasing unions of finite
 subgroups). Elements are plain immutable values: integer tuples for the
 discrete families (chain elements canonically strip trailing zeros) and
 Fractions on the real line. All operations are pure.
+
+FiniteAbelian is the one index for every finite quotient: a finite group,
+Z^d / PZ^d = FiniteAbelian(P) for a period P (a modulus of 1 is Z_1), and a
+chain subgroup H_n. index(g) is the row-major mixed-radix position of g, the
+order elements() lists (Knuth, TAOCP vol. 2, 4.1); translate(k) maps every
+index to the index of that element plus k, so hot loops run on ints.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Union
 
 from .config import DEFAULT_CAPS
@@ -62,25 +69,18 @@ class FiniteAbelian:
 
     def __post_init__(self):
         object.__setattr__(self, "moduli", tuple(self.moduli))
-        if any(not isinstance(m, int) or m < 2 for m in self.moduli):
-            raise PreconditionError("all moduli must be integers >= 2")
+        if any(not isinstance(m, int) or isinstance(m, bool) or m < 1 for m in self.moduli):
+            raise PreconditionError("all moduli must be integers >= 1")
 
     @property
     def order(self) -> int:
-        n = 1
-        for m in self.moduli:
-            n *= m
-        return n
+        return prod(self.moduli)
 
     def check(self, g) -> tuple[int, ...]:
         g = _as_int_tuple(g, len(self.moduli))
         if any(not (0 <= c < m) for c, m in zip(g, self.moduli)):
             raise ShapeMismatchError(f"{g!r} has coordinates outside the moduli {self.moduli}")
         return g
-
-    def reduce(self, g) -> tuple[int, ...]:
-        g = _as_int_tuple(g, len(self.moduli))
-        return tuple(c % m for c, m in zip(g, self.moduli))
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.moduli)
@@ -93,14 +93,42 @@ class FiniteAbelian:
         g = self.check(g)
         return tuple((-a) % m for a, m in zip(g, self.moduli))
 
+    def check_order(self, cap: int = DEFAULT_CAPS.enumeration):
+        if self.order > cap:
+            raise CapExceededError(f"group order {self.order} exceeds enumeration cap {cap}")
+
     def elements(self, cap: int = DEFAULT_CAPS.enumeration) -> list[tuple[int, ...]]:
         """All elements exactly once, in lexicographic order.
 
         This is the canonical tie-breaking order used by every greedy search.
         """
-        if self.order > cap:
-            raise CapExceededError(f"group order {self.order} exceeds enumeration cap {cap}")
+        self.check_order(cap)
         return list(itertools.product(*(range(m) for m in self.moduli)))
+
+    @property
+    def strides(self) -> tuple[int, ...]:
+        """Row-major place values: the product of the moduli after each axis."""
+        return tuple(prod(self.moduli[i + 1 :]) for i in range(len(self.moduli)))
+
+    def index(self, g) -> int:
+        """The position of g in elements(); g is validated as by check."""
+        return sum(c * s for c, s in zip(self.check(g), self.strides))
+
+    def element(self, i: int) -> tuple[int, ...]:
+        """The element at position i of elements(), for 0 <= i < order."""
+        return tuple(i // s % m for s, m in zip(self.strides, self.moduli))
+
+    def translate(self, k) -> list[int]:
+        """[index(e + k) for e in elements()], for any integer tuple k (reduced
+        mod the moduli), built one axis at a time without a tuple per element."""
+        k = _as_int_tuple(k, len(self.moduli), "shift")
+        self.check_order()
+        table = [0]
+        for c, m in zip(k, self.moduli):
+            c %= m
+            axis = [*range(c, m), *range(c)]
+            table = [t * m + a for t in table for a in axis]
+        return table
 
 
 @dataclass(frozen=True)
@@ -183,10 +211,7 @@ class SigmaFiniteChain:
 
     def subgroup_order(self, n: int) -> int:
         self._check_depth(n)
-        out = 1
-        for m in self.moduli[:n]:
-            out *= m
-        return out
+        return prod(self.moduli[:n])
 
     def subgroup(self, n: int) -> FiniteAbelian:
         self._check_depth(n)

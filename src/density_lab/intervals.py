@@ -57,10 +57,6 @@ class IntervalUnion:
     def point(cls, a) -> "IntervalUnion":
         return cls.closed(a, a)
 
-    @classmethod
-    def from_points(cls, points) -> "IntervalUnion":
-        return cls(tuple((rat(p), rat(p)) for p in points))
-
     @property
     def is_empty(self) -> bool:
         return not self.intervals
@@ -181,10 +177,6 @@ class PeriodicPattern:
     @property
     def density(self) -> Fraction:
         return self.mass / self.period
-
-    @property
-    def is_full(self) -> bool:
-        return self.pattern.covers(0, self.period)
 
     def contains_mod(self, q) -> bool:
         r = _mod(rat(q), self.period)

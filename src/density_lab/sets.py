@@ -13,7 +13,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from itertools import product
+from math import ceil, lcm, prod
 from typing import Optional, Union
 
 from .errors import PreconditionError, ShapeMismatchError
@@ -23,6 +24,7 @@ from .groups import (
     RealLine,
     SigmaFiniteChain,
     ZLattice,
+    _strip,
 )
 from .intervals import IntervalUnion, PeriodicPattern
 from .rational import Infinite, frac_lcm, rat
@@ -77,16 +79,6 @@ class PeriodicDiscrete:
         if self.dimension != 1:
             raise PreconditionError("line_residues needs a one-dimensional set")
         return tuple(r[0] for r in self.residues)
-
-    def contains(self, g) -> bool:
-        g = tuple(g) if not isinstance(g, int) else (g,)
-        return tuple(c % m for c, m in zip(g, self.period)) in set(self.residues)
-
-    def cell_count(self) -> int:
-        n = 1
-        for m in self.period:
-            n *= m
-        return n
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +265,35 @@ class CylinderSet:
         """Exact |A intersect H_n|."""
         self.validate_for(chain)
         if n >= self.depth:
-            extra = 1
-            for m in chain.moduli[self.depth : n]:
-                extra *= m
-            return len(self.residues) * extra
+            return len(self.residues) * prod(chain.moduli[self.depth : n])
         count = 0
         for r in self.residues:
             if all(c == 0 for c in r[n:]):
                 count += 1
         return count
+
+
+def discrete_quotient(s, group: GroupSpec):
+    """(quotient, sorted indices of s in it, lift of quotient elements to group
+    elements) or None: ExplicitFinite on FiniteAbelian, PeriodicDiscrete on
+    ZLattice (FiniteAbelian(period)), both lifted as the same int tuples, or
+    CylinderSet on a chain (H_depth, lifted by _strip). Elements are checked,
+    and the order held to Caps.enumeration, before any index is built."""
+    if isinstance(group, FiniteAbelian) and isinstance(s, ExplicitFinite):
+        group.check_order()
+        return group, [group.index(e) for e in s.elements], tuple
+    if isinstance(group, ZLattice) and isinstance(s, PeriodicDiscrete):
+        quotient = FiniteAbelian(s.period)
+        quotient.check_order()
+        return quotient, [quotient.index(group.check(r)) for r in s.residues], tuple
+    if isinstance(group, SigmaFiniteChain) and isinstance(s, CylinderSet):
+        s.validate_for(group)
+        quotient = group.subgroup(group.depth)
+        quotient.check_order()
+        head = FiniteAbelian(group.moduli[: s.depth])
+        tail = prod(group.moduli[s.depth :])  # each residue is a run of tail consecutive cells
+        return quotient, [head.index(r) * tail + t for r in s.residues for t in range(tail)], _strip
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +409,8 @@ def _minkowski_directed(a, b, group):
 def _expand_residues(s: PeriodicDiscrete, period: tuple[int, ...]):
     reps = [range(p // q) for p, q in zip(period, s.period)]
     out = []
-    import itertools
-
     for r in s.residues:
-        for mults in itertools.product(*reps):
+        for mults in product(*reps):
             out.append(tuple(c + k * q for c, k, q in zip(r, mults, s.period)))
     return out
 

@@ -11,15 +11,18 @@ certified; syndetic_pipeline chains all stages and re-verifies each one.
 Every emitted result is re-verified from scratch in exact arithmetic; a failed
 re-verification raises VerificationError with a counterexample.
 
-The discrete greedy indexes the quotient's elements in lexicographic (hence
-row-major) order and keeps a first-blocker table: when a candidate b is
-accepted, every slot b + d with d in (A-A) minus {0} that holds nothing yet
-gets d. A candidate c is rejected iff some accepted b has c - b in that set;
-the slot of c was written first by the earliest such b, with d = c - b, which
-is the blocker a scan of B in acceptance order finds first. So the translates
-and blockers are those of the candidate-by-candidate scan, in O(|G| + |B| *
-|A-A|) instead of O(|G| * |B|). The cover re-verification marks B + (A-A) in
-a bytearray from scratch.
+The discrete greedy runs on the row-major index of the quotient
+(sets.discrete_quotient, FiniteAbelian.index), the lexicographic order of
+elements(), and keeps a first-blocker table: when a candidate b is accepted,
+its table translate(b) locates every slot b + d with d in (A-A) minus {0},
+and each one that holds nothing yet gets d. A candidate c is rejected iff
+some accepted b has c - b in that set; the slot of c was written first by the
+earliest such b, with d = c - b, which is the blocker a scan of B in
+acceptance order finds first. So the translates and blockers are those of the
+candidate-by-candidate scan, with one translate table of |G| ints per
+accepted b, built one at a time. The cover re-verification marks B + (A-A) in
+a bytearray from scratch; the packing re-verification looks up every b1 - b2
+in a bytearray of A - A.
 
 The partition's first-fit runs on ints: the points, the coloring period P and
 the endpoints of Q = H - H are scaled by the lcm of their denominators, which
@@ -37,21 +40,19 @@ element of Q.
 
 from __future__ import annotations
 
-import dataclasses
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm, prod
+from math import ceil, floor, lcm
 from typing import Optional
 
 from .density import RudinWindow, measure_total_finite, periodic_mean_density, rudin_window
 from .errors import PreconditionError, VerificationError
-from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice, _strip
+from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
 from .intervals import IntervalUnion, PeriodicPattern
 from .rational import INFINITE, is_infinite, rat, rat_str
 from .sets import (
     Counting,
-    CylinderSet,
     ExplicitFinite,
     FinitePoints,
     MeasureSum,
@@ -59,6 +60,7 @@ from .sets import (
     PeriodicPoints,
     PerturbedLattice,
     difference_set,
+    discrete_quotient,
     minkowski_sum,
 )
 from .windows import _scaled, real_mass, real_shift_sup
@@ -102,39 +104,14 @@ def greedy_translates(A, group: GroupSpec) -> CoverResult:
     blocker is the offending difference otherwise. Termination gives
     A - A + B = G over the fundamental domain and #B <= floor(1/density).
     """
+    found = discrete_quotient(A, group)
+    if found is not None:
+        return _greedy_finite(*found, A, group)
     if isinstance(group, FiniteAbelian):
-        if not isinstance(A, ExplicitFinite):
-            raise PreconditionError("finite-group cover needs an explicit subset")
-        return _greedy_finite(A.elements, group, A, group, "all group elements, lexicographic")
+        raise PreconditionError("finite-group cover needs an explicit subset")
     if isinstance(group, ZLattice):
-        if not isinstance(A, PeriodicDiscrete):
-            raise PreconditionError("lattice covers need a periodic subset (finite sets have density 0)")
-        quotient = FiniteAbelian(A.period)
-        return _greedy_finite(
-            A.residues,
-            quotient,
-            A,
-            group,
-            "fundamental domain of the period lattice, lexicographic",
-        )
+        raise PreconditionError("lattice covers need a periodic subset (finite sets have density 0)")
     if isinstance(group, SigmaFiniteChain):
-        if isinstance(A, CylinderSet):
-            A.validate_for(group)
-            n = group.depth
-            quotient = group.subgroup(n)
-            elems = [e for e in quotient.elements() if A.contains(_strip(e), group)]
-            result = _greedy_finite(
-                tuple(elems),
-                quotient,
-                A,
-                group,
-                f"chain subgroup H_{n}, lexicographic",
-            )
-            return dataclasses.replace(
-                result,
-                translates=tuple(_strip(b) for b in result.translates),
-                blocked=tuple((_strip(c), _strip(d)) for c, d in result.blocked),
-            )
         raise PreconditionError("chain covers need a cylinder set")
     if isinstance(group, RealLine):
         if isinstance(A, PeriodicPattern):
@@ -147,65 +124,71 @@ def greedy_translates(A, group: GroupSpec) -> CoverResult:
     raise PreconditionError(f"unsupported group: {type(group).__name__}")
 
 
-def _greedy_finite(a_elements, quotient: FiniteAbelian, base_set, group, domain: str):
-    a_set = {quotient.reduce(e) for e in a_elements}
-    if not a_set:
+_DOMAINS = {
+    FiniteAbelian: "all group elements, lexicographic",
+    ZLattice: "fundamental domain of the period lattice, lexicographic",
+}
+
+
+def _greedy_finite(quotient: FiniteAbelian, a_indices, lift, base_set, group):
+    if not a_indices:
         raise PreconditionError("zero density: the set is empty")
-    order = quotient.order
-    density = Fraction(len(a_set), order)
-    bound = floor(1 / density)
-    diff = {quotient.add(x, quotient.negate(y)) for x in a_set for y in a_set}
-    zero = quotient.zero()
-    moduli = quotient.moduli
-    strides = [prod(moduli[i + 1 :]) for i in range(len(moduli))]
-
-    def slot(b, d):  # row-major index of b + d: lexicographic, as elements() lists them
-        return sum((x + y) % m * s for x, y, m, s in zip(b, d, moduli, strides))
-
     elements = quotient.elements()  # raises CapExceededError before the tables exist
-    shifts = [d for d in diff if d != zero]
-    first_blocker: list = [None] * order
-    B: list = []
+    order = quotient.order
+    density = Fraction(len(a_indices), order)
+    bound = floor(1 / density)
+    in_diff = bytearray(order)  # A - A
+    for y in a_indices:
+        minus_y = quotient.translate(quotient.negate(elements[y]))
+        for x in a_indices:
+            in_diff[minus_y[x]] = 1
+    diff = [d for d in range(order) if in_diff[d]]
+    shifts = diff[1:]  # index 0 is the zero element, which is in A - A
+    first_blocker = [0] * order  # 0: no blocker yet (the zero difference never blocks)
+    B: list[int] = []
     blocked: list = []
-    for i, cand in enumerate(elements):
+    for i in range(order):
         blocker = first_blocker[i]
-        if blocker is None:
-            B.append(cand)
-            for d in shifts:
-                j = slot(cand, d)
-                if first_blocker[j] is None:
-                    first_blocker[j] = d
-        else:
-            blocked.append((cand, blocker))
+        if blocker:
+            blocked.append((lift(elements[i]), lift(elements[blocker])))
+            continue
+        B.append(i)
+        plus_i = quotient.translate(elements[i])
+        for d in shifts:
+            j = plus_i[d]
+            if not first_blocker[j]:
+                first_blocker[j] = d
+    translates = tuple(lift(elements[b]) for b in B)
     # re-verify from scratch
     hit = bytearray(order)
     for b in B:
+        plus_b = quotient.translate(elements[b])
         for d in diff:
-            hit[slot(b, d)] = 1
+            hit[plus_b[d]] = 1
     cover_ok = all(hit)
-    packing_ok = all(
-        quotient.add(b1, quotient.negate(b2)) == zero
-        or quotient.add(b1, quotient.negate(b2)) not in diff
-        for b1 in B
-        for b2 in B
-    )
+    packing_ok = True
+    for b2 in B:
+        minus_b2 = quotient.translate(quotient.negate(elements[b2]))
+        if any(in_diff[minus_b2[b1]] for b1 in B if b1 != b2):
+            packing_ok = False
+            break
     if not cover_ok:
-        raise VerificationError("cover verification failed", counterexample=(base_set, B))
+        raise VerificationError("cover verification failed", counterexample=(base_set, translates))
     if not packing_ok:
-        raise VerificationError("packing verification failed", counterexample=(base_set, B))
+        raise VerificationError("packing verification failed", counterexample=(base_set, translates))
     if len(B) > bound:
         raise VerificationError(
             f"translate count {len(B)} exceeds the bound {bound}",
-            counterexample=(base_set, B),
+            counterexample=(base_set, translates),
         )
     return CoverResult(
-        translates=tuple(B),
+        translates=translates,
         size_bound=bound,
         density=density,
         verified_cover=True,
         verified_packing=True,
         blocked=tuple(blocked),
-        search_domain=domain,
+        search_domain=_DOMAINS.get(type(group)) or f"chain subgroup H_{group.depth}, lexicographic",
         base_set=base_set,
         group=group,
     )
@@ -452,6 +435,8 @@ def partition_by_coloring(
     most the maximal window count k. Periodic configurations are recolored over
     an enlarged period exceeding the diameter of H-H, so classes stay periodic.
     """
+    if not isinstance(H, IntervalUnion):
+        raise PreconditionError("H must be an interval union on the line")
     Q = H.difference_set()
     if Q.is_empty:
         raise PreconditionError("H is empty")
@@ -769,6 +754,8 @@ def syndetic_pipeline(
     if H is None:
         auto = auto_H(S, epsilon, group)
         H = auto.H
+    if not isinstance(H, IntervalUnion):
+        raise PreconditionError("H must be an interval union on the line")
     if H.length <= 0:
         raise PreconditionError("H must have positive measure")
     part = partition_by_coloring(S, H, group)

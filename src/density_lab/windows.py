@@ -51,8 +51,9 @@ that many line totals plus one prefix-sum difference. This is O(d * |P|) int
 operations, exact, and the first maximum of the row-major grid is the least
 lexicographic maximizer, as in a scan of product(range(P_i)) with a strict
 comparison. _zd_mass_at stays the Fraction reference for single windows
-(window_mass) and for the finite and mixed branches. Every Z^d enumeration is
-checked against Caps.enumeration before anything is allocated.
+(window_mass) and for the finite and mixed branches. Every Z^d enumeration and
+the line scan's periodic replicas are counted against Caps.enumeration before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from typing import Optional, Union
 
 from .config import DEFAULT_CAPS
 from .errors import CapExceededError, PreconditionError
-from .groups import GroupSpec, RealLine, ZLattice
+from .groups import FiniteAbelian, GroupSpec, RealLine, ZLattice
 from .intervals import IntervalUnion, PeriodicPattern
 from .rational import Infinite, rat
 from .sets import (
@@ -334,6 +335,13 @@ def _line_candidates(scaled, ws: list[int]) -> list[int]:
     if not periodic:
         return sorted(cands)
     big = lcm(*(period for period, _ in periodic))
+    if finite:  # mixed: event points inside the perturbation zone plus one clean period
+        support = [p for bases in finite for p in bases]
+        zone_lo = min(support) - max(ws) - big
+        zone_hi = max(support) - min(ws) + big
+    span = big + (zone_hi + 1 - zone_lo if finite else 0)  # no run below spans more than this
+    replicas = sum(len(bases) * len(ws) * (span // period + 1) for period, bases in periodic)
+    _check_enumeration(replicas, "the line scan", "periodic replicas")
     if not finite:
         for period, bases in periodic:
             for base in bases:
@@ -341,10 +349,6 @@ def _line_candidates(scaled, ws: list[int]) -> list[int]:
                     e = (base - w) % period
                     cands.update(range(e, e + big, period))
         return sorted(cands)
-    # mixed: event points inside the perturbation zone plus one clean period
-    support = [p for bases in finite for p in bases]
-    zone_lo = min(support) - max(ws) - big
-    zone_hi = max(support) - min(ws) + big
     for period, bases in periodic:
         for base in bases:
             for w in ws:
@@ -439,10 +443,10 @@ def zd_mass(nu, group: ZLattice, x, r: int) -> Fraction:
     return _zd_mass_at(measure_layers(nu, group)[0], x, r)
 
 
-def _check_enumeration(count: int, what: str):
+def _check_enumeration(count: int, what: str, unit: str = "cube centers"):
     cap = DEFAULT_CAPS.enumeration
     if count > cap:
-        raise CapExceededError(f"{what}: {count} cube centers exceed the enumeration cap {cap}")
+        raise CapExceededError(f"{what}: {count} {unit} exceed the enumeration cap {cap}")
 
 
 def _circular_window_sums(line: list[int], wraps: int, rem: int, off: int) -> list[int]:
@@ -460,7 +464,7 @@ def _torus_cube_masses(periodic: list[AtomLayer], period: tuple[int, ...], r: in
     """The cube mass at every center of the torus prod Z_{P_i}, in row-major
     order and in units of 1/Dw, with Dw returned alongside."""
     Dw = lcm(*(w.denominator for l in periodic for _, w in l.atoms))
-    strides = [prod(period[i + 1 :]) for i in range(len(period))]
+    strides = FiniteAbelian(period).strides
     grid = [0] * prod(period)
     for layer in periodic:
         for res, w in layer.atoms:
@@ -495,13 +499,12 @@ def zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
     finite = [l for l in layers if l.period is None]
     if periodic and not finite:
         period = tuple(lcm(*ms) for ms in zip(*(l.period for l in periodic)))
-        size = prod(period)
-        _check_enumeration(size, "the period torus")
+        torus = FiniteAbelian(period)
+        _check_enumeration(torus.order, "the period torus")
         masses, Dw = _torus_cube_masses(periodic, period, r)
         best = max(masses)
-        i = masses.index(best)  # row-major: the least maximizer in lexicographic order
-        argmax = tuple(i // prod(period[k + 1 :]) % P for k, P in enumerate(period))
-        return ShiftScan(Fraction(best, Dw), argmax, size)
+        argmax = torus.element(masses.index(best))  # row-major: the least lexicographic one
+        return ShiftScan(Fraction(best, Dw), argmax, torus.order)
     if finite and not periodic:
         per_coord = [
             sorted({p[i] - r for l in finite for p, _ in l.atoms} | {0}) for i in range(d)

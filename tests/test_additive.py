@@ -1,9 +1,13 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from density_lab import (
+    CapExceededError,
     ExplicitFinite,
     FiniteAbelian,
     IntervalUnion,
@@ -12,6 +16,7 @@ from density_lab import (
     PeriodicPoints,
     PreconditionError,
     RealLine,
+    SyndeticCertificate,
     ZLattice,
     difference_set,
     gap_analysis,
@@ -108,8 +113,6 @@ def test_minimal_translates_examples():
 
 
 def test_minimal_translates_brute_oracle():
-    import itertools
-
     for _ in range(40):
         m = rng.randrange(2, 9)
         res = sorted(rng.sample(range(m), rng.randrange(1, m + 1)))
@@ -166,3 +169,74 @@ def test_minimal_translates_greedy_fallback_above_cap():
     assert cover.size >= 30  # singleton translates must visit every cell
     exact = minimal_translates(PeriodicDiscrete.line(6, [0, 1]), Z, cap=20)
     assert exact.exact
+
+
+# ---------------------------------------------------------------------------
+# the indexed syndetic scan against the per-cell loops it replaced
+
+
+def per_cell_syndetic(S, K, group):
+    """The per-cell tuple loops of syndetic_check before the quotient index,
+    kept verbatim as the oracle."""
+    if isinstance(group, FiniteAbelian):
+        sset = set(S.elements)
+        witness = {}
+        for g in group.elements():
+            hit = next((k for k in K.elements if group.add(g, group.negate(k)) in sset), None)
+            if hit is None:
+                return SyndeticCertificate(K, False, g)
+            witness[g] = hit
+        return SyndeticCertificate(K, True, witness)
+    box = S.period
+    witness = {}
+    for g in itertools.product(*(range(m) for m in box)):
+        hit = None
+        for k in K.elements:
+            shifted = tuple((c - kc) % m for c, kc, m in zip(g, k, box))
+            if shifted in set(S.residues):
+                hit = k
+                break
+        if hit is None:
+            return SyndeticCertificate(K, False, g)
+        witness[g] = hit
+    return SyndeticCertificate(K, True, witness)
+
+
+@st.composite
+def syndetic_instances(draw):
+    """(S, K, group): subsets of a finite group with moduli from 1, or a
+    periodic subset of Z^d (period axes from 1) with translates that are
+    negative or outside the period box."""
+    if draw(st.booleans()):
+        G = FiniteAbelian(tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))))
+        elements = st.sampled_from(G.elements())
+        S = ExplicitFinite(tuple(draw(st.lists(elements, max_size=8))))
+        return S, ExplicitFinite(tuple(draw(st.lists(elements, max_size=5)))), G
+    d = draw(st.integers(1, 3))
+    period = tuple(draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
+    point = st.tuples(*[st.integers(-12, 12)] * d)
+    S = PeriodicDiscrete(period, tuple(draw(st.lists(point, max_size=8))))
+    return S, ExplicitFinite(tuple(draw(st.lists(point, max_size=5)))), ZLattice(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(syndetic_instances())
+def test_indexed_syndetic_check_matches_per_cell_loops(drawn):
+    S, K, group = drawn
+    cert = syndetic_check(S, K, group)
+    expect = per_cell_syndetic(S, K, group)
+    assert cert.verified == expect.verified
+    assert cert.covering_witness == expect.covering_witness
+    assert cert.translate_set == K
+
+
+def test_syndetic_check_caps_the_quotient_before_building_it():
+    S = PeriodicDiscrete((1100, 1100), ((0, 0),))  # 1.21e6 cells > 2^20
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            syndetic_check(S, ExplicitFinite(((0, 0),)), ZLattice(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -233,6 +233,61 @@ def test_cube_scan_over_the_cap_exits_3(tmp_path, capsys):
     assert "enumeration cap" in err
 
 
+Z1 = {"family": "z_lattice", "dimension": 1}
+SYNDETIC = ["syndetic", "--set", "S", "--translates", "K"]
+
+
+def _explicit(*elements):
+    return {"kind": "explicit_finite", "elements": [list(e) for e in elements]}
+
+
+def _periodic(period, *residues):
+    return {"kind": "periodic_discrete", "period": period, "residues": [list(r) for r in residues]}
+
+
+@pytest.mark.parametrize(
+    "group, objects, argv, code, expect",
+    [
+        (Z1, {"A": _periodic([1], (0,))}, ["cover"], 0, "translates B = [(0,)]"),
+        ({"family": "finite_abelian", "moduli": [1]}, {"A": _explicit((0,))}, ["cover"], 0,
+         "translates B = [(0,)]"),
+        (Z1, {"A": _periodic([2, 3], (0, 0))}, ["cover"], 3, "not an integer 1-tuple"),
+        ({"family": "finite_abelian", "moduli": [4]}, {"A": _explicit((7,))}, ["cover"], 3,
+         "outside the moduli"),
+        (Z1, {"S": _periodic([3], (0,)), "K": _explicit((0, 5), (1, 7), (2, 9))}, SYNDETIC, 3,
+         "not an integer 1-tuple"),
+        ({"family": "z_lattice", "dimension": 2},
+         {"S": _periodic([1100, 1100], (0, 0)), "K": _explicit((0, 0))}, SYNDETIC, 3,
+         "enumeration cap"),
+    ],
+    ids=["period-1", "Z_1", "2d-set-in-Z", "element-outside-moduli", "2d-translates-in-Z",
+         "quotient-over-cap"],
+)
+def test_discrete_quotient_inputs_keep_exit_contract(tmp_path, capsys, group, objects, argv,
+                                                     code, expect):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"group": group, "objects": objects}))
+    got, out, err = run(capsys, argv[0], "--instance", str(path), *argv[1:])
+    assert got == code
+    assert expect in (out if code == 0 else err)
+
+
+@pytest.mark.parametrize("command", ["partition", "pipeline"])
+def test_finite_points_H_exits_3(tmp_path, capsys, command):
+    inst = {
+        "group": {"family": "real_line"},
+        "objects": {
+            "S": {"kind": "periodic_points", "period": "1", "residues": ["0"]},
+            "H": {"kind": "finite_points", "points": ["0"]},
+        },
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    code, _, err = run(capsys, command, "--instance", str(path), "--object", "S", "--H", "H")
+    assert code == 3
+    assert "H must be an interval union" in err
+
+
 def test_syndetic_verification_failure_exit_4(tmp_path, capsys):
     inst = {
         "group": {"family": "z_lattice", "dimension": 1},

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from density_lab import (
     AccumulationPoint,
+    CapExceededError,
     CenteredCube,
     Counting,
     CustomK,
@@ -429,6 +431,18 @@ def test_translation_witness_on_integers():
     assert x == (0,)  # {0, 3} gives mass 2 >= 4/3
     missing = translation_witness(nu, Z, W, Fraction(3, 4))
     assert isinstance(missing, NotFound)
+
+
+def test_translation_witness_caps_the_torus_before_building_it():
+    nu = Counting(PeriodicDiscrete((1100, 1100), ((0, 0),)))  # 1.21e6 centers > 2^20
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            translation_witness(nu, ZLattice(2), ExplicitFinite(((0, 0),)), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

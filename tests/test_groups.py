@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from density_lab import (
     CapExceededError,
     FiniteAbelian,
+    PreconditionError,
     RealLine,
     ShapeMismatchError,
     SigmaFiniteChain,
@@ -145,3 +146,30 @@ def test_chain_subgroups():
     assert not chain.in_subgroup((0, 0, 1), 2)
     assert chain.add((1, 2), (1, 1)) == ()  # coordinates wrap to zero and strip
     assert chain.add((1,), (0, 2)) == (1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), max_size=3),
+    st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+)
+def test_row_major_index_matches_elements(moduli, shift):
+    G = FiniteAbelian(tuple(moduli))
+    elems = G.elements()
+    k = tuple(shift[: len(moduli)])
+    table = G.translate(k)
+    for i, e in enumerate(elems):
+        assert G.index(e) == i and G.element(i) == e
+        assert table[i] == elems.index(tuple((c + s) % m for c, s, m in zip(e, k, moduli)))
+
+
+def test_index_validates_and_modulus_one_is_trivial():
+    G = FiniteAbelian((1, 3))
+    assert G.order == 3 and G.elements() == [(0, 0), (0, 1), (0, 2)]
+    assert G.translate((5, -1)) == [2, 0, 1]
+    with pytest.raises(ShapeMismatchError):
+        G.index((1, 0))
+    with pytest.raises(PreconditionError):
+        FiniteAbelian((0,))
+    with pytest.raises(CapExceededError):
+        FiniteAbelian((2,) * 21).translate((0,) * 21)  # 2^21 > Caps.enumeration

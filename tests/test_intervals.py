@@ -108,7 +108,7 @@ def test_pattern_reduction_wraps():
 
 def test_pattern_full_when_piece_spans_period():
     p = PeriodicPattern.from_pairs(1, [(Fraction(-1, 3), Fraction(4, 3))])
-    assert p.is_full
+    assert p.pattern.covers(0, p.period)
 
 
 def test_pattern_mass_on_matches_materialized_oracle():

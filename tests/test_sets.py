@@ -3,11 +3,12 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from density_lab import (
     AccumulationPoint,
     Counting,
+    CylinderSet,
     ExplicitFinite,
     FiniteAbelian,
     FinitePoints,
@@ -19,6 +20,7 @@ from density_lab import (
     PerturbedLattice,
     PreconditionError,
     RealLine,
+    SigmaFiniteChain,
     ZLattice,
     difference_set,
     haar,
@@ -28,6 +30,8 @@ from density_lab import (
     translate_set,
     window_mass,
 )
+from density_lab.groups import _strip
+from density_lab.sets import discrete_quotient
 
 rng = random.Random(11)
 Z = ZLattice(1)
@@ -189,3 +193,33 @@ def test_window_mass_covariance_property(period, residues, g):
     w = IntervalUnion.closed(0, 2)
     shifted = translate_measure(nu, g, R)
     assert window_mass(shifted, R, g, w) == window_mass(nu, R, 0, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_discrete_quotient_indexes_each_set_kind(data):
+    """The index list and lift of every discrete set kind against a scan of
+    the quotient's elements."""
+    kind = data.draw(st.sampled_from(("finite", "lattice", "chain")))
+    if kind == "chain":
+        group = SigmaFiniteChain(tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))))
+        depth = data.draw(st.integers(0, group.depth))
+        cells = st.sampled_from(FiniteAbelian(group.moduli[:depth]).elements())
+        s = CylinderSet(depth, tuple(data.draw(st.lists(cells, max_size=4))))
+    elif kind == "lattice":
+        period = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+        group = ZLattice(len(period))
+        point = st.tuples(*[st.integers(-9, 9)] * len(period))
+        s = PeriodicDiscrete(period, tuple(data.draw(st.lists(point, max_size=6))))
+    else:
+        group = FiniteAbelian(tuple(data.draw(st.lists(st.integers(1, 4), max_size=3))))
+        s = ExplicitFinite(tuple(data.draw(st.lists(st.sampled_from(group.elements()), max_size=6))))
+    quotient, indices, lift = discrete_quotient(s, group)
+    elements = quotient.elements()
+    lifted = [_strip(e) if kind == "chain" else e for e in elements]
+    if kind == "chain":
+        expect = [i for i, e in enumerate(lifted) if s.contains(e, group)]
+    else:
+        expect = [i for i, e in enumerate(elements) if e in (s.residues if kind == "lattice" else s.elements)]
+    assert indices == expect
+    assert [lift(e) for e in elements] == lifted

@@ -498,7 +498,7 @@ def test_pipeline_stage_evidence_consistency():
 def fraction_greedy(a_elements, quotient):
     """The greedy loop the first-blocker table replaced: each candidate, in
     lexicographic order, is tested against every accepted translate."""
-    a_set = {quotient.reduce(e) for e in a_elements}
+    a_set = {tuple(c % m for c, m in zip(e, quotient.moduli)) for e in a_elements}
     diff = {quotient.add(x, quotient.negate(y)) for x in a_set for y in a_set}
     zero = quotient.zero()
     B: list = []

@@ -479,6 +479,21 @@ def test_zd_shift_sup_caps_the_torus_before_building_it():
     assert peak < 1 << 20  # a 2^21-cell table alone would take 16 MB
 
 
+def test_line_scan_caps_the_periodic_replicas_before_building_them():
+    # four coprime periods near 1: their lcm holds about 1e9 replicas of each layer
+    nu = MeasureSum(
+        tuple(Counting(PeriodicPoints(Fraction(p, 1000), (0,))) for p in (1009, 1013, 1019, 1021))
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            real_shift_sup(nu, IntervalUnion.closed(0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_zd_shift_sup_caps_the_finite_grid():
     # 1100 distinct coordinates on each axis: 1.21e6 centers > 2^20
     nu = Counting(ExplicitFinite(tuple((k, 2 * k) for k in range(1100))))

@@ -426,11 +426,13 @@ def cmd_selftest(args) -> int:
     failures = []
     t0 = time.time()
     for group in all_finite_abelian_up_to(cap):
+        t = time.time()
         mismatches, size = oracle_counting_sweep(group)
         total_groups += 1
         total_subsets += size
         status = "ok" if not mismatches else "MISMATCH"
-        print(f"  order {group.order:>2} moduli {group.moduli}: {size} subsets {status}")
+        print(f"  order {group.order:>2} moduli {group.moduli}: {size} subsets {status}"
+              f" {time.time() - t:.2f}s")
         failures.extend(mismatches)
     print(f"selftest: {total_groups} groups, {total_subsets} subsets, "
           f"{len(failures)} mismatches, {time.time() - t0:.2f}s")
@@ -496,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "hegyvari", "theorem3"])
     common(p, needs_instance=False)
 
-    p = sub.add_parser("selftest", help="brute-force oracle sweep")
+    p = sub.add_parser("selftest", help="inf-sup oracle sweep over every subset")
     p.add_argument("--cap", type=int, default=6)
     common(p, needs_instance=False)
 

@@ -26,7 +26,7 @@ class EstimationParams:
 
 @dataclass(frozen=True)
 class Caps:
-    oracle_order: int = 8          # brute-force inf-sup enumeration cap
+    oracle_order: int = 8          # inf-sup oracle group-order cap
     oracle_warn_above: int = 10    # runtime warning threshold when the cap is raised
     enumeration: int = 1 << 20     # finite-group element enumeration cap
     exact_cover_cells: int = 20    # exhaustive minimum-cover search cap

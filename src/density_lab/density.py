@@ -6,9 +6,10 @@ On Z^d and the line every measure the layer walker accepts is periodic plus a
 finite part, so the window density is an exact closed form: the periodic mean
 (a finite mass M adds at most M/|rK| -> 0), or a certified Infinite on an
 accumulation marker. Finite-radius sup ratios are kept as labelled evidence
-(window_density_profile, window_profile_schedule), never as the value. A
-brute-force inf-sup oracle over all nonempty (C, V) pairs is available for
-small finite groups and doubles as the acceptance oracle.
+(window_density_profile, window_profile_schedule), never as the value. An
+exact branch-and-bound inf-sup oracle, with the witnesses a full enumeration
+of every nonempty (C, V) pair returns, is available for small finite groups
+and doubles as the acceptance oracle.
 """
 
 from __future__ import annotations
@@ -262,22 +263,18 @@ def classical_upper_density(A, group: ZLattice, n_max: int = 10_000) -> DensityR
 
 
 # ---------------------------------------------------------------------------
-# brute-force inf-sup oracle on small finite groups
+# exact inf-sup oracle on small finite groups
 
 
 def _finite_group_tables(group: FiniteAbelian):
+    """(elements, translate): translate[g][V] is the mask of V + g."""
     elems = group.elements()
-    n = len(elems)
     translate = []
     for g in elems:
-        perm = group.translate(g)
-        table = [0] * (1 << n)
-        for mask in range(1 << n):
-            low = mask & (-mask)
-            if mask == 0:
-                continue
-            i = low.bit_length() - 1
-            table[mask] = table[mask ^ low] | (1 << perm[i])
+        table = [0]
+        for i in group.translate(g):
+            bit = 1 << i
+            table += [t | bit for t in table]
         translate.append(table)
     return elems, translate
 
@@ -291,91 +288,112 @@ def _point_masses(nu, group: FiniteAbelian):
 
 
 def kahane_oracle_finite(nu, group: FiniteAbelian, cap: int = DEFAULT_CAPS.oracle_order):
-    """Brute-force inf over nonempty C of sup over nonempty V of nu(V)/#(C+V).
+    """Exact inf over nonempty C of sup over nonempty V of nu(V)/#(C+V), by
+    branch-and-bound.
 
-    Enumerates every pair exactly; returns (value, witness C, witness V) where
-    C attains the infimum and V the corresponding supremum.
+    Returns (value, witness C, witness V): C is the first minimizer and V its
+    least maximizer in mask order, the pair a full enumeration of every
+    (C, V) pair returns.
     """
     n = group.order
     if n > cap:
         raise CapExceededError(f"group order {n} exceeds the oracle cap {cap}")
     if cap > DEFAULT_CAPS.oracle_warn_above and n > DEFAULT_CAPS.oracle_warn_above:
-        warnings.warn(f"brute-force oracle on order {n}: ~4^{n} ratio evaluations")
+        warnings.warn(f"inf-sup oracle on order {n}: ~4^{n} ratio evaluations in the worst case")
     elems, translate = _finite_group_tables(group)
     masses = _point_masses(nu, group)
     denom_lcm = lcm(*(m.denominator for m in masses))
-    scaled = [int(m * denom_lcm) for m in masses]
-    size = 1 << n
-    nu_of = [0] * size
-    for mask in range(1, size):
-        low = mask & (-mask)
-        nu_of[mask] = nu_of[mask ^ low] + scaled[low.bit_length() - 1]
-    best = None  # (num, den, C, V)
+    nu_of = [0]
+    for m in masses:
+        w = int(m * denom_lcm)
+        nu_of += [x + w for x in nu_of]
+    num, den, C, V = _inf_sup(nu_of, translate, [None] * len(nu_of))
+    value = Fraction(num, denom_lcm * den)
+    witness_c = ExplicitFinite(tuple(elems[i] for i in _bits(C)))
+    witness_v = ExplicitFinite(tuple(elems[i] for i in _bits(V)))
+    return value, witness_c, witness_v
+
+
+def _inf_sup(nu_of, translate, rows):
+    """(num, den, C, V) with num/den the inf over nonempty masks C of the sup
+    over nonempty masks V of nu_of[V]/#(C+V), C the first minimizer and V its
+    least maximizer in mask order. nu_of is nonnegative; rows caches the card
+    row of each C that is scanned in full, and may be shared between calls on
+    one group.
+
+    The pruning is exact. V = G gives every C the ratio nu(G)/|G|, so every
+    sup is at least that, and the loop ends once best reaches it. best is
+    replaced only by a strictly smaller sup, so a C is dropped at the first V
+    with nu(V)/#(C+V) >= best. V are probed in decreasing nu(V), and probing
+    ends at nu(V) < best, since #(C+V) >= 1. A C that is not dropped has a
+    sup below best and gets the full scan in mask order.
+    """
+    size = len(nu_of)
+    floor_num, floor_den = nu_of[size - 1], (size - 1).bit_count()
+    probes = sorted(range(1, size), key=nu_of.__getitem__, reverse=True)
+    best = None
     for C in range(1, size):
-        cv_card = _cv_cards(C, translate, size, n)
+        if best is not None:
+            best_num, best_den = best[0], best[1]
+            if best_num * floor_den <= floor_num * best_den:
+                break
+            shifts = [translate[i] for i in _bits(C)]
+            dropped = False
+            for V in probes:
+                num = nu_of[V]
+                if num * best_den < best_num:
+                    break
+                u = 0
+                for t in shifts:
+                    u |= t[V]
+                if num * best_den >= best_num * u.bit_count():
+                    dropped = True
+                    break
+            if dropped:
+                continue
+        cards = rows[C]
+        if cards is None:
+            cards = rows[C] = _cv_cards(C, translate)
         sup = None
         for V in range(1, size):
             num = nu_of[V]
-            den = cv_card[V]
+            den = cards[V]
             if sup is None or num * sup[1] > sup[0] * den:
                 sup = (num, den, V)
         if best is None or sup[0] * best[1] < best[0] * sup[1]:
             best = (sup[0], sup[1], C, sup[2])
-    value = Fraction(best[0], denom_lcm * best[1])
-    witness_c = ExplicitFinite(tuple(elems[i] for i in _bits(best[2])))
-    witness_v = ExplicitFinite(tuple(elems[i] for i in _bits(best[3])))
-    return value, witness_c, witness_v
+    return best
 
 
-def _cv_cards(C, translate, size, n):
-    gs = [g.bit_length() - 1 for g in _bit_values(C)]
-    cards = [0] * size
-    for V in range(1, size):
+def _cv_cards(C, translate):
+    """#(C+V) for every mask V."""
+    shifts = [translate[i] for i in _bits(C)]
+    cards = [0] * len(translate[0])
+    for V in range(1, len(cards)):
         u = 0
-        for i in gs:
-            u |= translate[i][V]
+        for t in shifts:
+            u |= t[V]
         cards[V] = u.bit_count()
     return cards
 
 
-def _bit_values(mask):
-    while mask:
-        low = mask & (-mask)
-        yield low
-        mask ^= low
-
-
 def _bits(mask):
-    return [b.bit_length() - 1 for b in _bit_values(mask)]
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def oracle_counting_sweep(group: FiniteAbelian):
-    """Verify, for EVERY subset A, that the brute-force inf-sup equals |A|/|G|.
+    """Verify, for EVERY subset A, that the exact inf-sup equals |A|/|G|.
 
     Returns the list of mismatches (empty on success) and the subset count.
     """
     n = group.order
-    elems, translate = _finite_group_tables(group)
+    _, translate = _finite_group_tables(group)
     size = 1 << n
-    cv = [None] * size
-    for C in range(1, size):
-        cv[C] = _cv_cards(C, translate, size, n)
+    rows = [None] * size
     mismatches = []
-    vs = list(range(1, size))
     for A in range(size):
-        av = [(A & V).bit_count() for V in range(size)]
-        best_num, best_den = None, None
-        for C in range(1, size):
-            cards = cv[C]
-            sn, sd = 0, 1
-            for V in vs:
-                num = av[V]
-                den = cards[V]
-                if num * sd > sn * den:
-                    sn, sd = num, den
-            if best_num is None or sn * best_den < best_num * sd:
-                best_num, best_den = sn, sd
-        got = Fraction(best_num, best_den) if best_den else Fraction(0)
+        num, den, _, _ = _inf_sup([(A & V).bit_count() for V in range(size)], translate, rows)
+        got = Fraction(num, den)
         expect = Fraction(A.bit_count(), n)
         if got != expect:
             mismatches.append((group, A, got, expect))
@@ -394,7 +412,8 @@ def kahane_density_finite_group(
 ) -> DensityReport:
     """On a finite group the inf-sup collapses to nu(G)/|G|: taking C = G
     forces every denominator to |G| and V = G attains the sup, while any C
-    admits V = G. Oracle mode re-derives this by full enumeration."""
+    admits V = G. Oracle mode re-derives this by an exact branch-and-bound
+    over the (C, V) pairs, with the witnesses a full enumeration returns."""
     if group.order == 0:
         raise PreconditionError("empty group")
     total = measure_total_finite(nu, group)
@@ -577,7 +596,8 @@ def translation_witness(nu, group: GroupSpec, W, gamma) -> Union[Fraction, tuple
     """A shift x with nu(W + x) >= gamma * mu(W), or NotFound with the scanned sup.
 
     The scan terminates because the instance is periodic or has finite support;
-    the returned x is the least event point reaching the threshold.
+    the returned x is the least event point reaching the threshold, and
+    NotFound.argmax the least event point attaining the scanned sup.
     """
     gamma = rat(gamma)
     if isinstance(group, RealLine):
@@ -593,12 +613,14 @@ def translation_witness(nu, group: GroupSpec, W, gamma) -> Union[Fraction, tuple
             raise PreconditionError("lattice windows are explicit finite sets")
         threshold = gamma * len(W.elements)
         mass_at = zd_set_window(nu, group, W)
-        candidates = _lattice_witness_candidates(nu, group, W)
-        for x in candidates:
-            if mass_at(x) >= threshold:
+        scan = None  # (sup, its first shift in candidate order)
+        for x in _lattice_witness_candidates(nu, group, W):
+            mass = mass_at(x)
+            if mass >= threshold:
                 return x
-        scan = max(((mass_at(x), x) for x in candidates), default=(Fraction(0), group.zero()))
-        return NotFound(scan[0], scan[1])
+            if scan is None or mass > scan[0]:
+                scan = (mass, x)
+        return NotFound(*(scan or (Fraction(0), group.zero())))
     raise PreconditionError(f"translation witness unsupported on {type(group).__name__}")
 
 

@@ -288,6 +288,26 @@ def test_finite_points_H_exits_3(tmp_path, capsys, command):
     assert "H must be an interval union" in err
 
 
+def test_window_profile_stops_at_the_cap_while_kahane_is_exact(tmp_path, capsys):
+    # the profile is evidence and enumerates the period torus, so 10^10 cube
+    # centers exit 3; the exact value comes from the closed form
+    inst = {
+        "group": {"family": "z_lattice", "dimension": 2},
+        "objects": {
+            "nu": {"kind": "counting", "of": {
+                "kind": "periodic_discrete", "period": [100000, 100000], "residues": [[0, 0]]}},
+        },
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    code, _, err = run(capsys, "density", "--instance", str(path), "--notion", "window")
+    assert code == 3
+    assert "10000000000 cube centers exceed the enumeration cap" in err
+    code, out, _ = run(capsys, "density", "--instance", str(path), "--notion", "kahane")
+    assert code == 0
+    assert "kahane density: 1/10000000000" in out
+
+
 def test_syndetic_verification_failure_exit_4(tmp_path, capsys):
     inst = {
         "group": {"family": "z_lattice", "dimension": 1},

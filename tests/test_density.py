@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from density_lab import (
     HaarTrace,
     IntervalUnion,
     IntervalWindow,
+    MeasureSum,
     NotFound,
     PeriodicDiscrete,
     PeriodicPattern,
@@ -45,6 +47,7 @@ from density_lab import (
     translation_witness,
     window_density_profile,
     window_profile_schedule,
+    zd_shift_sup,
 )
 from density_lab.density import delta_lower_bound_check, measure_total_finite
 
@@ -311,6 +314,73 @@ def test_oracle_weighted_measures():
         assert value == measure_total_finite(nu, G) / G.order
 
 
+def full_enumeration_oracle(weights, group):
+    """The inf-sup by scoring every nonempty (C, V) pair, on int weights per
+    element index: (num, den, C, V) with num/den the least over masks C of
+    the greatest nu(V)/#(C+V) over masks V, C the first minimizer and V its
+    least maximizer in mask order."""
+    n = group.order
+    size = 1 << n
+    shifted = []  # shifted[g][V]: the mask of V + g
+    for g in group.elements():
+        perm = group.translate(g)
+        shifted.append([sum(1 << perm[i] for i in range(n) if V >> i & 1) for V in range(size)])
+    nu_of = [sum(w for i, w in enumerate(weights) if V >> i & 1) for V in range(size)]
+    best = None
+    for C in range(1, size):
+        union = [0] * size  # union[V]: the mask of C + V
+        for i in range(n):
+            if C >> i & 1:
+                union = [u | t for u, t in zip(union, shifted[i])]
+        sup = None
+        for V in range(1, size):
+            num, den = nu_of[V], union[V].bit_count()
+            if sup is None or num * sup[1] > sup[0] * den:
+                sup = (num, den, V)
+        if best is None or sup[0] * best[1] < best[0] * sup[1]:
+            best = (sup[0], sup[1], C, sup[2])
+    return best
+
+
+weights_st = st.builds(Fraction, st.integers(1, 7), st.integers(1, 4))
+
+
+@pytest.mark.parametrize("kind", ["diracs", "diracs+counting", "uniform", "atom"])
+@pytest.mark.parametrize(
+    "moduli",
+    [g.moduli for g in all_finite_abelian_up_to(8)],
+    ids=lambda m: "x".join(f"Z{k}" for k in m) or "Z1",
+)
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_pruned_oracle_matches_full_enumeration(moduli, kind, data):
+    G = FiniteAbelian(moduli)
+    elems = G.elements()
+    picked = st.lists(st.sampled_from(elems), min_size=1, unique=True)
+    if kind == "atom":
+        atoms = [(data.draw(st.sampled_from(elems)), data.draw(weights_st))]
+    elif kind == "uniform":
+        w = data.draw(weights_st)
+        atoms = [(e, w) for e in elems]
+    else:
+        atoms = [(e, data.draw(weights_st)) for e in data.draw(picked)]
+    nu = WeightedDiracs(tuple(atoms))
+    if kind == "diracs+counting":
+        support = data.draw(st.lists(st.sampled_from(elems), unique=True))
+        nu = MeasureSum((nu, Counting(ExplicitFinite(tuple(support)))))
+        atoms += [(e, Fraction(1)) for e in support]
+    denom = lcm(*(w.denominator for _, w in atoms))
+    weights = [0] * G.order
+    for e, w in atoms:
+        weights[elems.index(e)] += int(w * denom)
+
+    num, den, C, V = full_enumeration_oracle(weights, G)
+    value, wc, wv = kahane_oracle_finite(nu, G)
+    assert value == Fraction(num, denom * den)
+    assert wc.elements == tuple(e for i, e in enumerate(elems) if C >> i & 1)
+    assert wv.elements == tuple(e for i, e in enumerate(elems) if V >> i & 1)
+
+
 # ---------------------------------------------------------------------------
 # delta density
 
@@ -431,6 +501,19 @@ def test_translation_witness_on_integers():
     assert x == (0,)  # {0, 3} gives mass 2 >= 4/3
     missing = translation_witness(nu, Z, W, Fraction(3, 4))
     assert isinstance(missing, NotFound)
+
+
+@pytest.mark.parametrize(
+    "period, residues",
+    [((3,), ((0,), (1,))), ((4, 4), ((0, 0), (1, 1), (2, 3), (3, 2)))],
+)
+def test_translation_witness_not_found_reports_the_least_maximizer(period, residues):
+    group = ZLattice(len(period))
+    nu = Counting(PeriodicDiscrete(period, residues))
+    got = translation_witness(nu, group, ExplicitFinite((group.zero(),)), 2)
+    assert got == NotFound(Fraction(1), group.zero())
+    scan = zd_shift_sup(nu, group, 0)
+    assert (got.scanned_sup, got.argmax) == (scan.value, scan.argmax)
 
 
 def test_translation_witness_caps_the_torus_before_building_it():

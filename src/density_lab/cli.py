@@ -159,11 +159,16 @@ def _window_shape(spec: str, group):
 
 
 def _emit(args, results) -> dict:
+    return _emit_jsonable(args, to_jsonable(results))
+
+
+def _emit_jsonable(args, results) -> dict:
+    """_emit for results already in their to_jsonable form."""
     report = {
         "command": " ".join(args._argv),
         "input_digest": getattr(args, "_digest", "builtin"),
         "library_version": __version__,
-        "results": to_jsonable(results),
+        "results": results,
         "wall_time_s": round(time.time() - args._t0, 6),
     }
     if args.out:
@@ -245,8 +250,9 @@ def cmd_diffset(args) -> int:
         window = (rat(lo), rat(hi))
     result = difference_set(s, instance.group, window=window)
     print(f"difference set of {type(s).__name__}: {type(result).__name__}")
-    print(f"  {to_jsonable(result)}")
-    _emit(args, result)
+    result = to_jsonable(result)  # serialized once, for the echo and the report
+    print(f"  {result}")
+    _emit_jsonable(args, result)
     return 0
 
 
@@ -357,7 +363,7 @@ def _demo_accumulation():
     diff = difference_set(s, group)
     inside = [d for d in diff.points if abs(d) <= 1]
     print(f"truncated difference set has {len(diff.points)} points, all within [-1, 1]:",
-          all(abs(d) <= 1 for d in diff.points))
+          len(inside) == len(diff.points))
     try:
         syndetic_pipeline(s, group)
         raise AssertionError("pipeline should reject an accumulating configuration")

@@ -24,7 +24,7 @@ from .config import DEFAULT_CAPS, DEFAULT_ESTIMATION, EstimationParams
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
 from .intervals import IntervalUnion
-from .rational import Infinite, is_infinite, rat, rat_str
+from .rational import Infinite, common_scale, is_infinite, rat, rat_str
 from .sets import CylinderSet, ExplicitFinite, PeriodicDiscrete
 from .windows import (
     TraceLayer,
@@ -302,13 +302,12 @@ def kahane_oracle_finite(nu, group: FiniteAbelian, cap: int = DEFAULT_CAPS.oracl
         warnings.warn(f"inf-sup oracle on order {n}: ~4^{n} ratio evaluations in the worst case")
     elems, translate = _finite_group_tables(group)
     masses = _point_masses(nu, group)
-    denom_lcm = lcm(*(m.denominator for m in masses))
+    D, weights = common_scale(masses)
     nu_of = [0]
-    for m in masses:
-        w = int(m * denom_lcm)
+    for w in weights:
         nu_of += [x + w for x in nu_of]
     num, den, C, V = _inf_sup(nu_of, translate, [None] * len(nu_of))
-    value = Fraction(num, denom_lcm * den)
+    value = Fraction(num, D * den)
     witness_c = ExplicitFinite(tuple(elems[i] for i in _bits(C)))
     witness_v = ExplicitFinite(tuple(elems[i] for i in _bits(V)))
     return value, witness_c, witness_v

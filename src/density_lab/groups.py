@@ -118,10 +118,16 @@ class FiniteAbelian:
         """The element at position i of elements(), for 0 <= i < order."""
         return tuple(i // s % m for s, m in zip(self.strides, self.moduli))
 
-    def translate(self, k) -> list[int]:
+    def translate(self, k, at=None) -> list[int]:
         """[index(e + k) for e in elements()], for any integer tuple k (reduced
-        mod the moduli), built one axis at a time without a tuple per element."""
+        mod the moduli), built one axis at a time without a tuple per element.
+        Given indices at, only [index(element(i) + k) for i in at]."""
         k = _as_int_tuple(k, len(self.moduli), "shift")
+        if at is not None:
+            out = [0] * len(at)
+            for c, m, s in zip(k, self.moduli, self.strides):
+                out = [o + (i // s + c) % m * s for o, i in zip(out, at)]
+            return out
         self.check_order()
         table = [0]
         for c, m in zip(k, self.moduli):

@@ -7,8 +7,8 @@ only in display fields (decimal approximations, wall times).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Any, Union
+from math import gcd, lcm
+from typing import Any, Iterable, Union
 
 from .errors import InstanceParseError
 
@@ -29,7 +29,21 @@ def rat(value: Union[int, str, Fraction]) -> Fraction:
 
 def rat_str(q: Fraction) -> str:
     """Canonical "p/q" (or integer) rendering."""
-    return str(Fraction(q))
+    return str(q) if isinstance(q, Fraction) else str(Fraction(q))
+
+
+def scaled(q: Fraction, scale: int) -> int:
+    """q * scale, for a scale that the denominator of q divides."""
+    return q.numerator * (scale // q.denominator)
+
+
+def common_scale(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(D, [q * D for q in values]) with D the lcm of the denominators (1 for
+    no values): the integer normal form of a rational configuration, which
+    keeps every sum, difference, order and membership test exact."""
+    values = list(values)
+    D = lcm(*(q.denominator for q in values))
+    return D, [q.numerator * (D // q.denominator) for q in values]  # scaled, inlined
 
 
 def rat_float(q: Fraction, digits: int = 6) -> float:

@@ -27,7 +27,7 @@ from .groups import (
     _strip,
 )
 from .intervals import IntervalUnion, PeriodicPattern
-from .rational import Infinite, frac_lcm, rat
+from .rational import Infinite, common_scale, frac_lcm, rat
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +107,15 @@ class FinitePoints:
         object.__setattr__(self, "points", tuple(sorted({rat(p) for p in self.points})))
         object.__setattr__(self, "accumulation", tuple(self.accumulation))
 
+    @classmethod
+    def _canonical(cls, points: tuple[Fraction, ...], accumulation=()) -> "FinitePoints":
+        """The configuration of points that are already sorted, distinct
+        Fractions, set without the validation and sort of __post_init__."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "points", points)
+        object.__setattr__(obj, "accumulation", tuple(accumulation))
+        return obj
+
     def __len__(self):
         return len(self.points)
 
@@ -173,8 +182,8 @@ class PeriodicPoints:
 
 
 def difference_residues_mod(residues, period) -> tuple[Fraction, ...]:
-    out = {(a - b) % period for a in residues for b in residues}
-    return tuple(sorted(out))
+    D, (P, *xs) = common_scale((period, *residues))
+    return tuple(Fraction(d, D) for d in sorted({(x - y) % P for x in xs for y in xs}))
 
 
 @dataclass(frozen=True)
@@ -436,7 +445,9 @@ def difference_set(s, group: GroupSpec, window=None):
     """Exact S - S; symmetric and containing 0 whenever S is nonempty.
 
     PerturbedLattice inputs require a truncation window; the result is then the
-    exact intersection of S - S with that window.
+    exact intersection of S - S with that window. Point configurations are
+    differenced in their integer normal form (rational.common_scale): ints
+    over one common denominator D, mapped back to Fractions d / D once.
     """
     if _set_is_empty(s):
         warnings.warn("difference set of an empty set is empty (0 not included)")
@@ -460,9 +471,9 @@ def difference_set(s, group: GroupSpec, window=None):
         return PeriodicPoints(s.period, difference_residues_mod(s.residues, s.period))
     if isinstance(s, FinitePoints):
         acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
-        return FinitePoints(
-            tuple(x - y for x in s.points for y in s.points), accumulation=acc
-        )
+        D, xs = common_scale(s.points)
+        diffs = sorted({x - y for x in xs for y in xs})
+        return FinitePoints._canonical(tuple(Fraction(d, D) for d in diffs), acc)
     if isinstance(s, PerturbedLattice):
         if window is None:
             raise PreconditionError(
@@ -476,35 +487,26 @@ def _perturbed_difference(s: PerturbedLattice, window) -> WindowedDifferenceSet:
     lo, hi = rat(window[0]), rat(window[1])
     if hi < lo:
         raise PreconditionError("truncation window is empty")
-    removed = set(s.removed)
-    step = s.step
-    diffs: set[Fraction] = set()
+    D, ints = common_scale((lo, hi, s.step, *s.extra, *s.removed))
+    lo_i, hi_i, step = ints[:3]
+    extra = ints[3 : 3 + len(s.extra)]
+    removed = set(ints[3 + len(s.extra) :])
+
+    def lattice(lo_m, hi_m):  # the multiples of step in [lo_m, hi_m]
+        return range(-(-lo_m // step) * step, hi_m + 1, step)
+
     # lattice - lattice: every multiple of the step survives (removals are finite)
-    k = ceil(lo / step)
-    while k * step <= hi:
-        diffs.add(k * step)
-        k += 1
-    # extra vs lattice, both signs
-    for e in s.extra:
-        for sign in (1, -1):
-            # sign * (e - m*step) in [lo, hi]
-            lo_m = (e - hi) if sign == 1 else (e + lo)
-            hi_m = (e - lo) if sign == 1 else (e + hi)
-            k = ceil(lo_m / step)
-            while k * step <= hi_m:
-                p = k * step
-                if p not in removed:
-                    diffs.add(sign * (e - p))
-                k += 1
+    diffs = set(lattice(lo_i, hi_i))
+    # extra vs lattice, both signs: e - p and p - e in [lo, hi]
+    for e in extra:
+        diffs.update(e - p for p in lattice(e - hi_i, e - lo_i) if p not in removed)
+        diffs.update(p - e for p in lattice(e + lo_i, e + hi_i) if p not in removed)
     # extra - extra
-    for a in s.extra:
-        for b in s.extra:
-            d = a - b
-            if lo <= d <= hi:
-                diffs.add(d)
+    diffs.update(d for x in extra for y in extra if lo_i <= (d := x - y) <= hi_i)
     acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
+    points = tuple(Fraction(d, D) for d in sorted(diffs))
     return WindowedDifferenceSet(
-        points=FinitePoints(tuple(diffs), accumulation=acc), window=(lo, hi)
+        points=FinitePoints._canonical(points, acc), window=(lo, hi)
     )
 
 

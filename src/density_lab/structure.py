@@ -14,28 +14,33 @@ re-verification raises VerificationError with a counterexample.
 The discrete greedy runs on the row-major index of the quotient
 (sets.discrete_quotient, FiniteAbelian.index), the lexicographic order of
 elements(), and keeps a first-blocker table: when a candidate b is accepted,
-its table translate(b) locates every slot b + d with d in (A-A) minus {0},
+translate(b, at=shifts) locates every slot b + d with d in (A-A) minus {0},
 and each one that holds nothing yet gets d. A candidate c is rejected iff
 some accepted b has c - b in that set; the slot of c was written first by the
 earliest such b, with d = c - b, which is the blocker a scan of B in
 acceptance order finds first. So the translates and blockers are those of the
-candidate-by-candidate scan, with one translate table of |G| ints per
-accepted b, built one at a time. The cover re-verification marks B + (A-A) in
-a bytearray from scratch; the packing re-verification looks up every b1 - b2
-in a bytearray of A - A.
+candidate-by-candidate scan, with |A-A| index sums per accepted b: the greedy
+is O(|G| + |B| |A-A|), not O(|B| |G|). The cover re-verification marks
+B + (A-A) in a bytearray from scratch; the packing re-verification looks up
+every b + d, d in (A-A) minus {0}, in a bytearray of B, since
+b1 - b2 = d with b1 != b2 iff b1 = b2 + d lies in B.
 
-The partition's first-fit runs on ints: the points, the coloring period P and
-the endpoints of Q = H - H are scaled by the lcm of their denominators, which
-keeps every difference and every membership test. Q lies in [-R, R], so an
-earlier point t can conflict with q only if q - t <= R, that is t in
-[q - R, q), or on the circle of circumference P > 2R only if q - t >= P - R,
-that is t in [0, q - P + R]; first-fit visits just those two bisect windows
-and tests membership in Q by bisecting its interval starts. The finite
-window bound counts over [s - R, s + R] the same way. Colors, classes, n and
-k_bound are those of the all-pairs Fraction loop. The class-packing
-re-verification still tests every pair within distance R with Fraction
-IntervalUnion.contains; the pairs it skips differ by more than R and so by no
-element of Q.
+The partition runs on the integer normal form (rational.common_scale): the
+points, the coloring period P and the endpoints of Q = H - H become ints over
+the lcm D of their denominators, which keeps every difference and every
+membership test. Q lies in [-R, R], so an earlier point t can conflict with q
+only if q - t <= R, that is t in [q - R, q), or on the circle of
+circumference P > 2R only if q - t >= P - R, that is t in [0, q - P + R];
+first-fit visits just those two bisect windows and tests membership in Q by
+bisecting its interval starts. The window bound k counts over [s - R, s + R]
+(and across the seam of the circle) the same way: a lift of a periodic S
+meets s + Q at most once, since P > 2R. Colors, classes, n and k_bound are
+those of the all-pairs Fraction loop and of real_mass. The class-packing
+re-verification scales the emitted classes by D and tests every pair within
+distance R with the same int membership; the pairs it skips differ by more
+than R and so by no element of Q. The difference sets of point
+configurations (sets.difference_set, _difference_points_within) are taken
+on the same integer form.
 """
 
 from __future__ import annotations
@@ -43,14 +48,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor
 from typing import Optional
 
 from .density import RudinWindow, measure_total_finite, periodic_mean_density, rudin_window
 from .errors import PreconditionError, VerificationError
 from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
 from .intervals import IntervalUnion, PeriodicPattern
-from .rational import INFINITE, is_infinite, rat, rat_str
+from .rational import INFINITE, common_scale, is_infinite, rat, rat_str, scaled
 from .sets import (
     Counting,
     ExplicitFinite,
@@ -63,7 +68,7 @@ from .sets import (
     discrete_quotient,
     minkowski_sum,
 )
-from .windows import _scaled, real_mass, real_shift_sup
+from .windows import real_mass, real_shift_sup
 
 # ---------------------------------------------------------------------------
 # counting density of a point configuration
@@ -139,9 +144,8 @@ def _greedy_finite(quotient: FiniteAbelian, a_indices, lift, base_set, group):
     bound = floor(1 / density)
     in_diff = bytearray(order)  # A - A
     for y in a_indices:
-        minus_y = quotient.translate(quotient.negate(elements[y]))
-        for x in a_indices:
-            in_diff[minus_y[x]] = 1
+        for x in quotient.translate(quotient.negate(elements[y]), a_indices):
+            in_diff[x] = 1
     diff = [d for d in range(order) if in_diff[d]]
     shifts = diff[1:]  # index 0 is the zero element, which is in A - A
     first_blocker = [0] * order  # 0: no blocker yet (the zero difference never blocks)
@@ -153,25 +157,22 @@ def _greedy_finite(quotient: FiniteAbelian, a_indices, lift, base_set, group):
             blocked.append((lift(elements[i]), lift(elements[blocker])))
             continue
         B.append(i)
-        plus_i = quotient.translate(elements[i])
-        for d in shifts:
-            j = plus_i[d]
+        for d, j in zip(shifts, quotient.translate(elements[i], shifts)):
             if not first_blocker[j]:
                 first_blocker[j] = d
     translates = tuple(lift(elements[b]) for b in B)
     # re-verify from scratch
     hit = bytearray(order)
+    in_b = bytearray(order)
     for b in B:
-        plus_b = quotient.translate(elements[b])
-        for d in diff:
-            hit[plus_b[d]] = 1
+        in_b[b] = 1
+        for j in quotient.translate(elements[b], diff):
+            hit[j] = 1
     cover_ok = all(hit)
-    packing_ok = True
-    for b2 in B:
-        minus_b2 = quotient.translate(quotient.negate(elements[b2]))
-        if any(in_diff[minus_b2[b1]] for b1 in B if b1 != b2):
-            packing_ok = False
-            break
+    # b1 - b2 lies in (A-A) minus {0} for some b1 != b2 iff some b2 + d is in B
+    packing_ok = not any(
+        in_b[j] for b in B for j in quotient.translate(elements[b], shifts)
+    )
     if not cover_ok:
         raise VerificationError("cover verification failed", counterexample=(base_set, translates))
     if not packing_ok:
@@ -262,25 +263,24 @@ class PackingCheck:
 
 
 def _difference_points_within(S, radius: Fraction, group) -> list[Fraction]:
-    """All elements of S - S in [-radius, radius], exact."""
-    if isinstance(S, PeriodicPoints):
-        out = set()
-        for a in S.residues:
-            for b in S.residues:
-                base = a - b
-                k = ceil((-radius - base) / S.period)
-                while base + k * S.period <= radius:
-                    out.add(base + k * S.period)
-                    k += 1
-        return sorted(out)
-    if isinstance(S, FinitePoints):
-        return sorted(
-            {x - y for x in S.points for y in S.points if abs(x - y) <= radius}
-        )
+    """All elements of S - S in [-radius, radius], exact: differenced as ints
+    over one common denominator D and mapped back to Fractions d / D once."""
     if isinstance(S, PerturbedLattice):
         wd = difference_set(S, RealLine(), window=(-radius, radius))
         return list(wd.points.points)
-    raise PreconditionError(f"unsupported configuration: {type(S).__name__}")
+    if isinstance(S, PeriodicPoints):
+        D, (R, P, *res) = common_scale((radius, S.period, *S.residues))
+        out = set()
+        for a in res:
+            for b in res:
+                base = a - b  # its lifts base + kP in [-R, R]
+                out.update(range(base - (base + R) // P * P, R + 1, P))
+    elif isinstance(S, FinitePoints):
+        D, (R, *xs) = common_scale((radius, *S.points))
+        out = {x - y for x in xs for y in xs if abs(x - y) <= R}
+    else:
+        raise PreconditionError(f"unsupported configuration: {type(S).__name__}")
+    return [Fraction(d, D) for d in sorted(out)]
 
 
 def packing_bound_check(S, H, group: GroupSpec = RealLine()) -> PackingCheck:
@@ -450,18 +450,20 @@ def partition_by_coloring(
             L += 1
         P = L * S.period
         expanded = sorted(r + j * S.period for r in S.residues for j in range(L))
-        D = lcm(*(q.denominator for q in [P, *expanded, *Q.endpoints()]))
-        ints = [_scaled(q, D) for q in expanded]
-        colors = _first_fit(ints, _int_membership(Q, D), _scaled(radius, D), _scaled(P, D))
+        D, ints, in_q, R, P_int = _integer_form(expanded, Q, radius, P)
+        colors = _first_fit(ints, in_q, R, P_int)
         n = max(colors) + 1
         raw_classes = tuple(
             PeriodicPoints(P, tuple(r for r, c in zip(expanded, colors) if c == j))
             for j in range(n)
         )
-        k_bound = max(
-            real_mass(Counting(S), Q.translate(s)) for s in S.residues
+        # the residues of S lie in [0, period), below every other lift
+        k_bound = Fraction(
+            max(len(_conflicts(ints, s, in_q, R, P_int)) for s in ints[: len(S.residues)])
         )
-        _verify_partition_periodic(S, raw_classes, Q, P, expanded, radius)
+        if sorted(r for c in raw_classes for r in c.residues) != expanded:
+            raise VerificationError("partition does not reproduce S", counterexample=S)
+        _verify_class_packing([c.residues for c in raw_classes], D, in_q, R, P_int)
         if n > k_bound:
             raise VerificationError(
                 f"class count {n} exceeds the window bound {k_bound}",
@@ -480,25 +482,14 @@ def partition_by_coloring(
             group=group,
         )
     points = _materialize_config(S, materialize_range)
-    D = lcm(*(q.denominator for q in [*points, *Q.endpoints()]))
-    ints = [_scaled(q, D) for q in points]
-    in_q = _int_membership(Q, D)
-    R = _scaled(radius, D)
+    D, ints, in_q, R, _ = _integer_form(points, Q, radius)
     colors = _first_fit(ints, in_q, R)
     n = max(colors) + 1 if points else 0
     classes = tuple(
         FinitePoints(tuple(q for q, c in zip(points, colors) if c == j)) for j in range(n)
     )
-    k_bound = max(
-        (sum(1 for t in _near(ints, s, R) if in_q(t - s)) for s in ints), default=0
-    )
-    for j, cl in enumerate(classes):
-        for a in cl.points:
-            for b in _near(cl.points, a, radius):
-                if a != b and Q.contains(a - b):
-                    raise VerificationError(
-                        "class packing verification failed", counterexample=(j, a, b)
-                    )
+    k_bound = max((len(_conflicts(ints, s, in_q, R)) for s in ints), default=0)
+    _verify_class_packing([cl.points for cl in classes], D, in_q, R)
     if sorted(q for cl in classes for q in cl.points) != list(points):
         raise VerificationError("partition does not reproduce S", counterexample=S)
     if n > k_bound:
@@ -519,16 +510,21 @@ def partition_by_coloring(
     )
 
 
-def _int_membership(Q: IntervalUnion, D: int):
-    """x -> whether x / D lies in Q, for the ints x; D must clear Q's denominators."""
-    starts = [_scaled(a, D) for a, _ in Q.intervals]
-    ends = [_scaled(b, D) for _, b in Q.intervals]
+def _integer_form(points, Q: IntervalUnion, radius: Fraction, P: Optional[Fraction] = None):
+    """(D, points * D, in_q, radius * D, P * D or None), D the lcm of the
+    denominators of the points, Q's endpoints and P, where in_q(x) tells
+    whether x / D lies in Q. Every difference and membership test is kept."""
+    m = 2 * len(Q.intervals)
+    head = [radius] if P is None else [radius, P]
+    D, ints = common_scale([*Q.endpoints(), *head, *points])
+    starts, ends = ints[:m:2], ints[1:m:2]
 
     def in_q(x: int) -> bool:
         i = bisect_right(starts, x)
         return i > 0 and x <= ends[i - 1]
 
-    return in_q
+    R = ints[m]
+    return D, ints[m + len(head) :], in_q, R, None if P is None else ints[m + 1]
 
 
 def _first_fit(points: list[int], in_q, R: int, P: Optional[int] = None) -> list[int]:
@@ -550,15 +546,33 @@ def _first_fit(points: list[int], in_q, R: int, P: Optional[int] = None) -> list
     return colors
 
 
-def _near(points, a, radius, period=None):
-    """The points of a sorted sequence within distance radius of a, on the
-    line or on the circle [0, period); the others differ from a by no element
-    of a set inside [-radius, radius]."""
-    near = points[bisect_left(points, a - radius) : bisect_right(points, a + radius)]
-    if period is not None:
-        near += points[bisect_left(points, a - radius + period) :]
-        near += points[: bisect_right(points, a + radius - period)]
-    return near
+def _conflicts(points: list[int], a: int, in_q, R: int, P: Optional[int] = None):
+    """The t of a sorted int sequence with t - a in Q, or on the circle of
+    circumference P > 2R with (t - a) mod P in Q or Q + P; a itself included
+    (0 is in Q). Q lies in [-R, R], so only t within distance R of a (on the
+    circle, P > 2R: the arcs across the seam too) can qualify."""
+    near = points[bisect_left(points, a - R) : bisect_right(points, a + R)]
+    if P is None:
+        return [t for t in near if in_q(t - a)]
+    near += points[bisect_left(points, a - R + P) :]
+    near += points[: bisect_right(points, a + R - P)]
+    return [t for t in near if in_q(d := (t - a) % P) or in_q(d - P)]
+
+
+def _verify_class_packing(classes, D: int, in_q, R: int, P: Optional[int] = None):
+    """Raise VerificationError unless no two distinct points of one class
+    (sorted Fractions, tested as ints over D) differ by an element of Q (mod P).
+    Every pair within distance R is visited; the others differ by no element
+    of Q, which lies in [-R, R]."""
+    for j, cl in enumerate(classes):
+        pts = [scaled(q, D) for q in cl]
+        for a in pts:
+            for b in _conflicts(pts, a, in_q, R, P):
+                if b != a:
+                    raise VerificationError(
+                        "class packing verification failed",
+                        counterexample=(j, Fraction(a, D), Fraction(b, D)),
+                    )
 
 
 def _materialize_config(S, materialize_range):
@@ -582,22 +596,6 @@ def _materialize_config(S, materialize_range):
             lo, hi = rat(materialize_range[0]), rat(materialize_range[1])
         return list(S.materialize(lo, hi))
     raise PreconditionError(f"unsupported configuration: {type(S).__name__}")
-
-
-def _verify_partition_periodic(S, classes, Q, P, expanded, radius):
-    seen = sorted(r for c in classes for r in c.residues)
-    if seen != sorted(expanded):
-        raise VerificationError("partition does not reproduce S", counterexample=S)
-    for j, cl in enumerate(classes):
-        for a in cl.residues:
-            for b in _near(cl.residues, a, radius, P):
-                d = (a - b) % P
-                if d == 0:
-                    continue
-                if Q.contains(d) or Q.contains(d - P):
-                    raise VerificationError(
-                        "class packing verification failed", counterexample=(j, a, b)
-                    )
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ from .config import DEFAULT_CAPS
 from .errors import CapExceededError, PreconditionError
 from .groups import FiniteAbelian, GroupSpec, RealLine, ZLattice
 from .intervals import IntervalUnion, PeriodicPattern
-from .rational import Infinite, rat
+from .rational import Infinite, common_scale, rat, scaled
 from .sets import (
     AccumulationPoint,
     Counting,
@@ -249,11 +249,6 @@ class ShiftScan:
 # integer line-scan kernel
 
 
-def _scaled(q: Fraction, scale: int) -> int:
-    """q * scale, for a scale that the denominator of q divides."""
-    return q.numerator * (scale // q.denominator)
-
-
 def _atom_mass(atoms: list[tuple[int, int]], period: Optional[int]):
     """(a, b) -> total weight of the atoms in [a, b], from two bisects.
 
@@ -312,17 +307,17 @@ def _trace_mass(pieces: list[tuple[int, int]], period: Optional[int], unit: int)
     return periodic_mass
 
 
-def _scaled_layer(layer: Layer, D: int, Dw: int):
-    """(period, event positions, mass function) with positions scaled by D
-    and masses by D * Dw, so that every one of them is an int."""
-    period = None if layer.period is None else _scaled(layer.period, D)
+def _scaled_layer(layer: Layer, bases: list[int], weights, D: int, Dw: int):
+    """(period, event positions, mass function) of a layer whose
+    _base_positions, scaled by D, are bases; an atom layer draws its weights,
+    scaled by Dw, from the iterator weights. Masses are ints in units of
+    1/(D * Dw)."""
+    period = None if layer.period is None else scaled(layer.period, D)
     if isinstance(layer, AtomLayer):
-        atoms = [(_scaled(p, D), _scaled(w, Dw) * D) for p, w in layer.atoms]
-        mass = _atom_mass(atoms, period)
+        mass = _atom_mass([(p, next(weights) * D) for p in bases], period)
     else:
-        pieces = [(_scaled(a, D), _scaled(b, D)) for a, b in _trace_union(layer).intervals]
-        mass = _trace_mass(pieces, period, Dw)
-    return period, [_scaled(q, D) for q in _base_positions(layer)], mass
+        mass = _trace_mass(list(zip(bases[::2], bases[1::2])), period, Dw)
+    return period, bases, mass
 
 
 def _line_candidates(scaled, ws: list[int]) -> list[int]:
@@ -366,14 +361,20 @@ def _line_scan(layers, window: IntervalUnion, threshold: Optional[Fraction] = No
     Returns the least candidate reaching threshold (None if none does or no
     threshold is given) and the ShiftScan with the least maximizer."""
     ws = window.endpoints()
-    coords = ws + [q for l in layers for q in _base_positions(l)]
-    coords += [l.period for l in layers if l.period is not None]
-    D = lcm(*(q.denominator for q in coords))
-    Dw = lcm(*(w.denominator for l in layers if isinstance(l, AtomLayer) for _, w in l.atoms))
-    scaled = [_scaled_layer(l, D, Dw) for l in layers]
-    masses = [mass for _, _, mass in scaled]
-    pieces = [(_scaled(a, D), _scaled(b, D)) for a, b in window.intervals]
-    cands = _line_candidates(scaled, [_scaled(w, D) for w in ws])
+    bases = [_base_positions(l) for l in layers]
+    periods = [l.period for l in layers if l.period is not None]
+    D, ints = common_scale([*ws, *periods, *(q for b in bases for q in b)])
+    Dw, weights = common_scale(w for l in layers if isinstance(l, AtomLayer) for _, w in l.atoms)
+    weights = iter(weights)
+    at = len(ws) + len(periods)
+    int_layers = []
+    for layer, b in zip(layers, bases):
+        int_layers.append(_scaled_layer(layer, ints[at : at + len(b)], weights, D, Dw))
+        at += len(b)
+    masses = [mass for _, _, mass in int_layers]
+    ends = ints[: len(ws)]  # the window endpoints, scaled
+    pieces = list(zip(ends[::2], ends[1::2]))
+    cands = _line_candidates(int_layers, ends)
     searching = threshold is not None
     if searching:
         # least int at or above threshold * D * Dw
@@ -463,18 +464,17 @@ def _circular_window_sums(line: list[int], wraps: int, rem: int, off: int) -> li
 def _torus_cube_masses(periodic: list[AtomLayer], period: tuple[int, ...], r: int):
     """The cube mass at every center of the torus prod Z_{P_i}, in row-major
     order and in units of 1/Dw, with Dw returned alongside."""
-    Dw = lcm(*(w.denominator for l in periodic for _, w in l.atoms))
+    Dw, weights = common_scale(w for l in periodic for _, w in l.atoms)
     strides = FiniteAbelian(period).strides
     grid = [0] * prod(period)
-    for layer in periodic:
-        for res, w in layer.atoms:
-            w = _scaled(w, Dw)
-            lifts = [
-                range((c % m) * s, P * s, m * s)
-                for c, m, P, s in zip(res, layer.period, period, strides)
-            ]
-            for cell in product(*lifts):
-                grid[sum(cell)] += w
+    residues = ((l.period, res) for l in periodic for res, _ in l.atoms)
+    for (layer_period, res), w in zip(residues, weights):
+        lifts = [
+            range((c % m) * s, P * s, m * s)
+            for c, m, P, s in zip(res, layer_period, period, strides)
+        ]
+        for cell in product(*lifts):
+            grid[sum(cell)] += w
     L = max(0, 2 * r + 1)
     for P, s in zip(period, strides):
         wraps, rem = divmod(L, P)

@@ -1,9 +1,10 @@
 import random
 import warnings
 from fractions import Fraction
+from math import ceil
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from density_lab import (
     AccumulationPoint,
@@ -223,3 +224,88 @@ def test_discrete_quotient_indexes_each_set_kind(data):
         expect = [i for i, e in enumerate(elements) if e in (s.residues if kind == "lattice" else s.elements)]
     assert indices == expect
     assert [lift(e) for e in elements] == lifted
+
+
+# ---------------------------------------------------------------------------
+# integer difference kernels against the Fraction formulas they replaced
+
+
+def fraction_perturbed_difference(s, lo, hi):
+    """The Fraction loop the integer _perturbed_difference replaced."""
+    removed = set(s.removed)
+    step = s.step
+    diffs = set()
+    k = ceil(lo / step)
+    while k * step <= hi:
+        diffs.add(k * step)
+        k += 1
+    for e in s.extra:
+        for sign in (1, -1):
+            lo_m = (e - hi) if sign == 1 else (e + lo)
+            hi_m = (e - lo) if sign == 1 else (e + hi)
+            k = ceil(lo_m / step)
+            while k * step <= hi_m:
+                p = k * step
+                if p not in removed:
+                    diffs.add(sign * (e - p))
+                k += 1
+    for a in s.extra:
+        for b in s.extra:
+            if lo <= a - b <= hi:
+                diffs.add(a - b)
+    acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
+    return FinitePoints(tuple(diffs), accumulation=acc)
+
+
+mixed = st.fractions(min_value=-6, max_value=6, max_denominator=36)
+RECIPROCALS = tuple(Fraction(1, n) for n in range(1, 101))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(mixed, max_size=14), st.booleans())
+@example(list(RECIPROCALS), False)
+@example(list(RECIPROCALS), True)
+def test_integer_difference_matches_fraction_difference(points, accumulating):
+    acc = (AccumulationPoint(Fraction(0)),) if accumulating else ()
+    s = FinitePoints(tuple(points), acc)
+    if not s.points and not acc:
+        return  # the empty set warns and is covered above
+    d = difference_set(s, R)
+    oracle_acc = (AccumulationPoint(Fraction(0), "both"),) if accumulating else ()
+    assert d == FinitePoints(tuple(x - y for x in s.points for y in s.points), oracle_acc)
+    # the trusted constructor's result is what the public one builds
+    assert d == FinitePoints(d.points, d.accumulation)
+    assert all(type(p) is Fraction for p in d.points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((Fraction(1), Fraction(2, 3), Fraction(5, 4), Fraction(7))),
+    st.lists(mixed, max_size=6),
+    st.lists(st.integers(-6, 6), max_size=3),
+    mixed,
+    st.fractions(min_value=0, max_value=9, max_denominator=20),
+    st.booleans(),
+)
+def test_integer_perturbed_difference_matches_fraction_loop(step, extra, removed, lo, width, acc):
+    removed = {k * step for k in removed}
+    extra = {p for p in extra if (p / step).denominator != 1 or p in removed}
+    s = PerturbedLattice(
+        step, tuple(extra), tuple(removed), (AccumulationPoint(Fraction(0)),) if acc else ()
+    )
+    wd = difference_set(s, R, window=(lo, lo + width))
+    assert wd.window == (lo, lo + width)
+    assert wd.points == fraction_perturbed_difference(s, lo, lo + width)
+    assert wd.points == FinitePoints(wd.points.points, wd.points.accumulation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=12),
+    st.lists(mixed, min_size=1, max_size=6),
+)
+def test_integer_periodic_difference_matches_fraction_residues(period, residues):
+    s = PeriodicPoints(period, tuple(residues))
+    oracle = {(a - b) % period for a in s.residues for b in s.residues}
+    assert difference_set(s, R) == PeriodicPoints(period, tuple(oracle))
+    assert s.min_positive_difference() == min([d for d in oracle if d > 0] + [period])

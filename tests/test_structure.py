@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from density_lab import (
     PreconditionError,
     RealLine,
     SigmaFiniteChain,
+    VerificationError,
     ZLattice,
     auto_H,
     difference_set,
@@ -31,7 +33,13 @@ from density_lab import (
     syndetic_pipeline,
 )
 from density_lab.groups import _strip
-from density_lab.structure import _materialize_config
+from density_lab.structure import (
+    _conflicts,
+    _difference_points_within,
+    _integer_form,
+    _materialize_config,
+    _verify_class_packing,
+)
 from density_lab.windows import real_mass
 
 rng = random.Random(31337)
@@ -643,3 +651,142 @@ def test_integer_first_fit_matches_fraction_first_fit(drawn):
     classes, n, k_bound = fraction_partition(S, H)
     part = partition_by_coloring(S, H)
     assert (part.classes, part.n, part.k_bound) == (classes, n, k_bound)
+
+
+# ---------------------------------------------------------------------------
+# integer difference sets and partition re-verification against the Fraction
+# loops they replaced
+
+
+def fraction_difference_points_within(S, radius):
+    """The Fraction formulas the integer _difference_points_within replaced."""
+    if isinstance(S, PeriodicPoints):
+        out = set()
+        for a in S.residues:
+            for b in S.residues:
+                base = a - b
+                k = ceil((-radius - base) / S.period)
+                while base + k * S.period <= radius:
+                    out.add(base + k * S.period)
+                    k += 1
+        return sorted(out)
+    if isinstance(S, FinitePoints):
+        return sorted({x - y for x in S.points for y in S.points if abs(x - y) <= radius})
+    # a perturbed lattice: every pair within radius of each other lies in the
+    # perturbation zone widened by radius, or (lattice pairs) in a clean block
+    lo, hi = S.perturbation_span() or (Fraction(0), Fraction(0))
+    lo, hi = lo - radius - S.step, hi + radius + S.step
+    far = hi + 2 * radius + 2 * S.step
+    pts = S.materialize(lo, hi) + S.materialize(far, far + radius + S.step)
+    return sorted({x - y for x in pts for y in pts if abs(x - y) <= radius})
+
+
+mixed = st.fractions(min_value=0, max_value=5, max_denominator=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("periodic", "finite", "perturbed")),
+    st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=10),
+    st.lists(mixed, min_size=1, max_size=8),
+    st.fractions(min_value=0, max_value=7, max_denominator=24),
+)
+def test_integer_difference_points_within_match_fraction_loop(kind, period, points, radius):
+    if kind == "periodic":
+        S = PeriodicPoints(period, tuple(points))
+    elif kind == "finite":
+        S = FinitePoints(tuple(points))
+    else:
+        off = tuple(p for p in points if (p / period).denominator != 1)
+        S = PerturbedLattice(period, off, (period * 2,))
+    got = _difference_points_within(S, radius, R)
+    assert got == fraction_difference_points_within(S, radius)
+    assert all(type(d) is Fraction for d in got)
+
+
+def coloring_points(S, Q):
+    """(points, P): the sorted points partition_by_coloring colors, and the
+    circumference of its coloring circle for a periodic S (else None)."""
+    if isinstance(S, PeriodicPoints):
+        span = Q.sup - Q.inf
+        L = max(1, int(span / S.period) + 1)
+        while L * S.period <= span:
+            L += 1
+        P = L * S.period
+        return sorted(r + j * S.period for r in S.residues for j in range(L)), P
+    return _materialize_config(S, None), None
+
+
+def fraction_violates(Q, P, a, b) -> bool:
+    """Whether distinct a, b conflict, as the Fraction re-verification tested."""
+    if P is None:
+        return a != b and Q.contains(a - b)
+    d = (a - b) % P
+    return d != 0 and (Q.contains(d) or Q.contains(d - P))
+
+
+SEAM = (PeriodicPoints(1, (0, Fraction(5, 6))), IntervalUnion.closed(0, Fraction(11, 24)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    partition_instances(),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 6)), max_size=3),
+)
+# 5/6 and 0 conflict only across the seam of the coloring circle P = 1
+@example(SEAM, [(0, 0), (1, 0)])
+@example(SEAM, [(0, 1), (1, 1)])
+def test_integer_class_verifier_rejects_what_fraction_verifier_rejects(drawn, moves):
+    """Recolor up to three points of a first-fit partition; the int class
+    packing re-verification rejects the coloring iff some class holds a pair
+    the all-pairs Fraction test rejects, and names a true violation."""
+    S, H = drawn
+    part = partition_by_coloring(S, H)
+    Q = part.Q
+    points, P = coloring_points(S, Q)
+    if not points:
+        return
+    if P is None:
+        colors = [next(j for j, c in enumerate(part.classes) if q in c.points) for q in points]
+    else:
+        colors = [next(j for j, c in enumerate(part.classes) if c.contains(q)) for q in points]
+    for i, c in moves:
+        colors[i % len(points)] = c % (part.n + 1)
+    classes = [
+        [q for q, c in zip(points, colors) if c == j] for j in range(max(colors) + 1)
+    ]
+    expected = any(
+        fraction_violates(Q, P, a, b) for cl in classes for a in cl for b in cl
+    )
+    radius = max(abs(Q.inf), abs(Q.sup))
+    D, _, in_q, R_int, P_int = _integer_form(points, Q, radius, P)
+    try:
+        _verify_class_packing(classes, D, in_q, R_int, P_int)
+    except VerificationError as exc:
+        j, a, b = exc.counterexample
+        assert expected and a in classes[j] and b in classes[j]
+        assert fraction_violates(Q, P, a, b)
+    else:
+        assert not expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(partition_instances())
+@example(SEAM)
+def test_integer_window_counts_match_real_mass(drawn):
+    """Every int window count #(S cap (s + Q)) of the partition, and so
+    k_bound, is the Fraction count: real_mass over s + Q for a periodic S."""
+    S, H = drawn
+    Q = H.difference_set()
+    points, P = coloring_points(S, Q)
+    radius = max(abs(Q.inf), abs(Q.sup))
+    D, ints, in_q, R_int, P_int = _integer_form(points, Q, radius, P)
+    if isinstance(S, PeriodicPoints):
+        centers = S.residues
+        expected = [real_mass(Counting(S), Q.translate(s)) for s in centers]
+    else:
+        centers = points
+        expected = [sum(1 for t in points if Q.contains(t - s)) for s in points]
+    counts = [len(_conflicts(ints, ints[points.index(s)], in_q, R_int, P_int)) for s in centers]
+    assert counts == expected
+    assert partition_by_coloring(S, H).k_bound == max(expected, default=0)

@@ -119,13 +119,9 @@ def syndetic_check(S, K, group: GroupSpec) -> SyndeticCertificate:
         return SyndeticCertificate(K, True, {lift(g): K.elements[j] for g, j in zip(cells, first)})
     if isinstance(group, RealLine):
         if isinstance(S, (PeriodicPoints, PeriodicPattern)):
-            if isinstance(K, FinitePoints):
-                K_obj = K
-            elif isinstance(K, IntervalUnion):
-                K_obj = K
-            else:
+            if not isinstance(K, (FinitePoints, IntervalUnion)):
                 raise PreconditionError("line translate sets are points or interval unions")
-            summed = minkowski_sum(S, K_obj, group)
+            summed = minkowski_sum(S, K, group)
             if isinstance(summed, PeriodicPattern):
                 gaps = summed.pattern.complement_within(0, summed.period)
                 if gaps.is_empty:

@@ -11,6 +11,7 @@ failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -191,11 +192,18 @@ def cmd_density(args) -> int:
     nu = _pick(instance, args.object)
     group = instance.group
     notion = args.notion
-    given = [f"--{flag}" for flag in PROFILE_FLAGS if getattr(args, flag) is not None]
-    if given and notion != "window":
-        raise PreconditionError(
-            f"{', '.join(given)}: window profile options, valid with --notion window only"
-        )
+    # a flag the run would ignore exits 3; unset flags are None, and
+    # --mode closed-form is the default run of every notion
+    for flags, valid, what in (
+        (PROFILE_FLAGS, notion == "window", "window profile options, valid with --notion window"),
+        (("mode", "cap"), notion in ("kahane", "delta") and isinstance(group, FiniteAbelian),
+         "oracle options, valid with --notion kahane or delta on a finite_abelian group"),
+        (("nmax",), notion == "hegyvari", "chain option, valid with --notion hegyvari"),
+    ):
+        given = [f"--{f}" for f in flags if getattr(args, f) not in (None, "closed-form")]
+        if given and not valid:
+            raise PreconditionError(f"{', '.join(given)}: {what} only")
+    cap = DEFAULT_CAPS.oracle_order if args.cap is None else args.cap
     rows = ()
     if notion == "classical":
         report = classical_upper_density(nu.of if isinstance(nu, Counting) else nu, group)
@@ -215,11 +223,11 @@ def cmd_density(args) -> int:
         )
     elif notion == "kahane":
         if isinstance(group, FiniteAbelian):
-            report = kahane_density_finite_group(nu, group, mode=args.mode, cap=args.cap)
+            report = kahane_density_finite_group(nu, group, mode=args.mode, cap=cap)
         else:
             report = kahane_density(nu, group)
     elif notion == "delta":
-        report = delta_density(nu, group, mode=args.mode, cap=args.cap)
+        report = delta_density(nu, group, mode=args.mode, cap=cap)
     elif notion == "hegyvari":
         if not isinstance(group, SigmaFiniteChain):
             raise PreconditionError("the chain density needs a sigma_finite_chain group")
@@ -454,7 +462,9 @@ def cmd_selftest(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once on first use: it does not depend on the argv."""
     parser = argparse.ArgumentParser(prog="density-lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -476,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", default=None, help="cap the window profile radii at this one")
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--mode", default="closed-form", choices=["closed-form", "oracle"])
-    p.add_argument("--cap", type=int, default=DEFAULT_CAPS.oracle_order)
+    p.add_argument("--cap", type=int, default=None, help="oracle group order cap")
 
     p = sub.add_parser("diffset", help="difference set")
     common(p)

@@ -157,13 +157,12 @@ class PeriodicPoints:
                 k += 1
         return tuple(sorted(out))
 
-    def min_positive_difference(self) -> Optional[Fraction]:
-        """Least positive element of the difference set; None for a single residue
-        on its own period (then it is the period itself)."""
+    def min_positive_difference(self) -> Fraction:
+        """Least positive element of the difference set: the least positive
+        residue difference mod the period, or the period itself when there is
+        none (a single residue)."""
         diffs = difference_residues_mod(self.residues, self.period)
-        positive = [d for d in diffs if d > 0]
-        wrap = self.period if not positive else min(min(positive), self.period)
-        return wrap
+        return min((d for d in diffs if d > 0), default=self.period)
 
     def reduced(self) -> "PeriodicPoints":
         """The same set with its minimal period (period representations are

@@ -25,22 +25,24 @@ B + (A-A) in a bytearray from scratch; the packing re-verification looks up
 every b + d, d in (A-A) minus {0}, in a bytearray of B, since
 b1 - b2 = d with b1 != b2 iff b1 = b2 + d lies in B.
 
-The partition runs on the integer normal form (rational.common_scale): the
-points, the coloring period P and the endpoints of Q = H - H become ints over
-the lcm D of their denominators, which keeps every difference and every
-membership test. Q lies in [-R, R], so an earlier point t can conflict with q
-only if q - t <= R, that is t in [q - R, q), or on the circle of
-circumference P > 2R only if q - t >= P - R, that is t in [0, q - P + R];
-first-fit visits just those two bisect windows and tests membership in Q by
-bisecting its interval starts. The window bound k counts over [s - R, s + R]
-(and across the seam of the circle) the same way: a lift of a periodic S
+The partition runs on the integer normal form (rational.common_scale), with
+one lift and one body for every configuration: _configuration scales the
+points, the radius R of Q = H - H and Q's endpoints to ints over the lcm D of
+their denominators, which keeps every difference and membership test. A
+periodic S (period p) is lifted onto L = floor(2R/p) + 1 copies of its period,
+a coloring circle of circumference P = Lp > 2R, and its residues are the
+window centers; a finite or perturbed S is materialized and every point is a
+center. An earlier point t can conflict with q only from [q - R, q), or on the
+circle from [0, q - P + R]; first-fit visits just those two bisect windows and
+bisects Q's interval starts for membership. The window bound k counts over
+[s - R, s + R] (and across the seam) the same way: a lift of a periodic S
 meets s + Q at most once, since P > 2R. Colors, classes, n and k_bound are
 those of the all-pairs Fraction loop and of real_mass. The class-packing
 re-verification scales the emitted classes by D and tests every pair within
-distance R with the same int membership; the pairs it skips differ by more
-than R and so by no element of Q. The difference sets of point
-configurations (sets.difference_set, _difference_points_within) are taken
-on the same integer form.
+distance R; the pairs it skips differ by no element of Q. packing_bound_check
+validates per group, then filters the elements of S - S in [-R, R]
+(_difference_points_within; a periodic subset of Z as the residues of a
+periodic configuration) by membership in H - H.
 """
 
 from __future__ import annotations
@@ -262,24 +264,21 @@ class PackingCheck:
     checked_radius: Fraction
 
 
-def _difference_points_within(S, radius: Fraction, group) -> list[Fraction]:
-    """All elements of S - S in [-radius, radius], exact: differenced as ints
-    over one common denominator D and mapped back to Fractions d / D once."""
+def _difference_points_within(S, radius: Fraction) -> list[Fraction]:
+    """All elements of S - S in [-radius, radius], sorted and exact: the lifts
+    of the residue differences of a periodic S are taken as ints over one
+    common denominator D and mapped back to Fractions d / D once."""
     if isinstance(S, PerturbedLattice):
         wd = difference_set(S, RealLine(), window=(-radius, radius))
         return list(wd.points.points)
-    if isinstance(S, PeriodicPoints):
-        D, (R, P, *res) = common_scale((radius, S.period, *S.residues))
-        out = set()
-        for a in res:
-            for b in res:
-                base = a - b  # its lifts base + kP in [-R, R]
-                out.update(range(base - (base + R) // P * P, R + 1, P))
-    elif isinstance(S, FinitePoints):
-        D, (R, *xs) = common_scale((radius, *S.points))
-        out = {x - y for x in xs for y in xs if abs(x - y) <= R}
-    else:
+    if not isinstance(S, PeriodicPoints):
         raise PreconditionError(f"unsupported configuration: {type(S).__name__}")
+    D, (R, P, *res) = common_scale((radius, S.period, *S.residues))
+    out = set()
+    for a in res:
+        for b in res:
+            base = a - b  # its lifts base + kP in [-R, R]
+            out.update(range(base - (base + R) // P * P, R + 1, P))
     return [Fraction(d, D) for d in sorted(out)]
 
 
@@ -288,6 +287,8 @@ def packing_bound_check(S, H, group: GroupSpec = RealLine()) -> PackingCheck:
 
     The difference set is truncated at the sufficiency radius diam(H-H); a
     packing violation raises PreconditionError carrying the common difference.
+    On Z, S is taken as the periodic configuration of its residues on the line
+    and H - H is a finite set; both groups share the filter and the bound.
     """
     if isinstance(group, RealLine):
         if not isinstance(H, IntervalUnion):
@@ -301,23 +302,8 @@ def packing_bound_check(S, H, group: GroupSpec = RealLine()) -> PackingCheck:
         if Q.is_empty:
             raise PreconditionError("H is empty")
         radius = max(abs(Q.inf), abs(Q.sup))
-        violations = sorted(
-            d for d in _difference_points_within(S, radius, group) if d > 0 and Q.contains(d)
-        )
-        if violations:
-            raise PreconditionError(
-                f"packing condition fails: common difference {rat_str(violations[0])}"
-            )
-        mu_h = H.length
-        bound = 1 / rho
-        if mu_h > bound:
-            raise VerificationError(
-                "packing bound violated", counterexample=(S, H, mu_h, bound)
-            )
-        return PackingCheck(
-            mu_H=mu_h, density=rho, bound=bound, slack=bound - mu_h, checked_radius=radius
-        )
-    if isinstance(group, ZLattice) and group.dimension == 1:
+        config, in_q, mu_h = S, Q.contains, H.length
+    elif isinstance(group, ZLattice) and group.dimension == 1:
         if not isinstance(H, ExplicitFinite):
             raise PreconditionError("H must be a finite set on Z")
         rho = counting_density(S, group)
@@ -327,35 +313,23 @@ def packing_bound_check(S, H, group: GroupSpec = RealLine()) -> PackingCheck:
         if not pts:
             raise PreconditionError("H is empty")
         q_diffs = {a - b for a in pts for b in pts}
-        radius = Fraction(max(abs(d) for d in q_diffs))
-        if isinstance(S, PeriodicDiscrete):
-            m = S.period[0]
-            res = S.line_residues()
-            s_diffs = set()
-            for a in res:
-                for b in res:
-                    base = a - b
-                    k = ceil((-radius - base) / m)
-                    while base + k * m <= radius:
-                        s_diffs.add(base + k * m)
-                        k += 1
-        else:
+        radius = Fraction(max(q_diffs))  # H - H is symmetric
+        if not isinstance(S, PeriodicDiscrete):
             raise PreconditionError("Z packing checks need a periodic subset")
-        violations = sorted(d for d in (q_diffs & s_diffs) if d > 0)
-        if violations:
-            raise PreconditionError(
-                f"packing condition fails: common difference {violations[0]}"
-            )
-        mu_h = Fraction(len(pts))
-        bound = 1 / rho
-        if mu_h > bound:
-            raise VerificationError(
-                "packing bound violated", counterexample=(S, H, mu_h, bound)
-            )
-        return PackingCheck(
-            mu_H=mu_h, density=rho, bound=bound, slack=bound - mu_h, checked_radius=radius
+        config = PeriodicPoints(S.period[0], S.line_residues())
+        in_q, mu_h = q_diffs.__contains__, Fraction(len(pts))
+    else:
+        raise PreconditionError("packing checks run on R or Z")
+    violations = [d for d in _difference_points_within(config, radius) if d > 0 and in_q(d)]
+    if violations:
+        raise PreconditionError(
+            f"packing condition fails: common difference {rat_str(violations[0])}"
         )
-    raise PreconditionError("packing checks run on R or Z")
+    bound = 1 / rho
+    if mu_h > bound:
+        raise VerificationError("packing bound violated", counterexample=(S, H, mu_h, bound))
+    return PackingCheck(mu_H=mu_h, density=rho, bound=bound, slack=bound - mu_h,
+                        checked_radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -441,90 +415,64 @@ def partition_by_coloring(
     if Q.is_empty:
         raise PreconditionError("H is empty")
     radius = max(abs(Q.inf), abs(Q.sup))  # Q lies in [-radius, radius]
-    if isinstance(S, PeriodicPoints):
-        if not S.residues:
-            raise PreconditionError("S is empty")
-        span = Q.sup - Q.inf
-        L = max(1, floor(span / S.period) + 1)
-        while L * S.period <= span:
-            L += 1
-        P = L * S.period
-        expanded = sorted(r + j * S.period for r in S.residues for j in range(L))
-        D, ints, in_q, R, P_int = _integer_form(expanded, Q, radius, P)
-        colors = _first_fit(ints, in_q, R, P_int)
-        n = max(colors) + 1
-        raw_classes = tuple(
-            PeriodicPoints(P, tuple(r for r, c in zip(expanded, colors) if c == j))
-            for j in range(n)
-        )
-        # the residues of S lie in [0, period), below every other lift
-        k_bound = Fraction(
-            max(len(_conflicts(ints, s, in_q, R, P_int)) for s in ints[: len(S.residues)])
-        )
-        if sorted(r for c in raw_classes for r in c.residues) != expanded:
-            raise VerificationError("partition does not reproduce S", counterexample=S)
-        _verify_class_packing([c.residues for c in raw_classes], D, in_q, R, P_int)
-        if n > k_bound:
-            raise VerificationError(
-                f"class count {n} exceeds the window bound {k_bound}",
-                counterexample=(S, H),
-            )
-        densities = tuple(Fraction(len(c.residues), 1) / P for c in raw_classes)
-        return PartitionResult(
-            classes=tuple(c.reduced() for c in raw_classes),
-            H=H,
-            Q=Q,
-            n=n,
-            k_bound=k_bound,
-            class_densities=densities,
-            period=P,
-            base=S,
-            group=group,
-        )
-    points = _materialize_config(S, materialize_range)
-    D, ints, in_q, R, _ = _integer_form(points, Q, radius)
-    colors = _first_fit(ints, in_q, R)
-    n = max(colors) + 1 if points else 0
-    classes = tuple(
-        FinitePoints(tuple(q for q, c in zip(points, colors) if c == j)) for j in range(n)
+    D, points, ints, in_q, R, P, centers = _configuration(S, Q, radius, materialize_range)
+    colors = _first_fit(ints, in_q, R, P)
+    n = max(colors, default=-1) + 1
+    members = [[q for q, c in zip(points, colors) if c == j] for j in range(n)]
+    k_bound = Fraction(
+        max((len(_conflicts(ints, s, in_q, R, P)) for s in ints[:centers]), default=0)
     )
-    k_bound = max((len(_conflicts(ints, s, in_q, R)) for s in ints), default=0)
-    _verify_class_packing([cl.points for cl in classes], D, in_q, R)
-    if sorted(q for cl in classes for q in cl.points) != list(points):
+    if sorted(q for cl in members for q in cl) != points:
         raise VerificationError("partition does not reproduce S", counterexample=S)
+    _verify_class_packing(members, D, in_q, R, P)
     if n > k_bound:
         raise VerificationError(
             f"class count {n} exceeds the window bound {k_bound}", counterexample=(S, H)
         )
-    densities = tuple(Fraction(0) for _ in classes)
+    if P is None:
+        classes = tuple(FinitePoints(tuple(cl)) for cl in members)
+        densities, period = tuple(Fraction(0) for _ in members), None
+    else:
+        period = Fraction(P, D)
+        classes = tuple(PeriodicPoints(period, tuple(cl)).reduced() for cl in members)
+        densities = tuple(len(cl) / period for cl in members)
     return PartitionResult(
-        classes=classes,
-        H=H,
-        Q=Q,
-        n=n,
-        k_bound=Fraction(k_bound),
-        class_densities=densities,
-        period=None,
-        base=S,
-        group=group,
+        classes=classes, H=H, Q=Q, n=n, k_bound=k_bound, class_densities=densities,
+        period=period, base=S, group=group,
     )
 
 
-def _integer_form(points, Q: IntervalUnion, radius: Fraction, P: Optional[Fraction] = None):
-    """(D, points * D, in_q, radius * D, P * D or None), D the lcm of the
-    denominators of the points, Q's endpoints and P, where in_q(x) tells
-    whether x / D lies in Q. Every difference and membership test is kept."""
+def _configuration(S, Q: IntervalUnion, radius: Fraction, materialize_range):
+    """(D, points, ints, in_q, R, P, centers): the sorted points to color, as
+    Fractions and as ints over D (the lcm of the denominators of the points,
+    Q's endpoints and the radius), in_q(x) iff x / D lies in Q, R = radius * D.
+    A periodic S is lifted onto L = floor(2R / p) + 1 copies of its period p,
+    the int circle P = L * p > 2R, and its residues are the first `centers`
+    points; a finite or perturbed S is materialized, P = None, all centers."""
+    periodic = isinstance(S, PeriodicPoints)
+    if periodic:
+        if not S.residues:
+            raise PreconditionError("S is empty")
+        head, base = (radius, S.period), S.residues
+    else:
+        head, base = (radius,), _materialize_config(S, materialize_range)
     m = 2 * len(Q.intervals)
-    head = [radius] if P is None else [radius, P]
-    D, ints = common_scale([*Q.endpoints(), *head, *points])
+    D, ints = common_scale([*Q.endpoints(), *head, *base])
     starts, ends = ints[:m:2], ints[1:m:2]
 
     def in_q(x: int) -> bool:
         i = bisect_right(starts, x)
         return i > 0 and x <= ends[i - 1]
 
-    R = ints[m]
-    return D, ints[m + len(head) :], in_q, R, None if P is None else ints[m + 1]
+    R, xs = ints[m], ints[m + len(head) :]
+    if not periodic:
+        return D, base, xs, in_q, R, None, len(xs)
+    period = ints[m + 1]
+    L = 2 * R // period + 1
+    # the residues lie in [0, period), so the lift is sorted copy by copy
+    ints = [r + j * period for j in range(L) for r in xs]
+    points = [Fraction(x, D) for x in ints]
+    return D, points, ints, in_q, R, L * period, len(S.residues)
 
 
 def _first_fit(points: list[int], in_q, R: int, P: Optional[int] = None) -> list[int]:
@@ -576,17 +524,13 @@ def _verify_class_packing(classes, D: int, in_q, R: int, P: Optional[int] = None
 
 
 def _materialize_config(S, materialize_range):
+    if isinstance(S, (FinitePoints, PerturbedLattice)) and S.accumulation:
+        raise PreconditionError(
+            "accumulating configuration: window counts around the marker are infinite"
+        )
     if isinstance(S, FinitePoints):
-        if S.accumulation:
-            raise PreconditionError(
-                "accumulating configuration: window counts around the marker are infinite"
-            )
         return list(S.points)
     if isinstance(S, PerturbedLattice):
-        if S.accumulation:
-            raise PreconditionError(
-                "accumulating configuration: window counts around the marker are infinite"
-            )
         if materialize_range is None:
             span = S.perturbation_span()
             if span is None:

@@ -155,6 +155,33 @@ def test_bad_window_arguments_keep_exit_contract(capsys, instance, extra, code):
     assert ("parse error" if code == 2 else "precondition failure") in err
 
 
+@pytest.mark.parametrize(
+    "instance, extra, code",
+    [
+        # oracle flags run only for kahane or delta on a finite group
+        ("three_z.json", ["--object", "nu", "--notion", "kahane", "--mode", "oracle"], 3),
+        ("three_z.json", ["--object", "nu", "--notion", "kahane", "--cap", "4"], 3),
+        ("three_z.json", ["--object", "nu", "--notion", "window", "--cap", "4"], 3),
+        ("dirac.json", ["--notion", "delta", "--mode", "oracle"], 3),
+        ("z6_pair.json", ["--notion", "classical", "--mode", "oracle"], 3),
+        ("z6_pair.json", ["--notion", "window", "--cap", "4"], 3),
+        ("z6_pair.json", ["--notion", "delta", "--mode", "oracle", "--cap", "6"], 0),
+        ("z6_pair.json", ["--notion", "kahane", "--cap", "4"], 0),
+        ("z6_pair.json", ["--notion", "kahane", "--mode", "closed-form"], 0),
+        ("three_z.json", ["--object", "nu", "--notion", "kahane", "--mode", "closed-form"], 0),
+        # the depth cap runs only for the chain density
+        ("three_z.json", ["--object", "nu", "--notion", "window", "--nmax", "3"], 3),
+        ("three_z.json", ["--object", "A", "--notion", "classical", "--nmax", "3"], 3),
+        ("chain_half.json", ["--notion", "kahane", "--nmax", "3"], 3),
+        ("chain_half.json", ["--notion", "hegyvari", "--nmax", "3"], 0),
+    ],
+)
+def test_density_flags_outside_their_run_exit_3(capsys, instance, extra, code):
+    got, _, err = run(capsys, "density", "--instance", f"{INSTANCES}/{instance}", *extra)
+    assert got == code
+    assert ("valid with --notion" in err) == (code == 3)
+
+
 @pytest.mark.parametrize("mode", ["closed-form", "oracle"])
 def test_finite_group_atom_outside_moduli_exit_3(tmp_path, capsys, mode):
     inst = {

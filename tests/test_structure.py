@@ -33,12 +33,14 @@ from density_lab import (
     syndetic_pipeline,
 )
 from density_lab.groups import _strip
+from density_lab.rational import is_infinite
 from density_lab.structure import (
     _conflicts,
+    _configuration,
     _difference_points_within,
-    _integer_form,
     _materialize_config,
     _verify_class_packing,
+    counting_density,
 )
 from density_lab.windows import real_mass
 
@@ -179,6 +181,73 @@ def test_packing_on_integers():
     assert check.mu_H == 2 and check.bound == 4
     with pytest.raises(PreconditionError):
         packing_bound_check(s, ExplicitFinite(((0,), (4,))), Z)
+
+
+def z_packing_loop(S, H):
+    """The Z branch of packing_bound_check before it shared the line's filter:
+    Fraction-radius lifts by ceil/while and q_diffs & s_diffs. Returns the
+    (mu_H, density, bound, slack, checked_radius) tuple or the error message."""
+    if not isinstance(H, ExplicitFinite):
+        return "H must be a finite set on Z"
+    rho = counting_density(S, Z)
+    if is_infinite(rho) or rho <= 0:
+        return "positive finite counting density required"
+    pts = [e[0] for e in H.elements]
+    if not pts:
+        return "H is empty"
+    q_diffs = {a - b for a in pts for b in pts}
+    radius = Fraction(max(abs(d) for d in q_diffs))
+    if not isinstance(S, PeriodicDiscrete):
+        return "Z packing checks need a periodic subset"
+    m = S.period[0]
+    res = S.line_residues()
+    s_diffs = set()
+    for a in res:
+        for b in res:
+            base = a - b
+            k = ceil((-radius - base) / m)
+            while base + k * m <= radius:
+                s_diffs.add(base + k * m)
+                k += 1
+    violations = sorted(d for d in (q_diffs & s_diffs) if d > 0)
+    if violations:
+        return f"packing condition fails: common difference {violations[0]}"
+    mu_h = Fraction(len(pts))
+    bound = 1 / rho
+    if mu_h > bound:
+        return "packing bound violated"
+    return (mu_h, rho, bound, bound - mu_h, radius)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.builds(
+            PeriodicDiscrete.line,
+            st.integers(1, 12),
+            st.lists(st.integers(-20, 20), max_size=5),
+        ),
+        st.builds(lambda xs: ExplicitFinite(tuple((x,) for x in xs)),
+                  st.lists(st.integers(-9, 9), max_size=4)),
+    ),
+    st.one_of(
+        st.builds(lambda xs: ExplicitFinite(tuple((x,) for x in xs)),
+                  st.lists(st.integers(-9, 9), max_size=5)),
+        st.just(IntervalUnion.closed(0, 1)),
+    ),
+)
+@example(PeriodicDiscrete.line(4, [0]), ExplicitFinite(((0,), (4,))))
+@example(PeriodicDiscrete.line(7, [0, 3]), ExplicitFinite(((-2,), (1,), (2,))))
+def test_z_packing_matches_the_lift_loop(S, H):
+    """On Z the shared int filter gives the result or the precondition
+    message of the former Fraction lift loop."""
+    try:
+        check = packing_bound_check(S, H, Z)
+    except (PreconditionError, VerificationError) as exc:
+        got = str(exc)
+    else:
+        got = (check.mu_H, check.density, check.bound, check.slack, check.checked_radius)
+    assert got == z_packing_loop(S, H)
 
 
 def test_packing_on_perturbed_lattice():
@@ -670,8 +739,6 @@ def fraction_difference_points_within(S, radius):
                     out.add(base + k * S.period)
                     k += 1
         return sorted(out)
-    if isinstance(S, FinitePoints):
-        return sorted({x - y for x in S.points for y in S.points if abs(x - y) <= radius})
     # a perturbed lattice: every pair within radius of each other lies in the
     # perturbation zone widened by radius, or (lattice pairs) in a clean block
     lo, hi = S.perturbation_span() or (Fraction(0), Fraction(0))
@@ -686,7 +753,7 @@ mixed = st.fractions(min_value=0, max_value=5, max_denominator=30)
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(("periodic", "finite", "perturbed")),
+    st.sampled_from(("periodic", "perturbed")),
     st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=10),
     st.lists(mixed, min_size=1, max_size=8),
     st.fractions(min_value=0, max_value=7, max_denominator=24),
@@ -694,12 +761,10 @@ mixed = st.fractions(min_value=0, max_value=5, max_denominator=30)
 def test_integer_difference_points_within_match_fraction_loop(kind, period, points, radius):
     if kind == "periodic":
         S = PeriodicPoints(period, tuple(points))
-    elif kind == "finite":
-        S = FinitePoints(tuple(points))
     else:
         off = tuple(p for p in points if (p / period).denominator != 1)
         S = PerturbedLattice(period, off, (period * 2,))
-    got = _difference_points_within(S, radius, R)
+    got = _difference_points_within(S, radius)
     assert got == fraction_difference_points_within(S, radius)
     assert all(type(d) is Fraction for d in got)
 
@@ -759,7 +824,7 @@ def test_integer_class_verifier_rejects_what_fraction_verifier_rejects(drawn, mo
         fraction_violates(Q, P, a, b) for cl in classes for a in cl for b in cl
     )
     radius = max(abs(Q.inf), abs(Q.sup))
-    D, _, in_q, R_int, P_int = _integer_form(points, Q, radius, P)
+    D, _, _, in_q, R_int, P_int, _ = _configuration(S, Q, radius, None)
     try:
         _verify_class_packing(classes, D, in_q, R_int, P_int)
     except VerificationError as exc:
@@ -780,7 +845,10 @@ def test_integer_window_counts_match_real_mass(drawn):
     Q = H.difference_set()
     points, P = coloring_points(S, Q)
     radius = max(abs(Q.inf), abs(Q.sup))
-    D, ints, in_q, R_int, P_int = _integer_form(points, Q, radius, P)
+    D, lifted, ints, in_q, R_int, P_int, n_centers = _configuration(S, Q, radius, None)
+    assert lifted == points and ints == [q * D for q in points]
+    assert P_int == (None if P is None else P * D)
+    assert points[:n_centers] == list(S.residues if P is not None else points)
     if isinstance(S, PeriodicPoints):
         centers = S.residues
         expected = [real_mass(Counting(S), Q.translate(s)) for s in centers]

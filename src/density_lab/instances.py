@@ -53,15 +53,24 @@ def _require_keys(d: dict, allowed: set, required: set, what: str):
         raise InstanceParseError(f"missing fields in {what}: {sorted(missing)}")
 
 
+def _int(value) -> int:
+    """An integer field: what rat accepts, when its denominator is 1; bools
+    and floats are rejected, as rat rejects them."""
+    q = rat(value)
+    if q.denominator != 1:
+        raise InstanceParseError(f"not an integer: {value!r}")
+    return q.numerator
+
+
 def parse_group(d: dict) -> GroupSpec:
     _require_keys(d, {"family", "dimension", "moduli", "depth"}, {"family"}, "group")
     family = d["family"]
     if family == "z_lattice":
         _require_keys(d, {"family", "dimension"}, {"family", "dimension"}, "z_lattice group")
-        return ZLattice(int(d["dimension"]))
+        return ZLattice(_int(d["dimension"]))
     if family == "finite_abelian":
         _require_keys(d, {"family", "moduli"}, {"family", "moduli"}, "finite_abelian group")
-        return FiniteAbelian(tuple(int(m) for m in d["moduli"]))
+        return FiniteAbelian(tuple(_int(m) for m in d["moduli"]))
     if family == "real_line":
         _require_keys(d, {"family"}, {"family"}, "real_line group")
         return RealLine()
@@ -69,8 +78,8 @@ def parse_group(d: dict) -> GroupSpec:
         _require_keys(
             d, {"family", "moduli", "depth"}, {"family", "moduli"}, "sigma_finite_chain group"
         )
-        moduli = tuple(int(m) for m in d["moduli"])
-        if "depth" in d and int(d["depth"]) != len(moduli):
+        moduli = tuple(_int(m) for m in d["moduli"])
+        if "depth" in d and _int(d["depth"]) != len(moduli):
             raise InstanceParseError("chain depth must equal the number of listed moduli")
         return SigmaFiniteChain(moduli)
     raise InstanceParseError(f"unknown group family: {family!r}")
@@ -92,9 +101,9 @@ def _parse_element(e, group: GroupSpec):
     if isinstance(group, RealLine):
         return rat(e)
     if isinstance(e, list):
-        return tuple(int(c) for c in e)
+        return tuple(_int(c) for c in e)
     if isinstance(e, int):
-        return (e,)
+        return (_int(e),)
     raise InstanceParseError(f"bad element: {e!r}")
 
 
@@ -125,8 +134,8 @@ def parse_object(d: dict, group: GroupSpec):
     if kind == "periodic_discrete":
         _require_keys(d, {"kind", "period", "residues"}, {"kind", "period", "residues"}, kind)
         return PeriodicDiscrete(
-            tuple(int(m) for m in d["period"]),
-            tuple(tuple(int(c) for c in r) for r in d["residues"]),
+            tuple(_int(m) for m in d["period"]),
+            tuple(tuple(_int(c) for c in r) for r in d["residues"]),
         )
     if kind == "interval_union":
         _require_keys(d, {"kind", "intervals"}, {"kind", "intervals"}, kind)
@@ -158,7 +167,7 @@ def parse_object(d: dict, group: GroupSpec):
         )
     if kind == "cylinder":
         _require_keys(d, {"kind", "depth", "residues"}, {"kind", "depth", "residues"}, kind)
-        return CylinderSet(int(d["depth"]), tuple(tuple(int(c) for c in r) for r in d["residues"]))
+        return CylinderSet(_int(d["depth"]), tuple(tuple(_int(c) for c in r) for r in d["residues"]))
     if kind == "counting":
         _require_keys(d, {"kind", "of"}, {"kind", "of"}, kind)
         return Counting(parse_object(d["of"], group))

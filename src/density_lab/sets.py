@@ -136,6 +136,16 @@ class PeriodicPoints:
         object.__setattr__(self, "residues", tuple(reduced))
 
     @classmethod
+    def _canonical(cls, period: Fraction, residues: tuple[Fraction, ...]) -> "PeriodicPoints":
+        """The configuration of a positive Fraction period and residues that
+        are already sorted, distinct and in [0, period), set without the
+        validation and reduction of __post_init__."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "period", period)
+        object.__setattr__(obj, "residues", residues)
+        return obj
+
+    @classmethod
     def lattice(cls, step) -> "PeriodicPoints":
         return cls(rat(step), (Fraction(0),))
 
@@ -163,21 +173,6 @@ class PeriodicPoints:
         none (a single residue)."""
         diffs = difference_residues_mod(self.residues, self.period)
         return min((d for d in diffs if d > 0), default=self.period)
-
-    def reduced(self) -> "PeriodicPoints":
-        """The same set with its minimal period (period representations are
-        otherwise kept as constructed)."""
-        if not self.residues:
-            return self
-        n = len(self.residues)
-        res_set = set(self.residues)
-        for k in range(n, 1, -1):
-            if n % k:
-                continue
-            candidate = self.period / k
-            if all((r + candidate) % self.period in res_set for r in self.residues):
-                return PeriodicPoints(candidate, tuple({r % candidate for r in self.residues}))
-        return self
 
 
 def difference_residues_mod(residues, period) -> tuple[Fraction, ...]:

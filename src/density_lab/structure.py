@@ -27,19 +27,24 @@ b1 - b2 = d with b1 != b2 iff b1 = b2 + d lies in B.
 
 The partition runs on the integer normal form (rational.common_scale), with
 one lift and one body for every configuration: _configuration scales the
-points, the radius R of Q = H - H and Q's endpoints to ints over the lcm D of
-their denominators, which keeps every difference and membership test. A
-periodic S (period p) is lifted onto L = floor(2R/p) + 1 copies of its period,
-a coloring circle of circumference P = Lp > 2R, and its residues are the
-window centers; a finite or perturbed S is materialized and every point is a
-center. An earlier point t can conflict with q only from [q - R, q), or on the
-circle from [0, q - P + R]; first-fit visits just those two bisect windows and
-bisects Q's interval starts for membership. The window bound k counts over
-[s - R, s + R] (and across the seam) the same way: a lift of a periodic S
-meets s + Q at most once, since P > 2R. Colors, classes, n and k_bound are
-those of the all-pairs Fraction loop and of real_mass. The class-packing
-re-verification scales the emitted classes by D and tests every pair within
-distance R; the pairs it skips differ by no element of Q. packing_bound_check
+points, the radius R of Q = H - H and Q's closed intervals (the spans) to ints
+over the lcm D of their denominators, which keeps every difference and
+membership test. A periodic S (period p) is lifted onto L = floor(2R/p) + 1
+copies of its period, a coloring circle of circumference P = Lp > 2R, and its
+residues are the window centers; a finite or perturbed S is materialized and
+every point is a center. t ~ s iff t - s lies in a lift of Q: a span, or on the
+circle a span translated by P or -P; the lifts are disjoint, since the spans
+are and P > 2R. So every step is a few bisects per point, one pair per lift,
+with no membership test per pair: first-fit takes the colors of the earlier
+points in q - [a, b], the window bound k sums the lengths of the ranges
+s + [a, b] (a lift of a periodic S meets s + Q at most once, since P > 2R),
+and the class-packing re-verification flags a point whose window count
+within its class exceeds 1 (0 is in Q) and only then walks its ranges to
+name the partner. Colors, classes, n and k_bound are those of the all-pairs
+Fraction loop and of real_mass. The points are bucketed by color in one pass,
+and a periodic class is reduced to its minimal period in ints: the largest k
+dividing its size and P whose shift P/k maps it onto itself (P/k must be an
+int, as the class consists of multiples of 1/D). packing_bound_check
 validates per group, then filters the elements of S - S in [-R, R]
 (_difference_points_within; a periodic subset of Z as the residues of a
 periodic configuration) by membership in H - H.
@@ -57,7 +62,7 @@ from .density import RudinWindow, measure_total_finite, periodic_mean_density, r
 from .errors import PreconditionError, VerificationError
 from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
 from .intervals import IntervalUnion, PeriodicPattern
-from .rational import INFINITE, common_scale, is_infinite, rat, rat_str, scaled
+from .rational import INFINITE, common_scale, is_infinite, rat, rat_str
 from .sets import (
     Counting,
     ExplicitFinite,
@@ -415,27 +420,28 @@ def partition_by_coloring(
     if Q.is_empty:
         raise PreconditionError("H is empty")
     radius = max(abs(Q.inf), abs(Q.sup))  # Q lies in [-radius, radius]
-    D, points, ints, in_q, R, P, centers = _configuration(S, Q, radius, materialize_range)
-    colors = _first_fit(ints, in_q, R, P)
+    D, points, ints, lifts, P, centers = _configuration(S, Q, radius, materialize_range)
+    colors = _first_fit(ints, lifts)
     n = max(colors, default=-1) + 1
-    members = [[q for q, c in zip(points, colors) if c == j] for j in range(n)]
-    k_bound = Fraction(
-        max((len(_conflicts(ints, s, in_q, R, P)) for s in ints[:centers]), default=0)
-    )
+    members, int_members = [[] for _ in range(n)], [[] for _ in range(n)]
+    for q, x, c in zip(points, ints, colors):
+        members[c].append(q)
+        int_members[c].append(x)
+    k_bound = Fraction(max((_window_count(ints, s, lifts) for s in ints[:centers]), default=0))
     if sorted(q for cl in members for q in cl) != points:
         raise VerificationError("partition does not reproduce S", counterexample=S)
-    _verify_class_packing(members, D, in_q, R, P)
+    _verify_class_packing(int_members, D, lifts)
     if n > k_bound:
         raise VerificationError(
             f"class count {n} exceeds the window bound {k_bound}", counterexample=(S, H)
         )
     if P is None:
-        classes = tuple(FinitePoints(tuple(cl)) for cl in members)
+        classes = tuple(FinitePoints._canonical(tuple(cl)) for cl in members)
         densities, period = tuple(Fraction(0) for _ in members), None
     else:
         period = Fraction(P, D)
-        classes = tuple(PeriodicPoints(period, tuple(cl)).reduced() for cl in members)
-        densities = tuple(len(cl) / period for cl in members)
+        classes = tuple(_periodic_class(cl, P, D) for cl in int_members)
+        densities = tuple(Fraction(len(cl) * D, P) for cl in int_members)
     return PartitionResult(
         classes=classes, H=H, Q=Q, n=n, k_bound=k_bound, class_densities=densities,
         period=period, base=S, group=group,
@@ -443,12 +449,14 @@ def partition_by_coloring(
 
 
 def _configuration(S, Q: IntervalUnion, radius: Fraction, materialize_range):
-    """(D, points, ints, in_q, R, P, centers): the sorted points to color, as
+    """(D, points, ints, lifts, P, centers): the sorted points to color, as
     Fractions and as ints over D (the lcm of the denominators of the points,
-    Q's endpoints and the radius), in_q(x) iff x / D lies in Q, R = radius * D.
-    A periodic S is lifted onto L = floor(2R / p) + 1 copies of its period p,
-    the int circle P = L * p > 2R, and its residues are the first `centers`
-    points; a finite or perturbed S is materialized, P = None, all centers."""
+    Q's endpoints and the radius), and the lifts of Q as int pairs (a, b): t ~ s
+    iff t - s lies in one. A periodic S is lifted onto L = floor(2R / p) + 1
+    copies of its period p (R = radius * D), the int circle P = L * p > 2R, the
+    lifts are Q's intervals translated by 0, P and -P, and its residues are the
+    first `centers` points; a finite or perturbed S is materialized, P = None,
+    the lifts are Q's intervals, all centers."""
     periodic = isinstance(S, PeriodicPoints)
     if periodic:
         if not S.residues:
@@ -458,69 +466,66 @@ def _configuration(S, Q: IntervalUnion, radius: Fraction, materialize_range):
         head, base = (radius,), _materialize_config(S, materialize_range)
     m = 2 * len(Q.intervals)
     D, ints = common_scale([*Q.endpoints(), *head, *base])
-    starts, ends = ints[:m:2], ints[1:m:2]
-
-    def in_q(x: int) -> bool:
-        i = bisect_right(starts, x)
-        return i > 0 and x <= ends[i - 1]
-
+    spans = list(zip(ints[:m:2], ints[1:m:2]))
     R, xs = ints[m], ints[m + len(head) :]
     if not periodic:
-        return D, base, xs, in_q, R, None, len(xs)
+        return D, base, xs, spans, None, len(xs)
     period = ints[m + 1]
-    L = 2 * R // period + 1
+    P = (2 * R // period + 1) * period
     # the residues lie in [0, period), so the lift is sorted copy by copy
-    ints = [r + j * period for j in range(L) for r in xs]
-    points = [Fraction(x, D) for x in ints]
-    return D, points, ints, in_q, R, L * period, len(S.residues)
+    ints = [r + j for j in range(0, P, period) for r in xs]
+    lifts = [(a + off, b + off) for off in (0, P, -P) for a, b in spans]
+    return D, [Fraction(x, D) for x in ints], ints, lifts, P, len(S.residues)
 
 
-def _first_fit(points: list[int], in_q, R: int, P: Optional[int] = None) -> list[int]:
-    """First-fit colors of sorted distinct points, t ~ q iff q - t lies in Q,
-    or (on the circle of circumference P > 2R) iff (q - t) mod P lies in Q or
-    Q + P. Q lies in [-R, R], so an earlier t can conflict with q only from
-    [q - R, q), or on the circle also from [0, q - P + R]."""
-    colors: list[int] = []
+def _first_fit(points: list[int], lifts: list) -> list[int]:
+    """First-fit colors of sorted distinct ints: an earlier t conflicts with q
+    iff t lies in q - [a, b] for a lift (a, b) with b > 0 (as t < q), so each
+    such lift takes the colors of one bisect pair bounded by the index i of q."""
+    positive = [(a, b) for a, b in lifts if b > 0]
+    colors = [0] * len(points)
     for i, q in enumerate(points):
-        lo = bisect_left(points, q - R, 0, i)
-        taken = {colors[j] for j in range(lo, i) if in_q(q - points[j])}
-        if P is not None:
-            wrapped = bisect_right(points, q - P + R, 0, lo)
-            taken.update(colors[j] for j in range(wrapped) if in_q(q - points[j] - P))
+        taken = set()
+        for a, b in positive:
+            taken.update(colors[bisect_left(points, q - b, 0, i) : bisect_right(points, q - a, 0, i)])
         c = 0
         while c in taken:
             c += 1
-        colors.append(c)
+        colors[i] = c
     return colors
 
 
-def _conflicts(points: list[int], a: int, in_q, R: int, P: Optional[int] = None):
-    """The t of a sorted int sequence with t - a in Q, or on the circle of
-    circumference P > 2R with (t - a) mod P in Q or Q + P; a itself included
-    (0 is in Q). Q lies in [-R, R], so only t within distance R of a (on the
-    circle, P > 2R: the arcs across the seam too) can qualify."""
-    near = points[bisect_left(points, a - R) : bisect_right(points, a + R)]
-    if P is None:
-        return [t for t in near if in_q(t - a)]
-    near += points[bisect_left(points, a - R + P) :]
-    near += points[: bisect_right(points, a + R - P)]
-    return [t for t in near if in_q(d := (t - a) % P) or in_q(d - P)]
+def _window_count(points: list[int], s: int, lifts: list) -> int:
+    """#{t in sorted distinct ints : t - s in a lift}, s itself included (0 is
+    in Q): one bisect pair per lift, as the lifts are disjoint (P > 2R)."""
+    return sum(bisect_right(points, s + b) - bisect_left(points, s + a) for a, b in lifts)
 
 
-def _verify_class_packing(classes, D: int, in_q, R: int, P: Optional[int] = None):
+def _verify_class_packing(classes, D: int, lifts: list):
     """Raise VerificationError unless no two distinct points of one class
-    (sorted Fractions, tested as ints over D) differ by an element of Q (mod P).
-    Every pair within distance R is visited; the others differ by no element
-    of Q, which lies in [-R, R]."""
+    (sorted ints over D) differ by an element of Q (mod P): a point has a
+    partner iff its window count within its class exceeds 1, and only then
+    are its ranges walked to name the partner."""
     for j, cl in enumerate(classes):
-        pts = [scaled(q, D) for q in cl]
-        for a in pts:
-            for b in _conflicts(pts, a, in_q, R, P):
-                if b != a:
-                    raise VerificationError(
-                        "class packing verification failed",
-                        counterexample=(j, Fraction(a, D), Fraction(b, D)),
-                    )
+        for a in cl:
+            if _window_count(cl, a, lifts) > 1:
+                b = next(t for lo, hi in lifts
+                         for t in cl[bisect_left(cl, a + lo) : bisect_right(cl, a + hi)] if t != a)
+                raise VerificationError(
+                    "class packing verification failed",
+                    counterexample=(j, Fraction(a, D), Fraction(b, D)),
+                )
+
+
+def _periodic_class(xs: list[int], P: int, D: int) -> PeriodicPoints:
+    """The class of sorted ints xs in [0, P) on the circle P / D, over its
+    minimal period P/k: k the largest divisor of #xs and P with xs + P/k = xs
+    (mod P), and the residues the x < P/k. A k that does not divide P is
+    skipped exactly, as x + P/k is then no multiple of 1/D."""
+    n, members = len(xs), set(xs)
+    step = next((P // k for k in range(n, 1, -1) if n % k == P % k == 0
+                 and all((x + P // k) % P in members for x in xs)), P)
+    return PeriodicPoints._canonical(Fraction(step, D), tuple(Fraction(x, D) for x in xs if x < step))
 
 
 def _materialize_config(S, materialize_range):

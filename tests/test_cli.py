@@ -315,6 +315,28 @@ def test_finite_points_H_exits_3(tmp_path, capsys, command):
     assert "H must be an interval union" in err
 
 
+@pytest.mark.parametrize(
+    "group, period, message",
+    [
+        ({"family": "z_lattice", "dimension": 1}, ["1/2"], "not an integer: '1/2'"),
+        ({"family": "z_lattice", "dimension": True}, [3], "not a rational: True"),
+        ({"family": "z_lattice", "dimension": 1}, [2.5], "not a rational: 2.5"),
+    ],
+)
+def test_wrongly_typed_integer_fields_exit_2(tmp_path, capsys, group, period, message):
+    # a fraction, a bool or a float in an integer field is a parse error, not
+    # a traceback, and not silently read as the integer 1 or 2
+    inst = {
+        "group": group,
+        "objects": {"S": {"kind": "periodic_discrete", "period": period, "residues": [[0]]}},
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    code, out, err = run(capsys, "cover", "--instance", str(path), "--object", "S")
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
 def test_window_profile_stops_at_the_cap_while_kahane_is_exact(tmp_path, capsys):
     # the profile is evidence and enumerates the period torus, so 10^10 cube
     # centers exit 3; the exact value comes from the closed form

@@ -1,8 +1,8 @@
 """Exit-code contract under instance fuzzing: random instance documents, with
 S and H of every object kind on every group family (wrong kinds, out-of-range
-elements and mismatched dimensions included), run in-process through
-`cli.main` on partition, pipeline, cover and diffset. Every run must end in
-exit 0, 2, 3 or 4; no exception may escape.
+elements, mismatched dimensions and wrongly typed integer fields included),
+run in-process through `cli.main` on partition, pipeline, cover and diffset.
+Every run must end in exit 0, 2, 3 or 4; no exception may escape.
 """
 
 import contextlib
@@ -79,6 +79,34 @@ MEASURES = st.one_of(
 OBJECTS = st.one_of(SETS, MEASURES)
 
 
+def mistyped(ints):
+    """An integer field as an int, or wrongly typed: an integer or fractional
+    string, a float or a bool (only an integer string is read, as its int)."""
+    wrong = st.one_of(ints.map(str), st.sampled_from(["1/2", "x", ""]), st.floats(), st.booleans())
+    return st.one_of(ints, wrong)
+
+
+MISTYPED_GROUPS = st.one_of(
+    st.builds(lambda d: {"family": "z_lattice", "dimension": d}, mistyped(st.integers(1, 2))),
+    st.builds(lambda m: {"family": "finite_abelian", "moduli": m},
+              st.lists(mistyped(st.integers(1, 5)), min_size=1, max_size=2)),
+    st.builds(lambda m, d: {"family": "sigma_finite_chain", "moduli": m, "depth": d},
+              st.lists(mistyped(st.integers(2, 3)), min_size=1, max_size=2),
+              mistyped(st.integers(1, 2))),
+)
+MISTYPED_VECTORS = st.lists(mistyped(small), min_size=1, max_size=2)
+MISTYPED_SETS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("periodic_discrete"),
+                           "period": st.lists(mistyped(st.integers(1, 6)), min_size=1, max_size=2),
+                           "residues": st.lists(MISTYPED_VECTORS, max_size=3)}),
+    st.fixed_dictionaries({"kind": st.just("cylinder"), "depth": mistyped(st.integers(0, 2)),
+                           "residues": st.lists(MISTYPED_VECTORS, max_size=2)}),
+    st.fixed_dictionaries({"kind": st.just("explicit_finite"),
+                           "elements": st.lists(st.one_of(MISTYPED_VECTORS, mistyped(small)),
+                                                max_size=3)}),
+)
+
+
 def documents(group, S, H):
     return st.fixed_dictionaries({"group": group, "objects": st.fixed_dictionaries({"S": S, "H": H})})
 
@@ -95,6 +123,7 @@ DOCUMENTS = st.one_of(
               PERIODIC_DISCRETE, EXPLICIT_1D),
     documents(st.builds(lambda m: {"family": "finite_abelian", "moduli": [m]}, st.integers(1, 6)),
               EXPLICIT_1D, EXPLICIT_1D),
+    documents(MISTYPED_GROUPS, MISTYPED_SETS, st.one_of(MISTYPED_SETS, EXPLICIT_1D)),
 )
 RUNS = st.sampled_from([
     ["partition", "--object", "S", "--H", "H"],

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import ceil
 
@@ -35,11 +36,13 @@ from density_lab import (
 from density_lab.groups import _strip
 from density_lab.rational import is_infinite
 from density_lab.structure import (
-    _conflicts,
     _configuration,
     _difference_points_within,
+    _first_fit,
     _materialize_config,
+    _periodic_class,
     _verify_class_packing,
+    _window_count,
     counting_density,
 )
 from density_lab.windows import real_mass
@@ -633,6 +636,22 @@ def test_first_blocker_greedy_matches_fraction_greedy(drawn):
     assert cover.blocked == blocked
 
 
+def fraction_reduced(S):
+    """S over its minimal period, by the Fraction loop that
+    PeriodicPoints.reduced ran before the partition reduced its classes in
+    ints: the largest k dividing #residues whose shift period/k maps the
+    residues onto themselves."""
+    n = len(S.residues)
+    res_set = set(S.residues)
+    for k in range(n, 1, -1):
+        if n % k:
+            continue
+        candidate = S.period / k
+        if all((r + candidate) % S.period in res_set for r in S.residues):
+            return PeriodicPoints(candidate, tuple({r % candidate for r in S.residues}))
+    return S
+
+
 def fraction_partition(S, H):
     """(classes, n, k_bound) from the first-fit loop the integer kernel
     replaced: every earlier point is tested for a conflict in Fractions."""
@@ -665,7 +684,7 @@ def fraction_partition(S, H):
         colors = first_fit(expanded, conflict)
         n = max(colors.values()) + 1
         classes = tuple(
-            PeriodicPoints(P, tuple(r for r in expanded if colors[r] == c)).reduced()
+            fraction_reduced(PeriodicPoints(P, tuple(r for r in expanded if colors[r] == c)))
             for c in range(n)
         )
         k_bound = max(real_mass(Counting(S), Q.translate(s)) for s in S.residues)
@@ -824,9 +843,10 @@ def test_integer_class_verifier_rejects_what_fraction_verifier_rejects(drawn, mo
         fraction_violates(Q, P, a, b) for cl in classes for a in cl for b in cl
     )
     radius = max(abs(Q.inf), abs(Q.sup))
-    D, _, _, in_q, R_int, P_int, _ = _configuration(S, Q, radius, None)
+    D, _, _, lifts, _, _ = _configuration(S, Q, radius, None)
+    int_classes = [[int(q * D) for q in cl] for cl in classes]
     try:
-        _verify_class_packing(classes, D, in_q, R_int, P_int)
+        _verify_class_packing(int_classes, D, lifts)
     except VerificationError as exc:
         j, a, b = exc.counterexample
         assert expected and a in classes[j] and b in classes[j]
@@ -845,9 +865,11 @@ def test_integer_window_counts_match_real_mass(drawn):
     Q = H.difference_set()
     points, P = coloring_points(S, Q)
     radius = max(abs(Q.inf), abs(Q.sup))
-    D, lifted, ints, in_q, R_int, P_int, n_centers = _configuration(S, Q, radius, None)
+    D, lifted, ints, lifts, P_int, n_centers = _configuration(S, Q, radius, None)
     assert lifted == points and ints == [q * D for q in points]
     assert P_int == (None if P is None else P * D)
+    assert lifts == [(a * D + off, b * D + off) for off in ((0,) if P is None else (0, P_int, -P_int))
+                     for a, b in Q.intervals]
     assert points[:n_centers] == list(S.residues if P is not None else points)
     if isinstance(S, PeriodicPoints):
         centers = S.residues
@@ -855,6 +877,134 @@ def test_integer_window_counts_match_real_mass(drawn):
     else:
         centers = points
         expected = [sum(1 for t in points if Q.contains(t - s)) for s in points]
-    counts = [len(_conflicts(ints, ints[points.index(s)], in_q, R_int, P_int)) for s in centers]
+    counts = [_window_count(ints, ints[points.index(s)], lifts) for s in centers]
     assert counts == expected
     assert partition_by_coloring(S, H).k_bound == max(expected, default=0)
+
+
+# ---------------------------------------------------------------------------
+# the range-slice kernel against the pair loops it replaced
+
+
+def pair_membership(spans):
+    """in_q(x) iff x lies in one of the sorted, disjoint int spans: the
+    membership closure the pair loops called once per pair."""
+    starts, ends = [a for a, _ in spans], [b for _, b in spans]
+
+    def in_q(x):
+        i = bisect_right(starts, x)
+        return i > 0 and x <= ends[i - 1]
+
+    return in_q
+
+
+def pair_first_fit(points, in_q, R, P=None):
+    """First-fit colors with one membership test per pair of points within
+    distance R (on the circle of circumference P > 2R also across the seam)."""
+    colors = []
+    for i, q in enumerate(points):
+        lo = bisect_left(points, q - R, 0, i)
+        taken = {colors[j] for j in range(lo, i) if in_q(q - points[j])}
+        if P is not None:
+            wrapped = bisect_right(points, q - P + R, 0, lo)
+            taken.update(colors[j] for j in range(wrapped) if in_q(q - points[j] - P))
+        c = 0
+        while c in taken:
+            c += 1
+        colors.append(c)
+    return colors
+
+
+def pair_conflicts(points, a, in_q, R, P=None):
+    """The t with t - a in Q, or on the circle with (t - a) mod P in Q or
+    Q + P, a itself included, by one membership test per near point."""
+    near = points[bisect_left(points, a - R) : bisect_right(points, a + R)]
+    if P is None:
+        return [t for t in near if in_q(t - a)]
+    near += points[bisect_left(points, a - R + P) :]
+    near += points[: bisect_right(points, a + R - P)]
+    return [t for t in near if in_q(d := (t - a) % P) or in_q(d - P)]
+
+
+@st.composite
+def int_configurations(draw):
+    """(points, spans, P, colors): sorted distinct ints, the spans of a
+    symmetric union of closed int intervals that contains 0, a coloring
+    circle P > 2R or None, and a random coloring of the points."""
+    edges = sorted(set(draw(st.lists(st.integers(0, 40), min_size=1, max_size=7))))
+    edges = edges[: (len(edges) - 1) // 2 * 2 + 1]
+    outer = list(zip(edges[1::2], edges[2::2]))
+    spans = [(-b, -a) for a, b in reversed(outer)] + [(-edges[0], edges[0])] + outer
+    R = edges[-1]
+    P = draw(st.one_of(st.none(), st.integers(2 * R + 1, 2 * R + 30)))
+    lo, hi = (-60, 60) if P is None else (0, P - 1)
+    points = sorted(set(draw(st.lists(st.integers(lo, hi), max_size=30))))
+    colors = draw(st.lists(st.integers(0, 3), min_size=len(points), max_size=len(points)))
+    return points, spans, P, colors
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_configurations())
+# SEAM in ints over D = 24: 0 and 20 conflict only across the seam of P = 24
+@example(([0, 20], [(-11, 11)], 24, [0, 0]))
+@example(([0, 20], [(-11, 11)], 24, [0, 1]))
+def test_range_slices_match_the_pair_loops(drawn):
+    """First-fit, every window count and the class verifier (its verdict and
+    the pair it names) equal those of the pair loops on the same ints."""
+    points, spans, P, colors = drawn
+    in_q, R = pair_membership(spans), spans[-1][1]
+    lifts = spans if P is None else [(a + off, b + off) for off in (0, P, -P) for a, b in spans]
+    assert _first_fit(points, lifts) == pair_first_fit(points, in_q, R, P)
+    assert [_window_count(points, s, lifts) for s in points] == [
+        len(pair_conflicts(points, s, in_q, R, P)) for s in points
+    ]
+    classes = [[x for x, c in zip(points, colors) if c == j] for j in range(4)]
+    expected = next(
+        (
+            (j, Fraction(a, 7), Fraction(b, 7))
+            for j, cl in enumerate(classes)
+            for a in cl
+            for b in pair_conflicts(cl, a, in_q, R, P)
+            if b != a
+        ),
+        None,
+    )
+    try:
+        _verify_class_packing(classes, 7, lifts)
+    except VerificationError as exc:
+        assert exc.counterexample == expected
+    else:
+        assert expected is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    partition_instances(),
+    st.integers(1, 24),
+    st.sampled_from((1, 2, 3, 4, 6)),
+    st.lists(st.integers(0, 47), max_size=6),
+    st.integers(1, 12),
+)
+@example(SEAM, 24, 3, [0, 5], 7)
+def test_int_class_reduction_matches_fraction_reduction(drawn, base, k, offsets, D):
+    """Each periodic class of the partition, and the int reduction of a
+    k-fold symmetric set, equal the Fraction reduction of their members;
+    each class built by the trusted constructors equals the same class built
+    by the validating ones."""
+    S, H = drawn
+    part = partition_by_coloring(S, H)
+    radius = max(abs(part.Q.inf), abs(part.Q.sup))
+    D_S, points, ints, lifts, P, _ = _configuration(S, part.Q, radius, None)
+    colors = _first_fit(ints, lifts)
+    for j, cl in enumerate(part.classes):
+        members = tuple(q for q, c in zip(points, colors) if c == j)
+        if P is None:
+            assert cl == FinitePoints(members) and cl.points == members
+        else:
+            assert cl == fraction_reduced(PeriodicPoints(Fraction(P, D_S), members))
+            assert all(type(r) is Fraction for r in (cl.period, *cl.residues))
+            rebuilt = PeriodicPoints(cl.period, cl.residues)
+            assert (rebuilt.period, rebuilt.residues) == (cl.period, cl.residues)
+    xs = sorted({x % base + i * base for x in offsets for i in range(k)})
+    fractions = PeriodicPoints(Fraction(base * k, D), tuple(Fraction(x, D) for x in xs))
+    assert _periodic_class(xs, base * k, D) == fraction_reduced(fractions)

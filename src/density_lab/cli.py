@@ -52,6 +52,7 @@ from .groups import (
 )
 from .intervals import IntervalUnion, PeriodicPattern
 from .instances import (
+    INTERVALS,
     Instance,
     canonical_json,
     parse_instance,
@@ -124,10 +125,10 @@ def _pick(instance: Instance, name, what="object"):
 
 
 def _estimation_params(args, instance) -> EstimationParams:
-    params = instance.params if instance else {}
-    tol = rat(args.tol) if args.tol else rat(params.get("tol", DEFAULT_ESTIMATION.tol))
-    r0 = rat(args.r0) if args.r0 else rat(params.get("r0", DEFAULT_ESTIMATION.r0))
-    k_max = args.kmax if args.kmax is not None else int(params.get("k_max", DEFAULT_ESTIMATION.k_max))
+    params = instance.params
+    tol = rat(args.tol) if args.tol else params.get("tol", DEFAULT_ESTIMATION.tol)
+    r0 = rat(args.r0) if args.r0 else params.get("r0", DEFAULT_ESTIMATION.r0)
+    k_max = args.kmax if args.kmax is not None else params.get("k_max", DEFAULT_ESTIMATION.k_max)
     estimation = EstimationParams(tol=tol, r0=r0, k_max=k_max)
     if getattr(args, "rmax", None):
         # cap the geometric schedule r0 * 2^k at rmax
@@ -151,12 +152,11 @@ def _window_shape(spec: str, group):
     if spec == "interval":
         return IntervalWindow()
     try:
-        pairs = [(rat(a), rat(b)) for a, b in json.loads(spec)]
-    except (ValueError, TypeError) as exc:
+        return CustomK(IntervalUnion(INTERVALS.parse(json.loads(spec), group)))
+    except (ValueError, InstanceParseError) as exc:  # the JSON or its pairs
         raise InstanceParseError(
             f"--K must be cube, interval or a JSON list of [a, b] pairs, got {spec!r}"
         ) from exc
-    return CustomK(IntervalUnion(tuple(pairs)))
 
 
 def _emit(args, results) -> dict:
@@ -250,12 +250,7 @@ def cmd_density(args) -> int:
 def cmd_diffset(args) -> int:
     instance = _load(args)
     s = _pick(instance, args.object)
-    window = None
-    if args.window:
-        window = (rat(args.window[0]), rat(args.window[1]))
-    elif "window" in instance.params:
-        lo, hi = instance.params["window"]
-        window = (rat(lo), rat(hi))
+    window = tuple(map(rat, args.window)) if args.window else instance.params.get("window")
     result = difference_set(s, instance.group, window=window)
     print(f"difference set of {type(s).__name__}: {type(result).__name__}")
     result = to_jsonable(result)  # serialized once, for the echo and the report
@@ -312,7 +307,7 @@ def cmd_pipeline(args) -> int:
     instance = _load(args)
     s = _pick(instance, args.object)
     h = instance.objects.get(args.H) if args.H else None
-    epsilon = rat(args.epsilon) if args.epsilon else rat(instance.params.get("epsilon", "1/2"))
+    epsilon = rat(args.epsilon) if args.epsilon else instance.params.get("epsilon", Fraction(1, 2))
     result = syndetic_pipeline(s, instance.group, epsilon=epsilon, H=h)
     print(f"rho = {rat_str(result.rho)}; classes = {result.partition.n}; "
           f"selected class {result.selected_class} with rho_j = {rat_str(result.rho_j)}")

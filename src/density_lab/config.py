@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import CapExceededError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,20 @@ class EstimationParams:
 @dataclass(frozen=True)
 class Caps:
     oracle_order: int = 8          # inf-sup oracle group-order cap
-    oracle_warn_above: int = 10    # runtime warning threshold when the cap is raised
-    enumeration: int = 1 << 20     # finite-group element enumeration cap
+    enumeration: int = 1 << 20     # cap of every enumeration: elements, cells, oracle pairs
     exact_cover_cells: int = 20    # exhaustive minimum-cover search cap
 
 
 DEFAULT_ESTIMATION = EstimationParams()
 DEFAULT_CAPS = Caps()
+
+
+def check_enumeration(
+    count: int,
+    message: str = "group order {count} exceeds enumeration cap {cap}",
+    cap: int = DEFAULT_CAPS.enumeration,
+):
+    """Refuse an enumeration of count items over the cap before anything is
+    allocated: CapExceededError with the message, count and cap filled in."""
+    if count > cap:
+        raise CapExceededError(message.format(count=count, cap=cap))

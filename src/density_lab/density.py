@@ -14,13 +14,12 @@ and doubles as the acceptance oracle.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm, prod
 from typing import Optional, Union
 
-from .config import DEFAULT_CAPS, DEFAULT_ESTIMATION, EstimationParams
+from .config import DEFAULT_CAPS, DEFAULT_ESTIMATION, EstimationParams, check_enumeration
 from .errors import CapExceededError, PreconditionError, VerificationError
 from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
 from .intervals import IntervalUnion
@@ -267,7 +266,13 @@ def classical_upper_density(A, group: ZLattice, n_max: int = 10_000) -> DensityR
 
 
 def _finite_group_tables(group: FiniteAbelian):
-    """(elements, translate): translate[g][V] is the mask of V + g."""
+    """(elements, translate): translate[g][V] is the mask of V + g. The inf-sup
+    loops on them evaluate up to (2^n - 1)^2 (C, V) ratios, a count held to
+    the enumeration cap (n <= 10) before the n * 2^n entries are allocated."""
+    n = group.order
+    pairs = (2 ** min(n, 64) - 1) ** 2  # past n = 64 it is over any cap in use
+    check_enumeration(pairs, f"the inf-sup oracle on order {n}: (2^{n} - 1)^2 (C, V) pairs "
+                             "exceed the enumeration cap {cap}")
     elems = group.elements()
     translate = []
     for g in elems:
@@ -298,8 +303,6 @@ def kahane_oracle_finite(nu, group: FiniteAbelian, cap: int = DEFAULT_CAPS.oracl
     n = group.order
     if n > cap:
         raise CapExceededError(f"group order {n} exceeds the oracle cap {cap}")
-    if cap > DEFAULT_CAPS.oracle_warn_above and n > DEFAULT_CAPS.oracle_warn_above:
-        warnings.warn(f"inf-sup oracle on order {n}: ~4^{n} ratio evaluations in the worst case")
     elems, translate = _finite_group_tables(group)
     masses = _point_masses(nu, group)
     D, weights = common_scale(masses)
@@ -523,13 +526,6 @@ def _first_atom(layers, acc):
     if acc:
         return acc[0].point, Fraction(1)
     return None
-
-
-def delta_lower_bound_check(point, weight, eta: Fraction, test_set_size: int) -> Fraction:
-    """Re-evaluatable certificate: the ratio bound weight/(#F * eta)."""
-    if eta <= 0 or test_set_size < 1:
-        raise PreconditionError("eta must be positive and the test set nonempty")
-    return weight / (test_set_size * eta)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import prod
 from typing import Union
 
-from .config import DEFAULT_CAPS
+from .config import DEFAULT_CAPS, check_enumeration
 from .errors import CapExceededError, PreconditionError, ShapeMismatchError
 from .rational import rat
 
@@ -93,16 +93,12 @@ class FiniteAbelian:
         g = self.check(g)
         return tuple((-a) % m for a, m in zip(g, self.moduli))
 
-    def check_order(self, cap: int = DEFAULT_CAPS.enumeration):
-        if self.order > cap:
-            raise CapExceededError(f"group order {self.order} exceeds enumeration cap {cap}")
-
     def elements(self, cap: int = DEFAULT_CAPS.enumeration) -> list[tuple[int, ...]]:
         """All elements exactly once, in lexicographic order.
 
         This is the canonical tie-breaking order used by every greedy search.
         """
-        self.check_order(cap)
+        check_enumeration(self.order, cap=cap)
         return list(itertools.product(*(range(m) for m in self.moduli)))
 
     @property
@@ -128,7 +124,7 @@ class FiniteAbelian:
             for c, m, s in zip(k, self.moduli, self.strides):
                 out = [o + (i // s + c) % m * s for o, i in zip(out, at)]
             return out
-        self.check_order()
+        check_enumeration(self.order)
         table = [0]
         for c, m in zip(k, self.moduli):
             c %= m
@@ -222,10 +218,6 @@ class SigmaFiniteChain:
     def subgroup(self, n: int) -> FiniteAbelian:
         self._check_depth(n)
         return FiniteAbelian(self.moduli[:n])
-
-    def subgroup_elements(self, n: int, cap: int = DEFAULT_CAPS.enumeration):
-        """Elements of H_n in canonical (padded-lexicographic) order."""
-        return [_strip(e) for e in self.subgroup(n).elements(cap)]
 
     def in_subgroup(self, g, n: int) -> bool:
         return len(self.check(g)) <= n

@@ -1,8 +1,17 @@
 """Instance files and report serialization.
 
-Structured text (JSON), UTF-8, exact rationals as "p/q" strings. Parsing is
-strict: unknown fields are rejected, and parse -> print -> parse is the
-identity on every valid file.
+Structured text (JSON), UTF-8, exact rationals as "p/q" strings. One table
+describes every file: GROUP maps each group family and OBJECT each object
+kind to a Record of typed fields, and PARAMS holds the `params` keys. A
+field's spec is RATIONAL, INTEGER, an Array of a spec (PAIR: two entries), a
+group ELEMENT, an Enum, a nested Record or OBJECT itself; an optional field
+takes its constructor's default. One parser (`spec.parse`) and one printer
+(`spec.dump`) walk the table, so parse -> print -> parse is the identity on
+every valid file. A value of the wrong JSON type (a string is never a list),
+an unknown or missing field, or an unknown family or kind raises
+InstanceParseError. `params` are typed at load time (`k_max` an int, `tol`,
+`r0`, `epsilon` Fractions, `window` a pair); range checks (a positive period,
+r0 > 0) stay with the constructors and the CLI.
 """
 
 from __future__ import annotations
@@ -13,26 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
+from . import sets
 from .errors import InstanceParseError
 from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
 from .intervals import IntervalUnion, PeriodicPattern
 from .rational import is_infinite, rat, rat_str
-from .sets import (
-    AccumulationPoint,
-    Counting,
-    CylinderSet,
-    DiracAtZero,
-    ExplicitFinite,
-    FinitePoints,
-    HaarTrace,
-    MeasureSum,
-    PeriodicDiscrete,
-    PeriodicPoints,
-    PerturbedLattice,
-    WeightedDiracs,
-)
-
-KNOWN_PARAMS = {"tol", "r0", "k_max", "epsilon", "window"}  # the keys the CLI reads
 
 
 @dataclass(frozen=True)
@@ -40,17 +34,6 @@ class Instance:
     group: GroupSpec
     objects: dict
     params: dict
-
-
-def _require_keys(d: dict, allowed: set, required: set, what: str):
-    if not isinstance(d, dict):
-        raise InstanceParseError(f"{what} must be an object, got {type(d).__name__}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise InstanceParseError(f"unknown fields in {what}: {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        raise InstanceParseError(f"missing fields in {what}: {sorted(missing)}")
 
 
 def _int(value) -> int:
@@ -62,204 +45,226 @@ def _int(value) -> int:
     return q.numerator
 
 
-def parse_group(d: dict) -> GroupSpec:
-    _require_keys(d, {"family", "dimension", "moduli", "depth"}, {"family"}, "group")
-    family = d["family"]
-    if family == "z_lattice":
-        _require_keys(d, {"family", "dimension"}, {"family", "dimension"}, "z_lattice group")
-        return ZLattice(_int(d["dimension"]))
-    if family == "finite_abelian":
-        _require_keys(d, {"family", "moduli"}, {"family", "moduli"}, "finite_abelian group")
-        return FiniteAbelian(tuple(_int(m) for m in d["moduli"]))
-    if family == "real_line":
-        _require_keys(d, {"family"}, {"family"}, "real_line group")
-        return RealLine()
-    if family == "sigma_finite_chain":
-        _require_keys(
-            d, {"family", "moduli", "depth"}, {"family", "moduli"}, "sigma_finite_chain group"
-        )
-        moduli = tuple(_int(m) for m in d["moduli"])
-        if "depth" in d and _int(d["depth"]) != len(moduli):
-            raise InstanceParseError("chain depth must equal the number of listed moduli")
-        return SigmaFiniteChain(moduli)
-    raise InstanceParseError(f"unknown group family: {family!r}")
+# ---------------------------------------------------------------------------
+# field specs: parse(value, group) reads a JSON value and dump(obj, group)
+# writes it back; the group decides what an ELEMENT is
 
 
-def group_to_json(group: GroupSpec) -> dict:
-    if isinstance(group, ZLattice):
-        return {"family": "z_lattice", "dimension": group.dimension}
-    if isinstance(group, FiniteAbelian):
-        return {"family": "finite_abelian", "moduli": list(group.moduli)}
-    if isinstance(group, RealLine):
-        return {"family": "real_line"}
-    if isinstance(group, SigmaFiniteChain):
-        return {"family": "sigma_finite_chain", "moduli": list(group.moduli)}
-    raise InstanceParseError(f"unknown group: {group!r}")
+class Scalar:
+    def __init__(self, parse, dump=lambda x: x):
+        self.parse_value, self.dump_value = parse, dump
+
+    def parse(self, value, group):
+        return self.parse_value(value)
+
+    def dump(self, x, group):
+        return self.dump_value(x)
 
 
-def _parse_element(e, group: GroupSpec):
-    if isinstance(group, RealLine):
-        return rat(e)
-    if isinstance(e, list):
-        return tuple(_int(c) for c in e)
-    if isinstance(e, int):
-        return (_int(e),)
-    raise InstanceParseError(f"bad element: {e!r}")
+class Enum(Scalar):
+    def __init__(self, *values):
+        super().__init__(self.check)
+        self.values = values
+
+    def check(self, value):
+        if isinstance(value, str) and value in self.values:
+            return value
+        raise InstanceParseError(f"expected one of {', '.join(self.values)}, got {value!r}")
 
 
-def _element_to_json(e, group: GroupSpec):
-    if isinstance(group, RealLine):
-        return rat_str(e)
-    return list(e)
+class Element:
+    """A group element: a rational on the real line, else a JSON array of
+    integers (or one bare JSON integer)."""
+
+    def parse(self, value, group):
+        if isinstance(group, RealLine):
+            return rat(value)
+        if type(value) is int:
+            return (value,)
+        if isinstance(value, list):
+            return INTEGERS.parse(value, group)
+        raise InstanceParseError(f"bad element: {value!r}")
+
+    def dump(self, e, group):
+        return rat_str(e) if isinstance(group, RealLine) else list(e)
 
 
-def _parse_pairs(pairs) -> IntervalUnion:
-    return IntervalUnion(tuple((rat(a), rat(b)) for a, b in pairs))
+class Array:
+    """A JSON array of one spec, read as a tuple; `length` fixes its size."""
+
+    def __init__(self, item, length=None):
+        self.item, self.length = item, length
+
+    def parse(self, value, group):
+        if not isinstance(value, list) or self.length not in (None, len(value)):
+            size = "" if self.length is None else f" of {self.length}"
+            raise InstanceParseError(f"not a JSON array{size}: {value!r}")
+        return tuple(self.item.parse(x, group) for x in value)
+
+    def dump(self, items, group):
+        return [self.item.dump(x, group) for x in items]
 
 
-def _parse_accumulation(items):
-    out = []
-    for d in items:
-        _require_keys(d, {"point", "side"}, {"point"}, "accumulation marker")
-        out.append(AccumulationPoint(rat(d["point"]), d.get("side", "above")))
-    return tuple(out)
+class Wrapped:
+    """A spec's value wrapped as cls(value), printed from its attribute attr."""
+
+    def __init__(self, spec, cls, attr):
+        self.spec, self.cls, self.attr = spec, cls, attr
+
+    def parse(self, value, group):
+        return self.cls(self.spec.parse(value, group))
+
+    def dump(self, obj, group):
+        return self.spec.dump(getattr(obj, self.attr), group)
 
 
-def parse_object(d: dict, group: GroupSpec):
-    _require_keys(d, set(d), {"kind"}, "object")
-    kind = d["kind"]
-    if kind == "explicit_finite":
-        _require_keys(d, {"kind", "elements"}, {"kind", "elements"}, kind)
-        return ExplicitFinite(tuple(_parse_element(e, group) for e in d["elements"]))
-    if kind == "periodic_discrete":
-        _require_keys(d, {"kind", "period", "residues"}, {"kind", "period", "residues"}, kind)
-        return PeriodicDiscrete(
-            tuple(_int(m) for m in d["period"]),
-            tuple(tuple(_int(c) for c in r) for r in d["residues"]),
-        )
-    if kind == "interval_union":
-        _require_keys(d, {"kind", "intervals"}, {"kind", "intervals"}, kind)
-        return _parse_pairs(d["intervals"])
-    if kind == "periodic_pattern":
-        _require_keys(d, {"kind", "period", "pattern"}, {"kind", "period", "pattern"}, kind)
-        return PeriodicPattern(rat(d["period"]), _parse_pairs(d["pattern"]))
-    if kind == "finite_points":
-        _require_keys(d, {"kind", "points", "accumulation"}, {"kind", "points"}, kind)
-        return FinitePoints(
-            tuple(rat(p) for p in d["points"]),
-            accumulation=_parse_accumulation(d.get("accumulation", [])),
-        )
-    if kind == "periodic_points":
-        _require_keys(d, {"kind", "period", "residues"}, {"kind", "period", "residues"}, kind)
-        return PeriodicPoints(rat(d["period"]), tuple(rat(r) for r in d["residues"]))
-    if kind == "perturbed_lattice":
-        _require_keys(
-            d,
-            {"kind", "step", "extra", "removed", "accumulation"},
-            {"kind", "step"},
-            kind,
-        )
-        return PerturbedLattice(
-            rat(d["step"]),
-            tuple(rat(p) for p in d.get("extra", [])),
-            tuple(rat(p) for p in d.get("removed", [])),
-            accumulation=_parse_accumulation(d.get("accumulation", [])),
-        )
-    if kind == "cylinder":
-        _require_keys(d, {"kind", "depth", "residues"}, {"kind", "depth", "residues"}, kind)
-        return CylinderSet(_int(d["depth"]), tuple(tuple(_int(c) for c in r) for r in d["residues"]))
-    if kind == "counting":
-        _require_keys(d, {"kind", "of"}, {"kind", "of"}, kind)
-        return Counting(parse_object(d["of"], group))
-    if kind == "haar_trace":
-        _require_keys(d, {"kind", "of"}, {"kind", "of"}, kind)
-        return HaarTrace(parse_object(d["of"], group))
-    if kind == "dirac_at_zero":
-        _require_keys(d, {"kind"}, {"kind"}, kind)
-        return DiracAtZero()
-    if kind == "weighted_diracs":
-        _require_keys(d, {"kind", "atoms"}, {"kind", "atoms"}, kind)
-        atoms = []
-        for a in d["atoms"]:
-            _require_keys(a, {"point", "weight"}, {"point", "weight"}, "weighted atom")
-            atoms.append((_parse_element(a["point"], group), rat(a["weight"])))
-        return WeightedDiracs(tuple(atoms))
-    if kind == "sum":
-        _require_keys(d, {"kind", "components"}, {"kind", "components"}, kind)
-        return MeasureSum(tuple(parse_object(c, group) for c in d["components"]))
-    raise InstanceParseError(f"unknown object kind: {kind!r}")
+class Named:
+    """A JSON object from names to objects (an instance's objects)."""
+
+    def parse(self, value, group):
+        _check_object(value, "objects")
+        return {name: OBJECT.parse(v, group) for name, v in value.items()}
+
+    def dump(self, objects, group):
+        return {name: OBJECT.dump(obj, group) for name, obj in objects.items()}
 
 
-def object_to_json(obj, group: GroupSpec) -> dict:
-    if isinstance(obj, ExplicitFinite):
-        return {
-            "kind": "explicit_finite",
-            "elements": [_element_to_json(e, group) for e in obj.elements],
-        }
-    if isinstance(obj, PeriodicDiscrete):
-        return {
-            "kind": "periodic_discrete",
-            "period": list(obj.period),
-            "residues": [list(r) for r in obj.residues],
-        }
-    if isinstance(obj, IntervalUnion):
-        return {
-            "kind": "interval_union",
-            "intervals": [[rat_str(a), rat_str(b)] for a, b in obj.intervals],
-        }
-    if isinstance(obj, PeriodicPattern):
-        return {
-            "kind": "periodic_pattern",
-            "period": rat_str(obj.period),
-            "pattern": [[rat_str(a), rat_str(b)] for a, b in obj.pattern.intervals],
-        }
-    if isinstance(obj, FinitePoints):
-        out = {"kind": "finite_points", "points": [rat_str(p) for p in obj.points]}
-        if obj.accumulation:
-            out["accumulation"] = [
-                {"point": rat_str(a.point), "side": a.side} for a in obj.accumulation
-            ]
-        return out
-    if isinstance(obj, PeriodicPoints):
-        return {
-            "kind": "periodic_points",
-            "period": rat_str(obj.period),
-            "residues": [rat_str(r) for r in obj.residues],
-        }
-    if isinstance(obj, PerturbedLattice):
-        out = {
-            "kind": "perturbed_lattice",
-            "step": rat_str(obj.step),
-            "extra": [rat_str(p) for p in obj.extra],
-            "removed": [rat_str(p) for p in obj.removed],
-        }
-        if obj.accumulation:
-            out["accumulation"] = [
-                {"point": rat_str(a.point), "side": a.side} for a in obj.accumulation
-            ]
-        return out
-    if isinstance(obj, CylinderSet):
-        return {"kind": "cylinder", "depth": obj.depth, "residues": [list(r) for r in obj.residues]}
-    if isinstance(obj, Counting):
-        return {"kind": "counting", "of": object_to_json(obj.of, group)}
-    if isinstance(obj, HaarTrace):
-        return {"kind": "haar_trace", "of": object_to_json(obj.of, group)}
-    if isinstance(obj, DiracAtZero):
-        return {"kind": "dirac_at_zero"}
-    if isinstance(obj, WeightedDiracs):
-        return {
-            "kind": "weighted_diracs",
-            "atoms": [
-                {"point": _element_to_json(p, group), "weight": rat_str(w)}
-                for p, w in obj.atoms
-            ],
-        }
-    if isinstance(obj, MeasureSum):
-        return {
-            "kind": "sum",
-            "components": [object_to_json(c, group) for c in obj.components],
-        }
-    raise InstanceParseError(f"cannot serialize {type(obj).__name__}")
+# when a field may be absent: a REQUIRED one never; an OPTIONAL one takes the
+# constructor's default and is always printed; a SPARSE one is printed only
+# when not empty; an INPUT one is read and never printed (a chain's depth)
+REQUIRED, OPTIONAL, SPARSE, INPUT = "required", "optional", "sparse", "input"
+
+
+@dataclass(frozen=True)
+class Field:
+    spec: Any
+    presence: str = REQUIRED
+
+
+def _check_object(value, what):
+    if not isinstance(value, dict):
+        raise InstanceParseError(f"{what} must be an object, got {type(value).__name__}")
+
+
+def _check_keys(value, fields: dict, what):
+    _check_object(value, what)
+    unknown = set(value) - set(fields)
+    if unknown:
+        raise InstanceParseError(f"unknown fields in {what}: {sorted(unknown)}")
+    missing = {name for name, f in fields.items() if f.presence == REQUIRED} - set(value)
+    if missing:
+        raise InstanceParseError(f"missing fields in {what}: {sorted(missing)}")
+
+
+class Record:
+    """A JSON object with fixed fields (a spec, or a Field for one that may be
+    absent), built as build(**fields present) and printed from the attributes
+    of a cls value (the entries of a tuple, the items of a dict)."""
+
+    def __init__(self, cls, build=None, what=None, **fields):
+        self.cls, self.build, self.what = cls, build or cls, what
+        self.fields = {k: f if isinstance(f, Field) else Field(f) for k, f in fields.items()}
+
+    def parse(self, value, group, what=None):
+        _check_keys(value, self.fields, what or self.what)
+        return self.build(**{k: f.spec.parse(value[k], group)
+                             for k, f in self.fields.items() if k in value})
+
+    def dump(self, obj, group):
+        shown = {k: f for k, f in self.fields.items() if f.presence != INPUT}
+        if isinstance(obj, tuple):
+            obj = dict(zip(shown, obj))
+        elif not isinstance(obj, dict):
+            obj = {k: getattr(obj, k) for k in shown}
+        return {k: f.spec.dump(obj[k], group) for k, f in shown.items()
+                if k in obj and (obj[k] or f.presence != SPARSE)}
+
+
+class Tagged:
+    """One of several records, told apart by the string under `tag`."""
+
+    def __init__(self, what, tag, **kinds):
+        self.what, self.tag, self.kinds = what, tag, kinds  # tag value -> Record
+
+    def parse(self, value, group):
+        _check_object(value, self.what)
+        if self.tag not in value:
+            raise InstanceParseError(f"missing fields in {self.what}: {[self.tag]}")
+        name = value[self.tag]
+        record = self.kinds.get(name) if isinstance(name, str) else None
+        if record is None:
+            raise InstanceParseError(f"unknown {self.what} {self.tag}: {name!r}")
+        rest = {k: v for k, v in value.items() if k != self.tag}
+        return record.parse(rest, group, f"{name} {self.what}")
+
+    def record(self, obj) -> tuple:
+        """(tag value, record) of a value."""
+        for name, record in self.kinds.items():
+            if type(obj) is record.cls:
+                return name, record
+        raise InstanceParseError(f"cannot serialize {type(obj).__name__}")
+
+    def dump(self, obj, group):
+        name, record = self.record(obj)
+        return {self.tag: name, **record.dump(obj, group)}
+
+
+# ---------------------------------------------------------------------------
+# the table
+
+RATIONAL, INTEGER, ELEMENT = Scalar(rat, rat_str), Scalar(_int), Element()
+RATIONALS, INTEGERS, PAIR = Array(RATIONAL), Array(INTEGER), Array(RATIONAL, 2)
+INTERVALS = Array(PAIR)
+MARKERS = Array(Record(sets.AccumulationPoint, what="accumulation marker",
+                       point=RATIONAL, side=Field(Enum(*sets.AccumulationPoint.SIDES), OPTIONAL)))
+ATOMS = Array(Record(tuple, build=lambda point, weight: (point, weight), what="weighted atom",
+                     point=ELEMENT, weight=RATIONAL))
+
+
+def _chain(moduli, depth=None):
+    if depth is not None and depth != len(moduli):
+        raise InstanceParseError("chain depth must equal the number of listed moduli")
+    return SigmaFiniteChain(moduli)
+
+
+GROUP = Tagged(
+    "group", "family",
+    z_lattice=Record(ZLattice, dimension=INTEGER),
+    finite_abelian=Record(FiniteAbelian, moduli=INTEGERS),
+    real_line=Record(RealLine),
+    sigma_finite_chain=Record(SigmaFiniteChain, build=_chain,
+                              moduli=INTEGERS, depth=Field(INTEGER, INPUT)),
+)
+
+OBJECT = Tagged("object", "kind")  # counting, haar_trace and sum nest it
+OBJECT.kinds.update(
+    explicit_finite=Record(sets.ExplicitFinite, elements=Array(ELEMENT)),
+    periodic_discrete=Record(sets.PeriodicDiscrete, period=INTEGERS, residues=Array(INTEGERS)),
+    interval_union=Record(IntervalUnion, intervals=INTERVALS),
+    periodic_pattern=Record(PeriodicPattern, period=RATIONAL,
+                            pattern=Wrapped(INTERVALS, IntervalUnion, "intervals")),
+    finite_points=Record(sets.FinitePoints, points=RATIONALS,
+                         accumulation=Field(MARKERS, SPARSE)),
+    periodic_points=Record(sets.PeriodicPoints, period=RATIONAL, residues=RATIONALS),
+    perturbed_lattice=Record(sets.PerturbedLattice, step=RATIONAL,
+                             extra=Field(RATIONALS, OPTIONAL), removed=Field(RATIONALS, OPTIONAL),
+                             accumulation=Field(MARKERS, SPARSE)),
+    cylinder=Record(sets.CylinderSet, depth=INTEGER, residues=Array(INTEGERS)),
+    counting=Record(sets.Counting, of=OBJECT),
+    haar_trace=Record(sets.HaarTrace, of=OBJECT),
+    dirac_at_zero=Record(sets.DiracAtZero),
+    weighted_diracs=Record(sets.WeightedDiracs, atoms=ATOMS),
+    sum=Record(sets.MeasureSum, components=Array(OBJECT)),
+)
+
+# the keys the CLI reads: the window profile schedule, the pipeline's epsilon
+# and the diffset window
+PARAMS = Record(dict, what="params", tol=Field(RATIONAL, OPTIONAL), r0=Field(RATIONAL, OPTIONAL),
+                k_max=Field(INTEGER, OPTIONAL), epsilon=Field(RATIONAL, OPTIONAL),
+                window=Field(PAIR, OPTIONAL))
+OBJECTS = Named()
+INSTANCE_FIELDS = {"group": Field(GROUP), "objects": Field(OBJECTS),
+                   "params": Field(PARAMS, OPTIONAL)}
 
 
 def parse_instance(text: str) -> Instance:
@@ -269,24 +274,17 @@ def parse_instance(text: str) -> Instance:
         raise InstanceParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    _require_keys(data, {"group", "objects", "params"}, {"group", "objects"}, "instance")
-    group = parse_group(data["group"])
-    objects = {name: parse_object(d, group) for name, d in data["objects"].items()}
-    params = data.get("params", {})
-    _require_keys(params, KNOWN_PARAMS, set(), "params")
-    return Instance(group=group, objects=objects, params=dict(params))
+    _check_keys(data, INSTANCE_FIELDS, "instance")
+    group = GROUP.parse(data["group"], None)  # the group decides what an element is
+    objects = OBJECTS.parse(data["objects"], group)
+    return Instance(group, objects, PARAMS.parse(data.get("params", {}), group))
 
 
 def instance_to_text(instance: Instance) -> str:
-    data = {
-        "group": group_to_json(instance.group),
-        "objects": {
-            name: object_to_json(obj, instance.group)
-            for name, obj in instance.objects.items()
-        },
-    }
+    group = instance.group
+    data = {"group": GROUP.dump(group, None), "objects": OBJECTS.dump(instance.objects, group)}
     if instance.params:
-        data["params"] = instance.params
+        data["params"] = PARAMS.dump(instance.params, group)
     return canonical_json(data)
 
 
@@ -306,13 +304,8 @@ def to_jsonable(obj) -> Any:
         return rat_str(obj)
     if is_infinite(obj):
         return {"infinite": to_jsonable(obj.certificate)}
-    if isinstance(obj, IntervalUnion):
-        return {"intervals": [[rat_str(a), rat_str(b)] for a, b in obj.intervals]}
-    if isinstance(obj, PeriodicPattern):
-        return {
-            "period": rat_str(obj.period),
-            "pattern": [[rat_str(a), rat_str(b)] for a, b in obj.pattern.intervals],
-        }
+    if isinstance(obj, (IntervalUnion, PeriodicPattern)):  # their instance form, without kind
+        return OBJECT.record(obj)[1].dump(obj, None)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {"type": type(obj).__name__}
         for f in dataclasses.fields(obj):

@@ -77,10 +77,6 @@ class IntervalUnion:
             raise PreconditionError("empty union has no supremum")
         return self.intervals[-1][1]
 
-    @property
-    def diameter(self) -> Fraction:
-        return self.sup - self.inf if not self.is_empty else Fraction(0)
-
     def endpoints(self) -> list[Fraction]:
         out = []
         for a, b in self.intervals:

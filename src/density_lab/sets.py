@@ -17,6 +17,7 @@ from itertools import product
 from math import ceil, lcm, prod
 from typing import Optional, Union
 
+from .config import check_enumeration
 from .errors import PreconditionError, ShapeMismatchError
 from .groups import (
     FiniteAbelian,
@@ -91,10 +92,11 @@ class AccumulationPoint:
 
     point: Fraction
     side: str = "above"
+    SIDES = ("above", "below", "both")  # a class constant, not a field
 
     def __post_init__(self):
         object.__setattr__(self, "point", rat(self.point))
-        if self.side not in ("above", "below", "both"):
+        if self.side not in self.SIDES:
             raise PreconditionError("accumulation side must be above, below, or both")
 
 
@@ -166,13 +168,6 @@ class PeriodicPoints:
                 out.append(r + k * self.period)
                 k += 1
         return tuple(sorted(out))
-
-    def min_positive_difference(self) -> Fraction:
-        """Least positive element of the difference set: the least positive
-        residue difference mod the period, or the period itself when there is
-        none (a single residue)."""
-        diffs = difference_residues_mod(self.residues, self.period)
-        return min((d for d in diffs if d > 0), default=self.period)
 
 
 def difference_residues_mod(residues, period) -> tuple[Fraction, ...]:
@@ -283,16 +278,16 @@ def discrete_quotient(s, group: GroupSpec):
     CylinderSet on a chain (H_depth, lifted by _strip). Elements are checked,
     and the order held to Caps.enumeration, before any index is built."""
     if isinstance(group, FiniteAbelian) and isinstance(s, ExplicitFinite):
-        group.check_order()
+        check_enumeration(group.order)
         return group, [group.index(e) for e in s.elements], tuple
     if isinstance(group, ZLattice) and isinstance(s, PeriodicDiscrete):
         quotient = FiniteAbelian(s.period)
-        quotient.check_order()
+        check_enumeration(quotient.order)
         return quotient, [quotient.index(group.check(r)) for r in s.residues], tuple
     if isinstance(group, SigmaFiniteChain) and isinstance(s, CylinderSet):
         s.validate_for(group)
         quotient = group.subgroup(group.depth)
-        quotient.check_order()
+        check_enumeration(quotient.order)
         head = FiniteAbelian(group.moduli[: s.depth])
         tail = prod(group.moduli[s.depth :])  # each residue is a run of tail consecutive cells
         return quotient, [head.index(r) * tail + t for r in s.residues for t in range(tail)], _strip

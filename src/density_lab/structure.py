@@ -423,13 +423,15 @@ def partition_by_coloring(
     D, points, ints, lifts, P, centers = _configuration(S, Q, radius, materialize_range)
     colors = _first_fit(ints, lifts)
     n = max(colors, default=-1) + 1
+    # one color in range(n) per point, or zip would drop points and a negative
+    # color would land in the last class
+    if len(colors) != len(points) or min(colors, default=0) < 0:
+        raise VerificationError("partition does not reproduce S", counterexample=S)
     members, int_members = [[] for _ in range(n)], [[] for _ in range(n)]
     for q, x, c in zip(points, ints, colors):
         members[c].append(q)
         int_members[c].append(x)
     k_bound = Fraction(max((_window_count(ints, s, lifts) for s in ints[:centers]), default=0))
-    if sorted(q for cl in members for q in cl) != points:
-        raise VerificationError("partition does not reproduce S", counterexample=S)
     _verify_class_packing(int_members, D, lifts)
     if n > k_bound:
         raise VerificationError(

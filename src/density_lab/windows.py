@@ -65,8 +65,8 @@ from itertools import accumulate, product
 from math import ceil, floor, lcm, prod
 from typing import Optional, Union
 
-from .config import DEFAULT_CAPS
-from .errors import CapExceededError, PreconditionError
+from .config import check_enumeration
+from .errors import PreconditionError
 from .groups import FiniteAbelian, GroupSpec, RealLine, ZLattice
 from .intervals import IntervalUnion, PeriodicPattern
 from .rational import Infinite, common_scale, rat, scaled
@@ -336,7 +336,9 @@ def _line_candidates(scaled, ws: list[int]) -> list[int]:
         zone_hi = max(support) - min(ws) + big
     span = big + (zone_hi + 1 - zone_lo if finite else 0)  # no run below spans more than this
     replicas = sum(len(bases) * len(ws) * (span // period + 1) for period, bases in periodic)
-    _check_enumeration(replicas, "the line scan", "periodic replicas")
+    check_enumeration(
+        replicas, "the line scan: {count} periodic replicas exceed the enumeration cap {cap}"
+    )
     if not finite:
         for period, bases in periodic:
             for base in bases:
@@ -438,16 +440,13 @@ def _zd_mass_at(layers, x: tuple[int, ...], r: int) -> Fraction:
     return total
 
 
+CENTERS_OVER_CAP = "{count} cube centers exceed the enumeration cap {cap}"
+
+
 def zd_mass(nu, group: ZLattice, x, r: int) -> Fraction:
     """nu over the cube of side 2r+1 centered at x."""
     x = group.check(x)
     return _zd_mass_at(measure_layers(nu, group)[0], x, r)
-
-
-def _check_enumeration(count: int, what: str, unit: str = "cube centers"):
-    cap = DEFAULT_CAPS.enumeration
-    if count > cap:
-        raise CapExceededError(f"{what}: {count} {unit} exceed the enumeration cap {cap}")
 
 
 def _circular_window_sums(line: list[int], wraps: int, rem: int, off: int) -> list[int]:
@@ -500,7 +499,7 @@ def zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
     if periodic and not finite:
         period = tuple(lcm(*ms) for ms in zip(*(l.period for l in periodic)))
         torus = FiniteAbelian(period)
-        _check_enumeration(torus.order, "the period torus")
+        check_enumeration(torus.order, "the period torus: " + CENTERS_OVER_CAP)
         masses, Dw = _torus_cube_masses(periodic, period, r)
         best = max(masses)
         argmax = torus.element(masses.index(best))  # row-major: the least lexicographic one
@@ -509,7 +508,8 @@ def zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
         per_coord = [
             sorted({p[i] - r for l in finite for p, _ in l.atoms} | {0}) for i in range(d)
         ]
-        _check_enumeration(prod(len(c) for c in per_coord), "the support's bounding grid")
+        check_enumeration(prod(len(c) for c in per_coord),
+                          "the support's bounding grid: " + CENTERS_OVER_CAP)
         cands = product(*per_coord)
     else:
         if d != 1:
@@ -518,7 +518,7 @@ def zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
         support = [p[0] for l in finite for p, _ in l.atoms]
         lo = min(support) - r - period
         hi = max(support) + r + period
-        _check_enumeration(hi + period + 1 - lo, "the perturbation zone")
+        check_enumeration(hi + period + 1 - lo, "the perturbation zone: " + CENTERS_OVER_CAP)
         cands = ((c,) for c in range(lo, hi + period + 1))
     best = None
     best_x = None

@@ -43,6 +43,7 @@ from density_lab import (
     window_profile_schedule,
 )
 from density_lab.cli import main as cli_main
+from oracles import min_positive_difference
 
 R = RealLine()
 Z = ZLattice(1)
@@ -191,7 +192,7 @@ def test_criterion_05_packing_bound():
         k = rng.randrange(1, 5)
         residues = tuple(sorted({period * Fraction(rng.randrange(0, 40), 40) for _ in range(k)}))
         s = PeriodicPoints(period, residues)
-        gap = s.min_positive_difference()
+        gap = min_positive_difference(s)
         h_len = gap * Fraction(rng.randrange(1, 32), 32)
         if h_len >= gap:
             continue

@@ -337,6 +337,106 @@ def test_wrongly_typed_integer_fields_exit_2(tmp_path, capsys, group, period, me
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("moduli, cap", [([11], "11"), ([2, 2, 2, 2, 2], "32")],
+                         ids=["Z_11", "Z_2^5"])
+def test_oracle_cap_past_the_pair_bound_exits_3(tmp_path, capsys, moduli, cap):
+    # the order cap may be raised, but (2^n - 1)^2 (C, V) pairs stay within
+    # the enumeration cap, so n <= 10 as for selftest
+    inst = {
+        "group": {"family": "finite_abelian", "moduli": moduli},
+        "objects": {"nu": {"kind": "counting",
+                           "of": {"kind": "explicit_finite", "elements": [[0] * len(moduli)]}}},
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    code, _, err = run(capsys, "density", "--instance", str(path), "--notion", "kahane",
+                       "--mode", "oracle", "--cap", cap)
+    assert code == 3
+    assert "pairs exceed the enumeration cap" in err
+
+
+def test_selftest_cap_above_the_maximum_exits_3(capsys):
+    code, _, err = run(capsys, "selftest", "--cap", "11")
+    assert code == 3
+    assert "selftest cap 11 above the configured maximum" in err
+
+
+LINE = {"family": "real_line"}
+WINDOW = ["density", "--object", "nu", "--notion", "window"]
+DIRAC = {"nu": {"kind": "dirac_at_zero"}}
+
+
+def _with_params(**params):
+    return {"group": LINE, "objects": DIRAC, "params": params}
+
+
+@pytest.mark.parametrize(
+    "document, argv",
+    [
+        ({"group": LINE, "objects": []}, ["cover"]),
+        ({"group": LINE, "objects": {"S": None}}, ["cover"]),
+        ({"group": LINE, "objects": {"S": [{"kind": "dirac_at_zero"}]}}, ["cover"]),
+        ({"group": LINE, "objects": {"S": {"kind": "interval_union",
+                                           "intervals": [["0", "1", "2"]]}}}, ["cover"]),
+        ({"group": LINE, "objects": {"S": {"kind": "periodic_pattern", "period": "1",
+                                           "pattern": "ab"}}}, ["cover"]),
+        ({"group": LINE, "objects": {"S": {"kind": "interval_union", "intervals": ["01"]}}},
+         ["diffset"]),
+        ({"group": LINE, "objects": {"S": {"kind": "finite_points", "points": "12"}}},
+         ["diffset"]),
+        ({"group": {"family": "finite_abelian", "moduli": "35"},
+          "objects": {"S": {"kind": "explicit_finite", "elements": [[0, 0], [1, 1]]}}},
+         ["cover"]),
+        ({"group": {"family": "z_lattice", "dimension": 2},
+          "objects": {"S": {"kind": "periodic_discrete", "period": [2, 2], "residues": ["01"]}}},
+         ["cover"]),
+        (_with_params(k_max="1/2"), WINDOW),
+        (_with_params(k_max=float("inf")), WINDOW),  # the JSON number 1e400
+        (_with_params(k_max=True), WINDOW),
+        (_with_params(k_max=2.5), WINDOW),
+        (_with_params(window="x"), ["diffset"]),
+        (_with_params(window={}), ["diffset"]),
+        (_with_params(tol="abc"), ["pipeline"]),
+        ({"group": LINE, "objects": {"S": {"kind": "finite_points", "points": ["1"],
+                                           "accumulation": [{"point": "0", "side": "sideways"}]}}},
+         ["diffset"]),
+    ],
+    ids=["objects-list", "object-null", "object-list", "interval-of-three", "pattern-string",
+         "interval-string", "points-string", "moduli-string", "residue-string", "k_max-fraction",
+         "k_max-1e400", "k_max-bool", "k_max-float", "window-string", "window-object",
+         "tol-under-pipeline", "accumulation-side"],
+)
+def test_malformed_documents_exit_2(tmp_path, capsys, document, argv):
+    # each was once a traceback (exit 1), a precondition failure (exit 3) or a
+    # run on a set the document does not describe (exit 0)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(document).replace("Infinity", "1e400"))
+    code, _, err = run(capsys, argv[0], "--instance", str(path), *argv[1:])
+    assert code == 2
+    assert "parse error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["cover"], ["diffset"], ["pipeline"], WINDOW,
+                                  ["density", "--object", "nu", "--notion", "kahane"]])
+def test_a_bad_param_exits_2_under_every_subcommand(tmp_path, capsys, argv):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_with_params(tol="abc")))
+    code, _, err = run(capsys, argv[0], "--instance", str(path), *argv[1:])
+    assert code == 2
+    assert "parse error: not a rational: 'abc'" in err
+
+
+def test_integer_string_params_stay_accepted(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_with_params(k_max="3", r0="2", window=["-1", "1"])))
+    code, out, _ = run(capsys, *WINDOW, "--instance", str(path))
+    assert code == 0 and "window density: 0" in out
+    path.write_text(json.dumps(_with_params(r0="0")))  # range checks stay exit 3
+    assert run(capsys, *WINDOW, "--instance", str(path))[0] == 3
+    path.write_text(json.dumps(_with_params(k_max=-1)))
+    assert run(capsys, *WINDOW, "--instance", str(path))[0] == 3
+
+
 def test_window_profile_stops_at_the_cap_while_kahane_is_exact(tmp_path, capsys):
     # the profile is evidence and enumerates the period torus, so 10^10 cube
     # centers exit 3; the exact value comes from the closed form

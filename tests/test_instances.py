@@ -1,20 +1,26 @@
 import glob
 import json
+import re
 from fractions import Fraction
 
+import instance_walkers as walkers
 import pytest
+from documents import documents
+from hypothesis import example, given, settings, strategies as st
 
 from density_lab import (
+    DensityLabError,
     InstanceParseError,
     IntervalUnion,
     PeriodicPattern,
     PeriodicPoints,
     RealLine,
+    canonical_json,
     instance_to_text,
     parse_instance,
     to_jsonable,
 )
-from density_lab.instances import object_to_json, parse_object
+from density_lab.instances import GROUP, OBJECT, PARAMS
 
 
 def test_roundtrip_identity_on_shipped_instances():
@@ -64,13 +70,13 @@ def test_parse_error_carries_location():
 
 def test_rational_strings():
     group = RealLine()
-    obj = parse_object(
+    obj = OBJECT.parse(
         {"kind": "periodic_points", "period": "3/2", "residues": ["0", "1/2"]}, group
     )
     assert obj == PeriodicPoints(Fraction(3, 2), (Fraction(0), Fraction(1, 2)))
-    assert object_to_json(obj, group)["period"] == "3/2"
+    assert OBJECT.dump(obj, group)["period"] == "3/2"
     with pytest.raises(InstanceParseError):
-        parse_object({"kind": "periodic_points", "period": "x", "residues": []}, group)
+        OBJECT.parse({"kind": "periodic_points", "period": "x", "residues": []}, group)
 
 
 def test_object_roundtrip_measures():
@@ -89,15 +95,15 @@ def test_object_roundtrip_measures():
             },
         ],
     }
-    obj = parse_object(spec, group)
-    assert object_to_json(obj, group) == spec
+    obj = OBJECT.parse(spec, group)
+    assert OBJECT.dump(obj, group) == spec
 
 
 def test_missing_required_fields():
     with pytest.raises(InstanceParseError, match="missing fields"):
         parse_instance(json.dumps({"objects": {}}))
     with pytest.raises(InstanceParseError, match="missing fields"):
-        parse_object({"kind": "interval_union"}, RealLine())
+        OBJECT.parse({"kind": "interval_union"}, RealLine())
 
 
 def test_chain_depth_mismatch_rejected():
@@ -127,3 +133,112 @@ def test_to_jsonable_is_deterministic():
         }
     )
     assert json.dumps(rep, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# the table against the walkers it replaced, and properties of its documents
+
+DRAWN = settings(max_examples=60, deadline=None)
+
+
+def _outcome(parse):
+    """("ok", value) or (error type, message) of a parse."""
+    try:
+        return "ok", parse()
+    except DensityLabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@DRAWN
+@given(documents())
+def test_table_parses_and_prints_as_the_walkers_did(document):
+    def with_table():
+        inst = parse_instance(json.dumps(document))
+        return inst.group, inst.objects
+
+    def with_walkers():
+        group = walkers.parse_group(document["group"])
+        return group, {name: walkers.parse_object(d, group)
+                       for name, d in document["objects"].items()}
+
+    table, oracle = _outcome(with_table), _outcome(with_walkers)
+    if "ok" in (table[0], oracle[0]) or oracle[0] != "InstanceParseError":
+        assert table == oracle  # equal objects, or the same range error
+    if table[0] == "ok":
+        group, objects = table[1]
+        printed = {"group": GROUP.dump(group, None),
+                   "objects": {k: OBJECT.dump(v, group) for k, v in objects.items()}}
+        expected = {"group": walkers.group_to_json(group),
+                    "objects": {k: walkers.object_to_json(v, group) for k, v in objects.items()}}
+        assert canonical_json(printed) == canonical_json(expected)
+
+
+@DRAWN
+@given(documents())
+def test_parse_print_parse_is_the_identity(document):
+    try:
+        inst = parse_instance(json.dumps(document))
+    except DensityLabError:
+        return
+    for obj in inst.objects.values():
+        assert OBJECT.parse(OBJECT.dump(obj, inst.group), inst.group) == obj
+    text = instance_to_text(inst)
+    assert parse_instance(text) == inst
+    assert instance_to_text(parse_instance(text)) == text
+
+
+KEYS = sorted({"group", "objects", "params", "kind", "family", *PARAMS.fields}
+              | {k for tagged in (GROUP, OBJECT) for rec in tagged.kinds.values()
+                 for k in rec.fields})
+
+
+def _tagged(tag, names, inner):
+    """JSON objects with a family or kind, mostly a known one, and any fields."""
+    return st.builds(lambda name, d: {**d, tag: name}, st.sampled_from(sorted(names)) | inner,
+                     st.dictionaries(st.sampled_from(KEYS), inner, max_size=3))
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["above", "1/2", "0"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=4)
+    | _tagged("kind", OBJECT.kinds, inner),
+    max_leaves=8,
+)
+ANY_DOCUMENT = JSON | st.fixed_dictionaries(
+    {"group": JSON | _tagged("family", GROUP.kinds, JSON),
+     "objects": JSON | st.dictionaries(st.sampled_from("SH"), JSON, max_size=2)},
+    optional={"params": JSON | st.dictionaries(st.sampled_from(KEYS), JSON, max_size=2)},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ANY_DOCUMENT)
+@example({"group": {"family": "real_line"}, "objects": {"S": None}})
+@example({"group": {"family": "real_line"}, "objects": []})
+@example({"group": {"family": "finite_abelian", "moduli": "35"}, "objects": {}})
+def test_any_json_parses_or_raises_a_library_error(document):
+    # never a TypeError, ValueError or AttributeError from reading the JSON
+    try:
+        parse_instance(json.dumps(document))
+    except DensityLabError:
+        pass
+
+
+def _readme_tables():
+    """{first cell: [backticked names in the second cell]} of every table row
+    in README's "Instance files" section."""
+    with open("README.md", encoding="utf-8") as f:
+        text = f.read()
+    section = text.split("### Instance files", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.M)
+    return {name: re.findall(r"`(\w+)`", fields) for name, fields in rows}
+
+
+def test_readme_lists_the_table():
+    listed = _readme_tables()
+    table = {**{name: list(rec.fields) for tagged in (GROUP, OBJECT)
+                for name, rec in tagged.kinds.items()},
+             **{key: [] for key in PARAMS.fields}}
+    assert listed == table

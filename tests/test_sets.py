@@ -33,6 +33,7 @@ from density_lab import (
 )
 from density_lab.groups import _strip
 from density_lab.sets import discrete_quotient
+from oracles import min_positive_difference
 
 rng = random.Random(11)
 Z = ZLattice(1)
@@ -308,4 +309,4 @@ def test_integer_periodic_difference_matches_fraction_residues(period, residues)
     s = PeriodicPoints(period, tuple(residues))
     oracle = {(a - b) % period for a in s.residues for b in s.residues}
     assert difference_set(s, R) == PeriodicPoints(period, tuple(oracle))
-    assert s.min_positive_difference() == min([d for d in oracle if d > 0] + [period])
+    assert min_positive_difference(s) == min([d for d in oracle if d > 0] + [period])

@@ -33,6 +33,7 @@ from density_lab import (
     subadditivity_check,
     syndetic_pipeline,
 )
+from density_lab import structure
 from density_lab.groups import _strip
 from density_lab.rational import is_infinite
 from density_lab.structure import (
@@ -46,6 +47,7 @@ from density_lab.structure import (
     counting_density,
 )
 from density_lab.windows import real_mass
+from oracles import min_positive_difference
 
 rng = random.Random(31337)
 Z = ZLattice(1)
@@ -169,7 +171,7 @@ def test_packing_bound_never_violated_randomized():
         k = rng.randrange(1, 4)
         residues = tuple(sorted({Fraction(rng.randrange(0, 24), 24) * p for _ in range(k)}))
         s = PeriodicPoints(p, residues)
-        gap = s.min_positive_difference()
+        gap = min_positive_difference(s)
         h_len = gap * Fraction(rng.randrange(1, 16), 16)
         if h_len >= gap:
             continue
@@ -340,6 +342,25 @@ def test_partition_reverifies_and_respects_window_bound():
         hi = part.period - Fraction(1, 1000)
         union = sorted(q for c in part.classes for q in c.materialize(0, hi))
         assert union == list(s.materialize(0, hi))
+
+
+def _drop_last(colors):
+    return colors[:-1]
+
+
+def _first_negative(colors):
+    return [-1, *colors[1:]]
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last, _first_negative])
+def test_partition_refuses_a_coloring_that_misses_a_point(monkeypatch, corrupt):
+    # one color in range(n) per point: a short coloring would drop points in
+    # zip, and a negative color would land in the last class
+    monkeypatch.setattr(structure, "_first_fit", lambda pts, lifts: corrupt(_first_fit(pts, lifts)))
+    s = PeriodicPoints(1, (0, Fraction(1, 3)))
+    with pytest.raises(VerificationError, match="partition does not reproduce S") as exc:
+        partition_by_coloring(s, IntervalUnion.closed(0, Fraction(2, 5)))
+    assert exc.value.counterexample == s
 
 
 def test_partition_perturbed_lattice_materializes():

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Optional, Union
 
 from .config import DEFAULT_CAPS, DEFAULT_ESTIMATION, EstimationParams, check_enumeration
@@ -30,8 +30,8 @@ from .windows import (
     measure_layers,
     real_shift_sup,
     real_threshold_witness,
-    zd_set_window,
     zd_shift_sup,
+    zd_threshold_witness,
 )
 
 # ---------------------------------------------------------------------------
@@ -606,33 +606,9 @@ def translation_witness(nu, group: GroupSpec, W, gamma) -> Union[Fraction, tuple
     if isinstance(group, ZLattice):
         if not isinstance(W, ExplicitFinite):
             raise PreconditionError("lattice windows are explicit finite sets")
-        threshold = gamma * len(W.elements)
-        mass_at = zd_set_window(nu, group, W)
-        scan = None  # (sup, its first shift in candidate order)
-        for x in _lattice_witness_candidates(nu, group, W):
-            mass = mass_at(x)
-            if mass >= threshold:
-                return x
-            if scan is None or mass > scan[0]:
-                scan = (mass, x)
-        return NotFound(*(scan or (Fraction(0), group.zero())))
+        found, scan = zd_threshold_witness(nu, group, W, gamma * len(W.elements))
+        return NotFound(scan.value, scan.argmax) if found is None else found
     raise PreconditionError(f"translation witness unsupported on {type(group).__name__}")
-
-
-def _lattice_witness_candidates(nu, group: ZLattice, W):
-    layers, _ = measure_layers(nu, group)
-    periods = [l.period for l in layers if l.period is not None]
-    if periods:
-        # the torus of the combined period, held to Caps.enumeration
-        return FiniteAbelian(tuple(lcm(*ms) for ms in zip(*periods))).elements()
-    points = [p for l in layers for p, _ in l.atoms]
-    if not points:
-        return [group.zero()]
-    cands = set()
-    for p in points:
-        for w in W.elements:
-            cands.add(tuple(a - b for a, b in zip(p, w)))
-    return sorted(cands)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,17 @@ only in display fields (decimal approximations, wall times).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Iterable, Union
 
 from .errors import InstanceParseError
+
+
+# an integer or p/q in decimal digits; no decimal point or exponent, which
+# Fraction would expand in full ("1e99999999" is a 100-million-digit int)
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
 def rat(value: Union[int, str, Fraction]) -> Fraction:
@@ -19,7 +25,7 @@ def rat(value: Union[int, str, Fraction]) -> Fraction:
         raise InstanceParseError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -25,14 +25,18 @@ inside the perturbation zone plus one clean far-field period.
 The line scan runs in integer arithmetic. Every atom position, trace endpoint,
 period and window endpoint is multiplied by D, the lcm of their denominators,
 and every atom weight by Dw, the lcm of the weight denominators; masses are
-then ints in units of 1/(D * Dw). Each layer is indexed once (sorted atom
+then ints in units of 1/(D * Dw). f is evaluated at all candidates by one
+event sweep (the sweep-line method of Shamos and Hoey, 1976): the value and
+slope at the first candidate come from per-layer closures (sorted atom
 positions with prefix weights, trace starts with cumulative lengths, periodic
-layers folded into one period by divmod), so f(x) costs two bisects per layer
-and window interval. Multiplying by the positive constants D and D * Dw keeps
-the order of candidates and of values, and the candidates are scanned in
-increasing order with a strict comparison, so the value, the least argmax and
-the candidate count are those of the exact rational scan. real_mass keeps the
-Fraction evaluation as the independent reference.
+layers folded into one period by divmod), and then each atom entering or
+leaving the window and each slope change of a trace is bucketed onto the
+candidates by one bisect and summed in one pass. Multiplying by the positive
+constants D and D * Dw keeps the order of candidates and of values, and the
+first maximum and the first value reaching a threshold are taken in
+increasing candidate order, so the value, the least argmax and the candidate
+count are those of the exact rational scan. real_mass keeps the Fraction
+evaluation as the independent reference.
 
 Counting measures of configurations with an accumulation marker have infinite
 mass on any window containing a one-sided neighborhood of the marked point;
@@ -63,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from math import ceil, floor, lcm, prod
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .config import check_enumeration
 from .errors import PreconditionError
@@ -249,6 +253,19 @@ class ShiftScan:
 # integer line-scan kernel
 
 
+@dataclass(frozen=True)
+class _IntLayer:
+    """A layer scaled to ints: its period, event positions (_base_positions),
+    mass closure and sweep steps, which change the slope of x -> mass for a
+    trace and its value for an atom layer."""
+
+    period: Optional[int]
+    bases: list[int]
+    mass: Callable[[int, int], int]
+    trace: bool
+    steps: list[tuple[int, int, bool]]  # (position, change, offset by b rather than a)
+
+
 def _atom_mass(atoms: list[tuple[int, int]], period: Optional[int]):
     """(a, b) -> total weight of the atoms in [a, b], from two bisects.
 
@@ -307,23 +324,33 @@ def _trace_mass(pieces: list[tuple[int, int]], period: Optional[int], unit: int)
     return periodic_mass
 
 
-def _scaled_layer(layer: Layer, bases: list[int], weights, D: int, Dw: int):
-    """(period, event positions, mass function) of a layer whose
-    _base_positions, scaled by D, are bases; an atom layer draws its weights,
-    scaled by Dw, from the iterator weights. Masses are ints in units of
-    1/(D * Dw)."""
+def _scaled_layer(layer: Layer, bases: list[int], weights, D: int, Dw: int) -> _IntLayer:
+    """The _IntLayer of a layer whose _base_positions, scaled by D, are bases;
+    an atom layer draws its weights, scaled by Dw, from the iterator weights.
+    Masses are ints in units of 1/(D * Dw).
+
+    Sweep steps, for a window piece [a, b]: an atom of weight w at p adds w at
+    the first x >= p - b, i.e. the first x > p - b - 1, and removes it at the
+    first x > p - a; a trace piece [s, e] changes the slope of x -> mass by
+    +unit at s - b and e - a and by -unit at e - b and s - a."""
     period = None if layer.period is None else scaled(layer.period, D)
     if isinstance(layer, AtomLayer):
-        mass = _atom_mass([(p, next(weights) * D) for p in bases], period)
-    else:
-        mass = _trace_mass(list(zip(bases[::2], bases[1::2])), period, Dw)
-    return period, bases, mass
+        atoms = [(p, next(weights) * D) for p in bases]
+        steps = [step for p, w in atoms for step in ((p - 1, w, True), (p, -w, False))]
+        return _IntLayer(period, bases, _atom_mass(atoms, period), False, steps)
+    pieces = list(zip(bases[::2], bases[1::2]))
+    steps = [
+        step
+        for s, e in pieces
+        for step in ((s, Dw, True), (e, -Dw, True), (s, -Dw, False), (e, Dw, False))
+    ]
+    return _IntLayer(period, bases, _trace_mass(pieces, period, Dw), True, steps)
 
 
-def _line_candidates(scaled, ws: list[int]) -> list[int]:
+def _line_candidates(int_layers: list[_IntLayer], ws: list[int]) -> list[int]:
     """Sorted finite superset of the event points of x -> nu(x + W), scaled."""
-    periodic = [(period, bases) for period, bases, _ in scaled if period is not None]
-    finite = [bases for period, bases, _ in scaled if period is None]
+    periodic = [(l.period, l.bases) for l in int_layers if l.period is not None]
+    finite = [l.bases for l in int_layers if l.period is None]
     cands = {0}
     for bases in finite:
         cands.update(base - w for base in bases for w in ws)
@@ -357,11 +384,78 @@ def _line_candidates(scaled, ws: list[int]) -> list[int]:
     return sorted(cands)
 
 
-def _line_scan(layers, window: IntervalUnion, threshold: Optional[Fraction] = None):
-    """Evaluate x -> nu(x + window) at every candidate, in increasing order.
+def _sweep(cands: list[int], pieces: list[tuple[int, int]], int_layers: list[_IntLayer]):
+    """x -> nu(x + window) at every candidate x, in units of 1/(D * Dw).
 
-    Returns the least candidate reaching threshold (None if none does or no
-    threshold is given) and the ShiftScan with the least maximizer."""
+    A mixed scan's candidates are the perturbation zone, one far period and
+    0, which can lie far outside both. Where two candidates are more than the
+    common period P apart, the sweep starts a new run, so that no periodic
+    layer's replicas are enumerated across a long gap: inside a run they are
+    about as many as the candidates that layer gives, plus one P per gap. A
+    fully periodic scan's candidates lie in [0, P), and a finite one has no
+    replicas, so both are one run."""
+    periods = [l.period for l in int_layers if l.period is not None]
+    if len(periods) in (0, len(int_layers)):
+        return _sweep_run(cands, pieces, int_layers)
+    big = lcm(*periods)
+    cuts = [i for i, (p, c) in enumerate(zip(cands, cands[1:]), 1) if c - p > big]
+    values = []
+    for s, t in zip([0, *cuts], [*cuts, len(cands)]):
+        values += _sweep_run(cands[s:t], pieces, int_layers)
+    return values
+
+
+def _sweep_run(cands: list[int], pieces: list[tuple[int, int]], int_layers: list[_IntLayer]):
+    """The values at sorted candidates as one running sum.
+
+    The value at the first candidate c0 comes from the mass closures, and so
+    does the slope just right of c0: the steps lie on ints, so each trace's
+    mass is linear on [c0, c0 + 1]. Each step of a layer inside the
+    candidate range is then bucketed by one bisect: an atom's
+    change d at y goes to the value from the first candidate above y on; a
+    trace's slope change d at y goes to the slope from the first candidate c
+    above y on, plus d * (c - y) to the value at c. The seed slope already
+    holds the trace steps at c0, so they are bucketed from c0 + 1 on. The
+    steps need not be candidates: the ones in a gap between two candidates
+    land on the candidate after it."""
+    lo, hi = cands[0], cands[-1]
+    jumps = [0] * len(cands)  # value changes, bucketed
+    bends = [0] * len(cands)  # slope changes, bucketed
+    jumps[0] = sum(l.mass(a + lo, b + lo) for l in int_layers for a, b in pieces)
+    for l in int_layers:
+        trace, period = l.trace, l.period
+        if trace:  # the slope just right of c0
+            bends[0] += sum(
+                l.mass(a + lo + 1, b + lo + 1) - l.mass(a + lo, b + lo) for a, b in pieces
+            )
+        start = lo + trace
+        for a, b in pieces:
+            for p, d, right in l.steps:
+                y = p - (b if right else a)
+                if period is None:
+                    ys = (y,) if start <= y < hi else ()
+                else:
+                    ys = range(start + (y - start) % period, hi, period)
+                if trace:
+                    for y in ys:
+                        i = bisect_right(cands, y)
+                        bends[i] += d
+                        jumps[i] += d * (cands[i] - y)
+                else:
+                    for y in ys:
+                        jumps[bisect_right(cands, y)] += d
+    if not any(bends):  # no slope anywhere
+        return list(accumulate(jumps))
+    # value(c_i) = value(c_{i-1}) + slope right of c_{i-1} * (c_i - c_{i-1}) + jumps[i]
+    slopes = accumulate(bends, initial=0)  # the i-th is the slope right of c_{i-1}
+    return list(
+        accumulate(s * (c - p) + j for s, p, c, j in zip(slopes, [lo, *cands], cands, jumps))
+    )
+
+
+def _scaled_scan(layers, window: IntervalUnion):
+    """(D, Dw, window pieces, _IntLayers, candidates) of a line scan, in ints:
+    positions, periods and window endpoints times D, weights times Dw."""
     ws = window.endpoints()
     bases = [_base_positions(l) for l in layers]
     periods = [l.period for l in layers if l.period is not None]
@@ -373,27 +467,28 @@ def _line_scan(layers, window: IntervalUnion, threshold: Optional[Fraction] = No
     for layer, b in zip(layers, bases):
         int_layers.append(_scaled_layer(layer, ints[at : at + len(b)], weights, D, Dw))
         at += len(b)
-    masses = [mass for _, _, mass in int_layers]
     ends = ints[: len(ws)]  # the window endpoints, scaled
     pieces = list(zip(ends[::2], ends[1::2]))
-    cands = _line_candidates(int_layers, ends)
-    searching = threshold is not None
-    if searching:
-        # least int at or above threshold * D * Dw
-        limit = -(-threshold.numerator * D * Dw // threshold.denominator)
-    best = best_x = found = None
-    for x in cands:
-        v = 0
-        for a, b in pieces:
-            a += x
-            b += x
-            for mass in masses:
-                v += mass(a, b)
-        if searching and v >= limit:
-            found, searching = Fraction(x, D), False
-        if best is None or v > best:
-            best, best_x = v, x
-    return found, ShiftScan(Fraction(best, D * Dw), Fraction(best_x, D), len(cands))
+    return D, Dw, pieces, int_layers, _line_candidates(int_layers, ends)
+
+
+def _line_values(layers, window: IntervalUnion):
+    """(D, Dw, candidates, values): x -> nu(x + window) at every candidate, in
+    increasing order; candidates in units of 1/D, values of 1/(D * Dw)."""
+    D, Dw, pieces, int_layers, cands = _scaled_scan(layers, window)
+    return D, Dw, cands, _sweep(cands, pieces, int_layers)
+
+
+def _line_scan(layers, window: IntervalUnion, threshold: Optional[Fraction] = None):
+    """The least candidate reaching threshold (None if none does or no
+    threshold is given) and the ShiftScan with the least maximizer."""
+    D, Dw, cands, values = _line_values(layers, window)
+    best = max(values)
+    scan = ShiftScan(Fraction(best, D * Dw), Fraction(cands[values.index(best)], D), len(cands))
+    if threshold is None:
+        return None, scan
+    limit = ceil(threshold * D * Dw)
+    return next((Fraction(x, D) for x, v in zip(cands, values) if v >= limit), None), scan
 
 
 def _trap_shift(ap: AccumulationPoint, window: IntervalUnion) -> Fraction:
@@ -460,10 +555,10 @@ def _circular_window_sums(line: list[int], wraps: int, rem: int, off: int) -> li
     return [base + b - a for a, b in zip(pre[off : off + m], pre[off + rem : off + rem + m])]
 
 
-def _torus_cube_masses(periodic: list[AtomLayer], period: tuple[int, ...], r: int):
-    """The cube mass at every center of the torus prod Z_{P_i}, in row-major
-    order and in units of 1/Dw, with Dw returned alongside."""
-    Dw, weights = common_scale(w for l in periodic for _, w in l.atoms)
+def _torus_weights(periodic: list[AtomLayer], period: tuple[int, ...], weights) -> list[int]:
+    """The weight of every cell of the torus prod Z_{P_i}, in row-major order:
+    each layer's residues lifted to residues mod P, with weights, the layers'
+    atom weights scaled to ints, in order."""
     strides = FiniteAbelian(period).strides
     grid = [0] * prod(period)
     residues = ((l.period, res) for l in periodic for res, _ in l.atoms)
@@ -474,6 +569,15 @@ def _torus_cube_masses(periodic: list[AtomLayer], period: tuple[int, ...], r: in
         ]
         for cell in product(*lifts):
             grid[sum(cell)] += w
+    return grid
+
+
+def _torus_cube_masses(periodic: list[AtomLayer], period: tuple[int, ...], r: int):
+    """The cube mass at every center of the torus prod Z_{P_i}, in row-major
+    order and in units of 1/Dw, with Dw returned alongside."""
+    Dw, weights = common_scale(w for l in periodic for _, w in l.atoms)
+    grid = _torus_weights(periodic, period, weights)
+    strides = FiniteAbelian(period).strides
     L = max(0, 2 * r + 1)
     for P, s in zip(period, strides):
         wraps, rem = divmod(L, P)
@@ -531,28 +635,61 @@ def zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
     return ShiftScan(best, best_x, scanned)
 
 
-def zd_set_window(nu, group: ZLattice, window: ExplicitFinite):
-    """nu evaluated on translates of a finite set: the map x -> nu(window + x)."""
+def zd_threshold_witness(nu, group: ZLattice, window: ExplicitFinite, threshold: Fraction):
+    """Least candidate x with nu(window + x) >= threshold (None if none does),
+    and the ShiftScan of x -> nu(window + x) over the candidates.
+
+    The candidates are the period torus in row-major order when every layer
+    is periodic, the shifts p - w of the atoms by the window points in
+    lexicographic order when none is, and otherwise, on Z only, the
+    perturbation zone plus one clean period, as in zd_shift_sup. Every value
+    is an int in units of 1/Dw: the periodic layers read one torus weight
+    table, the finite atoms one dict."""
     layers, _ = measure_layers(nu, group)
-
-    def mass_at(x):
-        x = group.check(x)
-        total = Fraction(0)
-        for w in window.elements:
-            pt = group.add(w, x)
-            for layer in layers:
-                if layer.period is None:
-                    for p, wt in layer.atoms:
-                        if p == pt:
-                            total += wt
-                else:
-                    key = tuple(c % m for c, m in zip(pt, layer.period))
-                    for res, wt in layer.atoms:
-                        if res == key:
-                            total += wt
-        return total
-
-    return mass_at
+    ws = [group.check(w) for w in window.elements]
+    periodic = [l for l in layers if l.period is not None]
+    finite = [l for l in layers if l.period is None]
+    Dw, weights = common_scale(w for l in periodic + finite for _, w in l.atoms)
+    split = sum(len(l.atoms) for l in periodic)
+    atoms: dict[tuple[int, ...], int] = {}
+    for (p, _), w in zip((a for l in finite for a in l.atoms), weights[split:]):
+        atoms[p] = atoms.get(p, 0) + w
+    if periodic:
+        period = tuple(lcm(*ms) for ms in zip(*(l.period for l in periodic)))
+        torus = FiniteAbelian(period)
+    if periodic and not finite:
+        check_enumeration(torus.order)
+        grid = _torus_weights(periodic, period, weights)
+        values = [0] * torus.order
+        for w in ws:
+            values = [v + grid[i] for v, i in zip(values, torus.translate(w))]
+        cands = torus.elements()
+    elif not periodic:
+        shifts = {tuple(a - b for a, b in zip(p, w)) for p in atoms for w in ws}
+        cands = sorted(shifts) if atoms else [group.zero()]
+        values = [
+            sum(atoms.get(tuple(a + b for a, b in zip(x, w)), 0) for w in ws) for x in cands
+        ]
+    else:
+        if group.dimension != 1:
+            raise PreconditionError("mixed periodic and finite lattice layers need d = 1")
+        (P,) = period
+        offsets = [w for (w,) in ws]
+        support = [p for (p,) in atoms]
+        lo = min(support) - max(offsets, default=0) - P
+        hi = max(support) - min(offsets, default=0) + P
+        check_enumeration(hi + P + 1 - lo, "the perturbation zone: " + CENTERS_OVER_CAP)
+        grid = _torus_weights(periodic, period, weights)
+        cands = [(x,) for x in range(lo, hi + P + 1)]
+        values = [
+            sum(grid[(x + w) % P] + atoms.get((x + w,), 0) for w in offsets) for (x,) in cands
+        ]
+    if not values:
+        return None, ShiftScan(Fraction(0), group.zero(), 0)
+    best = max(values)
+    scan = ShiftScan(Fraction(best, Dw), cands[values.index(best)], len(cands))
+    limit = ceil(threshold * Dw)
+    return next((x for x, v in zip(cands, values) if v >= limit), None), scan
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -424,6 +425,31 @@ def test_a_bad_param_exits_2_under_every_subcommand(tmp_path, capsys, argv):
     code, _, err = run(capsys, argv[0], "--instance", str(path), *argv[1:])
     assert code == 2
     assert "parse error: not a rational: 'abc'" in err
+
+
+PERIODIC = {"group": LINE, "objects": {"S": {"kind": "periodic_points", "period": "1e99999999",
+                                               "residues": ["0"]}}}
+
+
+@pytest.mark.parametrize(
+    "document, argv, text",
+    [
+        (PERIODIC, ["cover", "--object", "S"], "1e99999999"),
+        (_with_params(), [*WINDOW, "--tol", "1e99999999"], "1e99999999"),
+        (_with_params(tol="0.5"), WINDOW, "0.5"),
+        (_with_params(), [*WINDOW, "--r0", "1e3"], "1e3"),
+    ],
+    ids=["period-exponent", "tol-exponent", "tol-decimal", "r0-exponent"],
+)
+def test_only_integers_and_p_over_q_are_rationals(tmp_path, capsys, document, argv, text):
+    # Fraction would expand "1e99999999" into a 100-million-digit int first
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(document))
+    start = time.perf_counter()
+    code, _, err = run(capsys, argv[0], "--instance", str(path), *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert f"parse error: not a rational: '{text}'" in err
 
 
 def test_integer_string_params_stay_accepted(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -51,6 +52,7 @@ from density_lab import (
     zd_shift_sup,
 )
 from density_lab.density import _finite_group_tables, measure_total_finite, oracle_counting_sweep
+from density_lab.windows import measure_layers
 from oracles import subgroup_elements
 
 rng = random.Random(2024)
@@ -546,6 +548,112 @@ def test_translation_witness_not_found_reports_the_least_maximizer(period, resid
     assert got == NotFound(Fraction(1), group.zero())
     scan = zd_shift_sup(nu, group, 0)
     assert (got.scanned_sup, got.argmax) == (scan.value, scan.argmax)
+
+
+def zd_set_window(nu, group: ZLattice, window: ExplicitFinite):
+    """nu evaluated on translates of a finite set: the map x -> nu(window + x),
+    each point of each translate looked up in every layer in Fractions."""
+    layers, _ = measure_layers(nu, group)
+
+    def mass_at(x):
+        x = group.check(x)
+        total = Fraction(0)
+        for w in window.elements:
+            pt = group.add(w, x)
+            for layer in layers:
+                if layer.period is None:
+                    for p, wt in layer.atoms:
+                        if p == pt:
+                            total += wt
+                else:
+                    key = tuple(c % m for c, m in zip(pt, layer.period))
+                    for res, wt in layer.atoms:
+                        if res == key:
+                            total += wt
+        return total
+
+    return mass_at
+
+
+def lattice_witness_candidates(nu, group: ZLattice, W):
+    """The period torus in lexicographic order, the sorted shifts p - w of a
+    finite support, or, for a mixed measure on Z, every integer from one
+    period below the zone where W + x meets the finite atoms to two periods
+    above it."""
+    layers, _ = measure_layers(nu, group)
+    periods = [l.period for l in layers if l.period is not None]
+    points = [p for l in layers if l.period is None for p, _ in l.atoms]
+    if periods and not points:
+        return list(product(*(range(lcm(*ms)) for ms in zip(*periods))))
+    if not periods:
+        if not points:
+            return [group.zero()]
+        return sorted({tuple(a - b for a, b in zip(p, w)) for p in points for w in W.elements})
+    (P,) = (lcm(*ms) for ms in zip(*periods))
+    offsets = [w for (w,) in W.elements] or [0]
+    lo = min(points)[0] - max(offsets) - P
+    hi = max(points)[0] - min(offsets) + P
+    return [(x,) for x in range(lo, hi + P + 1)]
+
+
+def fraction_lattice_witness(nu, group, W, gamma):
+    """translation_witness on Z^d as a Fraction loop over the candidates."""
+    threshold = gamma * len(W.elements)
+    mass_at = zd_set_window(nu, group, W)
+    scan = None  # (sup, its first shift in candidate order)
+    for x in lattice_witness_candidates(nu, group, W):
+        mass = mass_at(x)
+        if mass >= threshold:
+            return x
+        if scan is None or mass > scan[0]:
+            scan = (mass, x)
+    return NotFound(*(scan or (Fraction(0), group.zero())))
+
+
+@st.composite
+def lattice_measures(draw):
+    """(d, nu): periodic counting layers, finite weighted atoms or both (the
+    mixed case on Z only), in a sum."""
+    d = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(("periodic", "finite", "mixed")[: 3 if d == 1 else 2]))
+    parts = []
+    if kind != "finite":
+        for _ in range(draw(st.integers(1, 2))):
+            period = tuple(draw(st.integers(1, 5)) for _ in range(d))
+            cells = st.tuples(*(st.integers(0, m - 1) for m in period))
+            residues = draw(st.lists(cells, min_size=1, max_size=3, unique=True))
+            parts.append(Counting(PeriodicDiscrete(period, tuple(residues))))
+    if kind != "periodic":
+        point = st.tuples(*(st.integers(-6, 6) for _ in range(d)))
+        weight = st.builds(Fraction, st.integers(1, 5), st.sampled_from((1, 2, 3)))
+        atoms = draw(st.lists(st.tuples(point, weight), min_size=1, max_size=4))
+        parts.append(WeightedDiracs(tuple(atoms)))
+        if draw(st.booleans()):
+            parts.append(DiracAtZero())
+    return d, parts[0] if len(parts) == 1 else MeasureSum(tuple(parts))
+
+
+@settings(max_examples=50, deadline=None)
+@given(lattice_measures(), st.data())
+def test_lattice_witness_matches_the_fraction_loop(drawn, data):
+    d, nu = drawn
+    group = ZLattice(d)
+    point = st.tuples(*(st.integers(-3, 3) for _ in range(d)))
+    W = ExplicitFinite(tuple(data.draw(st.lists(point, min_size=1, max_size=4, unique=True))))
+    gamma = data.draw(st.builds(Fraction, st.integers(0, 12), st.integers(1, 4)))
+    assert translation_witness(nu, group, W, gamma) == fraction_lattice_witness(nu, group, W, gamma)
+
+
+def test_lattice_witness_sees_the_atoms_of_a_mixed_measure():
+    # the atom at 100 lies outside the period torus [0, 10); nu({100}) = 6
+    nu = MeasureSum((Counting(PeriodicDiscrete.line(10, [0])), WeightedDiracs((((100,), 5),))))
+    assert translation_witness(nu, Z, ExplicitFinite(((0,),)), 3) == (100,)
+    assert zd_shift_sup(nu, Z, 0).value == 6
+    missing = translation_witness(nu, Z, ExplicitFinite(((0,),)), 7)
+    assert missing == NotFound(Fraction(6), (100,))
+    plane = MeasureSum((Counting(PeriodicDiscrete((2, 2), ((0, 0),))), DiracAtZero()))
+    with pytest.raises(PreconditionError, match="need d = 1"):
+        translation_witness(plane, ZLattice(2), ExplicitFinite(((0, 0),)), 1)
 
 
 def test_translation_witness_caps_the_torus_before_building_it():

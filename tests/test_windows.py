@@ -1,13 +1,15 @@
 """The shift-supremum engine against brute-force materialized oracles."""
 
 import random
+import time
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product
 from math import ceil, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from density_lab import (
     CapExceededError,
@@ -40,6 +42,8 @@ from density_lab.windows import (
     ShiftScan,
     _base_positions,
     _layer_mass,
+    _line_values,
+    _scaled_scan,
     _torus_cube_masses,
     _zd_mass_at,
     measure_layers,
@@ -50,8 +54,10 @@ rng = random.Random(5)
 R = RealLine()
 
 
-def brute_count_in(points, window):
-    return sum(1 for p in points if window.contains(p))
+def count_in(points, window):
+    """How many of the sorted points lie in the window: one bisect pair per
+    interval (the intervals of a window are disjoint)."""
+    return sum(bisect_right(points, b) - bisect_left(points, a) for a, b in window.intervals)
 
 
 def test_periodic_counting_sup_golden():
@@ -75,7 +81,7 @@ def test_sup_attained_and_unbeaten_by_random_probes():
         pts = PeriodicPoints(period, tuple(residues)).materialize(-60, 60)
         for _ in range(60):
             x = Fraction(rng.randrange(-200, 200), rng.randrange(1, 16))
-            probe = brute_count_in(pts, w.translate(x))
+            probe = count_in(pts, w.translate(x))
             assert probe <= scan.value
 
 
@@ -114,7 +120,7 @@ def test_mixed_perturbed_lattice_sup():
     best = 0
     for p in pts:
         for e in (p + 10, p - 10):
-            best = max(best, brute_count_in(pts, w.translate(e)))
+            best = max(best, count_in(pts, w.translate(e)))
     assert scan.value == best
     assert real_mass(nu, w.translate(scan.argmax)) == scan.value
 
@@ -240,7 +246,7 @@ def test_sum_of_different_periods_sup():
     pat = PeriodicPattern.from_pairs(3, [(0, 1)])
     for k in range(-96, 96):
         x = Fraction(k, 8)
-        probe = brute_count_in(pts, w.translate(x)) + pat.mass_on(x, x + 4)
+        probe = count_in(pts, w.translate(x)) + pat.mass_on(x, x + 4)
         assert probe <= scan.value
 
 
@@ -266,7 +272,7 @@ def test_perturbed_lattice_with_removals_sup_oracle():
         pts = list(s.materialize(-60, 60))
         for _ in range(80):
             x = Fraction(rng.randrange(-160, 160), rng.randrange(1, 8))
-            assert brute_count_in(pts, w.translate(x)) <= scan.value
+            assert count_in(pts, w.translate(x)) <= scan.value
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +405,8 @@ def test_integer_scan_matches_fraction_scan(components, window, step):
     for x, v in values:
         if v > best:
             best_x, best = x, v
+    D, Dw, cands, ints = _line_values(measure_layers(nu, R)[0], window)
+    assert [(Fraction(x, D), Fraction(v, D * Dw)) for x, v in zip(cands, ints)] == values
     scan = real_shift_sup(nu, window)
     assert (scan.value, scan.argmax, scan.candidates) == (best, best_x, len(values))
     # step 0 asks for a hair more than the attained sup, so no candidate reaches it
@@ -406,6 +414,101 @@ def test_integer_scan_matches_fraction_scan(components, window, step):
     found, witness_scan = real_threshold_witness(nu, window, threshold)
     assert found == next((x for x, v in values if v >= threshold), None)
     assert witness_scan == scan
+
+
+# ---------------------------------------------------------------------------
+# the event sweep against the per-candidate integer loop it replaced
+
+
+def per_candidate_values(layers, window):
+    """x -> nu(x + window) at every scaled candidate, each evaluated afresh by
+    the mass closures of every layer and window piece."""
+    _, _, pieces, int_layers, cands = _scaled_scan(layers, window)
+    return [sum(l.mass(a + x, b + x) for a, b in pieces for l in int_layers) for x in cands]
+
+
+LINE_FAMILIES = (
+    "periodic", "perturbed", "pattern",
+    "periodic+dirac", "perturbed+dirac", "pattern+dirac", "periodic+pattern",
+)
+
+
+@st.composite
+def line_family(draw):
+    """A small member of one of the benchmark's seven line families: periodic
+    points on 1/120, a lattice perturbed on 1/5, a periodic pattern cut on
+    1/120, and their sums with each other or with the Dirac mass at 0."""
+    family = draw(st.sampled_from(LINE_FAMILIES))
+    period = draw(st.integers(1, 3))
+    parts = []
+    if family.startswith("periodic"):
+        ks = draw(st.lists(st.integers(0, 120 * period - 1), min_size=1, max_size=12, unique=True))
+        parts.append(Counting(PeriodicPoints(period, tuple(Fraction(k, 120) for k in ks))))
+    if family.startswith("perturbed"):
+        ks = draw(st.lists(st.integers(0, 60).filter(lambda k: k % 5), max_size=10, unique=True))
+        removed = draw(st.lists(st.integers(0, 12), max_size=3, unique=True))
+        extra = tuple(Fraction(k, 5) for k in ks)
+        parts.append(Counting(PerturbedLattice(1, extra, tuple(map(Fraction, removed)))))
+    if "pattern" in family:
+        cuts = draw(st.lists(st.integers(1, 120 * period - 1), min_size=2, max_size=10, unique=True))
+        cuts.sort()
+        pairs = [(Fraction(a, 120), Fraction(b, 120)) for a, b in zip(cuts[::2], cuts[1::2])]
+        parts.append(HaarTrace(PeriodicPattern.from_pairs(period, pairs)))
+    if family.endswith("dirac"):
+        parts.append(DiracAtZero())
+    return parts[0] if len(parts) == 1 else MeasureSum(tuple(parts))
+
+
+@st.composite
+def workload_windows(draw):
+    """The benchmark's window kinds at its radii: [-r, r], [0, r] and the
+    split r * ([0, 1/2] u [3/4, 5/4])."""
+    r = Fraction(draw(st.sampled_from((4, 10, 25))))
+    return draw(st.sampled_from((
+        IntervalUnion.closed(-r, r),
+        IntervalUnion.closed(0, r),
+        IntervalUnion(((0, r / 2), (3 * r / 4, 5 * r / 4))),
+    )))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.lists(line_component(), min_size=1, max_size=3).map(
+            lambda cs: cs[0] if len(cs) == 1 else MeasureSum(tuple(cs))
+        ),
+        line_family(),
+    ),
+    st.one_of(custom_windows(), workload_windows()),
+)
+# a finite atom plus a periodic trace: the trace steps in the gap between the
+# perturbation zone and the far period must not be interpolated over
+@example(
+    MeasureSum((
+        Counting(FinitePoints((Fraction(2),))),
+        HaarTrace(PeriodicPattern.from_pairs(1, [(0, Fraction(1, 8))])),
+    )),
+    IntervalUnion.closed(0, Fraction(1, 2)),
+)
+# a trace step at the first candidate is in the seed slope and must not be
+# counted again
+@example(HaarTrace(IntervalUnion.closed(0, Fraction(1, 2))), IntervalUnion.closed(0, Fraction(1, 2)))
+def test_sweep_matches_per_candidate_loop_at_every_candidate(nu, window):
+    layers, _ = measure_layers(nu, R)
+    assert _line_values(layers, window)[3] == per_candidate_values(layers, window)
+
+
+def test_sweep_starts_a_new_run_after_a_long_gap():
+    # the candidate 0 lies 10^7 periods below the perturbation zone: walking
+    # the lattice replicas in between would take millions of bisects
+    nu = Counting(PerturbedLattice(1, extra=(Fraction(2 * 10**7 + 1, 2),)))
+    layers, _ = measure_layers(nu, R)
+    window = IntervalUnion(((0, Fraction(1, 3)), (1, 2)))
+    start = time.perf_counter()
+    _, _, cands, values = _line_values(layers, window)
+    assert time.perf_counter() - start < 0.5
+    assert cands[1] - cands[0] > 10**7
+    assert values == per_candidate_values(layers, window)
 
 
 # ---------------------------------------------------------------------------

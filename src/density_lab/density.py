@@ -294,7 +294,7 @@ def _point_masses(nu, group: FiniteAbelian):
 
 def kahane_oracle_finite(nu, group: FiniteAbelian, cap: int = DEFAULT_CAPS.oracle_order):
     """Exact inf over nonempty C of sup over nonempty V of nu(V)/#(C+V), by
-    branch-and-bound.
+    branch-and-bound over one C per translation class (see _inf_sup).
 
     Returns (value, witness C, witness V): C is the first minimizer and V its
     least maximizer in mask order, the pair a full enumeration of every
@@ -309,74 +309,59 @@ def kahane_oracle_finite(nu, group: FiniteAbelian, cap: int = DEFAULT_CAPS.oracl
     nu_of = [0]
     for w in weights:
         nu_of += [x + w for x in nu_of]
-    num, den, C, V = _inf_sup(nu_of, translate, [None] * len(nu_of))
+    num, den, C, V = _inf_sup(nu_of, translate)
     value = Fraction(num, D * den)
     witness_c = ExplicitFinite(tuple(elems[i] for i in _bits(C)))
     witness_v = ExplicitFinite(tuple(elems[i] for i in _bits(V)))
     return value, witness_c, witness_v
 
 
-def _inf_sup(nu_of, translate, rows):
+def _inf_sup(nu_of, translate):
     """(num, den, C, V) with num/den the inf over nonempty masks C of the sup
     over nonempty masks V of nu_of[V]/#(C+V), C the first minimizer and V its
-    least maximizer in mask order. nu_of is nonnegative; rows caches the card
-    row of each C that is scanned in full, and may be shared between calls on
-    one group.
+    least maximizer in mask order. nu_of is nonnegative.
 
-    The pruning is exact. V = G gives every C the ratio nu(G)/|G|, so every
-    sup is at least that, and the loop ends once best reaches it. best is
-    replaced only by a strictly smaller sup, so a C is dropped at the first V
-    with nu(V)/#(C+V) >= best. V are probed in decreasing nu(V), and probing
-    ends at nu(V) < best, since #(C+V) >= 1. A C that is not dropped has a
-    sup below best and gets the full scan in mask order.
+    The search is exact. #((C+g)+V) = #(C+V), so the translates of C share
+    its sup and the first minimizer is the least mask of its translation
+    class: only that leader is scanned, and it marks its class seen. V = G
+    gives every C the ratio nu(G)/|G|, so every sup is at least that, and the
+    loop ends once best reaches it. Each leader gets one pass over V in
+    decreasing nu(V). best is replaced only by a strictly smaller sup, so C
+    is dropped at the first V with nu(V)/#(C+V) >= best, and the pass ends at
+    nu(V) < sup, since #(C+V) >= 1; of two V with equal ratios it keeps the
+    smaller mask. A C that is not dropped replaces best.
     """
     size = len(nu_of)
     floor_num, floor_den = nu_of[size - 1], (size - 1).bit_count()
-    probes = sorted(range(1, size), key=nu_of.__getitem__, reverse=True)
-    best = None
+    by_nu = sorted(range(1, size), key=nu_of.__getitem__, reverse=True)
+    seen = bytearray(size)
+    best_num, best_den, best_C, best_V = 1, 0, 0, 0  # 1/0 is above every sup
     for C in range(1, size):
-        if best is not None:
-            best_num, best_den = best[0], best[1]
-            if best_num * floor_den <= floor_num * best_den:
-                break
-            shifts = [translate[i] for i in _bits(C)]
-            dropped = False
-            for V in probes:
-                num = nu_of[V]
-                if num * best_den < best_num:
-                    break
-                u = 0
-                for t in shifts:
-                    u |= t[V]
-                if num * best_den >= best_num * u.bit_count():
-                    dropped = True
-                    break
-            if dropped:
-                continue
-        cards = rows[C]
-        if cards is None:
-            cards = rows[C] = _cv_cards(C, translate)
-        sup = None
-        for V in range(1, size):
+        if seen[C]:
+            continue
+        if best_num * floor_den <= floor_num * best_den:
+            break
+        for t in translate:
+            seen[t[C]] = 1
+        shifts = [translate[i] for i in _bits(C)]
+        sup_num, sup_den, sup_V = -1, 1, 0  # below every ratio
+        for V in by_nu:
             num = nu_of[V]
-            den = cards[V]
-            if sup is None or num * sup[1] > sup[0] * den:
-                sup = (num, den, V)
-        if best is None or sup[0] * best[1] < best[0] * sup[1]:
-            best = (sup[0], sup[1], C, sup[2])
-    return best
-
-
-def _cv_cards(C, translate):
-    """#(C+V) for every mask V."""
-    shifts = [translate[i] for i in _bits(C)]
-    cards = [0] * len(translate[0])
-    for V in range(1, len(cards)):
-        u = 0
-        for t in shifts:
-            u |= t[V]
-        cards[V] = u.bit_count()
-    return cards
+            if num * sup_den < sup_num:
+                break
+            u = 0
+            for t in shifts:
+                u |= t[V]
+            den = u.bit_count()
+            if num * best_den >= best_num * den:
+                sup_V = 0  # C is dropped
+                break
+            lhs, rhs = num * sup_den, sup_num * den
+            if lhs > rhs or (lhs == rhs and V < sup_V):
+                sup_num, sup_den, sup_V = num, den, V
+        if sup_V:
+            best_num, best_den, best_C, best_V = sup_num, sup_den, C, sup_V
+    return best_num, best_den, best_C, best_V
 
 
 def _bits(mask):
@@ -391,10 +376,9 @@ def oracle_counting_sweep(group: FiniteAbelian):
     n = group.order
     _, translate = _finite_group_tables(group)
     size = 1 << n
-    rows = [None] * size
     mismatches = []
     for A in range(size):
-        num, den, _, _ = _inf_sup([(A & V).bit_count() for V in range(size)], translate, rows)
+        num, den, _, _ = _inf_sup([(A & V).bit_count() for V in range(size)], translate)
         got = Fraction(num, den)
         expect = Fraction(A.bit_count(), n)
         if got != expect:

@@ -460,9 +460,12 @@ def difference_set(s, group: GroupSpec, window=None):
         return PeriodicPoints(s.period, difference_residues_mod(s.residues, s.period))
     if isinstance(s, FinitePoints):
         acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
-        D, xs = common_scale(s.points)
-        diffs = sorted({x - y for x in xs for y in xs})
-        return FinitePoints._canonical(tuple(Fraction(d, D) for d in diffs), acc)
+        if not s.points:  # an accumulation marker alone
+            return FinitePoints._canonical((), acc)
+        D, xs = common_scale(s.points)  # sorted, as the points are
+        pos = [Fraction(d, D) for d in sorted({x - y for i, x in enumerate(xs) for y in xs[:i]})]
+        # 0 and the negatives mirror the positives; negation skips the gcd
+        return FinitePoints._canonical((*(-d for d in reversed(pos)), Fraction(0), *pos), acc)
     if isinstance(s, PerturbedLattice):
         if window is None:
             raise PreconditionError(

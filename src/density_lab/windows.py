@@ -641,10 +641,11 @@ def zd_threshold_witness(nu, group: ZLattice, window: ExplicitFinite, threshold:
 
     The candidates are the period torus in row-major order when every layer
     is periodic, the shifts p - w of the atoms by the window points in
-    lexicographic order when none is, and otherwise, on Z only, the
-    perturbation zone plus one clean period, as in zd_shift_sup. Every value
-    is an int in units of 1/Dw: the periodic layers read one torus weight
-    table, the finite atoms one dict."""
+    lexicographic order when none is (the origin alone when there are no
+    such shifts), and otherwise, on Z only, the perturbation zone plus one
+    clean period, as in zd_shift_sup. Every value is an int in units of 1/Dw:
+    the periodic layers read one torus weight table, the finite atoms one
+    dict."""
     layers, _ = measure_layers(nu, group)
     ws = [group.check(w) for w in window.elements]
     periodic = [l for l in layers if l.period is not None]
@@ -666,7 +667,7 @@ def zd_threshold_witness(nu, group: ZLattice, window: ExplicitFinite, threshold:
         cands = torus.elements()
     elif not periodic:
         shifts = {tuple(a - b for a, b in zip(p, w)) for p in atoms for w in ws}
-        cands = sorted(shifts) if atoms else [group.zero()]
+        cands = sorted(shifts) if shifts else [group.zero()]
         values = [
             sum(atoms.get(tuple(a + b for a, b in zip(x, w)), 0) for w in ws) for x in cands
         ]
@@ -684,8 +685,6 @@ def zd_threshold_witness(nu, group: ZLattice, window: ExplicitFinite, threshold:
         values = [
             sum(grid[(x + w) % P] + atoms.get((x + w,), 0) for w in offsets) for (x,) in cands
         ]
-    if not values:
-        return None, ShiftScan(Fraction(0), group.zero(), 0)
     best = max(values)
     scan = ShiftScan(Fraction(best, Dw), cands[values.index(best)], len(cands))
     limit = ceil(threshold * Dw)

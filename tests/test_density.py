@@ -51,7 +51,12 @@ from density_lab import (
     window_profile_schedule,
     zd_shift_sup,
 )
-from density_lab.density import _finite_group_tables, measure_total_finite, oracle_counting_sweep
+from density_lab.density import (
+    _finite_group_tables,
+    _inf_sup,
+    measure_total_finite,
+    oracle_counting_sweep,
+)
 from density_lab.windows import measure_layers
 from oracles import subgroup_elements
 
@@ -372,6 +377,23 @@ def full_enumeration_oracle(weights, group):
 weights_st = st.builds(Fraction, st.integers(1, 7), st.integers(1, 4))
 
 
+@pytest.mark.parametrize(
+    "moduli",
+    [g.moduli for g in all_finite_abelian_up_to(5)],
+    ids=lambda m: "x".join(f"Z{k}" for k in m) or "Z1",
+)
+def test_inf_sup_matches_full_enumeration_on_every_subset(moduli):
+    # the counting measure of every subset A: value, first minimizer C and
+    # least maximizer V as the full enumeration scores them
+    G = FiniteAbelian(moduli)
+    _, translate = _finite_group_tables(G)
+    size = 1 << G.order
+    for A in range(size):
+        weights = [A >> i & 1 for i in range(G.order)]
+        nu_of = [(A & V).bit_count() for V in range(size)]
+        assert _inf_sup(nu_of, translate) == full_enumeration_oracle(weights, G), A
+
+
 @pytest.mark.parametrize("kind", ["diracs", "diracs+counting", "uniform", "atom"])
 @pytest.mark.parametrize(
     "moduli",
@@ -586,9 +608,8 @@ def lattice_witness_candidates(nu, group: ZLattice, W):
     if periods and not points:
         return list(product(*(range(lcm(*ms)) for ms in zip(*periods))))
     if not periods:
-        if not points:
-            return [group.zero()]
-        return sorted({tuple(a - b for a, b in zip(p, w)) for p in points for w in W.elements})
+        shifts = {tuple(a - b for a, b in zip(p, w)) for p in points for w in W.elements}
+        return sorted(shifts) or [group.zero()]
     (P,) = (lcm(*ms) for ms in zip(*periods))
     offsets = [w for (w,) in W.elements] or [0]
     lo = min(points)[0] - max(offsets) - P
@@ -639,9 +660,17 @@ def test_lattice_witness_matches_the_fraction_loop(drawn, data):
     d, nu = drawn
     group = ZLattice(d)
     point = st.tuples(*(st.integers(-3, 3) for _ in range(d)))
-    W = ExplicitFinite(tuple(data.draw(st.lists(point, min_size=1, max_size=4, unique=True))))
+    W = ExplicitFinite(tuple(data.draw(st.lists(point, max_size=4, unique=True))))
     gamma = data.draw(st.builds(Fraction, st.integers(0, 12), st.integers(1, 4)))
     assert translation_witness(nu, group, W, gamma) == fraction_lattice_witness(nu, group, W, gamma)
+
+
+def test_lattice_witness_of_the_empty_window_is_the_origin():
+    # nu(empty + x) = 0 meets the threshold 0 at every shift; the least
+    # candidate is the origin, for a finite measure as for a periodic one
+    empty = ExplicitFinite(())
+    assert translation_witness(Counting(ExplicitFinite(((3,),))), Z, empty, 1) == (0,)
+    assert translation_witness(Counting(PeriodicDiscrete.line(3, [0])), Z, empty, 1) == (0,)
 
 
 def test_lattice_witness_sees_the_atoms_of_a_mixed_measure():

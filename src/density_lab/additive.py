@@ -9,7 +9,7 @@ from typing import Optional
 
 from .config import DEFAULT_CAPS
 from .errors import PreconditionError, VerificationError
-from .groups import FiniteAbelian, GroupSpec, RealLine, ZLattice
+from .groups import FiniteAbelian, GroupSpec, RealLine, ZLattice, bits, mask_of
 from .intervals import IntervalUnion, PeriodicPattern
 from .sets import (
     ExplicitFinite,
@@ -103,19 +103,22 @@ def syndetic_check(S, K, group: GroupSpec) -> SyndeticCertificate:
             )
         quotient, s_indices, lift = found
         translates = [group.check(k) for k in K.elements]
-        in_s = bytearray(quotient.order)
-        for i in s_indices:
-            in_s[i] = 1
+        s_mask = mask_of(s_indices)
+        full = (1 << quotient.order) - 1
         # first[g]: position in K of the first k with g - k in S, as a per-cell scan finds it
         first = [None] * quotient.order
+        covered = 0
         for j, k in enumerate(translates):
-            minus_k = quotient.translate(tuple(-c for c in k))
-            first = [j if f is None and in_s[t] else f for f, t in zip(first, minus_k)]
-            if None not in first:
+            new = quotient.shift(s_mask, k) & ~covered
+            for i in bits(new):
+                first[i] = j
+            covered |= new
+            if covered == full:
                 break
+        if covered != full:
+            least = (~covered & (covered + 1)).bit_length() - 1
+            return SyndeticCertificate(K, False, lift(quotient.element(least)))
         cells = quotient.elements()
-        if None in first:
-            return SyndeticCertificate(K, False, lift(cells[first.index(None)]))
         return SyndeticCertificate(K, True, {lift(g): K.elements[j] for g, j in zip(cells, first)})
     if isinstance(group, RealLine):
         if isinstance(S, (PeriodicPoints, PeriodicPattern)):
@@ -196,8 +199,5 @@ def _cover_instance(S, group):
         )
     quotient, s_indices, lift = found
     cells = quotient.elements()
-    covers = [0] * len(cells)
-    for i in s_indices:
-        for k, j in enumerate(quotient.translate(cells[i])):  # j = index of s + k
-            covers[k] |= 1 << j
-    return cells, covers, lift
+    s_mask = mask_of(s_indices)
+    return cells, [quotient.shift(s_mask, k) for k in cells], lift

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .config import DEFAULT_CAPS, DEFAULT_ESTIMATION, EstimationParams, check_enumeration
 from .errors import CapExceededError, PreconditionError, VerificationError
-from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
+from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice, bits
 from .intervals import IntervalUnion
 from .rational import Infinite, common_scale, is_infinite, rat, rat_str
 from .sets import CylinderSet, ExplicitFinite, PeriodicDiscrete
@@ -311,8 +311,8 @@ def kahane_oracle_finite(nu, group: FiniteAbelian, cap: int = DEFAULT_CAPS.oracl
         nu_of += [x + w for x in nu_of]
     num, den, C, V = _inf_sup(nu_of, translate)
     value = Fraction(num, D * den)
-    witness_c = ExplicitFinite(tuple(elems[i] for i in _bits(C)))
-    witness_v = ExplicitFinite(tuple(elems[i] for i in _bits(V)))
+    witness_c = ExplicitFinite(tuple(elems[i] for i in bits(C)))
+    witness_v = ExplicitFinite(tuple(elems[i] for i in bits(V)))
     return value, witness_c, witness_v
 
 
@@ -343,7 +343,7 @@ def _inf_sup(nu_of, translate):
             break
         for t in translate:
             seen[t[C]] = 1
-        shifts = [translate[i] for i in _bits(C)]
+        shifts = [translate[i] for i in bits(C)]
         sup_num, sup_den, sup_V = -1, 1, 0  # below every ratio
         for V in by_nu:
             num = nu_of[V]
@@ -362,10 +362,6 @@ def _inf_sup(nu_of, translate):
         if sup_V:
             best_num, best_den, best_C, best_V = sup_num, sup_den, C, sup_V
     return best_num, best_den, best_C, best_V
-
-
-def _bits(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def oracle_counting_sweep(group: FiniteAbelian):

@@ -10,14 +10,20 @@ Fractions on the real line. All operations are pure.
 FiniteAbelian is the one index for every finite quotient: a finite group,
 Z^d / PZ^d = FiniteAbelian(P) for a period P (a modulus of 1 is Z_1), and a
 chain subgroup H_n. index(g) is the row-major mixed-radix position of g, the
-order elements() lists (Knuth, TAOCP vol. 2, 4.1); translate(k) maps every
-index to the index of that element plus k, so hot loops run on ints.
+order elements() lists (Knuth, TAOCP vol. 2, 4.1), so hot loops run on ints.
+A subset X is one int, its mask, whose bit i is set iff element(i) lies in X
+(mask_of builds it, bits lists it). shift(mask, k) is the mask of X + k: on
+each axis the cells whose coordinate stays below the modulus move up by
+c * stride bits and the others wrap down, two masked big-int shifts, so a
+translate costs a few operations on order bits per axis. translate(k) is
+the same map as a list of indices, one int per element.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import prod
 from typing import Union
@@ -101,10 +107,18 @@ class FiniteAbelian:
         check_enumeration(self.order, cap=cap)
         return list(itertools.product(*(range(m) for m in self.moduli)))
 
-    @property
+    @cached_property
     def strides(self) -> tuple[int, ...]:
-        """Row-major place values: the product of the moduli after each axis."""
+        """Row-major place values: the product of the moduli after each axis
+        (computed once per group; not a field, so equality is untouched)."""
         return tuple(prod(self.moduli[i + 1 :]) for i in range(len(self.moduli)))
+
+    @cached_property
+    def _repeats(self) -> tuple[int, ...]:
+        """Per axis, the mask of the cells whose coordinates on it and on
+        every later axis are 0: bit t * m * s for each t, with stride s."""
+        full = (1 << self.order) - 1
+        return tuple(full // ((1 << m * s) - 1) for m, s in zip(self.moduli, self.strides))
 
     def index(self, g) -> int:
         """The position of g in elements(); g is validated as by check."""
@@ -114,10 +128,24 @@ class FiniteAbelian:
         """The element at position i of elements(), for 0 <= i < order."""
         return tuple(i // s % m for s, m in zip(self.strides, self.moduli))
 
+    def shift(self, mask: int, k) -> int:
+        """The mask of X + k for the subset X with mask `mask`, for any integer
+        tuple k (reduced mod the moduli). On an axis with modulus m, stride s
+        and c = k_a mod m, lo holds the cells with coordinate < m - c: they
+        move up by c * s bits, and the rest wrap down by (m - c) * s."""
+        k = _as_int_tuple(k, len(self.moduli), "shift")
+        for c, m, s, rep in zip(k, self.moduli, self.strides, self._repeats):
+            c %= m
+            up = (m - c) * s
+            lo = (rep << up) - rep  # rep * (2^up - 1): the first m - c cells of every run
+            mask = (mask & lo) << c * s | (mask & ~lo) >> up
+        return mask
+
     def translate(self, k, at=None) -> list[int]:
         """[index(e + k) for e in elements()], for any integer tuple k (reduced
-        mod the moduli), built one axis at a time without a tuple per element.
-        Given indices at, only [index(element(i) + k) for i in at]."""
+        mod the moduli), built one axis at a time without a tuple per element;
+        shift is the same map on masks. Given indices at, only
+        [index(element(i) + k) for i in at]."""
         k = _as_int_tuple(k, len(self.moduli), "shift")
         if at is not None:
             out = [0] * len(at)
@@ -234,6 +262,26 @@ def _strip(g: tuple[int, ...]) -> tuple[int, ...]:
     while end > 0 and g[end - 1] == 0:
         end -= 1
     return g[:end]
+
+
+def mask_of(indices) -> int:
+    """The int whose set bits are the given indices."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending: one str.find scan of bin(mask), linear
+    in its length, with one Python step per set bit."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 GroupSpec = Union[ZLattice, FiniteAbelian, RealLine, SigmaFiniteChain]

@@ -15,6 +15,7 @@ from density_lab import (
     all_finite_abelian_up_to,
     moduli_factorizations,
 )
+from density_lab.groups import bits, mask_of
 from oracles import subgroup_elements
 
 rng = random.Random(42)
@@ -177,3 +178,64 @@ def test_index_validates_and_modulus_one_is_trivial():
         FiniteAbelian((0,))
     with pytest.raises(CapExceededError):
         FiniteAbelian((2,) * 21).translate((0,) * 21)  # 2^21 > Caps.enumeration
+
+
+def test_strides_are_cached_outside_the_fields():
+    G = FiniteAbelian((3, 1, 4))
+    assert G.strides == (4, 4, 1) and G.strides is G.strides
+    # a group whose strides were computed equals, hashes and prints as a fresh one
+    H = FiniteAbelian((3, 1, 4))
+    assert G == H and hash(G) == hash(H) and repr(G) == repr(H) == "FiniteAbelian(moduli=(3, 1, 4))"
+    assert {G: 1}[H] == 1
+
+
+def _shifted_by_table(G, mask, k):
+    """The mask of X + k through translate's index table."""
+    table = G.translate(k)
+    return mask_of(table[i] for i in bits(mask))
+
+
+def test_shift_matches_translate_on_every_small_group():
+    local = random.Random(14)
+    for G in all_finite_abelian_up_to(12):
+        for k in G.elements():
+            # the element itself, an unreduced and a negative representative
+            for offset in (0, 2, -1):
+                rep = tuple(c + offset * m for c, m in zip(k, G.moduli))
+                mask = local.getrandbits(G.order)
+                assert G.shift(mask, rep) == _shifted_by_table(G, mask, rep)
+        assert G.shift((1 << G.order) - 1, G.zero()) == (1 << G.order) - 1
+
+
+@st.composite
+def masks_and_shifts(draw):
+    """(G, mask, a, b): a presentation of order <= 12 or random moduli (1s
+    included) of order <= 2000, a random mask, and two shifts whose
+    coordinates may be zero, negative or unreduced."""
+    if draw(st.booleans()):
+        G = draw(st.sampled_from(all_finite_abelian_up_to(12)))
+    else:
+        moduli, order = [], 1
+        for _ in range(draw(st.integers(0, 4))):
+            moduli.append(draw(st.integers(1, 2000 // order)))
+            order *= moduli[-1]
+        G = FiniteAbelian(tuple(moduli))
+    mask = draw(st.integers(0, (1 << G.order) - 1))
+    shift = st.tuples(*[st.integers(-3 * m, 3 * m) for m in G.moduli])
+    return G, mask, draw(shift), draw(shift)
+
+
+@settings(max_examples=60, deadline=None)
+@given(masks_and_shifts())
+def test_shift_is_translate_on_masks(drawn):
+    G, mask, a, b = drawn
+    assert G.shift(mask, a) == _shifted_by_table(G, mask, a)
+    assert G.shift(G.shift(mask, a), b) == G.shift(mask, tuple(x + y for x, y in zip(a, b)))
+    assert G.shift(mask, a).bit_count() == mask.bit_count()
+
+
+def test_bits_and_mask_of_are_inverse():
+    assert bits(0) == [] and mask_of([]) == 0
+    assert bits(0b101001) == [0, 3, 5] and mask_of([0, 3, 5]) == 0b101001
+    big = mask_of(range(0, 3000, 7))
+    assert bits(big) == list(range(0, 3000, 7))

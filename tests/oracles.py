@@ -2,22 +2,18 @@
 the library does not need, kept here to check what it computes."""
 
 from fractions import Fraction
-from math import floor
 
 from density_lab import (
-    CoverResult,
     ExplicitFinite,
     FiniteAbelian,
     PeriodicPoints,
     PreconditionError,
     SigmaFiniteChain,
     SyndeticCertificate,
-    VerificationError,
     ZLattice,
 )
 from density_lab.groups import _strip
 from density_lab.sets import difference_residues_mod, discrete_quotient
-from density_lab.structure import _DOMAINS
 
 
 def min_positive_difference(s: PeriodicPoints) -> Fraction:
@@ -66,67 +62,6 @@ def syndetic_check_finite(S, K, group):
         if None in first:
             return SyndeticCertificate(K, False, lift(cells[first.index(None)]))
         return SyndeticCertificate(K, True, {lift(g): K.elements[j] for g, j in zip(cells, first)})
-
-
-def greedy_finite(quotient: FiniteAbelian, a_indices, lift, base_set, group):
-    """structure._greedy_finite on index lists and a first-blocker table."""
-    if not a_indices:
-        raise PreconditionError("zero density: the set is empty")
-    elements = quotient.elements()  # raises CapExceededError before the tables exist
-    order = quotient.order
-    density = Fraction(len(a_indices), order)
-    bound = floor(1 / density)
-    in_diff = bytearray(order)  # A - A
-    for y in a_indices:
-        for x in quotient.translate(quotient.negate(elements[y]), a_indices):
-            in_diff[x] = 1
-    diff = [d for d in range(order) if in_diff[d]]
-    shifts = diff[1:]  # index 0 is the zero element, which is in A - A
-    first_blocker = [0] * order  # 0: no blocker yet (the zero difference never blocks)
-    B: list[int] = []
-    blocked: list = []
-    for i in range(order):
-        blocker = first_blocker[i]
-        if blocker:
-            blocked.append((lift(elements[i]), lift(elements[blocker])))
-            continue
-        B.append(i)
-        for d, j in zip(shifts, quotient.translate(elements[i], shifts)):
-            if not first_blocker[j]:
-                first_blocker[j] = d
-    translates = tuple(lift(elements[b]) for b in B)
-    # re-verify from scratch
-    hit = bytearray(order)
-    in_b = bytearray(order)
-    for b in B:
-        in_b[b] = 1
-        for j in quotient.translate(elements[b], diff):
-            hit[j] = 1
-    cover_ok = all(hit)
-    # b1 - b2 lies in (A-A) minus {0} for some b1 != b2 iff some b2 + d is in B
-    packing_ok = not any(
-        in_b[j] for b in B for j in quotient.translate(elements[b], shifts)
-    )
-    if not cover_ok:
-        raise VerificationError("cover verification failed", counterexample=(base_set, translates))
-    if not packing_ok:
-        raise VerificationError("packing verification failed", counterexample=(base_set, translates))
-    if len(B) > bound:
-        raise VerificationError(
-            f"translate count {len(B)} exceeds the bound {bound}",
-            counterexample=(base_set, translates),
-        )
-    return CoverResult(
-        translates=translates,
-        size_bound=bound,
-        density=density,
-        verified_cover=True,
-        verified_packing=True,
-        blocked=tuple(blocked),
-        search_domain=_DOMAINS.get(type(group)) or f"chain subgroup H_{group.depth}, lexicographic",
-        base_set=base_set,
-        group=group,
-    )
 
 
 def cover_instance(S, group):

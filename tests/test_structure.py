@@ -1,4 +1,5 @@
 import random
+import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import ceil
@@ -135,6 +136,17 @@ def test_greedy_two_dimensional_lattice():
     assert cover.verified_cover and cover.verified_packing
     # A - A = the period lattice itself, so B must hit every residue cell
     assert len(cover.translates) == 6
+
+
+def test_greedy_stays_linear_on_a_large_sparse_quotient():
+    # A = {0, 1} in Z_{2^17}: 2^16 translates and 2^16 blocked cells. Each
+    # accepted b touches only b + (A - A), so this takes about a second; a
+    # greedy that spends O(|G|) per accepted b takes several times the bound.
+    start = time.perf_counter()
+    cover = greedy_translates(PeriodicDiscrete.line(1 << 17, [0, 1]), Z)
+    assert time.perf_counter() - start < 5
+    assert cover.translates == tuple((2 * k,) for k in range(1 << 16))
+    assert cover.blocked[:2] == (((1,), (1,)), ((3,), (1,)))
 
 
 def test_greedy_zero_density_rejected():

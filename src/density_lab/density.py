@@ -614,7 +614,8 @@ def rudin_window(C, epsilon, group: GroupSpec) -> RudinWindow:
     a factor below 1 + epsilon when fattened by the bounded set C.
 
     Always solvable: on the line mu(C+V) <= 2L + diam(C), so any
-    L > diam(C) / (2 epsilon) works; the search doubles then bisects.
+    L > diam(C) / (2 epsilon) works; the search doubles then bisects, and on
+    the line each probe is an int comparison on the gaps of C.
     """
     epsilon = rat(epsilon)
     if epsilon <= 0:
@@ -623,11 +624,18 @@ def rudin_window(C, epsilon, group: GroupSpec) -> RudinWindow:
         if not isinstance(C, IntervalUnion):
             raise PreconditionError("line test sets are interval unions")
 
+        # in ints over the lcm D of the denominators of epsilon and C, the
+        # union C + [-L, L] closes every gap of C up to 2LD, so
+        # D mu(C + V) = span + 2LD - sum of (g - 2LD) over the gaps g > 2LD:
+        # one int comparison per probe
+        D, (e, *ends) = common_scale((epsilon, *C.endpoints()))
+        span = ends[-1] - ends[0] if ends else 0
+        gaps = [a - b for a, b in zip(ends[2::2], ends[1::2])]
+
         def check(L: int):
-            V = IntervalUnion.closed(-L, L)
-            mu_v = Fraction(2 * L)
-            mu_cv = mu_v if C.is_empty else C.minkowski(V).length
-            return mu_cv < (1 + epsilon) * mu_v, mu_v, mu_cv
+            two_l = 2 * L * D
+            cv = span + two_l - sum(g - two_l for g in gaps if g > two_l)
+            return cv * D < (D + e) * two_l, Fraction(2 * L), Fraction(cv, D)
 
         def build(L: int):
             return IntervalUnion.closed(0, L), IntervalUnion.closed(-L, L)

@@ -148,10 +148,7 @@ class FiniteAbelian:
         [index(element(i) + k) for i in at]."""
         k = _as_int_tuple(k, len(self.moduli), "shift")
         if at is not None:
-            out = [0] * len(at)
-            for c, m, s in zip(k, self.moduli, self.strides):
-                out = [o + (i // s + c) % m * s for o, i in zip(out, at)]
-            return out
+            return self._translate_at(k, at)
         check_enumeration(self.order)
         table = [0]
         for c, m in zip(k, self.moduli):
@@ -159,6 +156,15 @@ class FiniteAbelian:
             axis = [*range(c, m), *range(c)]
             table = [t * m + a for t in table for a in axis]
         return table
+
+    def _translate_at(self, k, at) -> list[int]:
+        """[index(element(i) + k) for i in at] by index arithmetic, for a k
+        that is already a sequence of ints, one per axis (no validation: the
+        kernels pass elements and negated elements of this group)."""
+        out = [0] * len(at)
+        for c, m, s in zip(k, self.moduli, self.strides):
+            out = [o + (i // s + c) % m * s for o, i in zip(out, at)]
+        return out
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ re-verification raises VerificationError with a counterexample.
 The discrete greedy runs on the row-major index of the quotient
 (sets.discrete_quotient, FiniteAbelian.index), the lexicographic order of
 elements(), and keeps a first-blocker table: when a candidate b is accepted,
-translate(b, at=shifts) locates every slot b + d with d in (A-A) minus {0},
+_translate_at(b, shifts) locates every slot b + d with d in (A-A) minus {0},
 and each one that holds nothing yet gets d. A candidate c is rejected iff
 some accepted b has c - b in that set; the slot of c was written first by the
 earliest such b, with d = c - b, which is the blocker a scan of B in
@@ -37,20 +37,28 @@ copies of its period, a coloring circle of circumference P = Lp > 2R, and its
 residues are the window centers; a finite or perturbed S is materialized and
 every point is a center. t ~ s iff t - s lies in a lift of Q: a span, or on the
 circle a span translated by P or -P; the lifts are disjoint, since the spans
-are and P > 2R. So every step is a few bisects per point, one pair per lift,
-with no membership test per pair: first-fit takes the colors of the earlier
-points in q - [a, b], the window bound k sums the lengths of the ranges
-s + [a, b] (a lift of a periodic S meets s + Q at most once, since P > 2R),
-and the class-packing re-verification flags a point whose window count
-within its class exceeds 1 (0 is in Q) and only then walks its ranges to
-name the partner. Colors, classes, n and k_bound are those of the all-pairs
-Fraction loop and of real_mass. The points are bucketed by color in one pass,
-and a periodic class is reduced to its minimal period in ints: the largest k
-dividing its size and P whose shift P/k maps it onto itself (P/k must be an
-int, as the class consists of multiples of 1/D). packing_bound_check
-validates per group, then filters the elements of S - S in [-R, R]
+are and P > 2R. First-fit keeps, per lift (a, b) with b > 0, the window of
+earlier points in q - [a, b]; as the points are sorted and the lifts fixed,
+both ends of each window only move right, so the pass is O(N |lifts|) however
+many colors there are. A count per color over all windows and a min-heap of
+the colors whose count is 0 (with lazy deletion) give the least free color:
+a color goes on the heap when its count falls to 0 and when it is first
+taken, since the point that took it is in no window yet. The window bound k
+sums the lengths of the ranges s + [a, b] (a lift of a periodic S meets
+s + Q at most once, since P > 2R), and the class-packing re-verification
+flags a point whose window count within its class exceeds 1 (0 is in Q) and
+only then walks its ranges to name the partner. Colors, classes, n and
+k_bound are those of the all-pairs Fraction loop and of real_mass. The ints
+are bucketed by color in one pass; a periodic class is reduced to its
+minimal period in ints: the largest k dividing its size and P whose shift
+P/k maps it onto itself (P/k must be an int, as the class consists of
+multiples of 1/D). Only a finite or perturbed S keeps its Fraction points,
+as its classes consist of them. packing_bound_check validates
+per group, then tests the elements of S - S in [-R, R]
 (_difference_points_within; a periodic subset of Z as the residues of a
-periodic configuration) by membership in H - H.
+periodic configuration) against the spans of H - H scaled to the same D (on
+Z, its points), one bisect per span, and builds a Fraction only for the
+common difference it reports.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import ceil, floor
 from typing import Optional
 
@@ -154,7 +163,7 @@ def _greedy_finite(quotient: FiniteAbelian, a_indices, lift, base_set, group):
     bound = floor(1 / density)
     in_diff = bytearray(order)  # A - A
     for y in a_indices:
-        for x in quotient.translate(quotient.negate(elements[y]), a_indices):
+        for x in quotient._translate_at([-c for c in elements[y]], a_indices):
             in_diff[x] = 1
     diff = [d for d in range(order) if in_diff[d]]
     shifts = diff[1:]  # index 0 is the zero element, which is in A - A
@@ -167,7 +176,7 @@ def _greedy_finite(quotient: FiniteAbelian, a_indices, lift, base_set, group):
             blocked.append((lift(elements[i]), lift(elements[blocker])))
             continue
         B.append(i)
-        for d, j in zip(shifts, quotient.translate(elements[i], shifts)):
+        for d, j in zip(shifts, quotient._translate_at(elements[i], shifts)):
             if not first_blocker[j]:
                 first_blocker[j] = d
     translates = tuple(lift(elements[b]) for b in B)
@@ -176,12 +185,12 @@ def _greedy_finite(quotient: FiniteAbelian, a_indices, lift, base_set, group):
     in_b = bytearray(order)
     for b in B:
         in_b[b] = 1
-        for j in quotient.translate(elements[b], diff):
+        for j in quotient._translate_at(elements[b], diff):
             hit[j] = 1
     cover_ok = all(hit)
     # b1 - b2 lies in (A-A) minus {0} for some b1 != b2 iff some b2 + d is in B
     packing_ok = not any(
-        in_b[j] for b in B for j in quotient.translate(elements[b], shifts)
+        in_b[j] for b in B for j in quotient._translate_at(elements[b], shifts)
     )
     if not cover_ok:
         raise VerificationError("cover verification failed", counterexample=(base_set, translates))
@@ -272,22 +281,27 @@ class PackingCheck:
     checked_radius: Fraction
 
 
-def _difference_points_within(S, radius: Fraction) -> list[Fraction]:
-    """All elements of S - S in [-radius, radius], sorted and exact: the lifts
-    of the residue differences of a periodic S are taken as ints over one
-    common denominator D and mapped back to Fractions d / D once."""
+def _difference_points_within(S, radius: Fraction, spans) -> tuple[int, list[int], list]:
+    """(D, ds, int_spans): the elements of S - S in [-radius, radius] as sorted
+    ints over D, and the rational pairs `spans` as int pairs over the same D,
+    the lcm of all their denominators. The lifts of the residue differences
+    of a periodic S are taken in ints directly."""
+    m = 2 * len(spans)
+    ends = [x for span in spans for x in span]
     if isinstance(S, PerturbedLattice):
         wd = difference_set(S, RealLine(), window=(-radius, radius))
-        return list(wd.points.points)
+        D, ints = common_scale((*ends, *wd.points.points))
+        return D, ints[m:], list(zip(ints[:m:2], ints[1:m:2]))
     if not isinstance(S, PeriodicPoints):
         raise PreconditionError(f"unsupported configuration: {type(S).__name__}")
-    D, (R, P, *res) = common_scale((radius, S.period, *S.residues))
+    D, (R, P, *ints) = common_scale((radius, S.period, *ends, *S.residues))
+    res = ints[m:]
     out = set()
     for a in res:
         for b in res:
             base = a - b  # its lifts base + kP in [-R, R]
             out.update(range(base - (base + R) // P * P, R + 1, P))
-    return [Fraction(d, D) for d in sorted(out)]
+    return D, sorted(out), list(zip(ints[:m:2], ints[1:m:2]))
 
 
 def packing_bound_check(S, H, group: GroupSpec = RealLine()) -> PackingCheck:
@@ -310,7 +324,7 @@ def packing_bound_check(S, H, group: GroupSpec = RealLine()) -> PackingCheck:
         if Q.is_empty:
             raise PreconditionError("H is empty")
         radius = max(abs(Q.inf), abs(Q.sup))
-        config, in_q, mu_h = S, Q.contains, H.length
+        config, spans, mu_h = S, Q.intervals, H.length
     elif isinstance(group, ZLattice) and group.dimension == 1:
         if not isinstance(H, ExplicitFinite):
             raise PreconditionError("H must be a finite set on Z")
@@ -320,19 +334,23 @@ def packing_bound_check(S, H, group: GroupSpec = RealLine()) -> PackingCheck:
         pts = [e[0] for e in H.elements]
         if not pts:
             raise PreconditionError("H is empty")
-        q_diffs = {a - b for a in pts for b in pts}
-        radius = Fraction(max(q_diffs))  # H - H is symmetric
+        q_diffs = sorted({a - b for a in pts for b in pts})
+        radius = Fraction(q_diffs[-1])  # H - H is symmetric
         if not isinstance(S, PeriodicDiscrete):
             raise PreconditionError("Z packing checks need a periodic subset")
         config = PeriodicPoints(S.period[0], S.line_residues())
-        in_q, mu_h = q_diffs.__contains__, Fraction(len(pts))
+        spans, mu_h = [(d, d) for d in q_diffs], Fraction(len(pts))
     else:
         raise PreconditionError("packing checks run on R or Z")
-    violations = [d for d in _difference_points_within(config, radius) if d > 0 and in_q(d)]
-    if violations:
-        raise PreconditionError(
-            f"packing condition fails: common difference {rat_str(violations[0])}"
-        )
+    # the least positive common difference: per span in ascending order, the
+    # least positive d of S - S in it
+    D, ds, int_spans = _difference_points_within(config, radius, spans)
+    for a, b in int_spans:
+        i = bisect_left(ds, max(a, 1))
+        if i < len(ds) and ds[i] <= b:
+            raise PreconditionError(
+                f"packing condition fails: common difference {rat_str(Fraction(ds[i], D))}"
+            )
     bound = 1 / rho
     if mu_h > bound:
         raise VerificationError("packing bound violated", counterexample=(S, H, mu_h, bound))
@@ -423,16 +441,15 @@ def partition_by_coloring(
     if Q.is_empty:
         raise PreconditionError("H is empty")
     radius = max(abs(Q.inf), abs(Q.sup))  # Q lies in [-radius, radius]
-    D, points, ints, lifts, P, centers = _configuration(S, Q, radius, materialize_range)
+    D, ints, lifts, P, centers, points = _configuration(S, Q, radius, materialize_range)
     colors = _first_fit(ints, lifts)
     n = max(colors, default=-1) + 1
     # one color in range(n) per point, or zip would drop points and a negative
     # color would land in the last class
-    if len(colors) != len(points) or min(colors, default=0) < 0:
+    if len(colors) != len(ints) or min(colors, default=0) < 0:
         raise VerificationError("partition does not reproduce S", counterexample=S)
-    members, int_members = [[] for _ in range(n)], [[] for _ in range(n)]
-    for q, x, c in zip(points, ints, colors):
-        members[c].append(q)
+    int_members = [[] for _ in range(n)]
+    for x, c in zip(ints, colors):
         int_members[c].append(x)
     k_bound = Fraction(max((_window_count(ints, s, lifts) for s in ints[:centers]), default=0))
     _verify_class_packing(int_members, D, lifts)
@@ -441,6 +458,9 @@ def partition_by_coloring(
             f"class count {n} exceeds the window bound {k_bound}", counterexample=(S, H)
         )
     if P is None:
+        members = [[] for _ in range(n)]
+        for q, c in zip(points, colors):
+            members[c].append(q)
         classes = tuple(FinitePoints._canonical(tuple(cl)) for cl in members)
         densities, period = tuple(Fraction(0) for _ in members), None
     else:
@@ -454,14 +474,16 @@ def partition_by_coloring(
 
 
 def _configuration(S, Q: IntervalUnion, radius: Fraction, materialize_range):
-    """(D, points, ints, lifts, P, centers): the sorted points to color, as
-    Fractions and as ints over D (the lcm of the denominators of the points,
-    Q's endpoints and the radius), and the lifts of Q as int pairs (a, b): t ~ s
-    iff t - s lies in one. A periodic S is lifted onto L = floor(2R / p) + 1
-    copies of its period p (R = radius * D), the int circle P = L * p > 2R, the
-    lifts are Q's intervals translated by 0, P and -P, and its residues are the
-    first `centers` points; a finite or perturbed S is materialized, P = None,
-    the lifts are Q's intervals, all centers."""
+    """(D, ints, lifts, P, centers, points): the sorted points to color as ints
+    over D (the lcm of the denominators of the points, Q's endpoints and the
+    radius), and the lifts of Q as int pairs (a, b): t ~ s iff t - s lies in
+    one. A periodic S is lifted onto L = floor(2R / p) + 1 copies of its
+    period p (R = radius * D), the int circle P = L * p > 2R, the lifts are
+    Q's intervals translated by 0, P and -P, its residues are the first
+    `centers` points, and points = None: its classes are built from the ints.
+    A finite or perturbed S is materialized, P = None, the lifts are Q's
+    intervals, all centers, and points are its Fractions, which its classes
+    consist of."""
     periodic = isinstance(S, PeriodicPoints)
     if periodic:
         if not S.residues:
@@ -474,29 +496,52 @@ def _configuration(S, Q: IntervalUnion, radius: Fraction, materialize_range):
     spans = list(zip(ints[:m:2], ints[1:m:2]))
     R, xs = ints[m], ints[m + len(head) :]
     if not periodic:
-        return D, base, xs, spans, None, len(xs)
+        return D, xs, spans, None, len(xs), base
     period = ints[m + 1]
     P = (2 * R // period + 1) * period
     # the residues lie in [0, period), so the lift is sorted copy by copy
     ints = [r + j for j in range(0, P, period) for r in xs]
     lifts = [(a + off, b + off) for off in (0, P, -P) for a, b in spans]
-    return D, [Fraction(x, D) for x in ints], ints, lifts, P, len(S.residues)
+    return D, ints, lifts, P, len(S.residues), None
 
 
 def _first_fit(points: list[int], lifts: list) -> list[int]:
     """First-fit colors of sorted distinct ints: an earlier t conflicts with q
-    iff t lies in q - [a, b] for a lift (a, b) with b > 0 (as t < q), so each
-    such lift takes the colors of one bisect pair bounded by the index i of q."""
+    iff t lies in q - [a, b] for a lift (a, b) with b > 0 (as t < q). Each
+    such lift slides a window [lo, hi) of indices over the points; count[c]
+    is the number of points of color c in the windows, and the min-heap
+    `free` holds every color c < len(count) with count[c] == 0 (stale
+    entries are dropped at the top), so the least free color is its top, or
+    else the next new color."""
     positive = [(a, b) for a, b in lifts if b > 0]
-    colors = [0] * len(points)
+    los, his = [0] * len(positive), [0] * len(positive)
+    colors: list[int] = []
+    count: list[int] = []
+    free: list[int] = []
     for i, q in enumerate(points):
-        taken = set()
-        for a, b in positive:
-            taken.update(colors[bisect_left(points, q - b, 0, i) : bisect_right(points, q - a, 0, i)])
-        c = 0
-        while c in taken:
-            c += 1
-        colors[i] = c
+        for w, (a, b) in enumerate(positive):
+            hi, end = his[w], q - a
+            while hi < i and points[hi] <= end:
+                count[colors[hi]] += 1
+                hi += 1
+            his[w] = hi
+            # lo stops at hi at the latest: points[hi] > q - a >= q - b, or hi = i
+            lo, start = los[w], q - b
+            while points[lo] < start:
+                c = colors[lo]
+                count[c] -= 1
+                if not count[c]:
+                    heappush(free, c)
+                lo += 1
+            los[w] = lo
+        while free and count[free[0]]:
+            heappop(free)
+        if free:
+            colors.append(free[0])
+        else:  # a new color, free until its point enters a window
+            heappush(free, len(count))
+            colors.append(len(count))
+            count.append(0)
     return colors
 
 

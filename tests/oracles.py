@@ -1,6 +1,7 @@
 """Test oracles shared by several test modules: small exact formulas that
 the library does not need, kept here to check what it computes."""
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from density_lab import (
@@ -79,3 +80,26 @@ def cover_instance(S, group):
         for k, j in enumerate(quotient.translate(cells[i])):  # j = index of s + k
             covers[k] |= 1 << j
     return cells, covers, lift
+
+
+# ---------------------------------------------------------------------------
+# the range-slice first-fit before sliding windows, kept verbatim (a set of the
+# colors in every conflict window, O(k) per point) as the oracle for the
+# sliding-window kernel that replaced it
+
+
+def range_slice_first_fit(points: list[int], lifts: list) -> list[int]:
+    """First-fit colors of sorted distinct ints: an earlier t conflicts with q
+    iff t lies in q - [a, b] for a lift (a, b) with b > 0 (as t < q), so each
+    such lift takes the colors of one bisect pair bounded by the index i of q."""
+    positive = [(a, b) for a, b in lifts if b > 0]
+    colors = [0] * len(points)
+    for i, q in enumerate(points):
+        taken = set()
+        for a, b in positive:
+            taken.update(colors[bisect_left(points, q - b, 0, i) : bisect_right(points, q - a, 0, i)])
+        c = 0
+        while c in taken:
+            c += 1
+        colors[i] = c
+    return colors

@@ -5,7 +5,7 @@ from itertools import product
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from density_lab import (
     AccumulationPoint,
@@ -30,6 +30,7 @@ from density_lab import (
     PerturbedLattice,
     PreconditionError,
     RealLine,
+    RudinWindow,
     ShapeMismatchError,
     SigmaFiniteChain,
     WeightedDiracs,
@@ -735,6 +736,62 @@ def test_rudin_window_minimality_random():
         if rw.L > 1:
             prev = C.minkowski(IntervalUnion.closed(-(rw.L - 1), rw.L - 1)).length
             assert not (prev < (1 + eps) * Fraction(2 * (rw.L - 1)))
+
+
+def minkowski_rudin_window(C, epsilon):
+    """rudin_window on the line with the probe it replaced: each probe of L
+    builds C + [-L, L] as an IntervalUnion and measures it."""
+
+    def check(L):
+        V = IntervalUnion.closed(-L, L)
+        mu_v = Fraction(2 * L)
+        mu_cv = mu_v if C.is_empty else C.minkowski(V).length
+        return mu_cv < (1 + epsilon) * mu_v, mu_v, mu_cv
+
+    tried = [1]
+    L = 1
+    ok, mu_v, mu_cv = check(L)
+    while not ok:
+        L *= 2
+        ok, mu_v, mu_cv = check(L)
+        tried.append(L)
+    lo, hi = L // 2, L
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        tried.append(mid)
+        if check(mid)[0]:
+            hi = mid
+        else:
+            lo = mid
+    _, mu_v, mu_cv = check(hi)
+    return RudinWindow(
+        L=hi, W=IntervalUnion.closed(0, hi), V=IntervalUnion.closed(-hi, hi),
+        mu_V=mu_v, mu_CV=mu_cv, epsilon=epsilon, tried=tuple(tried),
+    )
+
+
+rudin_ends = st.fractions(min_value=-12, max_value=12, max_denominator=9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(rudin_ends, st.sampled_from((0, 0, Fraction(1, 3), 1, 5))), max_size=5),
+    st.booleans(),
+    st.fractions(min_value=Fraction(1, 40), max_value=4, max_denominator=40),
+)
+@example([], False, Fraction(1, 2))  # the empty set
+@example([(Fraction(-1), 0), (Fraction(3), 0)], False, Fraction(1, 7))  # two points
+@example([(Fraction(0), 1)], True, Fraction(1, 3))  # [0, 1] and [1, 2] touch
+def test_integer_rudin_probe_matches_the_minkowski_probe(pieces, touching, eps):
+    """Every RudinWindow field of the int probe equals that of the
+    IntervalUnion Minkowski probe, on points, touching pieces, multi-piece
+    unions and the empty set."""
+    pairs = [(a, a + w) for a, w in pieces]
+    if touching and pairs:
+        a, b = pairs[-1]
+        pairs.append((b, b + 1))  # touches the last piece, which it may merge with
+    C = IntervalUnion(tuple(pairs))
+    assert rudin_window(C, eps, R) == minkowski_rudin_window(C, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from density_lab.structure import (
     counting_density,
 )
 from density_lab.windows import real_mass
-from oracles import min_positive_difference
+from oracles import min_positive_difference, range_slice_first_fit
 
 rng = random.Random(31337)
 Z = ZLattice(1)
@@ -816,9 +816,9 @@ def test_integer_difference_points_within_match_fraction_loop(kind, period, poin
     else:
         off = tuple(p for p in points if (p / period).denominator != 1)
         S = PerturbedLattice(period, off, (period * 2,))
-    got = _difference_points_within(S, radius)
-    assert got == fraction_difference_points_within(S, radius)
-    assert all(type(d) is Fraction for d in got)
+    D, ds, _ = _difference_points_within(S, radius, ())
+    assert all(type(d) is int for d in ds)
+    assert [Fraction(d, D) for d in ds] == fraction_difference_points_within(S, radius)
 
 
 def coloring_points(S, Q):
@@ -876,7 +876,7 @@ def test_integer_class_verifier_rejects_what_fraction_verifier_rejects(drawn, mo
         fraction_violates(Q, P, a, b) for cl in classes for a in cl for b in cl
     )
     radius = max(abs(Q.inf), abs(Q.sup))
-    D, _, _, lifts, _, _ = _configuration(S, Q, radius, None)
+    D, _, lifts, _, _, _ = _configuration(S, Q, radius, None)
     int_classes = [[int(q * D) for q in cl] for cl in classes]
     try:
         _verify_class_packing(int_classes, D, lifts)
@@ -898,8 +898,9 @@ def test_integer_window_counts_match_real_mass(drawn):
     Q = H.difference_set()
     points, P = coloring_points(S, Q)
     radius = max(abs(Q.inf), abs(Q.sup))
-    D, lifted, ints, lifts, P_int, n_centers = _configuration(S, Q, radius, None)
-    assert lifted == points and ints == [q * D for q in points]
+    D, ints, lifts, P_int, n_centers, kept = _configuration(S, Q, radius, None)
+    assert [Fraction(x, D) for x in ints] == points and ints == [q * D for q in points]
+    assert kept == (points if P is None else None)
     assert P_int == (None if P is None else P * D)
     assert lifts == [(a * D + off, b * D + off) for off in ((0,) if P is None else (0, P_int, -P_int))
                      for a, b in Q.intervals]
@@ -1010,6 +1011,38 @@ def test_range_slices_match_the_pair_loops(drawn):
         assert expected is None
 
 
+@st.composite
+def point_h_instances(draw):
+    """(S, H): a configuration of partition_instances and an H of one to
+    three points, so that 0 is isolated in H - H and every positive lift
+    (a, b) of H - H has a > 0."""
+    S, _ = draw(partition_instances())
+    pts = draw(st.lists(twelfths, min_size=1, max_size=3, unique=True))
+    return S, IntervalUnion(tuple((p, p) for p in pts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(partition_instances(), point_h_instances()))
+@example(SEAM)
+# H - H = {-1/2, -1/4, 0, 1/4, 1/2}: a point's color is free again for the next
+# point at distance 1/6, which enters no window
+@example((PeriodicPoints(1, (0, Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))),
+          IntervalUnion(((0, 0), (Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 2))))))
+@example((FinitePoints((0, Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(5, 12))),
+          IntervalUnion(((0, 0), (Fraction(1, 4), Fraction(1, 4))))))
+def test_sliding_first_fit_matches_the_range_slices_and_the_pair_loop(drawn):
+    """The sliding-window first-fit gives the colors of the range-slice kernel
+    it replaced and of the pair loop, on the lifts the partition builds."""
+    S, H = drawn
+    Q = H.difference_set()
+    radius = max(abs(Q.inf), abs(Q.sup))
+    D, ints, lifts, P, _, _ = _configuration(S, Q, radius, None)
+    spans = lifts[: len(Q.intervals)]
+    colors = _first_fit(ints, lifts)
+    assert colors == range_slice_first_fit(ints, lifts)
+    assert colors == pair_first_fit(ints, pair_membership(spans), spans[-1][1], P)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     partition_instances(),
@@ -1027,7 +1060,8 @@ def test_int_class_reduction_matches_fraction_reduction(drawn, base, k, offsets,
     S, H = drawn
     part = partition_by_coloring(S, H)
     radius = max(abs(part.Q.inf), abs(part.Q.sup))
-    D_S, points, ints, lifts, P, _ = _configuration(S, part.Q, radius, None)
+    D_S, ints, lifts, P, _, _ = _configuration(S, part.Q, radius, None)
+    points = [Fraction(x, D_S) for x in ints]
     colors = _first_fit(ints, lifts)
     for j, cl in enumerate(part.classes):
         members = tuple(q for q, c in zip(points, colors) if c == j)

@@ -1,9 +1,12 @@
 """Golden CLI reports: every subcommand and notion on every instance file, every
 demo, the self-test and a set of window scans, run in-process through
 `cli.main`. `golden_reports.json` maps each argv (joined by single spaces) to
-its exit code and the SHA-256 of its `--out` report with `wall_time_s` and
-`command` removed (null when the run writes no report). Refactors must keep
-every entry unchanged. A change that means to alter reports rewrites the file
+its exit code, the SHA-256 of its `--out` report with `wall_time_s` and
+`command` removed (null when the run writes no report), and the SHA-256 of
+its stdout and of its stderr. In the streams the `--out` path reads `<out>`
+and the self-test's seconds read `<t>s`; each warning the run issues is
+appended to stderr as one `warning: <message>` line, so a warning that the
+run repeats counts every time. Refactors must keep every entry unchanged. A change that means to alter reports rewrites the file
 with `PYTHONPATH=src python tests/test_golden_reports.py`, run from the repo
 root, and names every changed entry.
 """
@@ -13,7 +16,9 @@ import hashlib
 import io
 import json
 import pathlib
+import re
 import tempfile
+import warnings
 
 from density_lab.cli import main
 
@@ -64,28 +69,45 @@ def _argvs():
     return out + EXTRA
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def run_one(argv, out_dir) -> dict:
-    """Exit code and report digest of one in-process CLI run."""
+    """Exit code, report digest and stream digests of one in-process CLI run."""
     out = pathlib.Path(out_dir) / "report.json"
     out.unlink(missing_ok=True)
-    code = main([*argv, "--out", str(out)])
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (
+        contextlib.redirect_stdout(stdout),
+        contextlib.redirect_stderr(stderr),
+        warnings.catch_warnings(record=True) as caught,
+    ):
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(out)])
     digest = None
     if out.exists():
         report = json.loads(out.read_text(encoding="utf-8"))
         del report["wall_time_s"], report["command"]
         canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return {"exit": code, "sha256": digest}
+        digest = _sha256(canonical)
+    err = stderr.getvalue() + "".join(f"warning: {w.message}\n" for w in caught)
+    streams = [text.replace(str(out), "<out>") for text in (stdout.getvalue(), err)]
+    if argv[0] == "selftest":
+        streams = [re.sub(r"\d+\.\d\ds\b", "<t>s", text) for text in streams]
+    return {
+        "exit": code,
+        "sha256": digest,
+        "stdout_sha256": _sha256(streams[0]),
+        "stderr_sha256": _sha256(streams[1]),
+    }
 
 
-def test_golden_reports(tmp_path, capsys):
+def test_golden_reports(tmp_path):
     argvs = _argvs()
     assert all(" " not in arg for argv in argvs for arg in argv)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = {}
-    for argv in argvs:
-        got[" ".join(argv)] = run_one(argv, tmp_path)
-        capsys.readouterr()
+    got = {" ".join(argv): run_one(argv, tmp_path) for argv in argvs}
     assert sorted(got) == sorted(golden)
     changed = {key: (golden[key], got[key]) for key in got if got[key] != golden[key]}
     assert not changed, changed
@@ -93,11 +115,7 @@ def test_golden_reports(tmp_path, capsys):
 
 def regenerate():
     """Rewrite golden_reports.json from the current code."""
-    with (
-        tempfile.TemporaryDirectory() as out_dir,
-        contextlib.redirect_stdout(io.StringIO()),
-        contextlib.redirect_stderr(io.StringIO()),
-    ):
+    with tempfile.TemporaryDirectory() as out_dir:
         golden = {" ".join(argv): run_one(argv, out_dir) for argv in _argvs()}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -578,17 +578,14 @@ def translation_witness(nu, group: GroupSpec, W, gamma) -> Union[Fraction, tuple
     if isinstance(group, RealLine):
         if not isinstance(W, IntervalUnion):
             raise PreconditionError("line windows are interval unions")
-        threshold = gamma * W.length
-        found, scan = real_threshold_witness(nu, W, threshold)
-        if found is None:
-            return NotFound(scan.value, scan.argmax)
-        return found
-    if isinstance(group, ZLattice):
+        found, scan = real_threshold_witness(nu, W, gamma * W.length)
+    elif isinstance(group, ZLattice):
         if not isinstance(W, ExplicitFinite):
             raise PreconditionError("lattice windows are explicit finite sets")
         found, scan = zd_threshold_witness(nu, group, W, gamma * len(W.elements))
-        return NotFound(scan.value, scan.argmax) if found is None else found
-    raise PreconditionError(f"translation witness unsupported on {type(group).__name__}")
+    else:
+        raise PreconditionError(f"translation witness unsupported on {type(group).__name__}")
+    return NotFound(scan.value, scan.argmax) if found is None else found
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +611,8 @@ def rudin_window(C, epsilon, group: GroupSpec) -> RudinWindow:
     a factor below 1 + epsilon when fattened by the bounded set C.
 
     Always solvable: on the line mu(C+V) <= 2L + diam(C), so any
-    L > diam(C) / (2 epsilon) works; the search doubles then bisects, and on
-    the line each probe is an int comparison on the gaps of C.
+    L > diam(C) / (2 epsilon) works; the search doubles then bisects, and
+    each probe is an int comparison on the gaps of C.
     """
     epsilon = rat(epsilon)
     if epsilon <= 0:
@@ -623,19 +620,7 @@ def rudin_window(C, epsilon, group: GroupSpec) -> RudinWindow:
     if isinstance(group, RealLine):
         if not isinstance(C, IntervalUnion):
             raise PreconditionError("line test sets are interval unions")
-
-        # in ints over the lcm D of the denominators of epsilon and C, the
-        # union C + [-L, L] closes every gap of C up to 2LD, so
-        # D mu(C + V) = span + 2LD - sum of (g - 2LD) over the gaps g > 2LD:
-        # one int comparison per probe
-        D, (e, *ends) = common_scale((epsilon, *C.endpoints()))
-        span = ends[-1] - ends[0] if ends else 0
-        gaps = [a - b for a, b in zip(ends[2::2], ends[1::2])]
-
-        def check(L: int):
-            two_l = 2 * L * D
-            cv = span + two_l - sum(g - two_l for g in gaps if g > two_l)
-            return cv * D < (D + e) * two_l, Fraction(2 * L), Fraction(cv, D)
+        ends, pad = C.endpoints(), 0
 
         def build(L: int):
             return IntervalUnion.closed(0, L), IntervalUnion.closed(-L, L)
@@ -643,15 +628,7 @@ def rudin_window(C, epsilon, group: GroupSpec) -> RudinWindow:
     elif isinstance(group, ZLattice) and group.dimension == 1:
         if not isinstance(C, ExplicitFinite):
             raise PreconditionError("lattice test sets are explicit finite sets")
-        pts = tuple(e[0] for e in C.elements)
-
-        def check(L: int):
-            mu_v = Fraction(2 * L + 1)
-            if not pts:
-                return True, mu_v, mu_v
-            pieces = IntervalUnion(tuple((Fraction(p - L), Fraction(p + L)) for p in pts))
-            mu_cv = sum((int(b - a) + 1 for a, b in pieces.intervals), 0)
-            return Fraction(mu_cv) < (1 + epsilon) * mu_v, mu_v, Fraction(mu_cv)
+        ends, pad = sorted(2 * [e[0] for e in C.elements]), 1  # the points as [p, p]
 
         def build(L: int):
             return (
@@ -661,6 +638,20 @@ def rudin_window(C, epsilon, group: GroupSpec) -> RudinWindow:
 
     else:
         raise PreconditionError("the window construction runs on R or Z")
+
+    # in ints over the lcm D of the denominators of epsilon and C, V = [-L, L]
+    # has width w = 2LD on R and, counting its 2L + 1 points, 2LD + D on Z;
+    # C + V closes every gap of C up to w, so
+    # D mu(C + V) = span + w - sum of (g - w) over the gaps g > w:
+    # one int comparison per probe
+    D, (e, *ends) = common_scale((epsilon, *ends))
+    span = ends[-1] - ends[0] if ends else 0
+    gaps = [a - b for a, b in zip(ends[2::2], ends[1::2])]
+
+    def check(L: int):
+        w = (2 * L + pad) * D
+        cv = span + w - sum(g - w for g in gaps if g > w)
+        return cv * D < (D + e) * w, Fraction(w, D), Fraction(cv, D)
 
     tried = []
     L = 1

@@ -440,7 +440,6 @@ def difference_set(s, group: GroupSpec, window=None):
     """
     if _set_is_empty(s):
         warnings.warn("difference set of an empty set is empty (0 not included)")
-        return _empty_like(s, group)
     if isinstance(s, ExplicitFinite):
         return ExplicitFinite(
             tuple(group.add(x, group.negate(y)) for x in s.elements for y in s.elements)
@@ -515,25 +514,9 @@ def _set_is_empty(s) -> bool:
         return not s.residues
     if isinstance(s, FinitePoints):
         return not s.points and not s.accumulation
-    if isinstance(s, PerturbedLattice):
-        return False
-    if isinstance(s, CylinderSet):
-        return not s.residues
+    if isinstance(s, (PerturbedLattice, CylinderSet)):
+        return False  # a lattice is never empty; difference_set refuses cylinders
     raise PreconditionError(f"unknown set type: {type(s).__name__}")
-
-
-def _empty_like(s, group):
-    if isinstance(s, ExplicitFinite):
-        return ExplicitFinite(())
-    if isinstance(s, PeriodicDiscrete):
-        return PeriodicDiscrete(s.period, ())
-    if isinstance(s, IntervalUnion):
-        return IntervalUnion.empty()
-    if isinstance(s, PeriodicPattern):
-        return PeriodicPattern(s.period, IntervalUnion.empty())
-    if isinstance(s, PeriodicPoints):
-        return PeriodicPoints(s.period, ())
-    return FinitePoints(())
 
 
 # ---------------------------------------------------------------------------

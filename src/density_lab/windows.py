@@ -54,9 +54,15 @@ of (2r+1) mod m cells, so each line is replaced by its circular window sums:
 that many line totals plus one prefix-sum difference. This is O(d * |P|) int
 operations, exact, and the first maximum of the row-major grid is the least
 lexicographic maximizer, as in a scan of product(range(P_i)) with a strict
-comparison. _zd_mass_at stays the Fraction reference for single windows
-(window_mass) and for the finite and mixed branches. Every Z^d enumeration and
-the line scan's periodic replicas are counted against Caps.enumeration before
+comparison. The cube scan and the translation witness (a window of offsets)
+share one int kernel, _zd_values, which scales the weights, merges the finite
+atoms, picks the candidates and checks the caps once. A window kind brings
+only its torus table (the cube sums above, or the sum of the offsets'
+translates of the weight grid) and its finite part: the atoms inside every
+cube of a candidate grid, one box per atom summed by prefix sums, or each
+atom scattered onto its shifts p - w. _zd_mass_at stays the Fraction
+reference for single windows (zd_mass). Every Z^d enumeration and the line
+scan's periodic replicas are counted against Caps.enumeration before
 anything is allocated.
 """
 
@@ -65,8 +71,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, product
 from math import ceil, floor, lcm, prod
+from operator import sub
 from typing import Callable, Optional, Union
 
 from .config import check_enumeration
@@ -544,6 +552,17 @@ def zd_mass(nu, group: ZLattice, x, r: int) -> Fraction:
     return _zd_mass_at(measure_layers(nu, group)[0], x, r)
 
 
+def _axis_pass(grid: list[int], shape: tuple[int, ...], ops) -> list[int]:
+    """Replace, one axis i at a time, every line along axis i of the
+    row-major grid of the given shape by ops[i](line); in place."""
+    for n, s, op in zip(shape, FiniteAbelian(shape).strides, ops):
+        block = n * s
+        for outer in range(0, len(grid), block):
+            for start in range(outer, outer + s):
+                grid[start : start + block : s] = op(grid[start : start + block : s])
+    return grid
+
+
 def _circular_window_sums(line: list[int], wraps: int, rem: int, off: int) -> list[int]:
     """[wraps * sum(line) + line[x+off] + ... + line[x+off+rem-1]] for every x,
     indices mod len(line): the sums over the circular windows [x - r, x + r]."""
@@ -572,123 +591,121 @@ def _torus_weights(periodic: list[AtomLayer], period: tuple[int, ...], weights) 
     return grid
 
 
-def _torus_cube_masses(periodic: list[AtomLayer], period: tuple[int, ...], r: int):
+def _torus_cube_masses(grid: list[int], period: tuple[int, ...], r: int) -> list[int]:
     """The cube mass at every center of the torus prod Z_{P_i}, in row-major
-    order and in units of 1/Dw, with Dw returned alongside."""
-    Dw, weights = common_scale(w for l in periodic for _, w in l.atoms)
-    grid = _torus_weights(periodic, period, weights)
-    strides = FiniteAbelian(period).strides
+    order, from the weight of every cell (_torus_weights); in place."""
     L = max(0, 2 * r + 1)
-    for P, s in zip(period, strides):
-        wraps, rem = divmod(L, P)
-        off = -r % P
-        block = P * s
-        for outer in range(0, len(grid), block):
-            for start in range(outer, outer + s):
-                line = grid[start : start + block : s]
-                grid[start : start + block : s] = _circular_window_sums(line, wraps, rem, off)
-    return grid, Dw
+    ops = [partial(_circular_window_sums, wraps=L // P, rem=L % P, off=-r % P) for P in period]
+    return _axis_pass(grid, period, ops)
+
+
+def _cube_counts(atoms: dict, axes: list, r: int) -> list[int]:
+    """The weight of the atoms inside the cube [x - r, x + r]^d at every x of
+    the grid prod axes (sorted coordinates), in row-major order: each atom's
+    weight goes with inclusion-exclusion signs on the corners of the box of
+    centers whose cube holds it, and prefix sums along every axis fill it."""
+    shape = tuple(map(len, axes))
+    strides = FiniteAbelian(shape).strides
+    grid = [0] * prod(shape)
+    for p, w in atoms.items():
+        spans = [(bisect_left(a, c - r), bisect_right(a, c + r)) for a, c in zip(axes, p)]
+        if all(lo < hi for lo, hi in spans):
+            for corner in product(*(((lo, 1), (hi, -1)) for lo, hi in spans)):
+                if all(i < n for (i, _), n in zip(corner, shape)):
+                    at = sum(i * s for (i, _), s in zip(corner, strides))
+                    grid[at] += w * prod(sign for _, sign in corner)
+    return _axis_pass(grid, shape, [lambda line: list(accumulate(line))] * len(shape))
+
+
+def _zd_values(nu, group: ZLattice, window):
+    """(Dw, values, at): x -> nu(window + x) at every candidate x, in scan
+    order and in units of 1/Dw, and at(i), the i-th candidate. The window
+    is a cube radius r, meaning the offsets [-r, r]^d, or a list of offsets.
+
+    The candidates: the period torus in row-major order when every layer is
+    periodic; the perturbation zone plus one clean period when periodic and
+    finite layers mix (on Z only); else the grid of the coordinates p_i - r
+    of the atoms p and 0 for a cube, or the sorted shifts p - w of the atoms
+    by the offsets (the origin alone when there are none)."""
+    layers, _ = measure_layers(nu, group)
+    cube = isinstance(window, int)
+    if not cube:
+        window = [group.check(w) for w in window]
+    periodic = [l for l in layers if l.period is not None]
+    finite = [a for l in layers if l.period is None for a in l.atoms]
+    Dw, weights = common_scale([w for l in periodic for _, w in l.atoms] + [w for _, w in finite])
+    atoms: dict[tuple[int, ...], int] = {}
+    for (p, _), w in zip(finite, weights[len(weights) - len(finite) :]):
+        atoms[p] = atoms.get(p, 0) + w
+    if periodic:
+        period = tuple(lcm(*ms) for ms in zip(*(l.period for l in periodic)))
+        if not atoms:
+            check_enumeration(prod(period), "the period torus: " + CENTERS_OVER_CAP)
+            axes = [range(m) for m in period]
+        elif group.dimension != 1:
+            raise PreconditionError("mixed periodic and finite lattice layers need d = 1")
+        else:
+            (P,) = period
+            offsets = (-window, window) if cube else sorted(w for (w,) in window) or [0]
+            lo = min(atoms)[0] - offsets[-1] - P
+            end = max(atoms)[0] - offsets[0] + 2 * P + 1
+            check_enumeration(end - lo, "the perturbation zone: " + CENTERS_OVER_CAP)
+            axes = [range(lo, end)]
+        table = _torus_weights(periodic, period, weights)
+        if cube:
+            table = _torus_cube_masses(table, period, window)
+        else:
+            torus, grid, table = FiniteAbelian(period), table, [0] * len(table)
+            for w in window:
+                table = [v + grid[i] for v, i in zip(table, torus.translate(w))]
+        values = [table[x % P] for x in axes[0]] if atoms else table
+    if cube:
+        if not periodic:
+            axes = [sorted({p[i] - window for p in atoms} | {0}) for i in range(group.dimension)]
+            check_enumeration(
+                prod(map(len, axes)), "the support's bounding grid: " + CENTERS_OVER_CAP
+            )
+            values = _cube_counts(atoms, axes, window)
+        elif atoms:
+            values = [v + c for v, c in zip(values, _cube_counts(atoms, axes, window))]
+    else:
+        shifts: dict[tuple[int, ...], int] = {}
+        for p, v in atoms.items():
+            for w in window:
+                x = tuple(map(sub, p, w))
+                shifts[x] = shifts.get(x, 0) + v
+        if not periodic:
+            cands = sorted(shifts) or [group.zero()]
+            return Dw, [shifts.get(x, 0) for x in cands], cands.__getitem__
+        for (x,), v in shifts.items():
+            values[x - lo] += v
+    cells = FiniteAbelian(tuple(map(len, axes)))
+    return Dw, values, lambda i: tuple(a[k] for a, k in zip(axes, cells.element(i)))
+
+
+def _zd_scan(nu, group: ZLattice, window, threshold: Optional[Fraction] = None):
+    """The least candidate reaching threshold (None if none does or no
+    threshold is given) and the ShiftScan with the least maximizer."""
+    Dw, values, at = _zd_values(nu, group, window)
+    best = max(values)
+    scan = ShiftScan(Fraction(best, Dw), at(values.index(best)), len(values))
+    if threshold is None:
+        return None, scan
+    limit = ceil(threshold * Dw)
+    return next((at(i) for i, v in enumerate(values) if v >= limit), None), scan
 
 
 def zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
     """sup over integer centers x of the cube mass, least maximizer first.
 
     Raises CapExceededError when the centers to scan exceed Caps.enumeration."""
-    layers, _ = measure_layers(nu, group)
-    d = group.dimension
-    if not layers:
-        return ShiftScan(Fraction(0), group.zero(), 1)
-    periodic = [l for l in layers if l.period is not None]
-    finite = [l for l in layers if l.period is None]
-    if periodic and not finite:
-        period = tuple(lcm(*ms) for ms in zip(*(l.period for l in periodic)))
-        torus = FiniteAbelian(period)
-        check_enumeration(torus.order, "the period torus: " + CENTERS_OVER_CAP)
-        masses, Dw = _torus_cube_masses(periodic, period, r)
-        best = max(masses)
-        argmax = torus.element(masses.index(best))  # row-major: the least lexicographic one
-        return ShiftScan(Fraction(best, Dw), argmax, torus.order)
-    if finite and not periodic:
-        per_coord = [
-            sorted({p[i] - r for l in finite for p, _ in l.atoms} | {0}) for i in range(d)
-        ]
-        check_enumeration(prod(len(c) for c in per_coord),
-                          "the support's bounding grid: " + CENTERS_OVER_CAP)
-        cands = product(*per_coord)
-    else:
-        if d != 1:
-            raise PreconditionError("mixed periodic and finite lattice layers need d = 1")
-        period = lcm(*(l.period[0] for l in periodic))
-        support = [p[0] for l in finite for p, _ in l.atoms]
-        lo = min(support) - r - period
-        hi = max(support) + r + period
-        check_enumeration(hi + period + 1 - lo, "the perturbation zone: " + CENTERS_OVER_CAP)
-        cands = ((c,) for c in range(lo, hi + period + 1))
-    best = None
-    best_x = None
-    scanned = 0
-    for x in cands:
-        scanned += 1
-        v = _zd_mass_at(layers, x, r)
-        if best is None or v > best:
-            best, best_x = v, x
-    return ShiftScan(best, best_x, scanned)
+    return _zd_scan(nu, group, r)[1]
 
 
 def zd_threshold_witness(nu, group: ZLattice, window: ExplicitFinite, threshold: Fraction):
     """Least candidate x with nu(window + x) >= threshold (None if none does),
-    and the ShiftScan of x -> nu(window + x) over the candidates.
-
-    The candidates are the period torus in row-major order when every layer
-    is periodic, the shifts p - w of the atoms by the window points in
-    lexicographic order when none is (the origin alone when there are no
-    such shifts), and otherwise, on Z only, the perturbation zone plus one
-    clean period, as in zd_shift_sup. Every value is an int in units of 1/Dw:
-    the periodic layers read one torus weight table, the finite atoms one
-    dict."""
-    layers, _ = measure_layers(nu, group)
-    ws = [group.check(w) for w in window.elements]
-    periodic = [l for l in layers if l.period is not None]
-    finite = [l for l in layers if l.period is None]
-    Dw, weights = common_scale(w for l in periodic + finite for _, w in l.atoms)
-    split = sum(len(l.atoms) for l in periodic)
-    atoms: dict[tuple[int, ...], int] = {}
-    for (p, _), w in zip((a for l in finite for a in l.atoms), weights[split:]):
-        atoms[p] = atoms.get(p, 0) + w
-    if periodic:
-        period = tuple(lcm(*ms) for ms in zip(*(l.period for l in periodic)))
-        torus = FiniteAbelian(period)
-    if periodic and not finite:
-        check_enumeration(torus.order)
-        grid = _torus_weights(periodic, period, weights)
-        values = [0] * torus.order
-        for w in ws:
-            values = [v + grid[i] for v, i in zip(values, torus.translate(w))]
-        cands = torus.elements()
-    elif not periodic:
-        shifts = {tuple(a - b for a, b in zip(p, w)) for p in atoms for w in ws}
-        cands = sorted(shifts) if shifts else [group.zero()]
-        values = [
-            sum(atoms.get(tuple(a + b for a, b in zip(x, w)), 0) for w in ws) for x in cands
-        ]
-    else:
-        if group.dimension != 1:
-            raise PreconditionError("mixed periodic and finite lattice layers need d = 1")
-        (P,) = period
-        offsets = [w for (w,) in ws]
-        support = [p for (p,) in atoms]
-        lo = min(support) - max(offsets, default=0) - P
-        hi = max(support) - min(offsets, default=0) + P
-        check_enumeration(hi + P + 1 - lo, "the perturbation zone: " + CENTERS_OVER_CAP)
-        grid = _torus_weights(periodic, period, weights)
-        cands = [(x,) for x in range(lo, hi + P + 1)]
-        values = [
-            sum(grid[(x + w) % P] + atoms.get((x + w,), 0) for w in offsets) for (x,) in cands
-        ]
-    best = max(values)
-    scan = ShiftScan(Fraction(best, Dw), cands[values.index(best)], len(cands))
-    limit = ceil(threshold * Dw)
-    return next((x for x, v in zip(cands, values) if v >= limit), None), scan
+    and the ShiftScan of x -> nu(window + x) over the candidates of _zd_values."""
+    return _zd_scan(nu, group, window.elements, threshold)
 
 
 # ---------------------------------------------------------------------------

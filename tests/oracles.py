@@ -3,6 +3,8 @@ the library does not need, kept here to check what it computes."""
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import product
+from math import lcm, prod
 
 from density_lab import (
     ExplicitFinite,
@@ -13,8 +15,10 @@ from density_lab import (
     SyndeticCertificate,
     ZLattice,
 )
+from density_lab.config import check_enumeration
 from density_lab.groups import _strip
 from density_lab.sets import difference_residues_mod, discrete_quotient
+from density_lab.windows import CENTERS_OVER_CAP, ShiftScan, _zd_mass_at, measure_layers
 
 
 def min_positive_difference(s: PeriodicPoints) -> Fraction:
@@ -103,3 +107,51 @@ def range_slice_first_fit(points: list[int], lifts: list) -> list[int]:
             c += 1
         colors[i] = c
     return colors
+
+
+# ---------------------------------------------------------------------------
+# the Z^d cube scan before one int kernel served it and the translation
+# witness, kept verbatim (every finite and mixed candidate evaluated by the
+# Fraction reference _zd_mass_at) as the oracle for that kernel
+
+
+def fraction_zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
+    """sup over integer centers x of the cube mass, least maximizer first.
+
+    Raises CapExceededError when the centers to scan exceed Caps.enumeration."""
+    layers, _ = measure_layers(nu, group)
+    d = group.dimension
+    if not layers:
+        return ShiftScan(Fraction(0), group.zero(), 1)
+    periodic = [l for l in layers if l.period is not None]
+    finite = [l for l in layers if l.period is None]
+    if periodic and not finite:
+        period = tuple(lcm(*ms) for ms in zip(*(l.period for l in periodic)))
+        torus = FiniteAbelian(period)
+        check_enumeration(torus.order, "the period torus: " + CENTERS_OVER_CAP)
+        cands = product(*(range(m) for m in period))
+    elif finite and not periodic:
+        per_coord = [
+            sorted({p[i] - r for l in finite for p, _ in l.atoms} | {0}) for i in range(d)
+        ]
+        check_enumeration(prod(len(c) for c in per_coord),
+                          "the support's bounding grid: " + CENTERS_OVER_CAP)
+        cands = product(*per_coord)
+    else:
+        if d != 1:
+            raise PreconditionError("mixed periodic and finite lattice layers need d = 1")
+        period = lcm(*(l.period[0] for l in periodic))
+        support = [p[0] for l in finite for p, _ in l.atoms]
+        lo = min(support) - r - period
+        hi = max(support) + r + period
+        check_enumeration(hi + period + 1 - lo, "the perturbation zone: " + CENTERS_OVER_CAP)
+        cands = ((c,) for c in range(lo, hi + period + 1))
+    best = None
+    best_x = None
+    scanned = 0
+    for x in cands:
+        scanned += 1
+        v = _zd_mass_at(layers, x, r)
+        if best is None or v > best:
+            best, best_x = v, x
+    return ShiftScan(best, best_x, scanned)

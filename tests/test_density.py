@@ -58,8 +58,8 @@ from density_lab.density import (
     measure_total_finite,
     oracle_counting_sweep,
 )
-from density_lab.windows import measure_layers
-from oracles import subgroup_elements
+from density_lab.windows import _zd_mass_at, _zd_values, measure_layers
+from oracles import fraction_zd_shift_sup, subgroup_elements
 
 rng = random.Random(2024)
 R = RealLine()
@@ -666,6 +666,23 @@ def test_lattice_witness_matches_the_fraction_loop(drawn, data):
     assert translation_witness(nu, group, W, gamma) == fraction_lattice_witness(nu, group, W, gamma)
 
 
+@settings(max_examples=60, deadline=None)
+@given(lattice_measures(), st.integers(0, 6))
+@example((1, MeasureSum((Counting(PeriodicDiscrete((2,), ((0,),))), WeightedDiracs((((6,), Fraction(1)),))))), 2)
+def test_cube_scan_matches_the_per_candidate_fraction_loop(drawn, r):
+    """zd_shift_sup against the scan it replaced, which evaluates every
+    candidate with _zd_mass_at: value, least argmax and candidate count,
+    and the value at every candidate of the int kernel."""
+    d, nu = drawn
+    group = ZLattice(d)
+    assert zd_shift_sup(nu, group, r) == fraction_zd_shift_sup(nu, group, r)
+    Dw, values, at = _zd_values(nu, group, r)
+    layers, _ = measure_layers(nu, group)
+    assert [Fraction(v, Dw) for v in values] == [
+        _zd_mass_at(layers, at(i), r) for i in range(len(values))
+    ]
+
+
 def test_lattice_witness_of_the_empty_window_is_the_origin():
     # nu(empty + x) = 0 meets the threshold 0 at every shift; the least
     # candidate is the origin, for a finite measure as for a periodic one
@@ -738,15 +755,38 @@ def test_rudin_window_minimality_random():
             assert not (prev < (1 + eps) * Fraction(2 * (rw.L - 1)))
 
 
-def minkowski_rudin_window(C, epsilon):
-    """rudin_window on the line with the probe it replaced: each probe of L
-    builds C + [-L, L] as an IntervalUnion and measures it."""
+def minkowski_rudin_window(C, epsilon, group=R):
+    """rudin_window with the probes that the gap formula replaced: on the
+    line each probe of L builds C + [-L, L] as an IntervalUnion and measures
+    it; on Z it unions the Fraction pieces [p - L, p + L] over the points p
+    of C and counts their integer points."""
+    if isinstance(group, RealLine):
 
-    def check(L):
-        V = IntervalUnion.closed(-L, L)
-        mu_v = Fraction(2 * L)
-        mu_cv = mu_v if C.is_empty else C.minkowski(V).length
-        return mu_cv < (1 + epsilon) * mu_v, mu_v, mu_cv
+        def check(L):
+            V = IntervalUnion.closed(-L, L)
+            mu_v = Fraction(2 * L)
+            mu_cv = mu_v if C.is_empty else C.minkowski(V).length
+            return mu_cv < (1 + epsilon) * mu_v, mu_v, mu_cv
+
+        def build(L):
+            return IntervalUnion.closed(0, L), IntervalUnion.closed(-L, L)
+
+    else:
+        pts = tuple(e[0] for e in C.elements)
+
+        def check(L):
+            mu_v = Fraction(2 * L + 1)
+            if not pts:
+                return True, mu_v, mu_v
+            pieces = IntervalUnion(tuple((Fraction(p - L), Fraction(p + L)) for p in pts))
+            mu_cv = sum((int(b - a) + 1 for a, b in pieces.intervals), 0)
+            return Fraction(mu_cv) < (1 + epsilon) * mu_v, mu_v, Fraction(mu_cv)
+
+        def build(L):
+            return (
+                ExplicitFinite(tuple((i,) for i in range(L + 1))),
+                ExplicitFinite(tuple((i,) for i in range(-L, L + 1))),
+            )
 
     tried = [1]
     L = 1
@@ -764,9 +804,9 @@ def minkowski_rudin_window(C, epsilon):
         else:
             lo = mid
     _, mu_v, mu_cv = check(hi)
+    W, V = build(hi)
     return RudinWindow(
-        L=hi, W=IntervalUnion.closed(0, hi), V=IntervalUnion.closed(-hi, hi),
-        mu_V=mu_v, mu_CV=mu_cv, epsilon=epsilon, tried=tuple(tried),
+        L=hi, W=W, V=V, mu_V=mu_v, mu_CV=mu_cv, epsilon=epsilon, tried=tuple(tried)
     )
 
 
@@ -778,20 +818,25 @@ rudin_ends = st.fractions(min_value=-12, max_value=12, max_denominator=9)
     st.lists(st.tuples(rudin_ends, st.sampled_from((0, 0, Fraction(1, 3), 1, 5))), max_size=5),
     st.booleans(),
     st.fractions(min_value=Fraction(1, 40), max_value=4, max_denominator=40),
+    st.lists(st.integers(-30, 30), max_size=6),
 )
-@example([], False, Fraction(1, 2))  # the empty set
-@example([(Fraction(-1), 0), (Fraction(3), 0)], False, Fraction(1, 7))  # two points
-@example([(Fraction(0), 1)], True, Fraction(1, 3))  # [0, 1] and [1, 2] touch
-def test_integer_rudin_probe_matches_the_minkowski_probe(pieces, touching, eps):
+@example([], False, Fraction(1, 2), [])  # the empty set
+@example([(Fraction(-1), 0), (Fraction(3), 0)], False, Fraction(1, 7), [-1, 3])  # two points
+@example([(Fraction(0), 1)], True, Fraction(1, 3), [0, 1, 2])  # [0, 1] and [1, 2] touch
+@example([], False, Fraction(1, 3), [0, 3, 3])  # points 2L + 1 apart at L = 1 touch on Z
+def test_integer_rudin_probe_matches_the_minkowski_probe(pieces, touching, eps, points):
     """Every RudinWindow field of the int probe equals that of the
-    IntervalUnion Minkowski probe, on points, touching pieces, multi-piece
-    unions and the empty set."""
+    IntervalUnion probe, on the line (points, touching pieces, multi-piece
+    unions and the empty set) and on Z (repeated, adjacent and spread
+    points, and the empty set)."""
     pairs = [(a, a + w) for a, w in pieces]
     if touching and pairs:
         a, b = pairs[-1]
         pairs.append((b, b + 1))  # touches the last piece, which it may merge with
     C = IntervalUnion(tuple(pairs))
     assert rudin_window(C, eps, R) == minkowski_rudin_window(C, eps)
+    C = ExplicitFinite(tuple((p,) for p in points))
+    assert rudin_window(C, eps, Z) == minkowski_rudin_window(C, eps, Z)
 
 
 # ---------------------------------------------------------------------------

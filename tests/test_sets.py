@@ -91,6 +91,13 @@ def test_difference_set_empty_warns():
         assert any("empty" in str(w.message) for w in caught)
 
 
+def test_difference_set_refuses_an_empty_cylinder_like_any_cylinder():
+    chain = SigmaFiniteChain((2, 3))
+    for s in (CylinderSet(1, ()), CylinderSet(1, ((1,),))):
+        with pytest.raises(PreconditionError, match="unsupported difference-set input: CylinderSet"):
+            difference_set(s, chain)
+
+
 def test_perturbed_difference_window():
     # points n + 1/n for 2 <= n <= 6 together with the integers
     s = PerturbedLattice(1, extra=tuple(Fraction(n * n + 1, n) for n in range(2, 7)))

@@ -35,7 +35,7 @@ from density_lab import (
     zd_shift_sup,
 )
 from density_lab.density import CustomK
-from density_lab.rational import frac_lcm
+from density_lab.rational import common_scale, frac_lcm
 from density_lab.sets import DiracAtZero, PeriodicDiscrete
 from density_lab.windows import (
     AtomLayer,
@@ -45,6 +45,7 @@ from density_lab.windows import (
     _line_values,
     _scaled_scan,
     _torus_cube_masses,
+    _torus_weights,
     _zd_mass_at,
     measure_layers,
     real_threshold_witness,
@@ -553,7 +554,8 @@ def test_torus_table_matches_fraction_cube_scan(drawn, r):
     d, layers = drawn
     want = fraction_cube_scan(layers, r)
     period = tuple(lcm(*ms) for ms in zip(*(l.period for l in layers)))
-    masses, Dw = _torus_cube_masses(layers, period, r)
+    Dw, weights = common_scale(w for l in layers for _, w in l.atoms)
+    masses = _torus_cube_masses(_torus_weights(layers, period, weights), period, r)
     cells = list(product(*(range(m) for m in period)))
     assert [Fraction(v, Dw) for v in masses] == [_zd_mass_at(layers, x, r) for x in cells]
     # the public scan on the same residues, each layer as a counting measure

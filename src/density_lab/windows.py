@@ -654,8 +654,9 @@ def _zd_values(nu, group: ZLattice, window):
         table = _torus_weights(periodic, period, weights)
         if cube:
             table = _torus_cube_masses(table, period, window)
-        else:
-            torus, grid, table = FiniteAbelian(period), table, [0] * len(table)
+        else:  # the sum of the offsets' translates of the weight grid
+            torus, grid = FiniteAbelian(period), table
+            table = [0] * len(grid)
             for w in window:
                 table = [v + grid[i] for v, i in zip(table, torus.translate(w))]
         values = [table[x % P] for x in axes[0]] if atoms else table

@@ -668,7 +668,9 @@ def test_lattice_witness_matches_the_fraction_loop(drawn, data):
 
 @settings(max_examples=60, deadline=None)
 @given(lattice_measures(), st.integers(0, 6))
-@example((1, MeasureSum((Counting(PeriodicDiscrete((2,), ((0,),))), WeightedDiracs((((6,), Fraction(1)),))))), 2)
+@example(  # mixed: the even integers plus one atom
+    (1, MeasureSum((Counting(PeriodicDiscrete.line(2, [0])), WeightedDiracs((((6,), 1),))))), 2
+)
 def test_cube_scan_matches_the_per_candidate_fraction_loop(drawn, r):
     """zd_shift_sup against the scan it replaced, which evaluates every
     candidate with _zd_mass_at: value, least argmax and candidate count,
@@ -823,7 +825,7 @@ rudin_ends = st.fractions(min_value=-12, max_value=12, max_denominator=9)
 @example([], False, Fraction(1, 2), [])  # the empty set
 @example([(Fraction(-1), 0), (Fraction(3), 0)], False, Fraction(1, 7), [-1, 3])  # two points
 @example([(Fraction(0), 1)], True, Fraction(1, 3), [0, 1, 2])  # [0, 1] and [1, 2] touch
-@example([], False, Fraction(1, 3), [0, 3, 3])  # points 2L + 1 apart at L = 1 touch on Z
+@example([], False, Fraction(1, 3), [0, 3, 3])  # on Z, [-1, 1] and [2, 4] are adjacent at L = 1
 def test_integer_rudin_probe_matches_the_minkowski_probe(pieces, touching, eps, points):
     """Every RudinWindow field of the int probe equals that of the
     IntervalUnion probe, on the line (points, touching pieces, multi-piece

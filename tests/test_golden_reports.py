@@ -4,7 +4,7 @@ demo, the self-test and a set of window scans, run in-process through
 its exit code, the SHA-256 of its `--out` report with `wall_time_s` and
 `command` removed (null when the run writes no report), and the SHA-256 of
 its stdout and of its stderr. In the streams the `--out` path reads `<out>`
-and the self-test's seconds read `<t>s`; each warning the run issues is
+and the self-test's seconds read `<t>s`; each warning the run raises is
 appended to stderr as one `warning: <message>` line, so a warning that the
 run repeats counts every time. Refactors must keep every entry unchanged. A change that means to alter reports rewrites the file
 with `PYTHONPATH=src python tests/test_golden_reports.py`, run from the repo

@@ -70,8 +70,12 @@ def _scan_window(K: WindowShape, r: Fraction):
                 r = int(r)
             else:
                 raise PreconditionError("cube radii must be integers")
+        if r < 0:
+            raise PreconditionError("cube radii must be nonnegative")
         return r, None
     r = rat(r)
+    if r <= 0:
+        raise PreconditionError("line window radii must be positive")
     if isinstance(K, IntervalWindow):
         return IntervalUnion.closed(-r, r), 2 * r
     return K.shape.scale(r), r

@@ -38,18 +38,13 @@ def rat_str(q: Fraction) -> str:
     return str(q) if isinstance(q, Fraction) else str(Fraction(q))
 
 
-def scaled(q: Fraction, scale: int) -> int:
-    """q * scale, for a scale that the denominator of q divides."""
-    return q.numerator * (scale // q.denominator)
-
-
 def common_scale(values: Iterable[Fraction]) -> tuple[int, list[int]]:
     """(D, [q * D for q in values]) with D the lcm of the denominators (1 for
     no values): the integer normal form of a rational configuration, which
     keeps every sum, difference, order and membership test exact."""
     values = list(values)
     D = lcm(*(q.denominator for q in values))
-    return D, [q.numerator * (D // q.denominator) for q in values]  # scaled, inlined
+    return D, [q.numerator * (D // q.denominator) for q in values]
 
 
 def rat_float(q: Fraction, digits: int = 6) -> float:

@@ -26,17 +26,16 @@ The line scan runs in integer arithmetic. Every atom position, trace endpoint,
 period and window endpoint is multiplied by D, the lcm of their denominators,
 and every atom weight by Dw, the lcm of the weight denominators; masses are
 then ints in units of 1/(D * Dw). f is evaluated at all candidates by one
-event sweep (the sweep-line method of Shamos and Hoey, 1976): the value and
-slope at the first candidate come from per-layer closures (sorted atom
-positions with prefix weights, trace starts with cumulative lengths, periodic
-layers folded into one period by divmod), and then each atom entering or
-leaving the window and each slope change of a trace is bucketed onto the
-candidates by one bisect and summed in one pass. Multiplying by the positive
-constants D and D * Dw keeps the order of candidates and of values, and the
-first maximum and the first value reaching a threshold are taken in
-increasing candidate order, so the value, the least argmax and the candidate
-count are those of the exact rational scan. real_mass keeps the Fraction
-evaluation as the independent reference.
+event sweep (the sweep-line method of Shamos and Hoey, 1976): each atom
+entering or leaving the window and each slope change of a trace is a step,
+bucketed onto the candidates by one bisect and summed in one pass. The steps
+below the first candidate land on it and so give its value and slope; those
+of a periodic layer, infinitely many, are summed there in closed form from one
+divmod per step. Multiplying by the positive constants D and D * Dw keeps the
+order of candidates and of values, and the first maximum and the first value
+reaching a threshold are taken in increasing candidate order, so the value,
+the least argmax and the candidate count are those of the exact rational scan.
+real_mass keeps the Fraction evaluation as the independent reference.
 
 Counting measures of configurations with an accumulation marker have infinite
 mass on any window containing a one-sided neighborhood of the marked point;
@@ -75,13 +74,13 @@ from functools import partial
 from itertools import accumulate, product
 from math import ceil, floor, lcm, prod
 from operator import sub
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .config import check_enumeration
 from .errors import PreconditionError
 from .groups import FiniteAbelian, GroupSpec, RealLine, ZLattice
 from .intervals import IntervalUnion, PeriodicPattern
-from .rational import Infinite, common_scale, rat, scaled
+from .rational import Infinite, common_scale, rat
 from .sets import (
     AccumulationPoint,
     Counting,
@@ -263,96 +262,39 @@ class ShiftScan:
 
 @dataclass(frozen=True)
 class _IntLayer:
-    """A layer scaled to ints: its period, event positions (_base_positions),
-    mass closure and sweep steps, which change the slope of x -> mass for a
-    trace and its value for an atom layer."""
+    """A layer scaled to ints: its period, event positions (_base_positions)
+    and sweep steps, which change the slope of x -> mass for a trace and its
+    value for an atom layer."""
 
     period: Optional[int]
     bases: list[int]
-    mass: Callable[[int, int], int]
     trace: bool
     steps: list[tuple[int, int, bool]]  # (position, change, offset by b rather than a)
 
 
-def _atom_mass(atoms: list[tuple[int, int]], period: Optional[int]):
-    """(a, b) -> total weight of the atoms in [a, b], from two bisects.
-
-    A periodic layer folds a and b into [0, period) with divmod and counts the
-    whole periods in between separately."""
-    if period is not None:
-        atoms = [(p % period, w) for p, w in atoms]
-    atoms.sort()
-    positions = [p for p, _ in atoms]
-    prefix = list(accumulate((w for _, w in atoms), initial=0))
-    if period is None:
-
-        def mass(a, b):
-            return prefix[bisect_right(positions, b)] - prefix[bisect_left(positions, a)]
-
-        return mass
-    total = prefix[-1]
-
-    def periodic_mass(a, b):
-        qa, sa = divmod(a, period)
-        qb, sb = divmod(b, period)
-        return (
-            (qb - qa) * total
-            + prefix[bisect_right(positions, sb)]
-            - prefix[bisect_left(positions, sa)]
-        )
-
-    return periodic_mass
-
-
-def _trace_mass(pieces: list[tuple[int, int]], period: Optional[int], unit: int):
-    """(a, b) -> unit * length of the canonical union of pieces inside [a, b].
-
-    A periodic trace repeats pieces, which lie in [0, period], with period."""
-    starts = [s for s, _ in pieces]
-    ends = [e for _, e in pieces]
-    before = list(accumulate((e - s for s, e in pieces), initial=0))
-
-    def below(t):  # length of the union inside (-inf, t]
-        i = bisect_right(starts, t)
-        return before[i - 1] + min(t, ends[i - 1]) - starts[i - 1] if i else 0
-
-    if period is None:
-
-        def mass(a, b):
-            return unit * (below(b) - below(a))
-
-        return mass
-    total = before[-1]
-
-    def periodic_mass(a, b):
-        qa, sa = divmod(a, period)
-        qb, sb = divmod(b, period)
-        return unit * ((qb - qa) * total + below(sb) - below(sa))
-
-    return periodic_mass
-
-
-def _scaled_layer(layer: Layer, bases: list[int], weights, D: int, Dw: int) -> _IntLayer:
-    """The _IntLayer of a layer whose _base_positions, scaled by D, are bases;
-    an atom layer draws its weights, scaled by Dw, from the iterator weights.
-    Masses are ints in units of 1/(D * Dw).
+def _scaled_layer(layer: Layer, period: Optional[int], bases: list[int], weights, D: int, Dw: int):
+    """The _IntLayer of a layer whose period and _base_positions, scaled by D,
+    are period and bases; an atom layer draws its weights, scaled by Dw, from
+    the iterator weights. Masses are ints in units of 1/(D * Dw).
 
     Sweep steps, for a window piece [a, b]: an atom of weight w at p adds w at
     the first x >= p - b, i.e. the first x > p - b - 1, and removes it at the
     first x > p - a; a trace piece [s, e] changes the slope of x -> mass by
-    +unit at s - b and e - a and by -unit at e - b and s - a."""
-    period = None if layer.period is None else scaled(layer.period, D)
+    +unit at s - b and e - a and by -unit at e - b and s - a. All steps of one
+    atom or one trace piece come from its own base position, unreduced by the
+    period, so for each window piece the changes of an atom's steps sum to 0,
+    and those of a trace piece's steps sum to 0 also when multiplied by their
+    positions. The periodic seed of _sweep_run holds only while this does."""
     if isinstance(layer, AtomLayer):
         atoms = [(p, next(weights) * D) for p in bases]
         steps = [step for p, w in atoms for step in ((p - 1, w, True), (p, -w, False))]
-        return _IntLayer(period, bases, _atom_mass(atoms, period), False, steps)
-    pieces = list(zip(bases[::2], bases[1::2]))
+        return _IntLayer(period, bases, False, steps)
     steps = [
         step
-        for s, e in pieces
+        for s, e in zip(bases[::2], bases[1::2])
         for step in ((s, Dw, True), (e, -Dw, True), (s, -Dw, False), (e, Dw, False))
     ]
-    return _IntLayer(period, bases, _trace_mass(pieces, period, Dw), True, steps)
+    return _IntLayer(period, bases, True, steps)
 
 
 def _line_candidates(int_layers: list[_IntLayer], ws: list[int]) -> list[int]:
@@ -362,7 +304,7 @@ def _line_candidates(int_layers: list[_IntLayer], ws: list[int]) -> list[int]:
     cands = {0}
     for bases in finite:
         cands.update(base - w for base in bases for w in ws)
-    if not periodic:
+    if not (periodic and ws):  # an empty window has mass 0 at every shift
         return sorted(cands)
     big = lcm(*(period for period, _ in periodic))
     if finite:  # mixed: event points inside the perturbation zone plus one clean period
@@ -416,34 +358,41 @@ def _sweep(cands: list[int], pieces: list[tuple[int, int]], int_layers: list[_In
 def _sweep_run(cands: list[int], pieces: list[tuple[int, int]], int_layers: list[_IntLayer]):
     """The values at sorted candidates as one running sum.
 
-    The value at the first candidate c0 comes from the mass closures, and so
-    does the slope just right of c0: the steps lie on ints, so each trace's
-    mass is linear on [c0, c0 + 1]. Each step of a layer inside the
-    candidate range is then bucketed by one bisect: an atom's
-    change d at y goes to the value from the first candidate above y on; a
-    trace's slope change d at y goes to the slope from the first candidate c
-    above y on, plus d * (c - y) to the value at c. The seed slope already
-    holds the trace steps at c0, so they are bucketed from c0 + 1 on. The
-    steps need not be candidates: the ones in a gap between two candidates
-    land on the candidate after it."""
+    Each step of a layer below the last candidate is bucketed by one bisect:
+    an atom's change d at y goes to the value from the first candidate above y
+    on; a trace's slope change d at y goes to the slope from the first
+    candidate c above y on, plus d * (c - y) to the value at c. The steps need
+    not be candidates: the ones in a gap between two candidates land on the
+    candidate after it, and the ones below the first candidate c0 on c0, which
+    seeds the run with its value and slope there.
+
+    A periodic step repeats at y + kP for every k. With y - c0 = qP + r, the
+    first replica at or after c0 is c0 + r, and the n = -q replicas y, ...,
+    y + (n - 1)P lie below c0: they add d * n to an atom's value at c0, and
+    d * n to a trace's slope and d * (n * (c0 - y) - P * n * (n - 1) / 2) to
+    its value there. The replicas further left cancel, and n may be negative,
+    because the steps of each atom and of each trace piece come from one base
+    position (_scaled_layer): the atom's changes sum to 0, and so do the
+    piece's changes and their changes times positions."""
     lo, hi = cands[0], cands[-1]
     jumps = [0] * len(cands)  # value changes, bucketed
     bends = [0] * len(cands)  # slope changes, bucketed
-    jumps[0] = sum(l.mass(a + lo, b + lo) for l in int_layers for a, b in pieces)
     for l in int_layers:
         trace, period = l.trace, l.period
-        if trace:  # the slope just right of c0
-            bends[0] += sum(
-                l.mass(a + lo + 1, b + lo + 1) - l.mass(a + lo, b + lo) for a, b in pieces
-            )
-        start = lo + trace
         for a, b in pieces:
             for p, d, right in l.steps:
                 y = p - (b if right else a)
                 if period is None:
-                    ys = (y,) if start <= y < hi else ()
+                    ys = (y,) if y < hi else ()
                 else:
-                    ys = range(start + (y - start) % period, hi, period)
+                    q, r = divmod(y - lo, period)
+                    n = -q  # the replicas below lo, counted from y
+                    if trace:
+                        bends[0] += d * n
+                        jumps[0] += d * (n * (lo - y) - period * n * (n - 1) // 2)
+                    else:
+                        jumps[0] += d * n
+                    ys = range(lo + r, hi, period)
                 if trace:
                     for y in ys:
                         i = bisect_right(cands, y)
@@ -471,11 +420,12 @@ def _scaled_scan(layers, window: IntervalUnion):
     Dw, weights = common_scale(w for l in layers if isinstance(l, AtomLayer) for _, w in l.atoms)
     weights = iter(weights)
     at = len(ws) + len(periods)
+    ends, scaled_periods = ints[: len(ws)], iter(ints[len(ws) : at])
     int_layers = []
     for layer, b in zip(layers, bases):
-        int_layers.append(_scaled_layer(layer, ints[at : at + len(b)], weights, D, Dw))
+        period = None if layer.period is None else next(scaled_periods)
+        int_layers.append(_scaled_layer(layer, period, ints[at : at + len(b)], weights, D, Dw))
         at += len(b)
-    ends = ints[: len(ws)]  # the window endpoints, scaled
     pieces = list(zip(ends[::2], ends[1::2]))
     return D, Dw, pieces, int_layers, _line_candidates(int_layers, ends)
 
@@ -487,9 +437,19 @@ def _line_values(layers, window: IntervalUnion):
     return D, Dw, cands, _sweep(cands, pieces, int_layers)
 
 
-def _line_scan(layers, window: IntervalUnion, threshold: Optional[Fraction] = None):
+def _line_scan(nu, window: IntervalUnion, threshold: Optional[Fraction] = None):
     """The least candidate reaching threshold (None if none does or no
-    threshold is given) and the ShiftScan with the least maximizer."""
+    threshold is given) and the ShiftScan with the least maximizer.
+
+    When nu has an accumulation marker and the window a piece of positive
+    length, the candidate is a shift at which that piece traps the marker on
+    its accumulating side, and the scan's value there is Infinite."""
+    layers, acc = measure_layers(nu, RealLine())
+    piece = next(((a, b) for a, b in window.intervals if b > a), None)
+    if acc and piece:
+        ap = acc[0]
+        x = ap.point - (piece[1] if ap.side == "below" else piece[0])
+        return x, ShiftScan(Infinite(("accumulation", ap, window.translate(x))), x, 0)
     D, Dw, cands, values = _line_values(layers, window)
     best = max(values)
     scan = ShiftScan(Fraction(best, D * Dw), Fraction(cands[values.index(best)], D), len(cands))
@@ -499,27 +459,14 @@ def _line_scan(layers, window: IntervalUnion, threshold: Optional[Fraction] = No
     return next((Fraction(x, D) for x, v in zip(cands, values) if v >= limit), None), scan
 
 
-def _trap_shift(ap: AccumulationPoint, window: IntervalUnion) -> Fraction:
-    """A shift that traps the marker on its accumulating side."""
-    a, b = next((a, b) for a, b in window.intervals if b > a)
-    return ap.point - (b if ap.side == "below" else a)
-
-
 def real_shift_sup(nu, window: IntervalUnion) -> ShiftScan:
     """sup over x of nu(x + window), with the least maximizing event point."""
-    layers, acc = measure_layers(nu, RealLine())
-    if acc and any(b > a for a, b in window.intervals):
-        x = _trap_shift(acc[0], window)
-        return ShiftScan(Infinite(("accumulation", acc[0], window.translate(x))), x, 0)
-    return _line_scan(layers, window)[1]
+    return _line_scan(nu, window)[1]
 
 
 def real_threshold_witness(nu, window: IntervalUnion, threshold: Fraction):
     """Least event point x with nu(x + window) >= threshold, else None plus scan data."""
-    layers, acc = measure_layers(nu, RealLine())
-    if acc and any(b > a for a, b in window.intervals):
-        return _trap_shift(acc[0], window), real_shift_sup(nu, window)
-    return _line_scan(layers, window, threshold)
+    return _line_scan(nu, window, threshold)
 
 # ---------------------------------------------------------------------------
 # discrete (Z^d) engine

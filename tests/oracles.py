@@ -3,8 +3,9 @@ the library does not need, kept here to check what it computes."""
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import lcm, prod
+from typing import Optional
 
 from density_lab import (
     ExplicitFinite,
@@ -18,7 +19,13 @@ from density_lab import (
 from density_lab.config import check_enumeration
 from density_lab.groups import _strip
 from density_lab.sets import difference_residues_mod, discrete_quotient
-from density_lab.windows import CENTERS_OVER_CAP, ShiftScan, _zd_mass_at, measure_layers
+from density_lab.windows import (
+    CENTERS_OVER_CAP,
+    ShiftScan,
+    _scaled_scan,
+    _zd_mass_at,
+    measure_layers,
+)
 
 
 def min_positive_difference(s: PeriodicPoints) -> Fraction:
@@ -155,3 +162,82 @@ def fraction_zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
         if best is None or v > best:
             best, best_x = v, x
     return ShiftScan(best, best_x, scanned)
+
+
+# ---------------------------------------------------------------------------
+# the per-layer mass closures that seeded each run of the line sweep before
+# its steps seeded it themselves, kept verbatim as the per-candidate oracle
+# for that sweep
+
+
+def _atom_mass(atoms: list[tuple[int, int]], period: Optional[int]):
+    """(a, b) -> total weight of the atoms in [a, b], from two bisects.
+
+    A periodic layer folds a and b into [0, period) with divmod and counts the
+    whole periods in between separately."""
+    if period is not None:
+        atoms = [(p % period, w) for p, w in atoms]
+    atoms.sort()
+    positions = [p for p, _ in atoms]
+    prefix = list(accumulate((w for _, w in atoms), initial=0))
+    if period is None:
+
+        def mass(a, b):
+            return prefix[bisect_right(positions, b)] - prefix[bisect_left(positions, a)]
+
+        return mass
+    total = prefix[-1]
+
+    def periodic_mass(a, b):
+        qa, sa = divmod(a, period)
+        qb, sb = divmod(b, period)
+        return (
+            (qb - qa) * total
+            + prefix[bisect_right(positions, sb)]
+            - prefix[bisect_left(positions, sa)]
+        )
+
+    return periodic_mass
+
+
+def _trace_mass(pieces: list[tuple[int, int]], period: Optional[int], unit: int):
+    """(a, b) -> unit * length of the canonical union of pieces inside [a, b].
+
+    A periodic trace repeats pieces, which lie in [0, period], with period."""
+    starts = [s for s, _ in pieces]
+    ends = [e for _, e in pieces]
+    before = list(accumulate((e - s for s, e in pieces), initial=0))
+
+    def below(t):  # length of the union inside (-inf, t]
+        i = bisect_right(starts, t)
+        return before[i - 1] + min(t, ends[i - 1]) - starts[i - 1] if i else 0
+
+    if period is None:
+
+        def mass(a, b):
+            return unit * (below(b) - below(a))
+
+        return mass
+    total = before[-1]
+
+    def periodic_mass(a, b):
+        qa, sa = divmod(a, period)
+        qb, sb = divmod(b, period)
+        return unit * ((qb - qa) * total + below(sb) - below(sa))
+
+    return periodic_mass
+
+
+def per_candidate_values(layers, window):
+    """x -> nu(x + window) at every scaled candidate of _scaled_scan, each
+    evaluated afresh by the mass closures of every layer and window piece. An
+    atom layer's closure takes its atoms (p, w) from its leaving steps
+    (p, -w), a trace layer's its pieces from its bases."""
+    _, Dw, pieces, int_layers, cands = _scaled_scan(layers, window)
+    masses = [
+        _trace_mass(list(zip(l.bases[::2], l.bases[1::2])), l.period, Dw)
+        if l.trace
+        else _atom_mass([(p, -d) for p, d, right in l.steps if not right], l.period)
+        for l in int_layers
+    ]
+    return [sum(mass(a + x, b + x) for a, b in pieces for mass in masses) for x in cands]

@@ -45,6 +45,7 @@ from density_lab import (
     kahane_density_finite_group,
     kahane_oracle_finite,
     real_mass,
+    real_shift_sup,
     rudin_window,
     translate_measure,
     translation_witness,
@@ -58,7 +59,13 @@ from density_lab.density import (
     measure_total_finite,
     oracle_counting_sweep,
 )
-from density_lab.windows import _zd_mass_at, _zd_values, measure_layers
+from density_lab.windows import (
+    ShiftScan,
+    _zd_mass_at,
+    _zd_values,
+    measure_layers,
+    real_threshold_witness,
+)
 from oracles import fraction_zd_shift_sup, subgroup_elements
 
 rng = random.Random(2024)
@@ -93,6 +100,22 @@ def test_classical_residue_count_vs_direct_scan():
 
 # ---------------------------------------------------------------------------
 # window profiles
+
+
+@pytest.mark.parametrize(
+    "group, K, r",
+    [
+        (R, IntervalWindow(), 0),
+        (R, IntervalWindow(), -1),
+        (R, CustomK(IntervalUnion.closed(0, 1)), 0),
+        (Z, CenteredCube(), -1),
+    ],
+    ids=["interval r=0", "interval r=-1", "custom r=0", "cube r=-1"],
+)
+def test_profile_refuses_a_radius_with_no_positive_window(group, K, r):
+    nu = Counting(PeriodicPoints(2, (0,))) if group == R else Counting(PeriodicDiscrete.line(2, [0]))
+    with pytest.raises(PreconditionError):
+        window_density_profile(nu, group, K, [r])
 
 
 def test_profile_counting_2z():
@@ -691,6 +714,55 @@ def test_lattice_witness_of_the_empty_window_is_the_origin():
     empty = ExplicitFinite(())
     assert translation_witness(Counting(ExplicitFinite(((3,),))), Z, empty, 1) == (0,)
     assert translation_witness(Counting(PeriodicDiscrete.line(3, [0])), Z, empty, 1) == (0,)
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [
+        Counting(PeriodicPoints(2, (0,))),
+        Counting(FinitePoints((Fraction(3),))),
+        HaarTrace(IntervalUnion.closed(0, 1)),
+        Counting(FinitePoints((Fraction(1),), (AccumulationPoint(Fraction(0), "both"),))),
+        Counting(PerturbedLattice(1, (Fraction(1, 2),))),
+    ],
+    ids=["periodic", "finite", "trace", "accumulating", "mixed"],
+)
+def test_line_witness_of_the_empty_window_is_the_origin(nu):
+    # nu(empty + x) = 0 at every shift, whichever layers nu has
+    empty = IntervalUnion.empty()
+    assert real_shift_sup(nu, empty) == ShiftScan(Fraction(0), Fraction(0), 1)
+    assert translation_witness(nu, R, empty, 1) == 0
+
+
+@pytest.mark.parametrize(
+    "side, shift",
+    # the first positive piece [1, 3] of the window: "above" and "both" put its
+    # left end on the marker, "below" its right end
+    [("above", Fraction(1, 2)), ("below", Fraction(-3, 2)), ("both", Fraction(1, 2))],
+)
+def test_line_scans_trap_an_accumulation_marker_on_its_side(side, shift):
+    ap = AccumulationPoint(Fraction(3, 2), side)
+    nu = MeasureSum((Counting(FinitePoints((Fraction(-1), Fraction(2)), (ap,))), DiracAtZero()))
+    window = IntervalUnion(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(3)), (5, 6)))
+    certificate = ("accumulation", ap, window.translate(shift))
+    scan = real_shift_sup(nu, window)
+    assert (scan.argmax, scan.candidates) == (shift, 0)
+    assert is_infinite(scan.value) and scan.value.certificate == certificate
+    found, witness_scan = real_threshold_witness(nu, window, Fraction(10**9))
+    assert found == shift and witness_scan.value.certificate == certificate
+    assert translation_witness(nu, R, window, 10**9) == shift
+    assert is_infinite(real_mass(nu, window.translate(shift)))
+
+
+def test_a_window_of_points_cannot_trap_an_accumulation_marker():
+    points = (Fraction(0), Fraction(1), Fraction(3))
+    nu = Counting(FinitePoints(points, (AccumulationPoint(Fraction(0), "both"),)))
+    window = IntervalUnion(((Fraction(1), Fraction(1)), (Fraction(4), Fraction(4))))
+    # candidates p - w: -4, -3, -1, 0 and 2; only x = -1 puts both points on atoms
+    assert real_shift_sup(nu, window) == ShiftScan(Fraction(2), Fraction(-1), 5)
+    assert real_threshold_witness(nu, window, 2)[0] == -1
+    assert real_threshold_witness(nu, window, 3)[0] is None
+    assert real_mass(nu, window.translate(-1)) == 2
 
 
 def test_lattice_witness_sees_the_atoms_of_a_mixed_measure():

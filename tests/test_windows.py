@@ -43,13 +43,14 @@ from density_lab.windows import (
     _base_positions,
     _layer_mass,
     _line_values,
-    _scaled_scan,
     _torus_cube_masses,
     _torus_weights,
     _zd_mass_at,
     measure_layers,
     real_threshold_witness,
 )
+
+from oracles import per_candidate_values
 
 rng = random.Random(5)
 R = RealLine()
@@ -418,14 +419,7 @@ def test_integer_scan_matches_fraction_scan(components, window, step):
 
 
 # ---------------------------------------------------------------------------
-# the event sweep against the per-candidate integer loop it replaced
-
-
-def per_candidate_values(layers, window):
-    """x -> nu(x + window) at every scaled candidate, each evaluated afresh by
-    the mass closures of every layer and window piece."""
-    _, _, pieces, int_layers, cands = _scaled_scan(layers, window)
-    return [sum(l.mass(a + x, b + x) for a, b in pieces for l in int_layers) for x in cands]
+# the event sweep against the per-candidate mass closures that seeded it
 
 
 LINE_FAMILIES = (
@@ -500,16 +494,28 @@ def test_sweep_matches_per_candidate_loop_at_every_candidate(nu, window):
 
 
 def test_sweep_starts_a_new_run_after_a_long_gap():
-    # the candidate 0 lies 10^7 periods below the perturbation zone: walking
-    # the lattice replicas in between would take millions of bisects
-    nu = Counting(PerturbedLattice(1, extra=(Fraction(2 * 10**7 + 1, 2),)))
-    layers, _ = measure_layers(nu, R)
+    # 0 and the perturbation zone lie 10^7 periods apart: walking the replicas
+    # in between would take millions of bisects. The zone's run is seeded in
+    # closed form instead: from n = 10^7 replicas below it, whose trace term
+    # P * n * (n - 1) / 2 is about 10^14, or from n < 0, floored by divmod,
+    # for a zone below 0.
+    pattern = HaarTrace(PeriodicPattern.from_pairs(1, [(0, Fraction(1, 3)), (Fraction(1, 2), 1)]))
+    far = Fraction(2 * 10**7 + 1, 2)
+    measures = (
+        Counting(PerturbedLattice(1, extra=(far,))),
+        MeasureSum((pattern, WeightedDiracs(((far, Fraction(3, 2)),)))),
+        MeasureSum(
+            (pattern, Counting(PerturbedLattice(1, extra=(-far,), removed=(Fraction(-(10**7)),))))
+        ),
+    )
     window = IntervalUnion(((0, Fraction(1, 3)), (1, 2)))
-    start = time.perf_counter()
-    _, _, cands, values = _line_values(layers, window)
-    assert time.perf_counter() - start < 0.5
-    assert cands[1] - cands[0] > 10**7
-    assert values == per_candidate_values(layers, window)
+    for nu in measures:
+        layers, _ = measure_layers(nu, R)
+        start = time.perf_counter()
+        _, _, cands, values = _line_values(layers, window)
+        assert time.perf_counter() - start < 0.5
+        assert max(c - p for p, c in zip(cands, cands[1:])) > 10**7
+        assert values == per_candidate_values(layers, window)
 
 
 # ---------------------------------------------------------------------------

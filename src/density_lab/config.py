@@ -18,6 +18,8 @@ class EstimationParams:
     k_max: int = 12
 
     def __post_init__(self):
+        if self.tol < 0:
+            raise PreconditionError(f"window schedule needs tol >= 0, got {self.tol}")
         if self.r0 <= 0:
             raise PreconditionError(f"window schedule needs r0 > 0, got {self.r0}")
         if self.k_max < 0:

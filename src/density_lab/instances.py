@@ -26,7 +26,7 @@ from . import sets
 from .errors import InstanceParseError
 from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
 from .intervals import IntervalUnion, PeriodicPattern
-from .rational import is_infinite, rat, rat_str
+from .rational import is_infinite, rat, rat_str, ratio_strs
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,8 @@ class Record:
         if isinstance(obj, tuple):
             obj = dict(zip(shown, obj))
         elif not isinstance(obj, dict):
-            obj = {k: getattr(obj, k) for k in shown}
+            obj = {k: (obj._D, getattr(obj, "_" + k)) if f.spec is HELD else getattr(obj, k)
+                   for k, f in shown.items()}
         return {k: f.spec.dump(obj[k], group) for k, f in shown.items()
                 if k in obj and (obj[k] or f.presence != SPARSE)}
 
@@ -215,6 +216,23 @@ class Tagged:
 RATIONAL, INTEGER, ELEMENT = Scalar(rat, rat_str), Scalar(_int), Element()
 RATIONALS, INTEGERS, PAIR = Array(RATIONAL), Array(INTEGER), Array(RATIONAL, 2)
 INTERVALS = Array(PAIR)
+
+
+class Held(Array):
+    """An array of rationals that a line configuration holds as ints over its
+    D (sets._Held): parsed as an Array of RATIONAL, and printed from the
+    pair (D, ints) by ratio_strs, as to_jsonable prints it, without the
+    Fractions."""
+
+    def __init__(self):
+        super().__init__(RATIONAL)
+
+    def dump(self, held, group):
+        D, xs = held
+        return ratio_strs(xs, D)
+
+
+HELD = Held()
 MARKERS = Array(Record(sets.AccumulationPoint, what="accumulation marker",
                        point=RATIONAL, side=Field(Enum(*sets.AccumulationPoint.SIDES), OPTIONAL)))
 ATOMS = Array(Record(tuple, build=lambda point, weight: (point, weight), what="weighted atom",
@@ -243,11 +261,10 @@ OBJECT.kinds.update(
     interval_union=Record(IntervalUnion, intervals=INTERVALS),
     periodic_pattern=Record(PeriodicPattern, period=RATIONAL,
                             pattern=Wrapped(INTERVALS, IntervalUnion, "intervals")),
-    finite_points=Record(sets.FinitePoints, points=RATIONALS,
-                         accumulation=Field(MARKERS, SPARSE)),
-    periodic_points=Record(sets.PeriodicPoints, period=RATIONAL, residues=RATIONALS),
+    finite_points=Record(sets.FinitePoints, points=HELD, accumulation=Field(MARKERS, SPARSE)),
+    periodic_points=Record(sets.PeriodicPoints, period=RATIONAL, residues=HELD),
     perturbed_lattice=Record(sets.PerturbedLattice, step=RATIONAL,
-                             extra=Field(RATIONALS, OPTIONAL), removed=Field(RATIONALS, OPTIONAL),
+                             extra=Field(HELD, OPTIONAL), removed=Field(HELD, OPTIONAL),
                              accumulation=Field(MARKERS, SPARSE)),
     cylinder=Record(sets.CylinderSet, depth=INTEGER, residues=Array(INTEGERS)),
     counting=Record(sets.Counting, of=OBJECT),
@@ -308,8 +325,13 @@ def to_jsonable(obj) -> Any:
         return OBJECT.record(obj)[1].dump(obj, None)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {"type": type(obj).__name__}
+        held = obj.__dict__ if isinstance(obj, sets._Held) else {}
         for f in dataclasses.fields(obj):
-            out[f.name] = to_jsonable(getattr(obj, f.name))
+            ints = held.get("_" + f.name)
+            if isinstance(ints, tuple):  # a Fraction tuple, printed from its ints
+                out[f.name] = ratio_strs(ints, obj._D)
+            else:
+                out[f.name] = to_jsonable(getattr(obj, f.name))
         return out
     if isinstance(obj, dict):
         return {"pairs": [[to_jsonable(k), to_jsonable(v)] for k, v in sorted(obj.items())]}

@@ -122,7 +122,11 @@ class IntervalUnion:
         )
 
     def difference_set(self) -> "IntervalUnion":
-        """The set of differences self - self."""
+        """The set of differences self - self; [-L, L] for one interval of
+        length L, without the sort and merge of the Minkowski sum."""
+        if len(self.intervals) == 1:
+            (a, b), = self.intervals
+            return IntervalUnion.closed(a - b, b - a)
         return self.minkowski(self.negate())
 
     def complement_within(self, lo, hi) -> "IntervalUnion":

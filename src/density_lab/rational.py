@@ -38,13 +38,32 @@ def rat_str(q: Fraction) -> str:
     return str(q) if isinstance(q, Fraction) else str(Fraction(q))
 
 
-def common_scale(values: Iterable[Fraction]) -> tuple[int, list[int]]:
-    """(D, [q * D for q in values]) with D the lcm of the denominators (1 for
-    no values): the integer normal form of a rational configuration, which
-    keeps every sum, difference, order and membership test exact."""
+def ratio_strs(xs: Iterable[int], d: int) -> list[str]:
+    """[rat_str(Fraction(x, d)) for x in xs] for a positive d, without the
+    Fractions: one gcd per absolute value, as a negative x prints as "-" and
+    the string of -x, which a symmetric set (a difference set) has built."""
+    strs: dict[int, str] = {}
+    out = []
+    for x in xs:
+        a = abs(x)
+        s = strs.get(a)
+        if s is None:
+            g = gcd(a, d)
+            s = strs[a] = str(a // g) if g == d else f"{a // g}/{d // g}"
+        out.append("-" + s if x < 0 else s)
+    return out
+
+
+def common_scale(values: Iterable[Fraction], D: int = 1) -> tuple[int, list[int]]:
+    """(E, [q * E for q in values]) with E the lcm of D and the denominators:
+    the integer normal form of a rational configuration, which keeps every
+    sum, difference, order and membership test exact. The line configurations
+    of sets build theirs once, in their constructors; this scales what holds
+    Fractions (interval endpoints, Dirac weights, windows), joined to ints
+    held over D, which the caller multiplies by E // D when that is not 1."""
     values = list(values)
-    D = lcm(*(q.denominator for q in values))
-    return D, [q.numerator * (D // q.denominator) for q in values]
+    E = lcm(D, *(q.denominator for q in values))
+    return E, [q.numerator * (E // q.denominator) for q in values]
 
 
 def rat_float(q: Fraction, digits: int = 6) -> float:

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, lcm, prod
+from math import ceil, floor, gcd, lcm, prod
 from typing import Optional, Union
 
 from .config import check_enumeration
@@ -100,51 +100,75 @@ class AccumulationPoint:
             raise PreconditionError("accumulation side must be above, below, or both")
 
 
-@dataclass(frozen=True)
-class FinitePoints:
-    points: tuple[Fraction, ...] = ()
-    accumulation: tuple[AccumulationPoint, ...] = ()
+class _Held:
+    """A line configuration in its integer normal form (rational.common_scale):
+    _D, the lcm of the denominators of its Fraction fields, and each such
+    field f as the ints f * _D in _f (an int, or a sorted tuple of distinct
+    ints). The constructors build only this form, sorting and deduplicating
+    on the ints (_canonical, from ints, reduces them to lowest terms); each
+    Fraction tuple field is built from its ints when first read, and kept.
+    Fields, ==, hash and repr are those of the dataclass."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(sorted({rat(p) for p in self.points})))
-        object.__setattr__(self, "accumulation", tuple(self.accumulation))
+    def __getattr__(self, name):  # called only for an attribute that is unset
+        ints = None if name.startswith("_") else self.__dict__.get("_" + name)
+        if not isinstance(ints, tuple):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        D = self._D
+        value = self.__dict__[name] = tuple(Fraction(x, D) for x in ints)
+        return value
+
+
+def _lowest_terms(D: int, xs) -> tuple[int, tuple[int, ...]]:
+    """(D, xs) divided by gcd(D, *xs): the lcm of the reduced denominators of
+    the x / D, and the ints over it."""
+    g = gcd(D, *xs)
+    return (D, tuple(xs)) if g == 1 else (D // g, tuple(x // g for x in xs))
+
+
+@dataclass(frozen=True, init=False)
+class FinitePoints(_Held):
+    points: tuple[Fraction, ...]
+    accumulation: tuple[AccumulationPoint, ...]
+
+    def __init__(self, points=(), accumulation=()):
+        D, xs = common_scale([rat(p) for p in points])
+        xs = tuple(sorted(set(xs)))
+        self.__dict__.update(accumulation=tuple(accumulation), _D=D, _points=xs)
 
     @classmethod
-    def _canonical(cls, points: tuple[Fraction, ...], accumulation=()) -> "FinitePoints":
-        """The configuration of points that are already sorted, distinct
-        Fractions, set without the validation and sort of __post_init__."""
+    def _canonical(cls, D: int, xs, accumulation=()) -> "FinitePoints":
+        """The configuration of the points x / D for sorted distinct ints xs."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "points", points)
-        object.__setattr__(obj, "accumulation", tuple(accumulation))
+        D, xs = _lowest_terms(D, xs)
+        obj.__dict__.update(accumulation=tuple(accumulation), _D=D, _points=xs)
         return obj
 
     def __len__(self):
-        return len(self.points)
+        return len(self._points)
 
 
-@dataclass(frozen=True)
-class PeriodicPoints:
+@dataclass(frozen=True, init=False)
+class PeriodicPoints(_Held):
     """The fully periodic configuration residues + period * Z."""
 
     period: Fraction
-    residues: tuple[Fraction, ...] = ()
+    residues: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        period = rat(self.period)
+    def __init__(self, period, residues=()):
+        period = rat(period)
         if period <= 0:
             raise PreconditionError("period must be positive")
-        reduced = sorted({rat(r) % period for r in map(rat, self.residues)})
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "residues", tuple(reduced))
+        D, (P, *xs) = common_scale((period, *map(rat, residues)))
+        xs = tuple(sorted({x % P for x in xs}))  # reduction keeps D
+        self.__dict__.update(period=period, _D=D, _period=P, _residues=xs)
 
     @classmethod
-    def _canonical(cls, period: Fraction, residues: tuple[Fraction, ...]) -> "PeriodicPoints":
-        """The configuration of a positive Fraction period and residues that
-        are already sorted, distinct and in [0, period), set without the
-        validation and reduction of __post_init__."""
+    def _canonical(cls, D: int, P: int, xs) -> "PeriodicPoints":
+        """The configuration of period P / D and residues x / D for sorted
+        distinct ints xs in [0, P)."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "period", period)
-        object.__setattr__(obj, "residues", residues)
+        D, (P, *xs) = _lowest_terms(D, (P, *xs))
+        obj.__dict__.update(period=Fraction(P, D), _D=D, _period=P, _residues=tuple(xs))
         return obj
 
     @classmethod
@@ -153,30 +177,21 @@ class PeriodicPoints:
 
     @property
     def counting_density(self) -> Fraction:
-        return Fraction(len(self.residues), 1) / self.period
+        return Fraction(len(self._residues) * self._D, self._period)
 
     def contains(self, q) -> bool:
-        q = rat(q)
-        return q % self.period in set(self.residues)
+        x = rat(q) * self._D
+        return x.denominator == 1 and x.numerator % self._period in set(self._residues)
 
     def materialize(self, lo, hi) -> tuple[Fraction, ...]:
-        lo, hi = rat(lo), rat(hi)
-        out = []
-        for r in self.residues:
-            k = ceil((lo - r) / self.period)
-            while r + k * self.period <= hi:
-                out.append(r + k * self.period)
-                k += 1
-        return tuple(sorted(out))
+        D, P = self._D, self._period
+        lo, hi = ceil(rat(lo) * D), floor(rat(hi) * D)
+        xs = sorted(x for r in self._residues for x in range(lo + (r - lo) % P, hi + 1, P))
+        return tuple(Fraction(x, D) for x in xs)
 
 
-def difference_residues_mod(residues, period) -> tuple[Fraction, ...]:
-    D, (P, *xs) = common_scale((period, *residues))
-    return tuple(Fraction(d, D) for d in sorted({(x - y) % P for x in xs for y in xs}))
-
-
-@dataclass(frozen=True)
-class PerturbedLattice:
+@dataclass(frozen=True, init=False)
+class PerturbedLattice(_Held):
     """step * Z with finitely many added and removed points.
 
     Removed points must lie on the lattice; extras must not duplicate surviving
@@ -185,45 +200,45 @@ class PerturbedLattice:
     """
 
     step: Fraction
-    extra: tuple[Fraction, ...] = ()
-    removed: tuple[Fraction, ...] = ()
-    accumulation: tuple[AccumulationPoint, ...] = ()
+    extra: tuple[Fraction, ...]
+    removed: tuple[Fraction, ...]
+    accumulation: tuple[AccumulationPoint, ...]
 
-    def __post_init__(self):
-        step = rat(self.step)
+    def __init__(self, step, extra=(), removed=(), accumulation=()):
+        step = rat(step)
         if step <= 0:
             raise PreconditionError("lattice step must be positive")
-        extra = tuple(sorted({rat(p) for p in self.extra}))
-        removed = tuple(sorted({rat(p) for p in self.removed}))
-        for p in removed:
-            if (p / step).denominator != 1:
-                raise PreconditionError(f"removed point {p} is not on the lattice")
+        extra, removed = [rat(p) for p in extra], [rat(p) for p in removed]
+        D, (S, *xs) = common_scale((step, *extra, *removed))
+        n = len(extra)
+        extra, removed = tuple(sorted(set(xs[:n]))), tuple(sorted(set(xs[n:])))
+        for x in removed:
+            if x % S:
+                raise PreconditionError(f"removed point {Fraction(x, D)} is not on the lattice")
         removed_set = set(removed)
-        for p in extra:
-            if (p / step).denominator == 1 and p not in removed_set:
-                raise PreconditionError(f"extra point {p} duplicates a lattice point")
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "extra", extra)
-        object.__setattr__(self, "removed", removed)
-        object.__setattr__(self, "accumulation", tuple(self.accumulation))
+        for x in extra:
+            if x % S == 0 and x not in removed_set:
+                raise PreconditionError(f"extra point {Fraction(x, D)} duplicates a lattice point")
+        self.__dict__.update(step=step, accumulation=tuple(accumulation), _D=D, _step=S,
+                             _extra=extra, _removed=removed)
 
     def perturbation_span(self) -> Optional[tuple[Fraction, Fraction]]:
-        pts = self.extra + self.removed
+        pts = self._extra + self._removed
         if not pts:
             return None
-        return (min(pts), max(pts))
+        return (Fraction(min(pts), self._D), Fraction(max(pts), self._D))
+
+    def _within(self, lo, hi) -> list[int]:
+        """The sorted points in [lo, hi], as ints over _D."""
+        D, S = self._D, self._step
+        lo, hi = ceil(rat(lo) * D), floor(rat(hi) * D)
+        removed = set(self._removed)
+        lattice = (x for x in range(-(-lo // S) * S, hi + 1, S) if x not in removed)
+        return sorted([*(x for x in self._extra if lo <= x <= hi), *lattice])
 
     def materialize(self, lo, hi) -> tuple[Fraction, ...]:
-        lo, hi = rat(lo), rat(hi)
-        removed = set(self.removed)
-        out = [p for p in self.extra if lo <= p <= hi]
-        k = ceil(lo / self.step)
-        while k * self.step <= hi:
-            p = k * self.step
-            if p not in removed:
-                out.append(p)
-            k += 1
-        return tuple(sorted(out))
+        D = self._D
+        return tuple(Fraction(x, D) for x in self._within(lo, hi))
 
 
 PointConfig = Union[FinitePoints, PeriodicPoints, PerturbedLattice]
@@ -435,8 +450,9 @@ def difference_set(s, group: GroupSpec, window=None):
 
     PerturbedLattice inputs require a truncation window; the result is then the
     exact intersection of S - S with that window. Point configurations are
-    differenced in their integer normal form (rational.common_scale): ints
-    over one common denominator D, mapped back to Fractions d / D once.
+    differenced in the integer normal form they hold (_Held): ints over one
+    common denominator D, and the result is built from the int differences,
+    its Fractions only when first read.
     """
     if _set_is_empty(s):
         warnings.warn("difference set of an empty set is empty (0 not included)")
@@ -456,15 +472,16 @@ def difference_set(s, group: GroupSpec, window=None):
     if isinstance(s, PeriodicPattern):
         return s.difference_set()
     if isinstance(s, PeriodicPoints):
-        return PeriodicPoints(s.period, difference_residues_mod(s.residues, s.period))
+        P, xs = s._period, s._residues
+        return PeriodicPoints._canonical(s._D, P, sorted({(x - y) % P for x in xs for y in xs}))
     if isinstance(s, FinitePoints):
         acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
-        if not s.points:  # an accumulation marker alone
-            return FinitePoints._canonical((), acc)
-        D, xs = common_scale(s.points)  # sorted, as the points are
-        pos = [Fraction(d, D) for d in sorted({x - y for i, x in enumerate(xs) for y in xs[:i]})]
-        # 0 and the negatives mirror the positives; negation skips the gcd
-        return FinitePoints._canonical((*(-d for d in reversed(pos)), Fraction(0), *pos), acc)
+        if not s._points:  # an accumulation marker alone
+            return FinitePoints._canonical(1, (), acc)
+        xs = s._points
+        pos = sorted({x - y for i, x in enumerate(xs) for y in xs[:i]})
+        # 0 and the negatives mirror the positives
+        return FinitePoints._canonical(s._D, (*(-d for d in reversed(pos)), 0, *pos), acc)
     if isinstance(s, PerturbedLattice):
         if window is None:
             raise PreconditionError(
@@ -478,10 +495,9 @@ def _perturbed_difference(s: PerturbedLattice, window) -> WindowedDifferenceSet:
     lo, hi = rat(window[0]), rat(window[1])
     if hi < lo:
         raise PreconditionError("truncation window is empty")
-    D, ints = common_scale((lo, hi, s.step, *s.extra, *s.removed))
-    lo_i, hi_i, step = ints[:3]
-    extra = ints[3 : 3 + len(s.extra)]
-    removed = set(ints[3 + len(s.extra) :])
+    D, (lo_i, hi_i) = common_scale((lo, hi), s._D)
+    k = D // s._D
+    step, extra, removed = s._step * k, [x * k for x in s._extra], {x * k for x in s._removed}
 
     def lattice(lo_m, hi_m):  # the multiples of step in [lo_m, hi_m]
         return range(-(-lo_m // step) * step, hi_m + 1, step)
@@ -495,9 +511,8 @@ def _perturbed_difference(s: PerturbedLattice, window) -> WindowedDifferenceSet:
     # extra - extra
     diffs.update(d for x in extra for y in extra if lo_i <= (d := x - y) <= hi_i)
     acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
-    points = tuple(Fraction(d, D) for d in sorted(diffs))
     return WindowedDifferenceSet(
-        points=FinitePoints._canonical(points, acc), window=(lo, hi)
+        points=FinitePoints._canonical(D, sorted(diffs), acc), window=(lo, hi)
     )
 
 
@@ -511,9 +526,9 @@ def _set_is_empty(s) -> bool:
     if isinstance(s, PeriodicPattern):
         return s.pattern.is_empty
     if isinstance(s, PeriodicPoints):
-        return not s.residues
+        return not s._residues
     if isinstance(s, FinitePoints):
-        return not s.points and not s.accumulation
+        return not s._points and not s.accumulation
     if isinstance(s, (PerturbedLattice, CylinderSet)):
         return False  # a lattice is never empty; difference_set refuses cylinders
     raise PreconditionError(f"unknown set type: {type(s).__name__}")

@@ -28,37 +28,39 @@ re-verification marks B + (A-A) in a bytearray from scratch; the packing
 re-verification looks up every b + d, d in (A-A) minus {0}, in a bytearray
 of B, since b1 - b2 = d with b1 != b2 iff b1 = b2 + d lies in B.
 
-The partition runs on the integer normal form (rational.common_scale), with
-one lift and one body for every configuration: _configuration scales the
-points, the radius R of Q = H - H and Q's closed intervals (the spans) to ints
-over the lcm D of their denominators, which keeps every difference and
-membership test. A periodic S (period p) is lifted onto L = floor(2R/p) + 1
-copies of its period, a coloring circle of circumference P = Lp > 2R, and its
-residues are the window centers; a finite or perturbed S is materialized and
-every point is a center. t ~ s iff t - s lies in a lift of Q: a span, or on the
-circle a span translated by P or -P; the lifts are disjoint, since the spans
-are and P > 2R. First-fit keeps, per lift (a, b) with b > 0, the window of
-earlier points in q - [a, b]; as the points are sorted and the lifts fixed,
-both ends of each window only move right, so the pass is O(N |lifts|) however
-many colors there are. A count per color over all windows and a min-heap of
-the colors whose count is 0 (with lazy deletion) give the least free color:
-a color goes on the heap when its count falls to 0 and when it is first
-taken, since the point that took it is in no window yet. The window bound k
-sums the lengths of the ranges s + [a, b] (a lift of a periodic S meets
-s + Q at most once, since P > 2R), and the class-packing re-verification
-flags a point whose window count within its class exceeds 1 (0 is in Q) and
-only then walks its ranges to name the partner. Colors, classes, n and
-k_bound are those of the all-pairs Fraction loop and of real_mass. The ints
-are bucketed by color in one pass; a periodic class is reduced to its
-minimal period in ints: the largest k dividing its size and P whose shift
-P/k maps it onto itself (P/k must be an int, as the class consists of
-multiples of 1/D). Only a finite or perturbed S keeps its Fraction points,
-as its classes consist of them. packing_bound_check validates
+The partition runs on the integer normal form that every line configuration
+holds (sets._Held), with one lift and one body for every configuration:
+_configuration joins the points, the radius R of Q = H - H and Q's closed
+intervals (the spans) as ints over the lcm D of their denominators, which
+keeps every difference and membership test. A periodic S (period p) is lifted
+onto L = floor(2R/p) + 1 copies of its period, a coloring circle of
+circumference P = Lp > 2R, and its residues are the window centers; a finite
+or perturbed S is materialized and every point is a center. t ~ s iff t - s
+lies in a lift of Q: a span, or on the circle a span translated by P or -P;
+the lifts are disjoint, since the spans are and P > 2R. First-fit keeps, per
+lift (a, b) with b > 0, the window of earlier points in q - [a, b]; as the
+points are sorted and the lifts fixed, both ends of each window only move
+right, so the pass is O(N |lifts|) however many colors there are. A count per
+color over all windows and a min-heap of the colors whose count is 0 (with
+lazy deletion) give the least free color: a color goes on the heap when its
+count falls to 0 and when it is first taken, since the point that took it is
+in no window yet. The window bound k sums the lengths of the ranges s + [a, b]
+(a lift of a periodic S meets s + Q at most once, since P > 2R), and the
+class-packing re-verification flags a point whose window count within its
+class exceeds 1 (0 is in Q) and only then walks its ranges to name the
+partner. Colors, classes, n and k_bound are those of the all-pairs Fraction
+loop and of real_mass. The ints are bucketed by color in one pass; a periodic
+class is reduced to its minimal period in ints: the largest k dividing its
+size and P whose shift P/k maps it onto itself (P/k must be an int, as the
+class consists of multiples of 1/D). A finite class is built from its ints
+too, its Fraction points only when first read. packing_bound_check validates
 per group, then tests the elements of S - S in [-R, R]
 (_difference_points_within; a periodic subset of Z as the residues of a
-periodic configuration) against the spans of H - H scaled to the same D (on
-Z, its points), one bisect per span, and builds a Fraction only for the
-common difference it reports.
+periodic configuration) against the spans of H - H scaled to the same D (on Z,
+its points), one bisect per span, and builds a Fraction only for the common
+difference it reports. On the line, the density of a periodic S is #residues /
+period from its held form, and one interval H of length L gives Q = [-L, L]
+without a Minkowski sum.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ from .windows import real_mass, real_shift_sup
 
 def counting_density(S, group: GroupSpec):
     """Exact counting density of a configuration; Infinite for accumulating ones."""
+    if isinstance(S, PeriodicPoints) and isinstance(group, RealLine):
+        return S.counting_density  # from the held form
     return periodic_mean_density(Counting(S), group)
 
 
@@ -284,24 +288,27 @@ class PackingCheck:
 def _difference_points_within(S, radius: Fraction, spans) -> tuple[int, list[int], list]:
     """(D, ds, int_spans): the elements of S - S in [-radius, radius] as sorted
     ints over D, and the rational pairs `spans` as int pairs over the same D,
-    the lcm of all their denominators. The lifts of the residue differences
-    of a periodic S are taken in ints directly."""
-    m = 2 * len(spans)
+    the lcm of the D that S (or its windowed difference set) holds and of the
+    denominators of the radius and the spans. The lifts of the residue
+    differences of a periodic S are taken in ints directly."""
     ends = [x for span in spans for x in span]
     if isinstance(S, PerturbedLattice):
-        wd = difference_set(S, RealLine(), window=(-radius, radius))
-        D, ints = common_scale((*ends, *wd.points.points))
-        return D, ints[m:], list(zip(ints[:m:2], ints[1:m:2]))
+        wd = difference_set(S, RealLine(), window=(-radius, radius)).points
+        D, ints = common_scale(ends, wd._D)
+        k = D // wd._D
+        ds = wd._points if k == 1 else [d * k for d in wd._points]
+        return D, ds, list(zip(ints[::2], ints[1::2]))
     if not isinstance(S, PeriodicPoints):
         raise PreconditionError(f"unsupported configuration: {type(S).__name__}")
-    D, (R, P, *ints) = common_scale((radius, S.period, *ends, *S.residues))
-    res = ints[m:]
+    D, (R, *ints) = common_scale((radius, *ends), S._D)
+    k = D // S._D
+    P, res = S._period * k, [x * k for x in S._residues]
     out = set()
     for a in res:
         for b in res:
             base = a - b  # its lifts base + kP in [-R, R]
             out.update(range(base - (base + R) // P * P, R + 1, P))
-    return D, sorted(out), list(zip(ints[:m:2], ints[1:m:2]))
+    return D, sorted(out), list(zip(ints[::2], ints[1::2]))
 
 
 def packing_bound_check(S, H, group: GroupSpec = RealLine()) -> PackingCheck:
@@ -441,7 +448,7 @@ def partition_by_coloring(
     if Q.is_empty:
         raise PreconditionError("H is empty")
     radius = max(abs(Q.inf), abs(Q.sup))  # Q lies in [-radius, radius]
-    D, ints, lifts, P, centers, points = _configuration(S, Q, radius, materialize_range)
+    D, ints, lifts, P, centers = _configuration(S, Q, radius, materialize_range)
     colors = _first_fit(ints, lifts)
     n = max(colors, default=-1) + 1
     # one color in range(n) per point, or zip would drop points and a negative
@@ -458,11 +465,8 @@ def partition_by_coloring(
             f"class count {n} exceeds the window bound {k_bound}", counterexample=(S, H)
         )
     if P is None:
-        members = [[] for _ in range(n)]
-        for q, c in zip(points, colors):
-            members[c].append(q)
-        classes = tuple(FinitePoints._canonical(tuple(cl)) for cl in members)
-        densities, period = tuple(Fraction(0) for _ in members), None
+        classes = tuple(FinitePoints._canonical(D, cl) for cl in int_members)
+        densities, period = tuple(Fraction(0) for _ in int_members), None
     else:
         period = Fraction(P, D)
         classes = tuple(_periodic_class(cl, P, D) for cl in int_members)
@@ -474,35 +478,35 @@ def partition_by_coloring(
 
 
 def _configuration(S, Q: IntervalUnion, radius: Fraction, materialize_range):
-    """(D, ints, lifts, P, centers, points): the sorted points to color as ints
-    over D (the lcm of the denominators of the points, Q's endpoints and the
-    radius), and the lifts of Q as int pairs (a, b): t ~ s iff t - s lies in
-    one. A periodic S is lifted onto L = floor(2R / p) + 1 copies of its
-    period p (R = radius * D), the int circle P = L * p > 2R, the lifts are
-    Q's intervals translated by 0, P and -P, its residues are the first
-    `centers` points, and points = None: its classes are built from the ints.
-    A finite or perturbed S is materialized, P = None, the lifts are Q's
-    intervals, all centers, and points are its Fractions, which its classes
-    consist of."""
+    """(D, ints, lifts, P, centers): the sorted points to color as ints over D
+    (the lcm of the D that S holds and of the denominators of Q's endpoints
+    and the radius), and the lifts of Q as int pairs (a, b): t ~ s iff t - s
+    lies in one. A periodic S is lifted onto L = floor(2R / p) + 1 copies of
+    its period p (R = radius * D), the int circle P = L * p > 2R, the lifts
+    are Q's intervals translated by 0, P and -P, and its residues are the
+    first `centers` points. A finite or perturbed S is materialized, P =
+    None, the lifts are Q's intervals, and all points are centers."""
     periodic = isinstance(S, PeriodicPoints)
     if periodic:
-        if not S.residues:
+        if not S._residues:
             raise PreconditionError("S is empty")
-        head, base = (radius, S.period), S.residues
+        held, xs = S._D, S._residues
     else:
-        head, base = (radius,), _materialize_config(S, materialize_range)
+        held, xs = _materialize_config(S, materialize_range)
     m = 2 * len(Q.intervals)
-    D, ints = common_scale([*Q.endpoints(), *head, *base])
+    D, ints = common_scale([*Q.endpoints(), radius], held)
+    k = D // held
+    if k != 1:
+        xs = [x * k for x in xs]
     spans = list(zip(ints[:m:2], ints[1:m:2]))
-    R, xs = ints[m], ints[m + len(head) :]
     if not periodic:
-        return D, xs, spans, None, len(xs), base
-    period = ints[m + 1]
+        return D, list(xs), spans, None, len(xs)
+    R, period = ints[m], S._period * k
     P = (2 * R // period + 1) * period
     # the residues lie in [0, period), so the lift is sorted copy by copy
     ints = [r + j for j in range(0, P, period) for r in xs]
     lifts = [(a + off, b + off) for off in (0, P, -P) for a, b in spans]
-    return D, ints, lifts, P, len(S.residues), None
+    return D, ints, lifts, P, len(xs)
 
 
 def _first_fit(points: list[int], lifts: list) -> list[int]:
@@ -575,16 +579,19 @@ def _periodic_class(xs: list[int], P: int, D: int) -> PeriodicPoints:
     n, members = len(xs), set(xs)
     step = next((P // k for k in range(n, 1, -1) if n % k == P % k == 0
                  and all((x + P // k) % P in members for x in xs)), P)
-    return PeriodicPoints._canonical(Fraction(step, D), tuple(Fraction(x, D) for x in xs if x < step))
+    return PeriodicPoints._canonical(D, step, [x for x in xs if x < step])
 
 
-def _materialize_config(S, materialize_range):
+def _materialize_config(S, materialize_range) -> tuple[int, tuple[int, ...]]:
+    """(D, sorted ints over D): the points of a finite S, or of a perturbed S
+    in materialize_range (by default its perturbation span widened by two
+    steps), in the integer normal form S holds."""
     if isinstance(S, (FinitePoints, PerturbedLattice)) and S.accumulation:
         raise PreconditionError(
             "accumulating configuration: window counts around the marker are infinite"
         )
     if isinstance(S, FinitePoints):
-        return list(S.points)
+        return S._D, S._points
     if isinstance(S, PerturbedLattice):
         if materialize_range is None:
             span = S.perturbation_span()
@@ -592,8 +599,8 @@ def _materialize_config(S, materialize_range):
                 raise PreconditionError("materialize_range required for a bare lattice")
             lo, hi = span[0] - 2 * S.step, span[1] + 2 * S.step
         else:
-            lo, hi = rat(materialize_range[0]), rat(materialize_range[1])
-        return list(S.materialize(lo, hi))
+            lo, hi = materialize_range[0], materialize_range[1]
+        return S._D, S._within(lo, hi)
     raise PreconditionError(f"unsupported configuration: {type(S).__name__}")
 
 

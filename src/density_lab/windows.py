@@ -3,11 +3,13 @@
 measure_layers is the one walker over a measure tree, for the real line, Z^d
 and finite abelian groups alike. It decomposes nu into layers: weighted atoms
 (AtomLayer; finite, or periodic with a Fraction period on the line and an
-integer tuple period on Z^d) and, on the line, Haar traces (TraceLayer; finite
-interval unions or periodic patterns), plus the accumulation markers of line
-configurations. Every Dirac point, ExplicitFinite element and lattice residue
-goes through group.check there (line configurations hold Fractions by
-construction), so every layer's atoms belong to the group.
+integer tuple period on Z^d), the counting atoms of line configurations
+(PointLayer, in the integer normal form they hold) and, on the line, Haar
+traces (TraceLayer; finite interval unions or periodic patterns), plus the
+accumulation markers of line configurations. Every Dirac point,
+ExplicitFinite element and lattice residue goes through group.check there
+(line configurations are rational by construction), so every layer's atoms
+belong to the group.
 
 For a bounded closed window W on the line, the shift function
 f(x) = nu(x + W) is upper semicontinuous and piecewise linear, with
@@ -25,8 +27,10 @@ inside the perturbation zone plus one clean far-field period.
 The line scan runs in integer arithmetic. Every atom position, trace endpoint,
 period and window endpoint is multiplied by D, the lcm of their denominators,
 and every atom weight by Dw, the lcm of the weight denominators; masses are
-then ints in units of 1/(D * Dw). f is evaluated at all candidates by one
-event sweep (the sweep-line method of Shamos and Hoey, 1976): each atom
+then ints in units of 1/(D * Dw). A PointLayer brings its ints over the D of
+its configuration, which divides D: they are multiplied by the quotient only
+when it is not 1, and its weight is an int. f is evaluated at all candidates
+by one event sweep (the sweep-line method of Shamos and Hoey, 1976): each atom
 entering or leaving the window and each slope change of a trace is a step,
 bucketed onto the candidates by one bisect and summed in one pass. The steps
 below the first candidate land on it and so give its value and slope; those
@@ -71,7 +75,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from math import ceil, floor, lcm, prod
 from operator import sub
 from typing import Optional, Union
@@ -106,13 +110,35 @@ class AtomLayer:
 
 
 @dataclass(frozen=True)
+class PointLayer:
+    """The counting atoms of a line configuration, in the integer normal form
+    it holds: weight at x / D for each x in positions, repeated with period
+    P / D unless P is None. The line scan reads the ints; period and atoms
+    give the Fraction paths (real_mass) what an AtomLayer gives them."""
+
+    D: int
+    P: Optional[int]
+    positions: tuple[int, ...]
+    weight: int = 1
+
+    @property
+    def period(self) -> Optional[Fraction]:
+        return None if self.P is None else Fraction(self.P, self.D)
+
+    @property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        w, D = Fraction(self.weight), self.D
+        return tuple((Fraction(x, D), w) for x in self.positions)
+
+
+@dataclass(frozen=True)
 class TraceLayer:
     period: Optional[Fraction]
     periodic: Optional[PeriodicPattern] = None
     finite: Optional[IntervalUnion] = None
 
 
-Layer = Union[AtomLayer, TraceLayer]
+Layer = Union[AtomLayer, PointLayer, TraceLayer]
 
 
 def measure_layers(nu, group: GroupSpec) -> tuple[list[Layer], tuple[AccumulationPoint, ...]]:
@@ -144,6 +170,11 @@ def _collect(nu, group, layers, acc):
     if not isinstance(nu, (Counting, HaarTrace)):
         raise PreconditionError(f"unsupported measure: {type(nu).__name__}")
     s = nu.of
+
+    def held(P, positions, weight=1):  # a line configuration's ints over its D
+        if positions:
+            layers.append(PointLayer(s._D, P, positions, weight))
+
     line = isinstance(group, RealLine)
     trace = line and isinstance(nu, HaarTrace)  # Lebesgue measure restricted to s
     count = line and isinstance(nu, Counting)
@@ -158,14 +189,14 @@ def _collect(nu, group, layers, acc):
     elif isinstance(s, ExplicitFinite):
         add(None, [group.check(e) for e in s.elements])
     elif count and isinstance(s, FinitePoints):
-        add(None, s.points)
+        held(None, s._points)
         acc.extend(s.accumulation)
     elif count and isinstance(s, PeriodicPoints):
-        add(s.period, s.residues)
+        held(s._period, s._residues)
     elif count and isinstance(s, PerturbedLattice):
-        add(s.step, (Fraction(0),))
-        add(None, s.extra)
-        add(None, s.removed, Fraction(-1))
+        held(s._step, (0,))
+        held(None, s._extra)
+        held(None, s._removed, -1)
         acc.extend(s.accumulation)
     elif isinstance(group, ZLattice) and isinstance(s, PeriodicDiscrete):
         add(s.period, [group.check(r) for r in s.residues])
@@ -187,7 +218,7 @@ def _finite_atom_index(layer: AtomLayer):
 
 def _layer_mass(layer: Layer, window: IntervalUnion) -> Fraction:
     total = Fraction(0)
-    if isinstance(layer, AtomLayer):
+    if not isinstance(layer, TraceLayer):
         if layer.period is None:
             positions, prefix = _finite_atom_index(layer)
             for a, b in window.intervals:
@@ -244,9 +275,9 @@ def _trace_union(layer: TraceLayer) -> IntervalUnion:
 
 
 def _base_positions(layer: Layer) -> list[Fraction]:
-    if isinstance(layer, AtomLayer):
-        return [p for p, _ in layer.atoms]
-    return _trace_union(layer).endpoints()
+    if isinstance(layer, TraceLayer):
+        return _trace_union(layer).endpoints()
+    return [p for p, _ in layer.atoms]
 
 
 @dataclass(frozen=True)
@@ -272,27 +303,32 @@ class _IntLayer:
     steps: list[tuple[int, int, bool]]  # (position, change, offset by b rather than a)
 
 
-def _scaled_layer(layer: Layer, period: Optional[int], bases: list[int], weights, D: int, Dw: int):
-    """The _IntLayer of a layer whose period and _base_positions, scaled by D,
-    are period and bases; an atom layer draws its weights, scaled by Dw, from
-    the iterator weights. Masses are ints in units of 1/(D * Dw).
+def _atom_layer(period: Optional[int], bases, weights) -> _IntLayer:
+    """The _IntLayer of atoms at the scaled positions bases, of the scaled
+    weights (an iterable) and the scaled period (None for a finite layer).
+    Masses are ints in units of 1/(D * Dw), so a weight is scaled by D * Dw.
 
     Sweep steps, for a window piece [a, b]: an atom of weight w at p adds w at
     the first x >= p - b, i.e. the first x > p - b - 1, and removes it at the
-    first x > p - a; a trace piece [s, e] changes the slope of x -> mass by
-    +unit at s - b and e - a and by -unit at e - b and s - a. All steps of one
-    atom or one trace piece come from its own base position, unreduced by the
-    period, so for each window piece the changes of an atom's steps sum to 0,
-    and those of a trace piece's steps sum to 0 also when multiplied by their
-    positions. The periodic seed of _sweep_run holds only while this does."""
-    if isinstance(layer, AtomLayer):
-        atoms = [(p, next(weights) * D) for p in bases]
-        steps = [step for p, w in atoms for step in ((p - 1, w, True), (p, -w, False))]
-        return _IntLayer(period, bases, False, steps)
+    first x > p - a; a trace piece [s, e] (_trace_layer) changes the slope of
+    x -> mass by +unit at s - b and e - a and by -unit at e - b and s - a. All
+    steps of one atom or one trace piece come from its own base position,
+    unreduced by the period, so for each window piece the changes of an
+    atom's steps sum to 0, and those of a trace piece's steps sum to 0 also
+    when multiplied by their positions. The periodic seed of _sweep_run holds
+    only while this does."""
+    steps = [step for p, w in zip(bases, weights) for step in ((p - 1, w, True), (p, -w, False))]
+    return _IntLayer(period, bases, False, steps)
+
+
+def _trace_layer(period: Optional[int], bases, unit: int) -> _IntLayer:
+    """The _IntLayer of a trace with the scaled endpoints bases, in pairs,
+    and the scaled period, of slope unit (Dw) inside its pieces; its steps
+    are those of _atom_layer."""
     steps = [
         step
         for s, e in zip(bases[::2], bases[1::2])
-        for step in ((s, Dw, True), (e, -Dw, True), (s, -Dw, False), (e, Dw, False))
+        for step in ((s, unit, True), (e, -unit, True), (s, -unit, False), (e, unit, False))
     ]
     return _IntLayer(period, bases, True, steps)
 
@@ -372,7 +408,7 @@ def _sweep_run(cands: list[int], pieces: list[tuple[int, int]], int_layers: list
     d * n to a trace's slope and d * (n * (c0 - y) - P * n * (n - 1) / 2) to
     its value there. The replicas further left cancel, and n may be negative,
     because the steps of each atom and of each trace piece come from one base
-    position (_scaled_layer): the atom's changes sum to 0, and so do the
+    position (_atom_layer): the atom's changes sum to 0, and so do the
     piece's changes and their changes times positions."""
     lo, hi = cands[0], cands[-1]
     jumps = [0] * len(cands)  # value changes, bucketed
@@ -412,20 +448,39 @@ def _sweep_run(cands: list[int], pieces: list[tuple[int, int]], int_layers: list
 
 def _scaled_scan(layers, window: IntervalUnion):
     """(D, Dw, window pieces, _IntLayers, candidates) of a line scan, in ints:
-    positions, periods and window endpoints times D, weights times Dw."""
+    positions, periods and window endpoints times D, weights times Dw.
+
+    D is the lcm of the D each PointLayer holds and of the denominators of
+    what holds Fractions: the window's endpoints and the positions and
+    periods of traces and Dirac atoms, which common_scale scales. A
+    PointLayer's ints are multiplied by D // layer.D only when that is not 1.
+    Dw is the lcm of the denominators of the Dirac weights; a PointLayer's
+    weight is an int already."""
     ws = window.endpoints()
-    bases = [_base_positions(l) for l in layers]
-    periods = [l.period for l in layers if l.period is not None]
-    D, ints = common_scale([*ws, *periods, *(q for b in bases for q in b)])
-    Dw, weights = common_scale(w for l in layers if isinstance(l, AtomLayer) for _, w in l.atoms)
+    held = [l for l in layers if isinstance(l, PointLayer)]
+    mixed = [l for l in layers if not isinstance(l, PointLayer)]
+    bases = [_base_positions(l) for l in mixed]
+    periods = [l.period for l in mixed if l.period is not None]
+    D, ints = common_scale([*ws, *periods, *(q for b in bases for q in b)],
+                           lcm(*(l.D for l in held)))
+    Dw, weights = common_scale(w for l in mixed if isinstance(l, AtomLayer) for _, w in l.atoms)
     weights = iter(weights)
     at = len(ws) + len(periods)
     ends, scaled_periods = ints[: len(ws)], iter(ints[len(ws) : at])
     int_layers = []
-    for layer, b in zip(layers, bases):
+    for layer, b in zip(mixed, bases):
         period = None if layer.period is None else next(scaled_periods)
-        int_layers.append(_scaled_layer(layer, period, ints[at : at + len(b)], weights, D, Dw))
+        xs = ints[at : at + len(b)]
         at += len(b)
+        if isinstance(layer, TraceLayer):
+            int_layers.append(_trace_layer(period, xs, Dw))
+        else:
+            int_layers.append(_atom_layer(period, xs, [next(weights) * D for _ in xs]))
+    for layer in held:
+        k = D // layer.D
+        xs = layer.positions if k == 1 else [x * k for x in layer.positions]
+        period = None if layer.P is None else layer.P * k
+        int_layers.append(_atom_layer(period, xs, repeat(layer.weight * D * Dw)))
     pieces = list(zip(ends[::2], ends[1::2]))
     return D, Dw, pieces, int_layers, _line_candidates(int_layers, ends)
 

@@ -8,9 +8,12 @@ from math import lcm, prod
 from typing import Optional
 
 from density_lab import (
+    AccumulationPoint,
     ExplicitFinite,
     FiniteAbelian,
+    FinitePoints,
     PeriodicPoints,
+    PerturbedLattice,
     PreconditionError,
     SigmaFiniteChain,
     SyndeticCertificate,
@@ -18,7 +21,8 @@ from density_lab import (
 )
 from density_lab.config import check_enumeration
 from density_lab.groups import _strip
-from density_lab.sets import difference_residues_mod, discrete_quotient
+from density_lab.rational import common_scale, rat
+from density_lab.sets import WindowedDifferenceSet, discrete_quotient
 from density_lab.windows import (
     CENTERS_OVER_CAP,
     ShiftScan,
@@ -26,6 +30,57 @@ from density_lab.windows import (
     _zd_mass_at,
     measure_layers,
 )
+
+
+# ---------------------------------------------------------------------------
+# the difference sets of line configurations before they held their integer
+# normal form, kept verbatim (each configuration scaled by common_scale from
+# its Fractions, and every difference mapped back to a Fraction d / D) as
+# the oracle for the int-built results; the trusted constructor of sorted
+# Fractions they used is the public one here
+
+
+def difference_residues_mod(residues, period) -> tuple[Fraction, ...]:
+    D, (P, *xs) = common_scale((period, *residues))
+    return tuple(Fraction(d, D) for d in sorted({(x - y) % P for x in xs for y in xs}))
+
+
+def fraction_difference_set(s, window=None):
+    """sets.difference_set of a PeriodicPoints, FinitePoints or
+    PerturbedLattice s."""
+    if isinstance(s, PeriodicPoints):
+        return PeriodicPoints(s.period, difference_residues_mod(s.residues, s.period))
+    if isinstance(s, FinitePoints):
+        acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
+        if not s.points:  # an accumulation marker alone
+            return FinitePoints((), acc)
+        D, xs = common_scale(s.points)  # sorted, as the points are
+        pos = [Fraction(d, D) for d in sorted({x - y for i, x in enumerate(xs) for y in xs[:i]})]
+        # 0 and the negatives mirror the positives; negation skips the gcd
+        return FinitePoints((*(-d for d in reversed(pos)), Fraction(0), *pos), acc)
+    assert isinstance(s, PerturbedLattice)
+    lo, hi = rat(window[0]), rat(window[1])
+    if hi < lo:
+        raise PreconditionError("truncation window is empty")
+    D, ints = common_scale((lo, hi, s.step, *s.extra, *s.removed))
+    lo_i, hi_i, step = ints[:3]
+    extra = ints[3 : 3 + len(s.extra)]
+    removed = set(ints[3 + len(s.extra) :])
+
+    def lattice(lo_m, hi_m):  # the multiples of step in [lo_m, hi_m]
+        return range(-(-lo_m // step) * step, hi_m + 1, step)
+
+    # lattice - lattice: every multiple of the step survives (removals are finite)
+    diffs = set(lattice(lo_i, hi_i))
+    # extra vs lattice, both signs: e - p and p - e in [lo, hi]
+    for e in extra:
+        diffs.update(e - p for p in lattice(e - hi_i, e - lo_i) if p not in removed)
+        diffs.update(p - e for p in lattice(e + lo_i, e + hi_i) if p not in removed)
+    # extra - extra
+    diffs.update(d for x in extra for y in extra if lo_i <= (d := x - y) <= hi_i)
+    acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
+    points = tuple(Fraction(d, D) for d in sorted(diffs))
+    return WindowedDifferenceSet(points=FinitePoints(points, acc), window=(lo, hi))
 
 
 def min_positive_difference(s: PeriodicPoints) -> Fraction:

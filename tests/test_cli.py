@@ -148,12 +148,21 @@ def test_missing_file_exit_2(capsys):
         ("perturbed_lattice.json", ["--notion", "kahane", "--rmax", "40"], 3),
         # a cap below the first radius would leave no radius to report
         ("perturbed_lattice.json", ["--notion", "window", "--r0", "10", "--rmax", "5"], 3),
+        # a negative tolerance would run the profile to --kmax and echo tol=-1
+        ("half_pattern.json", ["--notion", "window", "--tol", "-1"], 3),
     ],
 )
 def test_bad_window_arguments_keep_exit_contract(capsys, instance, extra, code):
     got, _, err = run(capsys, "density", "--instance", f"{INSTANCES}/{instance}", *extra)
     assert got == code
     assert ("parse error" if code == 2 else "precondition failure") in err
+
+
+def test_zero_tolerance_is_valid(capsys):
+    """tol = 0 asks for equal consecutive ratios: a valid, if strict, schedule."""
+    code, _, _ = run(capsys, "density", "--instance", f"{INSTANCES}/half_pattern.json",
+                     "--notion", "window", "--tol", "0", "--kmax", "2")
+    assert code == 0
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ EXTRA = [
     ["density", "--instance", "instances/half_pattern.json", "--notion", "window",
      "--K", "interval", "--kmax", "4"],
     ["density", "--instance", "instances/half_pattern.json", "--notion", "window", "--K", "cube"],
+    ["density", "--instance", "instances/half_pattern.json", "--notion", "window", "--tol", "-1"],
     ["density", "--instance", "instances/perturbed_lattice.json", "--notion", "window",
      "--rmax", "40"],
     ["density", "--instance", "instances/perturbed_lattice.json", "--notion", "window",

@@ -74,6 +74,12 @@ def test_minkowski_length_dominates(a, b):
         assert a.minkowski(b).length >= max(a.length, b.length)
 
 
+@given(interval_unions(3))
+def test_difference_set_is_the_minkowski_sum_with_the_negation(u):
+    """Also for one interval, whose [-L, L] skips the Minkowski sum."""
+    assert u.difference_set() == u.minkowski(u.negate())
+
+
 def test_complement_and_covering():
     u = IntervalUnion(((Fraction(0), Fraction(1)), (Fraction(2), Fraction(3))))
     gaps = u.complement_within(0, 3)

@@ -722,7 +722,7 @@ def fraction_partition(S, H):
         )
         k_bound = max(real_mass(Counting(S), Q.translate(s)) for s in S.residues)
         return classes, n, k_bound
-    points = _materialize_config(S, None)
+    points = materialized(S)
 
     def conflict_pts(u, v):
         return u != v and Q.contains(v - u)
@@ -831,7 +831,14 @@ def coloring_points(S, Q):
             L += 1
         P = L * S.period
         return sorted(r + j * S.period for r in S.residues for j in range(L)), P
-    return _materialize_config(S, None), None
+    return materialized(S), None
+
+
+def materialized(S) -> list[Fraction]:
+    """The points of a finite or perturbed S that the partition colors, as
+    Fractions."""
+    D, xs = _materialize_config(S, None)
+    return [Fraction(x, D) for x in xs]
 
 
 def fraction_violates(Q, P, a, b) -> bool:
@@ -876,7 +883,7 @@ def test_integer_class_verifier_rejects_what_fraction_verifier_rejects(drawn, mo
         fraction_violates(Q, P, a, b) for cl in classes for a in cl for b in cl
     )
     radius = max(abs(Q.inf), abs(Q.sup))
-    D, _, lifts, _, _, _ = _configuration(S, Q, radius, None)
+    D, _, lifts, _, _ = _configuration(S, Q, radius, None)
     int_classes = [[int(q * D) for q in cl] for cl in classes]
     try:
         _verify_class_packing(int_classes, D, lifts)
@@ -898,9 +905,8 @@ def test_integer_window_counts_match_real_mass(drawn):
     Q = H.difference_set()
     points, P = coloring_points(S, Q)
     radius = max(abs(Q.inf), abs(Q.sup))
-    D, ints, lifts, P_int, n_centers, kept = _configuration(S, Q, radius, None)
+    D, ints, lifts, P_int, n_centers = _configuration(S, Q, radius, None)
     assert [Fraction(x, D) for x in ints] == points and ints == [q * D for q in points]
-    assert kept == (points if P is None else None)
     assert P_int == (None if P is None else P * D)
     assert lifts == [(a * D + off, b * D + off) for off in ((0,) if P is None else (0, P_int, -P_int))
                      for a, b in Q.intervals]
@@ -1036,7 +1042,7 @@ def test_sliding_first_fit_matches_the_range_slices_and_the_pair_loop(drawn):
     S, H = drawn
     Q = H.difference_set()
     radius = max(abs(Q.inf), abs(Q.sup))
-    D, ints, lifts, P, _, _ = _configuration(S, Q, radius, None)
+    D, ints, lifts, P, _ = _configuration(S, Q, radius, None)
     spans = lifts[: len(Q.intervals)]
     colors = _first_fit(ints, lifts)
     assert colors == range_slice_first_fit(ints, lifts)
@@ -1060,7 +1066,7 @@ def test_int_class_reduction_matches_fraction_reduction(drawn, base, k, offsets,
     S, H = drawn
     part = partition_by_coloring(S, H)
     radius = max(abs(part.Q.inf), abs(part.Q.sup))
-    D_S, ints, lifts, P, _, _ = _configuration(S, part.Q, radius, None)
+    D_S, ints, lifts, P, _ = _configuration(S, part.Q, radius, None)
     points = [Fraction(x, D_S) for x in ints]
     colors = _first_fit(ints, lifts)
     for j, cl in enumerate(part.classes):

@@ -21,8 +21,13 @@ Hence sup_x f is attained at one of finitely many event points:
 reduced into one period when every layer is periodic. Evaluating f exactly at
 a superset of the event points is therefore sound: no candidate can exceed the
 supremum, and the supremum is attained at a true event point. Perturbed
-lattices mix periodic and finite layers; there the candidates are the events
-inside the perturbation zone plus one clean far-field period.
+lattices mix periodic and finite layers. There f is the periodic part plus a
+finite part that is constant between consecutive finite events, so f repeats
+with the common period P inside each such gap, and the candidates are the
+finite events plus the periodic events of one period after each of them (and
+of one before the first): the same supremum, least maximizer and least
+threshold witness, whatever the window's size. A finite trace is linear
+between its events, so with one the whole perturbation zone is scanned.
 
 The line scan runs in integer arithmetic. Every atom position, trace endpoint,
 period and window endpoint is multiplied by D, the lcm of their denominators,
@@ -31,14 +36,16 @@ then ints in units of 1/(D * Dw). A PointLayer brings its ints over the D of
 its configuration, which divides D: they are multiplied by the quotient only
 when it is not 1, and its weight is an int. f is evaluated at all candidates
 by one event sweep (the sweep-line method of Shamos and Hoey, 1976): each atom
-entering or leaving the window and each slope change of a trace is a step,
-bucketed onto the candidates by one bisect and summed in one pass. The steps
-below the first candidate land on it and so give its value and slope; those
-of a periodic layer, infinitely many, are summed there in closed form from one
-divmod per step. Multiplying by the positive constants D and D * Dw keeps the
-order of candidates and of values, and the first maximum and the first value
-reaching a threshold are taken in increasing candidate order, so the value,
-the least argmax and the candidate count are those of the exact rational scan.
+entering or leaving the window and each slope change of a trace is a step. A
+step inside a span of candidates lies on a candidate, or just below one, and
+is bucketed there by one dict lookup; the infinitely many replicas of a
+periodic step below a span, back to the last candidate of the span before,
+are summed onto the span's first candidate in closed form from one divmod per
+step, and one running sum gives every value. Multiplying by the positive
+constants D and D * Dw keeps the order of candidates and of values, and the
+first maximum and the first value reaching a threshold are taken in
+increasing candidate order, so the value and the least argmax and witness
+are those of the exact rational scan over the same candidates.
 real_mass keeps the Fraction evaluation as the independent reference.
 
 Counting measures of configurations with an accumulation marker have infinite
@@ -77,7 +84,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate, product, repeat
 from math import ceil, floor, lcm, prod
-from operator import sub
+from operator import add, mod, sub
 from typing import Optional, Union
 
 from .config import check_enumeration
@@ -284,7 +291,7 @@ def _base_positions(layer: Layer) -> list[Fraction]:
 class ShiftScan:
     value: object  # Fraction or Infinite
     argmax: Optional[Fraction]
-    candidates: int
+    candidates: int  # shifts evaluated (_line_candidates, _zd_values); 0 for Infinite
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +322,8 @@ def _atom_layer(period: Optional[int], bases, weights) -> _IntLayer:
     steps of one atom or one trace piece come from its own base position,
     unreduced by the period, so for each window piece the changes of an
     atom's steps sum to 0, and those of a trace piece's steps sum to 0 also
-    when multiplied by their positions. The periodic seed of _sweep_run holds
-    only while this does."""
+    when multiplied by their positions. The closed forms of _sweep hold only
+    while this does."""
     steps = [step for p, w in zip(bases, weights) for step in ((p - 1, w, True), (p, -w, False))]
     return _IntLayer(period, bases, False, steps)
 
@@ -333,122 +340,133 @@ def _trace_layer(period: Optional[int], bases, unit: int) -> _IntLayer:
     return _IntLayer(period, bases, True, steps)
 
 
-def _line_candidates(int_layers: list[_IntLayer], ws: list[int]) -> list[int]:
-    """Sorted finite superset of the event points of x -> nu(x + W), scaled."""
+def _line_candidates(int_layers: list[_IntLayer], ws: list[int]):
+    """(candidates, starts): sorted scaled event points of x -> nu(x + W)
+    holding every least maximizer and least threshold witness, and the index
+    of the first candidate of each span.
+
+    The candidates are 0, the finite events F (p - w, p a finite atom or
+    trace endpoint) and the periodic events inside the spans: [0, P) when
+    every layer is periodic (P the lcm of the periods); else [min F - P,
+    min F], [e, e + P] for each e in F, merged where they overlap, and {0}.
+    Between consecutive finite events the finite part is constant, so each
+    value of the gap occurs, further left, in its first period; outside
+    [min F, max F] it is 0. A finite trace is only linear there, so with one
+    the span is the whole zone [min F - P, max F + P]."""
     periodic = [(l.period, l.bases) for l in int_layers if l.period is not None]
-    finite = [l.bases for l in int_layers if l.period is None]
-    cands = {0}
-    for bases in finite:
-        cands.update(base - w for base in bases for w in ws)
-    if not (periodic and ws):  # an empty window has mass 0 at every shift
-        return sorted(cands)
-    big = lcm(*(period for period, _ in periodic))
-    if finite:  # mixed: event points inside the perturbation zone plus one clean period
-        support = [p for bases in finite for p in bases]
-        zone_lo = min(support) - max(ws) - big
-        zone_hi = max(support) - min(ws) + big
-    span = big + (zone_hi + 1 - zone_lo if finite else 0)  # no run below spans more than this
-    replicas = sum(len(bases) * len(ws) * (span // period + 1) for period, bases in periodic)
-    check_enumeration(
-        replicas, "the line scan: {count} periodic replicas exceed the enumeration cap {cap}"
-    )
-    if not finite:
-        for period, bases in periodic:
-            for base in bases:
-                for w in ws:
-                    e = (base - w) % period
-                    cands.update(range(e, e + big, period))
-        return sorted(cands)
-    for period, bases in periodic:
-        for base in bases:
+    events = set()
+    for l in int_layers:
+        if l.period is None:
             for w in ws:
-                e = base - w
-                cands.update(range(e - (e - zone_lo) // period * period, zone_hi + 1, period))
-                # one clean far-field period, unaffected by the perturbation
-                far = zone_hi + (e - zone_hi) % big
-                cands.update(range(far, far + big, period))
-    return sorted(cands)
+                events.update(map(sub, l.bases, repeat(w)))
+    cands = events | {0}
+    if not (periodic and ws):  # an empty window has mass 0 at every shift
+        return sorted(cands), [0]
+    big = lcm(*(period for period, _ in periodic))
+    if not events:
+        los, his = [0], [big - 1]
+    else:
+        F = sorted(events)
+        whole = any(l.trace for l in int_layers if l.period is None)
+        cuts = [] if whole else [i for i in range(1, len(F)) if F[i] - F[i - 1] > big]
+        los = [F[0] - big, *(F[i] for i in cuts)]
+        his = [*(F[i - 1] + big for i in cuts), F[-1] + big]
+        j = bisect_right(los, 0)
+        if not j or his[j - 1] < 0:  # 0 lies in a gap: a one-point span
+            los.insert(j, 0)
+            his.insert(j, 0)
+    check_enumeration(
+        sum(len(bases) * len(ws) * ((hi - lo) // period + 1)
+            for lo, hi in zip(los, his) for period, bases in periodic),
+        "the line scan: {count} periodic replicas exceed the enumeration cap {cap}",
+    )
+    for lo, hi in zip(los, his):
+        for period, bases in periodic:
+            # the replicas lo + x + j * period, x an event's offset mod the period:
+            # walked by offset or, when there are fewer periods, by period
+            offsets = sorted(set().union(
+                *(map(mod, map(sub, bases, repeat(w + lo)), repeat(period)) for w in ws)
+            ))
+            if len(offsets) <= (hi - lo) // period:
+                for x in offsets:
+                    cands.update(range(lo + x, hi + 1, period))
+            else:
+                for j in range(lo, hi + 1, period):
+                    cands.update(map(add, offsets[: bisect_right(offsets, hi - j)], repeat(j)))
+    cands = sorted(cands)
+    return cands, [bisect_left(cands, lo) for lo in los]
 
 
-def _sweep(cands: list[int], pieces: list[tuple[int, int]], int_layers: list[_IntLayer]):
-    """x -> nu(x + window) at every candidate x, in units of 1/(D * Dw).
+def _sweep(cands: list[int], starts: list[int], pieces: list[tuple[int, int]], int_layers):
+    """x -> nu(x + window) at every candidate x, in units of 1/(D * Dw), as
+    one running sum over the spans of _line_candidates.
 
-    A mixed scan's candidates are the perturbation zone, one far period and
-    0, which can lie far outside both. Where two candidates are more than the
-    common period P apart, the sweep starts a new run, so that no periodic
-    layer's replicas are enumerated across a long gap: inside a run they are
-    about as many as the candidates that layer gives, plus one P per gap. A
-    fully periodic scan's candidates lie in [0, P), and a finite one has no
-    replicas, so both are one run."""
-    periods = [l.period for l in int_layers if l.period is not None]
-    if len(periods) in (0, len(int_layers)):
-        return _sweep_run(cands, pieces, int_layers)
-    big = lcm(*periods)
-    cuts = [i for i, (p, c) in enumerate(zip(cands, cands[1:]), 1) if c - p > big]
-    values = []
-    for s, t in zip([0, *cuts], [*cuts, len(cands)]):
-        values += _sweep_run(cands[s:t], pieces, int_layers)
-    return values
+    A step of a layer at y changes the values from the first candidate above
+    y on: an atom's change d the value, a trace's change d the slope right of
+    y. A finite step, and a periodic step's replica inside a span, lies on a
+    candidate (a trace's, a leaving atom's) or just below one (an atom
+    entering at p - b steps at p - b - 1), found by one dict lookup.
 
-
-def _sweep_run(cands: list[int], pieces: list[tuple[int, int]], int_layers: list[_IntLayer]):
-    """The values at sorted candidates as one running sum.
-
-    Each step of a layer below the last candidate is bucketed by one bisect:
-    an atom's change d at y goes to the value from the first candidate above y
-    on; a trace's slope change d at y goes to the slope from the first
-    candidate c above y on, plus d * (c - y) to the value at c. The steps need
-    not be candidates: the ones in a gap between two candidates land on the
-    candidate after it, and the ones below the first candidate c0 on c0, which
-    seeds the run with its value and slope there.
-
-    A periodic step repeats at y + kP for every k. With y - c0 = qP + r, the
-    first replica at or after c0 is c0 + r, and the n = -q replicas y, ...,
-    y + (n - 1)P lie below c0: they add d * n to an atom's value at c0, and
-    d * n to a trace's slope and d * (n * (c0 - y) - P * n * (n - 1) / 2) to
-    its value there. The replicas further left cancel, and n may be negative,
-    because the steps of each atom and of each trace piece come from one base
-    position (_atom_layer): the atom's changes sum to 0, and so do the
-    piece's changes and their changes times positions."""
-    lo, hi = cands[0], cands[-1]
-    jumps = [0] * len(cands)  # value changes, bucketed
-    bends = [0] * len(cands)  # slope changes, bucketed
+    A periodic step repeats at y + jP for every j. With y - c = qP + r for
+    the first candidate c of a span, the replicas from c + r to the span's
+    last candidate are walked; those below c, j = k, ..., -q - 1 (k indexes
+    the first replica at or after the last candidate of the span before, or
+    is 0), go to c in closed form: n = -q - k times d to an atom's value or
+    a trace's slope, plus d times their distances to c to the trace's value.
+    The replicas left of j = 0 cancel, and n may be negative, because the
+    steps of each atom and of each trace piece come from one base position
+    (_atom_layer): the atom's changes sum to 0, and so do the piece's
+    changes and their changes times positions."""
+    m = len(cands)
+    own = dict(zip(cands, range(m)))
+    lasts = [cands[i - 1] for i in starts[1:]] + [cands[-1]]
+    spans = list(zip(starts, [cands[i] for i in starts], lasts))
+    jumps = [0] * m  # value changes at each candidate
+    bends = [0] * m  # slope changes right of each candidate
     for l in int_layers:
         trace, period = l.trace, l.period
         for a, b in pieces:
             for p, d, right in l.steps:
                 y = p - (b if right else a)
                 if period is None:
-                    ys = (y,) if y < hi else ()
-                else:
-                    q, r = divmod(y - lo, period)
-                    n = -q  # the replicas below lo, counted from y
                     if trace:
-                        bends[0] += d * n
-                        jumps[0] += d * (n * (lo - y) - period * n * (n - 1) // 2)
+                        bends[own[y]] += d
+                    elif right:
+                        jumps[own[y + 1]] += d
+                    elif y < cands[-1]:
+                        jumps[own[y] + 1] += d
+                    continue
+                k = 0  # the replicas y + jP with j < k are bucketed
+                for i, c, last in spans:
+                    q, r = divmod(y - c, period)
+                    n = -q - k
+                    if trace:
+                        bends[i] += d * n
+                        jumps[i] += d * (n * (c - y) - period * n * (k - q - 1) // 2)
+                        for z in range(c + r, last, period):
+                            bends[own[z]] += d
+                    elif right:
+                        jumps[i] += d * n
+                        for z in range(c + r + 1, last + 1, period):
+                            jumps[own[z]] += d
                     else:
-                        jumps[0] += d * n
-                    ys = range(lo + r, hi, period)
-                if trace:
-                    for y in ys:
-                        i = bisect_right(cands, y)
-                        bends[i] += d
-                        jumps[i] += d * (cands[i] - y)
-                else:
-                    for y in ys:
-                        jumps[bisect_right(cands, y)] += d
+                        jumps[i] += d * n
+                        for z in range(c + r, last, period):
+                            jumps[own[z] + 1] += d
+                    k = (last - y - 1) // period + 1
     if not any(bends):  # no slope anywhere
         return list(accumulate(jumps))
     # value(c_i) = value(c_{i-1}) + slope right of c_{i-1} * (c_i - c_{i-1}) + jumps[i]
     slopes = accumulate(bends, initial=0)  # the i-th is the slope right of c_{i-1}
     return list(
-        accumulate(s * (c - p) + j for s, p, c, j in zip(slopes, [lo, *cands], cands, jumps))
+        accumulate(s * (c - p) + j for s, p, c, j in zip(slopes, [cands[0], *cands], cands, jumps))
     )
 
 
 def _scaled_scan(layers, window: IntervalUnion):
-    """(D, Dw, window pieces, _IntLayers, candidates) of a line scan, in ints:
-    positions, periods and window endpoints times D, weights times Dw.
+    """(D, Dw, window pieces, _IntLayers, candidates, span starts) of a line
+    scan (_line_candidates), in ints: positions, periods and window
+    endpoints times D, weights times Dw.
 
     D is the lcm of the D each PointLayer holds and of the denominators of
     what holds Fractions: the window's endpoints and the positions and
@@ -482,14 +500,14 @@ def _scaled_scan(layers, window: IntervalUnion):
         period = None if layer.P is None else layer.P * k
         int_layers.append(_atom_layer(period, xs, repeat(layer.weight * D * Dw)))
     pieces = list(zip(ends[::2], ends[1::2]))
-    return D, Dw, pieces, int_layers, _line_candidates(int_layers, ends)
+    return D, Dw, pieces, int_layers, *_line_candidates(int_layers, ends)
 
 
 def _line_values(layers, window: IntervalUnion):
     """(D, Dw, candidates, values): x -> nu(x + window) at every candidate, in
     increasing order; candidates in units of 1/D, values of 1/(D * Dw)."""
-    D, Dw, pieces, int_layers, cands = _scaled_scan(layers, window)
-    return D, Dw, cands, _sweep(cands, pieces, int_layers)
+    D, Dw, pieces, int_layers, cands, starts = _scaled_scan(layers, window)
+    return D, Dw, cands, _sweep(cands, starts, pieces, int_layers)
 
 
 def _line_scan(nu, window: IntervalUnion, threshold: Optional[Fraction] = None):

@@ -26,6 +26,7 @@ from density_lab.sets import WindowedDifferenceSet, discrete_quotient
 from density_lab.windows import (
     CENTERS_OVER_CAP,
     ShiftScan,
+    _IntLayer,
     _scaled_scan,
     _zd_mass_at,
     measure_layers,
@@ -288,7 +289,7 @@ def per_candidate_values(layers, window):
     evaluated afresh by the mass closures of every layer and window piece. An
     atom layer's closure takes its atoms (p, w) from its leaving steps
     (p, -w), a trace layer's its pieces from its bases."""
-    _, Dw, pieces, int_layers, cands = _scaled_scan(layers, window)
+    _, Dw, pieces, int_layers, cands, _ = _scaled_scan(layers, window)
     masses = [
         _trace_mass(list(zip(l.bases[::2], l.bases[1::2])), l.period, Dw)
         if l.trace
@@ -296,3 +297,132 @@ def per_candidate_values(layers, window):
         for l in int_layers
     ]
     return [sum(mass(a + x, b + x) for a, b in pieces for mass in masses) for x in cands]
+
+
+# ---------------------------------------------------------------------------
+# the replica sweep of the line scan before its candidates kept one period
+# per finite event: every periodic replica across the perturbation zone, one
+# far period and 0, swept in runs split at gaps longer than the common period,
+# kept verbatim as the oracle for the value, the least argmax and the least
+# threshold witness of the span sweep
+
+
+def _line_candidates(int_layers: list[_IntLayer], ws: list[int]) -> list[int]:
+    """Sorted finite superset of the event points of x -> nu(x + W), scaled."""
+    periodic = [(l.period, l.bases) for l in int_layers if l.period is not None]
+    finite = [l.bases for l in int_layers if l.period is None]
+    cands = {0}
+    for bases in finite:
+        cands.update(base - w for base in bases for w in ws)
+    if not (periodic and ws):  # an empty window has mass 0 at every shift
+        return sorted(cands)
+    big = lcm(*(period for period, _ in periodic))
+    if finite:  # mixed: event points inside the perturbation zone plus one clean period
+        support = [p for bases in finite for p in bases]
+        zone_lo = min(support) - max(ws) - big
+        zone_hi = max(support) - min(ws) + big
+    span = big + (zone_hi + 1 - zone_lo if finite else 0)  # no run below spans more than this
+    replicas = sum(len(bases) * len(ws) * (span // period + 1) for period, bases in periodic)
+    check_enumeration(
+        replicas, "the line scan: {count} periodic replicas exceed the enumeration cap {cap}"
+    )
+    if not finite:
+        for period, bases in periodic:
+            for base in bases:
+                for w in ws:
+                    e = (base - w) % period
+                    cands.update(range(e, e + big, period))
+        return sorted(cands)
+    for period, bases in periodic:
+        for base in bases:
+            for w in ws:
+                e = base - w
+                cands.update(range(e - (e - zone_lo) // period * period, zone_hi + 1, period))
+                # one clean far-field period, unaffected by the perturbation
+                far = zone_hi + (e - zone_hi) % big
+                cands.update(range(far, far + big, period))
+    return sorted(cands)
+
+
+def _sweep(cands: list[int], pieces: list[tuple[int, int]], int_layers: list[_IntLayer]):
+    """x -> nu(x + window) at every candidate x, in units of 1/(D * Dw).
+
+    A mixed scan's candidates are the perturbation zone, one far period and
+    0, which can lie far outside both. Where two candidates are more than the
+    common period P apart, the sweep starts a new run, so that no periodic
+    layer's replicas are enumerated across a long gap: inside a run they are
+    about as many as the candidates that layer gives, plus one P per gap. A
+    fully periodic scan's candidates lie in [0, P), and a finite one has no
+    replicas, so both are one run."""
+    periods = [l.period for l in int_layers if l.period is not None]
+    if len(periods) in (0, len(int_layers)):
+        return _sweep_run(cands, pieces, int_layers)
+    big = lcm(*periods)
+    cuts = [i for i, (p, c) in enumerate(zip(cands, cands[1:]), 1) if c - p > big]
+    values = []
+    for s, t in zip([0, *cuts], [*cuts, len(cands)]):
+        values += _sweep_run(cands[s:t], pieces, int_layers)
+    return values
+
+
+def _sweep_run(cands: list[int], pieces: list[tuple[int, int]], int_layers: list[_IntLayer]):
+    """The values at sorted candidates as one running sum.
+
+    Each step of a layer below the last candidate is bucketed by one bisect:
+    an atom's change d at y goes to the value from the first candidate above y
+    on; a trace's slope change d at y goes to the slope from the first
+    candidate c above y on, plus d * (c - y) to the value at c. The steps need
+    not be candidates: the ones in a gap between two candidates land on the
+    candidate after it, and the ones below the first candidate c0 on c0, which
+    seeds the run with its value and slope there.
+
+    A periodic step repeats at y + kP for every k. With y - c0 = qP + r, the
+    first replica at or after c0 is c0 + r, and the n = -q replicas y, ...,
+    y + (n - 1)P lie below c0: they add d * n to an atom's value at c0, and
+    d * n to a trace's slope and d * (n * (c0 - y) - P * n * (n - 1) / 2) to
+    its value there. The replicas further left cancel, and n may be negative,
+    because the steps of each atom and of each trace piece come from one base
+    position (_atom_layer): the atom's changes sum to 0, and so do the
+    piece's changes and their changes times positions."""
+    lo, hi = cands[0], cands[-1]
+    jumps = [0] * len(cands)  # value changes, bucketed
+    bends = [0] * len(cands)  # slope changes, bucketed
+    for l in int_layers:
+        trace, period = l.trace, l.period
+        for a, b in pieces:
+            for p, d, right in l.steps:
+                y = p - (b if right else a)
+                if period is None:
+                    ys = (y,) if y < hi else ()
+                else:
+                    q, r = divmod(y - lo, period)
+                    n = -q  # the replicas below lo, counted from y
+                    if trace:
+                        bends[0] += d * n
+                        jumps[0] += d * (n * (lo - y) - period * n * (n - 1) // 2)
+                    else:
+                        jumps[0] += d * n
+                    ys = range(lo + r, hi, period)
+                if trace:
+                    for y in ys:
+                        i = bisect_right(cands, y)
+                        bends[i] += d
+                        jumps[i] += d * (cands[i] - y)
+                else:
+                    for y in ys:
+                        jumps[bisect_right(cands, y)] += d
+    if not any(bends):  # no slope anywhere
+        return list(accumulate(jumps))
+    # value(c_i) = value(c_{i-1}) + slope right of c_{i-1} * (c_i - c_{i-1}) + jumps[i]
+    slopes = accumulate(bends, initial=0)  # the i-th is the slope right of c_{i-1}
+    return list(
+        accumulate(s * (c - p) + j for s, p, c, j in zip(slopes, [lo, *cands], cands, jumps))
+    )
+
+
+def replica_line_values(layers, window):
+    """(D, Dw, candidates, values) of the replica sweep, on the int layers of
+    _scaled_scan: x -> nu(x + window) at every replica candidate x."""
+    D, Dw, pieces, int_layers, *_ = _scaled_scan(layers, window)
+    cands = _line_candidates(int_layers, [x for piece in pieces for x in piece])
+    return D, Dw, cands, _sweep(cands, pieces, int_layers)

@@ -4,10 +4,16 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
+from density_lab import IntervalUnion, RealLine
 from density_lab.cli import main
+from density_lab.instances import parse_instance
+from density_lab.windows import measure_layers
+
+from oracles import replica_line_values
 
 INSTANCES = "instances"
 
@@ -56,6 +62,34 @@ def test_density_window_rmax_caps_schedule(capsys):
     assert "40" in out and "80" not in out  # schedule stops at rmax
     ratios = [line.split()[1] for line in out.split("least argmax\n")[1].splitlines()]
     assert ratios == ["41/20", "81/40", "13/8"]
+
+
+def test_window_profile_of_a_perturbed_lattice_runs_to_kmax_20(capsys):
+    # a mixed scan walks one period of lattice replicas per finite event,
+    # whatever the radius, so every row up to r = 10 * 2^18 (where the
+    # profile meets its tolerance) takes about the same time
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "density", "--instance", f"{INSTANCES}/perturbed_lattice.json",
+        "--notion", "window", "--kmax", "20", "--tol", "1/100000",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    rows = [line.split() for line in out.split("least argmax\n")[1].splitlines()]
+    assert len(rows) == 19
+    # the rows of the replica sweep: computed here up to k = 10; beyond, the
+    # sweep (seconds per row) gave sup 2r + 50 at least argmax 51 - r
+    nu = parse_instance(pathlib.Path(INSTANCES, "perturbed_lattice.json").read_text()).objects["nu"]
+    layers, _ = measure_layers(nu, RealLine())
+    for k, row in enumerate(rows[:15]):
+        r = 10 * 2**k
+        if k <= 10:
+            D, Dw, cands, values = replica_line_values(layers, IntervalUnion.closed(-r, r))
+            best = max(values)
+            sup, x = Fraction(best, D * Dw), Fraction(cands[values.index(best)], D)
+        else:
+            sup, x = Fraction(2 * r + 50), 51 - r
+        assert row == [str(r), str(sup / (2 * r)), str(x)]
 
 
 def test_density_oracle_mode(capsys):

@@ -50,7 +50,7 @@ from density_lab.windows import (
     real_threshold_witness,
 )
 
-from oracles import per_candidate_values
+from oracles import per_candidate_values, replica_line_values
 
 rng = random.Random(5)
 R = RealLine()
@@ -407,10 +407,13 @@ def test_integer_scan_matches_fraction_scan(components, window, step):
     for x, v in values:
         if v > best:
             best_x, best = x, v
+    # the span candidates are candidates of the full scan, with its values
+    mass = dict(values)
     D, Dw, cands, ints = _line_values(measure_layers(nu, R)[0], window)
-    assert [(Fraction(x, D), Fraction(v, D * Dw)) for x, v in zip(cands, ints)] == values
+    got = [(Fraction(x, D), Fraction(v, D * Dw)) for x, v in zip(cands, ints)]
+    assert got == [(x, mass[x]) for x, _ in got]
     scan = real_shift_sup(nu, window)
-    assert (scan.value, scan.argmax, scan.candidates) == (best, best_x, len(values))
+    assert (scan.value, scan.argmax, scan.candidates) == (best, best_x, len(cands))
     # step 0 asks for a hair more than the attained sup, so no candidate reaches it
     threshold = best - Fraction(step, 2) if step else best + Fraction(1, 10**9)
     found, witness_scan = real_threshold_witness(nu, window, threshold)
@@ -493,12 +496,12 @@ def test_sweep_matches_per_candidate_loop_at_every_candidate(nu, window):
     assert _line_values(layers, window)[3] == per_candidate_values(layers, window)
 
 
-def test_sweep_starts_a_new_run_after_a_long_gap():
+def test_sweep_sums_the_replicas_between_spans_in_closed_form():
     # 0 and the perturbation zone lie 10^7 periods apart: walking the replicas
-    # in between would take millions of bisects. The zone's run is seeded in
-    # closed form instead: from n = 10^7 replicas below it, whose trace term
-    # P * n * (n - 1) / 2 is about 10^14, or from n < 0, floored by divmod,
-    # for a zone below 0.
+    # in between would take millions of steps. They are summed onto the
+    # zone's first candidate in closed form instead: from n = 10^7 replicas
+    # after 0, whose trace term P * n * (n - 1) / 2 is about 10^14, or, for a
+    # zone below 0, from n < 0 replicas, floored by divmod, before it.
     pattern = HaarTrace(PeriodicPattern.from_pairs(1, [(0, Fraction(1, 3)), (Fraction(1, 2), 1)]))
     far = Fraction(2 * 10**7 + 1, 2)
     measures = (
@@ -516,6 +519,59 @@ def test_sweep_starts_a_new_run_after_a_long_gap():
         assert time.perf_counter() - start < 0.5
         assert max(c - p for p, c in zip(cands, cands[1:])) > 10**7
         assert values == per_candidate_values(layers, window)
+
+
+# ---------------------------------------------------------------------------
+# the span sweep against the replica sweep it replaced
+
+
+def records(cands, values):
+    """[(x, value)] wherever the running maximum rises: the least witness of
+    every threshold, and last the least maximizer."""
+    out = []
+    for x, v in zip(cands, values):
+        if not out or v > out[-1][1]:
+            out.append((x, v))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.lists(line_component(), min_size=1, max_size=3).map(
+            lambda cs: cs[0] if len(cs) == 1 else MeasureSum(tuple(cs))
+        ),
+        line_family(),
+    ),
+    st.one_of(
+        custom_windows(), workload_windows(), coords.map(lambda x: IntervalUnion.closed(x, x))
+    ),
+    st.sampled_from((0, 0, 25, -60)),
+)
+# a finite trace longer than the window: the mass rises across the gap
+# (13/2, 21/2), four periods long, and first reaches 17/2 inside it, at 10
+@example(
+    MeasureSum((
+        HaarTrace(IntervalUnion.closed(Fraction(21, 2), 20)),
+        Counting(PeriodicPoints(1, (0,))),
+    )),
+    IntervalUnion.closed(0, 4),
+    0,
+)
+# 0 lies in a gap far below the events and the one-point span holds it
+@example(Counting(PerturbedLattice(1, extra=(Fraction(1, 2),), removed=(Fraction(2),))),
+         IntervalUnion.closed(0, Fraction(1, 2)), -60)
+def test_span_scan_matches_the_replica_sweep(nu, window, shift):
+    """The span candidates are candidates of the replica sweep, with its
+    values, and reach every level at the same least candidate: the same
+    supremum, least maximizer and least witness of every threshold."""
+    window = window.translate(shift)
+    layers, _ = measure_layers(nu, R)
+    _, _, cands, values = _line_values(layers, window)
+    _, _, every, want = replica_line_values(layers, window)
+    mass = dict(zip(every, want))
+    assert [mass[x] for x in cands] == values
+    assert records(cands, values) == records(every, want)
 
 
 # ---------------------------------------------------------------------------

@@ -148,18 +148,17 @@ class TranslateCover:
     verified: bool
 
 
-def minimal_translates(
-    S, group: GroupSpec, cap: int = DEFAULT_CAPS.exact_cover_cells
-) -> TranslateCover:
+def minimal_translates(S, group: GroupSpec) -> TranslateCover:
     """Smallest K with S + K = G, exact for fundamental domains of at most
-    `cap` cells (first cover in size-then-lexicographic order, so the result
-    is canonical); larger instances fall back to flagged greedy set cover."""
+    Caps.exact_cover_cells cells (first cover in size-then-lexicographic
+    order, so the result is canonical); larger instances fall back to flagged
+    greedy set cover."""
     cells, covers, lift = _cover_instance(S, group)
     n = len(cells)
     full = (1 << n) - 1
     if not any(covers):
         raise PreconditionError("S is empty")
-    if n <= cap:
+    if n <= DEFAULT_CAPS.exact_cover_cells:
         for size in range(1, n + 1):
             for combo in itertools.combinations(range(n), size):
                 mask = 0

@@ -37,12 +37,8 @@ DEFAULT_ESTIMATION = EstimationParams()
 DEFAULT_CAPS = Caps()
 
 
-def check_enumeration(
-    count: int,
-    message: str = "group order {count} exceeds enumeration cap {cap}",
-    cap: int = DEFAULT_CAPS.enumeration,
-):
-    """Refuse an enumeration of count items over the cap before anything is
-    allocated: CapExceededError with the message, count and cap filled in."""
-    if count > cap:
-        raise CapExceededError(message.format(count=count, cap=cap))
+def check_enumeration(count: int, message: str = "group order {count} exceeds enumeration cap {cap}"):
+    """Refuse an enumeration of count items over Caps.enumeration before
+    anything is allocated: CapExceededError with the message filled in."""
+    if count > DEFAULT_CAPS.enumeration:
+        raise CapExceededError(message.format(count=count, cap=DEFAULT_CAPS.enumeration))

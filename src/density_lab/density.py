@@ -576,7 +576,9 @@ def translation_witness(nu, group: GroupSpec, W, gamma) -> Union[Fraction, tuple
 
     The scan terminates because the instance is periodic or has finite support;
     the returned x is the least event point reaching the threshold, and
-    NotFound.argmax the least event point attaining the scanned sup.
+    NotFound.argmax the least event point attaining the scanned sup. On Z
+    they are those of the same integer data on the line, W one point piece
+    per offset.
     """
     gamma = rat(gamma)
     if isinstance(group, RealLine):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import prod
 from typing import Union
 
-from .config import DEFAULT_CAPS, check_enumeration
+from .config import check_enumeration
 from .errors import CapExceededError, PreconditionError, ShapeMismatchError
 from .rational import rat
 
@@ -99,12 +99,12 @@ class FiniteAbelian:
         g = self.check(g)
         return tuple((-a) % m for a, m in zip(g, self.moduli))
 
-    def elements(self, cap: int = DEFAULT_CAPS.enumeration) -> list[tuple[int, ...]]:
+    def elements(self) -> list[tuple[int, ...]]:
         """All elements exactly once, in lexicographic order.
 
         This is the canonical tie-breaking order used by every greedy search.
         """
-        check_enumeration(self.order, cap=cap)
+        check_enumeration(self.order)
         return list(itertools.product(*(range(m) for m in self.moduli)))
 
     @cached_property

@@ -66,14 +66,19 @@ operations, exact, and the first maximum of the row-major grid is the least
 lexicographic maximizer, as in a scan of product(range(P_i)) with a strict
 comparison. The cube scan and the translation witness (a window of offsets)
 share one int kernel, _zd_values, which scales the weights, merges the finite
-atoms, picks the candidates and checks the caps once. A window kind brings
-only its torus table (the cube sums above, or the sum of the offsets'
-translates of the weight grid) and its finite part: the atoms inside every
-cube of a candidate grid, one box per atom summed by prefix sums, or each
-atom scattered onto its shifts p - w. _zd_mass_at stays the Fraction
-reference for single windows (zd_mass). Every Z^d enumeration and the line
-scan's periodic replicas are counted against Caps.enumeration before
-anything is allocated.
+atoms, picks the candidates and checks the caps once. A periodic measure
+reads one torus table (the cube sums above, or the sum of the offsets'
+translates of the weight grid). A finite one sums its atoms inside every cube
+of a candidate grid, one box per atom summed by prefix sums, or scatters
+each atom onto its shifts p - w. Periodic and finite layers mix only on Z,
+which sits inside the line with the same suprema and witnesses: there the
+layers are the line scan's int layers as they stand (D = 1; the window is
+the piece [-r, r] or one point piece per offset), and the line sweep scans
+them at a cost independent of the radius. Both engines end in one tail that
+takes the value, the least maximizer and the least threshold witness from
+the int values. _zd_mass_at stays the Fraction reference for single windows
+(zd_mass). Every Z^d enumeration and the line scan's periodic replicas are
+counted against Caps.enumeration before anything is allocated.
 """
 
 from __future__ import annotations
@@ -524,12 +529,7 @@ def _line_scan(nu, window: IntervalUnion, threshold: Optional[Fraction] = None):
         x = ap.point - (piece[1] if ap.side == "below" else piece[0])
         return x, ShiftScan(Infinite(("accumulation", ap, window.translate(x))), x, 0)
     D, Dw, cands, values = _line_values(layers, window)
-    best = max(values)
-    scan = ShiftScan(Fraction(best, D * Dw), Fraction(cands[values.index(best)], D), len(cands))
-    if threshold is None:
-        return None, scan
-    limit = ceil(threshold * D * Dw)
-    return next((Fraction(x, D) for x, v in zip(cands, values) if v >= limit), None), scan
+    return _scan_tail(D * Dw, values, lambda i: Fraction(cands[i], D), threshold)
 
 
 def real_shift_sup(nu, window: IntervalUnion) -> ShiftScan:
@@ -643,10 +643,11 @@ def _zd_values(nu, group: ZLattice, window):
     is a cube radius r, meaning the offsets [-r, r]^d, or a list of offsets.
 
     The candidates: the period torus in row-major order when every layer is
-    periodic; the perturbation zone plus one clean period when periodic and
-    finite layers mix (on Z only); else the grid of the coordinates p_i - r
-    of the atoms p and 0 for a cube, or the sorted shifts p - w of the atoms
-    by the offsets (the origin alone when there are none)."""
+    periodic; the line scan's when periodic and finite layers mix (on Z
+    only), the positions, periods and window ends being ints already (D = 1);
+    else the grid of the coordinates p_i - r of the atoms p and 0 for a
+    cube, or the sorted shifts p - w of the atoms by the offsets and the
+    origin."""
     layers, _ = measure_layers(nu, group)
     cube = isinstance(window, int)
     if not cube:
@@ -657,63 +658,60 @@ def _zd_values(nu, group: ZLattice, window):
     atoms: dict[tuple[int, ...], int] = {}
     for (p, _), w in zip(finite, weights[len(weights) - len(finite) :]):
         atoms[p] = atoms.get(p, 0) + w
-    if periodic:
-        period = tuple(lcm(*ms) for ms in zip(*(l.period for l in periodic)))
-        if not atoms:
-            check_enumeration(prod(period), "the period torus: " + CENTERS_OVER_CAP)
-            axes = [range(m) for m in period]
-        elif group.dimension != 1:
+    if periodic and atoms:
+        if group.dimension != 1:
             raise PreconditionError("mixed periodic and finite lattice layers need d = 1")
+        scaled = iter(weights)
+        int_layers = [
+            _atom_layer(l.period[0], [c for (c,), _ in l.atoms], [next(scaled) for _ in l.atoms])
+            for l in periodic
+        ] + [_atom_layer(None, [p for (p,) in atoms], atoms.values())]
+        if cube:  # a negative radius is the empty window
+            pieces = [(-window, window)] if window >= 0 else []
         else:
-            (P,) = period
-            offsets = (-window, window) if cube else sorted(w for (w,) in window) or [0]
-            lo = min(atoms)[0] - offsets[-1] - P
-            end = max(atoms)[0] - offsets[0] + 2 * P + 1
-            check_enumeration(end - lo, "the perturbation zone: " + CENTERS_OVER_CAP)
-            axes = [range(lo, end)]
-        table = _torus_weights(periodic, period, weights)
+            pieces = [(w, w) for (w,) in window]
+        cands, starts = _line_candidates(int_layers, [e for piece in pieces for e in piece])
+        return Dw, _sweep(cands, starts, pieces, int_layers), lambda i: (cands[i],)
+    if periodic:
+        torus = FiniteAbelian(tuple(lcm(*ms) for ms in zip(*(l.period for l in periodic))))
+        check_enumeration(torus.order, "the period torus: " + CENTERS_OVER_CAP)
+        grid = _torus_weights(periodic, torus.moduli, weights)
         if cube:
-            table = _torus_cube_masses(table, period, window)
-        else:  # the sum of the offsets' translates of the weight grid
-            torus, grid = FiniteAbelian(period), table
-            table = [0] * len(grid)
-            for w in window:
-                table = [v + grid[i] for v, i in zip(table, torus.translate(w))]
-        values = [table[x % P] for x in axes[0]] if atoms else table
+            return Dw, _torus_cube_masses(grid, torus.moduli, window), torus.element
+        values = [0] * len(grid)  # the sum of the offsets' translates of the weight grid
+        for w in window:
+            values = [v + grid[i] for v, i in zip(values, torus.translate(w))]
+        return Dw, values, torus.element
     if cube:
-        if not periodic:
-            axes = [sorted({p[i] - window for p in atoms} | {0}) for i in range(group.dimension)]
-            check_enumeration(
-                prod(map(len, axes)), "the support's bounding grid: " + CENTERS_OVER_CAP
-            )
-            values = _cube_counts(atoms, axes, window)
-        elif atoms:
-            values = [v + c for v, c in zip(values, _cube_counts(atoms, axes, window))]
-    else:
-        shifts: dict[tuple[int, ...], int] = {}
-        for p, v in atoms.items():
-            for w in window:
-                x = tuple(map(sub, p, w))
-                shifts[x] = shifts.get(x, 0) + v
-        if not periodic:
-            cands = sorted(shifts) or [group.zero()]
-            return Dw, [shifts.get(x, 0) for x in cands], cands.__getitem__
-        for (x,), v in shifts.items():
-            values[x - lo] += v
-    cells = FiniteAbelian(tuple(map(len, axes)))
-    return Dw, values, lambda i: tuple(a[k] for a, k in zip(axes, cells.element(i)))
+        axes = [sorted({p[i] - window for p in atoms} | {0}) for i in range(group.dimension)]
+        check_enumeration(prod(map(len, axes)), "the support's bounding grid: " + CENTERS_OVER_CAP)
+        cells = FiniteAbelian(tuple(map(len, axes)))
+        values = _cube_counts(atoms, axes, window)
+        return Dw, values, lambda i: tuple(a[k] for a, k in zip(axes, cells.element(i)))
+    shifts: dict[tuple[int, ...], int] = {}
+    for p, v in atoms.items():
+        for w in window:
+            x = tuple(map(sub, p, w))
+            shifts[x] = shifts.get(x, 0) + v
+    cands = sorted(shifts.keys() | {group.zero()})
+    return Dw, [shifts.get(x, 0) for x in cands], cands.__getitem__
+
+
+def _scan_tail(unit: int, values: list[int], at, threshold: Optional[Fraction]):
+    """The least candidate reaching threshold (None if none does or no
+    threshold is given) and the ShiftScan with the least maximizer, from the
+    values at the candidates in increasing order, in units of 1/unit; at(i)
+    is the i-th candidate."""
+    best = max(values)
+    scan = ShiftScan(Fraction(best, unit), at(values.index(best)), len(values))
+    if threshold is not None and (limit := ceil(threshold * unit)) <= best:
+        return at(next(i for i, v in enumerate(values) if v >= limit)), scan
+    return None, scan
 
 
 def _zd_scan(nu, group: ZLattice, window, threshold: Optional[Fraction] = None):
-    """The least candidate reaching threshold (None if none does or no
-    threshold is given) and the ShiftScan with the least maximizer."""
-    Dw, values, at = _zd_values(nu, group, window)
-    best = max(values)
-    scan = ShiftScan(Fraction(best, Dw), at(values.index(best)), len(values))
-    if threshold is None:
-        return None, scan
-    limit = ceil(threshold * Dw)
-    return next((at(i) for i, v in enumerate(values) if v >= limit), None), scan
+    """_scan_tail of the candidates of _zd_values."""
+    return _scan_tail(*_zd_values(nu, group, window), threshold)
 
 
 def zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:

@@ -164,10 +164,10 @@ def test_minimal_translates_empty_rejected():
 
 def test_minimal_translates_greedy_fallback_above_cap():
     s = PeriodicDiscrete.line(30, [0])
-    cover = minimal_translates(s, Z, cap=20)
+    cover = minimal_translates(s, Z)
     assert not cover.exact and cover.verified
     assert cover.size >= 30  # singleton translates must visit every cell
-    exact = minimal_translates(PeriodicDiscrete.line(6, [0, 1]), Z, cap=20)
+    exact = minimal_translates(PeriodicDiscrete.line(6, [0, 1]), Z)
     assert exact.exact
 
 

@@ -92,6 +92,35 @@ def test_window_profile_of_a_perturbed_lattice_runs_to_kmax_20(capsys):
         assert row == [str(r), str(sup / (2 * r)), str(x)]
 
 
+def test_window_profile_of_a_mixed_lattice_measure_runs_to_kmax_20(tmp_path, capsys):
+    # the multiples of 3 plus three weighted atoms on Z: the cube scan runs the
+    # line sweep, whatever the radius, where a walk of the whole perturbation
+    # zone would exceed the enumeration cap from r = 8 * 2^16 on
+    nu = {"kind": "sum", "components": [
+        {"kind": "counting", "of": {"kind": "periodic_discrete", "period": [3], "residues": [[0]]}},
+        {"kind": "weighted_diracs", "atoms": [{"point": [1], "weight": "1/2"},
+                                              {"point": [7], "weight": "2"},
+                                              {"point": [12], "weight": "1"}]},
+    ]}
+    path = tmp_path / "mixed_z.json"
+    path.write_text(json.dumps({"group": {"family": "z_lattice", "dimension": 1},
+                                "objects": {"nu": nu}}))
+    code, out, _ = run(capsys, "density", "--instance", str(path), "--notion", "window",
+                       "--K", "cube", "--kmax", "20", "--tol", "0")
+    assert code == 0
+    rows = [line.split() for line in out.split("least argmax\n")[1].splitlines()]
+    assert len(rows) == 21
+    # the rows of the zone walk, which reached k = 15
+    want = ["19/34 (4,)", "29/66 (-4,)", "51/130 (-20,)", "31/86 (-52,)", "179/514 (-116,)",
+            "349/1026 (-244,)", "691/2050 (-500,)", "1373/4098 (-1012,)", "2739/8194 (-2036,)",
+            "1823/5462 (-4084,)", "10931/32770 (-8180,)", "21853/65538 (-16372,)",
+            "43699/131074 (-32756,)", "87389/262146 (-65524,)", "174771/524290 (-131060,)",
+            "116511/349526 (-262132,)"]
+    assert [" ".join(row) for row in rows[:16]] == [
+        f"{8 * 2**k} {row}" for k, row in enumerate(want)
+    ]
+
+
 def test_density_oracle_mode(capsys):
     code, out, _ = run(
         capsys, "density", "--instance", f"{INSTANCES}/z6_pair.json",

@@ -62,9 +62,11 @@ from density_lab.density import (
 from density_lab.windows import (
     ShiftScan,
     _zd_mass_at,
+    _zd_scan,
     _zd_values,
     measure_layers,
     real_threshold_witness,
+    zd_threshold_witness,
 )
 from oracles import fraction_zd_shift_sup, subgroup_elements
 
@@ -623,9 +625,9 @@ def zd_set_window(nu, group: ZLattice, window: ExplicitFinite):
 
 def lattice_witness_candidates(nu, group: ZLattice, W):
     """The period torus in lexicographic order, the sorted shifts p - w of a
-    finite support, or, for a mixed measure on Z, every integer from one
-    period below the zone where W + x meets the finite atoms to two periods
-    above it."""
+    finite support and the origin, or, for a mixed measure on Z, every
+    integer from one period below the zone where W + x meets the finite
+    atoms to two periods above it."""
     layers, _ = measure_layers(nu, group)
     periods = [l.period for l in layers if l.period is not None]
     points = [p for l in layers if l.period is None for p, _ in l.atoms]
@@ -633,7 +635,7 @@ def lattice_witness_candidates(nu, group: ZLattice, W):
         return list(product(*(range(lcm(*ms)) for ms in zip(*periods))))
     if not periods:
         shifts = {tuple(a - b for a, b in zip(p, w)) for p in points for w in W.elements}
-        return sorted(shifts) or [group.zero()]
+        return sorted(shifts | {group.zero()})
     (P,) = (lcm(*ms) for ms in zip(*periods))
     offsets = [w for (w,) in W.elements] or [0]
     lo = min(points)[0] - max(offsets) - P
@@ -656,10 +658,10 @@ def fraction_lattice_witness(nu, group, W, gamma):
 
 
 @st.composite
-def lattice_measures(draw):
+def lattice_measures(draw, max_d=2):
     """(d, nu): periodic counting layers, finite weighted atoms or both (the
     mixed case on Z only), in a sum."""
-    d = draw(st.integers(1, 2))
+    d = draw(st.integers(1, max_d))
     kind = draw(st.sampled_from(("periodic", "finite", "mixed")[: 3 if d == 1 else 2]))
     parts = []
     if kind != "finite":
@@ -678,15 +680,52 @@ def lattice_measures(draw):
     return d, parts[0] if len(parts) == 1 else MeasureSum(tuple(parts))
 
 
+def on_the_line(nu):
+    """The measure on R with the integer data of nu on Z."""
+    if isinstance(nu, MeasureSum):
+        return MeasureSum(tuple(map(on_the_line, nu.components)))
+    if isinstance(nu, WeightedDiracs):
+        return WeightedDiracs(tuple((Fraction(p), w) for (p,), w in nu.atoms))
+    if isinstance(nu, Counting) and isinstance(nu.of, PeriodicDiscrete):
+        return Counting(PeriodicPoints(nu.of.period[0], nu.of.line_residues()))
+    if isinstance(nu, Counting):  # of an ExplicitFinite
+        return Counting(FinitePoints(tuple(Fraction(p) for (p,) in nu.of.elements)))
+    return nu  # DiracAtZero
+
+
+def point_window(W: ExplicitFinite) -> IntervalUnion:
+    """The offsets W on Z as one-point pieces on R."""
+    return IntervalUnion(tuple((Fraction(w), Fraction(w)) for (w,) in W.elements))
+
+
+def is_mixed(nu, group) -> bool:
+    layers, _ = measure_layers(nu, group)
+    return len({l.period is None for l in layers}) == 2
+
+
 @settings(max_examples=50, deadline=None)
 @given(lattice_measures(), st.data())
 def test_lattice_witness_matches_the_fraction_loop(drawn, data):
+    """translation_witness against the Fraction loop over the candidates.
+    For a mixed measure on Z the loop walks the perturbation zone: it stays
+    the oracle for the scanned sup and for the validity of the witness and
+    the argmax, which are those of the line scan of the same data."""
     d, nu = drawn
     group = ZLattice(d)
     point = st.tuples(*(st.integers(-3, 3) for _ in range(d)))
     W = ExplicitFinite(tuple(data.draw(st.lists(point, max_size=4, unique=True))))
     gamma = data.draw(st.builds(Fraction, st.integers(0, 12), st.integers(1, 4)))
-    assert translation_witness(nu, group, W, gamma) == fraction_lattice_witness(nu, group, W, gamma)
+    got, want = translation_witness(nu, group, W, gamma), fraction_lattice_witness(nu, group, W, gamma)
+    if not is_mixed(nu, group):
+        assert got == want
+        return
+    mass_at = zd_set_window(nu, group, W)
+    found, scan = real_threshold_witness(on_the_line(nu), point_window(W), gamma * len(W))
+    if isinstance(want, NotFound):
+        assert found is None and got == NotFound(want.scanned_sup, (scan.argmax,))
+        assert mass_at(got.argmax) == want.scanned_sup
+    else:
+        assert got == (found,) and mass_at(got) >= gamma * len(W)
 
 
 @settings(max_examples=60, deadline=None)
@@ -697,12 +736,21 @@ def test_lattice_witness_matches_the_fraction_loop(drawn, data):
 def test_cube_scan_matches_the_per_candidate_fraction_loop(drawn, r):
     """zd_shift_sup against the scan it replaced, which evaluates every
     candidate with _zd_mass_at: value, least argmax and candidate count,
-    and the value at every candidate of the int kernel."""
+    and the value at every candidate of the int kernel. On a mixed measure
+    that scan walks the perturbation zone and stays the oracle for the
+    value; the argmax and the candidates are the line scan's on the same
+    data, and the argmax is checked with _zd_mass_at."""
     d, nu = drawn
     group = ZLattice(d)
-    assert zd_shift_sup(nu, group, r) == fraction_zd_shift_sup(nu, group, r)
-    Dw, values, at = _zd_values(nu, group, r)
+    got, want = zd_shift_sup(nu, group, r), fraction_zd_shift_sup(nu, group, r)
     layers, _ = measure_layers(nu, group)
+    if is_mixed(nu, group):
+        line = real_shift_sup(on_the_line(nu), IntervalUnion.closed(-r, r))
+        assert got == ShiftScan(want.value, (line.argmax,), line.candidates)
+        assert _zd_mass_at(layers, got.argmax, r) == want.value
+    else:
+        assert got == want
+    Dw, values, at = _zd_values(nu, group, r)
     assert [Fraction(v, Dw) for v in values] == [
         _zd_mass_at(layers, at(i), r) for i in range(len(values))
     ]
@@ -710,10 +758,61 @@ def test_cube_scan_matches_the_per_candidate_fraction_loop(drawn, r):
 
 def test_lattice_witness_of_the_empty_window_is_the_origin():
     # nu(empty + x) = 0 meets the threshold 0 at every shift; the least
-    # candidate is the origin, for a finite measure as for a periodic one
+    # candidate is the origin, for a finite, a periodic or a mixed measure
     empty = ExplicitFinite(())
     assert translation_witness(Counting(ExplicitFinite(((3,),))), Z, empty, 1) == (0,)
     assert translation_witness(Counting(PeriodicDiscrete.line(3, [0])), Z, empty, 1) == (0,)
+    mixed = MeasureSum((Counting(PeriodicDiscrete.line(3, [0])), WeightedDiracs((((7,), 1),))))
+    assert translation_witness(mixed, Z, empty, 1) == (0,)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lattice_measures(max_d=1),
+    st.one_of(st.integers(0, 6), st.lists(st.integers(-3, 3), max_size=4, unique=True)),
+    st.builds(Fraction, st.integers(0, 12), st.integers(1, 4)),
+)
+# every shift reaches 0: the least candidate is the origin, not the shift 3
+@example((1, Counting(ExplicitFinite(((5,),)))), [2], Fraction(0))
+# mass 1 on the cube of radius 3: first reached at the line candidate -7, not
+# at -9, where a zone of every integer one period below the events began
+@example(
+    (1, MeasureSum((Counting(PeriodicDiscrete.line(3, [2])), WeightedDiracs((((-3,), 1),))))),
+    3,
+    Fraction(1, 7),
+)
+def test_z_scans_equal_the_line_scans_of_the_same_data(drawn, window, gamma):
+    """Z sits inside R: a measure with integer data has the same shift
+    supremum, least maximizer and least threshold witness, or NotFound, on
+    both, for a cube r ([-r, r] on R) and for a list of offsets (one point
+    piece each on R)."""
+    _, nu = drawn
+    if isinstance(window, int):
+        pieces, size = IntervalUnion.closed(-window, window), 2 * window + 1
+        found, scan = _zd_scan(nu, Z, window, gamma * size)
+    else:
+        W = ExplicitFinite(tuple((w,) for w in window))
+        pieces, size = point_window(W), len(W)
+        found, scan = zd_threshold_witness(nu, Z, W, gamma * size)
+    on_r, line = real_threshold_witness(on_the_line(nu), pieces, gamma * size)
+    assert (found, scan.value, scan.argmax) == (
+        None if on_r is None else (on_r,),
+        line.value,
+        (line.argmax,),
+    )
+    if not isinstance(window, int):
+        want = NotFound(line.value, (line.argmax,)) if on_r is None else (on_r,)
+        assert translation_witness(nu, Z, W, gamma) == want
+
+
+def test_mixed_cube_scan_on_z_is_independent_of_the_radius():
+    nu = MeasureSum((Counting(PeriodicDiscrete.line(2, [0])), Counting(ExplicitFinite(((5,),)))))
+    small, large = zd_shift_sup(nu, Z, 10**3), zd_shift_sup(nu, Z, 10**6)
+    assert large.candidates == small.candidates
+    layers, _ = measure_layers(nu, Z)
+    assert large.value == _zd_mass_at(layers, large.argmax, 10**6) == 10**6 + 2
+    # a negative radius is the empty window, of mass 0 at every shift
+    assert zd_shift_sup(nu, Z, -2) == ShiftScan(Fraction(0), (0,), 1)
 
 
 @pytest.mark.parametrize(

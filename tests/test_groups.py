@@ -92,7 +92,7 @@ def test_enumerate_is_bijection():
 
 def test_enumerate_cap():
     with pytest.raises(CapExceededError):
-        FiniteAbelian((2,) * 10).elements(cap=100)
+        FiniteAbelian((2,) * 21).elements()  # 2^21 elements over Caps.enumeration
 
 
 def test_real_arithmetic_is_exact_roundtrip():

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
+from operator import mul
 from typing import Optional, Union
 
 from .config import DEFAULT_CAPS, DEFAULT_ESTIMATION, EstimationParams, check_enumeration
@@ -290,9 +291,10 @@ def _finite_group_tables(group: FiniteAbelian):
 
 def _point_masses(nu, group: FiniteAbelian):
     masses = [Fraction(0)] * group.order
+    strides = group.strides
     for layer in measure_layers(nu, group)[0]:
-        for p, w in layer.atoms:
-            masses[group.index(p)] += w
+        for p, w in layer.atoms:  # checked by measure_layers: index by the strides
+            masses[sum(map(mul, p, strides))] += w
     return masses
 
 
@@ -325,47 +327,49 @@ def _inf_sup(nu_of, translate):
     over nonempty masks V of nu_of[V]/#(C+V), C the first minimizer and V its
     least maximizer in mask order. nu_of is nonnegative.
 
-    The search is exact. #((C+g)+V) = #(C+V), so the translates of C share
-    its sup and the first minimizer is the least mask of its translation
-    class: only that leader is scanned, and it marks its class seen. V = G
-    gives every C the ratio nu(G)/|G|, so every sup is at least that, and the
-    loop ends once best reaches it. Each leader gets one pass over V in
-    decreasing nu(V). best is replaced only by a strictly smaller sup, so C
-    is dropped at the first V with nu(V)/#(C+V) >= best, and the pass ends at
-    nu(V) < sup, since #(C+V) >= 1; of two V with equal ratios it keeps the
-    smaller mask. A C that is not dropped replaces best.
+    The search is exact. V = G gives every C the ratio nu(G)/|G|, and C = G
+    attains it (#(G+V) = |G|), so the inf is nu(G)/|G| and C is the first
+    mask with no V above it. #((C+g)+V) = #(C+V), so the translates of C
+    share its sup and that C is the least mask of its translation class:
+    only that leader is scanned, and it marks its class seen. A leader is
+    dropped at the first V with nu(V)/#(C+V) > nu(G)/|G|. The V that dropped
+    the last leader is tried first; then one pass over V in decreasing nu(V)
+    ends at nu(V) < |C| nu(G)/|G|, since #(C+V) >= |C|, keeping the least V
+    of ratio nu(G)/|G|. The first leader not dropped is returned.
     """
     size = len(nu_of)
-    floor_num, floor_den = nu_of[size - 1], (size - 1).bit_count()
+    top, n = nu_of[size - 1], (size - 1).bit_count()
     by_nu = sorted(range(1, size), key=nu_of.__getitem__, reverse=True)
     seen = bytearray(size)
-    best_num, best_den, best_C, best_V = 1, 0, 0, 0  # 1/0 is above every sup
+    killer = size - 1  # V = G drops no C
     for C in range(1, size):
         if seen[C]:
             continue
-        if best_num * floor_den <= floor_num * best_den:
-            break
         for t in translate:
             seen[t[C]] = 1
         shifts = [translate[i] for i in bits(C)]
-        sup_num, sup_den, sup_V = -1, 1, 0  # below every ratio
+        u = 0
+        for t in shifts:
+            u |= t[killer]
+        if nu_of[killer] * n > top * u.bit_count():
+            continue
+        least = top * len(shifts)
+        sup_den, sup_V = n, size - 1
         for V in by_nu:
-            num = nu_of[V]
-            if num * sup_den < sup_num:
+            num = nu_of[V] * n
+            if num < least:
                 break
             u = 0
             for t in shifts:
                 u |= t[V]
             den = u.bit_count()
-            if num * best_den >= best_num * den:
-                sup_V = 0  # C is dropped
+            if num > top * den:
+                killer, sup_V = V, 0  # C is dropped
                 break
-            lhs, rhs = num * sup_den, sup_num * den
-            if lhs > rhs or (lhs == rhs and V < sup_V):
-                sup_num, sup_den, sup_V = num, den, V
+            if num == top * den and V < sup_V:
+                sup_den, sup_V = den, V
         if sup_V:
-            best_num, best_den, best_C, best_V = sup_num, sup_den, C, sup_V
-    return best_num, best_den, best_C, best_V
+            return nu_of[sup_V], sup_den, C, sup_V
 
 
 def oracle_counting_sweep(group: FiniteAbelian):

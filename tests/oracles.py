@@ -20,7 +20,7 @@ from density_lab import (
     ZLattice,
 )
 from density_lab.config import check_enumeration
-from density_lab.groups import _strip
+from density_lab.groups import _strip, bits
 from density_lab.rational import common_scale, rat
 from density_lab.sets import WindowedDifferenceSet, discrete_quotient
 from density_lab.windows import (
@@ -426,3 +426,58 @@ def replica_line_values(layers, window):
     D, Dw, pieces, int_layers, *_ = _scaled_scan(layers, window)
     cands = _line_candidates(int_layers, [x for piece in pieces for x in piece])
     return D, Dw, cands, _sweep(cands, pieces, int_layers)
+
+
+# ---------------------------------------------------------------------------
+# the inf-sup oracle's search before it started from the incumbent C = G,
+# kept verbatim (a running best sup from 1/0, each leader dropped at a ratio
+# reaching it, the loop ended at the floor nu(G)/|G|) as the oracle for
+# density._inf_sup
+
+
+def running_best_inf_sup(nu_of, translate):
+    """(num, den, C, V) with num/den the inf over nonempty masks C of the sup
+    over nonempty masks V of nu_of[V]/#(C+V), C the first minimizer and V its
+    least maximizer in mask order. nu_of is nonnegative.
+
+    The search is exact. #((C+g)+V) = #(C+V), so the translates of C share
+    its sup and the first minimizer is the least mask of its translation
+    class: only that leader is scanned, and it marks its class seen. V = G
+    gives every C the ratio nu(G)/|G|, so every sup is at least that, and the
+    loop ends once best reaches it. Each leader gets one pass over V in
+    decreasing nu(V). best is replaced only by a strictly smaller sup, so C
+    is dropped at the first V with nu(V)/#(C+V) >= best, and the pass ends at
+    nu(V) < sup, since #(C+V) >= 1; of two V with equal ratios it keeps the
+    smaller mask. A C that is not dropped replaces best.
+    """
+    size = len(nu_of)
+    floor_num, floor_den = nu_of[size - 1], (size - 1).bit_count()
+    by_nu = sorted(range(1, size), key=nu_of.__getitem__, reverse=True)
+    seen = bytearray(size)
+    best_num, best_den, best_C, best_V = 1, 0, 0, 0  # 1/0 is above every sup
+    for C in range(1, size):
+        if seen[C]:
+            continue
+        if best_num * floor_den <= floor_num * best_den:
+            break
+        for t in translate:
+            seen[t[C]] = 1
+        shifts = [translate[i] for i in bits(C)]
+        sup_num, sup_den, sup_V = -1, 1, 0  # below every ratio
+        for V in by_nu:
+            num = nu_of[V]
+            if num * sup_den < sup_num:
+                break
+            u = 0
+            for t in shifts:
+                u |= t[V]
+            den = u.bit_count()
+            if num * best_den >= best_num * den:
+                sup_V = 0  # C is dropped
+                break
+            lhs, rhs = num * sup_den, sup_num * den
+            if lhs > rhs or (lhs == rhs and V < sup_V):
+                sup_num, sup_den, sup_V = num, den, V
+        if sup_V:
+            best_num, best_den, best_C, best_V = sup_num, sup_den, C, sup_V
+    return best_num, best_den, best_C, best_V

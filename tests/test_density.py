@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from functools import cache
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -68,7 +69,7 @@ from density_lab.windows import (
     real_threshold_witness,
     zd_threshold_witness,
 )
-from oracles import fraction_zd_shift_sup, subgroup_elements
+from oracles import fraction_zd_shift_sup, running_best_inf_sup, subgroup_elements
 
 rng = random.Random(2024)
 R = RealLine()
@@ -455,6 +456,42 @@ def test_pruned_oracle_matches_full_enumeration(moduli, kind, data):
     assert wc.elements == tuple(e for i, e in enumerate(elems) if C >> i & 1)
     assert wv.elements == tuple(e for i, e in enumerate(elems) if V >> i & 1)
 
+
+
+@cache
+def _translate(G):
+    return _finite_group_tables(G)[1]
+
+
+def _masses(weights):
+    """nu_of[V]: the sum of the int weights over the bits of V."""
+    nu_of = [0]
+    for w in weights:
+        nu_of += [x + w for x in nu_of]
+    return nu_of
+
+
+def test_inf_sup_matches_the_running_best_search_on_every_subset():
+    # the counting measure of every subset A of every presentation of order
+    # <= 6: the (num, den, C, V) of the search the kernel replaced
+    for G in all_finite_abelian_up_to(6):
+        translate = _translate(G)
+        for A in range(1 << G.order):
+            nu_of = _masses([A >> i & 1 for i in range(G.order)])
+            assert _inf_sup(nu_of, translate) == running_best_inf_sup(nu_of, translate), (G, A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    G=st.sampled_from([G for G in all_finite_abelian_up_to(10) if G.order >= 7]),
+    data=st.data(),
+)
+def test_inf_sup_matches_the_running_best_search_on_weighted_measures(G, data):
+    # int weights, zeros among them, on the presentations of order 7 to 10
+    weights = data.draw(st.lists(st.integers(0, 4), min_size=G.order, max_size=G.order))
+    nu_of = _masses(weights)
+    translate = _translate(G)
+    assert _inf_sup(nu_of, translate) == running_best_inf_sup(nu_of, translate)
 
 # ---------------------------------------------------------------------------
 # delta density

@@ -106,7 +106,7 @@ class Witness:
 class DensityReport:
     notion: str
     value: Union[Fraction, Infinite]
-    method: str  # closed-form | brute-force | certified-lower-bound
+    method: str  # closed-form | branch-and-bound | certified-lower-bound
     witness: Optional[Witness] = None
     annotations: tuple[str, ...] = ()
     settings: tuple[tuple[str, str], ...] = ()
@@ -425,9 +425,12 @@ def kahane_density_finite_group(
     return DensityReport(
         notion="kahane",
         value=value,
-        method="brute-force",
+        method="branch-and-bound",
         witness=Witness("pair", (wc, wv)),
-        annotations=("exhaustive inf-sup over all nonempty (C, V) pairs",),
+        annotations=(
+            "exact inf-sup: C is the first translation-class leader with no V above "
+            "nu(G)/|G|, V its least maximizer",
+        ),
     )
 
 

@@ -127,7 +127,7 @@ def test_density_oracle_mode(capsys):
         "--notion", "kahane", "--mode", "oracle",
     )
     assert code == 0
-    assert "1/3" in out and "brute-force" in out
+    assert "1/3" in out and "branch-and-bound" in out
 
 
 def test_density_hegyvari(capsys):

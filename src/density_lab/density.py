@@ -300,7 +300,8 @@ def _point_masses(nu, group: FiniteAbelian):
 
 def kahane_oracle_finite(nu, group: FiniteAbelian, cap: int = DEFAULT_CAPS.oracle_order):
     """Exact inf over nonempty C of sup over nonempty V of nu(V)/#(C+V), by
-    branch-and-bound over one C per translation class (see _inf_sup).
+    branch-and-bound over one C per translation class against the bound
+    nu(G)/|G| that C = G attains (see _inf_sup).
 
     Returns (value, witness C, witness V): C is the first minimizer and V its
     least maximizer in mask order, the pair a full enumeration of every

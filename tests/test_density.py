@@ -457,18 +457,9 @@ def test_pruned_oracle_matches_full_enumeration(moduli, kind, data):
     assert wv.elements == tuple(e for i, e in enumerate(elems) if V >> i & 1)
 
 
-
 @cache
 def _translate(G):
     return _finite_group_tables(G)[1]
-
-
-def _masses(weights):
-    """nu_of[V]: the sum of the int weights over the bits of V."""
-    nu_of = [0]
-    for w in weights:
-        nu_of += [x + w for x in nu_of]
-    return nu_of
 
 
 def test_inf_sup_matches_the_running_best_search_on_every_subset():
@@ -476,8 +467,9 @@ def test_inf_sup_matches_the_running_best_search_on_every_subset():
     # <= 6: the (num, den, C, V) of the search the kernel replaced
     for G in all_finite_abelian_up_to(6):
         translate = _translate(G)
-        for A in range(1 << G.order):
-            nu_of = _masses([A >> i & 1 for i in range(G.order)])
+        size = 1 << G.order
+        for A in range(size):
+            nu_of = [(A & V).bit_count() for V in range(size)]
             assert _inf_sup(nu_of, translate) == running_best_inf_sup(nu_of, translate), (G, A)
 
 
@@ -489,9 +481,12 @@ def test_inf_sup_matches_the_running_best_search_on_every_subset():
 def test_inf_sup_matches_the_running_best_search_on_weighted_measures(G, data):
     # int weights, zeros among them, on the presentations of order 7 to 10
     weights = data.draw(st.lists(st.integers(0, 4), min_size=G.order, max_size=G.order))
-    nu_of = _masses(weights)
+    nu_of = [0]  # nu_of[V]: the sum of the weights over the bits of V
+    for w in weights:
+        nu_of += [x + w for x in nu_of]
     translate = _translate(G)
     assert _inf_sup(nu_of, translate) == running_best_inf_sup(nu_of, translate)
+
 
 # ---------------------------------------------------------------------------
 # delta density

@@ -34,13 +34,16 @@ class GapReport:
     positive_elements: tuple[int, ...]  # scanned evidence prefix
 
 
-def gap_analysis(D, group: ZLattice = ZLattice(1), scan_limit: int = 200) -> GapReport:
-    """Consecutive gaps d_{n+1} - d_n of the positive elements of D.
+def gap_analysis(D, group: ZLattice = ZLattice(1)) -> GapReport:
+    """Consecutive gaps d_{n+1} - d_n of the positive elements of D in Z.
 
     For periodic D the maximal gap is exact (the largest circular gap of the
-    residues), certified by the period; a two-period prefix is attached as
-    evidence. Explicit sets are scanned as given, with no boundedness claim.
+    residues), certified by the period; a prefix of at most 200 positive
+    elements is attached as evidence. Explicit sets are scanned as given,
+    with no boundedness claim.
     """
+    if group != ZLattice(1):
+        raise PreconditionError(f"gap analysis runs on Z, not on {group}")
     if isinstance(D, PeriodicDiscrete):
         if D.dimension != 1:
             raise PreconditionError("gap analysis runs on Z")
@@ -51,7 +54,7 @@ def gap_analysis(D, group: ZLattice = ZLattice(1), scan_limit: int = 200) -> Gap
         circular = [b - a for a, b in zip(residues, residues[1:])]
         circular.append(residues[0] + m - residues[-1])
         positives = [r + k * m for k in range(0, 3) for r in residues]
-        positives = sorted(p for p in positives if p > 0)[: scan_limit]
+        positives = sorted(p for p in positives if p > 0)[:200]
         gaps = tuple(b - a for a, b in zip(positives, positives[1:]))
         return GapReport(
             gaps=gaps,

@@ -68,6 +68,7 @@ from .sets import (
     FinitePoints,
     HaarTrace,
     PeriodicDiscrete,
+    PerturbedLattice,
     difference_set,
 )
 from .structure import greedy_translates, partition_by_coloring, syndetic_pipeline
@@ -251,7 +252,9 @@ def cmd_density(args) -> int:
 def cmd_diffset(args) -> int:
     instance = _load(args)
     s = _pick(instance, args.object)
-    window = tuple(map(rat, args.window)) if args.window else instance.params.get("window")
+    window = tuple(map(rat, args.window)) if args.window else None
+    if window is None and isinstance(s, PerturbedLattice):  # the file's default
+        window = instance.params.get("window")
     result = difference_set(s, instance.group, window=window)
     print(f"difference set of {type(s).__name__}: {type(result).__name__}")
     result = to_jsonable(result)  # serialized once, for the echo and the report
@@ -487,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diffset", help="difference set")
     common(p)
-    p.add_argument("--window", nargs=2, default=None, metavar=("LO", "HI"))
+    p.add_argument("--window", nargs=2, default=None, metavar=("LO", "HI"),
+                   help="truncation window of a perturbed lattice (any other set exits 3)")
 
     p = sub.add_parser("syndetic", help="verify S + K = G")
     common(p)
@@ -511,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     "hegyvari", "theorem3"])
     common(p, needs_instance=False)
 
-    p = sub.add_parser("selftest", help="inf-sup oracle sweep over every subset")
+    p = sub.add_parser("selftest", help="inf-sup oracle sweep over every subset (the oracle "
+                       "returns nu(G)/|G| by construction, so no mismatch can be counted)")
     p.add_argument("--cap", type=int, default=6)
     common(p, needs_instance=False)
 

@@ -16,7 +16,8 @@ A subset X is one int, its mask, whose bit i is set iff element(i) lies in X
 each axis the cells whose coordinate stays below the modulus move up by
 c * stride bits and the others wrap down, two masked big-int shifts, so a
 translate costs a few operations on order bits per axis. translate(k) is
-the same map as a list of indices, one int per element.
+the same map as a list of indices, one int per element, and _translate_at(k,
+at) its entries at the indices at, both by index arithmetic on the strides.
 """
 
 from __future__ import annotations
@@ -141,26 +142,19 @@ class FiniteAbelian:
             mask = (mask & lo) << c * s | (mask & ~lo) >> up
         return mask
 
-    def translate(self, k, at=None) -> list[int]:
+    def translate(self, k) -> list[int]:
         """[index(e + k) for e in elements()], for any integer tuple k (reduced
-        mod the moduli), built one axis at a time without a tuple per element;
-        shift is the same map on masks. Given indices at, only
-        [index(element(i) + k) for i in at]."""
+        mod the moduli): _translate_at over every index; shift is the same map
+        on masks."""
         k = _as_int_tuple(k, len(self.moduli), "shift")
-        if at is not None:
-            return self._translate_at(k, at)
         check_enumeration(self.order)
-        table = [0]
-        for c, m in zip(k, self.moduli):
-            c %= m
-            axis = [*range(c, m), *range(c)]
-            table = [t * m + a for t in table for a in axis]
-        return table
+        return self._translate_at(k, range(self.order))
 
     def _translate_at(self, k, at) -> list[int]:
         """[index(element(i) + k) for i in at] by index arithmetic, for a k
-        that is already a sequence of ints, one per axis (no validation: the
-        kernels pass elements and negated elements of this group)."""
+        that is already a sequence of ints, one per axis (no validation:
+        translate validates k, and the kernels pass elements and negated
+        elements of this group)."""
         out = [0] * len(at)
         for c, m, s in zip(k, self.moduli, self.strides):
             out = [o + (i // s + c) % m * s for o, i in zip(out, at)]

@@ -175,8 +175,7 @@ class Record:
         if isinstance(obj, tuple):
             obj = dict(zip(shown, obj))
         elif not isinstance(obj, dict):
-            obj = {k: (obj._D, getattr(obj, "_" + k)) if f.spec is HELD else getattr(obj, k)
-                   for k, f in shown.items()}
+            obj = {k: getattr(obj, k) for k in shown}
         return {k: f.spec.dump(obj[k], group) for k, f in shown.items()
                 if k in obj and (obj[k] or f.presence != SPARSE)}
 
@@ -218,21 +217,6 @@ RATIONALS, INTEGERS, PAIR = Array(RATIONAL), Array(INTEGER), Array(RATIONAL, 2)
 INTERVALS = Array(PAIR)
 
 
-class Held(Array):
-    """An array of rationals that a line configuration holds as ints over its
-    D (sets._Held): parsed as an Array of RATIONAL, and printed from the
-    pair (D, ints) by ratio_strs, as to_jsonable prints it, without the
-    Fractions."""
-
-    def __init__(self):
-        super().__init__(RATIONAL)
-
-    def dump(self, held, group):
-        D, xs = held
-        return ratio_strs(xs, D)
-
-
-HELD = Held()
 MARKERS = Array(Record(sets.AccumulationPoint, what="accumulation marker",
                        point=RATIONAL, side=Field(Enum(*sets.AccumulationPoint.SIDES), OPTIONAL)))
 ATOMS = Array(Record(tuple, build=lambda point, weight: (point, weight), what="weighted atom",
@@ -261,10 +245,10 @@ OBJECT.kinds.update(
     interval_union=Record(IntervalUnion, intervals=INTERVALS),
     periodic_pattern=Record(PeriodicPattern, period=RATIONAL,
                             pattern=Wrapped(INTERVALS, IntervalUnion, "intervals")),
-    finite_points=Record(sets.FinitePoints, points=HELD, accumulation=Field(MARKERS, SPARSE)),
-    periodic_points=Record(sets.PeriodicPoints, period=RATIONAL, residues=HELD),
+    finite_points=Record(sets.FinitePoints, points=RATIONALS, accumulation=Field(MARKERS, SPARSE)),
+    periodic_points=Record(sets.PeriodicPoints, period=RATIONAL, residues=RATIONALS),
     perturbed_lattice=Record(sets.PerturbedLattice, step=RATIONAL,
-                             extra=Field(HELD, OPTIONAL), removed=Field(HELD, OPTIONAL),
+                             extra=Field(RATIONALS, OPTIONAL), removed=Field(RATIONALS, OPTIONAL),
                              accumulation=Field(MARKERS, SPARSE)),
     cylinder=Record(sets.CylinderSet, depth=INTEGER, residues=Array(INTEGERS)),
     counting=Record(sets.Counting, of=OBJECT),

@@ -66,9 +66,9 @@ def common_scale(values: Iterable[Fraction], D: int = 1) -> tuple[int, list[int]
     return E, [q.numerator * (E // q.denominator) for q in values]
 
 
-def rat_float(q: Fraction, digits: int = 6) -> float:
-    """Decimal approximation for display only."""
-    return float(f"{float(q):.{digits}g}")
+def rat_float(q: Fraction) -> float:
+    """Decimal approximation to 6 significant digits, for display only."""
+    return float(f"{float(q):.6g}")
 
 
 class Infinite:

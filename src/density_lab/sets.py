@@ -449,12 +449,18 @@ def difference_set(s, group: GroupSpec, window=None):
     """Exact S - S; symmetric and containing 0 whenever S is nonempty.
 
     PerturbedLattice inputs require a truncation window; the result is then the
-    exact intersection of S - S with that window. Point configurations are
+    exact intersection of S - S with that window. Every other input refuses
+    one, as its difference set is returned whole. Point configurations are
     differenced in the integer normal form they hold (_Held): ints over one
     common denominator D, and the result is built from the int differences,
     its Fractions only when first read.
     """
-    if _set_is_empty(s):
+    empty = _set_is_empty(s)  # raises on what is no set
+    if window is not None and not isinstance(s, PerturbedLattice):
+        raise PreconditionError(
+            f"a truncation window applies only to a perturbed lattice, not {type(s).__name__}"
+        )
+    if empty:
         warnings.warn("difference set of an empty set is empty (0 not included)")
     if isinstance(s, ExplicitFinite):
         return ExplicitFinite(

@@ -384,6 +384,8 @@ def fatten(S, H: IntervalUnion, group: RealLine = RealLine()) -> FattenResult:
     pairwise disjoint, so for periodic S the measured density is exactly the
     bound.
     """
+    if group != RealLine():
+        raise PreconditionError(f"fatten runs on the real line, not on {group}")
     if H.is_empty:
         raise PreconditionError("H is empty")
     if isinstance(S, PeriodicPoints):
@@ -430,25 +432,22 @@ class PartitionResult:
     group: object
 
 
-def partition_by_coloring(
-    S,
-    H: IntervalUnion,
-    group: RealLine = RealLine(),
-    materialize_range: Optional[tuple] = None,
-) -> PartitionResult:
+def partition_by_coloring(S, H: IntervalUnion, group: RealLine = RealLine()) -> PartitionResult:
     """First-fit coloring of the conflict graph s ~ t iff t in s + (H-H).
 
     Classes satisfy (S_j - S_j) cap (H-H) = {0} exactly; their number is at
     most the maximal window count k. Periodic configurations are recolored over
     an enlarged period exceeding the diameter of H-H, so classes stay periodic.
     """
+    if group != RealLine():
+        raise PreconditionError(f"the partition runs on the real line, not on {group}")
     if not isinstance(H, IntervalUnion):
         raise PreconditionError("H must be an interval union on the line")
     Q = H.difference_set()
     if Q.is_empty:
         raise PreconditionError("H is empty")
     radius = max(abs(Q.inf), abs(Q.sup))  # Q lies in [-radius, radius]
-    D, ints, lifts, P, centers = _configuration(S, Q, radius, materialize_range)
+    D, ints, lifts, P, centers = _configuration(S, Q, radius)
     colors = _first_fit(ints, lifts)
     n = max(colors, default=-1) + 1
     # one color in range(n) per point, or zip would drop points and a negative
@@ -477,7 +476,7 @@ def partition_by_coloring(
     )
 
 
-def _configuration(S, Q: IntervalUnion, radius: Fraction, materialize_range):
+def _configuration(S, Q: IntervalUnion, radius: Fraction):
     """(D, ints, lifts, P, centers): the sorted points to color as ints over D
     (the lcm of the D that S holds and of the denominators of Q's endpoints
     and the radius), and the lifts of Q as int pairs (a, b): t ~ s iff t - s
@@ -492,7 +491,7 @@ def _configuration(S, Q: IntervalUnion, radius: Fraction, materialize_range):
             raise PreconditionError("S is empty")
         held, xs = S._D, S._residues
     else:
-        held, xs = _materialize_config(S, materialize_range)
+        held, xs = _materialize_config(S)
     m = 2 * len(Q.intervals)
     D, ints = common_scale([*Q.endpoints(), radius], held)
     k = D // held
@@ -582,10 +581,10 @@ def _periodic_class(xs: list[int], P: int, D: int) -> PeriodicPoints:
     return PeriodicPoints._canonical(D, step, [x for x in xs if x < step])
 
 
-def _materialize_config(S, materialize_range) -> tuple[int, tuple[int, ...]]:
+def _materialize_config(S) -> tuple[int, tuple[int, ...]]:
     """(D, sorted ints over D): the points of a finite S, or of a perturbed S
-    in materialize_range (by default its perturbation span widened by two
-    steps), in the integer normal form S holds."""
+    in its perturbation span widened by two steps, in the integer normal form
+    S holds."""
     if isinstance(S, (FinitePoints, PerturbedLattice)) and S.accumulation:
         raise PreconditionError(
             "accumulating configuration: window counts around the marker are infinite"
@@ -593,14 +592,10 @@ def _materialize_config(S, materialize_range) -> tuple[int, tuple[int, ...]]:
     if isinstance(S, FinitePoints):
         return S._D, S._points
     if isinstance(S, PerturbedLattice):
-        if materialize_range is None:
-            span = S.perturbation_span()
-            if span is None:
-                raise PreconditionError("materialize_range required for a bare lattice")
-            lo, hi = span[0] - 2 * S.step, span[1] + 2 * S.step
-        else:
-            lo, hi = materialize_range[0], materialize_range[1]
-        return S._D, S._within(lo, hi)
+        span = S.perturbation_span()
+        if span is None:
+            raise PreconditionError("a bare lattice has no perturbation span to color")
+        return S._D, S._within(span[0] - 2 * S.step, span[1] + 2 * S.step)
     raise PreconditionError(f"unsupported configuration: {type(S).__name__}")
 
 

@@ -72,13 +72,14 @@ translates of the weight grid). A finite one sums its atoms inside every cube
 of a candidate grid, one box per atom summed by prefix sums, or scatters
 each atom onto its shifts p - w. Periodic and finite layers mix only on Z,
 which sits inside the line with the same suprema and witnesses: there the
-layers are the line scan's int layers as they stand (D = 1; the window is
-the piece [-r, r] or one point piece per offset), and the line sweep scans
-them at a cost independent of the radius. Both engines end in one tail that
-takes the value, the least maximizer and the least threshold witness from
-the int values. _zd_mass_at stays the Fraction reference for single windows
-(zd_mass). Every Z^d enumeration and the line scan's periodic replicas are
-counted against Caps.enumeration before anything is allocated.
+layers, with int positions and periods, go to the line scan's _scaled_scan
+(D = 1; the window is the piece [-r, r] or one point piece per offset), and
+the line sweep scans them at a cost independent of the radius. Both engines
+end in one tail that takes the value, the least maximizer and the least
+threshold witness from the int values. _zd_mass_at stays the Fraction
+reference for single windows (window_mass). Every Z^d enumeration and the
+line scan's periodic replicas are counted against Caps.enumeration before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -566,12 +567,6 @@ def _zd_mass_at(layers, x: tuple[int, ...], r: int) -> Fraction:
 CENTERS_OVER_CAP = "{count} cube centers exceed the enumeration cap {cap}"
 
 
-def zd_mass(nu, group: ZLattice, x, r: int) -> Fraction:
-    """nu over the cube of side 2r+1 centered at x."""
-    x = group.check(x)
-    return _zd_mass_at(measure_layers(nu, group)[0], x, r)
-
-
 def _axis_pass(grid: list[int], shape: tuple[int, ...], ops) -> list[int]:
     """Replace, one axis i at a time, every line along axis i of the
     row-major grid of the given shape by ops[i](line); in place."""
@@ -643,8 +638,8 @@ def _zd_values(nu, group: ZLattice, window):
     is a cube radius r, meaning the offsets [-r, r]^d, or a list of offsets.
 
     The candidates: the period torus in row-major order when every layer is
-    periodic; the line scan's when periodic and finite layers mix (on Z
-    only), the positions, periods and window ends being ints already (D = 1);
+    periodic; the line scan's (_scaled_scan) when periodic and finite layers
+    mix (on Z only), the positions, periods and window ends being ints (D = 1);
     else the grid of the coordinates p_i - r of the atoms p and 0 for a
     cube, or the sorted shifts p - w of the atoms by the offsets and the
     origin."""
@@ -653,25 +648,22 @@ def _zd_values(nu, group: ZLattice, window):
     if not cube:
         window = [group.check(w) for w in window]
     periodic = [l for l in layers if l.period is not None]
+    if periodic and len(periodic) < len(layers):
+        if group.dimension != 1:
+            raise PreconditionError("mixed periodic and finite lattice layers need d = 1")
+        line = [AtomLayer(None if l.period is None else l.period[0],
+                          tuple((c, w) for (c,), w in l.atoms)) for l in layers]
+        if cube:  # a negative radius is the empty window
+            pieces = [(-window, window)] if window >= 0 else []
+        else:
+            pieces = [(w, w) for (w,) in window]
+        _, Dw, cands, values = _line_values(line, IntervalUnion(pieces))  # D = 1: int data
+        return Dw, values, lambda i: (cands[i],)
     finite = [a for l in layers if l.period is None for a in l.atoms]
     Dw, weights = common_scale([w for l in periodic for _, w in l.atoms] + [w for _, w in finite])
     atoms: dict[tuple[int, ...], int] = {}
     for (p, _), w in zip(finite, weights[len(weights) - len(finite) :]):
         atoms[p] = atoms.get(p, 0) + w
-    if periodic and atoms:
-        if group.dimension != 1:
-            raise PreconditionError("mixed periodic and finite lattice layers need d = 1")
-        scaled = iter(weights)
-        int_layers = [
-            _atom_layer(l.period[0], [c for (c,), _ in l.atoms], [next(scaled) for _ in l.atoms])
-            for l in periodic
-        ] + [_atom_layer(None, [p for (p,) in atoms], atoms.values())]
-        if cube:  # a negative radius is the empty window
-            pieces = [(-window, window)] if window >= 0 else []
-        else:
-            pieces = [(w, w) for (w,) in window]
-        cands, starts = _line_candidates(int_layers, [e for piece in pieces for e in piece])
-        return Dw, _sweep(cands, starts, pieces, int_layers), lambda i: (cands[i],)
     if periodic:
         torus = FiniteAbelian(tuple(lcm(*ms) for ms in zip(*(l.period for l in periodic))))
         check_enumeration(torus.order, "the period torus: " + CENTERS_OVER_CAP)
@@ -747,6 +739,7 @@ def window_mass(nu, group: GroupSpec, x, window):
         return real_mass(nu, window.translate(rat(x)))
     if isinstance(group, ZLattice):
         if isinstance(window, int):
-            return zd_mass(nu, group, x, window)
+            x = group.check(x)
+            return _zd_mass_at(measure_layers(nu, group)[0], x, window)
         raise PreconditionError("lattice windows are integer cube radii")
     raise PreconditionError(f"window_mass unsupported on {type(group).__name__}")

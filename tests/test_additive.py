@@ -71,6 +71,13 @@ def test_gap_empty_positive_part():
         gap_analysis(ExplicitFinite(((-3,), (0,))), Z)
 
 
+@pytest.mark.parametrize("group", [FiniteAbelian((6,)), ZLattice(2), RealLine()])
+def test_gap_analysis_refuses_every_group_but_z(group):
+    # the gaps are those of the integers, whatever group is passed
+    with pytest.raises(PreconditionError, match="gap analysis runs on Z"):
+        gap_analysis(ExplicitFinite(((2,), (5,))), group)
+
+
 def test_syndetic_examples():
     s = PeriodicDiscrete.line(3, [0])
     ok = syndetic_check(s, ExplicitFinite(((0,), (1,), (2,))), Z)

@@ -173,11 +173,50 @@ def test_pipeline_accumulation_exits_3(capsys):
     assert "precondition" in err
 
 
-def test_diffset_windowed(capsys):
+def test_diffset_without_a_window(capsys):
     code, out, _ = run(
         capsys, "diffset", "--instance", f"{INSTANCES}/three_z.json", "--object", "A",
     )
     assert code == 0
+
+
+def _perturbed_file(tmp_path, params):
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps({
+        "group": {"family": "real_line"},
+        "objects": {
+            "S": {"kind": "perturbed_lattice", "step": "1", "extra": ["5/2", "10/3"]},
+            "F": {"kind": "finite_points", "points": ["0", "1/2"]},
+        },
+        "params": params,
+    }))
+    return str(path)
+
+
+def test_diffset_windowed(tmp_path, capsys):
+    instance = _perturbed_file(tmp_path, {})
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "diffset", "--instance", instance, "--object", "S",
+                       "--window", "-1", "1", "--out", str(out_path))
+    assert code == 0 and "WindowedDifferenceSet" in out
+    results = json.loads(out_path.read_text())["results"]
+    assert results["window"] == ["-1", "1"]
+    # the lattice's -1, 0, 1; 5/2 and 10/3 against it and each other
+    assert results["points"]["points"] == [
+        "-1", "-5/6", "-2/3", "-1/2", "-1/3", "0", "1/3", "1/2", "2/3", "5/6", "1"
+    ]
+
+
+def test_diffset_refuses_a_window_on_any_other_set(tmp_path, capsys):
+    code, _, err = run(capsys, "diffset", "--instance", f"{INSTANCES}/reciprocal_perturbation.json",
+                       "--object", "S", "--window", "100", "200")
+    assert code == 3 and "only to a perturbed lattice" in err
+    # the file's window is a default for a perturbed lattice, not a window for every set
+    instance = _perturbed_file(tmp_path, {"window": ["-1", "1"]})
+    code, out, _ = run(capsys, "diffset", "--instance", instance, "--object", "F")
+    assert code == 0 and "FinitePoints" in out
+    code, out, _ = run(capsys, "diffset", "--instance", instance, "--object", "S")
+    assert code == 0 and "WindowedDifferenceSet" in out
 
 
 def test_parse_error_exit_2(tmp_path, capsys):

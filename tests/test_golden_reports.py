@@ -115,9 +115,14 @@ def test_golden_reports(tmp_path):
 
 
 def regenerate():
-    """Rewrite golden_reports.json from the current code."""
+    """Rewrite golden_reports.json from the current code, and print the argv
+    of every entry that was added, changed or dropped."""
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as out_dir:
         golden = {" ".join(argv): run_one(argv, out_dir) for argv in _argvs()}
+    for key in sorted(old.keys() | golden.keys()):
+        if old.get(key) != golden.get(key):
+            print("added" if key not in old else "dropped" if key not in golden else "changed", key)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 

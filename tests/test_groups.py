@@ -165,7 +165,7 @@ def test_row_major_index_matches_elements(moduli, shift):
         assert table[i] == elems.index(tuple((c + s) % m for c, s, m in zip(e, k, moduli)))
     # the entries at chosen indices are those of the full table
     at = list(range(len(elems)))[::-2]
-    assert G.translate(k, at) == [table[i] for i in at]
+    assert G._translate_at(k, at) == [table[i] for i in at]
 
 
 def test_index_validates_and_modulus_one_is_trivial():

@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -33,6 +34,31 @@ def test_roundtrip_identity_on_shipped_instances():
         assert again == inst
         # print of the parse of the print is byte-identical
         assert instance_to_text(again) == printed
+
+
+# SHA-256 of instance_to_text of each shipped file: the printer's bytes, which
+# parse -> print -> parse alone would not pin
+PRINTED_SHA256 = {
+    "accumulation.json": "5e9b8c577bca19973671a1d0d45fd50a6c948103b6d8ca467941f4ad72fd3521",
+    "chain_half.json": "8a8e472f80a0486574e01e8dfd68cc402d590461dc914f95d1956cb0b9cb2ba6",
+    "dirac.json": "87a4ff4459a58c65318b2075111a9185472d03d3b09b1ce0371ffd50cd166c90",
+    "half_pattern.json": "a5d6f458298ca150a2c39402505089e0cb8e46806e36d52c76de37fef7efe031",
+    "perturbed_lattice.json": "137d40109d8a5236c6b444ad5ca13f429f00c97e0da4e23453e81b48c716fca1",
+    "reciprocal_perturbation.json":
+        "cf6e3fce6f4728a5842490fe807621d6caefc09acae09ef88430863275e658ac",
+    "three_z.json": "ab3a39a4eaef10ccd0ec7adbe32baf385867b3086824bc4cf8b05eea1d66e17d",
+    "two_residues.json": "321b72ce0aa4949c47071f9799689e009ebb3da4a444e86aa73c2ce73ecc3812",
+    "z6_pair.json": "251df75b2d5e883927d3030bf3afa3e9a5e273c7378139e94a3dcc4bba21efc9",
+}
+
+
+def test_shipped_instances_print_pinned_bytes():
+    got = {}
+    for path in sorted(glob.glob("instances/*.json")):
+        with open(path, "r", encoding="utf-8") as f:
+            printed = instance_to_text(parse_instance(f.read()))
+        got[path.split("/")[-1]] = hashlib.sha256(printed.encode("utf-8")).hexdigest()
+    assert got == PRINTED_SHA256
 
 
 def test_unknown_fields_rejected():

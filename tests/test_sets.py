@@ -108,6 +108,20 @@ def test_perturbed_difference_window():
         assert Fraction(1, n) in pts and Fraction(-1, n) in pts
 
 
+@pytest.mark.parametrize("s, group", [
+    (FinitePoints((0, Fraction(1, 2))), R),
+    (PeriodicPoints(1, (0,)), R),
+    (IntervalUnion.closed(0, 1), R),
+    (ExplicitFinite(((0,), (3,))), Z),
+    (PeriodicDiscrete.line(3, [0]), Z),
+])
+def test_difference_set_refuses_a_window_on_all_but_a_perturbed_lattice(s, group):
+    # the difference set of these is returned whole, so a window would be ignored
+    difference_set(s, group)
+    with pytest.raises(PreconditionError, match="only to a perturbed lattice"):
+        difference_set(s, group, window=(100, 200))
+
+
 def test_window_mass_examples():
     nu = Counting(PeriodicPoints(2, (0,)))
     assert window_mass(nu, R, 0, 5) == 5

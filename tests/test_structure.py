@@ -292,6 +292,12 @@ def test_fatten_examples():
     assert r3.measured == Fraction(1, 3) and r3.equality
 
 
+@pytest.mark.parametrize("group", [ZLattice(1), FiniteAbelian((3,))])
+def test_fatten_refuses_every_group_but_the_line(group):
+    with pytest.raises(PreconditionError, match="fatten runs on the real line"):
+        fatten(PeriodicPoints(1, (0,)), IntervalUnion.point(0), group)
+
+
 def test_fatten_rejects_packing_violation():
     with pytest.raises(PreconditionError):
         fatten(PeriodicPoints(2, (0,)), IntervalUnion.closed(0, 2))
@@ -380,6 +386,18 @@ def test_partition_perturbed_lattice_materializes():
     part = partition_by_coloring(s, IntervalUnion.closed(0, Fraction(1, 4)))
     assert part.n == 2  # each n with 1/n <= 1/4 conflicts with its perturbation
     assert all(isinstance(c, FinitePoints) for c in part.classes)
+
+
+def test_partition_refuses_a_bare_lattice():
+    with pytest.raises(PreconditionError, match="bare lattice"):
+        partition_by_coloring(PerturbedLattice(1), IntervalUnion.closed(0, Fraction(1, 4)))
+
+
+@pytest.mark.parametrize("group", [FiniteAbelian((3,)), ZLattice(1)])
+def test_partition_refuses_every_group_but_the_line(group):
+    with pytest.raises(PreconditionError, match="the partition runs on the real line"):
+        partition_by_coloring(PeriodicPoints(1, (0,)), IntervalUnion.closed(0, Fraction(1, 4)),
+                              group)
 
 
 def test_partition_rejects_accumulation():
@@ -837,7 +855,7 @@ def coloring_points(S, Q):
 def materialized(S) -> list[Fraction]:
     """The points of a finite or perturbed S that the partition colors, as
     Fractions."""
-    D, xs = _materialize_config(S, None)
+    D, xs = _materialize_config(S)
     return [Fraction(x, D) for x in xs]
 
 
@@ -883,7 +901,7 @@ def test_integer_class_verifier_rejects_what_fraction_verifier_rejects(drawn, mo
         fraction_violates(Q, P, a, b) for cl in classes for a in cl for b in cl
     )
     radius = max(abs(Q.inf), abs(Q.sup))
-    D, _, lifts, _, _ = _configuration(S, Q, radius, None)
+    D, _, lifts, _, _ = _configuration(S, Q, radius)
     int_classes = [[int(q * D) for q in cl] for cl in classes]
     try:
         _verify_class_packing(int_classes, D, lifts)
@@ -905,7 +923,7 @@ def test_integer_window_counts_match_real_mass(drawn):
     Q = H.difference_set()
     points, P = coloring_points(S, Q)
     radius = max(abs(Q.inf), abs(Q.sup))
-    D, ints, lifts, P_int, n_centers = _configuration(S, Q, radius, None)
+    D, ints, lifts, P_int, n_centers = _configuration(S, Q, radius)
     assert [Fraction(x, D) for x in ints] == points and ints == [q * D for q in points]
     assert P_int == (None if P is None else P * D)
     assert lifts == [(a * D + off, b * D + off) for off in ((0,) if P is None else (0, P_int, -P_int))
@@ -1042,7 +1060,7 @@ def test_sliding_first_fit_matches_the_range_slices_and_the_pair_loop(drawn):
     S, H = drawn
     Q = H.difference_set()
     radius = max(abs(Q.inf), abs(Q.sup))
-    D, ints, lifts, P, _ = _configuration(S, Q, radius, None)
+    D, ints, lifts, P, _ = _configuration(S, Q, radius)
     spans = lifts[: len(Q.intervals)]
     colors = _first_fit(ints, lifts)
     assert colors == range_slice_first_fit(ints, lifts)
@@ -1066,7 +1084,7 @@ def test_int_class_reduction_matches_fraction_reduction(drawn, base, k, offsets,
     S, H = drawn
     part = partition_by_coloring(S, H)
     radius = max(abs(part.Q.inf), abs(part.Q.sup))
-    D_S, ints, lifts, P, _ = _configuration(S, part.Q, radius, None)
+    D_S, ints, lifts, P, _ = _configuration(S, part.Q, radius)
     points = [Fraction(x, D_S) for x in ints]
     colors = _first_fit(ints, lifts)
     for j, cl in enumerate(part.classes):

@@ -3,7 +3,6 @@ fundamental domain, and exact minimum translate covers."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -155,26 +154,30 @@ def minimal_translates(S, group: GroupSpec) -> TranslateCover:
     """Smallest K with S + K = G, exact for fundamental domains of at most
     Caps.exact_cover_cells cells (first cover in size-then-lexicographic
     order, so the result is canonical); larger instances fall back to flagged
-    greedy set cover."""
+    greedy set cover.
+
+    The exact search is depth-first over the combinations of each size in
+    lexicographic order, with two cuts that drop only branches holding no
+    cover, so the first cover found is the first combination that covers:
+    the next pick is at most the last translate covering the least uncovered
+    cell (a later pick leaves that cell uncovered for good), and a branch
+    stops when its uncovered cells outnumber the picks left times the
+    largest cover."""
     cells, covers, lift = _cover_instance(S, group)
     n = len(cells)
     full = (1 << n) - 1
     if not any(covers):
         raise PreconditionError("S is empty")
     if n <= DEFAULT_CAPS.exact_cover_cells:
-        for size in range(1, n + 1):
-            for combo in itertools.combinations(range(n), size):
-                mask = 0
-                for i in combo:
-                    mask |= covers[i]
-                if mask == full:
-                    return TranslateCover(
-                        translates=tuple(lift(cells[i]) for i in combo),
-                        size=size,
-                        exact=True,
-                        verified=True,
-                    )
-        raise VerificationError("no cover exists", counterexample=S)
+        combo = _least_cover(covers, n)
+        if combo is None:
+            raise VerificationError("no cover exists", counterexample=S)
+        return TranslateCover(
+            translates=tuple(lift(cells[i]) for i in combo),
+            size=len(combo),
+            exact=True,
+            verified=True,
+        )
     chosen = []
     mask = 0
     while mask != full:
@@ -189,6 +192,33 @@ def minimal_translates(S, group: GroupSpec) -> TranslateCover:
         exact=False,
         verified=True,
     )
+
+
+def _least_cover(covers: list[int], n: int) -> Optional[list[int]]:
+    """The first combination of indices, in size-then-lexicographic order,
+    whose covers (bitmasks over n cells) union to all cells, or None."""
+    full = (1 << n) - 1
+    # last[cell]: the last translate that covers the cell
+    last = [max((i for i, c in enumerate(covers) if c >> cell & 1), default=-1)
+            for cell in range(n)]
+    widest = max(c.bit_count() for c in covers)
+    picks: list[int] = []
+
+    def search(start: int, mask: int, left: int) -> bool:
+        # no smaller size covers, so a prefix short of `left` leaves rest != 0
+        if not left:
+            return mask == full
+        rest = full & ~mask
+        if rest.bit_count() > left * widest:
+            return False
+        for i in range(start, last[(rest & -rest).bit_length() - 1] + 1):
+            picks.append(i)
+            if search(i + 1, mask | covers[i], left - 1):
+                return True
+            picks.pop()
+        return False
+
+    return next((picks for size in range(1, n + 1) if search(0, 0, size)), None)
 
 
 def _cover_instance(S, group):

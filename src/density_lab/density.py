@@ -332,18 +332,25 @@ def _inf_sup(nu_of, translate):
     mask with no V above it. #((C+g)+V) = #(C+V), so the translates of C
     share its sup and that C is the least mask of its translation class:
     only that leader is scanned, and it marks its class seen. A leader is
-    dropped at the first V with nu(V)/#(C+V) > nu(G)/|G|. The V that dropped
-    the last leader is tried first; then one pass over V in decreasing nu(V)
-    ends at nu(V) < |C| nu(G)/|G|, since #(C+V) >= |C|, keeping the least V
-    of ratio nu(G)/|G|. The first leader not dropped is returned.
+    dropped at the first V with nu(V)/#(C+V) > nu(G)/|G|. Two counting
+    bounds follow from #(C+V) >= max(|C|, |V|). An atom v with nu(v)/|C|
+    above nu(G)/|G| drops C and every translate of it (they have |C|
+    elements too), so such a C is skipped unscanned. A V with nu(V)/|V|
+    below nu(G)/|G| can neither drop a leader nor tie, so the pass skips it
+    without forming C+V. The V that dropped the last scanned leader is tried
+    first; then one pass over V in decreasing nu(V) ends at nu(V) < |C|
+    nu(G)/|G|, keeping the least V of ratio nu(G)/|G|. Which V drops a
+    leader does not change the result. The first leader not dropped is
+    returned.
     """
     size = len(nu_of)
     top, n = nu_of[size - 1], (size - 1).bit_count()
+    atom = max(nu_of[1 << i] for i in range(n))
     by_nu = sorted(range(1, size), key=nu_of.__getitem__, reverse=True)
     seen = bytearray(size)
     killer = size - 1  # V = G drops no C
     for C in range(1, size):
-        if seen[C]:
+        if seen[C] or atom * n > top * C.bit_count():
             continue
         for t in translate:
             seen[t[C]] = 1
@@ -359,6 +366,8 @@ def _inf_sup(nu_of, translate):
             num = nu_of[V] * n
             if num < least:
                 break
+            if num < top * V.bit_count():
+                continue
             u = 0
             for t in shifts:
                 u |= t[V]

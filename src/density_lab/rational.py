@@ -20,7 +20,10 @@ _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
 def rat(value: Union[int, str, Fraction]) -> Fraction:
-    """Parse an exact rational from an int, Fraction, or "p/q" string."""
+    """Parse an exact rational from an int, Fraction, or "p/q" string. A
+    Fraction (not a subclass) is immutable and returned as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise InstanceParseError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):

@@ -163,12 +163,17 @@ class PeriodicPoints(_Held):
         self.__dict__.update(period=period, _D=D, _period=P, _residues=xs)
 
     @classmethod
-    def _canonical(cls, D: int, P: int, xs) -> "PeriodicPoints":
+    def _canonical(cls, D: int, P: int, xs, period=None) -> "PeriodicPoints":
         """The configuration of period P / D and residues x / D for sorted
-        distinct ints xs in [0, P)."""
+        distinct ints xs in [0, P), reduced by one gcd pass; period is
+        Fraction(P, D) when the caller already holds it."""
         obj = object.__new__(cls)
-        D, (P, *xs) = _lowest_terms(D, (P, *xs))
-        obj.__dict__.update(period=Fraction(P, D), _D=D, _period=P, _residues=tuple(xs))
+        if period is None:
+            period = Fraction(P, D)
+        g = gcd(D, P, *xs)
+        if g != 1:
+            D, P, xs = D // g, P // g, [x // g for x in xs]
+        obj.__dict__.update(period=period, _D=D, _period=P, _residues=tuple(xs))
         return obj
 
     @classmethod

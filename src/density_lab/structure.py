@@ -28,6 +28,15 @@ re-verification marks B + (A-A) in a bytearray from scratch; the packing
 re-verification looks up every b + d, d in (A-A) minus {0}, in a bytearray
 of B, since b1 - b2 = d with b1 != b2 iff b1 = b2 + d lies in B.
 
+The line greedy (a periodic pattern A of period p) runs on closed int
+intervals over E, the lcm of the denominators of p and of A's endpoints, in
+the canonical forms of IntervalUnion and PeriodicPattern: A - A reduced onto
+the circle [0, p], the covered union, its first gap and the translates B.
+A midpoint candidate of a gap of odd length doubles E and every held int,
+so B stays exact; B becomes Fractions once, at the end. The cover and
+packing re-verification rebuilds the union of the translates of A - A from
+B alone and tests every ordered pair of B.
+
 The partition runs on the integer normal form that every line configuration
 holds (sets._Held), with one lift and one body for every configuration:
 _configuration joins the points, the radius R of Q = H - H and Q's closed
@@ -52,8 +61,12 @@ partner. Colors, classes, n and k_bound are those of the all-pairs Fraction
 loop and of real_mass. The ints are bucketed by color in one pass; a periodic
 class is reduced to its minimal period in ints: the largest k dividing its
 size and P whose shift P/k maps it onto itself (P/k must be an int, as the
-class consists of multiples of 1/D). A finite class is built from its ints
-too, its Fraction points only when first read. packing_bound_check validates
+class consists of multiples of 1/D), and built with one gcd pass. Classes of
+one minimal period share its Fraction, and classes of one size their density
+#members * D / P, as every class lies on the one circle P over D; so the
+pipeline takes the densest class as the first with the most members. A
+finite class is built from its ints too, its Fraction points only when
+first read, and every finite class has density 0. packing_bound_check validates
 per group, then tests the elements of S - S in [-R, R]
 (_difference_points_within; a periodic subset of Z as the residues of a
 periodic configuration) against the spans of H - H scaled to the same D (on Z,
@@ -219,48 +232,49 @@ def _greedy_finite(quotient: FiniteAbelian, a_indices, lift, base_set, group):
 
 
 def _greedy_pattern(A: PeriodicPattern, group: RealLine) -> CoverResult:
-    density = A.density
-    if density <= 0:
+    E, (p, *ends) = common_scale((A.period, *A.pattern.endpoints()))
+    pattern = list(zip(ends[::2], ends[1::2]))
+    mass = sum(b - a for a, b in pattern)
+    if mass <= 0:
         raise PreconditionError("zero density: the pattern has no mass")
-    p = A.period
-    D = A.difference_set()
-    bound = floor(1 / density)
-    B: list[Fraction] = []
-    covered = IntervalUnion.empty()
-
-    def covered_mod(q: Fraction) -> bool:
-        r = q % p
-        return covered.contains(r) or (r == 0 and covered.contains(p))
-
-    while True:
-        gaps = covered.complement_within(0, p)
-        if gaps.is_empty:
-            break
-        a, b = gaps.intervals[0]
-        cand = a if not covered_mod(a) else (a + b) / 2
-        if covered_mod(cand):
-            raise VerificationError("greedy stalled", counterexample=(A, B, cand))
+    density = Fraction(mass, p)
+    bound = p // mass  # floor(1 / density)
+    # A - A on the circle [0, p]
+    diff = _mod_circle(_merge([(a - d, b - c) for a, b in pattern for c, d in pattern]), p)
+    B: list[int] = []
+    covered: list = []
+    while (gap := _first_gap(covered, p)) is not None:
+        a, b = gap
+        if _contains_mod(covered, a, p):
+            if (a + b) % 2:  # the midpoint needs half the unit: rescale
+                E, p, a, b = 2 * E, 2 * p, 2 * a, 2 * b
+                diff = [(2 * lo, 2 * hi) for lo, hi in diff]
+                covered = [(2 * lo, 2 * hi) for lo, hi in covered]
+                B = [2 * x for x in B]
+            cand = (a + b) // 2
+        else:
+            cand = a
+        if _contains_mod(covered, cand, p):
+            raise VerificationError("greedy stalled", counterexample=(
+                A, [Fraction(x, E) for x in B], Fraction(cand, E)))
         B.append(cand)
-        covered = covered.union(D.translate(cand).pattern)
+        covered = _merge(covered + _mod_circle([(lo + cand, hi + cand) for lo, hi in diff], p))
         if len(B) > bound:
             raise VerificationError(
                 f"translate count {len(B)} exceeds the bound {bound}",
-                counterexample=(A, B),
+                counterexample=(A, [Fraction(x, E) for x in B]),
             )
-    # re-verify from scratch
-    union = IntervalUnion.empty()
-    for b in B:
-        union = union.union(D.translate(b).pattern)
-    if not union.covers(0, p):
-        raise VerificationError("cover verification failed", counterexample=(A, B))
-    for b1 in B:
-        for b2 in B:
-            if b1 != b2 and D.contains_mod(b1 - b2):
-                raise VerificationError(
-                    "packing verification failed", counterexample=(A, b1, b2)
-                )
+    translates = tuple(Fraction(x, E) for x in B)
+    fault = _pattern_cover_fault(diff, p, B)
+    if fault == "cover":
+        raise VerificationError("cover verification failed", counterexample=(A, translates))
+    if fault is not None:
+        raise VerificationError(
+            "packing verification failed",
+            counterexample=(A, Fraction(fault[0], E), Fraction(fault[1], E)),
+        )
     return CoverResult(
-        translates=tuple(B),
+        translates=translates,
         size_bound=bound,
         density=density,
         verified_cover=True,
@@ -270,6 +284,66 @@ def _greedy_pattern(A: PeriodicPattern, group: RealLine) -> CoverResult:
         base_set=A,
         group=group,
     )
+
+
+def _pattern_cover_fault(diff: list, p: int, B: list[int]):
+    """Re-verify from scratch a line cover in ints: "cover" unless the
+    translates diff + b (b in B), reduced onto the circle [0, p], cover it;
+    else the first pair (b1, b2) of B, in loop order, with b1 != b2 and
+    b1 - b2 in diff mod p; else None."""
+    union = _merge([piece for b in B
+                    for piece in _mod_circle([(lo + b, hi + b) for lo, hi in diff], p)])
+    if _first_gap(union, p) is not None:
+        return "cover"
+    return next(((b1, b2) for b1 in B for b2 in B
+                 if b1 != b2 and _contains_mod(diff, b1 - b2, p)), None)
+
+
+# Closed int intervals in the canonical form of IntervalUnion (sorted, with
+# overlapping or touching intervals merged) and periodic patterns on the
+# circle [0, p] in the form of PeriodicPattern, for the line greedy.
+
+
+def _merge(pairs) -> list:
+    merged: list = []
+    for a, b in sorted(pairs):
+        if merged and a <= merged[-1][1]:
+            if b > merged[-1][1]:
+                merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    return merged
+
+
+def _mod_circle(pairs: list, p: int) -> list:
+    """Canonical pairs reduced onto [0, p], as PeriodicPattern reduces its
+    pattern: an interval of length >= p is the whole circle, one that crosses
+    p is cut there."""
+    pieces = []
+    for a, b in pairs:
+        if b - a >= p:
+            return [(0, p)]
+        a2 = a % p
+        b2 = b - a + a2
+        pieces += [(a2, b2)] if b2 <= p else [(a2, p), (0, b2 - p)]
+    return _merge(pieces)
+
+
+def _first_gap(covered: list, p: int):
+    """The first piece of positive length of [0, p] minus the canonical
+    pairs within it, or None."""
+    cursor = 0
+    for a, b in covered:
+        if a > cursor:
+            return cursor, a
+        cursor = max(cursor, b)
+    return (cursor, p) if cursor < p else None
+
+
+def _contains_mod(pattern: list, q: int, p: int) -> bool:
+    """Whether q mod p lies in the pattern on [0, p], p standing for 0."""
+    r = q % p
+    return any(a <= r <= b or (r == 0 and a <= p <= b) for a, b in pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +513,13 @@ def partition_by_coloring(S, H: IntervalUnion, group: RealLine = RealLine()) -> 
     most the maximal window count k. Periodic configurations are recolored over
     an enlarged period exceeding the diameter of H-H, so classes stay periodic.
     """
+    return _partition(S, H, group)[0]
+
+
+def _partition(S, H: IntervalUnion, group: RealLine):
+    """(partition_by_coloring(S, H, group), j): j is the first class with the
+    most members, the densest, as every class density is #members * D / P on
+    one circle (0 for a finite S)."""
     if group != RealLine():
         raise PreconditionError(f"the partition runs on the real line, not on {group}")
     if not isinstance(H, IntervalUnion):
@@ -463,17 +544,19 @@ def partition_by_coloring(S, H: IntervalUnion, group: RealLine = RealLine()) -> 
         raise VerificationError(
             f"class count {n} exceeds the window bound {k_bound}", counterexample=(S, H)
         )
+    sizes = list(map(len, int_members))
     if P is None:
         classes = tuple(FinitePoints._canonical(D, cl) for cl in int_members)
-        densities, period = tuple(Fraction(0) for _ in int_members), None
+        densities, period = (Fraction(0),) * n, None
     else:
-        period = Fraction(P, D)
-        classes = tuple(_periodic_class(cl, P, D) for cl in int_members)
-        densities = tuple(Fraction(len(cl) * D, P) for cl in int_members)
-    return PartitionResult(
+        period, classes = Fraction(P, D), _periodic_classes(int_members, P, D)
+        by_size = {m: Fraction(m * D, P) for m in set(sizes)}
+        densities = tuple(by_size[m] for m in sizes)
+    part = PartitionResult(
         classes=classes, H=H, Q=Q, n=n, k_bound=k_bound, class_densities=densities,
         period=period, base=S, group=group,
     )
+    return part, sizes.index(max(sizes)) if sizes else 0
 
 
 def _configuration(S, Q: IntervalUnion, radius: Fraction):
@@ -551,7 +634,10 @@ def _first_fit(points: list[int], lifts: list) -> list[int]:
 def _window_count(points: list[int], s: int, lifts: list) -> int:
     """#{t in sorted distinct ints : t - s in a lift}, s itself included (0 is
     in Q): one bisect pair per lift, as the lifts are disjoint (P > 2R)."""
-    return sum(bisect_right(points, s + b) - bisect_left(points, s + a) for a, b in lifts)
+    count = 0
+    for a, b in lifts:
+        count += bisect_right(points, s + b) - bisect_left(points, s + a)
+    return count
 
 
 def _verify_class_packing(classes, D: int, lifts: list):
@@ -570,15 +656,29 @@ def _verify_class_packing(classes, D: int, lifts: list):
                 )
 
 
-def _periodic_class(xs: list[int], P: int, D: int) -> PeriodicPoints:
-    """The class of sorted ints xs in [0, P) on the circle P / D, over its
-    minimal period P/k: k the largest divisor of #xs and P with xs + P/k = xs
-    (mod P), and the residues the x < P/k. A k that does not divide P is
-    skipped exactly, as x + P/k is then no multiple of 1/D."""
-    n, members = len(xs), set(xs)
-    step = next((P // k for k in range(n, 1, -1) if n % k == P % k == 0
-                 and all((x + P // k) % P in members for x in xs)), P)
-    return PeriodicPoints._canonical(D, step, [x for x in xs if x < step])
+def _periodic_classes(members: list, P: int, D: int) -> tuple:
+    """The classes of sorted ints in [0, P) on the circle P / D, each over its
+    minimal period P/k: k the largest divisor of its size n and of P with
+    xs + P/k = xs (mod P), and its residues the first n/k of xs. A k that
+    does not divide P is skipped exactly, as x + P/k is then no multiple of
+    1/D; a shift P/k that maps xs onto itself maps xs[0] to xs[n/k], which is
+    tested first. Classes of one minimal period share its Fraction."""
+    periods: dict[int, Fraction] = {}
+    canonical = PeriodicPoints._canonical
+    out = []
+    for xs in members:
+        n, step = len(xs), P
+        for k in range(n, 1, -1):
+            if n % k == P % k == 0 and xs[n // k] - xs[0] == P // k:
+                in_xs = set(xs)
+                if all((x + P // k) % P in in_xs for x in xs):
+                    step = P // k
+                    break
+        period = periods.get(step)
+        if period is None:
+            period = periods[step] = Fraction(step, D)
+        out.append(canonical(D, step, xs[: n * step // P], period))
+    return tuple(out)
 
 
 def _materialize_config(S) -> tuple[int, tuple[int, ...]]:
@@ -757,11 +857,8 @@ def syndetic_pipeline(
         raise PreconditionError("H must be an interval union on the line")
     if H.length <= 0:
         raise PreconditionError("H must have positive measure")
-    part = partition_by_coloring(S, H, group)
-    densities = part.class_densities
-    best = max(densities)
-    j = densities.index(best)
-    rho_j = densities[j]
+    part, j = _partition(S, H, group)
+    rho_j = part.class_densities[j]
     if rho_j * part.n < rho:
         raise VerificationError(
             "no class reaches density rho/n", counterexample=(S, H, part.n)

@@ -3,26 +3,44 @@ the library does not need, kept here to check what it computes."""
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate, product
-from math import lcm, prod
+from itertools import accumulate, combinations, product
+from math import floor, lcm, prod
 from typing import Optional
 
 from density_lab import (
     AccumulationPoint,
+    CoverResult,
     ExplicitFinite,
     FiniteAbelian,
     FinitePoints,
+    IntervalUnion,
+    PartitionResult,
+    PeriodicPattern,
     PeriodicPoints,
     PerturbedLattice,
+    PipelineResult,
     PreconditionError,
+    RealLine,
     SigmaFiniteChain,
     SyndeticCertificate,
+    VerificationError,
     ZLattice,
+    auto_H,
+    difference_set,
+    fatten,
+    minkowski_sum,
 )
 from density_lab.config import check_enumeration
 from density_lab.groups import _strip, bits
-from density_lab.rational import common_scale, rat
+from density_lab.rational import common_scale, is_infinite, rat
 from density_lab.sets import WindowedDifferenceSet, discrete_quotient
+from density_lab.structure import (
+    _configuration,
+    _first_fit,
+    _verify_class_packing,
+    _window_count,
+    counting_density,
+)
 from density_lab.windows import (
     CENTERS_OVER_CAP,
     ShiftScan,
@@ -481,3 +499,209 @@ def running_best_inf_sup(nu_of, translate):
         if sup_V:
             best_num, best_den, best_C, best_V = sup_num, sup_den, C, sup_V
     return best_num, best_den, best_C, best_V
+
+
+# ---------------------------------------------------------------------------
+# the pipeline's Fraction path before its classes, selection and line cover
+# stayed on ints until the result: one Fraction period and one Fraction
+# density built per class (the period through the validating constructor
+# here), the densest class taken as densities.index(max(densities)), and
+# the line greedy on IntervalUnion and PeriodicPattern, kept verbatim as
+# the oracles for the int path
+
+
+def fraction_class_partition(S, H, group=RealLine()):
+    """(structure.partition_by_coloring(S, H, group), the index of the first
+    densest class)."""
+    if group != RealLine():
+        raise PreconditionError(f"the partition runs on the real line, not on {group}")
+    if not isinstance(H, IntervalUnion):
+        raise PreconditionError("H must be an interval union on the line")
+    Q = H.difference_set()
+    if Q.is_empty:
+        raise PreconditionError("H is empty")
+    radius = max(abs(Q.inf), abs(Q.sup))  # Q lies in [-radius, radius]
+    D, ints, lifts, P, centers = _configuration(S, Q, radius)
+    colors = _first_fit(ints, lifts)
+    n = max(colors, default=-1) + 1
+    if len(colors) != len(ints) or min(colors, default=0) < 0:
+        raise VerificationError("partition does not reproduce S", counterexample=S)
+    int_members = [[] for _ in range(n)]
+    for x, c in zip(ints, colors):
+        int_members[c].append(x)
+    k_bound = Fraction(max((_window_count(ints, s, lifts) for s in ints[:centers]), default=0))
+    _verify_class_packing(int_members, D, lifts)
+    if n > k_bound:
+        raise VerificationError(
+            f"class count {n} exceeds the window bound {k_bound}", counterexample=(S, H)
+        )
+    if P is None:
+        classes = tuple(FinitePoints._canonical(D, cl) for cl in int_members)
+        densities, period = tuple(Fraction(0) for _ in int_members), None
+    else:
+        period = Fraction(P, D)
+        classes = tuple(_fraction_periodic_class(cl, P, D) for cl in int_members)
+        densities = tuple(Fraction(len(cl) * D, P) for cl in int_members)
+    part = PartitionResult(
+        classes=classes, H=H, Q=Q, n=n, k_bound=k_bound, class_densities=densities,
+        period=period, base=S, group=group,
+    )
+    return part, densities.index(max(densities)) if densities else 0
+
+
+def _fraction_periodic_class(xs, P, D):
+    n, members = len(xs), set(xs)
+    step = next((P // k for k in range(n, 1, -1) if n % k == P % k == 0
+                 and all((x + P // k) % P in members for x in xs)), P)
+    return PeriodicPoints(Fraction(step, D), tuple(Fraction(x, D) for x in xs if x < step))
+
+
+def fraction_greedy_pattern(A: PeriodicPattern, group=RealLine()) -> CoverResult:
+    """structure.greedy_translates of a periodic pattern on the line."""
+    density = A.density
+    if density <= 0:
+        raise PreconditionError("zero density: the pattern has no mass")
+    p = A.period
+    D = A.difference_set()
+    bound = floor(1 / density)
+    B: list[Fraction] = []
+    covered = IntervalUnion.empty()
+
+    def covered_mod(q: Fraction) -> bool:
+        r = q % p
+        return covered.contains(r) or (r == 0 and covered.contains(p))
+
+    while True:
+        gaps = covered.complement_within(0, p)
+        if gaps.is_empty:
+            break
+        a, b = gaps.intervals[0]
+        cand = a if not covered_mod(a) else (a + b) / 2
+        if covered_mod(cand):
+            raise VerificationError("greedy stalled", counterexample=(A, B, cand))
+        B.append(cand)
+        covered = covered.union(D.translate(cand).pattern)
+        if len(B) > bound:
+            raise VerificationError(
+                f"translate count {len(B)} exceeds the bound {bound}",
+                counterexample=(A, B),
+            )
+    fault = fraction_pattern_cover_fault(D, B)
+    if fault == "cover":
+        raise VerificationError("cover verification failed", counterexample=(A, B))
+    if fault is not None:
+        raise VerificationError("packing verification failed", counterexample=(A, *fault))
+    return CoverResult(
+        translates=tuple(B),
+        size_bound=bound,
+        density=density,
+        verified_cover=True,
+        verified_packing=True,
+        blocked=(),
+        search_domain="one period of the line; maximality = empty admissible set",
+        base_set=A,
+        group=group,
+    )
+
+
+def fraction_pattern_cover_fault(D: PeriodicPattern, B):
+    """The greedy's re-verification: "cover" unless the translates D + b (b
+    in B) cover a period, else the first pair b1 != b2 of B with b1 - b2 in
+    D mod its period, else None."""
+    union = IntervalUnion.empty()
+    for b in B:
+        union = union.union(D.translate(b).pattern)
+    if not union.covers(0, D.period):
+        return "cover"
+    for b1 in B:
+        for b2 in B:
+            if b1 != b2 and D.contains_mod(b1 - b2):
+                return b1, b2
+    return None
+
+
+def fraction_pipeline(S, group=RealLine(), epsilon=Fraction(1, 2), H=None) -> PipelineResult:
+    """structure.syndetic_pipeline on fraction_class_partition and
+    fraction_greedy_pattern."""
+    epsilon = rat(epsilon)
+    rho = counting_density(S, group)
+    if is_infinite(rho):
+        raise PreconditionError(
+            "counting density is infinite (accumulation certificate): no compact "
+            "translate set can make the difference set cover the line"
+        )
+    if not isinstance(S, PeriodicPoints):
+        raise PreconditionError("the pipeline needs an exactly periodic configuration")
+    if rho <= 0:
+        raise PreconditionError("positive counting density required")
+    auto = None
+    if H is None:
+        auto = auto_H(S, epsilon, group)
+        H = auto.H
+    if not isinstance(H, IntervalUnion):
+        raise PreconditionError("H must be an interval union on the line")
+    if H.length <= 0:
+        raise PreconditionError("H must have positive measure")
+    part, j = fraction_class_partition(S, H, group)
+    rho_j = part.class_densities[j]
+    if rho_j * part.n < rho:
+        raise VerificationError(
+            "no class reaches density rho/n", counterexample=(S, H, part.n)
+        )
+    fat = fatten(part.classes[j], H, group)
+    cover = fraction_greedy_pattern(fat.fattened, group)
+    Q = part.Q
+    T = IntervalUnion(
+        tuple((b + lo, b + hi) for b in cover.translates for lo, hi in Q.intervals)
+    )
+    mu_t = T.length
+    d_j = difference_set(part.classes[j], group)
+    summed = minkowski_sum(d_j, T, group)
+    if not summed.covers_circle():
+        raise VerificationError(
+            "difference set plus T does not cover", counterexample=(S, H, T)
+        )
+    d_s = difference_set(S, group)
+    summed_s = minkowski_sum(d_s, T, group)
+    if not summed_s.covers_circle():
+        raise VerificationError(
+            "difference set plus T does not cover", counterexample=(S, H, T)
+        )
+    remark_bound = (1 + epsilon) * Q.length / H.length
+    derived_bound = (1 + epsilon) * Q.length * Q.length / H.length
+    class_target = (1 + epsilon) * rho * Q.length
+    remark_ok = mu_t <= remark_bound
+    derived_ok = mu_t <= derived_bound
+    class_ok = part.n <= class_target
+    if auto is not None and not (class_ok and derived_ok):
+        raise VerificationError(
+            "certified bounds failed on an auto-constructed H",
+            counterexample=(S, H, mu_t, derived_bound, part.n, class_target),
+        )
+    return PipelineResult(
+        S=S, rho=rho, epsilon=epsilon, H=H, auto=auto, partition=part, selected_class=j,
+        rho_j=rho_j, fatten=fat, cover=cover, T=T, mu_T=mu_t, covering_verified=True,
+        remark_bound=remark_bound, remark_bound_holds=remark_ok, derived_bound=derived_bound,
+        derived_bound_holds=derived_ok, class_count_target=class_target,
+        class_count_holds=class_ok,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the exact minimum cover before its branch and bound, kept verbatim (every
+# combination of each size, in lexicographic order) as the oracle for
+# additive._least_cover
+
+
+def combinations_least_cover(covers, n):
+    """The first combination of indices, in size-then-lexicographic order,
+    whose covers (bitmasks over n cells) union to all cells, or None."""
+    full = (1 << n) - 1
+    for size in range(1, n + 1):
+        for combo in combinations(range(n), size):
+            mask = 0
+            for i in combo:
+                mask |= covers[i]
+            if mask == full:
+                return list(combo)
+    return None

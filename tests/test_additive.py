@@ -2,9 +2,10 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from density_lab import (
     CapExceededError,
@@ -24,6 +25,9 @@ from density_lab import (
     minimal_translates,
     syndetic_check,
 )
+from density_lab.additive import _least_cover
+from density_lab.config import DEFAULT_CAPS
+from oracles import combinations_least_cover, cover_instance
 
 rng = random.Random(99)
 Z = ZLattice(1)
@@ -162,6 +166,48 @@ def test_minimal_translates_vs_greedy_bound():
         cover = greedy_translates(a, Z)
         assert mt.size <= cover.size_bound
         assert mt.size <= cover.size
+
+
+@st.composite
+def cover_instances(draw):
+    """(S, group): a periodic subset of Z of period m <= Caps.exact_cover_cells,
+    or a subset of a finite group of at most that order; past 12 cells at
+    least half of them, so that the combinations oracle stays fast."""
+    if draw(st.booleans()):
+        moduli = (draw(st.integers(1, DEFAULT_CAPS.exact_cover_cells)),)
+    else:
+        moduli = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3).filter(
+            lambda ms: prod(ms) <= DEFAULT_CAPS.exact_cover_cells)))
+    cells = FiniteAbelian(moduli).elements()
+    n = len(cells)
+    subset = draw(st.lists(st.sampled_from(cells), min_size=n // 2 if n > 12 else 1,
+                           max_size=n, unique=True))
+    if len(moduli) == 1 and draw(st.booleans()):
+        return PeriodicDiscrete(moduli, tuple(subset)), Z
+    return ExplicitFinite(tuple(subset)), FiniteAbelian(moduli)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cover_instances())
+@example((PeriodicDiscrete.line(20, [0, 1, 5, 6, 7, 13, 14, 15, 18, 19]), Z))
+@example((ExplicitFinite(((0, 0), (1, 2), (3, 1))), FiniteAbelian((4, 5))))
+def test_branch_and_bound_cover_matches_the_combinations_loop(drawn):
+    S, group = drawn
+    cells, covers, lift = cover_instance(S, group)
+    combo = combinations_least_cover(covers, len(cells))
+    mt = minimal_translates(S, group)
+    assert mt.exact and mt.size == len(combo)
+    assert mt.translates == tuple(lift(cells[i]) for i in combo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))))
+def test_least_cover_matches_the_combinations_loop_on_any_masks(drawn):
+    """n masks over n cells, not only those of translates: a cell may lie in
+    none, or a mask be empty."""
+    n, covers = drawn
+    assert _least_cover(covers, n) == combinations_least_cover(covers, n)
 
 
 def test_minimal_translates_empty_rejected():

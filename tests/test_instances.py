@@ -22,6 +22,7 @@ from density_lab import (
     to_jsonable,
 )
 from density_lab.instances import GROUP, OBJECT, PARAMS
+from density_lab.rational import rat
 
 
 def test_roundtrip_identity_on_shipped_instances():
@@ -103,6 +104,21 @@ def test_rational_strings():
     assert OBJECT.dump(obj, group)["period"] == "3/2"
     with pytest.raises(InstanceParseError):
         OBJECT.parse({"kind": "periodic_points", "period": "x", "residues": []}, group)
+
+
+def test_rat_returns_a_fraction_itself_and_copies_every_other_input():
+    q = Fraction(-7, 3)
+    assert rat(q) is q
+
+    class Tagged(Fraction):
+        pass
+
+    for value, want in ((Tagged(1, 2), Fraction(1, 2)), (5, Fraction(5)), (" -7/3 ", q)):
+        got = rat(value)
+        assert type(got) is Fraction and got == want
+    for bad in (True, 1.5, "1.5", "1/0", None):
+        with pytest.raises(InstanceParseError):
+            rat(bad)
 
 
 def test_object_roundtrip_measures():

@@ -36,19 +36,29 @@ from density_lab import (
 )
 from density_lab import structure
 from density_lab.groups import _strip
-from density_lab.rational import is_infinite
+from density_lab.instances import canonical_json, to_jsonable
+from density_lab.rational import common_scale, is_infinite
 from density_lab.structure import (
     _configuration,
     _difference_points_within,
     _first_fit,
     _materialize_config,
-    _periodic_class,
+    _partition,
+    _pattern_cover_fault,
+    _periodic_classes,
     _verify_class_packing,
     _window_count,
     counting_density,
 )
 from density_lab.windows import real_mass
-from oracles import min_positive_difference, range_slice_first_fit
+from oracles import (
+    fraction_class_partition,
+    fraction_greedy_pattern,
+    fraction_pattern_cover_fault,
+    fraction_pipeline,
+    min_positive_difference,
+    range_slice_first_fit,
+)
 
 rng = random.Random(31337)
 Z = ZLattice(1)
@@ -1098,4 +1108,101 @@ def test_int_class_reduction_matches_fraction_reduction(drawn, base, k, offsets,
             assert (rebuilt.period, rebuilt.residues) == (cl.period, cl.residues)
     xs = sorted({x % base + i * base for x in offsets for i in range(k)})
     fractions = PeriodicPoints(Fraction(base * k, D), tuple(Fraction(x, D) for x in xs))
-    assert _periodic_class(xs, base * k, D) == fraction_reduced(fractions)
+    assert _periodic_classes([xs], base * k, D) == (fraction_reduced(fractions),)
+
+
+# ---------------------------------------------------------------------------
+# the int classes, the densest class by count and the int line greedy against
+# the Fraction path they replaced (tests/oracles.py)
+
+
+def outcome(f, *args):
+    """(result, its report bytes), or (error type, message) when f refuses."""
+    try:
+        result = f(*args)
+    except (PreconditionError, VerificationError) as exc:
+        return type(exc), str(exc)
+    return result, canonical_json(to_jsonable(result))
+
+
+# six classes on the coloring circle 3, of minimal periods 3 and 3/2; the
+# classes 1, 2 and 4 tie for the densest
+MIXED_PERIODS = (PeriodicPoints(1, (0, Fraction(1, 12), Fraction(7, 12))),
+                 IntervalUnion.closed(0, Fraction(17, 12)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(partition_instances())
+@example(SEAM)
+@example(MIXED_PERIODS)
+def test_int_partition_matches_the_fraction_partition(drawn):
+    S, H = drawn
+    part, j = _partition(S, H, R)
+    expected, expected_j = fraction_class_partition(S, H, R)
+    assert part == expected and j == expected_j
+    assert canonical_json(to_jsonable(part)) == canonical_json(to_jsonable(expected))
+    assert all(type(d) is Fraction for d in part.class_densities)
+
+
+@st.composite
+def pipeline_instances(draw):
+    """(S, group, epsilon, H): a configuration of partition_instances (the
+    pipeline refuses all but the periodic ones), epsilon in 1/2 .. 1/8, and
+    its H, or None for the auto-constructed one."""
+    S, H = draw(partition_instances())
+    epsilon = Fraction(1, draw(st.sampled_from((2, 3, 4, 8))))
+    return S, R, epsilon, H if draw(st.booleans()) else None
+
+
+@settings(max_examples=25, deadline=None)
+@given(pipeline_instances())
+@example((PeriodicPoints(1, (0,)), R, Fraction(1, 64), None))
+@example((PeriodicPoints(Fraction(5, 4), (0, Fraction(1, 2))), R, Fraction(1, 16), None))
+@example((*MIXED_PERIODS[:1], R, Fraction(1, 2), MIXED_PERIODS[1]))
+@example((PeriodicPoints(1, (0, Fraction(1, 3))), R, Fraction(1, 2),
+          IntervalUnion.closed(0, Fraction(2, 5))))
+def test_int_pipeline_matches_the_fraction_pipeline(drawn):
+    got, expected = outcome(syndetic_pipeline, *drawn), outcome(fraction_pipeline, *drawn)
+    assert got == expected
+
+
+@st.composite
+def line_patterns(draw):
+    """A periodic pattern of zero to three intervals with 24ths of the period
+    as ends, shifted by up to one period (so it may wrap)."""
+    period = draw(st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 7))))
+    cuts = sorted(draw(st.lists(st.integers(0, 24), max_size=6, unique=True)))
+    shift = period * draw(st.integers(0, 23)) / 24
+    cuts = [period * c / 24 + shift for c in cuts[: len(cuts) // 2 * 2]]
+    return PeriodicPattern(period, IntervalUnion(tuple(zip(cuts[::2], cuts[1::2]))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(line_patterns())
+# 16 translates in 16ths while the pattern is in 24ths: each midpoint of a
+# gap of odd length halves the unit
+@example(PeriodicPattern(1, IntervalUnion.closed(0, Fraction(1, 24))))
+def test_int_line_greedy_matches_the_fraction_greedy(A):
+    assert outcome(greedy_translates, A, R) == outcome(fraction_greedy_pattern, A, R)
+
+
+@settings(max_examples=80, deadline=None)
+@given(line_patterns(), st.lists(st.integers(0, 95), max_size=2), st.booleans())
+# A - A = [0, 1/4] u [3/4, 1] and B = 0, 1/2, 1/4: the first pair, (0, 1/4),
+# differs by 3/4, the left end of an interval of A - A
+@example(PeriodicPattern(1, IntervalUnion.closed(0, Fraction(1, 4))), [24], False)
+def test_int_cover_reverification_matches_the_fraction_one(A, extra, drop):
+    """On the greedy's translates, with one dropped or up to two added (so
+    each verdict occurs), the int re-verification gives the Fraction
+    verdict, and the same first pair on a packing fault."""
+    if A.density == 0:
+        return
+    D = A.difference_set()
+    B = list(greedy_translates(A, R).translates)
+    B = B[1:] if drop else B + [A.period * k / 96 for k in extra]
+    m = 2 * len(D.pattern.intervals)
+    E, (p, *ints) = common_scale((A.period, *D.pattern.endpoints(), *B))
+    fault = _pattern_cover_fault(list(zip(ints[:m:2], ints[1:m:2])), p, ints[m:])
+    if isinstance(fault, tuple):
+        fault = tuple(Fraction(x, E) for x in fault)
+    assert fault == fraction_pattern_cover_fault(D, B)

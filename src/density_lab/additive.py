@@ -9,7 +9,7 @@ from typing import Optional
 from .config import DEFAULT_CAPS
 from .errors import PreconditionError, VerificationError
 from .groups import FiniteAbelian, GroupSpec, RealLine, ZLattice, bits, mask_of
-from .intervals import IntervalUnion, PeriodicPattern
+from .intervals import IntervalUnion, PeriodicPattern, gaps_within
 from .sets import (
     ExplicitFinite,
     FinitePoints,
@@ -128,10 +128,10 @@ def syndetic_check(S, K, group: GroupSpec) -> SyndeticCertificate:
                 raise PreconditionError("line translate sets are points or interval unions")
             summed = minkowski_sum(S, K, group)
             if isinstance(summed, PeriodicPattern):
-                gaps = summed.pattern.complement_within(0, summed.period)
-                if gaps.is_empty:
+                gap = next(gaps_within(summed.pattern.intervals, 0, summed.period), None)
+                if gap is None:
                     return SyndeticCertificate(K, True, summed)
-                a, b = gaps.intervals[0]
+                a, b = gap
                 return SyndeticCertificate(K, False, (a + b) / 2)
             raise PreconditionError("S + K must have positive measure to cover the line")
         raise PreconditionError("line syndetic checks need a periodic S")

@@ -5,6 +5,10 @@ Canonical form is sorted, with overlapping or touching intervals merged, so
 gaps between stored intervals are strictly positive and canonicalization is
 idempotent. Boundaries are null sets for the Haar (Lebesgue) measure, so
 closed representatives stand in for the half-open sets of informal usage.
+
+The module-level merge_pairs, onto_circle, gaps_within and contains_mod are
+the one home of these canonical forms, for int and Fraction pairs alike: the
+classes run them on Fractions, the line greedy of structure on ints.
 """
 
 from __future__ import annotations
@@ -20,6 +24,52 @@ from .rational import rat
 Pair = tuple[Fraction, Fraction]
 
 
+def merge_pairs(pairs: Iterable) -> list:
+    """Closed pairs (a, b), a <= b, in canonical form: sorted, with
+    overlapping or touching pairs merged."""
+    merged: list = []
+    for a, b in sorted(pairs):
+        if merged and a <= merged[-1][1]:
+            if b > merged[-1][1]:
+                merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    return merged
+
+
+def onto_circle(pairs: Iterable, p) -> list:
+    """Closed pairs reduced onto the circle [0, p], unmerged: a pair of
+    length >= p is the whole circle, one that crosses p is cut there."""
+    pieces = []
+    for a, b in pairs:
+        if b - a >= p:
+            return [(0, p)]
+        a2 = a % p
+        b2 = b - a + a2
+        pieces += [(a2, b2)] if b2 <= p else [(a2, p), (0, b2 - p)]
+    return pieces
+
+
+def gaps_within(pairs: Iterable, lo, hi):
+    """The pieces of positive length of [lo, hi] minus the canonical pairs,
+    in order; pieces split by a point of the pairs touch there."""
+    cursor = lo
+    for a, b in pairs:
+        if a > hi:
+            break
+        if a > cursor:
+            yield cursor, a
+        cursor = max(cursor, b)
+    if cursor < hi:
+        yield cursor, hi
+
+
+def contains_mod(pairs: Iterable, q, p) -> bool:
+    """Whether q mod p lies in the pairs on [0, p], p standing for 0."""
+    r = q % p
+    return any(a <= r <= b or (r == 0 and a <= p <= b) for a, b in pairs)
+
+
 def _canonical(pairs: Iterable) -> tuple[Pair, ...]:
     norm = []
     for a, b in pairs:
@@ -27,15 +77,7 @@ def _canonical(pairs: Iterable) -> tuple[Pair, ...]:
         if b < a:
             raise PreconditionError(f"interval [{a}, {b}] has negative length")
         norm.append((a, b))
-    norm.sort()
-    merged: list[list[Fraction]] = []
-    for a, b in norm:
-        if merged and a <= merged[-1][1]:
-            if b > merged[-1][1]:
-                merged[-1][1] = b
-        else:
-            merged.append([a, b])
-    return tuple((a, b) for a, b in merged)
+    return tuple(merge_pairs(norm))
 
 
 @dataclass(frozen=True)
@@ -134,19 +176,7 @@ class IntervalUnion:
         lo, hi = rat(lo), rat(hi)
         if hi < lo:
             raise PreconditionError("empty ambient interval")
-        gaps = []
-        cursor = lo
-        for a, b in self.intervals:
-            if b < lo or a > hi:
-                continue
-            if a > cursor:
-                gaps.append((cursor, min(a, hi)))
-            cursor = max(cursor, b)
-            if cursor >= hi:
-                break
-        if cursor < hi:
-            gaps.append((cursor, hi))
-        return IntervalUnion(tuple(g for g in gaps if g[1] > g[0]))
+        return IntervalUnion(tuple(gaps_within(self.intervals, lo, hi)))
 
     def covers(self, lo, hi) -> bool:
         return self.complement_within(lo, hi).is_empty
@@ -164,7 +194,8 @@ class PeriodicPattern:
         if period <= 0:
             raise PreconditionError("pattern period must be positive")
         object.__setattr__(self, "period", period)
-        object.__setattr__(self, "pattern", _reduce_mod(self.pattern, period))
+        object.__setattr__(
+            self, "pattern", IntervalUnion(tuple(onto_circle(self.pattern.intervals, period))))
 
     @classmethod
     def from_pairs(cls, period, pairs) -> "PeriodicPattern":
@@ -177,10 +208,6 @@ class PeriodicPattern:
     @property
     def density(self) -> Fraction:
         return self.mass / self.period
-
-    def contains_mod(self, q) -> bool:
-        r = _mod(rat(q), self.period)
-        return self.pattern.contains(r) or (r == 0 and self.pattern.contains(self.period))
 
     def cumulative(self, t) -> Fraction:
         """Haar mass of the repeated set on [0, t] (signed for t < 0)."""
@@ -235,23 +262,5 @@ class PeriodicPattern:
 
     def covers_circle(self) -> bool:
         """Whether the repeated set is all of the line."""
-        return self.pattern.covers(0, self.period)
+        return next(gaps_within(self.pattern.intervals, 0, self.period), None) is None
 
-
-def _mod(q: Fraction, period: Fraction) -> Fraction:
-    return q - floor(q / period) * period
-
-
-def _reduce_mod(pattern: IntervalUnion, period: Fraction) -> IntervalUnion:
-    pieces = []
-    for a, b in pattern.intervals:
-        if b - a >= period:
-            return IntervalUnion.closed(0, period)
-        shift = floor(a / period) * period
-        a2, b2 = a - shift, b - shift
-        if b2 <= period:
-            pieces.append((a2, b2))
-        else:
-            pieces.append((a2, period))
-            pieces.append((Fraction(0), b2 - period))
-    return IntervalUnion(tuple(pieces))

@@ -176,10 +176,6 @@ class PeriodicPoints(_Held):
         obj.__dict__.update(period=period, _D=D, _period=P, _residues=tuple(xs))
         return obj
 
-    @classmethod
-    def lattice(cls, step) -> "PeriodicPoints":
-        return cls(rat(step), (Fraction(0),))
-
     @property
     def counting_density(self) -> Fraction:
         return Fraction(len(self._residues) * self._D, self._period)

@@ -29,13 +29,14 @@ re-verification looks up every b + d, d in (A-A) minus {0}, in a bytearray
 of B, since b1 - b2 = d with b1 != b2 iff b1 = b2 + d lies in B.
 
 The line greedy (a periodic pattern A of period p) runs on closed int
-intervals over E, the lcm of the denominators of p and of A's endpoints, in
-the canonical forms of IntervalUnion and PeriodicPattern: A - A reduced onto
-the circle [0, p], the covered union, its first gap and the translates B.
-A midpoint candidate of a gap of odd length doubles E and every held int,
-so B stays exact; B becomes Fractions once, at the end. The cover and
-packing re-verification rebuilds the union of the translates of A - A from
-B alone and tests every ordered pair of B.
+intervals over E, the lcm of the denominators of p and of A's endpoints,
+through the canonical forms of intervals that IntervalUnion and
+PeriodicPattern run on Fractions: A - A on the circle [0, p], the covered
+union, its first gap and the translates B. A midpoint candidate of a gap of
+odd length doubles E and every held int, so B stays exact; B becomes
+Fractions once, at the end. The cover and packing re-verification rebuilds
+the union of the translates of A - A from B alone and tests every ordered
+pair of B.
 
 The partition runs on the integer normal form that every line configuration
 holds (sets._Held), with one lift and one body for every configuration:
@@ -88,7 +89,7 @@ from typing import Optional
 from .density import RudinWindow, measure_total_finite, periodic_mean_density, rudin_window
 from .errors import PreconditionError, VerificationError
 from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
-from .intervals import IntervalUnion, PeriodicPattern
+from .intervals import IntervalUnion, PeriodicPattern, contains_mod, gaps_within, merge_pairs, onto_circle
 from .rational import INFINITE, common_scale, is_infinite, rat, rat_str
 from .sets import (
     Counting,
@@ -240,12 +241,12 @@ def _greedy_pattern(A: PeriodicPattern, group: RealLine) -> CoverResult:
     density = Fraction(mass, p)
     bound = p // mass  # floor(1 / density)
     # A - A on the circle [0, p]
-    diff = _mod_circle(_merge([(a - d, b - c) for a, b in pattern for c, d in pattern]), p)
+    diff = merge_pairs(onto_circle([(a - d, b - c) for a, b in pattern for c, d in pattern], p))
     B: list[int] = []
     covered: list = []
-    while (gap := _first_gap(covered, p)) is not None:
+    while (gap := next(gaps_within(covered, 0, p), None)) is not None:
         a, b = gap
-        if _contains_mod(covered, a, p):
+        if contains_mod(covered, a, p):
             if (a + b) % 2:  # the midpoint needs half the unit: rescale
                 E, p, a, b = 2 * E, 2 * p, 2 * a, 2 * b
                 diff = [(2 * lo, 2 * hi) for lo, hi in diff]
@@ -254,11 +255,11 @@ def _greedy_pattern(A: PeriodicPattern, group: RealLine) -> CoverResult:
             cand = (a + b) // 2
         else:
             cand = a
-        if _contains_mod(covered, cand, p):
+        if contains_mod(covered, cand, p):
             raise VerificationError("greedy stalled", counterexample=(
                 A, [Fraction(x, E) for x in B], Fraction(cand, E)))
         B.append(cand)
-        covered = _merge(covered + _mod_circle([(lo + cand, hi + cand) for lo, hi in diff], p))
+        covered = merge_pairs(covered + onto_circle([(lo + cand, hi + cand) for lo, hi in diff], p))
         if len(B) > bound:
             raise VerificationError(
                 f"translate count {len(B)} exceeds the bound {bound}",
@@ -291,59 +292,11 @@ def _pattern_cover_fault(diff: list, p: int, B: list[int]):
     translates diff + b (b in B), reduced onto the circle [0, p], cover it;
     else the first pair (b1, b2) of B, in loop order, with b1 != b2 and
     b1 - b2 in diff mod p; else None."""
-    union = _merge([piece for b in B
-                    for piece in _mod_circle([(lo + b, hi + b) for lo, hi in diff], p)])
-    if _first_gap(union, p) is not None:
+    union = merge_pairs(onto_circle([(lo + b, hi + b) for b in B for lo, hi in diff], p))
+    if next(gaps_within(union, 0, p), None) is not None:
         return "cover"
     return next(((b1, b2) for b1 in B for b2 in B
-                 if b1 != b2 and _contains_mod(diff, b1 - b2, p)), None)
-
-
-# Closed int intervals in the canonical form of IntervalUnion (sorted, with
-# overlapping or touching intervals merged) and periodic patterns on the
-# circle [0, p] in the form of PeriodicPattern, for the line greedy.
-
-
-def _merge(pairs) -> list:
-    merged: list = []
-    for a, b in sorted(pairs):
-        if merged and a <= merged[-1][1]:
-            if b > merged[-1][1]:
-                merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
-    return merged
-
-
-def _mod_circle(pairs: list, p: int) -> list:
-    """Canonical pairs reduced onto [0, p], as PeriodicPattern reduces its
-    pattern: an interval of length >= p is the whole circle, one that crosses
-    p is cut there."""
-    pieces = []
-    for a, b in pairs:
-        if b - a >= p:
-            return [(0, p)]
-        a2 = a % p
-        b2 = b - a + a2
-        pieces += [(a2, b2)] if b2 <= p else [(a2, p), (0, b2 - p)]
-    return _merge(pieces)
-
-
-def _first_gap(covered: list, p: int):
-    """The first piece of positive length of [0, p] minus the canonical
-    pairs within it, or None."""
-    cursor = 0
-    for a, b in covered:
-        if a > cursor:
-            return cursor, a
-        cursor = max(cursor, b)
-    return (cursor, p) if cursor < p else None
-
-
-def _contains_mod(pattern: list, q: int, p: int) -> bool:
-    """Whether q mod p lies in the pattern on [0, p], p standing for 0."""
-    r = q % p
-    return any(a <= r <= b or (r == 0 and a <= p <= b) for a, b in pattern)
+                 if b1 != b2 and contains_mod(diff, b1 - b2, p)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +338,14 @@ def _difference_points_within(S, radius: Fraction, spans) -> tuple[int, list[int
     return D, sorted(out), list(zip(ints[::2], ints[1::2]))
 
 
+def _difference_radius(H: IntervalUnion) -> tuple[IntervalUnion, Fraction]:
+    """(Q, sup Q) for Q = H - H, refused when H is empty: Q is symmetric."""
+    Q = H.difference_set()
+    if Q.is_empty:
+        raise PreconditionError("H is empty")
+    return Q, Q.sup
+
+
 def packing_bound_check(S, H, group: GroupSpec = RealLine()) -> PackingCheck:
     """Verify (H-H) cap (S-S) = {0}, then certify mu(H) <= 1/density.
 
@@ -401,10 +362,7 @@ def packing_bound_check(S, H, group: GroupSpec = RealLine()) -> PackingCheck:
             raise PreconditionError("infinite counting density: the bound is void")
         if rho <= 0:
             raise PreconditionError("positive counting density required")
-        Q = H.difference_set()
-        if Q.is_empty:
-            raise PreconditionError("H is empty")
-        radius = max(abs(Q.inf), abs(Q.sup))
+        Q, radius = _difference_radius(H)
         config, spans, mu_h = S, Q.intervals, H.length
     elif isinstance(group, ZLattice) and group.dimension == 1:
         if not isinstance(H, ExplicitFinite):
@@ -524,10 +482,7 @@ def _partition(S, H: IntervalUnion, group: RealLine):
         raise PreconditionError(f"the partition runs on the real line, not on {group}")
     if not isinstance(H, IntervalUnion):
         raise PreconditionError("H must be an interval union on the line")
-    Q = H.difference_set()
-    if Q.is_empty:
-        raise PreconditionError("H is empty")
-    radius = max(abs(Q.inf), abs(Q.sup))  # Q lies in [-radius, radius]
+    Q, radius = _difference_radius(H)
     D, ints, lifts, P, centers = _configuration(S, Q, radius)
     colors = _first_fit(ints, lifts)
     n = max(colors, default=-1) + 1

@@ -615,7 +615,8 @@ def fraction_pattern_cover_fault(D: PeriodicPattern, B):
         return "cover"
     for b1 in B:
         for b2 in B:
-            if b1 != b2 and D.contains_mod(b1 - b2):
+            r = (b1 - b2) % D.period
+            if b1 != b2 and (D.pattern.contains(r) or (r == 0 and D.pattern.contains(D.period))):
                 return b1, b2
     return None
 

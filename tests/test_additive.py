@@ -99,6 +99,10 @@ def test_syndetic_points_plus_interval():
     assert cert.verified
     small = syndetic_check(s, IntervalUnion.closed(0, Fraction(1, 3)), R)
     assert not small.verified
+    # the gap (1/4, 1) of S + K is cut by the point 5/8, its midpoint: the
+    # witness is the midpoint of the first piece, an uncovered point
+    dotted = syndetic_check(s, IntervalUnion(((0, Fraction(1, 4)), (Fraction(5, 8),) * 2)), R)
+    assert not dotted.verified and dotted.covering_witness == Fraction(7, 16)
 
 
 def test_syndetic_monotone_in_K():

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from density_lab import IntervalUnion, PeriodicPattern, PreconditionError
+from density_lab.intervals import contains_mod, gaps_within, merge_pairs, onto_circle
 
 rng = random.Random(7)
 
@@ -127,16 +129,84 @@ def test_pattern_mass_on_matches_materialized_oracle():
 
 def test_pattern_contains_mod_seam():
     p = PeriodicPattern.from_pairs(1, [(Fraction(1, 2), Fraction(1))])
-    assert p.contains_mod(0)  # 1 is identified with 0
-    assert p.contains_mod(Fraction(3, 4))
-    assert not p.contains_mod(Fraction(1, 4))
+    assert contains_mod(p.pattern.intervals, 0, p.period)  # 1 is identified with 0
+    assert contains_mod(p.pattern.intervals, Fraction(3, 4), p.period)
+    assert not contains_mod(p.pattern.intervals, Fraction(1, 4), p.period)
 
 
 def test_pattern_difference_set():
     p = PeriodicPattern.from_pairs(2, [(0, Fraction(1, 2))])
     d = p.difference_set()
-    assert d.contains_mod(0) and d.contains_mod(Fraction(1, 2)) and d.contains_mod(Fraction(-1, 2))
-    assert not d.contains_mod(1)
+    assert all(contains_mod(d.pattern.intervals, q, d.period) for q in (0, Fraction(1, 2), Fraction(-1, 2)))
+    assert not contains_mod(d.pattern.intervals, 1, d.period)
+
+
+int_pairs = st.lists(
+    st.tuples(st.integers(-20, 20), st.integers(0, 14)).map(lambda t: (t[0], t[0] + t[1])),
+    max_size=5,
+)
+
+
+def _in(x, pairs) -> bool:
+    return any(a <= x <= b for a, b in pairs)
+
+
+def _in_mod(x, pairs, p) -> bool:
+    """Whether x + kp lies in a pair for some integer k."""
+    return any(ceil((a - x) / p) <= floor((b - x) / p) for a, b in pairs)
+
+
+@given(int_pairs, st.integers(1, 12), st.integers(-24, 24), st.integers(0, 30), st.integers(1, 6))
+@example(pairs=[(1, 2)], p=2, lo=0, width=4, E=3)  # ends on the seam, then a last gap
+@example(pairs=[(0, 1), (1, 3), (-7, -5)], p=5, lo=-2, width=4, E=2)  # touches, crosses
+def test_canonical_forms_match_point_membership_on_ints_and_fractions(pairs, p, lo, width, E):
+    """merge_pairs, onto_circle, gaps_within and contains_mod against point
+    membership on the half-integer grid, which is finer than every endpoint
+    (all are ints); then the same calls on the pairs over E, scaled by E."""
+    hi = lo + width
+    grid = [Fraction(k, 2) for k in range(2 * min(lo, -p) - 2, 2 * max(hi, p) + 3)]
+    merged = merge_pairs(pairs)
+    assert all(a <= b for a, b in merged)
+    assert all(b < c for (_, b), (c, _) in zip(merged, merged[1:]))  # touching pairs merge
+    assert all(_in(x, merged) == _in(x, pairs) for x in grid)
+
+    # a multiple of p in a pair (a, b) lands on 0 when the pair starts there or
+    # goes on past it, and on p when the pair reaches it from below
+    circle = onto_circle(pairs, p)
+    assert all(0 <= a <= b <= p for a, b in circle)
+    assert _in(0, circle) == any(a % p == 0 or -(-a // p) * p < b for a, b in pairs)
+    assert _in(p, circle) == any(b // p * p > a for a, b in pairs)
+    assert all(_in(x, circle) == _in_mod(x, pairs, p) for x in grid if 0 < x < p)
+    wrapped = merge_pairs(circle)
+    assert all(contains_mod(wrapped, q, p) == _in_mod(q, pairs, p) for q in grid)
+
+    # the closure of [lo, hi] minus the pairs, pieces of positive length only:
+    # the half-integers are never endpoints, so one lies in a gap iff it is
+    # inside (lo, hi) and off the pairs, and an integer iff a neighboring
+    # half-integer does
+    gaps = list(gaps_within(merged, lo, hi))
+    assert all(lo <= a < b <= hi for a, b in gaps)
+    assert all(b <= c for (_, b), (c, _) in zip(gaps, gaps[1:]))
+
+    def off(y):
+        return lo < y < hi and not _in(y, merged)
+
+    half = Fraction(1, 2)
+    for x in grid:
+        assert _in(x, gaps) == (off(x) if x.denominator == 2 else off(x - half) or off(x + half))
+
+    def over_E(xs):
+        return [(Fraction(a, E), Fraction(b, E)) for a, b in xs]
+
+    def times_E(xs):
+        return [(a * E, b * E) for a, b in xs]
+
+    P = Fraction(p, E)
+    assert times_E(merge_pairs(over_E(pairs))) == merged
+    assert times_E(onto_circle(over_E(pairs), P)) == circle
+    assert times_E(gaps_within(merge_pairs(over_E(pairs)), Fraction(lo, E), Fraction(hi, E))) == gaps
+    assert all(contains_mod(over_E(wrapped), Fraction(q, E), P) == contains_mod(wrapped, q, p)
+               for q in range(-3 * p, 3 * p + 1))
 
 
 def test_covers_circle():

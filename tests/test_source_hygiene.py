@@ -1,0 +1,59 @@
+"""Static checks on the package source with the stdlib ast: every name a
+module of density_lab imports is used in it, and every private module-level
+function or class is referenced somewhere in the package outside its own
+definition. Both catch helpers orphaned when their last caller goes."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "density_lab"
+MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _names(node) -> set[str]:
+    """The names read under node, as bare names or as attributes."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for name, tree in MODULES.items():
+        if name == "__init__.py":
+            continue  # the package namespace re-exports what it imports
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        body = [node for node in tree.body if not isinstance(node, (ast.Import, ast.ImportFrom))]
+        used = set().union(*map(_names, body))
+        unused += [f"{name}: {n}" for n in sorted(imported) if n not in used]
+    assert unused == []
+
+
+def test_every_private_module_level_definition_is_referenced():
+    readers: dict[str, list] = {}  # name -> the top-level nodes that read it
+    for tree in MODULES.values():
+        for node in tree.body:
+            names = _names(node)
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            for n in names:
+                readers.setdefault(n, []).append(node)
+    orphans = [
+        f"{name}: {node.name}"
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and all(reader is node for reader in readers.get(node.name, ()))
+    ]
+    assert orphans == []

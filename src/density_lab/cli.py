@@ -310,7 +310,7 @@ def cmd_partition(args) -> int:
 def cmd_pipeline(args) -> int:
     instance = _load(args)
     s = _pick(instance, args.object)
-    h = instance.objects.get(args.H) if args.H else None
+    h = _pick(instance, args.H, "H") if args.H else None
     epsilon = rat(args.epsilon) if args.epsilon else instance.params.get("epsilon", Fraction(1, 2))
     result = syndetic_pipeline(s, instance.group, epsilon=epsilon, H=h)
     print(f"rho = {rat_str(result.rho)}; classes = {result.partition.n}; "
@@ -433,6 +433,8 @@ def _demo_theorem3():
 
 def cmd_selftest(args) -> int:
     cap = args.cap
+    if cap < 1:
+        raise PreconditionError(f"selftest cap {cap} is below 1: there is no group to sweep")
     if cap > DEFAULT_CAPS.oracle_order + 2:
         raise PreconditionError(f"selftest cap {cap} above the configured maximum")
     total_groups = 0
@@ -452,8 +454,10 @@ def cmd_selftest(args) -> int:
           f"{len(failures)} mismatches, {time.time() - t0:.2f}s")
     _emit(args, {"groups": total_groups, "subsets": total_subsets, "failures": len(failures)})
     if failures:
-        group, A, got, expect = failures[0]
-        print(f"FIRST MISMATCH: group {group.moduli} subset mask {A}: got {got}, expected {expect}")
+        group, A, got, expect, C, V = failures[0]
+        above = "" if V is None else f"; at C mask {C}, V mask {V} lies above {expect}"
+        print(f"FIRST MISMATCH: group {group.moduli} subset mask {A}: got {got}, "
+              f"expected {expect}{above}")
         return EXIT_VERIFICATION
     return 0
 
@@ -515,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     "hegyvari", "theorem3"])
     common(p, needs_instance=False)
 
-    p = sub.add_parser("selftest", help="inf-sup oracle sweep over every subset (the oracle "
-                       "returns nu(G)/|G| by construction, so no mismatch can be counted)")
+    p = sub.add_parser("selftest", help="inf-sup oracle sweep over every subset, each "
+                       "witness C re-checked against every V")
     p.add_argument("--cap", type=int, default=6)
     common(p, needs_instance=False)
 

@@ -382,20 +382,30 @@ def _inf_sup(nu_of, translate):
 
 
 def oracle_counting_sweep(group: FiniteAbelian):
-    """Verify, for EVERY subset A, that the exact inf-sup equals |A|/|G|.
+    """Verify, for EVERY subset A, that the exact inf-sup equals |A|/|G| and
+    that its witness C attains it: a plain scan of every nonempty V, with
+    none of the search's cuts, looks for a V with |A cap V|/#(C+V) above
+    |A|/|G|, C+V built from the translate tables.
 
-    Returns the list of mismatches (empty on success) and the subset count.
+    Returns the list of mismatches (group, A, got, expected, C, V), V the
+    first V above the bound or None (empty on success), and the subset count.
     """
     n = group.order
     _, translate = _finite_group_tables(group)
     size = 1 << n
     mismatches = []
     for A in range(size):
-        num, den, _, _ = _inf_sup([(A & V).bit_count() for V in range(size)], translate)
+        nu_of = [(A & V).bit_count() for V in range(size)]
+        num, den, C, _ = _inf_sup(nu_of, translate)
         got = Fraction(num, den)
-        expect = Fraction(A.bit_count(), n)
-        if got != expect:
-            mismatches.append((group, A, got, expect))
+        top = A.bit_count()
+        expect = Fraction(top, n)
+        CV = [0]  # CV[V]: the mask of C + V, the union of C + v over v in V
+        for t in translate:
+            CV += [u | t[C] for u in CV]
+        above = next((V for V in range(1, size) if nu_of[V] * n > top * CV[V].bit_count()), None)
+        if got != expect or above is not None:
+            mismatches.append((group, A, got, expect, C, above))
     return mismatches, size
 
 

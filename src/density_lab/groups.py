@@ -220,20 +220,12 @@ class SigmaFiniteChain:
         return ()
 
     def add(self, g, h):
-        g, h = self.check(g), self.check(h)
-        n = max(len(g), len(h))
-        out = tuple(
-            (self._coord(g, i) + self._coord(h, i)) % self.moduli[i] for i in range(n)
-        )
-        return _strip(out)
+        g, h = self.pad(g, self.depth), self.pad(h, self.depth)
+        return _strip(tuple((a + b) % m for a, b, m in zip(g, h, self.moduli)))
 
     def negate(self, g):
         g = self.check(g)
         return _strip(tuple((-c) % self.moduli[i] for i, c in enumerate(g)))
-
-    @staticmethod
-    def _coord(g, i):
-        return g[i] if i < len(g) else 0
 
     def pad(self, g, n: int) -> tuple[int, ...]:
         g = self.check(g)

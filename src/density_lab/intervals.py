@@ -178,9 +178,6 @@ class IntervalUnion:
             raise PreconditionError("empty ambient interval")
         return IntervalUnion(tuple(gaps_within(self.intervals, lo, hi)))
 
-    def covers(self, lo, hi) -> bool:
-        return self.complement_within(lo, hi).is_empty
-
 
 @dataclass(frozen=True)
 class PeriodicPattern:
@@ -259,8 +256,3 @@ class PeriodicPattern:
             for a, b in self.pattern.intervals:
                 pieces.append((a + shift, b + shift))
         return IntervalUnion(tuple(pieces)).intersect(IntervalUnion.closed(lo, hi))
-
-    def covers_circle(self) -> bool:
-        """Whether the repeated set is all of the line."""
-        return next(gaps_within(self.pattern.intervals, 0, self.period), None) is None
-

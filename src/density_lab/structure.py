@@ -86,6 +86,7 @@ from heapq import heappop, heappush
 from math import ceil, floor
 from typing import Optional
 
+from .additive import syndetic_check
 from .density import RudinWindow, measure_total_finite, periodic_mean_density, rudin_window
 from .errors import PreconditionError, VerificationError
 from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
@@ -475,9 +476,10 @@ def partition_by_coloring(S, H: IntervalUnion, group: RealLine = RealLine()) -> 
 
 
 def _partition(S, H: IntervalUnion, group: RealLine):
-    """(partition_by_coloring(S, H, group), j): j is the first class with the
-    most members, the densest, as every class density is #members * D / P on
-    one circle (0 for a finite S)."""
+    """(partition_by_coloring(S, H, group), j): j is the first densest class.
+    For a periodic S that is the first class with the most members, as every
+    class density is #members * D / P on one circle; for a finite or
+    perturbed S every density is 0 and j is 0."""
     if group != RealLine():
         raise PreconditionError(f"the partition runs on the real line, not on {group}")
     if not isinstance(H, IntervalUnion):
@@ -499,19 +501,19 @@ def _partition(S, H: IntervalUnion, group: RealLine):
         raise VerificationError(
             f"class count {n} exceeds the window bound {k_bound}", counterexample=(S, H)
         )
-    sizes = list(map(len, int_members))
     if P is None:
         classes = tuple(FinitePoints._canonical(D, cl) for cl in int_members)
-        densities, period = (Fraction(0),) * n, None
+        densities, period, j = (Fraction(0),) * n, None, 0
     else:
         period, classes = Fraction(P, D), _periodic_classes(int_members, P, D)
+        sizes = list(map(len, int_members))
         by_size = {m: Fraction(m * D, P) for m in set(sizes)}
-        densities = tuple(by_size[m] for m in sizes)
+        densities, j = tuple(by_size[m] for m in sizes), sizes.index(max(sizes))
     part = PartitionResult(
         classes=classes, H=H, Q=Q, n=n, k_bound=k_bound, class_densities=densities,
         period=period, base=S, group=group,
     )
-    return part, sizes.index(max(sizes)) if sizes else 0
+    return part, j
 
 
 def _configuration(S, Q: IntervalUnion, radius: Fraction):
@@ -826,18 +828,11 @@ def syndetic_pipeline(
     )
     mu_t = T.length
     # (S_j - S_j) + T covers the line, hence so does (S - S) + T
-    d_j = difference_set(part.classes[j], group)
-    summed = minkowski_sum(d_j, T, group)
-    if not summed.covers_circle():
-        raise VerificationError(
-            "difference set plus T does not cover", counterexample=(S, H, T)
-        )
-    d_s = difference_set(S, group)
-    summed_s = minkowski_sum(d_s, T, group)
-    if not summed_s.covers_circle():
-        raise VerificationError(
-            "difference set plus T does not cover", counterexample=(S, H, T)
-        )
+    for X in (part.classes[j], S):
+        if not syndetic_check(difference_set(X, group), T, group).verified:
+            raise VerificationError(
+                "difference set plus T does not cover", counterexample=(S, H, T)
+            )
     remark_bound = (1 + epsilon) * Q.length / H.length
     derived_bound = (1 + epsilon) * Q.length * Q.length / H.length
     class_target = (1 + epsilon) * rho * Q.length

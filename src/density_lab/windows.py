@@ -219,25 +219,12 @@ def _collect(nu, group, layers, acc):
         )
 
 
-def _finite_atom_index(layer: AtomLayer):
-    """Sorted positions with prefix weight sums, for O(log n) interval mass."""
-    atoms = sorted(layer.atoms)
-    positions = [p for p, _ in atoms]
-    prefix = [Fraction(0)]
-    for _, w in atoms:
-        prefix.append(prefix[-1] + w)
-    return positions, prefix
-
-
 def _layer_mass(layer: Layer, window: IntervalUnion) -> Fraction:
     total = Fraction(0)
     if not isinstance(layer, TraceLayer):
         if layer.period is None:
-            positions, prefix = _finite_atom_index(layer)
             for a, b in window.intervals:
-                lo = bisect_left(positions, a)
-                hi = bisect_right(positions, b)
-                total += prefix[hi] - prefix[lo]
+                total += sum((w for p, w in layer.atoms if a <= p <= b), Fraction(0))
         else:
             period = layer.period
             for a, b in window.intervals:
@@ -283,13 +270,9 @@ def real_mass(nu, window: IntervalUnion):
     return sum((_layer_mass(l, window) for l in layers), Fraction(0))
 
 
-def _trace_union(layer: TraceLayer) -> IntervalUnion:
-    return layer.finite if layer.period is None else layer.periodic.pattern
-
-
 def _base_positions(layer: Layer) -> list[Fraction]:
     if isinstance(layer, TraceLayer):
-        return _trace_union(layer).endpoints()
+        return (layer.finite if layer.period is None else layer.periodic.pattern).endpoints()
     return [p for p, _ in layer.atoms]
 
 

@@ -611,7 +611,7 @@ def fraction_pattern_cover_fault(D: PeriodicPattern, B):
     union = IntervalUnion.empty()
     for b in B:
         union = union.union(D.translate(b).pattern)
-    if not union.covers(0, D.period):
+    if not union.complement_within(0, D.period).is_empty:
         return "cover"
     for b1 in B:
         for b2 in B:
@@ -658,13 +658,13 @@ def fraction_pipeline(S, group=RealLine(), epsilon=Fraction(1, 2), H=None) -> Pi
     mu_t = T.length
     d_j = difference_set(part.classes[j], group)
     summed = minkowski_sum(d_j, T, group)
-    if not summed.covers_circle():
+    if not summed.pattern.complement_within(0, summed.period).is_empty:
         raise VerificationError(
             "difference set plus T does not cover", counterexample=(S, H, T)
         )
     d_s = difference_set(S, group)
     summed_s = minkowski_sum(d_s, T, group)
-    if not summed_s.covers_circle():
+    if not summed_s.pattern.complement_within(0, summed_s.period).is_empty:
         raise VerificationError(
             "difference set plus T does not cover", counterexample=(S, H, T)
         )

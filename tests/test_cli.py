@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from density_lab import IntervalUnion, RealLine
+from density_lab import IntervalUnion, RealLine, density
 from density_lab.cli import main
 from density_lab.instances import parse_instance
 from density_lab.windows import measure_layers
@@ -171,6 +171,15 @@ def test_pipeline_accumulation_exits_3(capsys):
     )
     assert code == 3
     assert "precondition" in err
+
+
+def test_pipeline_refuses_an_H_the_instance_does_not_name(capsys):
+    code, _, err = run(
+        capsys, "pipeline", "--instance", f"{INSTANCES}/two_residues.json",
+        "--object", "S", "--H", "nosuch",
+    )
+    assert code == 3
+    assert "no H named 'nosuch' in the instance" in err
 
 
 def test_diffset_without_a_window(capsys):
@@ -471,6 +480,32 @@ def test_selftest_cap_above_the_maximum_exits_3(capsys):
     code, _, err = run(capsys, "selftest", "--cap", "11")
     assert code == 3
     assert "selftest cap 11 above the configured maximum" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_selftest_cap_below_1_exits_3(capsys, cap):
+    code, out, err = run(capsys, "selftest", "--cap", cap)
+    assert code == 3
+    assert f"selftest cap {cap} is below 1" in err
+    assert "mismatches" not in out
+
+
+def test_selftest_counts_a_witness_C_with_a_V_above_the_bound(capsys, monkeypatch):
+    """A search that returns C = {0} at the right ratio: only the scan of
+    every V sees that some V lies above |A|/|G| for every A other than the
+    empty set and G."""
+    inf_sup = density._inf_sup
+
+    def singleton_C(nu_of, translate):
+        num, den, _, V = inf_sup(nu_of, translate)
+        return num, den, 1, V
+
+    monkeypatch.setattr(density, "_inf_sup", singleton_C)
+    code, out, _ = run(capsys, "selftest", "--cap", "3")
+    assert code == 4
+    assert "selftest: 3 groups, 14 subsets, 8 mismatches" in out
+    assert ("FIRST MISMATCH: group (2,) subset mask 1: got 1/2, expected 1/2; "
+            "at C mask 1, V mask 1 lies above 1/2") in out
 
 
 LINE = {"family": "real_line"}

@@ -86,8 +86,8 @@ def test_complement_and_covering():
     u = IntervalUnion(((Fraction(0), Fraction(1)), (Fraction(2), Fraction(3))))
     gaps = u.complement_within(0, 3)
     assert gaps.intervals == ((Fraction(1), Fraction(2)),)
-    assert not u.covers(0, 3)
-    assert u.union(IntervalUnion.closed(1, 2)).covers(0, 3)
+    assert not u.complement_within(0, 3).is_empty
+    assert u.union(IntervalUnion.closed(1, 2)).complement_within(0, 3).is_empty
 
 
 def test_intersect_length_oracle():
@@ -116,7 +116,7 @@ def test_pattern_reduction_wraps():
 
 def test_pattern_full_when_piece_spans_period():
     p = PeriodicPattern.from_pairs(1, [(Fraction(-1, 3), Fraction(4, 3))])
-    assert p.pattern.covers(0, p.period)
+    assert p.pattern.complement_within(0, p.period).is_empty
 
 
 def test_pattern_mass_on_matches_materialized_oracle():
@@ -210,11 +210,13 @@ def test_canonical_forms_match_point_membership_on_ints_and_fractions(pairs, p, 
 
 
 def test_covers_circle():
-    assert PeriodicPattern.from_pairs(1, [(0, 1)]).covers_circle()
-    assert PeriodicPattern.from_pairs(
-        1, [(0, Fraction(1, 2)), (Fraction(1, 2), 1)]
-    ).covers_circle()
-    assert not PeriodicPattern.from_pairs(1, [(0, Fraction(9, 10))]).covers_circle()
+    """A pattern covers the line iff its reduced pattern leaves no gap in [0, p]."""
+    def covers(p):
+        return p.pattern.complement_within(0, p.period).is_empty
+
+    assert covers(PeriodicPattern.from_pairs(1, [(0, 1)]))
+    assert covers(PeriodicPattern.from_pairs(1, [(0, Fraction(1, 2)), (Fraction(1, 2), 1)]))
+    assert not covers(PeriodicPattern.from_pairs(1, [(0, Fraction(9, 10))]))
 
 
 def test_expand_to():

@@ -1,23 +1,26 @@
 """Static checks on the package source with the stdlib ast: every name a
-module of density_lab imports is used in it, and every private module-level
+module of density_lab imports is used in it, every private module-level
 function or class is referenced somewhere in the package outside its own
-definition. Both catch helpers orphaned when their last caller goes."""
+definition, and every private method of a class is read somewhere in the
+package outside its own body. They catch helpers orphaned when their last
+caller goes."""
 
 import ast
 import pathlib
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "density_lab"
 MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
-def _names(node) -> set[str]:
-    """The names read under node, as bare names or as attributes."""
-    out = set()
+def _names(node) -> Counter:
+    """How often each name is read under node, as a bare name or an attribute."""
+    out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
     return out
 
 
@@ -55,5 +58,21 @@ def test_every_private_module_level_definition_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_") and not node.name.startswith("__")
         and all(reader is node for reader in readers.get(node.name, ()))
+    ]
+    assert orphans == []
+
+
+def test_every_private_method_is_read_outside_its_own_body():
+    """Methods are matched by name, so a read of a same-named method of
+    another class counts too."""
+    reads = sum(map(_names, MODULES.values()), Counter())
+    orphans = [
+        f"{name}: {cls.name}.{node.name}"
+        for name, tree in MODULES.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and reads[node.name] == _names(node)[node.name]
     ]
     assert orphans == []

@@ -136,7 +136,7 @@ def test_greedy_pattern_random_suite():
         union = IntervalUnion.empty()
         for b in cover.translates:
             union = union.union(d.translate(b).pattern)
-        assert union.covers(0, p)
+        assert union.complement_within(0, p).is_empty
 
 
 def test_greedy_two_dimensional_lattice():
@@ -560,7 +560,7 @@ def test_pipeline_two_residues_golden():
     # re-derive the covering claim: (S - S) + T must cover a period
     d = difference_set(s, R)
     summed = minkowski_sum(d, result.T, R)
-    assert summed.covers_circle()
+    assert summed.pattern.complement_within(0, summed.period).is_empty
 
 
 def test_pipeline_rejects_accumulation_and_degenerate_h():
@@ -1129,12 +1129,19 @@ def outcome(f, *args):
 # classes 1, 2 and 4 tie for the densest
 MIXED_PERIODS = (PeriodicPoints(1, (0, Fraction(1, 12), Fraction(7, 12))),
                  IntervalUnion.closed(0, Fraction(17, 12)))
+# a finite S whose largest first-fit class is class 1; every class has
+# density 0, so the first densest class is class 0
+FINITE_LARGEST_LATER = (
+    FinitePoints((Fraction(1, 4), Fraction(17, 12), Fraction(13, 6))),
+    IntervalUnion(((0, Fraction(47, 576)), (Fraction(235, 192), Fraction(47, 24)))),
+)
 
 
 @settings(max_examples=60, deadline=None)
 @given(partition_instances())
 @example(SEAM)
 @example(MIXED_PERIODS)
+@example(FINITE_LARGEST_LATER)
 def test_int_partition_matches_the_fraction_partition(drawn):
     S, H = drawn
     part, j = _partition(S, H, R)

@@ -54,6 +54,7 @@ from .sets import (
     Counting,
     CylinderSet,
     DiracAtZero,
+    EventuallyPeriodicPoints,
     ExplicitFinite,
     FinitePoints,
     HaarTrace,

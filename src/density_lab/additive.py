@@ -4,6 +4,7 @@ fundamental domain, and exact minimum translate covers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .config import DEFAULT_CAPS
@@ -14,7 +15,8 @@ from .sets import (
     ExplicitFinite,
     FinitePoints,
     PeriodicDiscrete,
-    PeriodicPoints,
+    _canonical,
+    _Held,
     discrete_quotient,
     minkowski_sum,
 )
@@ -93,7 +95,11 @@ def syndetic_check(S, K, group: GroupSpec) -> SyndeticCertificate:
 
     Periodic and finite-group instances check every cell and record a covering
     translate per cell; on failure the least uncovered cell is the witness. On
-    the line, S + K must be periodic and is checked by interval covering.
+    the line, S is a periodic pattern or a configuration with a period and no
+    marker, K an interval union: the residue classes of S plus K must cover
+    one period, and S plus K the zone around the points S adds or removes,
+    widened by K and one period; on failure the witness is the midpoint of
+    the least gap.
     """
     if isinstance(group, (FiniteAbelian, ZLattice)):
         found = discrete_quotient(S, group) if isinstance(K, ExplicitFinite) else None
@@ -123,18 +129,29 @@ def syndetic_check(S, K, group: GroupSpec) -> SyndeticCertificate:
         cells = quotient.elements()
         return SyndeticCertificate(K, True, {lift(g): K.elements[j] for g, j in zip(cells, first)})
     if isinstance(group, RealLine):
-        if isinstance(S, (PeriodicPoints, PeriodicPattern)):
-            if not isinstance(K, (FinitePoints, IntervalUnion)):
-                raise PreconditionError("line translate sets are points or interval unions")
-            summed = minkowski_sum(S, K, group)
-            if isinstance(summed, PeriodicPattern):
-                gap = next(gaps_within(summed.pattern.intervals, 0, summed.period), None)
-                if gap is None:
-                    return SyndeticCertificate(K, True, summed)
-                a, b = gap
-                return SyndeticCertificate(K, False, (a + b) / 2)
+        held = isinstance(S, _Held) and S._period and not S.accumulation
+        if not (held or isinstance(S, PeriodicPattern)):
+            raise PreconditionError("line syndetic checks need a periodic S")
+        if not isinstance(K, (FinitePoints, IntervalUnion)):
+            raise PreconditionError("line translate sets are points or interval unions")
+        classes = _canonical(S._D, S._period, S._residues) if held else S
+        summed = minkowski_sum(classes, K, group)
+        if not isinstance(summed, PeriodicPattern):
             raise PreconditionError("S + K must have positive measure to cover the line")
-        raise PreconditionError("line syndetic checks need a periodic S")
+        gap = next(gaps_within(summed.pattern.intervals, 0, summed.period), None)
+        F = held and S._extra + S._removed  # the points S adds or removes
+        if gap is None and F:
+            # a point x that S + K misses has every class point of x - K
+            # removed, so x lies in M + K, inside the zone [lo, hi]
+            lo = Fraction(min(F), S._D) + K.inf - summed.period
+            hi = Fraction(max(F), S._D) + K.sup + summed.period
+            near = S.materialize(lo - K.sup, hi - K.inf)
+            covered = IntervalUnion(tuple((s + a, s + b) for s in near for a, b in K.intervals))
+            gap = next(gaps_within(covered.intervals, lo, hi), None)
+        if gap is None:
+            return SyndeticCertificate(K, True, summed)
+        a, b = gap
+        return SyndeticCertificate(K, False, (a + b) / 2)
     raise PreconditionError(f"syndetic check unsupported on {type(group).__name__}")
 
 

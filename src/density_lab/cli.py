@@ -368,7 +368,7 @@ def _demo_accumulation():
     mass = real_mass(Counting(s), IntervalUnion.closed(rat("-1/100"), rat("1/100")))
     print("points 1/n accumulate at 0: counting mass of [-1/100, 1/100] is", mass)
     diff = difference_set(s, group)
-    D, xs = diff._D, diff._points  # its held ints: [-1, 1] is [-D, D]
+    D, xs = diff._D, diff._extra  # its held ints: [-1, 1] is [-D, D]
     inside = bisect_right(xs, D) - bisect_left(xs, -D)
     print(f"truncated difference set has {len(xs)} points, all within [-1, 1]:",
           inside == len(xs))

@@ -310,8 +310,8 @@ def to_jsonable(obj) -> Any:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out = {"type": type(obj).__name__}
         held = obj.__dict__ if isinstance(obj, sets._Held) else {}
-        for f in dataclasses.fields(obj):
-            ints = held.get("_" + f.name)
+        for f in dataclasses.fields(obj):  # a held field's ints are under _ + its held name
+            ints = held.get("_" + obj._ALIAS.get(f.name, f.name)) if held else None
             if isinstance(ints, tuple):  # a Fraction tuple, printed from its ints
                 out[f.name] = ratio_strs(ints, obj._D)
             else:

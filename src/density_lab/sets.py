@@ -1,11 +1,14 @@
 """Set and measure representations with exact Minkowski and difference operations.
 
 Discrete-group sets are explicit finite lists or residue classes of a diagonal
-period lattice. Real-line point configurations are finite lists, fully
-periodic residue systems, or a lattice with finitely many explicit
-perturbations; an explicit accumulation marker records limit points of the
-idealized (untruncated) configuration. Measures are counting measures, Haar
-traces, Dirac masses, weighted Dirac sums, and finite sums of these.
+period lattice. A real-line point configuration is held in one form,
+((R + PZ) minus M) union E with R, M and E finite (_Held): finite lists,
+fully periodic residue systems and a lattice with finitely many explicit
+perturbations are its special cases, and the form is closed under the sums,
+differences and translates computed here, so S - S is exact with no window.
+An explicit accumulation marker records limit points of the idealized
+(untruncated) configuration. Measures are counting measures, Haar traces,
+Dirac masses, weighted Dirac sums, and finite sums of these.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, gcd, lcm, prod
-from typing import Optional, Union
+from typing import Union
 
 from .config import check_enumeration
 from .errors import PreconditionError, ShapeMismatchError
@@ -101,28 +104,67 @@ class AccumulationPoint:
 
 
 class _Held:
-    """A line configuration in its integer normal form (rational.common_scale):
-    _D, the lcm of the denominators of its Fraction fields, and each such
-    field f as the ints f * _D in _f (an int, or a sorted tuple of distinct
-    ints). The constructors build only this form, sorting and deduplicating
-    on the ints (_canonical, from ints, reduces them to lowest terms); each
-    Fraction tuple field is built from its ints when first read, and kept.
-    Fields, ==, hash and repr are those of the dataclass."""
+    """A line configuration ((residues + period * Z) minus removed) union
+    extra, with accumulation markers, in its integer normal form
+    (rational.common_scale): _D, the lcm of the denominators of its points,
+    and _period (an int, or None for a finite configuration), _residues (in
+    [0, _period)), _extra and _removed (on the classes) as ints over _D, each
+    tuple sorted and distinct. FinitePoints holds only extras (its points),
+    PeriodicPoints only residues, PerturbedLattice the residue 0 of its step.
+    The constructors build only this form; each Fraction field is built from
+    its ints when first read, and kept. Fields, ==, hash and repr are those of
+    the dataclass."""
+
+    _ALIAS: dict = {}  # a field held under another name
 
     def __getattr__(self, name):  # called only for an attribute that is unset
-        ints = None if name.startswith("_") else self.__dict__.get("_" + name)
-        if not isinstance(ints, tuple):
+        if name not in getattr(type(self), "__dataclass_fields__", ()):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        D = self._D
-        value = self.__dict__[name] = tuple(Fraction(x, D) for x in ints)
+        ints, D = self.__dict__["_" + self._ALIAS.get(name, name)], self._D
+        value = Fraction(ints, D) if isinstance(ints, int) else tuple(Fraction(x, D) for x in ints)
+        self.__dict__[name] = value
         return value
 
+    def _hold(self, D, P, residues=(), extra=(), removed=(), accumulation=()):
+        self.__dict__.update(_D=D, _period=P, _residues=tuple(residues), _extra=tuple(extra),
+                             _removed=tuple(removed), accumulation=tuple(accumulation))
+        return self
 
-def _lowest_terms(D: int, xs) -> tuple[int, tuple[int, ...]]:
-    """(D, xs) divided by gcd(D, *xs): the lcm of the reduced denominators of
-    the x / D, and the ints over it."""
-    g = gcd(D, *xs)
-    return (D, tuple(xs)) if g == 1 else (D // g, tuple(x // g for x in xs))
+    def materialize(self, lo, hi) -> tuple[Fraction, ...]:
+        """The points in [lo, hi], sorted."""
+        D = self._D
+        xs = _points_within(self, D, ceil(rat(lo) * D), floor(rat(hi) * D))
+        return tuple(Fraction(x, D) for x in xs)
+
+
+def _canonical(D: int, P, residues=(), extra=(), removed=(), acc=()) -> _Held:
+    """The configuration ((residues + P Z) minus removed) union extra over D,
+    from sorted distinct ints (residues in [0, P), removed on their classes,
+    extra off them), reduced to lowest terms by one gcd pass: FinitePoints
+    when P is None, PeriodicPoints when nothing is added, removed or marked,
+    else EventuallyPeriodicPoints."""
+    g = gcd(D, P or 0, *residues, *extra, *removed)
+    if g != 1:
+        D, P = D // g, P and P // g
+        residues, extra, removed = ([x // g for x in xs] for xs in (residues, extra, removed))
+    kind = extra or removed or acc
+    cls = FinitePoints if P is None else EventuallyPeriodicPoints if kind else PeriodicPoints
+    return object.__new__(cls)._hold(D, P, residues, extra, removed, acc)
+
+
+def _points_within(s: _Held, D: int, lo: int, hi: int) -> list[int]:
+    """The sorted points of s in [lo, hi] as ints over a multiple D of s._D,
+    their number held to Caps.enumeration before any is built."""
+    k = D // s._D
+    out = [x * k for x in s._extra if lo <= x * k <= hi]
+    if s._period is not None and hi >= lo:
+        P = s._period * k
+        count = len(s._residues) * ((hi - lo) // P + 1) + len(out)
+        check_enumeration(count, "the materialized window: {count} points exceed the cap {cap}")
+        removed = {x * k for x in s._removed}
+        out += [x for r in s._residues for x in range(lo + (r * k - lo) % P, hi + 1, P)
+                if x not in removed]
+    return sorted(out)
 
 
 @dataclass(frozen=True, init=False)
@@ -130,21 +172,14 @@ class FinitePoints(_Held):
     points: tuple[Fraction, ...]
     accumulation: tuple[AccumulationPoint, ...]
 
+    _ALIAS = {"points": "extra"}
+
     def __init__(self, points=(), accumulation=()):
         D, xs = common_scale([rat(p) for p in points])
-        xs = tuple(sorted(set(xs)))
-        self.__dict__.update(accumulation=tuple(accumulation), _D=D, _points=xs)
-
-    @classmethod
-    def _canonical(cls, D: int, xs, accumulation=()) -> "FinitePoints":
-        """The configuration of the points x / D for sorted distinct ints xs."""
-        obj = object.__new__(cls)
-        D, xs = _lowest_terms(D, xs)
-        obj.__dict__.update(accumulation=tuple(accumulation), _D=D, _points=xs)
-        return obj
+        self._hold(D, None, (), sorted(set(xs)), (), accumulation)
 
     def __len__(self):
-        return len(self._points)
+        return len(self._extra)
 
 
 @dataclass(frozen=True, init=False)
@@ -159,36 +194,11 @@ class PeriodicPoints(_Held):
         if period <= 0:
             raise PreconditionError("period must be positive")
         D, (P, *xs) = common_scale((period, *map(rat, residues)))
-        xs = tuple(sorted({x % P for x in xs}))  # reduction keeps D
-        self.__dict__.update(period=period, _D=D, _period=P, _residues=xs)
-
-    @classmethod
-    def _canonical(cls, D: int, P: int, xs, period=None) -> "PeriodicPoints":
-        """The configuration of period P / D and residues x / D for sorted
-        distinct ints xs in [0, P), reduced by one gcd pass; period is
-        Fraction(P, D) when the caller already holds it."""
-        obj = object.__new__(cls)
-        if period is None:
-            period = Fraction(P, D)
-        g = gcd(D, P, *xs)
-        if g != 1:
-            D, P, xs = D // g, P // g, [x // g for x in xs]
-        obj.__dict__.update(period=period, _D=D, _period=P, _residues=tuple(xs))
-        return obj
+        self._hold(D, P, sorted({x % P for x in xs}))  # reduction keeps D
 
     @property
     def counting_density(self) -> Fraction:
         return Fraction(len(self._residues) * self._D, self._period)
-
-    def contains(self, q) -> bool:
-        x = rat(q) * self._D
-        return x.denominator == 1 and x.numerator % self._period in set(self._residues)
-
-    def materialize(self, lo, hi) -> tuple[Fraction, ...]:
-        D, P = self._D, self._period
-        lo, hi = ceil(rat(lo) * D), floor(rat(hi) * D)
-        xs = sorted(x for r in self._residues for x in range(lo + (r - lo) % P, hi + 1, P))
-        return tuple(Fraction(x, D) for x in xs)
 
 
 @dataclass(frozen=True, init=False)
@@ -205,6 +215,8 @@ class PerturbedLattice(_Held):
     removed: tuple[Fraction, ...]
     accumulation: tuple[AccumulationPoint, ...]
 
+    _ALIAS = {"step": "period"}
+
     def __init__(self, step, extra=(), removed=(), accumulation=()):
         step = rat(step)
         if step <= 0:
@@ -212,7 +224,7 @@ class PerturbedLattice(_Held):
         extra, removed = [rat(p) for p in extra], [rat(p) for p in removed]
         D, (S, *xs) = common_scale((step, *extra, *removed))
         n = len(extra)
-        extra, removed = tuple(sorted(set(xs[:n]))), tuple(sorted(set(xs[n:])))
+        extra, removed = sorted(set(xs[:n])), sorted(set(xs[n:]))
         for x in removed:
             if x % S:
                 raise PreconditionError(f"removed point {Fraction(x, D)} is not on the lattice")
@@ -220,29 +232,19 @@ class PerturbedLattice(_Held):
         for x in extra:
             if x % S == 0 and x not in removed_set:
                 raise PreconditionError(f"extra point {Fraction(x, D)} duplicates a lattice point")
-        self.__dict__.update(step=step, accumulation=tuple(accumulation), _D=D, _step=S,
-                             _extra=extra, _removed=removed)
-
-    def perturbation_span(self) -> Optional[tuple[Fraction, Fraction]]:
-        pts = self._extra + self._removed
-        if not pts:
-            return None
-        return (Fraction(min(pts), self._D), Fraction(max(pts), self._D))
-
-    def _within(self, lo, hi) -> list[int]:
-        """The sorted points in [lo, hi], as ints over _D."""
-        D, S = self._D, self._step
-        lo, hi = ceil(rat(lo) * D), floor(rat(hi) * D)
-        removed = set(self._removed)
-        lattice = (x for x in range(-(-lo // S) * S, hi + 1, S) if x not in removed)
-        return sorted([*(x for x in self._extra if lo <= x <= hi), *lattice])
-
-    def materialize(self, lo, hi) -> tuple[Fraction, ...]:
-        D = self._D
-        return tuple(Fraction(x, D) for x in self._within(lo, hi))
+        self._hold(D, S, (0,), extra, removed, accumulation)
 
 
-PointConfig = Union[FinitePoints, PeriodicPoints, PerturbedLattice]
+@dataclass(frozen=True, init=False)
+class EventuallyPeriodicPoints(_Held):
+    """((residues + period * Z) minus removed) union extra, as sums,
+    difference sets and translates of perturbed configurations build it."""
+
+    period: Fraction
+    residues: tuple[Fraction, ...]
+    extra: tuple[Fraction, ...]
+    removed: tuple[Fraction, ...]
+    accumulation: tuple[AccumulationPoint, ...]
 
 
 @dataclass(frozen=True)
@@ -316,7 +318,7 @@ def discrete_quotient(s, group: GroupSpec):
 
 @dataclass(frozen=True)
 class Counting:
-    of: Union[ExplicitFinite, PeriodicDiscrete, PointConfig, CylinderSet]
+    of: Union[ExplicitFinite, PeriodicDiscrete, _Held, CylinderSet]
 
 
 @dataclass(frozen=True)
@@ -361,7 +363,13 @@ class MeasureSum:
 
 
 def minkowski_sum(a, b, group: GroupSpec):
-    """Exact Minkowski sum of two finitely represented same-group sets."""
+    """Exact Minkowski sum of two finitely represented same-group sets. A line
+    configuration with an accumulation marker is refused: the sum of its
+    truncation would drop the marker."""
+    if any(isinstance(s, _Held) and s.accumulation for s in (a, b)):
+        raise PreconditionError(
+            "accumulating configuration: a Minkowski sum would drop its accumulation marker"
+        )
     for x, y in ((a, b), (b, a)):
         result = _minkowski_directed(x, y, group)
         if result is not NotImplemented:
@@ -401,22 +409,12 @@ def _minkowski_directed(a, b, group):
         period = frac_lcm(a.period, b.period)
         ea, eb = a.expand_to(period), b.expand_to(period)
         return PeriodicPattern(period, ea.pattern.minkowski(eb.pattern))
-    if isinstance(a, PeriodicPoints) and isinstance(b, PeriodicPoints):
-        period = frac_lcm(a.period, b.period)
-        ra = _expand_points(a, period)
-        rb = _expand_points(b, period)
-        return PeriodicPoints(period, tuple((x + y) % period for x in ra for y in rb))
-    if isinstance(a, PeriodicPoints) and isinstance(b, FinitePoints):
-        return PeriodicPoints(
-            a.period, tuple((r + p) % a.period for r in a.residues for p in b.points)
-        )
+    if isinstance(a, _Held) and isinstance(b, _Held):
+        D = lcm(a._D, b._D)
+        return _canonical(D, *_sum(_form(a, D), _form(b, D)))
     if isinstance(a, PeriodicPoints) and isinstance(b, IntervalUnion):
-        if b.is_empty or not a.residues:
-            return PeriodicPattern(a.period, IntervalUnion.empty())
         pieces = tuple((r + lo, r + hi) for r in a.residues for lo, hi in b.intervals)
         return PeriodicPattern(a.period, IntervalUnion(pieces))
-    if isinstance(a, FinitePoints) and isinstance(b, FinitePoints):
-        return FinitePoints(tuple(x + y for x in a.points for y in b.points))
     return NotImplemented
 
 
@@ -429,9 +427,50 @@ def _expand_residues(s: PeriodicDiscrete, period: tuple[int, ...]):
     return out
 
 
-def _expand_points(s: PeriodicPoints, period: Fraction):
-    reps = int(period / s.period)
-    return [r + k * s.period for r in s.residues for k in range(reps)]
+def _form(s: _Held, D: int):
+    """(P, residues, extra, removed) of s as ints over a multiple D of s._D."""
+    k = D // s._D
+    if k == 1:
+        return s._period, s._residues, s._extra, s._removed
+    return (s._period and s._period * k,
+            *([x * k for x in xs] for xs in (s._residues, s._extra, s._removed)))
+
+
+def _sum(A, B):
+    """The form (P, residues, extra, removed) of the sum of the forms A and B
+    over one D, P the lcm of their periods (None if neither has one). Its
+    classes mod P are R_A + R_B (that is R_A + R_B + gcd(P_A, P_B) Z),
+    E_A + R_B and R_A + E_B, and only a candidate of E_A + M_B or M_A + E_B
+    can be missing from them: it is kept iff it lies in R_A + R_B or is e + p,
+    e extra in one operand and p a point of the other. Its extras are the
+    points of E_A + E_B off the classes. The pairs are counted against
+    Caps.enumeration before any is built."""
+    (Pa, Ra, Ea, Ma), (Pb, Rb, Eb, Mb) = A, B
+    P, g = lcm(Pa or 1, Pb or 1) if Pa or Pb else None, gcd(Pa, Pb) if Pa and Pb else 0
+    cross = ((Ea, B), (Eb, A))  # the extras of one operand against the other
+    pairs = len(Ra) * len(Rb) * (g and P // g) + len(Ea) * len(Eb)
+    for E, (Q, R, _, M) in cross:
+        pairs += len(E) and len(E) * (len(R) * (P // Q if Q else 0) + len(M) * (len(Ea) + len(Eb)))
+    check_enumeration(pairs, "the Minkowski sum: {count} pairs exceed the enumeration cap {cap}")
+    base = {(x + y) % g for x in Ra for y in Rb} if g else set()
+    classes = {r + j for r in base for j in range(0, P, g)} if P != g else set(base)
+    if not (Ea or Eb):  # nothing is added, so nothing can be missing
+        return P, sorted(classes), [], []
+    for E, (Q, R, _, _) in cross:  # E + R mod Q, lifted to the classes mod P
+        offsets = {(e + r) % Q for e in E for r in R} if Q else ()
+        classes.update(x + j for x in offsets for j in range(0, P, Q))
+    sums = {x + y for x in Ea for y in Eb}
+    extra = sorted(sums if P is None else (z for z in sums if z % P not in classes))
+    a, b = ((Q, set(R), set(E), set(M)) for Q, R, E, M in (A, B))
+
+    def has(x, form):  # x is a point of the form
+        Q, R, E, M = form
+        return x in E or Q is not None and x % Q in R and x not in M
+
+    missing = {z for z in {e + m for e in Ea for m in Mb} | {m + e for m in Ma for e in Eb}
+               if not (g and z % g in base or any(has(z - e, b) for e in Ea)
+                       or any(has(z - e, a) for e in Eb))}
+    return P, sorted(classes), extra, sorted(missing)
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +488,12 @@ class WindowedDifferenceSet:
 def difference_set(s, group: GroupSpec, window=None):
     """Exact S - S; symmetric and containing 0 whenever S is nonempty.
 
-    PerturbedLattice inputs require a truncation window; the result is then the
-    exact intersection of S - S with that window. Every other input refuses
-    one, as its difference set is returned whole. Point configurations are
-    differenced in the integer normal form they hold (_Held): ints over one
-    common denominator D, and the result is built from the int differences,
-    its Fractions only when first read.
+    A line configuration ((R + PZ) minus M) union E is differenced whole, in
+    the integer form it holds (_Held): S - S is the sum (_sum) of S and -S, a
+    configuration of the same form; a finite S takes one half pass over its
+    ordered pairs and mirrors it. An accumulating S gives an S - S marked at
+    0 on both sides. A truncation window applies only to a perturbed lattice:
+    the result is then the exact intersection of S - S with it, materialized.
     """
     empty = _set_is_empty(s)  # raises on what is no set
     if window is not None and not isinstance(s, PerturbedLattice):
@@ -478,49 +517,24 @@ def difference_set(s, group: GroupSpec, window=None):
         return s.difference_set()
     if isinstance(s, PeriodicPattern):
         return s.difference_set()
-    if isinstance(s, PeriodicPoints):
-        P, xs = s._period, s._residues
-        return PeriodicPoints._canonical(s._D, P, sorted({(x - y) % P for x in xs for y in xs}))
-    if isinstance(s, FinitePoints):
-        acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
-        if not s._points:  # an accumulation marker alone
-            return FinitePoints._canonical(1, (), acc)
-        xs = s._points
+    if not isinstance(s, _Held):
+        raise PreconditionError(f"unsupported difference-set input: {type(s).__name__}")
+    acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
+    P, xs = s._period, s._extra
+    if P is None:  # one half pass: 0 and the negatives mirror the positives
         pos = sorted({x - y for i, x in enumerate(xs) for y in xs[:i]})
-        # 0 and the negatives mirror the positives
-        return FinitePoints._canonical(s._D, (*(-d for d in reversed(pos)), 0, *pos), acc)
-    if isinstance(s, PerturbedLattice):
-        if window is None:
-            raise PreconditionError(
-                "difference set of a perturbed lattice needs a truncation window"
-            )
-        return _perturbed_difference(s, window)
-    raise PreconditionError(f"unsupported difference-set input: {type(s).__name__}")
-
-
-def _perturbed_difference(s: PerturbedLattice, window) -> WindowedDifferenceSet:
+        return _canonical(s._D, None, (), (*(-d for d in reversed(pos)), 0, *pos) if xs else (),
+                          (), acc)
+    negated = (P, {-r % P for r in s._residues}, [-x for x in xs], [-x for x in s._removed])
+    d = _canonical(s._D, *_sum(_form(s, s._D), negated), acc)
+    if window is None:
+        return d
     lo, hi = rat(window[0]), rat(window[1])
     if hi < lo:
         raise PreconditionError("truncation window is empty")
-    D, (lo_i, hi_i) = common_scale((lo, hi), s._D)
-    k = D // s._D
-    step, extra, removed = s._step * k, [x * k for x in s._extra], {x * k for x in s._removed}
-
-    def lattice(lo_m, hi_m):  # the multiples of step in [lo_m, hi_m]
-        return range(-(-lo_m // step) * step, hi_m + 1, step)
-
-    # lattice - lattice: every multiple of the step survives (removals are finite)
-    diffs = set(lattice(lo_i, hi_i))
-    # extra vs lattice, both signs: e - p and p - e in [lo, hi]
-    for e in extra:
-        diffs.update(e - p for p in lattice(e - hi_i, e - lo_i) if p not in removed)
-        diffs.update(p - e for p in lattice(e + lo_i, e + hi_i) if p not in removed)
-    # extra - extra
-    diffs.update(d for x in extra for y in extra if lo_i <= (d := x - y) <= hi_i)
-    acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
-    return WindowedDifferenceSet(
-        points=FinitePoints._canonical(D, sorted(diffs), acc), window=(lo, hi)
-    )
+    D = d._D
+    points = _points_within(d, D, ceil(lo * D), floor(hi * D))
+    return WindowedDifferenceSet(points=_canonical(D, None, (), points, (), acc), window=(lo, hi))
 
 
 def _set_is_empty(s) -> bool:
@@ -532,12 +546,10 @@ def _set_is_empty(s) -> bool:
         return s.is_empty
     if isinstance(s, PeriodicPattern):
         return s.pattern.is_empty
-    if isinstance(s, PeriodicPoints):
-        return not s._residues
-    if isinstance(s, FinitePoints):
-        return not s._points and not s.accumulation
-    if isinstance(s, (PerturbedLattice, CylinderSet)):
-        return False  # a lattice is never empty; difference_set refuses cylinders
+    if isinstance(s, _Held):
+        return not (s._residues or s._extra or s.accumulation)
+    if isinstance(s, CylinderSet):
+        return False  # difference_set refuses cylinders
     raise PreconditionError(f"unknown set type: {type(s).__name__}")
 
 
@@ -567,7 +579,7 @@ def haar(obj, group: GroupSpec):
             if obj.mass == 0:
                 return Fraction(0)
             return Infinite(("per-period", obj.mass, obj.period))
-        if isinstance(obj, (FinitePoints, PeriodicPoints, PerturbedLattice)):
+        if isinstance(obj, _Held):
             return Fraction(0)  # countable sets are Lebesgue-null
     raise PreconditionError(
         f"haar measure unsupported for {type(obj).__name__} on {type(group).__name__}"
@@ -591,18 +603,11 @@ def translate_set(s, g, group: GroupSpec):
         return s.translate(rat(g))
     if isinstance(s, PeriodicPattern):
         return s.translate(rat(g))
-    if isinstance(s, PeriodicPoints):
-        return PeriodicPoints(s.period, tuple((r + rat(g)) % s.period for r in s.residues))
-    if isinstance(s, FinitePoints):
+    if isinstance(s, _Held):
         q = rat(g)
-        return FinitePoints(
-            tuple(p + q for p in s.points),
-            accumulation=tuple(
-                AccumulationPoint(a.point + q, a.side) for a in s.accumulation
-            ),
-        )
-    if isinstance(s, PerturbedLattice):
-        raise PreconditionError("translate a perturbed lattice by materializing it first")
+        D, (t,) = common_scale((q,), s._D)
+        acc = tuple(AccumulationPoint(a.point + q, a.side) for a in s.accumulation)
+        return _canonical(D, *_sum(_form(s, D), (None, (), (t,), ())), acc)  # s + {t}
     raise PreconditionError(f"unsupported translate input: {type(s).__name__}")
 
 

@@ -44,8 +44,9 @@ _configuration joins the points, the radius R of Q = H - H and Q's closed
 intervals (the spans) as ints over the lcm D of their denominators, which
 keeps every difference and membership test. A periodic S (period p) is lifted
 onto L = floor(2R/p) + 1 copies of its period, a coloring circle of
-circumference P = Lp > 2R, and its residues are the window centers; a finite
-or perturbed S is materialized and every point is a center. t ~ s iff t - s
+circumference P = Lp > 2R, and its residues are the window centers; any other
+S is materialized (a finite one whole, one with a period around the points it
+adds or removes) and every point is a center. t ~ s iff t - s
 lies in a lift of Q: a span, or on the circle a span translated by P or -P;
 the lifts are disjoint, since the spans are and P > 2R. First-fit keeps, per
 lift (a, b) with b > 0, the window of earlier points in q - [a, b]; as the
@@ -63,18 +64,17 @@ loop and of real_mass. The ints are bucketed by color in one pass; a periodic
 class is reduced to its minimal period in ints: the largest k dividing its
 size and P whose shift P/k maps it onto itself (P/k must be an int, as the
 class consists of multiples of 1/D), and built with one gcd pass. Classes of
-one minimal period share its Fraction, and classes of one size their density
-#members * D / P, as every class lies on the one circle P over D; so the
-pipeline takes the densest class as the first with the most members. A
-finite class is built from its ints too, its Fraction points only when
-first read, and every finite class has density 0. packing_bound_check validates
-per group, then tests the elements of S - S in [-R, R]
-(_difference_points_within; a periodic subset of Z as the residues of a
-periodic configuration) against the spans of H - H scaled to the same D (on Z,
-its points), one bisect per span, and builds a Fraction only for the common
-difference it reports. On the line, the density of a periodic S is #residues /
-period from its held form, and one interval H of length L gives Q = [-L, L]
-without a Minkowski sum.
+one size share their density #members * D / P, as every class lies on the one
+circle P over D; so the pipeline takes the densest class as the first with the
+most members. A finite class is built from its ints too, and has density 0.
+packing_bound_check validates per group, then materializes the held S - S
+(sets.difference_set; a periodic subset of Z as a periodic configuration) in
+[-R, R] (_difference_points_within), tests it against the spans of H - H
+scaled to the same D (on Z, its points), one bisect per span, and builds a
+Fraction only for the common difference it reports. On the line, the density
+of a configuration with a period and no marker is #residues * D / P from its
+held form, and one interval H of length L gives Q = [-L, L] without a
+Minkowski sum.
 """
 
 from __future__ import annotations
@@ -99,7 +99,9 @@ from .sets import (
     MeasureSum,
     PeriodicDiscrete,
     PeriodicPoints,
-    PerturbedLattice,
+    _canonical,
+    _Held,
+    _points_within,
     difference_set,
     discrete_quotient,
     minkowski_sum,
@@ -111,9 +113,11 @@ from .windows import real_mass, real_shift_sup
 
 
 def counting_density(S, group: GroupSpec):
-    """Exact counting density of a configuration; Infinite for accumulating ones."""
-    if isinstance(S, PeriodicPoints) and isinstance(group, RealLine):
-        return S.counting_density  # from the held form
+    """Exact counting density of a configuration; Infinite for accumulating
+    ones. A line configuration with a period and no marker has #residues / P
+    from its held form: its finitely many added or removed points add 0."""
+    if isinstance(S, _Held) and isinstance(group, RealLine) and S._period and not S.accumulation:
+        return Fraction(len(S._residues) * S._D, S._period)
     return periodic_mean_density(Counting(S), group)
 
 
@@ -316,27 +320,11 @@ class PackingCheck:
 def _difference_points_within(S, radius: Fraction, spans) -> tuple[int, list[int], list]:
     """(D, ds, int_spans): the elements of S - S in [-radius, radius] as sorted
     ints over D, and the rational pairs `spans` as int pairs over the same D,
-    the lcm of the D that S (or its windowed difference set) holds and of the
-    denominators of the radius and the spans. The lifts of the residue
-    differences of a periodic S are taken in ints directly."""
-    ends = [x for span in spans for x in span]
-    if isinstance(S, PerturbedLattice):
-        wd = difference_set(S, RealLine(), window=(-radius, radius)).points
-        D, ints = common_scale(ends, wd._D)
-        k = D // wd._D
-        ds = wd._points if k == 1 else [d * k for d in wd._points]
-        return D, ds, list(zip(ints[::2], ints[1::2]))
-    if not isinstance(S, PeriodicPoints):
-        raise PreconditionError(f"unsupported configuration: {type(S).__name__}")
-    D, (R, *ints) = common_scale((radius, *ends), S._D)
-    k = D // S._D
-    P, res = S._period * k, [x * k for x in S._residues]
-    out = set()
-    for a in res:
-        for b in res:
-            base = a - b  # its lifts base + kP in [-R, R]
-            out.update(range(base - (base + R) // P * P, R + 1, P))
-    return D, sorted(out), list(zip(ints[::2], ints[1::2]))
+    the lcm of the D that the held difference set of S holds and of the
+    denominators of the radius and the spans."""
+    d = difference_set(S, RealLine())
+    D, (R, *ints) = common_scale((radius, *(x for span in spans for x in span)), d._D)
+    return D, _points_within(d, D, -R, R), list(zip(ints[::2], ints[1::2]))
 
 
 def _difference_radius(H: IntervalUnion) -> tuple[IntervalUnion, Fraction]:
@@ -438,9 +426,7 @@ def fatten(S, H: IntervalUnion, group: RealLine = RealLine()) -> FattenResult:
         return FattenResult(
             fattened=fat, claimed_bound=bound, measured=measured, equality=measured == bound
         )
-    if isinstance(S, FinitePoints):
-        if S.accumulation:
-            raise PreconditionError("accumulating configuration")
+    if isinstance(S, FinitePoints):  # minkowski_sum refuses an accumulating S
         fat = minkowski_sum(H, S, group)
         return FattenResult(
             fattened=fat, claimed_bound=Fraction(0), measured=Fraction(0), equality=True
@@ -502,7 +488,7 @@ def _partition(S, H: IntervalUnion, group: RealLine):
             f"class count {n} exceeds the window bound {k_bound}", counterexample=(S, H)
         )
     if P is None:
-        classes = tuple(FinitePoints._canonical(D, cl) for cl in int_members)
+        classes = tuple(_canonical(D, None, (), cl) for cl in int_members)
         densities, period, j = (Fraction(0),) * n, None, 0
     else:
         period, classes = Fraction(P, D), _periodic_classes(int_members, P, D)
@@ -523,15 +509,12 @@ def _configuration(S, Q: IntervalUnion, radius: Fraction):
     lies in one. A periodic S is lifted onto L = floor(2R / p) + 1 copies of
     its period p (R = radius * D), the int circle P = L * p > 2R, the lifts
     are Q's intervals translated by 0, P and -P, and its residues are the
-    first `centers` points. A finite or perturbed S is materialized, P =
-    None, the lifts are Q's intervals, and all points are centers."""
+    first `centers` points. Any other S is materialized (_materialize_config),
+    P = None, the lifts are Q's intervals, and all points are centers."""
     periodic = isinstance(S, PeriodicPoints)
-    if periodic:
-        if not S._residues:
-            raise PreconditionError("S is empty")
-        held, xs = S._D, S._residues
-    else:
-        held, xs = _materialize_config(S)
+    if periodic and not S._residues:
+        raise PreconditionError("S is empty")
+    held, xs = (S._D, S._residues) if periodic else _materialize_config(S)
     m = 2 * len(Q.intervals)
     D, ints = common_scale([*Q.endpoints(), radius], held)
     k = D // held
@@ -619,9 +602,7 @@ def _periodic_classes(members: list, P: int, D: int) -> tuple:
     xs + P/k = xs (mod P), and its residues the first n/k of xs. A k that
     does not divide P is skipped exactly, as x + P/k is then no multiple of
     1/D; a shift P/k that maps xs onto itself maps xs[0] to xs[n/k], which is
-    tested first. Classes of one minimal period share its Fraction."""
-    periods: dict[int, Fraction] = {}
-    canonical = PeriodicPoints._canonical
+    tested first."""
     out = []
     for xs in members:
         n, step = len(xs), P
@@ -631,29 +612,26 @@ def _periodic_classes(members: list, P: int, D: int) -> tuple:
                 if all((x + P // k) % P in in_xs for x in xs):
                     step = P // k
                     break
-        period = periods.get(step)
-        if period is None:
-            period = periods[step] = Fraction(step, D)
-        out.append(canonical(D, step, xs[: n * step // P], period))
+        out.append(_canonical(D, step, xs[: n * step // P]))
     return tuple(out)
 
 
 def _materialize_config(S) -> tuple[int, tuple[int, ...]]:
-    """(D, sorted ints over D): the points of a finite S, or of a perturbed S
-    in its perturbation span widened by two steps, in the integer normal form
-    S holds."""
-    if isinstance(S, (FinitePoints, PerturbedLattice)) and S.accumulation:
+    """(D, sorted ints over D): the points of a finite S, or of an S with a
+    period in the span of its added and removed points widened by two
+    periods, in the integer normal form S holds."""
+    if not isinstance(S, _Held):
+        raise PreconditionError(f"unsupported configuration: {type(S).__name__}")
+    if S.accumulation:
         raise PreconditionError(
             "accumulating configuration: window counts around the marker are infinite"
         )
-    if isinstance(S, FinitePoints):
-        return S._D, S._points
-    if isinstance(S, PerturbedLattice):
-        span = S.perturbation_span()
-        if span is None:
-            raise PreconditionError("a bare lattice has no perturbation span to color")
-        return S._D, S._within(span[0] - 2 * S.step, span[1] + 2 * S.step)
-    raise PreconditionError(f"unsupported configuration: {type(S).__name__}")
+    P, span = S._period, S._extra + S._removed
+    if P is None:
+        return S._D, S._extra
+    if not span:
+        raise PreconditionError("a bare lattice has no perturbation span to color")
+    return S._D, _points_within(S, S._D, min(span) - 2 * P, max(span) + 2 * P)
 
 
 # ---------------------------------------------------------------------------

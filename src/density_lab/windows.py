@@ -108,8 +108,8 @@ from .sets import (
     MeasureSum,
     PeriodicDiscrete,
     PeriodicPoints,
-    PerturbedLattice,
     WeightedDiracs,
+    _Held,
 )
 
 # ---------------------------------------------------------------------------
@@ -201,13 +201,8 @@ def _collect(nu, group, layers, acc):
             layers.append(TraceLayer(s.period, periodic=s))
     elif isinstance(s, ExplicitFinite):
         add(None, [group.check(e) for e in s.elements])
-    elif count and isinstance(s, FinitePoints):
-        held(None, s._points)
-        acc.extend(s.accumulation)
-    elif count and isinstance(s, PeriodicPoints):
+    elif count and isinstance(s, _Held):  # the classes, extra, and removed at weight -1
         held(s._period, s._residues)
-    elif count and isinstance(s, PerturbedLattice):
-        held(s._step, (0,))
         held(None, s._extra)
         held(None, s._removed, -1)
         acc.extend(s.accumulation)

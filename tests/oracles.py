@@ -32,8 +32,8 @@ from density_lab import (
 )
 from density_lab.config import check_enumeration
 from density_lab.groups import _strip, bits
-from density_lab.rational import common_scale, is_infinite, rat
-from density_lab.sets import WindowedDifferenceSet, discrete_quotient
+from density_lab.rational import common_scale, frac_lcm, is_infinite, rat
+from density_lab.sets import WindowedDifferenceSet, _canonical, discrete_quotient
 from density_lab.structure import (
     _configuration,
     _first_fit,
@@ -100,6 +100,34 @@ def fraction_difference_set(s, window=None):
     acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
     points = tuple(Fraction(d, D) for d in sorted(diffs))
     return WindowedDifferenceSet(points=FinitePoints(points, acc), window=(lo, hi))
+
+
+# ---------------------------------------------------------------------------
+# the Minkowski sums of line configurations before they shared one held form,
+# kept verbatim (one branch per pair of types, periodic residues expanded to
+# the lcm period) as the oracle for the sum of held forms
+
+
+def _expand_points(s: PeriodicPoints, period: Fraction):
+    reps = int(period / s.period)
+    return [r + k * s.period for r in s.residues for k in range(reps)]
+
+
+def per_type_minkowski(a, b):
+    """sets.minkowski_sum of two FinitePoints or PeriodicPoints."""
+    for a, b in ((a, b), (b, a)):
+        if isinstance(a, PeriodicPoints) and isinstance(b, PeriodicPoints):
+            period = frac_lcm(a.period, b.period)
+            ra = _expand_points(a, period)
+            rb = _expand_points(b, period)
+            return PeriodicPoints(period, tuple((x + y) % period for x in ra for y in rb))
+        if isinstance(a, PeriodicPoints) and isinstance(b, FinitePoints):
+            return PeriodicPoints(
+                a.period, tuple((r + p) % a.period for r in a.residues for p in b.points)
+            )
+        if isinstance(a, FinitePoints) and isinstance(b, FinitePoints):
+            return FinitePoints(tuple(x + y for x in a.points for y in b.points))
+    raise AssertionError("not a pair of finite or periodic points")
 
 
 def min_positive_difference(s: PeriodicPoints) -> Fraction:
@@ -536,7 +564,7 @@ def fraction_class_partition(S, H, group=RealLine()):
             f"class count {n} exceeds the window bound {k_bound}", counterexample=(S, H)
         )
     if P is None:
-        classes = tuple(FinitePoints._canonical(D, cl) for cl in int_members)
+        classes = tuple(_canonical(D, None, (), cl) for cl in int_members)
         densities, period = tuple(Fraction(0) for _ in int_members), None
     else:
         period = Fraction(P, D)

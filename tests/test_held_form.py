@@ -23,6 +23,7 @@ from density_lab import (
 )
 from density_lab.instances import OBJECT
 from density_lab.rational import common_scale
+from density_lab.sets import _canonical
 from density_lab.windows import _line_values, measure_layers
 from oracles import fraction_difference_set
 
@@ -85,17 +86,17 @@ def test_finite_points_hold_the_normal_form(points, accumulating):
     acc = MARKER if accumulating else ()
     s = FinitePoints(tuple(points), acc)
     assert s.points == tuple(sorted(set(points)))  # the constructor before
-    assert (s._D, list(s._points)) == common_scale(s.points)
+    assert (s._D, list(s._extra)) == common_scale(s.points)
     # from its ints, over a multiple of D, it is the same configuration
-    t = FinitePoints._canonical(3 * s._D, [3 * x for x in s._points], acc)
-    assert (t._D, t._points) == (s._D, s._points)
+    t = _canonical(3 * s._D, None, (), [3 * x for x in s._extra], (), acc)
+    assert (t._D, t._extra) == (s._D, s._extra)
     assert t == s and hash(t) == hash(s) and repr(t) == repr(s)
     same_bytes(s)
     if not s.points and not acc:
         return  # the empty set warns, and its difference set is itself
     d = difference_set(s, R)
     assert d == fraction_difference_set(s)
-    assert (d._D, list(d._points)) == common_scale(d.points)
+    assert (d._D, list(d._extra)) == common_scale(d.points)
     same_bytes(d)
 
 
@@ -106,7 +107,7 @@ def test_periodic_points_hold_the_normal_form(period, residues):
     s = PeriodicPoints(period, tuple(residues))
     assert s.residues == tuple(sorted({r % period for r in residues}))
     assert (s._D, [s._period, *s._residues]) == common_scale((s.period, *s.residues))
-    t = PeriodicPoints._canonical(2 * s._D, 2 * s._period, [2 * x for x in s._residues])
+    t = _canonical(2 * s._D, 2 * s._period, [2 * x for x in s._residues])
     assert t == s and hash(t) == hash(s) and repr(t) == repr(s)
     assert s.counting_density == len(s.residues) / s.period
     same_bytes(s)
@@ -120,7 +121,7 @@ def test_periodic_points_hold_the_normal_form(period, residues):
 @settings(max_examples=40, deadline=None)
 @given(perturbed_lattices, rationals, st.integers(0, 12))
 def test_perturbed_lattices_hold_the_normal_form(s, lo, width):
-    assert (s._D, [s._step, *s._extra, *s._removed]) == common_scale(
+    assert (s._D, [s._period, *s._extra, *s._removed]) == common_scale(
         (s.step, *s.extra, *s.removed)
     )
     assert list(s.extra) == sorted(s.extra) and list(s.removed) == sorted(s.removed)

@@ -821,7 +821,8 @@ def fraction_difference_points_within(S, radius):
         return sorted(out)
     # a perturbed lattice: every pair within radius of each other lies in the
     # perturbation zone widened by radius, or (lattice pairs) in a clean block
-    lo, hi = S.perturbation_span() or (Fraction(0), Fraction(0))
+    span = S.extra + S.removed
+    lo, hi = (min(span), max(span)) if span else (Fraction(0), Fraction(0))
     lo, hi = lo - radius - S.step, hi + radius + S.step
     far = hi + 2 * radius + 2 * S.step
     pts = S.materialize(lo, hi) + S.materialize(far, far + radius + S.step)
@@ -901,7 +902,7 @@ def test_integer_class_verifier_rejects_what_fraction_verifier_rejects(drawn, mo
     if P is None:
         colors = [next(j for j, c in enumerate(part.classes) if q in c.points) for q in points]
     else:
-        colors = [next(j for j, c in enumerate(part.classes) if c.contains(q)) for q in points]
+        colors = [next(j for j, c in enumerate(part.classes) if c.materialize(q, q)) for q in points]
     for i, c in moves:
         colors[i % len(points)] = c % (part.n + 1)
     classes = [

@@ -5,18 +5,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .config import DEFAULT_CAPS
 from .errors import PreconditionError, VerificationError
 from .groups import FiniteAbelian, GroupSpec, RealLine, ZLattice, bits, mask_of
-from .intervals import IntervalUnion, PeriodicPattern, gaps_within
+from .intervals import IntervalUnion, PeriodicPattern, gaps_within, merge_pairs
+from .rational import common_scale
 from .sets import (
     ExplicitFinite,
     FinitePoints,
     PeriodicDiscrete,
     _canonical,
     _Held,
+    _points_within,
     discrete_quotient,
     minkowski_sum,
 )
@@ -110,7 +113,7 @@ def syndetic_check(S, K, group: GroupSpec) -> SyndeticCertificate:
                 else "lattice syndetic checks need periodic S and finite K"
             )
         quotient, s_indices, lift = found
-        translates = [group.check(k) for k in K.elements]
+        translates = group.check_points(K.elements, K._shape)
         s_mask = mask_of(s_indices)
         full = (1 << quotient.order) - 1
         # first[g]: position in K of the first k with g - k in S, as a per-cell scan finds it
@@ -142,12 +145,14 @@ def syndetic_check(S, K, group: GroupSpec) -> SyndeticCertificate:
         F = held and S._extra + S._removed  # the points S adds or removes
         if gap is None and F:
             # a point x that S + K misses has every class point of x - K
-            # removed, so x lies in M + K, inside the zone [lo, hi]
-            lo = Fraction(min(F), S._D) + K.inf - summed.period
-            hi = Fraction(max(F), S._D) + K.sup + summed.period
-            near = S.materialize(lo - K.sup, hi - K.inf)
-            covered = IntervalUnion(tuple((s + a, s + b) for s in near for a, b in K.intervals))
-            gap = next(gaps_within(covered.intervals, lo, hi), None)
+            # removed, so x lies in M + K, inside the zone [lo, hi]: ints over E
+            E, ends = common_scale(chain(*K.intervals), S._D)
+            k, pieces = E // S._D, list(zip(ends[::2], ends[1::2]))
+            lo, hi = (min(F) - S._period) * k + ends[0], (max(F) + S._period) * k + ends[-1]
+            near = _points_within(S, E, lo - ends[-1], hi - ends[0])
+            covered = merge_pairs((x + a, x + b) for x in near for a, b in pieces)
+            if (gap := next(gaps_within(covered, lo, hi), None)) is not None:
+                return SyndeticCertificate(K, False, Fraction(sum(gap), 2 * E))
         if gap is None:
             return SyndeticCertificate(K, True, summed)
         a, b = gap

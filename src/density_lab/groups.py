@@ -16,8 +16,11 @@ A subset X is one int, its mask, whose bit i is set iff element(i) lies in X
 each axis the cells whose coordinate stays below the modulus move up by
 c * stride bits and the others wrap down, two masked big-int shifts, so a
 translate costs a few operations on order bits per axis. translate(k) is
-the same map as a list of indices, one int per element, and _translate_at(k,
-at) its entries at the indices at, both by index arithmetic on the strides.
+the same map as a list of indices, one int per element, built from one short
+list per axis; _translate_at(k, at) gives its entries at the indices at by
+index arithmetic, with no division on the last axis (stride 1). check_points
+checks a set's or measure's points at once where its constructor recorded
+their int-tuple shape (sets._int_shape), and else as check checks each.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ class ZLattice:
     def check(self, g) -> tuple[int, ...]:
         return _as_int_tuple(g, self.dimension)
 
+    def check_points(self, points, shape):
+        """[check(p) for p in points]: the points themselves when their held
+        shape is the dimension, else each converted or refused by check."""
+        return points if shape == self.dimension else [self.check(p) for p in points]
+
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.dimension
 
@@ -88,6 +96,12 @@ class FiniteAbelian:
         if any(not (0 <= c < m) for c, m in zip(g, self.moduli)):
             raise ShapeMismatchError(f"{g!r} has coordinates outside the moduli {self.moduli}")
         return g
+
+    def check_points(self, points, shape):
+        """As ZLattice.check_points, a held shape checked by each axis's min and max."""
+        held = shape == len(self.moduli) and all(
+            0 <= min(col) and max(col) < m for col, m in zip(zip(*points), self.moduli))
+        return points if held else [self.check(p) for p in points]
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.moduli)
@@ -144,19 +158,27 @@ class FiniteAbelian:
 
     def translate(self, k) -> list[int]:
         """[index(e + k) for e in elements()], for any integer tuple k (reduced
-        mod the moduli): _translate_at over every index; shift is the same map
-        on masks."""
+        mod the moduli): the row-major sums of one list per axis, its shifted
+        coordinates times its stride; shift is the same map on masks."""
         k = _as_int_tuple(k, len(self.moduli), "shift")
         check_enumeration(self.order)
-        return self._translate_at(k, range(self.order))
+        out = [0]
+        for c, m, s in zip(k, self.moduli, self.strides):
+            axis = [(i + c) % m * s for i in range(m)]
+            out = [o + a for o in out for a in axis]
+        return out
 
     def _translate_at(self, k, at) -> list[int]:
         """[index(element(i) + k) for i in at] by index arithmetic, for a k
         that is already a sequence of ints, one per axis (no validation:
         translate validates k, and the kernels pass elements and negated
-        elements of this group)."""
-        out = [0] * len(at)
-        for c, m, s in zip(k, self.moduli, self.strides):
+        elements of this group); on the last axis, of stride 1, that is
+        (i + c) mod its modulus."""
+        if not self.moduli:
+            return [0] * len(at)
+        c, m = k[-1], self.moduli[-1]
+        out = [(i + c) % m for i in at]
+        for c, m, s in zip(k, self.moduli[:-1], self.strides):
             out = [o + (i // s + c) % m * s for o, i in zip(out, at)]
         return out
 
@@ -173,6 +195,9 @@ class RealLine:
         if isinstance(g, str):
             return rat(g)
         raise ShapeMismatchError(f"{g!r} is not an exact rational")
+
+    def check_points(self, points, shape):  # no int-tuple shape on the line
+        return [self.check(p) for p in points]
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -215,6 +240,9 @@ class SigmaFiniteChain:
         if any(not isinstance(c, int) or not (0 <= c < m) for c, m in zip(g, self.moduli)):
             raise ShapeMismatchError(f"{g!r} has coordinates outside the moduli")
         return _strip(g)
+
+    def check_points(self, points, shape):  # chain elements vary in length
+        return [self.check(p) for p in points]
 
     def zero(self) -> tuple[int, ...]:
         return ()

@@ -1,7 +1,9 @@
 """Set and measure representations with exact Minkowski and difference operations.
 
 Discrete-group sets are explicit finite lists or residue classes of a diagonal
-period lattice. A real-line point configuration is held in one form,
+period lattice; they and weighted Dirac sums hold _shape (_int_shape), so
+that a group checks their points once (check_points). A real-line
+point configuration is held in one form,
 ((R + PZ) minus M) union E with R, M and E finite (_Held): finite lists,
 fully periodic residue systems and a lattice with finitely many explicit
 perturbations are its special cases, and the form is closed under the sums,
@@ -16,8 +18,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import ceil, floor, gcd, lcm, prod
+from operator import lt, mul
 from typing import Union
 
 from .config import check_enumeration
@@ -38,14 +41,30 @@ from .rational import Infinite, common_scale, frac_lcm, rat
 # discrete-group sets
 
 
+def _int_shape(points):
+    """The common length of points that are all tuples of exact ints (type
+    int: no bool), else None; a non-field attribute of discrete objects."""
+    lengths = set(map(len, points)) if set(map(type, points)) == {tuple} else ()
+    ints = len(lengths) == 1 and set(map(type, chain.from_iterable(points))) <= {int}
+    return lengths.pop() if ints else None
+
+
 @dataclass(frozen=True)
 class ExplicitFinite:
-    """A finite set of group elements, sorted and deduplicated."""
+    """A finite set of group elements, sorted and deduplicated (a strictly
+    increasing input already is), with their _int_shape."""
 
     elements: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
+        elements = tuple(self.elements)
+        try:
+            ordered = all(map(lt, elements, elements[1:]))
+        except TypeError:  # incomparable points: sorted raises as it always did
+            ordered = False
+        elements = elements if ordered else tuple(sorted(set(elements)))
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_shape", _int_shape(elements))
 
     def __len__(self):
         return len(self.elements)
@@ -53,7 +72,8 @@ class ExplicitFinite:
 
 @dataclass(frozen=True)
 class PeriodicDiscrete:
-    """Residue classes of a diagonal period lattice in Z^d."""
+    """Residue classes of a diagonal period lattice in Z^d, with the
+    _int_shape of the reduced residues."""
 
     period: tuple[int, ...]
     residues: tuple[tuple[int, ...], ...] = ()
@@ -70,6 +90,7 @@ class PeriodicDiscrete:
             reduced.add(tuple(c % m for c, m in zip(r, period)))
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "residues", tuple(sorted(reduced)))
+        object.__setattr__(self, "_shape", _int_shape(self.residues))
 
     @classmethod
     def line(cls, period: int, residues) -> "PeriodicDiscrete":
@@ -293,15 +314,18 @@ def discrete_quotient(s, group: GroupSpec):
     """(quotient, sorted indices of s in it, lift of quotient elements to group
     elements) or None: ExplicitFinite on FiniteAbelian, PeriodicDiscrete on
     ZLattice (FiniteAbelian(period)), both lifted as the same int tuples, or
-    CylinderSet on a chain (H_depth, lifted by _strip). Elements are checked,
-    and the order held to Caps.enumeration, before any index is built."""
+    CylinderSet on a chain (H_depth, lifted by _strip). Elements are checked
+    (check_points), and the order held to Caps.enumeration, before any index
+    is built."""
     if isinstance(group, FiniteAbelian) and isinstance(s, ExplicitFinite):
         check_enumeration(group.order)
-        return group, [group.index(e) for e in s.elements], tuple
+        points, strides = group.check_points(s.elements, s._shape), group.strides
+        return group, [sum(map(mul, p, strides)) for p in points], tuple
     if isinstance(group, ZLattice) and isinstance(s, PeriodicDiscrete):
         quotient = FiniteAbelian(s.period)
         check_enumeration(quotient.order)
-        return quotient, [quotient.index(group.check(r)) for r in s.residues], tuple
+        points, strides = group.check_points(s.residues, s._shape), quotient.strides
+        return quotient, [sum(map(mul, r, strides)) for r in points], tuple  # reduced: in range
     if isinstance(group, SigmaFiniteChain) and isinstance(s, CylinderSet):
         s.validate_for(group)
         quotient = group.subgroup(group.depth)
@@ -344,6 +368,7 @@ class WeightedDiracs:
             atoms.append((point, weight))
         atoms.sort(key=lambda pw: (_sort_key(pw[0]), pw[1]))
         object.__setattr__(self, "atoms", tuple(atoms))
+        object.__setattr__(self, "_shape", _int_shape([p for p, _ in atoms]))  # of the points
 
 
 def _sort_key(point):
@@ -360,6 +385,9 @@ class MeasureSum:
 
 # ---------------------------------------------------------------------------
 # Minkowski sums
+
+
+_PAIRS_OVER_CAP = "{count} pairs exceed the enumeration cap {cap}"
 
 
 def minkowski_sum(a, b, group: GroupSpec):
@@ -381,21 +409,21 @@ def minkowski_sum(a, b, group: GroupSpec):
 
 def _minkowski_directed(a, b, group):
     if isinstance(a, ExplicitFinite) and isinstance(b, ExplicitFinite):
+        check_enumeration(len(a) * len(b), "the finite Minkowski sum: " + _PAIRS_OVER_CAP)
         return ExplicitFinite(tuple(group.add(x, y) for x in a.elements for y in b.elements))
     if isinstance(a, PeriodicDiscrete) and isinstance(b, PeriodicDiscrete):
         period = tuple(map(lcm, a.period, b.period))
-        ra = _expand_residues(a, period)
-        rb = _expand_residues(b, period)
-        sums = {
-            tuple((x + y) % m for x, y, m in zip(p, q, period)) for p in ra for q in rb
-        }
+        na, nb = (len(s.residues) * prod(p // q for p, q in zip(period, s.period)) for s in (a, b))
+        check_enumeration(na * nb + na + nb, "the lattice Minkowski sum over the lcm period: "
+                                             "{count} residues and pairs exceed the cap {cap}")
+        ra, rb = _expand_residues(a, period), _expand_residues(b, period)
+        sums = {tuple((x + y) % m for x, y, m in zip(p, q, period)) for p in ra for q in rb}
         return PeriodicDiscrete(period, tuple(sums))
     if isinstance(a, PeriodicDiscrete) and isinstance(b, ExplicitFinite):
-        sums = {
-            tuple((x + y) % m for x, y, m in zip(r, e, a.period))
-            for r in a.residues
-            for e in b.elements
-        }
+        check_enumeration(len(a.residues) * len(b), "the lattice-plus-finite Minkowski sum: "
+                                                    + _PAIRS_OVER_CAP)
+        sums = {tuple((x + y) % m for x, y, m in zip(r, e, a.period))
+                for r in a.residues for e in b.elements}
         return PeriodicDiscrete(a.period, tuple(sums))
     if isinstance(a, IntervalUnion) and isinstance(b, IntervalUnion):
         return a.minkowski(b)
@@ -420,11 +448,8 @@ def _minkowski_directed(a, b, group):
 
 def _expand_residues(s: PeriodicDiscrete, period: tuple[int, ...]):
     reps = [range(p // q) for p, q in zip(period, s.period)]
-    out = []
-    for r in s.residues:
-        for mults in product(*reps):
-            out.append(tuple(c + k * q for c, k, q in zip(r, mults, s.period)))
-    return out
+    return [tuple(c + k * q for c, k, q in zip(r, mults, s.period))
+            for r in s.residues for mults in product(*reps)]
 
 
 def _form(s: _Held, D: int):
@@ -451,7 +476,7 @@ def _sum(A, B):
     pairs = len(Ra) * len(Rb) * (g and P // g) + len(Ea) * len(Eb)
     for E, (Q, R, _, M) in cross:
         pairs += len(E) and len(E) * (len(R) * (P // Q if Q else 0) + len(M) * (len(Ea) + len(Eb)))
-    check_enumeration(pairs, "the Minkowski sum: {count} pairs exceed the enumeration cap {cap}")
+    check_enumeration(pairs, "the Minkowski sum: " + _PAIRS_OVER_CAP)
     base = {(x + y) % g for x in Ra for y in Rb} if g else set()
     classes = {r + j for r in base for j in range(0, P, g)} if P != g else set(base)
     if not (Ea or Eb):  # nothing is added, so nothing can be missing
@@ -503,15 +528,14 @@ def difference_set(s, group: GroupSpec, window=None):
     if empty:
         warnings.warn("difference set of an empty set is empty (0 not included)")
     if isinstance(s, ExplicitFinite):
+        check_enumeration(len(s) ** 2, "the finite difference set: " + _PAIRS_OVER_CAP)
         return ExplicitFinite(
             tuple(group.add(x, group.negate(y)) for x in s.elements for y in s.elements)
         )
     if isinstance(s, PeriodicDiscrete):
-        diffs = {
-            tuple((x - y) % m for x, y, m in zip(p, q, s.period))
-            for p in s.residues
-            for q in s.residues
-        }
+        check_enumeration(len(s.residues) ** 2, "the lattice difference set: " + _PAIRS_OVER_CAP)
+        diffs = {tuple((x - y) % m for x, y, m in zip(p, q, s.period))
+                 for p in s.residues for q in s.residues}
         return PeriodicDiscrete(s.period, tuple(diffs))
     if isinstance(s, IntervalUnion):
         return s.difference_set()

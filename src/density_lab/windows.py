@@ -6,10 +6,10 @@ and finite abelian groups alike. It decomposes nu into layers: weighted atoms
 integer tuple period on Z^d), the counting atoms of line configurations
 (PointLayer, in the integer normal form they hold) and, on the line, Haar
 traces (TraceLayer; finite interval unions or periodic patterns), plus the
-accumulation markers of line configurations. Every Dirac point,
-ExplicitFinite element and lattice residue goes through group.check there
-(line configurations are rational by construction), so every layer's atoms
-belong to the group.
+accumulation markers of line configurations. The Dirac points,
+ExplicitFinite elements and lattice residues of each object go through
+group.check_points there (line configurations are rational by
+construction), so every layer's atoms belong to the group.
 
 For a bounded closed window W on the line, the shift function
 f(x) = nu(x + W) is upper semicontinuous and piecewise linear, with
@@ -103,11 +103,9 @@ from .sets import (
     Counting,
     DiracAtZero,
     ExplicitFinite,
-    FinitePoints,
     HaarTrace,
     MeasureSum,
     PeriodicDiscrete,
-    PeriodicPoints,
     WeightedDiracs,
     _Held,
 )
@@ -178,7 +176,8 @@ def _collect(nu, group, layers, acc):
         return
     if isinstance(nu, WeightedDiracs):
         if nu.atoms:
-            layers.append(AtomLayer(None, tuple((group.check(p), w) for p, w in nu.atoms)))
+            points = group.check_points([p for p, _ in nu.atoms], nu._shape)
+            layers.append(AtomLayer(None, tuple(zip(points, [w for _, w in nu.atoms]))))
         return
     if not isinstance(nu, (Counting, HaarTrace)):
         raise PreconditionError(f"unsupported measure: {type(nu).__name__}")
@@ -191,8 +190,8 @@ def _collect(nu, group, layers, acc):
     line = isinstance(group, RealLine)
     trace = line and isinstance(nu, HaarTrace)  # Lebesgue measure restricted to s
     count = line and isinstance(nu, Counting)
-    if trace and isinstance(s, (FinitePoints, PeriodicPoints, ExplicitFinite)):
-        pass  # Lebesgue-null support, the zero measure
+    if trace and isinstance(s, (_Held, ExplicitFinite)):
+        pass  # a countable, Lebesgue-null support: the zero measure
     elif trace and isinstance(s, IntervalUnion):
         if not s.is_empty:
             layers.append(TraceLayer(None, finite=s))
@@ -200,14 +199,14 @@ def _collect(nu, group, layers, acc):
         if not s.pattern.is_empty:
             layers.append(TraceLayer(s.period, periodic=s))
     elif isinstance(s, ExplicitFinite):
-        add(None, [group.check(e) for e in s.elements])
+        add(None, group.check_points(s.elements, s._shape))
     elif count and isinstance(s, _Held):  # the classes, extra, and removed at weight -1
         held(s._period, s._residues)
         held(None, s._extra)
         held(None, s._removed, -1)
         acc.extend(s.accumulation)
     elif isinstance(group, ZLattice) and isinstance(s, PeriodicDiscrete):
-        add(s.period, [group.check(r) for r in s.residues])
+        add(s.period, group.check_points(s.residues, s._shape))
     else:
         raise PreconditionError(
             f"{type(nu).__name__} of {type(s).__name__} is not a measure on {type(group).__name__}"
@@ -613,7 +612,8 @@ def _cube_counts(atoms: dict, axes: list, r: int) -> list[int]:
 def _zd_values(nu, group: ZLattice, window):
     """(Dw, values, at): x -> nu(window + x) at every candidate x, in scan
     order and in units of 1/Dw, and at(i), the i-th candidate. The window
-    is a cube radius r, meaning the offsets [-r, r]^d, or a list of offsets.
+    is a cube radius r, meaning the offsets [-r, r]^d, or an ExplicitFinite
+    of offsets (checked once, by check_points).
 
     The candidates: the period torus in row-major order when every layer is
     periodic; the line scan's (_scaled_scan) when periodic and finite layers
@@ -624,7 +624,7 @@ def _zd_values(nu, group: ZLattice, window):
     layers, _ = measure_layers(nu, group)
     cube = isinstance(window, int)
     if not cube:
-        window = [group.check(w) for w in window]
+        window = group.check_points(window.elements, window._shape)
     periodic = [l for l in layers if l.period is not None]
     if periodic and len(periodic) < len(layers):
         if group.dimension != 1:
@@ -694,7 +694,7 @@ def zd_shift_sup(nu, group: ZLattice, r: int) -> ShiftScan:
 def zd_threshold_witness(nu, group: ZLattice, window: ExplicitFinite, threshold: Fraction):
     """Least candidate x with nu(window + x) >= threshold (None if none does),
     and the ShiftScan of x -> nu(window + x) over the candidates of _zd_values."""
-    return _zd_scan(nu, group, window.elements, threshold)
+    return _zd_scan(nu, group, window, threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,15 @@ from typing import Optional
 from density_lab import (
     AccumulationPoint,
     CoverResult,
+    Counting,
     ExplicitFinite,
     FiniteAbelian,
     FinitePoints,
+    HaarTrace,
     IntervalUnion,
+    MeasureSum,
     PartitionResult,
+    PeriodicDiscrete,
     PeriodicPattern,
     PeriodicPoints,
     PerturbedLattice,
@@ -24,6 +28,7 @@ from density_lab import (
     SigmaFiniteChain,
     SyndeticCertificate,
     VerificationError,
+    WeightedDiracs,
     ZLattice,
     auto_H,
     difference_set,
@@ -33,7 +38,14 @@ from density_lab import (
 from density_lab.config import check_enumeration
 from density_lab.groups import _strip, bits
 from density_lab.rational import common_scale, frac_lcm, is_infinite, rat
-from density_lab.sets import WindowedDifferenceSet, _canonical, discrete_quotient
+from density_lab.intervals import gaps_within
+from density_lab.sets import (
+    DiracAtZero,
+    WindowedDifferenceSet,
+    _canonical,
+    _Held,
+    discrete_quotient,
+)
 from density_lab.structure import (
     _configuration,
     _first_fit,
@@ -43,7 +55,10 @@ from density_lab.structure import (
 )
 from density_lab.windows import (
     CENTERS_OVER_CAP,
+    AtomLayer,
+    PointLayer,
     ShiftScan,
+    TraceLayer,
     _IntLayer,
     _scaled_scan,
     _zd_mass_at,
@@ -734,3 +749,116 @@ def combinations_least_cover(covers, n):
             if mask == full:
                 return list(combo)
     return None
+
+
+# ---------------------------------------------------------------------------
+# the discrete kernels before discrete objects held their checked shape, kept
+# verbatim as the oracles for what replaced them: translates by a div, a mod
+# and a multiply per element per axis; every Dirac point, ExplicitFinite
+# element and lattice residue through group.check on every walk and quotient;
+# and the line syndetic check's zone as Fractions and one IntervalUnion
+
+
+def translate_at(group: FiniteAbelian, k, at) -> list[int]:
+    """FiniteAbelian._translate_at by index arithmetic on every stride."""
+    out = [0] * len(at)
+    for c, m, s in zip(k, group.moduli, group.strides):
+        out = [o + (i // s + c) % m * s for o, i in zip(out, at)]
+    return out
+
+
+def per_element_quotient(s, group):
+    """The discrete branches of sets.discrete_quotient, each point checked."""
+    if isinstance(group, FiniteAbelian) and isinstance(s, ExplicitFinite):
+        check_enumeration(group.order)
+        return group, [group.index(e) for e in s.elements], tuple
+    if isinstance(group, ZLattice) and isinstance(s, PeriodicDiscrete):
+        quotient = FiniteAbelian(s.period)
+        check_enumeration(quotient.order)
+        return quotient, [quotient.index(group.check(r)) for r in s.residues], tuple
+    raise PreconditionError("not a discrete quotient")
+
+
+def per_element_layers(nu, group):
+    """windows.measure_layers, each point checked, as it was when a Haar
+    trace of a perturbed or eventually periodic configuration was refused."""
+    layers, acc = [], []
+    _per_element_collect(nu, group, layers, acc)
+    return layers, tuple(acc)
+
+
+def _per_element_collect(nu, group, layers, acc):
+    def add(period, points, weight=Fraction(1)):
+        if points:
+            layers.append(AtomLayer(period, tuple((p, weight) for p in points)))
+
+    if isinstance(nu, MeasureSum):
+        for c in nu.components:
+            _per_element_collect(c, group, layers, acc)
+        return
+    if isinstance(nu, DiracAtZero):
+        add(None, (group.zero(),))
+        return
+    if isinstance(nu, WeightedDiracs):
+        if nu.atoms:
+            layers.append(AtomLayer(None, tuple((group.check(p), w) for p, w in nu.atoms)))
+        return
+    if not isinstance(nu, (Counting, HaarTrace)):
+        raise PreconditionError(f"unsupported measure: {type(nu).__name__}")
+    s = nu.of
+
+    def held(P, positions, weight=1):  # a line configuration's ints over its D
+        if positions:
+            layers.append(PointLayer(s._D, P, positions, weight))
+
+    line = isinstance(group, RealLine)
+    trace = line and isinstance(nu, HaarTrace)  # Lebesgue measure restricted to s
+    count = line and isinstance(nu, Counting)
+    if trace and isinstance(s, (FinitePoints, PeriodicPoints, ExplicitFinite)):
+        pass  # Lebesgue-null support, the zero measure
+    elif trace and isinstance(s, IntervalUnion):
+        if not s.is_empty:
+            layers.append(TraceLayer(None, finite=s))
+    elif trace and isinstance(s, PeriodicPattern):
+        if not s.pattern.is_empty:
+            layers.append(TraceLayer(s.period, periodic=s))
+    elif isinstance(s, ExplicitFinite):
+        add(None, [group.check(e) for e in s.elements])
+    elif count and isinstance(s, _Held):  # the classes, extra, and removed at weight -1
+        held(s._period, s._residues)
+        held(None, s._extra)
+        held(None, s._removed, -1)
+        acc.extend(s.accumulation)
+    elif isinstance(group, ZLattice) and isinstance(s, PeriodicDiscrete):
+        add(s.period, [group.check(r) for r in s.residues])
+    else:
+        raise PreconditionError(
+            f"{type(nu).__name__} of {type(s).__name__} is not a measure on {type(group).__name__}"
+        )
+
+
+def fraction_syndetic_line(S, K, group=RealLine()):
+    """The line branch of additive.syndetic_check."""
+    held = isinstance(S, _Held) and S._period and not S.accumulation
+    if not (held or isinstance(S, PeriodicPattern)):
+        raise PreconditionError("line syndetic checks need a periodic S")
+    if not isinstance(K, (FinitePoints, IntervalUnion)):
+        raise PreconditionError("line translate sets are points or interval unions")
+    classes = _canonical(S._D, S._period, S._residues) if held else S
+    summed = minkowski_sum(classes, K, group)
+    if not isinstance(summed, PeriodicPattern):
+        raise PreconditionError("S + K must have positive measure to cover the line")
+    gap = next(gaps_within(summed.pattern.intervals, 0, summed.period), None)
+    F = held and S._extra + S._removed  # the points S adds or removes
+    if gap is None and F:
+        # a point x that S + K misses has every class point of x - K
+        # removed, so x lies in M + K, inside the zone [lo, hi]
+        lo = Fraction(min(F), S._D) + K.inf - summed.period
+        hi = Fraction(max(F), S._D) + K.sup + summed.period
+        near = S.materialize(lo - K.sup, hi - K.inf)
+        covered = IntervalUnion(tuple((s + a, s + b) for s in near for a, b in K.intervals))
+        gap = next(gaps_within(covered.intervals, lo, hi), None)
+    if gap is None:
+        return SyndeticCertificate(K, True, summed)
+    a, b = gap
+    return SyndeticCertificate(K, False, (a + b) / 2)

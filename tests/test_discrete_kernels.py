@@ -1,0 +1,223 @@
+"""The discrete kernels on held int tuples: the per-axis translate tables
+against the index arithmetic they replaced, the per-object check
+(check_points) against check point by point, directly and through every
+caller, and the caps of the discrete difference sets and Minkowski sums."""
+
+import random
+import time
+from fractions import Fraction
+from math import prod
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from density_lab import (
+    CapExceededError,
+    Counting,
+    ExplicitFinite,
+    FiniteAbelian,
+    MeasureSum,
+    PeriodicDiscrete,
+    RealLine,
+    SigmaFiniteChain,
+    WeightedDiracs,
+    ZLattice,
+    difference_set,
+    kahane_oracle_finite,
+    minkowski_sum,
+    syndetic_check,
+    to_jsonable,
+)
+from density_lab import sets
+from density_lab.groups import all_finite_abelian_up_to
+from density_lab.sets import _int_shape, discrete_quotient
+from density_lab.windows import measure_layers
+from oracles import (
+    per_element_layers,
+    per_element_quotient,
+    syndetic_check_finite,
+    translate_at,
+)
+
+
+def outcome(f):
+    """("ok", f()) or (the exception's type, its message)."""
+    try:
+        return "ok", f()
+    except Exception as exc:  # the parity tests compare whatever is raised
+        return type(exc), str(exc)
+
+
+def test_translate_tables_match_the_index_arithmetic_on_every_small_presentation():
+    for G in all_finite_abelian_up_to(12):
+        elements = G.elements()
+        at = list(range(G.order))[::-1][::2]
+        for k in elements + [tuple(-3 * c - 1 for c in G.zero())]:
+            want = [G.index(tuple((a + c) % m for a, c, m in zip(e, k, G.moduli)))
+                    for e in elements]
+            assert G.translate(k) == want == translate_at(G, k, range(G.order))
+            assert G._translate_at(k, at) == translate_at(G, k, at)
+
+
+moduli = st.lists(st.integers(1, 40), max_size=4).filter(lambda ms: prod(ms) <= 2000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(moduli, st.randoms(use_true_random=False))
+def test_translate_tables_match_the_index_arithmetic_on_random_moduli(ms, rng):
+    G = FiniteAbelian(tuple(ms))
+    k = tuple(rng.randint(-100, 100) for _ in ms)
+    assert G.translate(k) == translate_at(G, k, range(G.order))
+    at = [rng.randrange(G.order) for _ in range(rng.randint(0, 50))]
+    assert G._translate_at(k, at) == translate_at(G, k, at)
+
+
+def test_the_translate_table_of_a_200_by_200_torus():
+    G = FiniteAbelian((200, 200))
+    assert G.translate((37, -5)) == translate_at(G, (37, -5), range(G.order))
+
+
+def test_constructors_record_the_shape_of_exact_int_tuples_only():
+    assert ExplicitFinite(((1, 2), (3, 4)))._shape == 2
+    assert ExplicitFinite(((),))._shape == 0
+    for points in ((1, 2), ((True, 0),), ((Fraction(1), 0),), ((1,), (1, 2)), ()):
+        assert ExplicitFinite(points)._shape is None
+    assert PeriodicDiscrete((3,), ((True,), (4,)))._shape == 1  # reduced to ints
+    assert PeriodicDiscrete((3,), ((Fraction(1, 2),),))._shape is None
+    assert WeightedDiracs((((0, 1), 1), ((2, 3), 2)))._shape == 2
+    assert WeightedDiracs(((Fraction(1, 2), 1),))._shape is None
+    # the record is no field: equality, hashing, repr and the report form ignore it
+    a, b = ExplicitFinite(((1, 0),)), ExplicitFinite(((True, 0),))
+    assert a == b and hash(a) == hash(b) and a._shape != b._shape
+    assert "_shape" not in repr(a) and to_jsonable(a) == {"type": "ExplicitFinite",
+                                                          "elements": [[1, 0]]}
+
+
+coordinates = st.one_of(st.integers(-2, 5), st.booleans(), st.sampled_from(
+    (Fraction(1, 2), Fraction(2))))
+points = st.one_of(coordinates, st.lists(coordinates, max_size=3),
+                   st.lists(coordinates, max_size=3).map(tuple),
+                   st.lists(st.integers(-1, 4), min_size=2, max_size=2).map(tuple))
+GROUPS = (ZLattice(1), ZLattice(2), FiniteAbelian((3,)), FiniteAbelian((2, 3)),
+          FiniteAbelian(()), RealLine(), SigmaFiniteChain((2, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(GROUPS), st.lists(points, max_size=5))
+def test_check_points_is_check_point_by_point(group, ps):
+    got = outcome(lambda: list(group.check_points(ps, _int_shape(ps))))
+    assert got == outcome(lambda: [group.check(p) for p in ps])
+
+
+Z1, Z2, G23, G5 = ZLattice(1), ZLattice(2), FiniteAbelian((2, 3)), FiniteAbelian((5,))
+# (group, points): held or not, each converted or refused as check does it
+CASES = [
+    (Z1, (3, 1, 2)),  # bare ints on Z
+    (Z2, ((0, 1), (2, 3))),
+    (Z2, ((True, 0), (2, 3))),
+    (Z2, ((Fraction(1, 2), 0),)),
+    (Z2, ((0, 0), (1, 2, 3))),  # one point of the wrong dimension
+    (Z2, ((1, 2, 3), (4, 5, 6))),  # a held shape of the wrong dimension
+    (G23, ((0, 1), (1, 2))),
+    (G23, ((0, 0), (1, 5), (1, 3))),  # the first out of range is refused
+    (G23, ((-1, 0),)),
+    (G23, ((True, 1),)),
+    (G23, ((Fraction(1), 1),)),
+    (G23, ((1,),)),
+    (G5, (4, 1)),
+    (G5, ((4,), (5,))),
+]
+GOOD = {Z1: ((0,),), Z2: ((0, 0),), G23: ((0, 0),), G5: ((0,),)}
+
+
+def _measures(group, ps):
+    weighted = WeightedDiracs(tuple((p, i + 1) for i, p in enumerate(ps)))
+    good = Counting(ExplicitFinite(GOOD[group]))
+    return [Counting(ExplicitFinite(ps)), weighted, MeasureSum((good, weighted))]
+
+
+@pytest.mark.parametrize("group, ps", CASES)
+def test_every_caller_checks_as_check_did(group, ps):
+    for nu in _measures(group, ps):
+        assert outcome(lambda: measure_layers(nu, group)) == outcome(
+            lambda: per_element_layers(nu, group))
+        if isinstance(group, FiniteAbelian):
+            want = outcome(lambda: per_element_layers(nu, group))
+            got = outcome(lambda: kahane_oracle_finite(nu, group))
+            assert got[0] == want[0] and (got[0] == "ok" or got == want)
+    if isinstance(group, FiniteAbelian):
+        S, good = ExplicitFinite(ps), ExplicitFinite(GOOD[group])
+    else:  # residues of one length, which need not be the lattice's
+        dims = {len(p) if isinstance(p, tuple) else None for p in ps}
+        S = PeriodicDiscrete((3,) * dims.pop(), ps) if len(dims) == 1 and None not in dims else None
+        good = PeriodicDiscrete((3,) * group.dimension, GOOD[group])
+    K, goodK = ExplicitFinite(ps), ExplicitFinite(GOOD[group])
+    for s, k in ((S, goodK), (good, K)):
+        if s is None:  # bare ints or mixed lengths make no residues
+            continue
+        got = outcome(lambda: discrete_quotient(s, group)[:2])
+        assert got == outcome(lambda: per_element_quotient(s, group)[:2])
+
+        def oracle():
+            per_element_quotient(s, group)
+            [group.check(x) for x in k.elements]
+            return syndetic_check_finite(s, k, group)
+
+        assert outcome(lambda: syndetic_check(s, k, group)) == outcome(oracle)
+
+
+class _NoPairs(ZLattice):
+    """Z whose add fails: a refusal under it came before any pair was built."""
+
+    def add(self, g, h):
+        raise AssertionError("a pair was built before the cap")
+
+
+def test_the_finite_difference_set_counts_its_pairs_before_it_builds_them():
+    S = ExplicitFinite(tuple((i,) for i in range(1025)))  # 1025^2 pairs > 2^20
+    with pytest.raises(CapExceededError, match="finite difference set: 1050625 pairs"):
+        difference_set(S, _NoPairs(1))
+
+
+def test_the_lattice_difference_set_counts_its_pairs_before_it_builds_them():
+    S = PeriodicDiscrete.line(8000, range(4000))  # 1.6 * 10^7 residue pairs
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="lattice difference set"):
+        difference_set(S, Z1)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_finite_minkowski_sum_counts_its_pairs_before_it_builds_them():
+    A = ExplicitFinite(tuple((i,) for i in range(1100)))
+    B = ExplicitFinite(tuple((i,) for i in range(1000)))
+    with pytest.raises(CapExceededError, match="finite Minkowski sum: 1100000 pairs"):
+        minkowski_sum(A, B, _NoPairs(1))
+
+
+def test_the_lattice_minkowski_sum_counts_before_it_expands(monkeypatch):
+    def expand(*args):
+        raise AssertionError("residues expanded before the cap")
+
+    monkeypatch.setattr(sets, "_expand_residues", expand)
+    a, b = PeriodicDiscrete.line(1031, [0]), PeriodicDiscrete.line(1033, [0])
+    with pytest.raises(CapExceededError, match="lattice Minkowski sum over the lcm period"):
+        minkowski_sum(a, b, Z1)
+
+
+def test_the_lattice_plus_finite_minkowski_sum_counts_its_pairs_first():
+    a = PeriodicDiscrete.line(4000, range(4000))
+    b = ExplicitFinite(tuple((i,) for i in range(1000)))  # 4 * 10^6 pairs
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="lattice-plus-finite Minkowski sum"):
+        minkowski_sum(a, b, Z1)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_capped_sites_still_sum_what_fits():
+    rng = random.Random(5)
+    xs = tuple((rng.randint(-9, 9),) for _ in range(12))
+    assert difference_set(ExplicitFinite(xs), Z1) == ExplicitFinite(
+        tuple((a - b,) for (a,) in xs for (b,) in xs))
+    a, b = PeriodicDiscrete.line(4, [1]), PeriodicDiscrete.line(6, [0])
+    assert minkowski_sum(a, b, Z1) == PeriodicDiscrete.line(12, [1, 3, 5, 7, 9, 11])
+    assert minkowski_sum(a, ExplicitFinite(((2,), (3,))), Z1) == PeriodicDiscrete.line(4, [0, 3])

@@ -32,7 +32,7 @@ from density_lab import (
 from density_lab.cli import main
 from density_lab.instances import parse_instance
 from density_lab.sets import _points_within
-from oracles import fraction_difference_set, per_type_minkowski
+from oracles import fraction_difference_set, fraction_syndetic_line, per_type_minkowski
 
 R = RealLine()
 ZONE = 6  # every added or removed point lies in [-ZONE, ZONE]
@@ -124,6 +124,21 @@ def test_syndetic_check_looks_at_the_points_the_classes_do_not_show():
     assert gaps == ((Fraction(-1, 3), 0), (Fraction(1, 3), Fraction(2, 3)))
     assert not cert.verified and cert.covering_witness == Fraction(-1, 6)
     assert syndetic_check(d, IntervalUnion.closed(0, Fraction(2, 3)), R).verified
+
+
+quarters = st.integers(-8, 8).map(lambda n: Fraction(n, 4))
+translate_sets = st.lists(st.tuples(st.one_of(thirds, quarters), st.sampled_from(
+    (0, Fraction(1, 5), Fraction(1, 2), 1, Fraction(3, 2), 2))), min_size=1, max_size=2).map(
+    lambda ps: IntervalUnion(tuple((a, a + n) for a, n in ps)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(periodic_points, perturbed_lattices,
+                 perturbed_lattices.map(lambda s: difference_set(s, R))), translate_sets)
+@example(difference_set(THIRD, R), IntervalUnion.closed(0, Fraction(1, 3)))
+@example(difference_set(THIRD, R), IntervalUnion.closed(0, Fraction(2, 3)))
+def test_the_int_zone_check_matches_the_fraction_zone_check(S, K):
+    assert syndetic_check(S, K, R) == fraction_syndetic_line(S, K)
 
 
 @pytest.mark.parametrize("s", [

@@ -32,6 +32,7 @@ from density_lab import (
     ZLattice,
     real_mass,
     real_shift_sup,
+    translate_set,
     zd_shift_sup,
 )
 from density_lab.density import CustomK
@@ -204,7 +205,6 @@ CYLINDER = Counting(CylinderSet(1, ((0,),)))
     [
         (Counting(PeriodicDiscrete.line(3, [0])), FiniteAbelian((3,))),
         (Counting(IntervalUnion.closed(0, 1)), R),
-        (HaarTrace(PerturbedLattice(1, extra=(Fraction(1, 2),))), R),
         (HaarTrace(PeriodicPattern.from_pairs(1, [(0, Fraction(1, 2))])), ZLattice(2)),
         (CYLINDER, R),
         (CYLINDER, ZLattice(1)),
@@ -225,10 +225,15 @@ def test_lattice_residues_must_match_the_dimension():
 
 
 def test_haar_trace_of_points_on_line_has_no_layers():
+    lattice = PerturbedLattice(1, extra=(Fraction(1, 2),))
+    shifted = translate_set(lattice, Fraction(1, 3), R)
+    assert type(shifted).__name__ == "EventuallyPeriodicPoints"
     for s in (
         FinitePoints((Fraction(1), Fraction(2))),
         PeriodicPoints(Fraction(1), (Fraction(0),)),
         ExplicitFinite((Fraction(1),)),
+        lattice,  # countable, so Lebesgue-null like the rest
+        shifted,
     ):
         assert measure_layers(HaarTrace(s), R) == ([], ())
 

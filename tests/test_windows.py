@@ -205,6 +205,8 @@ CYLINDER = Counting(CylinderSet(1, ((0,),)))
     [
         (Counting(PeriodicDiscrete.line(3, [0])), FiniteAbelian((3,))),
         (Counting(IntervalUnion.closed(0, 1)), R),
+        # a Lebesgue trace is only defined on the line; on R it is the zero measure
+        (HaarTrace(PerturbedLattice(1, extra=(Fraction(1, 2),))), ZLattice(1)),
         (HaarTrace(PeriodicPattern.from_pairs(1, [(0, Fraction(1, 2))])), ZLattice(2)),
         (CYLINDER, R),
         (CYLINDER, ZLattice(1)),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from math import prod
 from operator import mul
 from typing import Optional, Union
@@ -269,38 +270,42 @@ def classical_upper_density(A, group: ZLattice) -> DensityReport:
 # exact inf-sup oracle on small finite groups
 
 
-def _finite_group_tables(group: FiniteAbelian):
-    """(elements, translate): translate[g][V] is the mask of V + g. The inf-sup
-    loops on them evaluate up to (2^n - 1)^2 (C, V) ratios, a count held to
-    the enumeration cap (n <= 10) before the n * 2^n entries are allocated."""
+def _leader_sums(group: FiniteAbelian):
+    """(elements, sums): sums(C) lists the mask of C + V for every mask V, one
+    doubling pass over the masks C + g (translates). The search evaluates up
+    to (2^n - 1)^2 (C, V) ratios, held to the enumeration cap (n <= 10)
+    before anything is allocated."""
     n = group.order
     pairs = (2 ** min(n, 64) - 1) ** 2  # past n = 64 it is over any cap in use
     check_enumeration(pairs, f"the inf-sup oracle on order {n}: (2^{n} - 1)^2 (C, V) pairs "
                              "exceed the enumeration cap {cap}")
     elems = group.elements()
-    translate = []
-    for g in elems:
-        table = [0]
-        for i in group.translate(g):
-            bit = 1 << i
-            table += [t | bit for t in table]
-        translate.append(table)
-    return elems, translate
+
+    def sums(C):
+        union = [0]
+        for t in group.translates(C):
+            union += [u | t for u in union]
+        return union
+
+    return elems, sums
 
 
 def _point_masses(nu, group: FiniteAbelian):
-    masses = [Fraction(0)] * group.order
-    strides = group.strides
-    for layer in measure_layers(nu, group)[0]:
-        for p, w in layer.atoms:  # checked by measure_layers: index by the strides
-            masses[sum(map(mul, p, strides))] += w
-    return masses
+    """(D, masses): the mass of each element index as an int over D, the lcm
+    of the atoms' weight denominators (one common_scale, then int sums)."""
+    atoms = [a for layer in measure_layers(nu, group)[0] for a in layer.atoms]
+    D, weights = common_scale(w for _, w in atoms)
+    masses, strides = [0] * group.order, group.strides
+    for (p, _), w in zip(atoms, weights):  # checked by measure_layers: index by the strides
+        masses[sum(map(mul, p, strides))] += w
+    return D, masses
 
 
 def kahane_oracle_finite(nu, group: FiniteAbelian, cap: int = DEFAULT_CAPS.oracle_order):
     """Exact inf over nonempty C of sup over nonempty V of nu(V)/#(C+V), by
     branch-and-bound over one C per translation class against the bound
-    nu(G)/|G| that C = G attains (see _inf_sup).
+    nu(G)/|G| that C = G attains (see _inf_sup), on int point masses. Only
+    the leaders it scans get their sum masks (_leader_sums).
 
     Returns (value, witness C, witness V): C is the first minimizer and V its
     least maximizer in mask order, the pair a full enumeration of every
@@ -309,39 +314,36 @@ def kahane_oracle_finite(nu, group: FiniteAbelian, cap: int = DEFAULT_CAPS.oracl
     n = group.order
     if n > cap:
         raise CapExceededError(f"group order {n} exceeds the oracle cap {cap}")
-    elems, translate = _finite_group_tables(group)
-    masses = _point_masses(nu, group)
-    D, weights = common_scale(masses)
+    elems, sums = _leader_sums(group)
+    D, masses = _point_masses(nu, group)
     nu_of = [0]
-    for w in weights:
+    for w in masses:
         nu_of += [x + w for x in nu_of]
-    num, den, C, V = _inf_sup(nu_of, translate)
-    value = Fraction(num, D * den)
-    witness_c = ExplicitFinite(tuple(elems[i] for i in bits(C)))
-    witness_v = ExplicitFinite(tuple(elems[i] for i in bits(V)))
-    return value, witness_c, witness_v
+    num, den, C, V = _inf_sup(nu_of, sums)
+    witness_c, witness_v = (ExplicitFinite(tuple(elems[i] for i in bits(m))) for m in (C, V))
+    return Fraction(num, D * den), witness_c, witness_v
 
 
-def _inf_sup(nu_of, translate):
+def _inf_sup(nu_of, sums):
     """(num, den, C, V) with num/den the inf over nonempty masks C of the sup
     over nonempty masks V of nu_of[V]/#(C+V), C the first minimizer and V its
-    least maximizer in mask order. nu_of is nonnegative.
+    least maximizer in mask order. nu_of is nonnegative; sums(C) lists the
+    mask of C + V for every mask V, and is only read.
 
     The search is exact. V = G gives every C the ratio nu(G)/|G|, and C = G
     attains it (#(G+V) = |G|), so the inf is nu(G)/|G| and C is the first
     mask with no V above it. #((C+g)+V) = #(C+V), so the translates of C
     share its sup and that C is the least mask of its translation class:
-    only that leader is scanned, and it marks its class seen. A leader is
-    dropped at the first V with nu(V)/#(C+V) > nu(G)/|G|. Two counting
-    bounds follow from #(C+V) >= max(|C|, |V|). An atom v with nu(v)/|C|
-    above nu(G)/|G| drops C and every translate of it (they have |C|
-    elements too), so such a C is skipped unscanned. A V with nu(V)/|V|
-    below nu(G)/|G| can neither drop a leader nor tie, so the pass skips it
-    without forming C+V. The V that dropped the last scanned leader is tried
-    first; then one pass over V in decreasing nu(V) ends at nu(V) < |C|
-    nu(G)/|G|, keeping the least V of ratio nu(G)/|G|. Which V drops a
-    leader does not change the result. The first leader not dropped is
-    returned.
+    only that leader gets its sums, and it marks its class (the sums of the
+    V = {g}) seen. A leader is dropped at the first V with nu(V)/#(C+V) >
+    nu(G)/|G|. Two counting bounds follow from #(C+V) >= max(|C|, |V|). An
+    atom v with nu(v)/|C| above nu(G)/|G| drops C and every translate of it
+    (they have |C| elements too), so such a C is skipped unscanned. A V with
+    nu(V)/|V| below nu(G)/|G| can neither drop a leader nor tie, so the pass
+    skips it. The V that dropped the last scanned leader is tried first;
+    then one pass over V in decreasing nu(V) ends at nu(V) < |C| nu(G)/|G|,
+    keeping the least V of ratio nu(G)/|G|. Which V drops a leader does not
+    change the result. The first leader not dropped is returned.
     """
     size = len(nu_of)
     top, n = nu_of[size - 1], (size - 1).bit_count()
@@ -352,15 +354,12 @@ def _inf_sup(nu_of, translate):
     for C in range(1, size):
         if seen[C] or atom * n > top * C.bit_count():
             continue
-        for t in translate:
-            seen[t[C]] = 1
-        shifts = [translate[i] for i in bits(C)]
-        u = 0
-        for t in shifts:
-            u |= t[killer]
-        if nu_of[killer] * n > top * u.bit_count():
+        union = sums(C)  # union[V]: the mask of C + V
+        for i in range(n):
+            seen[union[1 << i]] = 1
+        if nu_of[killer] * n > top * union[killer].bit_count():
             continue
-        least = top * len(shifts)
+        least = top * C.bit_count()
         sup_den, sup_V = n, size - 1
         for V in by_nu:
             num = nu_of[V] * n
@@ -368,10 +367,7 @@ def _inf_sup(nu_of, translate):
                 break
             if num < top * V.bit_count():
                 continue
-            u = 0
-            for t in shifts:
-                u |= t[V]
-            den = u.bit_count()
+            den = union[V].bit_count()
             if num > top * den:
                 killer, sup_V = V, 0  # C is dropped
                 break
@@ -385,24 +381,23 @@ def oracle_counting_sweep(group: FiniteAbelian):
     """Verify, for EVERY subset A, that the exact inf-sup equals |A|/|G| and
     that its witness C attains it: a plain scan of every nonempty V, with
     none of the search's cuts, looks for a V with |A cap V|/#(C+V) above
-    |A|/|G|, C+V built from the translate tables.
+    |A|/|G|, C+V read from the sum masks of C. The 2^n searches share
+    their leaders, so each leader's sum masks are formed once per call.
 
     Returns the list of mismatches (group, A, got, expected, C, V), V the
     first V above the bound or None (empty on success), and the subset count.
     """
     n = group.order
-    _, translate = _finite_group_tables(group)
+    sums = cache(_leader_sums(group)[1])  # the 2^n searches share leaders
     size = 1 << n
     mismatches = []
     for A in range(size):
         nu_of = [(A & V).bit_count() for V in range(size)]
-        num, den, C, _ = _inf_sup(nu_of, translate)
+        num, den, C, _ = _inf_sup(nu_of, sums)
         got = Fraction(num, den)
         top = A.bit_count()
         expect = Fraction(top, n)
-        CV = [0]  # CV[V]: the mask of C + V, the union of C + v over v in V
-        for t in translate:
-            CV += [u | t[C] for u in CV]
+        CV = sums(C)  # CV[V]: the mask of C + V
         above = next((V for V in range(1, size) if nu_of[V] * n > top * CV[V].bit_count()), None)
         if got != expect or above is not None:
             mismatches.append((group, A, got, expect, C, above))

@@ -15,7 +15,8 @@ A subset X is one int, its mask, whose bit i is set iff element(i) lies in X
 (mask_of builds it, bits lists it). shift(mask, k) is the mask of X + k: on
 each axis the cells whose coordinate stays below the modulus move up by
 c * stride bits and the others wrap down, two masked big-int shifts, so a
-translate costs a few operations on order bits per axis. translate(k) is
+translate costs a few operations on order bits per axis; translates(mask)
+makes every shift of X, axis by axis, in element order. translate(k) is
 the same map as a list of indices, one int per element, built from one short
 list per axis; _translate_at(k, at) gives its entries at the indices at by
 index arithmetic, with no division on the last axis (stride 1). check_points
@@ -155,6 +156,16 @@ class FiniteAbelian:
             lo = (rep << up) - rep  # rep * (2^up - 1): the first m - c cells of every run
             mask = (mask & lo) << c * s | (mask & ~lo) >> up
         return mask
+
+    def translates(self, mask: int) -> list[int]:
+        """[shift(mask, g) for g in elements()]: every shift of the masks so
+        far along one axis after another, so the list comes out row-major."""
+        check_enumeration(self.order)
+        out = [mask]
+        for m, s, rep in zip(self.moduli, self.strides, self._repeats):
+            cuts = [((rep << (m - c) * s) - rep, c * s, (m - c) * s) for c in range(m)]
+            out = [(x & lo) << up | (x & ~lo) >> down for x in out for lo, up, down in cuts]
+        return out
 
     def translate(self, k) -> list[int]:
         """[index(e + k) for e in elements()], for any integer tuple k (reduced

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import floor
 from typing import Iterable
 
+from .config import check_enumeration
 from .errors import PreconditionError
 from .rational import rat
 
@@ -239,6 +240,8 @@ class PeriodicPattern:
         ratio = period / self.period
         if ratio.denominator != 1 or ratio < 1:
             raise PreconditionError("new period must be an integer multiple")
+        check_enumeration(int(ratio) * len(self.pattern.intervals),
+                          "the expanded pattern: {count} pieces exceed the cap {cap}")
         pieces = []
         for k in range(int(ratio)):
             shift = k * self.period

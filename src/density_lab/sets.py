@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import ceil, floor, gcd, lcm, prod
-from operator import lt, mul
+from operator import add, lt, mod, mul, sub
 from typing import Union
 
 from .config import check_enumeration
@@ -410,7 +410,7 @@ def minkowski_sum(a, b, group: GroupSpec):
 def _minkowski_directed(a, b, group):
     if isinstance(a, ExplicitFinite) and isinstance(b, ExplicitFinite):
         check_enumeration(len(a) * len(b), "the finite Minkowski sum: " + _PAIRS_OVER_CAP)
-        return ExplicitFinite(tuple(group.add(x, y) for x in a.elements for y in b.elements))
+        return _pairwise(a, b, group, add)
     if isinstance(a, PeriodicDiscrete) and isinstance(b, PeriodicDiscrete):
         period = tuple(map(lcm, a.period, b.period))
         na, nb = (len(s.residues) * prod(p // q for p, q in zip(period, s.period)) for s in (a, b))
@@ -444,6 +444,26 @@ def _minkowski_directed(a, b, group):
         pieces = tuple((r + lo, r + hi) for r in a.residues for lo, hi in b.intervals)
         return PeriodicPattern(a.period, IntervalUnion(pieces))
     return NotImplemented
+
+
+def _pairwise(a: ExplicitFinite, b: ExplicitFinite, group, op) -> ExplicitFinite:
+    """The points x op y (op add or sub) over the pairs of a and b: on Z^d and
+    a finite group int tuples (mod the moduli) after one check_points per
+    operand, a's first point first, as group.add per pair refuses; on the
+    line and a chain group.add (and group.negate) per pair."""
+    if not (a and b):  # no pair: nothing is checked
+        return ExplicitFinite()
+    if not isinstance(group, (ZLattice, FiniteAbelian)):
+        neg = group.negate if op is sub else None
+        return ExplicitFinite(tuple(group.add(x, neg(y) if neg else y)
+                                    for x in a.elements for y in b.elements))
+    group.check(a.elements[0])
+    ys = group.check_points(b.elements, b._shape)
+    xs = ys if a is b else group.check_points(a.elements, a._shape)
+    if isinstance(group, FiniteAbelian):
+        ms = group.moduli
+        return ExplicitFinite(tuple(tuple(map(mod, map(op, x, y), ms)) for x in xs for y in ys))
+    return ExplicitFinite(tuple(tuple(map(op, x, y)) for x in xs for y in ys))
 
 
 def _expand_residues(s: PeriodicDiscrete, period: tuple[int, ...]):
@@ -529,9 +549,7 @@ def difference_set(s, group: GroupSpec, window=None):
         warnings.warn("difference set of an empty set is empty (0 not included)")
     if isinstance(s, ExplicitFinite):
         check_enumeration(len(s) ** 2, "the finite difference set: " + _PAIRS_OVER_CAP)
-        return ExplicitFinite(
-            tuple(group.add(x, group.negate(y)) for x in s.elements for y in s.elements)
-        )
+        return _pairwise(s, s, group, sub)
     if isinstance(s, PeriodicDiscrete):
         check_enumeration(len(s.residues) ** 2, "the lattice difference set: " + _PAIRS_OVER_CAP)
         diffs = {tuple((x - y) % m for x, y, m in zip(p, q, s.period))
@@ -546,6 +564,8 @@ def difference_set(s, group: GroupSpec, window=None):
     acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
     P, xs = s._period, s._extra
     if P is None:  # one half pass: 0 and the negatives mirror the positives
+        check_enumeration(len(xs) * (len(xs) - 1) // 2,
+                          "the finite line difference set: " + _PAIRS_OVER_CAP)
         pos = sorted({x - y for i, x in enumerate(xs) for y in xs[:i]})
         return _canonical(s._D, None, (), (*(-d for d in reversed(pos)), 0, *pos) if xs else (),
                           (), acc)

@@ -87,6 +87,7 @@ from math import ceil, floor
 from typing import Optional
 
 from .additive import syndetic_check
+from .config import check_enumeration
 from .density import RudinWindow, measure_total_finite, periodic_mean_density, rudin_window
 from .errors import PreconditionError, VerificationError
 from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
@@ -525,6 +526,8 @@ def _configuration(S, Q: IntervalUnion, radius: Fraction):
         return D, list(xs), spans, None, len(xs)
     R, period = ints[m], S._period * k
     P = (2 * R // period + 1) * period
+    check_enumeration(len(xs) * (P // period), "the partition's lift onto the enlarged "
+                                               "period: {count} points exceed the cap {cap}")
     # the residues lie in [0, period), so the lift is sorted copy by copy
     ints = [r + j for j in range(0, P, period) for r in xs]
     lifts = [(a + off, b + off) for off in (0, P, -P) for a, b in spans]

@@ -493,7 +493,28 @@ def replica_line_values(layers, window):
 # the inf-sup oracle's search before it started from the incumbent C = G,
 # kept verbatim (a running best sup from 1/0, each leader dropped at a ratio
 # reaching it, the loop ended at the floor nu(G)/|G|) as the oracle for
-# density._inf_sup
+# density._inf_sup, with the per-group translate tables it read, which the
+# library built before each search until it formed the sums of the scanned
+# leaders only
+
+
+def finite_group_tables(group: FiniteAbelian):
+    """(elements, translate): translate[g][V] is the mask of V + g. The inf-sup
+    loops on them evaluate up to (2^n - 1)^2 (C, V) ratios, a count held to
+    the enumeration cap (n <= 10) before the n * 2^n entries are allocated."""
+    n = group.order
+    pairs = (2 ** min(n, 64) - 1) ** 2  # past n = 64 it is over any cap in use
+    check_enumeration(pairs, f"the inf-sup oracle on order {n}: (2^{n} - 1)^2 (C, V) pairs "
+                             "exceed the enumeration cap {cap}")
+    elems = group.elements()
+    translate = []
+    for g in elems:
+        table = [0]
+        for i in group.translate(g):
+            bit = 1 << i
+            table += [t | bit for t in table]
+        translate.append(table)
+    return elems, translate
 
 
 def running_best_inf_sup(nu_of, translate):
@@ -777,6 +798,23 @@ def per_element_quotient(s, group):
         check_enumeration(quotient.order)
         return quotient, [quotient.index(group.check(r)) for r in s.residues], tuple
     raise PreconditionError("not a discrete quotient")
+
+
+def pairwise_difference_set(s: ExplicitFinite, group):
+    """The finite S - S before each operand was checked once: group.add and
+    group.negate per pair, each re-checking its operands."""
+    check_enumeration(len(s) ** 2, "the finite difference set: {count} pairs exceed the "
+                                   "enumeration cap {cap}")
+    return ExplicitFinite(
+        tuple(group.add(x, group.negate(y)) for x in s.elements for y in s.elements))
+
+
+def pairwise_minkowski_sum(a: ExplicitFinite, b: ExplicitFinite, group):
+    """The finite Minkowski sum before each operand was checked once: group.add
+    per pair, each re-checking its operands."""
+    check_enumeration(len(a) * len(b), "the finite Minkowski sum: {count} pairs exceed the "
+                                       "enumeration cap {cap}")
+    return ExplicitFinite(tuple(group.add(x, y) for x in a.elements for y in b.elements))
 
 
 def per_element_layers(nu, group):

@@ -496,8 +496,8 @@ def test_selftest_counts_a_witness_C_with_a_V_above_the_bound(capsys, monkeypatc
     empty set and G."""
     inf_sup = density._inf_sup
 
-    def singleton_C(nu_of, translate):
-        num, den, _, V = inf_sup(nu_of, translate)
+    def singleton_C(nu_of, sums):
+        num, den, _, V = inf_sup(nu_of, sums)
         return num, den, 1, V
 
     monkeypatch.setattr(density, "_inf_sup", singleton_C)

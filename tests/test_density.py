@@ -1,4 +1,5 @@
 import random
+import timeit
 import tracemalloc
 from functools import cache
 from fractions import Fraction
@@ -55,8 +56,8 @@ from density_lab import (
     zd_shift_sup,
 )
 from density_lab.density import (
-    _finite_group_tables,
     _inf_sup,
+    _leader_sums,
     measure_total_finite,
     oracle_counting_sweep,
 )
@@ -69,7 +70,12 @@ from density_lab.windows import (
     real_threshold_witness,
     zd_threshold_witness,
 )
-from oracles import fraction_zd_shift_sup, running_best_inf_sup, subgroup_elements
+from oracles import (
+    finite_group_tables,
+    fraction_zd_shift_sup,
+    running_best_inf_sup,
+    subgroup_elements,
+)
 
 rng = random.Random(2024)
 R = RealLine()
@@ -344,8 +350,8 @@ def test_oracle_pairs_are_capped_before_the_tables_exist(moduli):
 
 
 def test_oracle_tables_allowed_up_to_order_10():
-    elems, translate = _finite_group_tables(FiniteAbelian((10,)))
-    assert len(elems) == len(translate) == 10 and len(translate[0]) == 1 << 10
+    elems, sums = _leader_sums(FiniteAbelian((10,)))
+    assert len(elems) == 10 and len(sums(1)) == 1 << 10
 
 
 def test_oracle_random_groups_and_subsets():
@@ -413,12 +419,12 @@ def test_inf_sup_matches_full_enumeration_on_every_subset(moduli):
     # the counting measure of every subset A: value, first minimizer C and
     # least maximizer V as the full enumeration scores them
     G = FiniteAbelian(moduli)
-    _, translate = _finite_group_tables(G)
+    _, sums = _leader_sums(G)
     size = 1 << G.order
     for A in range(size):
         weights = [A >> i & 1 for i in range(G.order)]
         nu_of = [(A & V).bit_count() for V in range(size)]
-        assert _inf_sup(nu_of, translate) == full_enumeration_oracle(weights, G), A
+        assert _inf_sup(nu_of, sums) == full_enumeration_oracle(weights, G), A
 
 
 @pytest.mark.parametrize("kind", ["diracs", "diracs+counting", "uniform", "atom"])
@@ -459,18 +465,23 @@ def test_pruned_oracle_matches_full_enumeration(moduli, kind, data):
 
 @cache
 def _translate(G):
-    return _finite_group_tables(G)[1]
+    return finite_group_tables(G)[1]
+
+
+@cache
+def _sums(G):
+    return _leader_sums(G)[1]
 
 
 def test_inf_sup_matches_the_running_best_search_on_every_subset():
     # the counting measure of every subset A of every presentation of order
     # <= 6: the (num, den, C, V) of the search the kernel replaced
     for G in all_finite_abelian_up_to(6):
-        translate = _translate(G)
+        translate, sums = _translate(G), _sums(G)
         size = 1 << G.order
         for A in range(size):
             nu_of = [(A & V).bit_count() for V in range(size)]
-            assert _inf_sup(nu_of, translate) == running_best_inf_sup(nu_of, translate), (G, A)
+            assert _inf_sup(nu_of, sums) == running_best_inf_sup(nu_of, translate), (G, A)
 
 
 @settings(max_examples=60, deadline=None)
@@ -484,8 +495,38 @@ def test_inf_sup_matches_the_running_best_search_on_weighted_measures(G, data):
     nu_of = [0]  # nu_of[V]: the sum of the weights over the bits of V
     for w in weights:
         nu_of += [x + w for x in nu_of]
-    translate = _translate(G)
-    assert _inf_sup(nu_of, translate) == running_best_inf_sup(nu_of, translate)
+    assert _inf_sup(nu_of, _sums(G)) == running_best_inf_sup(nu_of, _translate(G))
+
+
+def test_inf_sup_scans_many_leaders_at_a_bounded_cost_each():
+    # nu = the counting measure of two neighbours on Z_10 drops most small C:
+    # the search forms the sums of 53 leaders. Each leader's cost is held to
+    # a few 2^n doubling passes (a plain list doubling, timed here as the
+    # unit), so forming tables or scanning bit by bit per leader shows.
+    G = FiniteAbelian((10,))
+    weights = [0] * 10
+    weights[5] = weights[6] = 1
+
+    def doubling():
+        out = [0]
+        for w in weights:
+            out += [x + w for x in out]
+        return out
+
+    nu_of, sums, leaders = doubling(), _sums(G), []
+
+    def counted(C):
+        leaders.append(C)
+        return sums(C)
+
+    assert _inf_sup(nu_of, counted) == running_best_inf_sup(nu_of, _translate(G))
+    assert len(leaders) >= 50
+
+    def best_of(k, f):
+        return min(timeit.timeit(f, number=1) for _ in range(k))
+
+    search, unit = best_of(5, lambda: _inf_sup(nu_of, sums)), best_of(20, doubling)
+    assert search < 6 * len(leaders) * unit, (search, unit, len(leaders))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """The discrete kernels on held int tuples: the per-axis translate tables
-against the index arithmetic they replaced, the per-object check
-(check_points) against check point by point, directly and through every
-caller, and the caps of the discrete difference sets and Minkowski sums."""
+and the translates of a mask against the index arithmetic they replaced,
+the per-object check (check_points) against check point by point, directly
+and through every caller, the finite S - S and sums against group.add per
+pair, and the caps of the discrete difference sets and Minkowski sums."""
 
 import random
 import time
+import warnings
 from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from density_lab import (
     CapExceededError,
@@ -29,10 +31,12 @@ from density_lab import (
     to_jsonable,
 )
 from density_lab import sets
-from density_lab.groups import all_finite_abelian_up_to
+from density_lab.groups import all_finite_abelian_up_to, bits, mask_of
 from density_lab.sets import _int_shape, discrete_quotient
 from density_lab.windows import measure_layers
 from oracles import (
+    pairwise_difference_set,
+    pairwise_minkowski_sum,
     per_element_layers,
     per_element_quotient,
     syndetic_check_finite,
@@ -57,6 +61,16 @@ def test_translate_tables_match_the_index_arithmetic_on_every_small_presentation
                     for e in elements]
             assert G.translate(k) == want == translate_at(G, k, range(G.order))
             assert G._translate_at(k, at) == translate_at(G, k, at)
+
+
+def test_the_translates_of_a_mask_are_its_shifts_by_every_element_in_order():
+    # FiniteAbelian.translates(X) against the masks of X + g built point by
+    # point from the index arithmetic, g in elements() order
+    rng = random.Random(12)
+    for G in all_finite_abelian_up_to(12):
+        for X in [0, 1, (1 << G.order) - 1] + [rng.randrange(1 << G.order) for _ in range(6)]:
+            want = [mask_of(translate_at(G, g, bits(X))) for g in G.elements()]
+            assert G.translates(X) == want, (G, X)
 
 
 moduli = st.lists(st.integers(1, 40), max_size=4).filter(lambda ms: prod(ms) <= 2000)
@@ -107,6 +121,47 @@ GROUPS = (ZLattice(1), ZLattice(2), FiniteAbelian((3,)), FiniteAbelian((2, 3)),
 def test_check_points_is_check_point_by_point(group, ps):
     got = outcome(lambda: list(group.check_points(ps, _int_shape(ps))))
     assert got == outcome(lambda: [group.check(p) for p in ps])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(GROUPS + (ZLattice(3), FiniteAbelian((4, 2, 3)))),
+       st.lists(points, max_size=5), st.lists(points, max_size=4))
+@example(ZLattice(2), [(0, 0), (1, 2, 3)], [(True, 0)])  # b's point is refused first
+@example(FiniteAbelian((2, 3)), [(0, 0), (0, 5)], [(1,)])
+@example(FiniteAbelian((2, 3)), [(0, 7), (0, 5)], [(1,)])  # a's first point before b's
+def test_finite_differences_and_sums_check_as_the_per_pair_path(group, ps, qs):
+    # each operand checked once, then int tuples per pair: the same sets, or
+    # the same exception type and message, as group.add per pair
+    made = outcome(lambda: (ExplicitFinite(ps), ExplicitFinite(qs)))
+    if made[0] != "ok":
+        return
+    A, B = made[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the S - S of an empty set warns
+        assert outcome(lambda: difference_set(A, group)) == outcome(
+            lambda: pairwise_difference_set(A, group))
+    assert outcome(lambda: minkowski_sum(A, B, group)) == outcome(
+        lambda: pairwise_minkowski_sum(A, B, group))
+
+
+def test_finite_differences_and_sums_of_valid_points_match_the_per_pair_path():
+    rng = random.Random(8)
+    axes = [(ZLattice(d), [range(-40, 40)] * d) for d in (1, 2, 3)]
+    axes += [(G, list(map(range, G.moduli)))
+             for G in (FiniteAbelian((7,)), FiniteAbelian((2, 5)), FiniteAbelian((3, 2, 4)))]
+    for group, coordinates in axes:
+        for _ in range(10):
+            A, B = (ExplicitFinite(tuple(tuple(map(rng.choice, coordinates))
+                                         for _ in range(rng.randint(1, 30)))) for _ in "AB")
+            assert difference_set(A, group) == pairwise_difference_set(A, group)
+            assert minkowski_sum(A, B, group) == pairwise_minkowski_sum(A, B, group)
+    R, chain = RealLine(), SigmaFiniteChain((2, 3, 2))
+    A = ExplicitFinite((Fraction(1, 3), Fraction(-2), Fraction(5, 7)))
+    assert difference_set(A, R) == pairwise_difference_set(A, R)
+    assert minkowski_sum(A, A, R) == pairwise_minkowski_sum(A, A, R)
+    A, B = ExplicitFinite(((1,), (0, 2), (1, 1, 1))), ExplicitFinite(((), (1, 2)))
+    assert difference_set(A, chain) == pairwise_difference_set(A, chain)
+    assert minkowski_sum(A, B, chain) == pairwise_minkowski_sum(A, B, chain)
 
 
 Z1, Z2, G23, G5 = ZLattice(1), ZLattice(2), FiniteAbelian((2, 3)), FiniteAbelian((5,))
@@ -167,10 +222,17 @@ def test_every_caller_checks_as_check_did(group, ps):
 
 
 class _NoPairs(ZLattice):
-    """Z whose add fails: a refusal under it came before any pair was built."""
+    """Z whose add and checks fail: a refusal under it came before any point
+    was checked or any pair was built."""
 
     def add(self, g, h):
         raise AssertionError("a pair was built before the cap")
+
+    def check(self, g):
+        raise AssertionError("a point was checked before the cap")
+
+    def check_points(self, points, shape):
+        raise AssertionError("the points were checked before the cap")
 
 
 def test_the_finite_difference_set_counts_its_pairs_before_it_builds_them():

@@ -4,12 +4,15 @@ constructions, difference sets and serializations it replaced."""
 
 import dataclasses
 import json
+import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from density_lab import (
     AccumulationPoint,
+    CapExceededError,
     Counting,
     FinitePoints,
     IntervalUnion,
@@ -161,3 +164,18 @@ def test_scan_rescales_held_ints_to_the_window(s, q, a):
     every = len(cands) // 8 + 1
     for x, v in zip(cands[::every], values[::every]):
         assert real_mass(nu, window.translate(Fraction(x, D))) == Fraction(v, D * Dw)
+
+
+def test_the_finite_line_difference_set_counts_its_half_pass_first():
+    # 1,500 points (1,499 distinct): 1,122,751 differences over 2^20, refused
+    # before any is built (the uncapped half pass took seconds and 0.7 GB)
+    S = FinitePoints([Fraction(k, 7) + Fraction(1, k + 1) for k in range(1500)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError,
+                           match="finite line difference set: 1122751 pairs exceed"):
+            difference_set(S, RealLine())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import ceil, floor
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from density_lab import IntervalUnion, PeriodicPattern, PreconditionError
+from density_lab import CapExceededError, IntervalUnion, PeriodicPattern, PreconditionError
 from density_lab.intervals import contains_mod, gaps_within, merge_pairs, onto_circle
 
 rng = random.Random(7)
@@ -225,3 +226,16 @@ def test_expand_to():
     assert q.mass == 1 and q.density == p.density
     with pytest.raises(PreconditionError):
         p.expand_to(Fraction(3, 2))
+
+
+def test_expand_to_counts_its_pieces_before_building_them():
+    pattern = PeriodicPattern(1, IntervalUnion(((0, Fraction(1, 4)), (Fraction(1, 2), 1))))
+    assert pattern.expand_to(3).pattern.intervals[-1] == (Fraction(5, 2), 3)
+    tracemalloc.start()
+    try:  # 2 pieces times 2^20 periods
+        with pytest.raises(CapExceededError, match="the expanded pattern: 2097152 pieces exceed"):
+            pattern.expand_to(1 << 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

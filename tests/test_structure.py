@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import ceil
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from density_lab import (
     AccumulationPoint,
+    CapExceededError,
     Counting,
     CylinderSet,
     ExplicitFinite,
@@ -1214,3 +1216,17 @@ def test_int_cover_reverification_matches_the_fraction_one(A, extra, drop):
     if isinstance(fault, tuple):
         fault = tuple(Fraction(x, E) for x in fault)
     assert fault == fraction_pattern_cover_fault(D, B)
+
+
+def test_the_partition_counts_its_lift_before_building_it():
+    # 100 residues on the period 1, lifted onto 20,001 copies for H = [0, 10^4]:
+    # 2,000,100 points over 2^20, refused before the lift exists
+    S = PeriodicPoints(1, [Fraction(k, 100) for k in range(100)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="lift onto the enlarged period: 2000100 points"):
+            partition_by_coloring(S, IntervalUnion.closed(0, 10**4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

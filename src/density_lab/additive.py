@@ -68,7 +68,7 @@ def gap_analysis(D, group: ZLattice = ZLattice(1)) -> GapReport:
             positive_elements=tuple(positives),
         )
     if isinstance(D, ExplicitFinite):
-        positives = sorted(e[0] for e in D.elements if e[0] > 0)
+        positives = sorted(p for (p,) in group.check_points(D.elements, D._shape) if p > 0)
         if not positives:
             raise PreconditionError("empty positive part")
         gaps = tuple(b - a for a, b in zip(positives, positives[1:]))
@@ -254,4 +254,4 @@ def _cover_instance(S, group):
     quotient, s_indices, lift = found
     cells = quotient.elements()
     s_mask = mask_of(s_indices)
-    return cells, [quotient.shift(s_mask, k) for k in cells], lift
+    return cells, quotient.translates(s_mask), lift

@@ -114,7 +114,7 @@ def _load(args) -> Instance:
     return parse_instance(text)
 
 
-def _pick(instance: Instance, name, what="object"):
+def _pick(instance: Instance, name, what="object", flag="--object"):
     if name:
         if name not in instance.objects:
             raise PreconditionError(f"no {what} named {name!r} in the instance")
@@ -122,7 +122,7 @@ def _pick(instance: Instance, name, what="object"):
     if len(instance.objects) == 1:
         return next(iter(instance.objects.values()))
     raise PreconditionError(
-        f"instance has {len(instance.objects)} objects; pick one with --object"
+        f"instance has {len(instance.objects)} objects; pick one with {flag}"
     )
 
 
@@ -134,6 +134,9 @@ def _estimation_params(args, instance) -> EstimationParams:
     estimation = EstimationParams(tol=tol, r0=r0, k_max=k_max)
     if getattr(args, "rmax", None):
         # cap the geometric schedule r0 * 2^k at rmax
+        if args.kmax is not None:
+            raise PreconditionError("--kmax, --rmax: each sets the last window profile radius; "
+                                    "give one")
         rmax = rat(args.rmax)
         if rmax < r0:
             raise PreconditionError(
@@ -265,8 +268,10 @@ def cmd_diffset(args) -> int:
 
 def cmd_syndetic(args) -> int:
     instance = _load(args)
-    s = _pick(instance, args.set, "set")
-    k = _pick(instance, args.translates, "translate set")
+    if args.object is not None:
+        raise PreconditionError("--object: syndetic names its sets with --set and --translates")
+    s = _pick(instance, args.set, "set", "--set")
+    k = _pick(instance, args.translates, "translate set", "--translates")
     cert = syndetic_check(s, k, instance.group)
     print(f"syndetic: {'verified' if cert.verified else 'FAILED'}")
     if not cert.verified:

@@ -249,7 +249,7 @@ def classical_upper_density(A, group: ZLattice) -> DensityReport:
             annotations=("each residue class meets [1, n] in n/period + O(1) points",),
         )
     if isinstance(A, ExplicitFinite):
-        pts = sorted(e[0] for e in A.elements)
+        pts = sorted(p for (p,) in group.check_points(A.elements, A._shape))
         schedule = [
             f"n={n}: {rat_str(Fraction(sum(1 for p in pts if 1 <= p <= n), n))}"
             for n in (10, 100, 1000, 10_000)
@@ -656,7 +656,8 @@ def rudin_window(C, epsilon, group: GroupSpec) -> RudinWindow:
     elif isinstance(group, ZLattice) and group.dimension == 1:
         if not isinstance(C, ExplicitFinite):
             raise PreconditionError("lattice test sets are explicit finite sets")
-        ends, pad = sorted(2 * [e[0] for e in C.elements]), 1  # the points as [p, p]
+        ends = sorted(2 * [p for (p,) in group.check_points(C.elements, C._shape)])
+        pad = 1  # the points as [p, p]
 
         def build(L: int):
             return (

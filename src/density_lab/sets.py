@@ -2,8 +2,12 @@
 
 Discrete-group sets are explicit finite lists or residue classes of a diagonal
 period lattice; they and weighted Dirac sums hold _shape (_int_shape), so
-that a group checks their points once (check_points). A real-line
-point configuration is held in one form,
+that a group checks their points once (check_points). On Z^d and a finite
+group such a set is held as (period or None, int tuples): a subset of a
+finite group as residues mod the moduli, a PeriodicDiscrete (of Z^d only)
+as residues mod its period, a finite subset of Z^d as points; one kernel
+(_discrete) forms every sum, difference set and translate of them. A
+real-line point configuration is held in one form,
 ((R + PZ) minus M) union E with R, M and E finite (_Held): finite lists,
 fully periodic residue systems and a lattice with finitely many explicit
 perturbations are its special cases, and the form is closed under the sums,
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import ceil, floor, gcd, lcm, prod
-from operator import add, lt, mod, mul, sub
+from operator import add, floordiv, lt, mod, mul, sub
 from typing import Union
 
 from .config import check_enumeration
@@ -313,19 +317,17 @@ class CylinderSet:
 def discrete_quotient(s, group: GroupSpec):
     """(quotient, sorted indices of s in it, lift of quotient elements to group
     elements) or None: ExplicitFinite on FiniteAbelian, PeriodicDiscrete on
-    ZLattice (FiniteAbelian(period)), both lifted as the same int tuples, or
-    CylinderSet on a chain (H_depth, lifted by _strip). Elements are checked
-    (check_points), and the order held to Caps.enumeration, before any index
-    is built."""
-    if isinstance(group, FiniteAbelian) and isinstance(s, ExplicitFinite):
-        check_enumeration(group.order)
-        points, strides = group.check_points(s.elements, s._shape), group.strides
-        return group, [sum(map(mul, p, strides)) for p in points], tuple
-    if isinstance(group, ZLattice) and isinstance(s, PeriodicDiscrete):
-        quotient = FiniteAbelian(s.period)
+    ZLattice (FiniteAbelian(period)), both residues (as _discrete holds them)
+    lifted as the same int tuples, or CylinderSet on a chain (H_depth, lifted
+    by _strip). The order is held to Caps.enumeration, and the residues
+    checked (check_points), before any index is built."""
+    if isinstance(s, ExplicitFinite) and isinstance(group, FiniteAbelian) or (
+            isinstance(s, PeriodicDiscrete) and isinstance(group, ZLattice)):
+        quotient = group if isinstance(group, FiniteAbelian) else FiniteAbelian(s.period)
         check_enumeration(quotient.order)
-        points, strides = group.check_points(s.residues, s._shape), quotient.strides
-        return quotient, [sum(map(mul, r, strides)) for r in points], tuple  # reduced: in range
+        points = s.residues if isinstance(s, PeriodicDiscrete) else s.elements
+        points = group.check_points(points, s._shape)
+        return quotient, [sum(map(mul, p, quotient.strides)) for p in points], tuple
     if isinstance(group, SigmaFiniteChain) and isinstance(s, CylinderSet):
         s.validate_for(group)
         quotient = group.subgroup(group.depth)
@@ -398,6 +400,9 @@ def minkowski_sum(a, b, group: GroupSpec):
         raise PreconditionError(
             "accumulating configuration: a Minkowski sum would drop its accumulation marker"
         )
+    if isinstance(a, _DISCRETE) and isinstance(b, _DISCRETE):
+        lattices = isinstance(a, PeriodicDiscrete) + isinstance(b, PeriodicDiscrete)
+        return _discrete(a, b, group, add, _SUM_SITES[lattices])
     for x, y in ((a, b), (b, a)):
         result = _minkowski_directed(x, y, group)
         if result is not NotImplemented:
@@ -408,23 +413,6 @@ def minkowski_sum(a, b, group: GroupSpec):
 
 
 def _minkowski_directed(a, b, group):
-    if isinstance(a, ExplicitFinite) and isinstance(b, ExplicitFinite):
-        check_enumeration(len(a) * len(b), "the finite Minkowski sum: " + _PAIRS_OVER_CAP)
-        return _pairwise(a, b, group, add)
-    if isinstance(a, PeriodicDiscrete) and isinstance(b, PeriodicDiscrete):
-        period = tuple(map(lcm, a.period, b.period))
-        na, nb = (len(s.residues) * prod(p // q for p, q in zip(period, s.period)) for s in (a, b))
-        check_enumeration(na * nb + na + nb, "the lattice Minkowski sum over the lcm period: "
-                                             "{count} residues and pairs exceed the cap {cap}")
-        ra, rb = _expand_residues(a, period), _expand_residues(b, period)
-        sums = {tuple((x + y) % m for x, y, m in zip(p, q, period)) for p in ra for q in rb}
-        return PeriodicDiscrete(period, tuple(sums))
-    if isinstance(a, PeriodicDiscrete) and isinstance(b, ExplicitFinite):
-        check_enumeration(len(a.residues) * len(b), "the lattice-plus-finite Minkowski sum: "
-                                                    + _PAIRS_OVER_CAP)
-        sums = {tuple((x + y) % m for x, y, m in zip(r, e, a.period))
-                for r in a.residues for e in b.elements}
-        return PeriodicDiscrete(a.period, tuple(sums))
     if isinstance(a, IntervalUnion) and isinstance(b, IntervalUnion):
         return a.minkowski(b)
     if isinstance(a, IntervalUnion) and isinstance(b, FinitePoints):
@@ -446,30 +434,48 @@ def _minkowski_directed(a, b, group):
     return NotImplemented
 
 
-def _pairwise(a: ExplicitFinite, b: ExplicitFinite, group, op) -> ExplicitFinite:
-    """The points x op y (op add or sub) over the pairs of a and b: on Z^d and
-    a finite group int tuples (mod the moduli) after one check_points per
-    operand, a's first point first, as group.add per pair refuses; on the
-    line and a chain group.add (and group.negate) per pair."""
-    if not (a and b):  # no pair: nothing is checked
-        return ExplicitFinite()
+_DISCRETE = (ExplicitFinite, PeriodicDiscrete)
+# the capped discrete sums, by the number of PeriodicDiscrete operands
+_SUM_SITES = ("finite Minkowski sum", "lattice-plus-finite Minkowski sum",
+              "lattice Minkowski sum over the lcm period")
+
+
+def _discrete(a, b, group, op, site=None):
+    """{x op y : x in a, y in b} (op add or sub) of ExplicitFinite and
+    PeriodicDiscrete operands in their held form (period or None, int
+    tuples). Per axis (R_a + P_a Z) op (R_b + P_b Z) = (R_a op R_b) + gcd Z,
+    so the pairs are reduced mod the gcd of the periods and lifted to their
+    lcm, the result's period. Pairs times lift are held to Caps.enumeration
+    (site None: uncapped) before any check; with a pair, a's first point,
+    b's points and a's are then checked, once each (check_points), as
+    group.add per pair refuses them, which still runs on the line and a
+    chain."""
+    lattice = [s.period for s in (a, b) if isinstance(s, PeriodicDiscrete)]
+    periods = [group.moduli] if isinstance(group, FiniteAbelian) else lattice
+    Q, g = (tuple(map(f, *periods)) for f in (lcm, gcd)) if periods else (None, None)
+    lift = prod(map(floordiv, Q, g)) if periods else 1
+    xs, ys = (s.residues if isinstance(s, PeriodicDiscrete) else s.elements for s in (a, b))
+    if site:
+        check_enumeration(len(xs) * len(ys) * lift, f"the {site}: " + _PAIRS_OVER_CAP)
+    for P in lattice:
+        if not (isinstance(group, ZLattice) and len(P) == group.dimension):
+            raise ShapeMismatchError(
+                f"a PeriodicDiscrete of period {P!r} is no subset of {group!r}")
     if not isinstance(group, (ZLattice, FiniteAbelian)):
         neg = group.negate if op is sub else None
-        return ExplicitFinite(tuple(group.add(x, neg(y) if neg else y)
-                                    for x in a.elements for y in b.elements))
-    group.check(a.elements[0])
-    ys = group.check_points(b.elements, b._shape)
-    xs = ys if a is b else group.check_points(a.elements, a._shape)
-    if isinstance(group, FiniteAbelian):
-        ms = group.moduli
-        return ExplicitFinite(tuple(tuple(map(mod, map(op, x, y), ms)) for x in xs for y in ys))
-    return ExplicitFinite(tuple(tuple(map(op, x, y)) for x in xs for y in ys))
-
-
-def _expand_residues(s: PeriodicDiscrete, period: tuple[int, ...]):
-    reps = [range(p // q) for p, q in zip(period, s.period)]
-    return [tuple(c + k * q for c, k, q in zip(r, mults, s.period))
-            for r in s.residues for mults in product(*reps)]
+        return ExplicitFinite(tuple(group.add(x, neg(y) if neg else y) for x in xs for y in ys))
+    if xs and ys:
+        group.check(xs[0])
+        ys = group.check_points(ys, b._shape)
+        xs = ys if a is b else group.check_points(xs, a._shape)
+    pairs = (map(op, x, y) for x in xs for y in ys)
+    if g is None:
+        return ExplicitFinite(tuple(map(tuple, pairs)))
+    out = {tuple(map(mod, p, g)) for p in pairs}
+    if lift > 1:
+        steps = list(product(*(range(0, q, h) for q, h in zip(Q, g))))
+        out = {tuple(map(add, r, j)) for r in out for j in steps}
+    return PeriodicDiscrete(Q, tuple(out)) if lattice else ExplicitFinite(tuple(out))
 
 
 def _form(s: _Held, D: int):
@@ -547,14 +553,9 @@ def difference_set(s, group: GroupSpec, window=None):
         )
     if empty:
         warnings.warn("difference set of an empty set is empty (0 not included)")
-    if isinstance(s, ExplicitFinite):
-        check_enumeration(len(s) ** 2, "the finite difference set: " + _PAIRS_OVER_CAP)
-        return _pairwise(s, s, group, sub)
-    if isinstance(s, PeriodicDiscrete):
-        check_enumeration(len(s.residues) ** 2, "the lattice difference set: " + _PAIRS_OVER_CAP)
-        diffs = {tuple((x - y) % m for x, y, m in zip(p, q, s.period))
-                 for p in s.residues for q in s.residues}
-        return PeriodicDiscrete(s.period, tuple(diffs))
+    if isinstance(s, _DISCRETE):
+        site = "lattice" if isinstance(s, PeriodicDiscrete) else "finite"
+        return _discrete(s, s, group, sub, site + " difference set")
     if isinstance(s, IntervalUnion):
         return s.difference_set()
     if isinstance(s, PeriodicPattern):
@@ -635,14 +636,8 @@ def haar(obj, group: GroupSpec):
 
 
 def translate_set(s, g, group: GroupSpec):
-    if isinstance(s, ExplicitFinite):
-        return ExplicitFinite(tuple(group.add(e, g) for e in s.elements))
-    if isinstance(s, PeriodicDiscrete):
-        g = group.check(g)
-        return PeriodicDiscrete(
-            s.period,
-            tuple(tuple((c + d) % m for c, d, m in zip(r, g, s.period)) for r in s.residues),
-        )
+    if isinstance(s, _DISCRETE):
+        return _discrete(s, ExplicitFinite((g,)), group, add)  # s + {g}
     if isinstance(s, IntervalUnion):
         return s.translate(rat(g))
     if isinstance(s, PeriodicPattern):

@@ -360,7 +360,7 @@ def packing_bound_check(S, H, group: GroupSpec = RealLine()) -> PackingCheck:
         rho = counting_density(S, group)
         if is_infinite(rho) or rho <= 0:
             raise PreconditionError("positive finite counting density required")
-        pts = [e[0] for e in H.elements]
+        pts = [p for (p,) in group.check_points(H.elements, H._shape)]
         if not pts:
             raise PreconditionError("H is empty")
         q_diffs = sorted({a - b for a in pts for b in pts})
@@ -661,10 +661,11 @@ def auto_H(
 
     For C = [0, c], every bounded V satisfies #(S cap V)/mu(C + V) <= K_c/c
     (integrate the count of S over sliding length-c windows across
-    (S cap V) + C). Growing c in whole periods until K_c/c <= rho (1 + eps/2),
-    then taking H = [0, L] from the window construction with
-    eta = eps/(2+eps), gives max_s #(S cap (s + H - H)) <= (1+eps) rho mu(H-H),
-    re-verified exactly.
+    (S cap V) + C). For c = M periods, K_c = M |R| + 1 (a window that starts
+    on a point of S), so M = max(1, ceil(2/eps)) gives K_c/c <= rho (1 + eps/2),
+    which is re-checked; taking H = [0, L] from the window construction with
+    eta = eps/(2+eps) then gives max_s #(S cap (s + H - H)) <= (1+eps) rho
+    mu(H-H), re-verified exactly.
     """
     if not isinstance(S, PeriodicPoints) or not S.residues:
         raise PreconditionError("auto_H needs a nonempty exactly periodic configuration")
@@ -673,15 +674,10 @@ def auto_H(
         raise PreconditionError("epsilon must be positive")
     rho = S.counting_density
     nu = Counting(S)
-    M = max(1, ceil(2 / epsilon))
-    for _ in range(64):
-        c = M * S.period
-        k_c = real_shift_sup(nu, IntervalUnion.closed(0, c)).value
-        if k_c <= rho * (1 + epsilon / 2) * c:
-            break
-        M += 1
-    else:
-        raise VerificationError("window certificate did not converge", counterexample=S)
+    c = max(1, ceil(2 / epsilon)) * S.period
+    k_c = real_shift_sup(nu, IntervalUnion.closed(0, c)).value
+    if k_c > rho * (1 + epsilon / 2) * c:
+        raise VerificationError("window certificate failed", counterexample=S)
     eta = epsilon / (2 + epsilon)
     rw = rudin_window(IntervalUnion.closed(0, c), eta, group)
     H = IntervalUnion.closed(0, rw.L)

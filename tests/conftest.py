@@ -12,3 +12,10 @@ def _run_from_repo_root():
     os.chdir(root)
     yield
     os.chdir(old)
+
+
+def pytest_terminal_summary(terminalreporter):
+    # the src/ line count (ROADMAP aim 2) beside the slowest tests (--durations)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in src.rglob("*.py"))
+    terminalreporter.write_sep("=", f"src/ is {lines} lines")

@@ -5,6 +5,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import floor, lcm, prod
+from operator import add, mod, sub
 from typing import Optional
 
 from density_lab import (
@@ -815,6 +816,72 @@ def pairwise_minkowski_sum(a: ExplicitFinite, b: ExplicitFinite, group):
     check_enumeration(len(a) * len(b), "the finite Minkowski sum: {count} pairs exceed the "
                                        "enumeration cap {cap}")
     return ExplicitFinite(tuple(group.add(x, y) for x in a.elements for y in b.elements))
+
+
+# the per-type discrete branches of sets.minkowski_sum, difference_set and
+# translate_set before one kernel on held (period, int tuples) forms served
+# them all, kept verbatim as the oracles for it on valid operands: int tuples
+# per pair for ExplicitFinite, residues expanded to the lcm period for two
+# PeriodicDiscrete, and no check of a PeriodicDiscrete against the group
+
+
+def _int_pairwise(a: ExplicitFinite, b: ExplicitFinite, group, op) -> ExplicitFinite:
+    if not (a and b):
+        return ExplicitFinite()
+    group.check(a.elements[0])
+    ys = group.check_points(b.elements, b._shape)
+    xs = ys if a is b else group.check_points(a.elements, a._shape)
+    if isinstance(group, FiniteAbelian):
+        ms = group.moduli
+        return ExplicitFinite(tuple(tuple(map(mod, map(op, x, y), ms)) for x in xs for y in ys))
+    return ExplicitFinite(tuple(tuple(map(op, x, y)) for x in xs for y in ys))
+
+
+def _expand_residues(s: PeriodicDiscrete, period: tuple[int, ...]):
+    reps = [range(p // q) for p, q in zip(period, s.period)]
+    return [tuple(c + k * q for c, k, q in zip(r, mults, s.period))
+            for r in s.residues for mults in product(*reps)]
+
+
+def _per_type_directed(a, b, group):
+    if isinstance(a, ExplicitFinite) and isinstance(b, ExplicitFinite):
+        return _int_pairwise(a, b, group, add)
+    if isinstance(a, PeriodicDiscrete) and isinstance(b, PeriodicDiscrete):
+        period = tuple(map(lcm, a.period, b.period))
+        ra, rb = _expand_residues(a, period), _expand_residues(b, period)
+        sums = {tuple((x + y) % m for x, y, m in zip(p, q, period)) for p in ra for q in rb}
+        return PeriodicDiscrete(period, tuple(sums))
+    if isinstance(a, PeriodicDiscrete) and isinstance(b, ExplicitFinite):
+        sums = {tuple((x + y) % m for x, y, m in zip(r, e, a.period))
+                for r in a.residues for e in b.elements}
+        return PeriodicDiscrete(a.period, tuple(sums))
+    return NotImplemented
+
+
+def per_type_minkowski_sum(a, b, group):
+    """The discrete branches of sets._minkowski_directed, either order."""
+    result = _per_type_directed(a, b, group)
+    return _per_type_directed(b, a, group) if result is NotImplemented else result
+
+
+def per_type_difference_set(s, group):
+    """The ExplicitFinite and PeriodicDiscrete branches of sets.difference_set."""
+    if isinstance(s, ExplicitFinite):
+        return _int_pairwise(s, s, group, sub)
+    diffs = {tuple((x - y) % m for x, y, m in zip(p, q, s.period))
+             for p in s.residues for q in s.residues}
+    return PeriodicDiscrete(s.period, tuple(diffs))
+
+
+def per_type_translate_set(s, g, group):
+    """The ExplicitFinite and PeriodicDiscrete branches of sets.translate_set."""
+    if isinstance(s, ExplicitFinite):
+        return ExplicitFinite(tuple(group.add(e, g) for e in s.elements))
+    g = group.check(g)
+    return PeriodicDiscrete(
+        s.period,
+        tuple(tuple((c + d) % m for c, d, m in zip(r, g, s.period)) for r in s.residues),
+    )
 
 
 def per_element_layers(nu, group):

@@ -261,6 +261,8 @@ def test_missing_file_exit_2(capsys):
         ("perturbed_lattice.json", ["--notion", "window", "--r0", "10", "--rmax", "5"], 3),
         # a negative tolerance would run the profile to --kmax and echo tol=-1
         ("half_pattern.json", ["--notion", "window", "--tol", "-1"], 3),
+        # --rmax would override --kmax: 7 radii for --kmax 1
+        ("perturbed_lattice.json", ["--notion", "window", "--kmax", "1", "--rmax", "1000"], 3),
     ],
 )
 def test_bad_window_arguments_keep_exit_contract(capsys, instance, extra, code):
@@ -418,6 +420,23 @@ def test_discrete_quotient_inputs_keep_exit_contract(tmp_path, capsys, group, ob
     got, out, err = run(capsys, argv[0], "--instance", str(path), *argv[1:])
     assert got == code
     assert expect in (out if code == 0 else err)
+
+
+@pytest.mark.parametrize("objects, argv, expect", [
+    # a lattice set whose period is not the lattice's dimension
+    ({"A": _periodic([5, 3], (1, 2))}, ["diffset"], "PeriodicDiscrete of period (5, 3)"),
+    # syndetic names its sets with --set and --translates; --object was read nowhere
+    ({"S": _periodic([2], (0,)), "K": _explicit((0,), (1,))}, SYNDETIC + ["--object", "S"],
+     "--object: syndetic names its sets"),
+    ({"S": _periodic([2], (0,)), "K": _explicit((0,))}, ["syndetic"], "pick one with --set"),
+], ids=["2d-lattice-diffset", "syndetic-object", "syndetic-no-set"])
+def test_discrete_inputs_and_flags_a_run_would_misread_exit_3(tmp_path, capsys, objects, argv,
+                                                              expect):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"group": Z1, "objects": objects}))
+    code, _, err = run(capsys, argv[0], "--instance", str(path), *argv[1:])
+    assert code == 3
+    assert expect in err
 
 
 @pytest.mark.parametrize("command", ["partition", "pipeline"])

@@ -6,6 +6,7 @@ pair, and the caps of the discrete difference sets and Minkowski sums."""
 
 import random
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from math import prod
@@ -18,19 +19,27 @@ from density_lab import (
     Counting,
     ExplicitFinite,
     FiniteAbelian,
+    IntervalUnion,
     MeasureSum,
     PeriodicDiscrete,
+    PeriodicPoints,
+    PreconditionError,
     RealLine,
+    ShapeMismatchError,
     SigmaFiniteChain,
     WeightedDiracs,
     ZLattice,
+    classical_upper_density,
     difference_set,
+    gap_analysis,
     kahane_oracle_finite,
     minkowski_sum,
+    packing_bound_check,
+    rudin_window,
     syndetic_check,
     to_jsonable,
+    translate_set,
 )
-from density_lab import sets
 from density_lab.groups import all_finite_abelian_up_to, bits, mask_of
 from density_lab.sets import _int_shape, discrete_quotient
 from density_lab.windows import measure_layers
@@ -39,6 +48,9 @@ from oracles import (
     pairwise_minkowski_sum,
     per_element_layers,
     per_element_quotient,
+    per_type_difference_set,
+    per_type_minkowski_sum,
+    per_type_translate_set,
     syndetic_check_finite,
     translate_at,
 )
@@ -131,7 +143,7 @@ def test_check_points_is_check_point_by_point(group, ps):
 @example(FiniteAbelian((2, 3)), [(0, 7), (0, 5)], [(1,)])  # a's first point before b's
 def test_finite_differences_and_sums_check_as_the_per_pair_path(group, ps, qs):
     # each operand checked once, then int tuples per pair: the same sets, or
-    # the same exception type and message, as group.add per pair
+    # the same exception type and message, as group.add per pair (and point)
     made = outcome(lambda: (ExplicitFinite(ps), ExplicitFinite(qs)))
     if made[0] != "ok":
         return
@@ -142,6 +154,9 @@ def test_finite_differences_and_sums_check_as_the_per_pair_path(group, ps, qs):
             lambda: pairwise_difference_set(A, group))
     assert outcome(lambda: minkowski_sum(A, B, group)) == outcome(
         lambda: pairwise_minkowski_sum(A, B, group))
+    for g in qs[:1]:  # A + {g} against group.add per point
+        assert outcome(lambda: translate_set(A, g, group)) == outcome(
+            lambda: per_type_translate_set(A, g, group))
 
 
 def test_finite_differences_and_sums_of_valid_points_match_the_per_pair_path():
@@ -256,14 +271,18 @@ def test_the_finite_minkowski_sum_counts_its_pairs_before_it_builds_them():
         minkowski_sum(A, B, _NoPairs(1))
 
 
-def test_the_lattice_minkowski_sum_counts_before_it_expands(monkeypatch):
-    def expand(*args):
-        raise AssertionError("residues expanded before the cap")
-
-    monkeypatch.setattr(sets, "_expand_residues", expand)
+def test_the_lattice_minkowski_sum_counts_before_it_expands():
+    # no residue is checked, and next to nothing allocated, before the cap:
+    # the lcm lift alone would be 1031 * 1033 residues
     a, b = PeriodicDiscrete.line(1031, [0]), PeriodicDiscrete.line(1033, [0])
-    with pytest.raises(CapExceededError, match="lattice Minkowski sum over the lcm period"):
-        minkowski_sum(a, b, Z1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="lattice Minkowski sum over the lcm period"):
+            minkowski_sum(a, b, _NoPairs(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_the_lattice_plus_finite_minkowski_sum_counts_its_pairs_first():
@@ -283,3 +302,109 @@ def test_the_capped_sites_still_sum_what_fits():
     a, b = PeriodicDiscrete.line(4, [1]), PeriodicDiscrete.line(6, [0])
     assert minkowski_sum(a, b, Z1) == PeriodicDiscrete.line(12, [1, 3, 5, 7, 9, 11])
     assert minkowski_sum(a, ExplicitFinite(((2,), (3,))), Z1) == PeriodicDiscrete.line(4, [0, 3])
+
+
+@st.composite
+def valid_operands(draw):
+    """(group, a, b, g): ExplicitFinite and PeriodicDiscrete operands on Z^1 to
+    Z^3, or subsets of a finite group, and a translate g of that group."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 3))
+        group, coordinate = ZLattice(d), [st.integers(-9, 9)] * d
+        period = st.tuples(*[st.integers(1, 4)] * d)
+    else:
+        moduli = draw(st.lists(st.integers(1, 5), max_size=3))
+        group, period = FiniteAbelian(moduli), None
+        coordinate = [st.integers(0, m - 1) for m in moduli]
+    point = st.tuples(*coordinate)
+
+    def operand():
+        if period is not None and draw(st.booleans()):
+            return PeriodicDiscrete(draw(period), draw(st.lists(point, max_size=3)))
+        return ExplicitFinite(tuple(draw(st.lists(point, max_size=5))))
+
+    return group, operand(), operand(), draw(point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_operands())
+@example((ZLattice(1), PeriodicDiscrete.line(4, [1]), PeriodicDiscrete.line(6, [0, 3]), (5,)))
+@example((ZLattice(2), PeriodicDiscrete((2, 3), [(0, 1)]), ExplicitFinite(), (0, 0)))
+@example((FiniteAbelian(()), ExplicitFinite(((),)), ExplicitFinite(((),)), ()))
+def test_the_discrete_kernel_matches_the_per_type_branches(case):
+    # one kernel on held (period, int tuples) forms against the per-type
+    # branches it replaced: sums in both orders, S - S and S + {g}
+    group, a, b, g = case
+    for x, y in ((a, b), (b, a)):
+        assert minkowski_sum(x, y, group) == per_type_minkowski_sum(x, y, group)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the S - S of an empty set warns
+        for s in (a, b):
+            assert difference_set(s, group) == per_type_difference_set(s, group)
+            assert translate_set(s, g, group) == per_type_translate_set(s, g, group)
+
+
+PERIOD_OVER_Z = "a PeriodicDiscrete of period"
+
+
+@pytest.mark.parametrize("run, message", [
+    # a point of another dimension was dropped by zip, or summed over a
+    # truncated period, or a residue system of the wrong dimension returned
+    (lambda: minkowski_sum(PeriodicDiscrete((5,), ((1,),)), ExplicitFinite(((1, 2),)), Z1),
+     "element (1, 2) is not an integer 1-tuple"),
+    (lambda: minkowski_sum(ExplicitFinite(((1, 2),)), PeriodicDiscrete((5,), ((1,),)), Z1),
+     "element (1, 2) is not an integer 1-tuple"),
+    (lambda: minkowski_sum(PeriodicDiscrete.line(5, [1]), PeriodicDiscrete((4, 6), ((1, 2),)),
+                           Z1), PERIOD_OVER_Z + " (4, 6) is no subset of ZLattice"),
+    (lambda: minkowski_sum(PeriodicDiscrete.line(5, [1]), PeriodicDiscrete((4, 6)), Z1),
+     PERIOD_OVER_Z + " (4, 6)"),
+    (lambda: difference_set(PeriodicDiscrete((5, 3), ((1, 2),)), Z1), PERIOD_OVER_Z + " (5, 3)"),
+    (lambda: translate_set(PeriodicDiscrete((5, 3), ((1, 2),)), 1, Z1), PERIOD_OVER_Z),
+    (lambda: difference_set(PeriodicDiscrete.line(3, [1]), Z2), PERIOD_OVER_Z + " (3,)"),
+    # a PeriodicDiscrete is a subset of Z^d only
+    (lambda: minkowski_sum(PeriodicDiscrete.line(4, [1]), PeriodicDiscrete.line(6, [0]),
+                           FiniteAbelian((12,))), "is no subset of FiniteAbelian"),
+    (lambda: difference_set(PeriodicDiscrete.line(4, [1]), G5), "is no subset of FiniteAbelian"),
+    (lambda: translate_set(PeriodicDiscrete.line(5, [1]), (1,), G5), "is no subset of Finite"),
+    (lambda: minkowski_sum(PeriodicDiscrete.line(2, [1]), PeriodicDiscrete.line(2, [0]),
+                           RealLine()), "is no subset of RealLine"),
+], ids=["lattice+pair", "pair+lattice", "lattice+2d-lattice", "lattice+empty-2d-lattice",
+        "2d-lattice-diff", "2d-lattice-translate", "1d-lattice-diff-on-Z2",
+        "lattice-sum-on-Z12", "lattice-diff-on-Z5", "lattice-translate-on-Z5",
+        "lattice-sum-on-R"])
+def test_a_lattice_set_off_its_lattice_is_refused(run, message):
+    with pytest.raises(ShapeMismatchError) as info:
+        run()
+    assert message in str(info.value)
+
+
+# the readers of subsets of Z take their points through check_points, so a
+# set of pairs is refused rather than read by its first coordinates
+PAIRS = ExplicitFinite(((1, 2), (3, 4)))
+
+
+def test_the_classical_density_refuses_points_of_another_dimension():
+    with pytest.raises(ShapeMismatchError, match="not an integer 1-tuple"):
+        classical_upper_density(PAIRS, Z1)
+    report = classical_upper_density(ExplicitFinite((3, 1)), Z1)  # bare ints are points of Z
+    assert report.annotations[1].startswith("schedule n=10: 1/5")
+
+
+def test_gap_analysis_refuses_points_of_another_dimension():
+    with pytest.raises(ShapeMismatchError, match="not an integer 1-tuple"):
+        gap_analysis(PAIRS, Z1)
+    assert gap_analysis(ExplicitFinite((7, 3, -1)), Z1).gaps == (4,)
+
+
+def test_the_rudin_window_on_z_refuses_points_of_another_dimension():
+    with pytest.raises(ShapeMismatchError, match="not an integer 1-tuple"):
+        rudin_window(PAIRS, Fraction(1, 2), Z1)
+    assert rudin_window(ExplicitFinite((1, 3)), Fraction(1, 2), Z1) == rudin_window(
+        ExplicitFinite(((1,), (3,))), Fraction(1, 2), Z1)
+
+
+def test_the_packing_check_on_z_refuses_an_H_of_another_dimension():
+    S = PeriodicDiscrete.line(10, [0])
+    with pytest.raises(ShapeMismatchError, match="not an integer 1-tuple"):
+        packing_bound_check(S, PAIRS, Z1)
+    assert packing_bound_check(S, ExplicitFinite(((0,), (3,))), Z1).mu_H == 2

@@ -450,6 +450,21 @@ def test_auto_h_certificate_arithmetic():
     assert result.k <= (1 + eps) * rho * result.Q.length
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda q: st.tuples(
+           st.just(q), st.lists(st.integers(0, 4 * q - 1), min_size=1, max_size=4, unique=True))),
+       st.sampled_from([1, 2, 3, 4]), st.fractions(Fraction(1, 16), 4))
+def test_auto_h_takes_its_first_window_of_m_periods(qr, p, eps):
+    # c = M periods with M = max(1, ceil(2/eps)) holds K_c = M |R| + 1
+    # points at most, so the window certificate passes at the first M
+    q, residues = qr
+    S = PeriodicPoints(Fraction(p, q), [Fraction(r, q * q) for r in residues])
+    M = max(1, ceil(2 / eps))
+    result = auto_H(S, eps)
+    assert result.c == M * S.period
+    assert result.window_count == M * len(S.residues) + 1
+
+
 def test_auto_h_requires_periodic():
     with pytest.raises(PreconditionError):
         auto_H(FinitePoints((Fraction(0), Fraction(1))), Fraction(1, 2))

@@ -440,27 +440,27 @@ _SUM_SITES = ("finite Minkowski sum", "lattice-plus-finite Minkowski sum",
               "lattice Minkowski sum over the lcm period")
 
 
-def _discrete(a, b, group, op, site=None):
+def _discrete(a, b, group, op, site):
     """{x op y : x in a, y in b} (op add or sub) of ExplicitFinite and
     PeriodicDiscrete operands in their held form (period or None, int
     tuples). Per axis (R_a + P_a Z) op (R_b + P_b Z) = (R_a op R_b) + gcd Z,
     so the pairs are reduced mod the gcd of the periods and lifted to their
-    lcm, the result's period. Pairs times lift are held to Caps.enumeration
-    (site None: uncapped) before any check; with a pair, a's first point,
-    b's points and a's are then checked, once each (check_points), as
-    group.add per pair refuses them, which still runs on the line and a
-    chain."""
+    lcm, the result's period; an empty result is not lifted. A period off
+    the lattice is refused first; pairs times lift are then held to
+    Caps.enumeration (named by site) before any point is checked. With a
+    pair, a's first point, b's points and a's are checked, once each
+    (check_points), as group.add per pair refuses them, which still runs
+    on the line and a chain."""
     lattice = [s.period for s in (a, b) if isinstance(s, PeriodicDiscrete)]
-    periods = [group.moduli] if isinstance(group, FiniteAbelian) else lattice
-    Q, g = (tuple(map(f, *periods)) for f in (lcm, gcd)) if periods else (None, None)
-    lift = prod(map(floordiv, Q, g)) if periods else 1
-    xs, ys = (s.residues if isinstance(s, PeriodicDiscrete) else s.elements for s in (a, b))
-    if site:
-        check_enumeration(len(xs) * len(ys) * lift, f"the {site}: " + _PAIRS_OVER_CAP)
     for P in lattice:
         if not (isinstance(group, ZLattice) and len(P) == group.dimension):
             raise ShapeMismatchError(
                 f"a PeriodicDiscrete of period {P!r} is no subset of {group!r}")
+    periods = [group.moduli] if isinstance(group, FiniteAbelian) else lattice
+    Q, g = (tuple(map(f, *periods)) for f in (lcm, gcd)) if periods else (None, None)
+    lift = prod(map(floordiv, Q, g)) if periods else 1
+    xs, ys = (s.residues if isinstance(s, PeriodicDiscrete) else s.elements for s in (a, b))
+    check_enumeration(len(xs) * len(ys) * lift, f"the {site}: " + _PAIRS_OVER_CAP)
     if not isinstance(group, (ZLattice, FiniteAbelian)):
         neg = group.negate if op is sub else None
         return ExplicitFinite(tuple(group.add(x, neg(y) if neg else y) for x in xs for y in ys))
@@ -472,7 +472,7 @@ def _discrete(a, b, group, op, site=None):
     if g is None:
         return ExplicitFinite(tuple(map(tuple, pairs)))
     out = {tuple(map(mod, p, g)) for p in pairs}
-    if lift > 1:
+    if lift > 1 and out:
         steps = list(product(*(range(0, q, h) for q, h in zip(Q, g))))
         out = {tuple(map(add, r, j)) for r in out for j in steps}
     return PeriodicDiscrete(Q, tuple(out)) if lattice else ExplicitFinite(tuple(out))
@@ -637,7 +637,7 @@ def haar(obj, group: GroupSpec):
 
 def translate_set(s, g, group: GroupSpec):
     if isinstance(s, _DISCRETE):
-        return _discrete(s, ExplicitFinite((g,)), group, add)  # s + {g}
+        return _discrete(s, ExplicitFinite((g,)), group, add, "discrete translate")
     if isinstance(s, IntervalUnion):
         return s.translate(rat(g))
     if isinstance(s, PeriodicPattern):

@@ -2,7 +2,8 @@
 and the translates of a mask against the index arithmetic they replaced,
 the per-object check (check_points) against check point by point, directly
 and through every caller, the finite S - S and sums against group.add per
-pair, and the caps of the discrete difference sets and Minkowski sums."""
+pair, and the caps of the discrete difference sets, Minkowski sums and
+translates."""
 
 import random
 import time
@@ -40,6 +41,7 @@ from density_lab import (
     to_jsonable,
     translate_set,
 )
+from density_lab import config
 from density_lab.groups import all_finite_abelian_up_to, bits, mask_of
 from density_lab.sets import _int_shape, discrete_quotient
 from density_lab.windows import measure_layers
@@ -292,6 +294,34 @@ def test_the_lattice_plus_finite_minkowski_sum_counts_its_pairs_first():
     with pytest.raises(CapExceededError, match="lattice-plus-finite Minkowski sum"):
         minkowski_sum(a, b, Z1)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("P, Q", [(1031, 1033), ((1 << 31) - 1, 1 << 31)])
+def test_an_empty_lattice_sum_is_not_lifted_to_the_lcm_period(P, Q):
+    # no pair means nothing to lift: the lcm lift alone would be P * Q steps
+    tracemalloc.start()
+    try:
+        got = [minkowski_sum(PeriodicDiscrete.line(P, []), PeriodicDiscrete.line(Q, [0]), Z1),
+               minkowski_sum(PeriodicDiscrete.line(P, [0]), PeriodicDiscrete.line(Q, []), Z1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [PeriodicDiscrete.line(P * Q, [])] * 2
+    assert peak < 64 * 1024
+
+
+def test_a_period_off_the_lattice_is_refused_before_the_cap():
+    # the 2-d period would be cut to its first axis, giving 8 * 10^6 pairs
+    a = PeriodicDiscrete.line(8000, range(4000))
+    with pytest.raises(ShapeMismatchError, match=r"\(4, 6\) is no subset of ZLattice"):
+        minkowski_sum(a, PeriodicDiscrete((4, 6), ((1, 2),)), Z1)
+
+
+def test_the_discrete_translate_is_capped_like_every_other_site(monkeypatch):
+    monkeypatch.setattr(config, "DEFAULT_CAPS", config.Caps(enumeration=3))
+    S = ExplicitFinite(tuple((i,) for i in range(4)))
+    with pytest.raises(CapExceededError, match="discrete translate: 4 pairs"):
+        translate_set(S, (1,), _NoPairs(1))
 
 
 def test_the_capped_sites_still_sum_what_fits():

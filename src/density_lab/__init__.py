@@ -63,7 +63,6 @@ from .sets import (
     PeriodicPoints,
     PerturbedLattice,
     WeightedDiracs,
-    WindowedDifferenceSet,
     difference_set,
     haar,
     minkowski_sum,

@@ -20,6 +20,7 @@ from .sets import (
     _canonical,
     _Held,
     _points_within,
+    check_period,
     discrete_quotient,
     minkowski_sum,
 )
@@ -49,9 +50,7 @@ def gap_analysis(D, group: ZLattice = ZLattice(1)) -> GapReport:
     if group != ZLattice(1):
         raise PreconditionError(f"gap analysis runs on Z, not on {group}")
     if isinstance(D, PeriodicDiscrete):
-        if D.dimension != 1:
-            raise PreconditionError("gap analysis runs on Z")
-        m = D.period[0]
+        (m,) = check_period(D, group)
         residues = sorted(D.line_residues())
         if not residues:
             raise PreconditionError("empty positive part")

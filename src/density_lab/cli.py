@@ -68,7 +68,6 @@ from .sets import (
     FinitePoints,
     HaarTrace,
     PeriodicDiscrete,
-    PerturbedLattice,
     difference_set,
 )
 from .structure import greedy_translates, partition_by_coloring, syndetic_pipeline
@@ -115,7 +114,7 @@ def _load(args) -> Instance:
 
 
 def _pick(instance: Instance, name, what="object", flag="--object"):
-    if name:
+    if name is not None:
         if name not in instance.objects:
             raise PreconditionError(f"no {what} named {name!r} in the instance")
         return instance.objects[name]
@@ -128,11 +127,11 @@ def _pick(instance: Instance, name, what="object", flag="--object"):
 
 def _estimation_params(args, instance) -> EstimationParams:
     params = instance.params
-    tol = rat(args.tol) if args.tol else params.get("tol", DEFAULT_ESTIMATION.tol)
-    r0 = rat(args.r0) if args.r0 else params.get("r0", DEFAULT_ESTIMATION.r0)
+    tol = rat(args.tol) if args.tol is not None else params.get("tol", DEFAULT_ESTIMATION.tol)
+    r0 = rat(args.r0) if args.r0 is not None else params.get("r0", DEFAULT_ESTIMATION.r0)
     k_max = args.kmax if args.kmax is not None else params.get("k_max", DEFAULT_ESTIMATION.k_max)
     estimation = EstimationParams(tol=tol, r0=r0, k_max=k_max)
-    if getattr(args, "rmax", None):
+    if args.rmax is not None:
         # cap the geometric schedule r0 * 2^k at rmax
         if args.kmax is not None:
             raise PreconditionError("--kmax, --rmax: each sets the last window profile radius; "
@@ -177,7 +176,7 @@ def _emit_jsonable(args, results) -> dict:
         "results": results,
         "wall_time_s": round(time.time() - args._t0, 6),
     }
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(canonical_json(report))
         print(f"report written to {args.out}")
@@ -255,10 +254,7 @@ def cmd_density(args) -> int:
 def cmd_diffset(args) -> int:
     instance = _load(args)
     s = _pick(instance, args.object)
-    window = tuple(map(rat, args.window)) if args.window else None
-    if window is None and isinstance(s, PerturbedLattice):  # the file's default
-        window = instance.params.get("window")
-    result = difference_set(s, instance.group, window=window)
+    result = difference_set(s, instance.group)
     print(f"difference set of {type(s).__name__}: {type(result).__name__}")
     result = to_jsonable(result)  # serialized once, for the echo and the report
     print(f"  {result}")
@@ -301,7 +297,7 @@ def cmd_cover(args) -> int:
 def cmd_partition(args) -> int:
     instance = _load(args)
     s = _pick(instance, args.object)
-    h = instance.objects.get(args.H) if args.H else instance.objects.get("H")
+    h = instance.objects.get("H" if args.H is None else args.H)
     if h is None:
         raise PreconditionError("partition needs an interval union named by --H")
     result = partition_by_coloring(s, h, instance.group)
@@ -315,8 +311,9 @@ def cmd_partition(args) -> int:
 def cmd_pipeline(args) -> int:
     instance = _load(args)
     s = _pick(instance, args.object)
-    h = _pick(instance, args.H, "H") if args.H else None
-    epsilon = rat(args.epsilon) if args.epsilon else instance.params.get("epsilon", Fraction(1, 2))
+    h = _pick(instance, args.H, "H") if args.H is not None else None
+    epsilon = rat(args.epsilon) if args.epsilon is not None else instance.params.get(
+        "epsilon", Fraction(1, 2))
     result = syndetic_pipeline(s, instance.group, epsilon=epsilon, H=h)
     print(f"rho = {rat_str(result.rho)}; classes = {result.partition.n}; "
           f"selected class {result.selected_class} with rho_j = {rat_str(result.rho_j)}")
@@ -499,8 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diffset", help="difference set")
     common(p)
-    p.add_argument("--window", nargs=2, default=None, metavar=("LO", "HI"),
-                   help="truncation window of a perturbed lattice (any other set exits 3)")
 
     p = sub.add_parser("syndetic", help="verify S + K = G")
     common(p)

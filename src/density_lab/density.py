@@ -27,7 +27,7 @@ from .errors import CapExceededError, PreconditionError, VerificationError
 from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice, bits
 from .intervals import IntervalUnion
 from .rational import Infinite, common_scale, is_infinite, rat, rat_str
-from .sets import CylinderSet, ExplicitFinite, PeriodicDiscrete
+from .sets import CylinderSet, ExplicitFinite, PeriodicDiscrete, check_period
 from .windows import (
     TraceLayer,
     measure_layers,
@@ -239,9 +239,7 @@ def classical_upper_density(A, group: ZLattice) -> DensityReport:
     if not isinstance(group, ZLattice) or group.dimension != 1:
         raise PreconditionError("the classical upper density runs on Z")
     if isinstance(A, PeriodicDiscrete):
-        if A.dimension != 1:
-            raise PreconditionError("the classical upper density runs on Z")
-        value = Fraction(len(A.residues), A.period[0])
+        value = Fraction(len(A.residues), check_period(A, group)[0])
         return DensityReport(
             notion="classical",
             value=value,

@@ -10,8 +10,8 @@ takes its constructor's default. One parser (`spec.parse`) and one printer
 every valid file. A value of the wrong JSON type (a string is never a list),
 an unknown or missing field, or an unknown family or kind raises
 InstanceParseError. `params` are typed at load time (`k_max` an int, `tol`,
-`r0`, `epsilon` Fractions, `window` a pair); range checks (a positive period,
-r0 > 0) stay with the constructors and the CLI.
+`r0`, `epsilon` Fractions), and any other key is unknown; range checks (a
+positive period, r0 > 0) stay with the constructors and the CLI.
 """
 
 from __future__ import annotations
@@ -258,11 +258,9 @@ OBJECT.kinds.update(
     sum=Record(sets.MeasureSum, components=Array(OBJECT)),
 )
 
-# the keys the CLI reads: the window profile schedule, the pipeline's epsilon
-# and the diffset window
+# the keys the CLI reads: the window profile schedule and the pipeline's epsilon
 PARAMS = Record(dict, what="params", tol=Field(RATIONAL, OPTIONAL), r0=Field(RATIONAL, OPTIONAL),
-                k_max=Field(INTEGER, OPTIONAL), epsilon=Field(RATIONAL, OPTIONAL),
-                window=Field(PAIR, OPTIONAL))
+                k_max=Field(INTEGER, OPTIONAL), epsilon=Field(RATIONAL, OPTIONAL))
 OBJECTS = Named()
 INSTANCE_FIELDS = {"group": Field(GROUP), "objects": Field(OBJECTS),
                    "params": Field(PARAMS, OPTIONAL)}

@@ -11,7 +11,7 @@ real-line point configuration is held in one form,
 ((R + PZ) minus M) union E with R, M and E finite (_Held): finite lists,
 fully periodic residue systems and a lattice with finitely many explicit
 perturbations are its special cases, and the form is closed under the sums,
-differences and translates computed here, so S - S is exact with no window.
+differences and translates computed here, so S - S is held exactly.
 An explicit accumulation marker records limit points of the idealized
 (untruncated) configuration. Measures are counting measures, Haar traces,
 Dirac masses, weighted Dirac sums, and finite sums of these.
@@ -108,6 +108,15 @@ class PeriodicDiscrete:
         if self.dimension != 1:
             raise PreconditionError("line_residues needs a one-dimensional set")
         return tuple(r[0] for r in self.residues)
+
+
+def check_period(s: PeriodicDiscrete, group) -> tuple[int, ...]:
+    """The period of s, refused unless group is a ZLattice of its dimension:
+    the one period check of the discrete ops, made before their caps."""
+    if not (isinstance(group, ZLattice) and len(s.period) == group.dimension):
+        raise ShapeMismatchError(
+            f"a PeriodicDiscrete of period {s.period!r} is no subset of {group!r}")
+    return s.period
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +326,16 @@ class CylinderSet:
 def discrete_quotient(s, group: GroupSpec):
     """(quotient, sorted indices of s in it, lift of quotient elements to group
     elements) or None: ExplicitFinite on FiniteAbelian, PeriodicDiscrete on
-    ZLattice (FiniteAbelian(period)), both residues (as _discrete holds them)
-    lifted as the same int tuples, or CylinderSet on a chain (H_depth, lifted
-    by _strip). The order is held to Caps.enumeration, and the residues
-    checked (check_points), before any index is built."""
-    if isinstance(s, ExplicitFinite) and isinstance(group, FiniteAbelian) or (
-            isinstance(s, PeriodicDiscrete) and isinstance(group, ZLattice)):
-        quotient = group if isinstance(group, FiniteAbelian) else FiniteAbelian(s.period)
+    ZLattice (FiniteAbelian(period), refused by check_period on any other
+    group), both residues (as _discrete holds them) lifted as the same int
+    tuples, or CylinderSet on a chain (H_depth, lifted by _strip). The order
+    is held to Caps.enumeration, and the residues checked (check_points),
+    before any index is built."""
+    lattice = isinstance(s, PeriodicDiscrete)
+    if lattice or isinstance(s, ExplicitFinite) and isinstance(group, FiniteAbelian):
+        quotient = FiniteAbelian(check_period(s, group)) if lattice else group
         check_enumeration(quotient.order)
-        points = s.residues if isinstance(s, PeriodicDiscrete) else s.elements
-        points = group.check_points(points, s._shape)
+        points = group.check_points(s.residues if lattice else s.elements, s._shape)
         return quotient, [sum(map(mul, p, quotient.strides)) for p in points], tuple
     if isinstance(group, SigmaFiniteChain) and isinstance(s, CylinderSet):
         s.validate_for(group)
@@ -451,11 +460,7 @@ def _discrete(a, b, group, op, site):
     pair, a's first point, b's points and a's are checked, once each
     (check_points), as group.add per pair refuses them, which still runs
     on the line and a chain."""
-    lattice = [s.period for s in (a, b) if isinstance(s, PeriodicDiscrete)]
-    for P in lattice:
-        if not (isinstance(group, ZLattice) and len(P) == group.dimension):
-            raise ShapeMismatchError(
-                f"a PeriodicDiscrete of period {P!r} is no subset of {group!r}")
+    lattice = [check_period(s, group) for s in (a, b) if isinstance(s, PeriodicDiscrete)]
     periods = [group.moduli] if isinstance(group, FiniteAbelian) else lattice
     Q, g = (tuple(map(f, *periods)) for f in (lcm, gcd)) if periods else (None, None)
     lift = prod(map(floordiv, Q, g)) if periods else 1
@@ -528,30 +533,16 @@ def _sum(A, B):
 # difference sets
 
 
-@dataclass(frozen=True)
-class WindowedDifferenceSet:
-    """Difference set of an infinite configuration, exact within a window."""
-
-    points: FinitePoints
-    window: tuple[Fraction, Fraction]
-
-
-def difference_set(s, group: GroupSpec, window=None):
+def difference_set(s, group: GroupSpec):
     """Exact S - S; symmetric and containing 0 whenever S is nonempty.
 
     A line configuration ((R + PZ) minus M) union E is differenced whole, in
     the integer form it holds (_Held): S - S is the sum (_sum) of S and -S, a
     configuration of the same form; a finite S takes one half pass over its
     ordered pairs and mirrors it. An accumulating S gives an S - S marked at
-    0 on both sides. A truncation window applies only to a perturbed lattice:
-    the result is then the exact intersection of S - S with it, materialized.
+    0 on both sides. Its points in a window are materialize(lo, hi).
     """
-    empty = _set_is_empty(s)  # raises on what is no set
-    if window is not None and not isinstance(s, PerturbedLattice):
-        raise PreconditionError(
-            f"a truncation window applies only to a perturbed lattice, not {type(s).__name__}"
-        )
-    if empty:
+    if _set_is_empty(s):  # raises on what is no set
         warnings.warn("difference set of an empty set is empty (0 not included)")
     if isinstance(s, _DISCRETE):
         site = "lattice" if isinstance(s, PeriodicDiscrete) else "finite"
@@ -571,15 +562,7 @@ def difference_set(s, group: GroupSpec, window=None):
         return _canonical(s._D, None, (), (*(-d for d in reversed(pos)), 0, *pos) if xs else (),
                           (), acc)
     negated = (P, {-r % P for r in s._residues}, [-x for x in xs], [-x for x in s._removed])
-    d = _canonical(s._D, *_sum(_form(s, s._D), negated), acc)
-    if window is None:
-        return d
-    lo, hi = rat(window[0]), rat(window[1])
-    if hi < lo:
-        raise PreconditionError("truncation window is empty")
-    D = d._D
-    points = _points_within(d, D, ceil(lo * D), floor(hi * D))
-    return WindowedDifferenceSet(points=_canonical(D, None, (), points, (), acc), window=(lo, hi))
+    return _canonical(s._D, *_sum(_form(s, s._D), negated), acc)
 
 
 def _set_is_empty(s) -> bool:
@@ -612,7 +595,7 @@ def haar(obj, group: GroupSpec):
         if isinstance(obj, ExplicitFinite):
             return Fraction(len(obj.elements))
         if isinstance(obj, PeriodicDiscrete):
-            return Infinite(("per-period", Fraction(len(obj.residues)), obj.period))
+            return Infinite(("per-period", Fraction(len(obj.residues)), check_period(obj, group)))
         if isinstance(obj, CylinderSet):
             if not obj.residues:
                 return Fraction(0)

@@ -108,6 +108,7 @@ from .sets import (
     PeriodicDiscrete,
     WeightedDiracs,
     _Held,
+    check_period,
 )
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def _collect(nu, group, layers, acc):
         held(None, s._removed, -1)
         acc.extend(s.accumulation)
     elif isinstance(group, ZLattice) and isinstance(s, PeriodicDiscrete):
-        add(s.period, group.check_points(s.residues, s._shape))
+        add(check_period(s, group), group.check_points(s.residues, s._shape))
     else:
         raise PreconditionError(
             f"{type(nu).__name__} of {type(s).__name__} is not a measure on {type(group).__name__}"

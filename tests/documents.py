@@ -65,7 +65,7 @@ def value(spec, name, family, objects):
         return value(spec.spec, name, family, objects)
     if isinstance(spec, I.Array):
         item = value(spec.item, name, family, objects)
-        if spec.length == 2:  # an interval or a window: [a, b] with a <= b
+        if spec.length == 2:  # an interval: [a, b] with a <= b
             return st.tuples(item, item).map(lambda ab: sorted(ab, key=Fraction))
         return st.lists(item, max_size=3)
     if spec is I.OBJECT:

@@ -26,6 +26,7 @@ from density_lab import (
     PipelineResult,
     PreconditionError,
     RealLine,
+    ShapeMismatchError,
     SigmaFiniteChain,
     SyndeticCertificate,
     VerificationError,
@@ -42,7 +43,6 @@ from density_lab.rational import common_scale, frac_lcm, is_infinite, rat
 from density_lab.intervals import gaps_within
 from density_lab.sets import (
     DiracAtZero,
-    WindowedDifferenceSet,
     _canonical,
     _Held,
     discrete_quotient,
@@ -80,13 +80,20 @@ def difference_residues_mod(residues, period) -> tuple[Fraction, ...]:
     return tuple(Fraction(d, D) for d in sorted({(x - y) % P for x in xs for y in xs}))
 
 
+def difference_marker(s) -> tuple:
+    """The accumulation markers of S - S: one at 0, approached from both
+    sides, exactly when S accumulates."""
+    return (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
+
+
 def fraction_difference_set(s, window=None):
-    """sets.difference_set of a PeriodicPoints, FinitePoints or
-    PerturbedLattice s."""
+    """sets.difference_set of a PeriodicPoints or FinitePoints s; of a
+    PerturbedLattice s, the sorted points of its difference set in the
+    window (lo, hi), which difference_set(s, R).materialize(lo, hi) gives."""
     if isinstance(s, PeriodicPoints):
         return PeriodicPoints(s.period, difference_residues_mod(s.residues, s.period))
     if isinstance(s, FinitePoints):
-        acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
+        acc = difference_marker(s)
         if not s.points:  # an accumulation marker alone
             return FinitePoints((), acc)
         D, xs = common_scale(s.points)  # sorted, as the points are
@@ -94,9 +101,7 @@ def fraction_difference_set(s, window=None):
         # 0 and the negatives mirror the positives; negation skips the gcd
         return FinitePoints((*(-d for d in reversed(pos)), Fraction(0), *pos), acc)
     assert isinstance(s, PerturbedLattice)
-    lo, hi = rat(window[0]), rat(window[1])
-    if hi < lo:
-        raise PreconditionError("truncation window is empty")
+    lo, hi = rat(window[0]), rat(window[1])  # hi < lo: no point, as materialize gives
     D, ints = common_scale((lo, hi, s.step, *s.extra, *s.removed))
     lo_i, hi_i, step = ints[:3]
     extra = ints[3 : 3 + len(s.extra)]
@@ -113,9 +118,7 @@ def fraction_difference_set(s, window=None):
         diffs.update(p - e for p in lattice(e + lo_i, e + hi_i) if p not in removed)
     # extra - extra
     diffs.update(d for x in extra for y in extra if lo_i <= (d := x - y) <= hi_i)
-    acc = (AccumulationPoint(Fraction(0), "both"),) if s.accumulation else ()
-    points = tuple(Fraction(d, D) for d in sorted(diffs))
-    return WindowedDifferenceSet(points=FinitePoints(points, acc), window=(lo, hi))
+    return tuple(Fraction(d, D) for d in sorted(diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -790,11 +793,15 @@ def translate_at(group: FiniteAbelian, k, at) -> list[int]:
 
 
 def per_element_quotient(s, group):
-    """The discrete branches of sets.discrete_quotient, each point checked."""
+    """The discrete branches of sets.discrete_quotient, each point checked; a
+    period of another dimension than the lattice's is refused first."""
     if isinstance(group, FiniteAbelian) and isinstance(s, ExplicitFinite):
         check_enumeration(group.order)
         return group, [group.index(e) for e in s.elements], tuple
     if isinstance(group, ZLattice) and isinstance(s, PeriodicDiscrete):
+        if len(s.period) != group.dimension:
+            raise ShapeMismatchError(
+                f"a PeriodicDiscrete of period {s.period!r} is no subset of {group!r}")
         quotient = FiniteAbelian(s.period)
         check_enumeration(quotient.order)
         return quotient, [quotient.index(group.check(r)) for r in s.residues], tuple

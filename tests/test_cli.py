@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from density_lab import IntervalUnion, RealLine, density
+from density_lab import IntervalUnion, RealLine, density, difference_set
 from density_lab.cli import main
 from density_lab.instances import parse_instance
 from density_lab.windows import measure_layers
@@ -203,29 +203,39 @@ def _perturbed_file(tmp_path, params):
 
 
 def test_diffset_windowed(tmp_path, capsys):
+    # diffset reports S - S of a perturbed lattice whole; a window of it is
+    # materialize(lo, hi) of the held result
     instance = _perturbed_file(tmp_path, {})
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "diffset", "--instance", instance, "--object", "S",
-                       "--window", "-1", "1", "--out", str(out_path))
-    assert code == 0 and "WindowedDifferenceSet" in out
+                       "--out", str(out_path))
+    assert code == 0 and "PerturbedLattice: EventuallyPeriodicPoints" in out
     results = json.loads(out_path.read_text())["results"]
-    assert results["window"] == ["-1", "1"]
-    # the lattice's -1, 0, 1; 5/2 and 10/3 against it and each other
-    assert results["points"]["points"] == [
+    # Z; 5/2 and 10/3 against it: the classes of 1/2, 1/3 and 2/3; against each other: +-5/6
+    assert results == {"type": "EventuallyPeriodicPoints", "period": "1",
+                       "residues": ["0", "1/3", "1/2", "2/3"], "extra": ["-5/6", "5/6"],
+                       "removed": [], "accumulation": []}
+    with open(instance, encoding="utf-8") as f:
+        S = parse_instance(f.read()).objects["S"]
+    assert list(map(str, difference_set(S, RealLine()).materialize(-1, 1))) == [
         "-1", "-5/6", "-2/3", "-1/2", "-1/3", "0", "1/3", "1/2", "2/3", "5/6", "1"
     ]
 
 
 def test_diffset_refuses_a_window_on_any_other_set(tmp_path, capsys):
-    code, _, err = run(capsys, "diffset", "--instance", f"{INSTANCES}/reciprocal_perturbation.json",
-                       "--object", "S", "--window", "100", "200")
-    assert code == 3 and "only to a perturbed lattice" in err
-    # the file's window is a default for a perturbed lattice, not a window for every set
+    # S - S is reported whole for every set, so a window is refused on every
+    # one: --window is a usage error, params.window an unknown key (exit 2)
+    instance = _perturbed_file(tmp_path, {})
+    for path, name in ((f"{INSTANCES}/reciprocal_perturbation.json", "S"),
+                       (instance, "S"), (instance, "F")):
+        with pytest.raises(SystemExit) as exc:
+            main(["diffset", "--instance", path, "--object", name, "--window", "-1", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --window -1 1" in capsys.readouterr().err
     instance = _perturbed_file(tmp_path, {"window": ["-1", "1"]})
-    code, out, _ = run(capsys, "diffset", "--instance", instance, "--object", "F")
-    assert code == 0 and "FinitePoints" in out
-    code, out, _ = run(capsys, "diffset", "--instance", instance, "--object", "S")
-    assert code == 0 and "WindowedDifferenceSet" in out
+    for name in ("S", "F"):
+        code, _, err = run(capsys, "diffset", "--instance", instance, "--object", name)
+        assert code == 2 and "parse error: unknown fields in params: ['window']" in err
 
 
 def test_parse_error_exit_2(tmp_path, capsys):
@@ -401,7 +411,8 @@ def _periodic(period, *residues):
         (Z1, {"A": _periodic([1], (0,))}, ["cover"], 0, "translates B = [(0,)]"),
         ({"family": "finite_abelian", "moduli": [1]}, {"A": _explicit((0,))}, ["cover"], 0,
          "translates B = [(0,)]"),
-        (Z1, {"A": _periodic([2, 3], (0, 0))}, ["cover"], 3, "not an integer 1-tuple"),
+        (Z1, {"A": _periodic([2, 3], (0, 0))}, ["cover"], 3,
+         "a PeriodicDiscrete of period (2, 3) is no subset of ZLattice(dimension=1)"),
         ({"family": "finite_abelian", "moduli": [4]}, {"A": _explicit((7,))}, ["cover"], 3,
          "outside the moduli"),
         (Z1, {"S": _periodic([3], (0,)), "K": _explicit((0, 5), (1, 7), (2, 9))}, SYNDETIC, 3,
@@ -619,7 +630,7 @@ def test_only_integers_and_p_over_q_are_rationals(tmp_path, capsys, document, ar
 
 def test_integer_string_params_stay_accepted(tmp_path, capsys):
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(_with_params(k_max="3", r0="2", window=["-1", "1"])))
+    path.write_text(json.dumps(_with_params(k_max="3", r0="2")))
     code, out, _ = run(capsys, *WINDOW, "--instance", str(path))
     assert code == 0 and "window density: 0" in out
     path.write_text(json.dumps(_with_params(r0="0")))  # range checks stay exit 3

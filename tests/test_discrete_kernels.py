@@ -33,7 +33,11 @@ from density_lab import (
     classical_upper_density,
     difference_set,
     gap_analysis,
+    greedy_translates,
+    haar,
+    kahane_density,
     kahane_oracle_finite,
+    minimal_translates,
     minkowski_sum,
     packing_bound_check,
     rudin_window,
@@ -406,6 +410,34 @@ def test_a_lattice_set_off_its_lattice_is_refused(run, message):
     with pytest.raises(ShapeMismatchError) as info:
         run()
     assert message in str(info.value)
+
+
+@pytest.mark.filterwarnings("ignore:difference set of an empty set")
+@pytest.mark.parametrize("s, group", [
+    (PeriodicDiscrete((2, 3)), Z1),  # empty: once a Z_2 x Z_3 quotient, no layers, zero density
+    (PeriodicDiscrete((2, 3), ((0, 1),)), Z1),
+    (PeriodicDiscrete.line(4, [1]), Z2),
+], ids=["empty-2d-on-Z", "2d-on-Z", "1d-on-Z2"])
+def test_one_malformed_lattice_set_gets_one_refusal_from_every_op(s, group):
+    K = ExplicitFinite((group.zero(),))  # a valid translate set
+    ops = {
+        "sum": lambda: minkowski_sum(s, s, group),
+        "sum with a finite set": lambda: minkowski_sum(K, s, group),
+        "difference set": lambda: difference_set(s, group),
+        "translate": lambda: translate_set(s, group.zero(), group),
+        "quotient": lambda: discrete_quotient(s, group),
+        "syndetic check": lambda: syndetic_check(s, K, group),
+        "greedy cover": lambda: greedy_translates(s, group),
+        "least cover": lambda: minimal_translates(s, group),
+        "layers": lambda: measure_layers(Counting(s), group),
+        "kahane density": lambda: kahane_density(Counting(s), group),
+        "haar": lambda: haar(s, group),
+    }
+    if group == Z1:  # these run on Z alone
+        ops["classical density"] = lambda: classical_upper_density(s, group)
+        ops["gap analysis"] = lambda: gap_analysis(s, group)
+    refusal = (ShapeMismatchError, f"{PERIOD_OVER_Z} {s.period!r} is no subset of {group!r}")
+    assert {name: outcome(op) for name, op in ops.items()} == dict.fromkeys(ops, refusal)
 
 
 # the readers of subsets of Z take their points through check_points, so a

@@ -32,7 +32,12 @@ from density_lab import (
 from density_lab.cli import main
 from density_lab.instances import parse_instance
 from density_lab.sets import _points_within
-from oracles import fraction_difference_set, fraction_syndetic_line, per_type_minkowski
+from oracles import (
+    difference_marker,
+    fraction_difference_set,
+    fraction_syndetic_line,
+    per_type_minkowski,
+)
 
 R = RealLine()
 ZONE = 6  # every added or removed point lies in [-ZONE, ZONE]
@@ -107,9 +112,10 @@ def test_the_difference_set_of_a_punctured_lattice_misses_two_points():
     assert (d.period, d.residues, d.extra, d.removed) == (
         1, (0, Fraction(1, 3), Fraction(2, 3)), (), (Fraction(-1, 3), Fraction(1, 3)))
     classes = PeriodicPoints(1, d.residues).materialize(-3, 3)
-    windowed = difference_set(THIRD, R, window=(-3, 3)).points.points
+    windowed = d.materialize(-3, 3)
     assert sorted(set(classes) - set(windowed)) == [Fraction(-1, 3), Fraction(1, 3)]
-    assert windowed == d.materialize(-3, 3)
+    assert windowed == fraction_difference_set(THIRD, (-3, 3))
+    assert d.accumulation == difference_marker(THIRD) == ()
 
 
 def test_syndetic_check_looks_at_the_points_the_classes_do_not_show():
@@ -159,7 +165,8 @@ def test_the_shipped_lattice_has_an_exact_difference_set_with_no_window():
     S = _shipped_lattice()
     d = difference_set(S, R)
     assert d.period == 1 and (len(d.residues), len(d.extra), d.removed) == (98, 2212, ())
-    assert d.materialize(-60, 60) == fraction_difference_set(S, (-60, 60)).points.points
+    assert d.materialize(-60, 60) == fraction_difference_set(S, (-60, 60))
+    assert d.accumulation == difference_marker(S)
     # the point counts of the windowed S - S at +-300 and +-600 before it was held
     D = d._D
     assert [len(_points_within(d, D, -w * D, w * D)) for w in (300, 600)] == [61013, 119813]
@@ -184,8 +191,8 @@ def test_the_sum_counts_its_pairs_before_it_builds_them():
 
 def test_a_materialized_window_counts_its_points_before_it_builds_them():
     start = time.perf_counter()
-    with pytest.raises(CapExceededError, match="materialized window"):
-        difference_set(_shipped_lattice(), R, window=(-10**4, 10**4))
+    with pytest.raises(CapExceededError, match="materialized window: 1962310 points exceed"):
+        difference_set(_shipped_lattice(), R).materialize(-10**4, 10**4)
     assert time.perf_counter() - start < 1
 
 
@@ -200,11 +207,13 @@ def _lattice_file(tmp_path):
 
 
 def test_diffset_of_the_lattice_refuses_a_window_over_the_cap(tmp_path, capsys):
+    # diffset prints S - S whole, so any --window is a usage error (exit 2)
     path = _lattice_file(tmp_path)
     start = time.perf_counter()
-    code = main(["diffset", "--instance", path, "--object", "S", "--window", "-10000", "10000"])
-    assert code == 3 and time.perf_counter() - start < 1
-    assert "1962310 points exceed the cap" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["diffset", "--instance", path, "--object", "S", "--window", "-10000", "10000"])
+    assert exc.value.code == 2 and time.perf_counter() - start < 1
+    assert "unrecognized arguments: --window -10000 10000" in capsys.readouterr().err
 
 
 def test_diffset_of_the_lattice_is_exact_with_no_window(tmp_path, capsys):

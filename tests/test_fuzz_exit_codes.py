@@ -5,9 +5,11 @@ kind on every group family and optional params, run in-process through
 must end in exit 0, 2, 3 or 4; no exception may escape. A document with one
 field the table rejects exits 2, unless the rest of it already fails a
 constructor's range check (exit 3). Random argv over the instance files
-keeps the same contract, within a time bound per run.
+keeps the same contract, within a time bound per run, and an empty value
+for any value flag of any subcommand is parsed, never read as an unset flag.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -19,7 +21,7 @@ from documents import documents, malformed_documents
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from density_lab import InstanceParseError, PreconditionError, parse_instance
-from density_lab.cli import main
+from density_lab.cli import build_parser, main
 
 RUNS = st.sampled_from([
     ["partition", "--object", "S", "--H", "H"],
@@ -75,12 +77,20 @@ FLAGS = {  # subcommand -> {flag: its valid values}
         "--kmax": INTEGERS, "--nmax": INTEGERS, "--cap": INTEGERS,
         "--mode": ["closed-form", "oracle"],
     },
-    "diffset": {"--window": RATIONALS},  # two values
+    "diffset": {},
     "syndetic": {"--set": NAMES, "--translates": NAMES},
     "cover": {},
     "partition": {"--H": NAMES},
     "pipeline": {"--H": NAMES, "--epsilon": RATIONALS},
 }
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse refuses a usage error with exit 2
+            return exc.code
 
 
 @st.composite
@@ -100,7 +110,7 @@ def argvs(draw):
     flags = FLAGS[command]
     chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True)) if flags else []
     for flag in (["--notion"] if command == "density" else []) + chosen:
-        argv += [flag, pick(flags[flag])] + ([pick(flags[flag])] if flag == "--window" else [])
+        argv += [flag, pick(flags[flag])]
     return argv
 
 
@@ -108,10 +118,45 @@ def argvs(draw):
 @given(argvs())
 def test_random_argv_keeps_the_exit_code_contract(argv):
     start = time.perf_counter()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses a usage error with exit 2
-            code = exc.code
-    assert code in (0, 2, 3, 4)
+    assert _exit_code(argv) in (0, 2, 3, 4)
     assert time.perf_counter() - start < 2
+
+
+# ---------------------------------------------------------------------------
+# an empty string for every value flag
+
+SYNDETIC = {"group": {"family": "z_lattice", "dimension": 1}, "objects": {
+    "S": {"kind": "periodic_discrete", "period": [3], "residues": [[0]]},
+    "K": {"kind": "explicit_finite", "elements": [[0], [1], [2]]}}}
+RUNS_OK = {  # subcommand -> an argv that exits 0 (syndetic: on the SYNDETIC file)
+    "density": ["--instance", "instances/perturbed_lattice.json", "--notion", "window"],
+    "diffset": ["--instance", "instances/three_z.json", "--object", "A"],
+    "syndetic": ["--set", "S", "--translates", "K"],
+    "cover": ["--instance", "instances/three_z.json", "--object", "A"],
+    "partition": ["--instance", "instances/two_residues.json", "--object", "S"],
+    "pipeline": ["--instance", "instances/two_residues.json", "--object", "S"],
+    "demo": ["erdos-sarkozy"],
+    "selftest": ["--cap", "2"],
+}
+
+
+def _value_flags():
+    """(subcommand, flag) for every option of the CLI that takes a value."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0]) for name, sub in commands.choices.items()
+            for action in sub._actions if action.option_strings and action.nargs != 0]
+
+
+@pytest.mark.filterwarnings("ignore:difference set of an empty set")
+@pytest.mark.parametrize("command, flag", _value_flags())
+def test_an_empty_flag_value_is_refused_not_read_as_unset(tmp_path, command, flag):
+    # an empty --rmax, --tol, --r0, --epsilon, --H, --object or --out was
+    # once read as an unset flag, so the run went on to exit 0
+    argv = [command, *RUNS_OK[command]]
+    if command == "syndetic":
+        path = tmp_path / "syndetic.json"
+        path.write_text(json.dumps(SYNDETIC))
+        argv += ["--instance", str(path)]
+    assert _exit_code(argv) == 0
+    assert _exit_code([*argv, flag, ""]) in (2, 3)

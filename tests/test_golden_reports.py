@@ -48,8 +48,6 @@ EXTRA = [
      "--K", '[["0","1"]]', "--kmax", "3"],
     ["density", "--instance", "instances/three_z.json", "--object", "nu", "--notion", "window",
      "--K", "cube", "--r0", "3", "--kmax", "3"],
-    ["diffset", "--instance", "instances/reciprocal_perturbation.json", "--object", "S",
-     "--window", "-1", "1"],
     ["pipeline", "--instance", "instances/two_residues.json", "--object", "S", "--H", "H"],
     ["pipeline", "--instance", "instances/two_residues.json", "--object", "S", "--epsilon", "1/4"],
     ["selftest", "--cap", "6"],

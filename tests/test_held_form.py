@@ -28,7 +28,7 @@ from density_lab.instances import OBJECT
 from density_lab.rational import common_scale
 from density_lab.sets import _canonical
 from density_lab.windows import _line_values, measure_layers
-from oracles import fraction_difference_set
+from oracles import difference_marker, fraction_difference_set
 
 R = RealLine()
 RECIPROCALS = [Fraction(1, n) for n in range(1, 41)]  # the 1/n shape: D has 54 bits
@@ -130,9 +130,11 @@ def test_perturbed_lattices_hold_the_normal_form(s, lo, width):
     assert list(s.extra) == sorted(s.extra) and list(s.removed) == sorted(s.removed)
     same_bytes(s)
     window = (lo, lo + Fraction(width, 4))
-    wd = difference_set(s, R, window=window)
-    assert wd == fraction_difference_set(s, window)
-    same_bytes(wd.points)
+    d = difference_set(s, R)
+    assert d.materialize(*window) == fraction_difference_set(s, window)
+    assert d.accumulation == difference_marker(s)
+    # the diffset report prints S - S whole, as the Fraction path does
+    assert to_jsonable(d) == fraction_jsonable(d)
 
 
 def test_negative_strings_are_reduced_by_their_own_gcd():

@@ -26,6 +26,7 @@ from density_lab import (
     real_shift_sup,
     translate_set,
 )
+from oracles import difference_marker, fraction_difference_set
 
 R = RealLine()
 steps = st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)))
@@ -67,7 +68,9 @@ def test_one_lattice_in_every_held_form(p, k, length, width):
     want = forms["periodic"].materialize(-w, w)
     assert difference_set(forms["periodic"], R).materialize(-w, w) == want
     for name in ("lattice", "patched"):
-        assert difference_set(forms[name], R, window=(-w, w)).points.points == want
+        d = difference_set(forms[name], R)
+        assert d.materialize(-w, w) == fraction_difference_set(forms[name], (-w, w)) == want
+        assert d.accumulation == difference_marker(forms[name]) == ()
     assert tuple(d for d in difference_set(finite, R).points if -w <= d <= w) == want
 
     # partition classes: a perturbed lattice is colored as the FinitePoints

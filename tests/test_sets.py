@@ -33,7 +33,7 @@ from density_lab import (
 )
 from density_lab.groups import _strip
 from density_lab.sets import discrete_quotient
-from oracles import min_positive_difference
+from oracles import difference_marker, min_positive_difference
 
 rng = random.Random(11)
 Z = ZLattice(1)
@@ -101,11 +101,12 @@ def test_difference_set_refuses_an_empty_cylinder_like_any_cylinder():
 def test_perturbed_difference_window():
     # points n + 1/n for 2 <= n <= 6 together with the integers
     s = PerturbedLattice(1, extra=tuple(Fraction(n * n + 1, n) for n in range(2, 7)))
-    wd = difference_set(s, R, window=(Fraction(-1, 2), Fraction(1, 2)))
-    pts = set(wd.points.points)
+    pts = set(difference_set(s, R).materialize(Fraction(-1, 2), Fraction(1, 2)))
     assert Fraction(0) in pts
     for n in range(2, 7):
         assert Fraction(1, n) in pts and Fraction(-1, n) in pts
+    with pytest.raises(TypeError, match="window"):  # a window is materialize's alone
+        difference_set(s, R, window=(-1, 1))
 
 
 @pytest.mark.parametrize("s, group", [
@@ -116,9 +117,10 @@ def test_perturbed_difference_window():
     (PeriodicDiscrete.line(3, [0]), Z),
 ])
 def test_difference_set_refuses_a_window_on_all_but_a_perturbed_lattice(s, group):
-    # the difference set of these is returned whole, so a window would be ignored
+    # the difference set of these was always returned whole, and now that of
+    # every set is: difference_set takes no window (test_perturbed_difference_window)
     difference_set(s, group)
-    with pytest.raises(PreconditionError, match="only to a perturbed lattice"):
+    with pytest.raises(TypeError, match="window"):
         difference_set(s, group, window=(100, 200))
 
 
@@ -315,10 +317,10 @@ def test_integer_perturbed_difference_matches_fraction_loop(step, extra, removed
     s = PerturbedLattice(
         step, tuple(extra), tuple(removed), (AccumulationPoint(Fraction(0)),) if acc else ()
     )
-    wd = difference_set(s, R, window=(lo, lo + width))
-    assert wd.window == (lo, lo + width)
-    assert wd.points == fraction_perturbed_difference(s, lo, lo + width)
-    assert wd.points == FinitePoints(wd.points.points, wd.points.accumulation)
+    d = difference_set(s, R)
+    oracle = fraction_perturbed_difference(s, lo, lo + width)
+    assert d.materialize(lo, lo + width) == oracle.points
+    assert d.accumulation == oracle.accumulation == difference_marker(s)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,11 +3,15 @@ module of density_lab imports is used in it, every private module-level
 function or class is referenced somewhere in the package outside its own
 definition, and every private method of a class is read somewhere in the
 package outside its own body. They catch helpers orphaned when their last
-caller goes."""
+caller goes, and a CLI flag or `params` key that cli.py no longer reads."""
 
+import argparse
 import ast
 import pathlib
 from collections import Counter
+
+from density_lab.cli import build_parser
+from density_lab.instances import PARAMS
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "density_lab"
 MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
@@ -76,3 +80,29 @@ def test_every_private_method_is_read_outside_its_own_body():
         and reads[node.name] == _names(node)[node.name]
     ]
     assert orphans == []
+
+
+
+def test_every_cli_knob_is_read():
+    """Every key of instances.PARAMS is read in cli.py as params.get("key"),
+    and every dest of cli.build_parser() as args.dest, outside the parser
+    itself: a knob whose reader went while its key or flag stayed fails."""
+    dests, keys = set(), set()
+    for node in MODULES["cli.py"].body:
+        if getattr(node, "name", None) == "build_parser":
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "args":
+                dests.add(sub.attr)
+            elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                  and sub.func.attr == "get" and "params" in _names(sub.func.value)
+                  and sub.args and isinstance(sub.args[0], ast.Constant)):
+                keys.add(sub.args[0].value)
+    parser = build_parser()
+    parsers = [parser, *(sub for action in parser._actions
+                         if isinstance(action, argparse._SubParsersAction)
+                         for sub in action.choices.values())]
+    knobs = {action.dest for p in parsers for action in p._actions
+             if not isinstance(action, argparse._HelpAction)}
+    assert sorted(knobs - dests) == []
+    assert sorted(set(PARAMS.fields) - keys) == []

@@ -3,8 +3,11 @@
 Closed intervals with rational endpoints; degenerate points [a, a] are allowed.
 Canonical form is sorted, with overlapping or touching intervals merged, so
 gaps between stored intervals are strictly positive and canonicalization is
-idempotent. Boundaries are null sets for the Haar (Lebesgue) measure, so
-closed representatives stand in for the half-open sets of informal usage.
+idempotent. A translate or a positive multiple of a canonical union keeps
+its order and its positive gaps, so translate and scale return their pairs
+with no second canonical pass. Boundaries are null sets for the Haar
+(Lebesgue) measure, so closed representatives stand in for the half-open
+sets of informal usage.
 
 The module-level merge_pairs, onto_circle, gaps_within and contains_mod are
 the one home of these canonical forms, for int and Fraction pairs alike: the
@@ -131,18 +134,29 @@ class IntervalUnion:
         q = rat(q)
         return any(a <= q <= b for a, b in self.intervals)
 
+    @classmethod
+    def _of_canonical(cls, intervals: tuple[Pair, ...]) -> "IntervalUnion":
+        """The union of Fraction pairs already in canonical form, with no
+        second canonical pass."""
+        union = object.__new__(cls)
+        object.__setattr__(union, "intervals", intervals)
+        return union
+
     def translate(self, q) -> "IntervalUnion":
+        """self + q: a translate of a canonical union is canonical."""
         q = rat(q)
-        return IntervalUnion(tuple((a + q, b + q) for a, b in self.intervals))
+        return IntervalUnion._of_canonical(tuple((a + q, b + q) for a, b in self.intervals))
 
     def negate(self) -> "IntervalUnion":
         return IntervalUnion(tuple((-b, -a) for a, b in self.intervals))
 
     def scale(self, r) -> "IntervalUnion":
+        """r * self for r > 0: a positive multiple of a canonical union is
+        canonical."""
         r = rat(r)
         if r <= 0:
             raise PreconditionError("scale factor must be positive")
-        return IntervalUnion(tuple((a * r, b * r) for a, b in self.intervals))
+        return IntervalUnion._of_canonical(tuple((a * r, b * r) for a, b in self.intervals))
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion(self.intervals + other.intervals)

@@ -542,6 +542,8 @@ def difference_set(s, group: GroupSpec):
     ordered pairs and mirrors it. An accumulating S gives an S - S marked at
     0 on both sides. Its points in a window are materialize(lo, hi).
     """
+    if isinstance(s, PeriodicDiscrete):  # refused off its lattice before any warning
+        check_period(s, group)
     if _set_is_empty(s):  # raises on what is no set
         warnings.warn("difference set of an empty set is empty (0 not included)")
     if isinstance(s, _DISCRETE):

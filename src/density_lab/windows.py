@@ -36,12 +36,15 @@ then ints in units of 1/(D * Dw). A PointLayer brings its ints over the D of
 its configuration, which divides D: they are multiplied by the quotient only
 when it is not 1, and its weight is an int. f is evaluated at all candidates
 by one event sweep (the sweep-line method of Shamos and Hoey, 1976): each atom
-entering or leaving the window and each slope change of a trace is a step. A
+entering or leaving the window and each slope change of a trace is a step,
+held in one list per side, offset by a window piece's right or left end. A
 step inside a span of candidates lies on a candidate, or just below one, and
 is bucketed there by one dict lookup; the infinitely many replicas of a
 periodic step below a span, back to the last candidate of the span before,
 are summed onto the span's first candidate in closed form from one divmod per
-step, and one running sum gives every value. Multiplying by the positive
+step, and one running sum gives every value. A span no longer than a layer's
+period (the one span [0, P) of every fully periodic scan) holds at most one
+replica of each step, found by one index test. Multiplying by the positive
 constants D and D * Dw keeps the order of candidates and of values, and the
 first maximum and the first value reaching a threshold are taken in
 increasing candidate order, so the value and the least argmax and witness
@@ -88,7 +91,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, product, repeat
+from itertools import accumulate, pairwise, product, repeat
 from math import ceil, floor, lcm, prod
 from operator import add, mod, sub
 from typing import Optional, Union
@@ -206,7 +209,7 @@ def _collect(nu, group, layers, acc):
         held(None, s._extra)
         held(None, s._removed, -1)
         acc.extend(s.accumulation)
-    elif isinstance(group, ZLattice) and isinstance(s, PeriodicDiscrete):
+    elif isinstance(s, PeriodicDiscrete):  # a subset of Z^d alone: refused off it
         add(check_period(s, group), group.check_points(s.residues, s._shape))
     else:
         raise PreconditionError(
@@ -286,12 +289,14 @@ class ShiftScan:
 class _IntLayer:
     """A layer scaled to ints: its period, event positions (_base_positions)
     and sweep steps, which change the slope of x -> mass for a trace and its
-    value for an atom layer."""
+    value for an atom layer, held per side: those offset by a window piece's
+    right end b and those offset by its left end a."""
 
     period: Optional[int]
     bases: list[int]
     trace: bool
-    steps: list[tuple[int, int, bool]]  # (position, change, offset by b rather than a)
+    by_b: list[tuple[int, int]]  # (position, change), offset by b
+    by_a: list[tuple[int, int]]  # (position, change), offset by a
 
 
 def _atom_layer(period: Optional[int], bases, weights) -> _IntLayer:
@@ -300,28 +305,24 @@ def _atom_layer(period: Optional[int], bases, weights) -> _IntLayer:
     Masses are ints in units of 1/(D * Dw), so a weight is scaled by D * Dw.
 
     Sweep steps, for a window piece [a, b]: an atom of weight w at p adds w at
-    the first x >= p - b, i.e. the first x > p - b - 1, and removes it at the
-    first x > p - a; a trace piece [s, e] (_trace_layer) changes the slope of
-    x -> mass by +unit at s - b and e - a and by -unit at e - b and s - a. All
-    steps of one atom or one trace piece come from its own base position,
-    unreduced by the period, so for each window piece the changes of an
-    atom's steps sum to 0, and those of a trace piece's steps sum to 0 also
+    the first x >= p - b, i.e. the first x > p - b - 1 (by b), and removes it
+    at the first x > p - a (by a); a trace piece [s, e] (_trace_layer) changes
+    the slope of x -> mass by +unit at s - b and e - a and by -unit at e - b
+    and s - a. All steps of one atom or one trace piece come from its own base
+    position, unreduced by the period, so for each window piece the changes of
+    an atom's steps sum to 0, and those of a trace piece's steps sum to 0 also
     when multiplied by their positions. The closed forms of _sweep hold only
     while this does."""
-    steps = [step for p, w in zip(bases, weights) for step in ((p - 1, w, True), (p, -w, False))]
-    return _IntLayer(period, bases, False, steps)
+    by_b = [(p - 1, w) for p, w in zip(bases, weights)]
+    return _IntLayer(period, bases, False, by_b, [(p + 1, -w) for p, w in by_b])
 
 
 def _trace_layer(period: Optional[int], bases, unit: int) -> _IntLayer:
     """The _IntLayer of a trace with the scaled endpoints bases, in pairs,
     and the scaled period, of slope unit (Dw) inside its pieces; its steps
     are those of _atom_layer."""
-    steps = [
-        step
-        for s, e in zip(bases[::2], bases[1::2])
-        for step in ((s, unit, True), (e, -unit, True), (s, -unit, False), (e, unit, False))
-    ]
-    return _IntLayer(period, bases, True, steps)
+    by_b = [step for s, e in zip(bases[::2], bases[1::2]) for step in ((s, unit), (e, -unit))]
+    return _IntLayer(period, bases, True, by_b, [(p, -d) for p, d in by_b])
 
 
 def _line_candidates(int_layers: list[_IntLayer], ws: list[int]):
@@ -352,9 +353,9 @@ def _line_candidates(int_layers: list[_IntLayer], ws: list[int]):
     else:
         F = sorted(events)
         whole = any(l.trace for l in int_layers if l.period is None)
-        cuts = [] if whole else [i for i in range(1, len(F)) if F[i] - F[i - 1] > big]
-        los = [F[0] - big, *(F[i] for i in cuts)]
-        his = [*(F[i - 1] + big for i in cuts), F[-1] + big]
+        cuts = [] if whole else [(e, f) for e, f in pairwise(F) if f - e > big]
+        los = [F[0] - big, *(f for _, f in cuts)]
+        his = [*(e + big for e, _ in cuts), F[-1] + big]
         j = bisect_right(los, 0)
         if not j or his[j - 1] < 0:  # 0 lies in a gap: a one-point span
             los.insert(j, 0)
@@ -389,61 +390,67 @@ def _sweep(cands: list[int], starts: list[int], pieces: list[tuple[int, int]], i
     y on: an atom's change d the value, a trace's change d the slope right of
     y. A finite step, and a periodic step's replica inside a span, lies on a
     candidate (a trace's, a leaving atom's) or just below one (an atom
-    entering at p - b steps at p - b - 1), found by one dict lookup.
+    entering at p - b steps at p - b - 1), found by one dict lookup: it goes
+    to the change of the value at y + 1 (entering), of the value right of y
+    (leaving) or of the slope right of y (a trace).
 
     A periodic step repeats at y + jP for every j. With y - c = qP + r for
-    the first candidate c of a span, the replicas from c + r to the span's
-    last candidate are walked; those below c, j = k, ..., -q - 1 (k indexes
-    the first replica at or after the last candidate of the span before, or
-    is 0), go to c in closed form: n = -q - k times d to an atom's value or
-    a trace's slope, plus d times their distances to c to the trace's value.
-    The replicas left of j = 0 cancel, and n may be negative, because the
-    steps of each atom and of each trace piece come from one base position
-    (_atom_layer): the atom's changes sum to 0, and so do the piece's
-    changes and their changes times positions."""
+    the first candidate c of a span, the replicas c + r + jP, j >= 0, below
+    its last candidate lie in the span: when the span is no longer than P
+    there is one if r < last - c, and else they are walked. Those below c,
+    j = k, ..., -q - 1 (k indexes the first replica at or after the last
+    candidate of the span before, or is 0), go to c in closed form: n = -q - k
+    times d to an atom's value or a trace's slope, plus d times their
+    distances to c, P * n * (n + 1) / 2 - n * r, to the trace's value. The
+    replicas left of j = 0 cancel, and n may be negative, because the steps
+    of each atom and of each trace piece come from one base position
+    (_atom_layer): the atom's changes sum to 0, and so do the piece's changes
+    and their changes times positions."""
     m = len(cands)
     own = dict(zip(cands, range(m)))
     lasts = [cands[i - 1] for i in starts[1:]] + [cands[-1]]
-    spans = list(zip(starts, [cands[i] for i in starts], lasts))
+    spans = list(zip(starts, [cands[i] for i in starts], lasts, [None, *lasts]))
     jumps = [0] * m  # value changes at each candidate
+    drops = [0] * m  # value changes right of each candidate
     bends = [0] * m  # slope changes right of each candidate
     for l in int_layers:
-        trace, period = l.trace, l.period
+        period, trace = l.period, l.trace
+        below = bends if trace else jumps  # takes the closed form's n
         for a, b in pieces:
-            for p, d, right in l.steps:
-                y = p - (b if right else a)
+            # (offset, steps, key, changes): a step at y goes to changes[own[y + key]]
+            sides = ((b, l.by_b, 0, bends), (a, l.by_a, 0, bends)) if trace else (
+                (b, l.by_b, 1, jumps), (a, l.by_a, 0, drops))
+            for off, steps, key, changes in sides:
                 if period is None:
-                    if trace:
-                        bends[own[y]] += d
-                    elif right:
-                        jumps[own[y + 1]] += d
-                    elif y < cands[-1]:
-                        jumps[own[y] + 1] += d
+                    for p, d in steps:
+                        changes[own[p - off + key]] += d
                     continue
-                k = 0  # the replicas y + jP with j < k are bucketed
-                for i, c, last in spans:
-                    q, r = divmod(y - c, period)
-                    n = -q - k
-                    if trace:
-                        bends[i] += d * n
-                        jumps[i] += d * (n * (c - y) - period * n * (k - q - 1) // 2)
-                        for z in range(c + r, last, period):
-                            bends[own[z]] += d
-                    elif right:
-                        jumps[i] += d * n
-                        for z in range(c + r + 1, last + 1, period):
-                            jumps[own[z]] += d
-                    else:
-                        jumps[i] += d * n
-                        for z in range(c + r, last, period):
-                            jumps[own[z] + 1] += d
-                    k = (last - y - 1) // period + 1
+                for i, c, last, before in spans:
+                    width, o = last - c, off + c
+                    one = width <= period  # at most one replica of each step in the span
+                    count = area = 0  # the replicas below c
+                    for p, d in steps:
+                        q, r = divmod(p - o, period)  # k = -((y - before) // period)
+                        n = -q if before is None else (p - off - before) // period - q
+                        count += d * n
+                        if trace:
+                            area += d * (period * n * (n + 1) // 2 - n * r)
+                        if r >= width:
+                            continue
+                        if one:
+                            changes[own[c + r + key]] += d
+                        else:
+                            for z in range(c + r + key, last + key, period):
+                                changes[own[z]] += d
+                    below[i] += count
+                    jumps[i] += area
+    values = map(add, jumps, [0, *drops])
     if not any(bends):  # no slope anywhere
-        return list(accumulate(jumps))
-    # value(c_i) = value(c_{i-1}) + slope right of c_{i-1} * (c_i - c_{i-1}) + jumps[i]
+        return list(accumulate(values))
+    # value(c_i) = value(c_{i-1}) + slope right of c_{i-1} * (c_i - c_{i-1}) + changes at c_i
     slopes = accumulate(bends, initial=0)  # the i-th is the slope right of c_{i-1}
     return list(
-        accumulate(s * (c - p) + j for s, p, c, j in zip(slopes, [cands[0], *cands], cands, jumps))
+        accumulate(s * (c - p) + j for s, p, c, j in zip(slopes, [cands[0], *cands], cands, values))
     )
 
 
@@ -465,7 +472,8 @@ def _scaled_scan(layers, window: IntervalUnion):
     periods = [l.period for l in mixed if l.period is not None]
     D, ints = common_scale([*ws, *periods, *(q for b in bases for q in b)],
                            lcm(*(l.D for l in held)))
-    Dw, weights = common_scale(w for l in mixed if isinstance(l, AtomLayer) for _, w in l.atoms)
+    dirac = [w for l in mixed if isinstance(l, AtomLayer) for _, w in l.atoms]
+    Dw, weights = common_scale(dirac) if dirac else (1, [])
     weights = iter(weights)
     at = len(ws) + len(periods)
     ends, scaled_periods = ints[: len(ws)], iter(ints[len(ws) : at])
@@ -502,8 +510,8 @@ def _line_scan(nu, window: IntervalUnion, threshold: Optional[Fraction] = None):
     length, the candidate is a shift at which that piece traps the marker on
     its accumulating side, and the scan's value there is Infinite."""
     layers, acc = measure_layers(nu, RealLine())
-    piece = next(((a, b) for a, b in window.intervals if b > a), None)
-    if acc and piece:
+    piece = next(((a, b) for a, b in window.intervals if b > a), None) if acc else None
+    if piece:
         ap = acc[0]
         x = ap.point - (piece[1] if ap.side == "below" else piece[0])
         return x, ShiftScan(Infinite(("accumulation", ap, window.translate(x))), x, 0)

@@ -358,7 +358,7 @@ def per_candidate_values(layers, window):
     masses = [
         _trace_mass(list(zip(l.bases[::2], l.bases[1::2])), l.period, Dw)
         if l.trace
-        else _atom_mass([(p, -d) for p, d, right in l.steps if not right], l.period)
+        else _atom_mass([(p, -d) for p, d in l.by_a], l.period)
         for l in int_layers
     ]
     return [sum(mass(a + x, b + x) for a, b in pieces for mass in masses) for x in cands]
@@ -455,7 +455,8 @@ def _sweep_run(cands: list[int], pieces: list[tuple[int, int]], int_layers: list
     for l in int_layers:
         trace, period = l.trace, l.period
         for a, b in pieces:
-            for p, d, right in l.steps:
+            for p, d, right in [*((p, d, True) for p, d in l.by_b),
+                                *((p, d, False) for p, d in l.by_a)]:
                 y = p - (b if right else a)
                 if period is None:
                     ys = (y,) if y < hi else ()

@@ -31,11 +31,13 @@ from density_lab import (
     WeightedDiracs,
     ZLattice,
     classical_upper_density,
+    delta_density,
     difference_set,
     gap_analysis,
     greedy_translates,
     haar,
     kahane_density,
+    kahane_density_finite_group,
     kahane_oracle_finite,
     minimal_translates,
     minkowski_sum,
@@ -412,13 +414,15 @@ def test_a_lattice_set_off_its_lattice_is_refused(run, message):
     assert message in str(info.value)
 
 
-@pytest.mark.filterwarnings("ignore:difference set of an empty set")
 @pytest.mark.parametrize("s, group", [
     (PeriodicDiscrete((2, 3)), Z1),  # empty: once a Z_2 x Z_3 quotient, no layers, zero density
     (PeriodicDiscrete((2, 3), ((0, 1),)), Z1),
     (PeriodicDiscrete.line(4, [1]), Z2),
-], ids=["empty-2d-on-Z", "2d-on-Z", "1d-on-Z2"])
+    (PeriodicDiscrete.line(3, [0]), FiniteAbelian((3,))),  # once "not a measure" to the layers
+], ids=["empty-2d-on-Z", "2d-on-Z", "1d-on-Z2", "1d-on-Z3"])
 def test_one_malformed_lattice_set_gets_one_refusal_from_every_op(s, group):
+    """The period refusal from every op, before any warning (the empty set's
+    difference set warns only once its period is checked)."""
     K = ExplicitFinite((group.zero(),))  # a valid translate set
     ops = {
         "sum": lambda: minkowski_sum(s, s, group),
@@ -431,13 +435,21 @@ def test_one_malformed_lattice_set_gets_one_refusal_from_every_op(s, group):
         "least cover": lambda: minimal_translates(s, group),
         "layers": lambda: measure_layers(Counting(s), group),
         "kahane density": lambda: kahane_density(Counting(s), group),
+        "delta density": lambda: delta_density(Counting(s), group),
         "haar": lambda: haar(s, group),
     }
     if group == Z1:  # these run on Z alone
         ops["classical density"] = lambda: classical_upper_density(s, group)
         ops["gap analysis"] = lambda: gap_analysis(s, group)
+    if isinstance(group, FiniteAbelian):  # kahane_density refuses a finite group on its own
+        ops["kahane density"] = lambda: kahane_density_finite_group(Counting(s), group)
+        ops["oracle"] = lambda: kahane_oracle_finite(Counting(s), group)
     refusal = (ShapeMismatchError, f"{PERIOD_OVER_Z} {s.period!r} is no subset of {group!r}")
-    assert {name: outcome(op) for name, op in ops.items()} == dict.fromkeys(ops, refusal)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcomes = {name: outcome(op) for name, op in ops.items()}
+    assert outcomes == dict.fromkeys(ops, refusal)
+    assert caught == []
 
 
 # the readers of subsets of Z take their points through check_points, so a

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from density_lab import CapExceededError, IntervalUnion, PeriodicPattern, PreconditionError
 from density_lab.intervals import contains_mod, gaps_within, merge_pairs, onto_circle
@@ -42,6 +42,27 @@ def test_negative_length_rejected():
 @given(interval_unions())
 def test_canonicalization_idempotent(u):
     assert IntervalUnion(u.intervals).intervals == u.intervals
+
+
+@settings(max_examples=50)
+@given(interval_unions(), rationals, st.fractions(min_value=Fraction(1, 12), max_value=20))
+def test_translates_and_positive_multiples_are_canonical(u, q, r):
+    """translate and scale return their pairs with no second canonical pass:
+    the same union, endpoint types and hash as the canonical constructor."""
+    for got, pairs in (
+        (u.translate(q), [(a + q, b + q) for a, b in u.intervals]),
+        (u.scale(r), [(a * r, b * r) for a, b in u.intervals]),
+    ):
+        want = IntervalUnion(tuple(pairs))
+        assert got.intervals == want.intervals and got == want and hash(got) == hash(want)
+        assert all(type(x) is Fraction for x in got.endpoints())
+
+
+@settings(max_examples=20)
+@given(interval_unions(), st.fractions(max_value=0, max_denominator=12))
+def test_scale_refuses_a_nonpositive_factor(u, r):
+    with pytest.raises(PreconditionError, match="scale factor must be positive"):
+        u.scale(r)
 
 
 def test_minkowski_examples():

@@ -44,6 +44,7 @@ from density_lab.windows import (
     _base_positions,
     _layer_mass,
     _line_values,
+    _scaled_scan,
     _torus_cube_masses,
     _torus_weights,
     _zd_mass_at,
@@ -203,7 +204,7 @@ CYLINDER = Counting(CylinderSet(1, ((0,),)))
 @pytest.mark.parametrize(
     "nu, group",
     [
-        (Counting(PeriodicDiscrete.line(3, [0])), FiniteAbelian((3,))),
+        (Counting(IntervalUnion.closed(0, 1)), FiniteAbelian((3,))),
         (Counting(IntervalUnion.closed(0, 1)), R),
         # a Lebesgue trace is only defined on the line; on R it is the zero measure
         (HaarTrace(PerturbedLattice(1, extra=(Fraction(1, 2),))), ZLattice(1)),
@@ -579,6 +580,109 @@ def test_span_scan_matches_the_replica_sweep(nu, window, shift):
     mass = dict(zip(every, want))
     assert [mass[x] for x in cands] == values
     assert records(cands, values) == records(every, want)
+
+
+# ---------------------------------------------------------------------------
+# each path of the span sweep against both oracles
+
+
+def sweep_paths(layers, window):
+    """The paths _sweep takes on a scan: "how kind" for each periodic layer
+    and span, how being "one" when the span is no longer than the layer's
+    period (one index test per step) and "many" when its replicas are
+    walked, kind "atoms" or "trace"; plus "spans" when there are several."""
+    *_, int_layers, cands, starts = _scaled_scan(layers, window)
+    lasts = [cands[i - 1] for i in starts[1:]] + [cands[-1]]
+    paths = {"spans"} if len(starts) > 1 else set()
+    for l in int_layers:
+        if l.period is not None:
+            for i, last in zip(starts, lasts):
+                how = "one" if last - cands[i] <= l.period else "many"
+                paths.add(f"{how} {'trace' if l.trace else 'atoms'}")
+    return paths
+
+
+def twelfths(period):
+    return st.integers(0, int(12 * period) - 1).map(lambda k: Fraction(k, 12))
+
+
+@st.composite
+def periodic_part(draw, period, kind):
+    """Counting periodic points or the trace of a periodic pattern, of the period."""
+    if kind == "atoms":
+        residues = draw(st.lists(twelfths(period), min_size=1, max_size=4, unique=True))
+        return Counting(PeriodicPoints(period, tuple(residues)))
+    cuts = sorted(draw(st.lists(twelfths(period), min_size=2, max_size=6, unique=True)))
+    return HaarTrace(PeriodicPattern.from_pairs(period, list(zip(cuts[::2], cuts[1::2]))))
+
+
+KINDS = st.sampled_from(("atoms", "trace"))
+
+
+@st.composite
+def sweep_cases(draw):
+    """(path, measure): "one", layers of one period, so the one span [0, P)
+    is shorter than each; "many", a layer of period p beside one of 3p or
+    3p/2, so the one span, in [0, 3p) and holding the first layer's events
+    past 2p, is longer than p; "spans", a periodic layer and finite points 7
+    apart, so the events of a window of length <= 2 leave gaps longer than
+    the period."""
+    path = draw(st.sampled_from(("one", "many", "spans")))
+    period = draw(st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2))))
+    parts = [draw(periodic_part(period, draw(KINDS)))]
+    if path == "one" and draw(st.booleans()):
+        parts.append(draw(periodic_part(period, draw(KINDS))))
+    if path == "many":
+        longer = period * draw(st.sampled_from((3, Fraction(3, 2))))
+        parts.append(draw(periodic_part(longer, "atoms")))
+    if path == "spans":
+        ks = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=4, unique=True))
+        parts.append(Counting(FinitePoints(tuple(7 * k + draw(twelfths(1)) for k in ks))))
+    return path, parts[0] if len(parts) == 1 else MeasureSum(tuple(parts))
+
+
+SHORT_WINDOWS = st.sampled_from((
+    IntervalUnion.closed(-1, 1),
+    IntervalUnion.closed(0, Fraction(1, 3)),
+    IntervalUnion(((0, Fraction(1, 2)), (Fraction(3, 4), Fraction(5, 4)))),
+    IntervalUnion.point(Fraction(5, 12)),
+))
+THIRD = IntervalUnion.closed(0, Fraction(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_cases(), SHORT_WINDOWS, st.sampled_from((0, Fraction(5, 2), -7)))
+@example(("one atoms", Counting(PeriodicPoints(2, (0, Fraction(3, 4))))),
+         IntervalUnion.closed(-1, 1), 0)
+@example(("one trace", HaarTrace(PeriodicPattern.from_pairs(Fraction(3, 2), [(0, 1)]))), THIRD, 0)
+@example(("many atoms", MeasureSum((Counting(PeriodicPoints(1, (Fraction(1, 3),))),
+                                    Counting(PeriodicPoints(3, (Fraction(1, 2),)))))),
+         IntervalUnion(((0, Fraction(1, 2)), (Fraction(3, 4), Fraction(5, 4)))), 0)
+@example(("many trace", MeasureSum((HaarTrace(PeriodicPattern.from_pairs(1, [(0, Fraction(1, 4))])),
+                                    Counting(PeriodicPoints(Fraction(3, 2), (Fraction(1, 6),)))))),
+         IntervalUnion.closed(-1, 1), 0)
+@example(("spans", MeasureSum((HaarTrace(PeriodicPattern.from_pairs(2, [(Fraction(1, 2), 1)])),
+                               Counting(FinitePoints((-7, Fraction(85, 12), 28)))))),
+         THIRD, 0)
+def test_each_sweep_path_matches_both_oracles(case, window, shift):
+    """On a scan that takes the drawn path (each example names the one it
+    takes), the sweep's values are the per-candidate oracle's, and the
+    public scans give the value, least argmax, candidate count and least
+    threshold witnesses of the replica sweep."""
+    path, nu = case
+    window = window.translate(shift)
+    layers, _ = measure_layers(nu, R)
+    assert any(p.startswith(path) for p in sweep_paths(layers, window))
+    D, Dw, cands, values = _line_values(layers, window)
+    assert values == per_candidate_values(layers, window)
+    _, _, every, want = replica_line_values(layers, window)
+    levels = records(every, want)
+    assert records(cands, values) == levels
+    x, best = levels[-1]
+    scan = ShiftScan(Fraction(best, D * Dw), Fraction(x, D), len(cands))
+    assert real_shift_sup(nu, window) == scan
+    for x, v in levels:
+        assert real_threshold_witness(nu, window, Fraction(v, D * Dw))[0] == Fraction(x, D)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from typing import Optional
 from .config import DEFAULT_CAPS
 from .errors import PreconditionError, VerificationError
 from .groups import FiniteAbelian, GroupSpec, RealLine, ZLattice, bits, mask_of
-from .intervals import IntervalUnion, PeriodicPattern, gaps_within, merge_pairs
+from .intervals import IntervalUnion, PeriodicPattern, gaps_within, sum_pairs
 from .rational import common_scale
 from .sets import (
     ExplicitFinite,
@@ -149,7 +149,7 @@ def syndetic_check(S, K, group: GroupSpec) -> SyndeticCertificate:
             k, pieces = E // S._D, list(zip(ends[::2], ends[1::2]))
             lo, hi = (min(F) - S._period) * k + ends[0], (max(F) + S._period) * k + ends[-1]
             near = _points_within(S, E, lo - ends[-1], hi - ends[0])
-            covered = merge_pairs((x + a, x + b) for x in near for a, b in pieces)
+            covered = sum_pairs([(x, x) for x in near], pieces)
             if (gap := next(gaps_within(covered, lo, hi), None)) is not None:
                 return SyndeticCertificate(K, False, Fraction(sum(gap), 2 * E))
         if gap is None:

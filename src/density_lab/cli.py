@@ -149,7 +149,7 @@ def _estimation_params(args, instance) -> EstimationParams:
 
 
 def _window_shape(spec: str, group):
-    if spec in (None, "auto"):
+    if spec is None:
         return None
     if spec == "cube":
         return CenteredCube()

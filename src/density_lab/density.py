@@ -419,8 +419,6 @@ def kahane_density_finite_group(
     nu(G)/|G| by construction (_inf_sup accepts a pair only at that ratio),
     so the comparison below cannot fail; the tests' full enumeration checks
     the witness pair."""
-    if group.order == 0:
-        raise PreconditionError("empty group")
     total = measure_total_finite(nu, group)
     closed = total / group.order
     if mode == "closed-form":
@@ -550,12 +548,12 @@ def hegyvari_density(A, chain: SigmaFiniteChain, n_max: Optional[int] = None) ->
         A.validate_for(chain)
         for n in range(1, n_max + 1):
             schedule.append(
-                (Fraction(n), Fraction(A.count_in_subgroup(chain, n), chain.subgroup_order(n)))
+                (Fraction(n), Fraction(A.count_in_subgroup(chain, n), chain.subgroup(n).order))
             )
         if n_max >= A.depth:
             value = schedule[-1][1]
         else:
-            value = Fraction(A.count_in_subgroup(chain, A.depth), chain.subgroup_order(A.depth))
+            value = Fraction(A.count_in_subgroup(chain, A.depth), chain.subgroup(A.depth).order)
         return DensityReport(
             notion="hegyvari",
             value=value,
@@ -568,7 +566,7 @@ def hegyvari_density(A, chain: SigmaFiniteChain, n_max: Optional[int] = None) ->
     if isinstance(A, ExplicitFinite):
         for n in range(1, n_max + 1):
             count = sum(1 for e in A.elements if chain.in_subgroup(e, n))
-            schedule.append((Fraction(n), Fraction(count, chain.subgroup_order(n))))
+            schedule.append((Fraction(n), Fraction(count, chain.subgroup(n).order)))
         return DensityReport(
             notion="hegyvari",
             value=Fraction(0),

@@ -248,7 +248,8 @@ class SigmaFiniteChain:
             raise ShapeMismatchError(
                 f"{g!r} has support beyond the materialized depth {self.depth}"
             )
-        if any(not isinstance(c, int) or not (0 <= c < m) for c, m in zip(g, self.moduli)):
+        if any(not isinstance(c, int) or isinstance(c, bool) or not (0 <= c < m)
+               for c, m in zip(g, self.moduli)):
             raise ShapeMismatchError(f"{g!r} has coordinates outside the moduli")
         return _strip(g)
 
@@ -269,10 +270,6 @@ class SigmaFiniteChain:
     def pad(self, g, n: int) -> tuple[int, ...]:
         g = self.check(g)
         return g + (0,) * (n - len(g))
-
-    def subgroup_order(self, n: int) -> int:
-        self._check_depth(n)
-        return prod(self.moduli[:n])
 
     def subgroup(self, n: int) -> FiniteAbelian:
         self._check_depth(n)

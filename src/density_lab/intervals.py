@@ -12,6 +12,8 @@ sets of informal usage.
 The module-level merge_pairs, onto_circle, gaps_within and contains_mod are
 the one home of these canonical forms, for int and Fraction pairs alike: the
 classes run them on Fractions, the line greedy of structure on ints.
+sum_pairs is the one pair product of closed pairs (and points as one-point
+pairs): every interval and point sum on the line goes through it, capped.
 """
 
 from __future__ import annotations
@@ -52,6 +54,34 @@ def onto_circle(pairs: Iterable, p) -> list:
         b2 = b - a + a2
         pieces += [(a2, b2)] if b2 <= p else [(a2, p), (0, b2 - p)]
     return pieces
+
+
+def sum_pairs(xs, ys, p=None) -> list:
+    """The canonical pairs of {x + y} for closed pairs x in xs and y in ys (a
+    point q is the pair (q, q)), reduced onto the circle [0, p] when p is
+    given. len(xs) * len(ys) is held to Caps.enumeration before any sum is
+    formed; ys may be _Multiples, whose pairs are formed only as they are
+    read."""
+    check_enumeration(_count(xs) * _count(ys),
+                      "the interval sum: {count} pairs exceed the enumeration cap {cap}")
+    pairs = [(a + c, b + d) for a, b in xs for c, d in ys]
+    return merge_pairs(pairs if p is None else onto_circle(pairs, p))
+
+
+@dataclass(frozen=True)
+class _Multiples:
+    """The one-point pairs (k * step, k * step) for k in ks, a range."""
+
+    step: Fraction
+    ks: range
+
+    def __iter__(self):
+        return ((k * self.step,) * 2 for k in self.ks)
+
+
+def _count(pairs) -> int:
+    """The number of pairs; len() cannot hold the length of a long range."""
+    return pairs.ks.stop - pairs.ks.start if isinstance(pairs, _Multiples) else len(pairs)
 
 
 def gaps_within(pairs: Iterable, lo, hi):
@@ -135,17 +165,17 @@ class IntervalUnion:
         return any(a <= q <= b for a, b in self.intervals)
 
     @classmethod
-    def _of_canonical(cls, intervals: tuple[Pair, ...]) -> "IntervalUnion":
+    def _of_canonical(cls, intervals: Iterable[Pair]) -> "IntervalUnion":
         """The union of Fraction pairs already in canonical form, with no
         second canonical pass."""
         union = object.__new__(cls)
-        object.__setattr__(union, "intervals", intervals)
+        object.__setattr__(union, "intervals", tuple(intervals))
         return union
 
     def translate(self, q) -> "IntervalUnion":
         """self + q: a translate of a canonical union is canonical."""
         q = rat(q)
-        return IntervalUnion._of_canonical(tuple((a + q, b + q) for a, b in self.intervals))
+        return IntervalUnion._of_canonical((a + q, b + q) for a, b in self.intervals)
 
     def negate(self) -> "IntervalUnion":
         return IntervalUnion(tuple((-b, -a) for a, b in self.intervals))
@@ -156,7 +186,7 @@ class IntervalUnion:
         r = rat(r)
         if r <= 0:
             raise PreconditionError("scale factor must be positive")
-        return IntervalUnion._of_canonical(tuple((a * r, b * r) for a, b in self.intervals))
+        return IntervalUnion._of_canonical((a * r, b * r) for a, b in self.intervals)
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion(self.intervals + other.intervals)
@@ -172,11 +202,7 @@ class IntervalUnion:
 
     def minkowski(self, other: "IntervalUnion") -> "IntervalUnion":
         """Exact Minkowski sum; empty if either operand is empty."""
-        if self.is_empty or other.is_empty:
-            return IntervalUnion.empty()
-        return IntervalUnion(
-            tuple((a + c, b + d) for a, b in self.intervals for c, d in other.intervals)
-        )
+        return IntervalUnion._of_canonical(sum_pairs(self.intervals, other.intervals))
 
     def difference_set(self) -> "IntervalUnion":
         """The set of differences self - self; [-L, L] for one interval of
@@ -239,37 +265,12 @@ class PeriodicPattern:
     def translate(self, q) -> "PeriodicPattern":
         return PeriodicPattern(self.period, self.pattern.translate(rat(q)))
 
-    def negate(self) -> "PeriodicPattern":
-        return PeriodicPattern(self.period, self.pattern.negate())
-
-    def minkowski_union(self, other: IntervalUnion) -> "PeriodicPattern":
-        return PeriodicPattern(self.period, self.pattern.minkowski(other))
-
     def difference_set(self) -> "PeriodicPattern":
         return PeriodicPattern(self.period, self.pattern.difference_set())
-
-    def expand_to(self, period) -> "PeriodicPattern":
-        """Rewrite with a period that is an integer multiple of the current one."""
-        period = rat(period)
-        ratio = period / self.period
-        if ratio.denominator != 1 or ratio < 1:
-            raise PreconditionError("new period must be an integer multiple")
-        check_enumeration(int(ratio) * len(self.pattern.intervals),
-                          "the expanded pattern: {count} pieces exceed the cap {cap}")
-        pieces = []
-        for k in range(int(ratio)):
-            shift = k * self.period
-            pieces.extend((a + shift, b + shift) for a, b in self.pattern.intervals)
-        return PeriodicPattern(period, IntervalUnion(tuple(pieces)))
 
     def materialize(self, lo, hi) -> IntervalUnion:
         """The actual subset of [lo, hi], as a plain interval union."""
         lo, hi = rat(lo), rat(hi)
-        k_lo = floor(lo / self.period) - 1
-        k_hi = floor(hi / self.period) + 1
-        pieces = []
-        for k in range(k_lo, k_hi + 1):
-            shift = k * self.period
-            for a, b in self.pattern.intervals:
-                pieces.append((a + shift, b + shift))
-        return IntervalUnion(tuple(pieces)).intersect(IntervalUnion.closed(lo, hi))
+        ks = range(floor(lo / self.period) - 1, floor(hi / self.period) + 2)
+        pieces = sum_pairs(self.pattern.intervals, _Multiples(self.period, ks))
+        return IntervalUnion._of_canonical(pieces).intersect(IntervalUnion.closed(lo, hi))

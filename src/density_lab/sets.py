@@ -37,7 +37,7 @@ from .groups import (
     ZLattice,
     _strip,
 )
-from .intervals import IntervalUnion, PeriodicPattern
+from .intervals import IntervalUnion, PeriodicPattern, _Multiples, sum_pairs
 from .rational import Infinite, common_scale, frac_lcm, rat
 
 
@@ -425,21 +425,22 @@ def _minkowski_directed(a, b, group):
     if isinstance(a, IntervalUnion) and isinstance(b, IntervalUnion):
         return a.minkowski(b)
     if isinstance(a, IntervalUnion) and isinstance(b, FinitePoints):
-        return IntervalUnion(
-            tuple((lo + p, hi + p) for lo, hi in a.intervals for p in b.points)
-        )
+        return IntervalUnion._of_canonical(sum_pairs(a.intervals, [(q, q) for q in b.points]))
     if isinstance(a, PeriodicPattern) and isinstance(b, IntervalUnion):
-        return a.minkowski_union(b)
+        return PeriodicPattern(a.period, a.pattern.minkowski(b))
     if isinstance(a, PeriodicPattern) and isinstance(b, PeriodicPattern):
+        # (A + pZ) + (B + qZ) = (A + B) + gZ: one sum onto the circle g, lifted to the lcm
         period = frac_lcm(a.period, b.period)
-        ea, eb = a.expand_to(period), b.expand_to(period)
-        return PeriodicPattern(period, ea.pattern.minkowski(eb.pattern))
+        g = a.period * b.period / period
+        circle = sum_pairs(a.pattern.intervals, b.pattern.intervals, g)
+        lifted = sum_pairs(circle, _Multiples(g, range(period // g)))
+        return PeriodicPattern(period, IntervalUnion._of_canonical(lifted))
     if isinstance(a, _Held) and isinstance(b, _Held):
         D = lcm(a._D, b._D)
         return _canonical(D, *_sum(_form(a, D), _form(b, D)))
     if isinstance(a, PeriodicPoints) and isinstance(b, IntervalUnion):
-        pieces = tuple((r + lo, r + hi) for r in a.residues for lo, hi in b.intervals)
-        return PeriodicPattern(a.period, IntervalUnion(pieces))
+        pieces = sum_pairs([(r, r) for r in a.residues], b.intervals)
+        return PeriodicPattern(a.period, IntervalUnion._of_canonical(pieces))
     return NotImplemented
 
 

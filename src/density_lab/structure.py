@@ -91,7 +91,7 @@ from .config import check_enumeration
 from .density import RudinWindow, measure_total_finite, periodic_mean_density, rudin_window
 from .errors import PreconditionError, VerificationError
 from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
-from .intervals import IntervalUnion, PeriodicPattern, contains_mod, gaps_within, merge_pairs, onto_circle
+from .intervals import IntervalUnion, PeriodicPattern, contains_mod, gaps_within, merge_pairs, sum_pairs
 from .rational import INFINITE, common_scale, is_infinite, rat, rat_str
 from .sets import (
     Counting,
@@ -247,7 +247,7 @@ def _greedy_pattern(A: PeriodicPattern, group: RealLine) -> CoverResult:
     density = Fraction(mass, p)
     bound = p // mass  # floor(1 / density)
     # A - A on the circle [0, p]
-    diff = merge_pairs(onto_circle([(a - d, b - c) for a, b in pattern for c, d in pattern], p))
+    diff = sum_pairs(pattern, [(-b, -a) for a, b in pattern], p)
     B: list[int] = []
     covered: list = []
     while (gap := next(gaps_within(covered, 0, p), None)) is not None:
@@ -265,7 +265,7 @@ def _greedy_pattern(A: PeriodicPattern, group: RealLine) -> CoverResult:
             raise VerificationError("greedy stalled", counterexample=(
                 A, [Fraction(x, E) for x in B], Fraction(cand, E)))
         B.append(cand)
-        covered = merge_pairs(covered + onto_circle([(lo + cand, hi + cand) for lo, hi in diff], p))
+        covered = merge_pairs(covered + sum_pairs(diff, [(cand, cand)], p))
         if len(B) > bound:
             raise VerificationError(
                 f"translate count {len(B)} exceeds the bound {bound}",
@@ -298,7 +298,7 @@ def _pattern_cover_fault(diff: list, p: int, B: list[int]):
     translates diff + b (b in B), reduced onto the circle [0, p], cover it;
     else the first pair (b1, b2) of B, in loop order, with b1 != b2 and
     b1 - b2 in diff mod p; else None."""
-    union = merge_pairs(onto_circle([(lo + b, hi + b) for b in B for lo, hi in diff], p))
+    union = sum_pairs([(b, b) for b in B], diff, p)
     if next(gaps_within(union, 0, p), None) is not None:
         return "cover"
     return next(((b1, b2) for b1 in B for b2 in B
@@ -360,15 +360,14 @@ def packing_bound_check(S, H, group: GroupSpec = RealLine()) -> PackingCheck:
         rho = counting_density(S, group)
         if is_infinite(rho) or rho <= 0:
             raise PreconditionError("positive finite counting density required")
-        pts = [p for (p,) in group.check_points(H.elements, H._shape)]
-        if not pts:
+        if not H.elements:
             raise PreconditionError("H is empty")
-        q_diffs = sorted({a - b for a in pts for b in pts})
+        q_diffs = [d for (d,) in difference_set(H, group).elements]
         radius = Fraction(q_diffs[-1])  # H - H is symmetric
         if not isinstance(S, PeriodicDiscrete):
             raise PreconditionError("Z packing checks need a periodic subset")
         config = PeriodicPoints(S.period[0], S.line_residues())
-        spans, mu_h = [(d, d) for d in q_diffs], Fraction(len(pts))
+        spans, mu_h = [(d, d) for d in q_diffs], Fraction(len(H))
     else:
         raise PreconditionError("packing checks run on R or Z")
     # the least positive common difference: per span in ascending order, the
@@ -800,9 +799,7 @@ def syndetic_pipeline(
     fat = fatten(part.classes[j], H, group)
     cover = greedy_translates(fat.fattened, group)
     Q = part.Q
-    T = IntervalUnion(
-        tuple((b + lo, b + hi) for b in cover.translates for lo, hi in Q.intervals)
-    )
+    T = minkowski_sum(Q, FinitePoints(cover.translates), group)
     mu_t = T.length
     # (S_j - S_j) + T covers the line, hence so does (S - S) + T
     for X in (part.classes[j], S):

@@ -2,10 +2,11 @@
 
 measure_layers is the one walker over a measure tree, for the real line, Z^d
 and finite abelian groups alike. It decomposes nu into layers: weighted atoms
-(AtomLayer; finite, or periodic with a Fraction period on the line and an
-integer tuple period on Z^d), the counting atoms of line configurations
-(PointLayer, in the integer normal form they hold) and, on the line, Haar
-traces (TraceLayer; finite interval unions or periodic patterns), plus the
+(AtomLayer; finite, or periodic with an integer tuple period on Z^d; on the
+line finite, or with the int period _zd_values gives a Z layer, never a
+Fraction period), the counting atoms of line configurations (PointLayer, in
+the integer normal form they hold) and, on the line, Haar traces
+(TraceLayer; finite interval unions or periodic patterns), plus the
 accumulation markers of line configurations. The Dirac points,
 ExplicitFinite elements and lattice residues of each object go through
 group.check_points there (line configurations are rational by
@@ -120,7 +121,7 @@ from .sets import (
 
 @dataclass(frozen=True)
 class AtomLayer:
-    period: Union[None, Fraction, tuple[int, ...]]  # None for a finite layer
+    period: Union[None, int, tuple[int, ...]]  # None for a finite layer
     atoms: tuple[tuple[object, Fraction], ...]  # (position or residue, weight)
 
 

@@ -975,3 +975,74 @@ def fraction_syndetic_line(S, K, group=RealLine()):
         return SyndeticCertificate(K, True, summed)
     a, b = gap
     return SyndeticCertificate(K, False, (a + b) / 2)
+
+
+# ---------------------------------------------------------------------------
+# the interval and point sums on the line before they shared intervals.sum_pairs,
+# kept verbatim (IntervalUnion.minkowski, the interval branches of
+# sets._minkowski_directed, PeriodicPattern.expand_to and .materialize) as the
+# oracle for sum_pairs at each site
+
+
+def loop_interval_minkowski(self: IntervalUnion, other: IntervalUnion) -> IntervalUnion:
+    if self.is_empty or other.is_empty:
+        return IntervalUnion.empty()
+    return IntervalUnion(
+        tuple((a + c, b + d) for a, b in self.intervals for c, d in other.intervals)
+    )
+
+
+def _loop_expand_to(self: PeriodicPattern, period) -> PeriodicPattern:
+    period = rat(period)
+    ratio = period / self.period
+    if ratio.denominator != 1 or ratio < 1:
+        raise PreconditionError("new period must be an integer multiple")
+    check_enumeration(int(ratio) * len(self.pattern.intervals),
+                      "the expanded pattern: {count} pieces exceed the cap {cap}")
+    pieces = []
+    for k in range(int(ratio)):
+        shift = k * self.period
+        pieces.extend((a + shift, b + shift) for a, b in self.pattern.intervals)
+    return PeriodicPattern(period, IntervalUnion(tuple(pieces)))
+
+
+def _loop_directed(a, b):
+    if isinstance(a, IntervalUnion) and isinstance(b, IntervalUnion):
+        return loop_interval_minkowski(a, b)
+    if isinstance(a, IntervalUnion) and isinstance(b, FinitePoints):
+        return IntervalUnion(
+            tuple((lo + p, hi + p) for lo, hi in a.intervals for p in b.points)
+        )
+    if isinstance(a, PeriodicPattern) and isinstance(b, IntervalUnion):
+        return PeriodicPattern(a.period, loop_interval_minkowski(a.pattern, b))
+    if isinstance(a, PeriodicPattern) and isinstance(b, PeriodicPattern):
+        period = frac_lcm(a.period, b.period)
+        ea, eb = _loop_expand_to(a, period), _loop_expand_to(b, period)
+        return PeriodicPattern(period, loop_interval_minkowski(ea.pattern, eb.pattern))
+    if isinstance(a, PeriodicPoints) and isinstance(b, IntervalUnion):
+        pieces = tuple((r + lo, r + hi) for r in a.residues for lo, hi in b.intervals)
+        return PeriodicPattern(a.period, IntervalUnion(pieces))
+    return NotImplemented
+
+
+def loop_interval_sum(a, b):
+    """sets.minkowski_sum of two operands of which one is an interval union
+    or a periodic pattern, and the other an interval union, a pattern, or
+    finite or periodic points."""
+    for x, y in ((a, b), (b, a)):
+        result = _loop_directed(x, y)
+        if result is not NotImplemented:
+            return result
+    raise AssertionError("no interval or pattern operand")
+
+
+def loop_materialize(self: PeriodicPattern, lo, hi) -> IntervalUnion:
+    lo, hi = rat(lo), rat(hi)
+    k_lo = floor(lo / self.period) - 1
+    k_hi = floor(hi / self.period) + 1
+    pieces = []
+    for k in range(k_lo, k_hi + 1):
+        shift = k * self.period
+        for a, b in self.pattern.intervals:
+            pieces.append((a + shift, b + shift))
+    return IntervalUnion(tuple(pieces)).intersect(IntervalUnion.closed(lo, hi))

@@ -273,6 +273,8 @@ def test_missing_file_exit_2(capsys):
         ("half_pattern.json", ["--notion", "window", "--tol", "-1"], 3),
         # --rmax would override --kmax: 7 radii for --kmax 1
         ("perturbed_lattice.json", ["--notion", "window", "--kmax", "1", "--rmax", "1000"], 3),
+        # --K auto was read as no --K; it is no shape, so it is refused as any other
+        ("half_pattern.json", ["--notion", "window", "--K", "auto", "--kmax", "1"], 2),
     ],
 )
 def test_bad_window_arguments_keep_exit_contract(capsys, instance, extra, code):
@@ -718,3 +720,34 @@ def test_report_determinism(tmp_path, capsys):
     a, b = (json.loads(t) for t in texts)
     a.pop("wall_time_s"), b.pop("wall_time_s")
     assert a == b
+
+
+def test_window_density_of_an_accumulating_configuration_prints_its_certificate(tmp_path, capsys):
+    path = tmp_path / "accumulating.json"
+    path.write_text(json.dumps({
+        "group": {"family": "real_line"},
+        "objects": {"nu": {"kind": "counting", "of": {
+            "kind": "finite_points", "points": ["1", "1/2", "1/3"],
+            "accumulation": [{"point": "0", "side": "above"}]}}},
+    }))
+    code, out, _ = run(capsys, "density", "--instance", str(path), "--notion", "window")
+    assert code == 0
+    assert "window density: Infinite (certified: accumulation window)" in out
+    assert out.splitlines()[-1].split() == ["8", "Infinite", "8"]  # one row: the schedule stops
+
+
+@pytest.mark.parametrize("command", ["partition", "pipeline"])
+def test_an_h_whose_difference_set_is_over_the_cap_exits_3(tmp_path, capsys, command):
+    """H of 1,100 intervals: H - H would form 1,210,000 pairs."""
+    path = tmp_path / "wide_h.json"
+    path.write_text(json.dumps({
+        "group": {"family": "real_line"},
+        "objects": {
+            "S": {"kind": "periodic_points", "period": "1000000", "residues": ["0"]},
+            "H": {"kind": "interval_union",
+                  "intervals": [[str(3 * k), str(3 * k + 1)] for k in range(1100)]},
+        },
+    }))
+    code, _, err = run(capsys, command, "--instance", str(path), "--object", "S", "--H", "H")
+    assert code == 3
+    assert "the interval sum: 1210000 pairs exceed the enumeration cap 1048576" in err

@@ -584,6 +584,20 @@ def test_delta_dominates_kahane_everywhere():
         assert dv >= kv
 
 
+def test_window_profile_of_an_accumulating_configuration_stops_at_infinity():
+    """A window around a marker approached from above traps infinitely many
+    points: every row of the profile is Infinite at an argmax whose window
+    holds the marker on its approach side, and the schedule stops at the
+    first row although k_max allows 13."""
+    nu = Counting(FinitePoints((1, Fraction(1, 2), Fraction(1, 3)), (AccumulationPoint(0),)))
+    rows = window_density_profile(nu, RealLine(), IntervalWindow(), [1, Fraction(5, 2)])
+    for r, ratio, x in rows:
+        assert is_infinite(ratio) and x - r <= 0 < x + r
+        assert is_infinite(real_mass(nu, IntervalUnion.closed(x - r, x + r)))
+    assert len(window_profile_schedule(nu, RealLine())) == 1
+    assert real_mass(nu, IntervalUnion.closed(-1, 0)) == 0  # the marker's other side
+
+
 # ---------------------------------------------------------------------------
 # chain density
 
@@ -597,6 +611,13 @@ def test_hegyvari_examples():
     assert sub.value == 0
     whole = CylinderSet(0, ((),))
     assert hegyvari_density(whole, chain).value == 1
+
+
+def test_hegyvari_density_refuses_a_bool_coordinate():
+    chain = SigmaFiniteChain((2, 3))
+    assert hegyvari_density(ExplicitFinite(((1,), (0, 1))), chain).value == 0
+    with pytest.raises(ShapeMismatchError, match="outside the moduli"):
+        hegyvari_density(ExplicitFinite(((True,), (0, 1))), chain)
 
 
 def test_hegyvari_schedule_oracle():

@@ -112,6 +112,17 @@ def test_shape_mismatch():
         SigmaFiniteChain((2, 2)).check((0, 0, 1))
 
 
+@pytest.mark.parametrize("group", [ZLattice(2), FiniteAbelian((2, 3)), SigmaFiniteChain((2, 3))])
+def test_a_bool_coordinate_is_refused_by_every_discrete_group(group):
+    """True == 1 is an int, but no group coordinate: one malformed input,
+    one refusal, on Z^d, a finite group and a chain alike."""
+    with pytest.raises(ShapeMismatchError):
+        group.check((True, 0))
+    with pytest.raises(ShapeMismatchError):
+        group.check((1, False))
+    assert group.check((1, 0)) in ((1, 0), (1,))
+
+
 def test_moduli_factorizations():
     assert moduli_factorizations(1) == [()]
     assert moduli_factorizations(8) == [(2, 2, 2), (2, 4), (8,)]
@@ -140,7 +151,7 @@ def test_lattice_add_commutes(a, b):
 
 def test_chain_subgroups():
     chain = SigmaFiniteChain((2, 3, 2))
-    assert chain.subgroup_order(2) == 6
+    assert chain.subgroup(2).order == 6
     assert chain.subgroup(2) == FiniteAbelian((2, 3))
     elems = subgroup_elements(chain, 2)
     assert len(elems) == 6 and elems[0] == ()

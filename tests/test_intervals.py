@@ -6,8 +6,19 @@ from math import ceil, floor
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from density_lab import CapExceededError, IntervalUnion, PeriodicPattern, PreconditionError
-from density_lab.intervals import contains_mod, gaps_within, merge_pairs, onto_circle
+from density_lab import (
+    CapExceededError,
+    FinitePoints,
+    IntervalUnion,
+    PeriodicPattern,
+    PeriodicPoints,
+    PreconditionError,
+    RealLine,
+    minkowski_sum,
+)
+from density_lab.intervals import contains_mod, gaps_within, merge_pairs, onto_circle, sum_pairs
+
+from oracles import loop_interval_sum, loop_materialize
 
 rng = random.Random(7)
 
@@ -241,22 +252,111 @@ def test_covers_circle():
     assert not covers(PeriodicPattern.from_pairs(1, [(0, Fraction(9, 10))]))
 
 
-def test_expand_to():
-    p = PeriodicPattern.from_pairs(1, [(0, Fraction(1, 3))])
-    q = p.expand_to(3)
-    assert q.mass == 1 and q.density == p.density
-    with pytest.raises(PreconditionError):
-        p.expand_to(Fraction(3, 2))
+periods = st.fractions(min_value=Fraction(1, 3), max_value=7, max_denominator=3)
 
 
-def test_expand_to_counts_its_pieces_before_building_them():
-    pattern = PeriodicPattern(1, IntervalUnion(((0, Fraction(1, 4)), (Fraction(1, 2), 1))))
-    assert pattern.expand_to(3).pattern.intervals[-1] == (Fraction(5, 2), 3)
+@st.composite
+def patterns(draw, max_pieces=3):
+    return PeriodicPattern(draw(periods), draw(interval_unions(max_pieces)))
+
+
+# the pairs of operand types whose sums go through sum_pairs, one of each
+# order drawn as the pair and its swap
+interval_sum_operands = st.one_of(
+    st.tuples(interval_unions(3), interval_unions(3)),
+    st.tuples(interval_unions(3), st.lists(rationals, max_size=4).map(FinitePoints)),
+    st.tuples(patterns(), interval_unions(3)),
+    st.tuples(patterns(), patterns()),
+    st.tuples(st.builds(PeriodicPoints, periods, st.lists(rationals, max_size=3)),
+              interval_unions(3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_sum_operands)
+@example((PeriodicPattern.from_pairs(7, [(0, 1), (3, Fraction(7, 2))]),
+          PeriodicPattern.from_pairs(5, [(Fraction(1, 2), 2)])))  # coprime periods
+@example((PeriodicPattern.from_pairs(Fraction(3, 2), [(0, 1)]), PeriodicPattern(2, IntervalUnion())))
+@example((PeriodicPattern.from_pairs(1, [(Fraction(1, 2), 1)]),
+          PeriodicPattern.from_pairs(Fraction(1, 3), [(0, 0)])))  # ends on the seam
+def test_interval_sums_match_the_loops_they_replaced(operands):
+    """Every interval and point sum of minkowski_sum, in both orders, equals
+    the per-site loop sum_pairs replaced, with Fraction endpoints."""
+    a, b = operands
+    for x, y in ((a, b), (b, a)):
+        got = minkowski_sum(x, y, RealLine())
+        assert got == loop_interval_sum(x, y)
+        union = got.pattern if isinstance(got, PeriodicPattern) else got
+        assert all(type(e) is Fraction for e in union.endpoints())
+
+
+@settings(max_examples=60, deadline=None)
+@given(patterns(), rationals, st.fractions(min_value=0, max_value=12, max_denominator=6))
+def test_materialize_matches_the_loop_it_replaced(pattern, lo, width):
+    got = pattern.materialize(lo, lo + width)
+    assert got == loop_materialize(pattern, lo, lo + width)
+    assert all(type(e) is Fraction for e in got.endpoints())
+
+
+def test_sum_pairs_on_ints_and_the_circle():
+    assert sum_pairs([(0, 1), (5, 6)], [(0, 0), (1, 2)]) == [(0, 3), (5, 8)]
+    assert sum_pairs([(0, 1)], [(3, 4)], 4) == [(0, 1), (3, 4)]  # (3, 5) crosses the seam
+    assert sum_pairs([(0, 3)], [(0, 2)], 4) == [(0, 4)]  # a pair as long as the period
+    assert sum_pairs([], [(0, 1)]) == [] == sum_pairs([(0, 1)], [])
+
+
+def _traced_peak(call) -> int:
     tracemalloc.start()
-    try:  # 2 pieces times 2^20 periods
-        with pytest.raises(CapExceededError, match="the expanded pattern: 2097152 pieces exceed"):
-            pattern.expand_to(1 << 20)
+    try:
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    return peak
+
+
+def _refused(call, count: int) -> int:
+    """The traced peak of call, which must refuse count pairs."""
+    def refused():
+        with pytest.raises(CapExceededError,
+                           match=f"the interval sum: {count} pairs exceed the enumeration cap"):
+            call()
+    return _traced_peak(refused)
+
+
+# 1,025 unit intervals 3 apart: 1,025^2 = 1,050,625 pairs, just over the cap 2^20
+WIDE = IntervalUnion(tuple((3 * k, 3 * k + 1) for k in range(1025)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: WIDE.minkowski(WIDE),
+    WIDE.difference_set,
+    lambda: minkowski_sum(WIDE, FinitePoints(range(0, 3075, 3)), RealLine()),
+    lambda: minkowski_sum(PeriodicPoints(4000, range(0, 3075, 3)), WIDE, RealLine()),
+    lambda: minkowski_sum(PeriodicPattern(4000, WIDE), WIDE, RealLine()),
+], ids=["minkowski", "difference_set", "points", "periodic-points", "pattern"])
+def test_interval_sums_over_the_cap_are_refused_before_any_pair(call):
+    """Each site counts its pairs before it forms one: the traced peak stays
+    far below the 1,050,625 pairs refused."""
+    assert _refused(call, 1025 * 1025) < 1 << 20
+
+
+def test_pattern_sums_over_the_cap_are_refused_before_their_lift():
+    """PP + PP lifts the sum on the circle of g = gcd(p, q) to the lcm
+    against the points k g: 2 circle pieces times 2^20 + 1 points are
+    refused before either is formed, and a lift too long for len() too."""
+    halves = PeriodicPattern(1, IntervalUnion(((0, Fraction(1, 4)), (Fraction(1, 2), 1))))
+    point = PeriodicPattern.from_pairs((1 << 20) + 1, [(0, 0)])
+    assert minkowski_sum(halves, PeriodicPattern.from_pairs(3, [(0, 0)]), RealLine()) == \
+        PeriodicPattern(3, IntervalUnion(((0, Fraction(1, 4)), (Fraction(1, 2), Fraction(5, 4)),
+                                          (Fraction(3, 2), Fraction(9, 4)), (Fraction(5, 2), 3))))
+    assert _refused(lambda: minkowski_sum(halves, point, RealLine()), 2 * ((1 << 20) + 1)) < 1 << 20
+    near = PeriodicPattern.from_pairs(1 + Fraction(1, 1 << 64), [(0, 0)])
+    assert _refused(lambda: minkowski_sum(halves, near, RealLine()), ((1 << 64) + 1) << 64) < 1 << 20
+    assert minkowski_sum(PeriodicPattern(1, IntervalUnion()), near, RealLine()).pattern.is_empty
+
+
+def test_materialize_over_the_cap_is_refused_before_any_piece():
+    pattern = PeriodicPattern.from_pairs(1, [(0, Fraction(1, 2))])
+    assert _refused(lambda: pattern.materialize(0, 1 << 21), (1 << 21) + 3) < 1 << 20
+    assert _refused(lambda: pattern.materialize(0, 1 << 80), (1 << 80) + 3) < 1 << 20

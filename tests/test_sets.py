@@ -15,24 +15,28 @@ from density_lab import (
     FinitePoints,
     HaarTrace,
     IntervalUnion,
+    MeasureSum,
     PeriodicDiscrete,
     PeriodicPattern,
     PeriodicPoints,
     PerturbedLattice,
     PreconditionError,
     RealLine,
+    ShapeMismatchError,
     SigmaFiniteChain,
+    WeightedDiracs,
     ZLattice,
     difference_set,
     haar,
     is_infinite,
     minkowski_sum,
+    real_mass,
     translate_measure,
     translate_set,
     window_mass,
 )
 from density_lab.groups import _strip
-from density_lab.sets import discrete_quotient
+from density_lab.sets import DiracAtZero, discrete_quotient
 from oracles import difference_marker, min_positive_difference
 
 rng = random.Random(11)
@@ -333,3 +337,81 @@ def test_integer_periodic_difference_matches_fraction_residues(period, residues)
     oracle = {(a - b) % period for a in s.residues for b in s.residues}
     assert difference_set(s, R) == PeriodicPoints(period, tuple(oracle))
     assert min_positive_difference(s) == min([d for d in oracle if d > 0] + [period])
+
+
+# ---------------------------------------------------------------------------
+# translates of point masses and of patterns, difference sets of patterns,
+# Haar measure of cylinders and null patterns
+
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small, st.lists(st.tuples(small, st.fractions(min_value=Fraction(1, 4), max_value=3,
+                                                    max_denominator=4)), max_size=4),
+       small, st.fractions(min_value=0, max_value=4, max_denominator=4))
+def test_translated_point_masses_carry_their_mass(q, atoms, lo, width):
+    """nu(W) = (nu + q)(W + q) for a Dirac mass at 0, weighted Diracs and
+    their sum, with the sum of the parts' masses as the sum's."""
+    window = IntervalUnion.closed(lo, lo + width)
+    dirac, weighted = DiracAtZero(), WeightedDiracs(tuple(atoms))
+    total = Fraction(0)
+    for nu in (dirac, weighted):
+        moved = translate_measure(nu, q, R)
+        assert real_mass(moved, window.translate(q)) == real_mass(nu, window)
+        total += real_mass(moved, window.translate(q))
+    assert translate_measure(dirac, q, R) == WeightedDiracs(((q, 1),))
+    both = translate_measure(MeasureSum((dirac, weighted)), q, R)
+    assert real_mass(both, window.translate(q)) == total
+    assert total == (lo <= 0 <= lo + width) + sum(w for p, w in atoms if lo <= p <= lo + width)
+
+
+def _in_pattern(x, pairs, p) -> bool:
+    """Whether x + kp lies in a pair for some integer k."""
+    return any(ceil((a - x) / p) <= (b - x) // p for a, b in pairs)
+
+
+patterns = st.builds(
+    lambda p, pieces: PeriodicPattern.from_pairs(p, [(a, a + w) for a, w in pieces]),
+    st.fractions(min_value=Fraction(1, 2), max_value=4, max_denominator=2),
+    st.lists(st.tuples(small, st.fractions(min_value=0, max_value=2, max_denominator=4)),
+             min_size=1, max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(patterns, small)
+def test_pattern_translates_and_difference_sets_by_membership(A, q):
+    """On a grid finer than every endpoint: x is in A + q iff x - q is in A,
+    and in A - A iff x lies in [a - d, b - c] mod p for pieces (a, b), (c, d)."""
+    moved = translate_set(A, q, R)
+    diff = difference_set(A, R)
+    pieces, p = A.pattern.intervals, A.period
+    spans = [(a - d, b - c) for a, b in pieces for c, d in pieces]
+    assert moved.period == diff.period == p
+    for k in range(-16 * 4, 16 * 4 + 1):
+        x = Fraction(k, 16)
+        assert _in_pattern(x, moved.pattern.intervals, p) == _in_pattern(x - q, pieces, p)
+        assert _in_pattern(x, diff.pattern.intervals, p) == _in_pattern(x, spans, p)
+
+
+def test_haar_of_cylinders_and_null_patterns():
+    """A nonempty cylinder meets H_n in #residues * m_{depth+1} ... m_n
+    points, unbounded along the chain: Infinite, certified by its depth and
+    residue count; an empty one is null. A pattern of points has length 0."""
+    chain = SigmaFiniteChain((2, 3, 2))
+    A = CylinderSet(1, ((1,),))
+    counts = [A.count_in_subgroup(chain, n) for n in (1, 2, 3)]
+    assert counts == [1, 3, 6]
+    assert haar(A, chain).certificate == ("cylinder", 1, 1)
+    assert haar(CylinderSet(1, ()), chain) == 0
+    points = PeriodicPattern.from_pairs(2, [(0, 0), (1, 1)])
+    assert points.materialize(-10, 10).length == 0 == haar(points, R)
+
+
+def test_a_chain_sum_refuses_a_bool_coordinate():
+    chain = SigmaFiniteChain((2, 3))
+    one, other = ExplicitFinite(((1,),)), ExplicitFinite(((0, 1),))
+    assert minkowski_sum(one, other, chain) == ExplicitFinite(((1, 1),))
+    with pytest.raises(ShapeMismatchError, match="outside the moduli"):
+        minkowski_sum(ExplicitFinite(((True,),)), other, chain)

@@ -1245,3 +1245,52 @@ def test_the_partition_counts_its_lift_before_building_it():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _peak_of_refusal(call, match: str) -> int:
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match=match):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+# 1,025 unit intervals 3 apart: H - H has 1,025^2 = 1,050,625 pairs, over 2^20
+WIDE = IntervalUnion(tuple((3 * k, 3 * k + 1) for k in range(1025)))
+WIDE_PAIRS = "the interval sum: 1050625 pairs exceed the enumeration cap"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: partition_by_coloring(PeriodicPoints(10**4, (0,)), WIDE),
+    lambda: syndetic_pipeline(PeriodicPoints(10**4, (0,)), H=WIDE),
+    lambda: greedy_translates(PeriodicPattern(4000, WIDE), RealLine()),
+], ids=["partition", "pipeline", "pattern-greedy"])
+def test_line_h_minus_h_over_the_cap_is_refused_before_any_pair(call):
+    """The partition's and the pipeline's H - H and the pattern greedy's
+    A - A count their pairs first: the traced peak stays far below them."""
+    assert _peak_of_refusal(call, WIDE_PAIRS) < 1 << 20
+
+
+def test_z_packing_h_minus_h_over_the_cap_is_refused_before_any_difference():
+    H = ExplicitFinite(tuple((3 * k,) for k in range(1025)))
+    peak = _peak_of_refusal(lambda: packing_bound_check(PeriodicDiscrete.line(5000, [0]), H, Z),
+                            "the finite difference set: 1050625 pairs exceed")
+    assert peak < 1 << 20
+
+
+def test_fatten_of_finite_points_is_the_union_of_translates():
+    """A finite S fattens to the union of the translates s + H, with the
+    bound 0 (a finite S has density 0)."""
+    H = IntervalUnion(((0, Fraction(1, 3)), (1, Fraction(3, 2))))
+    S = FinitePoints((Fraction(1, 2), 4, -2))
+    got = fatten(S, H)
+    translates = IntervalUnion.empty()
+    for s in S.points:
+        translates = translates.union(H.translate(s))
+    assert got.fattened == translates and got.fattened.length == Fraction(5, 2)
+    assert got.claimed_bound == got.measured == 0 and got.equality
+    with pytest.raises(PreconditionError, match="accumulation marker"):
+        fatten(FinitePoints((1,), (AccumulationPoint(0),)), H)

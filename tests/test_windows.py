@@ -33,6 +33,7 @@ from density_lab import (
     real_mass,
     real_shift_sup,
     translate_set,
+    window_mass,
     zd_shift_sup,
 )
 from density_lab.density import CustomK
@@ -777,3 +778,16 @@ def test_zd_shift_sup_caps_the_finite_grid():
     nu = Counting(ExplicitFinite(tuple((k, 2 * k) for k in range(1100))))
     with pytest.raises(CapExceededError):
         zd_shift_sup(nu, ZLattice(2), 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=6),
+       st.tuples(st.integers(-5, 5), st.integers(-5, 5)), st.integers(0, 3))
+def test_window_mass_on_z2_is_the_cube_count(points, x, r):
+    """window_mass on Z^2 counts the points in the cube of side 2r + 1
+    around x, as a loop over the points does."""
+    nu = Counting(ExplicitFinite(tuple(points)))
+    count = sum(all(abs(p - c) <= r for p, c in zip(pt, x)) for pt in set(points))
+    assert window_mass(nu, ZLattice(2), x, r) == count
+    with pytest.raises(PreconditionError, match="integer cube radii"):
+        window_mass(nu, ZLattice(2), x, Fraction(r))

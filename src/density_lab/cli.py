@@ -4,8 +4,9 @@
 
 Subcommands: density, diffset, syndetic, cover, partition, pipeline, demo,
 selftest. Human-readable tables go to stdout; pass --out FILE to also write
-the serialized report. Exit codes: 0 success, 2 parse error, 3 precondition
-failure, 4 verification failure.
+the serialized report. Exit codes: 0 success, 2 parse error (an unreadable
+instance or an unwritable --out file too), 3 precondition failure, 4
+verification failure.
 """
 
 from __future__ import annotations
@@ -107,8 +108,11 @@ def _print_header(args):
 
 
 def _load(args) -> Instance:
-    with open(args.instance, "r", encoding="utf-8") as f:
-        text = f.read()
+    try:
+        with open(args.instance, "r", encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise InstanceParseError(str(exc)) from exc
     args._digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
     return parse_instance(text)
 
@@ -177,8 +181,11 @@ def _emit_jsonable(args, results) -> dict:
         "wall_time_s": round(time.time() - args._t0, 6),
     }
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(canonical_json(report))
+        try:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(canonical_json(report))
+        except OSError as exc:  # a directory, a missing parent, no permission
+            raise InstanceParseError(str(exc)) from exc
         print(f"report written to {args.out}")
     return report
 
@@ -302,9 +309,10 @@ def cmd_partition(args) -> int:
         raise PreconditionError("partition needs an interval union named by --H")
     result = partition_by_coloring(s, h, instance.group)
     print(f"classes: {result.n} (window bound k = {rat_str(result.k_bound)})")
-    for i, cl in enumerate(result.classes):
-        print(f"  class {i}: {to_jsonable(cl)}")
-    _emit(args, result)
+    report = to_jsonable(result)  # serialized once, for the classes and the report
+    for i, cl in enumerate(report["classes"]):
+        print(f"  class {i}: {cl}")
+    _emit_jsonable(args, report)
     return 0
 
 
@@ -559,9 +567,6 @@ def main(argv=None) -> int:
         if exc.counterexample is not None:
             print(f"counterexample: {exc.counterexample!r}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 class _ClosedPipeGuard:

@@ -7,16 +7,19 @@ field's spec is RATIONAL, INTEGER, an Array of a spec (PAIR: two entries), a
 group ELEMENT, an Enum, a nested Record or OBJECT itself; an optional field
 takes its constructor's default. One parser (`spec.parse`) and one printer
 (`spec.dump`) walk the table, so parse -> print -> parse is the identity on
-every valid file. A value of the wrong JSON type (a string is never a list),
-an unknown or missing field, or an unknown family or kind raises
-InstanceParseError. `params` are typed at load time (`k_max` an int, `tol`,
-`r0`, `epsilon` Fractions), and any other key is unknown; range checks (a
-positive period, r0 > 0) stay with the constructors and the CLI.
+every valid file; one writer (`canonical_json`) gives the bytes of instance
+files and reports alike, those of json.dumps(sort_keys=True, indent=2). A
+value of the wrong JSON type (a string is never a list), an unknown or
+missing field, or an unknown family or kind raises InstanceParseError.
+`params` are typed at load time (`k_max` an int, `tol`, `r0`, `epsilon`
+Fractions), and any other key is unknown; range checks (a positive period,
+r0 > 0) stay with the constructors and the CLI.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +29,7 @@ from . import sets
 from .errors import InstanceParseError
 from .groups import FiniteAbelian, GroupSpec, RealLine, SigmaFiniteChain, ZLattice
 from .intervals import IntervalUnion, PeriodicPattern
-from .rational import is_infinite, rat, rat_str, ratio_strs
+from .rational import Infinite, is_infinite, rat, rat_str, ratio_strs
 
 
 @dataclass(frozen=True)
@@ -288,16 +291,83 @@ def instance_to_text(instance: Instance) -> str:
 
 
 def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """json.dumps(data, sort_keys=True, indent=2) + "\n", byte for byte, for
+    a tree of dicts with str keys, lists, tuples and scalars."""
+    return _json(data, "\n") + "\n"
+
+
+def _json(x, pad: str) -> str:
+    """x in the stdlib encoder's indented form, nested at pad ("\n" and its
+    indent), with its checks in its order: scalars encoded in C, each list
+    and dict joined once (a list of strings by one map of the C encoder)."""
+    if isinstance(x, str):
+        return _STR(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = pad + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        if type(x[0]) is str:  # a list of strings, in one C pass
+            try:
+                return "[" + inner + ("," + inner).join(map(_STR, x)) + pad + "]"
+            except TypeError:  # not all of them strings
+                pass
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in x]) + pad + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_STR(k) + ": " + _json(v, inner) for k, v in sorted(x.items())]) + pad + "}"
+    return json.dumps(x)  # a float, or what the stdlib encoder refuses
+
+
+_STR = json.encoder.encode_basestring_ascii
 
 
 # ---------------------------------------------------------------------------
 # generic report serialization
 
 
+@functools.cache
+def _plan(cls):
+    """(field name, attribute holding its ints or None) for each field of a
+    dataclass cls, read once per class; None when cls is no dataclass, or one
+    that a check before the fields prints (a number, a string, Infinite, an
+    interval union or a pattern)."""
+    if not dataclasses.is_dataclass(cls) or issubclass(
+            cls, (int, str, Fraction, Infinite, IntervalUnion, PeriodicPattern)):
+        return None
+    alias = cls._ALIAS if issubclass(cls, sets._Held) else None
+    return tuple((f.name, None if alias is None else "_" + alias.get(f.name, f.name))
+                 for f in dataclasses.fields(cls))
+
+
 def to_jsonable(obj) -> Any:
-    """Deterministic JSON form for reports and results."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    """Deterministic JSON form for reports and results: exact types first,
+    then dataclasses by their class's plan, then the isinstance checks."""
+    t = type(obj)
+    if t is str or t is int or t is bool or obj is None:
+        return obj
+    if t is Fraction:
+        return str(obj)
+    if t is list or t is tuple:
+        return [to_jsonable(x) for x in obj]
+    plan = _plan(t)
+    if plan is not None:
+        out = {"type": t.__name__}
+        for name, at in plan:  # a held field prints from its ints over _D
+            ints = obj.__dict__.get(at) if at else None
+            if isinstance(ints, tuple):
+                out[name] = ratio_strs(ints, obj._D)
+            elif type(ints) is int:  # a period
+                out[name] = ratio_strs((ints,), obj._D)[0]
+            else:
+                out[name] = to_jsonable(getattr(obj, name))
+        return out
+    if isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, Fraction):
         return rat_str(obj)
@@ -305,16 +375,6 @@ def to_jsonable(obj) -> Any:
         return {"infinite": to_jsonable(obj.certificate)}
     if isinstance(obj, (IntervalUnion, PeriodicPattern)):  # their instance form, without kind
         return OBJECT.record(obj)[1].dump(obj, None)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {"type": type(obj).__name__}
-        held = obj.__dict__ if isinstance(obj, sets._Held) else {}
-        for f in dataclasses.fields(obj):  # a held field's ints are under _ + its held name
-            ints = held.get("_" + obj._ALIAS.get(f.name, f.name)) if held else None
-            if isinstance(ints, tuple):  # a Fraction tuple, printed from its ints
-                out[f.name] = ratio_strs(ints, obj._D)
-            else:
-                out[f.name] = to_jsonable(getattr(obj, f.name))
-        return out
     if isinstance(obj, dict):
         return {"pairs": [[to_jsonable(k), to_jsonable(v)] for k, v in sorted(obj.items())]}
     if isinstance(obj, (list, tuple)):

@@ -16,7 +16,7 @@ from .errors import InstanceParseError
 
 # an integer or p/q in decimal digits; no decimal point or exponent, which
 # Fraction would expand in full ("1e99999999" is a 100-million-digit int)
-_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def rat(value: Union[int, str, Fraction]) -> Fraction:
@@ -28,9 +28,11 @@ def rat(value: Union[int, str, Fraction]) -> Fraction:
         raise InstanceParseError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match:  # p and q parsed once; int refuses a numeral over its digit limit
+        p, q = match.groups()
         try:
-            return Fraction(value.strip())
+            return Fraction(int(p), int(q or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceParseError(f"not a rational: {value!r}") from exc
     raise InstanceParseError(f"not a rational: {value!r}")

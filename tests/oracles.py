@@ -1,6 +1,9 @@
 """Test oracles shared by several test modules: small exact formulas that
 the library does not need, kept here to check what it computes."""
 
+import dataclasses
+import json
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, combinations, product
@@ -38,9 +41,19 @@ from density_lab import (
     minkowski_sum,
 )
 from density_lab.config import check_enumeration
+from density_lab.errors import InstanceParseError
+from density_lab.instances import OBJECT
 from density_lab.groups import _strip, bits
-from density_lab.rational import common_scale, frac_lcm, is_infinite, rat
+from density_lab.rational import (
+    common_scale,
+    frac_lcm,
+    is_infinite,
+    rat,
+    rat_str,
+    ratio_strs,
+)
 from density_lab.intervals import gaps_within
+from density_lab import sets
 from density_lab.sets import (
     DiracAtZero,
     _canonical,
@@ -1046,3 +1059,62 @@ def loop_materialize(self: PeriodicPattern, lo, hi) -> IntervalUnion:
         for a, b in self.pattern.intervals:
             pieces.append((a + shift, b + shift))
     return IntervalUnion(tuple(pieces)).intersect(IntervalUnion.closed(lo, hi))
+
+
+# ---------------------------------------------------------------------------
+# report serialization and rational parsing before the join-based writer,
+# kept verbatim as the oracles of what replaced them: the stdlib encoder
+# (pure Python once indent is set), the isinstance walk over
+# dataclasses.fields, and the two-parse rat (a regex check, then Fraction(str))
+
+
+def encoder_canonical_json(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def isinstance_to_jsonable(obj):
+    """Deterministic JSON form for reports and results."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, Fraction):
+        return rat_str(obj)
+    if is_infinite(obj):
+        return {"infinite": isinstance_to_jsonable(obj.certificate)}
+    if isinstance(obj, (IntervalUnion, PeriodicPattern)):  # their instance form, without kind
+        return OBJECT.record(obj)[1].dump(obj, None)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        out = {"type": type(obj).__name__}
+        held = obj.__dict__ if isinstance(obj, sets._Held) else {}
+        for f in dataclasses.fields(obj):  # a held field's ints are under _ + its held name
+            ints = held.get("_" + obj._ALIAS.get(f.name, f.name)) if held else None
+            if isinstance(ints, tuple):  # a Fraction tuple, printed from its ints
+                out[f.name] = ratio_strs(ints, obj._D)
+            else:
+                out[f.name] = isinstance_to_jsonable(getattr(obj, f.name))
+        return out
+    if isinstance(obj, dict):
+        return {"pairs": [[isinstance_to_jsonable(k), isinstance_to_jsonable(v)]
+                          for k, v in sorted(obj.items())]}
+    if isinstance(obj, (list, tuple)):
+        return [isinstance_to_jsonable(x) for x in obj]
+    return repr(obj)
+
+
+_TWO_PARSE_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
+def two_parse_rat(value):
+    """Parse an exact rational from an int, Fraction, or "p/q" string. A
+    Fraction (not a subclass) is immutable and returned as it is."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, bool):
+        raise InstanceParseError(f"not a rational: {value!r}")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, str) and _TWO_PARSE_RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InstanceParseError(f"not a rational: {value!r}") from exc
+    raise InstanceParseError(f"not a rational: {value!r}")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from density_lab import IntervalUnion, RealLine, density, difference_set
+from density_lab import IntervalUnion, RealLine, VerificationError, cli, density, difference_set
 from density_lab.cli import main
 from density_lab.instances import parse_instance
 from density_lab.windows import measure_layers
@@ -680,6 +680,27 @@ def test_syndetic_verification_failure_exit_4(tmp_path, capsys):
     code2, out2, _ = run(capsys, "syndetic", "--instance", str(f),
                          "--set", "S", "--translates", "K")
     assert code2 == 0 and "verified" in out2
+
+
+def test_syndetic_lists_32_cells_and_counts_the_rest(tmp_path, capsys):
+    inst = {"group": Z1, "objects": {"S": _periodic([40], (0,)),
+                                     "K": _explicit(*[(k,) for k in range(40)])}}
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(inst))
+    code, out, _ = run(capsys, *SYNDETIC, "--instance", str(f))
+    assert code == 0
+    assert "  (31,) -> (31,)\n  ... 8 more cells\n" in out and "(32,) ->" not in out
+
+
+def test_a_verification_failure_exits_4_with_its_counterexample(monkeypatch, capsys):
+    def refuted(args):
+        raise VerificationError("cover check failed", counterexample=(3, Fraction(1, 2)))
+
+    monkeypatch.setitem(cli.HANDLERS, "demo", refuted)
+    code, _, err = run(capsys, "demo", "totik")
+    assert code == 4
+    assert err == ("verification failure: cover check failed\n"
+                   "counterexample: (3, Fraction(1, 2))\n")
 
 
 def test_demos_run_clean(capsys):

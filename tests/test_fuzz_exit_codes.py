@@ -160,3 +160,43 @@ def test_an_empty_flag_value_is_refused_not_read_as_unset(tmp_path, command, fla
         argv += ["--instance", str(path)]
     assert _exit_code(argv) == 0
     assert _exit_code([*argv, flag, ""]) in (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# a file that cannot be read or written
+
+READS_INSTANCE = ("density", "diffset", "syndetic", "cover", "partition", "pipeline")
+
+
+def _on_instance(command, path) -> list:
+    """The RUNS_OK argv of command, reading the instance at path."""
+    argv = [command, *RUNS_OK[command]]
+    if "--instance" in argv:
+        argv[argv.index("--instance") + 1] = str(path)
+        return argv
+    return [*argv, "--instance", str(path)]
+
+
+@pytest.mark.parametrize("bad", ["directory", "not-utf-8"])
+@pytest.mark.parametrize("command", READS_INSTANCE)
+def test_an_unreadable_instance_exits_2(tmp_path, capsys, command, bad):
+    # a directory or a non-UTF-8 file once raised a traceback with exit 1
+    path = tmp_path / "instance.json"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    assert main(_on_instance(command, path)) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+@pytest.mark.filterwarnings("ignore:difference set of an empty set")
+@pytest.mark.parametrize("command", sorted(RUNS_OK))
+def test_an_out_path_that_is_a_directory_exits_2(tmp_path, capsys, command):
+    argv = [command, *RUNS_OK[command]]
+    if command == "syndetic":
+        path = tmp_path / "syndetic.json"
+        path.write_text(json.dumps(SYNDETIC))
+        argv += ["--instance", str(path)]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert "parse error: [Errno 21] Is a directory" in capsys.readouterr().err

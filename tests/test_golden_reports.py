@@ -2,13 +2,17 @@
 demo, the self-test and a set of window scans, run in-process through
 `cli.main`. `golden_reports.json` maps each argv (joined by single spaces) to
 its exit code, the SHA-256 of its `--out` report with `wall_time_s` and
-`command` removed (null when the run writes no report), and the SHA-256 of
-its stdout and of its stderr. In the streams the `--out` path reads `<out>`
-and the self-test's seconds read `<t>s`; each warning the run raises is
-appended to stderr as one `warning: <message>` line, so a warning that the
-run repeats counts every time. Refactors must keep every entry unchanged. A change that means to alter reports rewrites the file
-with `PYTHONPATH=src python tests/test_golden_reports.py`, run from the repo
-root, and names every changed entry.
+`command` removed (null when the run writes no report), the SHA-256 of the
+report file as written with those two values replaced by fixed tokens (so
+its indentation and layout are pinned too), and the SHA-256 of its stdout
+and of its stderr. In the streams the `--out` path reads `<out>` and the
+self-test's seconds read `<t>s`; each warning the run raises is appended to
+stderr as one `warning: <message>` line, so a warning that the run repeats
+counts every time. Every object the runs serialize is also checked against
+the isinstance walk that to_jsonable replaced (tests/oracles.py). Refactors
+must keep every entry unchanged. A change that means to alter reports
+rewrites the file with `PYTHONPATH=src python tests/test_golden_reports.py`,
+run from the repo root, and names every changed entry.
 """
 
 import contextlib
@@ -20,7 +24,12 @@ import re
 import tempfile
 import warnings
 
+import pytest
+
+from density_lab import canonical_json, cli, to_jsonable
 from density_lab.cli import main
+
+from oracles import encoder_canonical_json, isinstance_to_jsonable
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_reports.json")
 NOTIONS = ("classical", "window", "kahane", "delta", "hegyvari")
@@ -72,6 +81,15 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _masked(text: str, report: dict) -> str:
+    """The report file as written, its JSON-encoded `command` and
+    `wall_time_s` values (the first and the last key) replaced by tokens."""
+    head = '{\n  "command": ' + json.dumps(report["command"]) + ",\n"
+    tail = '  "wall_time_s": ' + json.dumps(report["wall_time_s"]) + "\n}\n"
+    assert text.startswith(head) and text.endswith(tail), text[:200]
+    return '{\n  "command": <command>,\n' + text[len(head):-len(tail)] + '  "wall_time_s": <t>\n}\n'
+
+
 def run_one(argv, out_dir) -> dict:
     """Exit code, report digest and stream digests of one in-process CLI run."""
     out = pathlib.Path(out_dir) / "report.json"
@@ -84,9 +102,11 @@ def run_one(argv, out_dir) -> dict:
     ):
         warnings.simplefilter("always")
         code = main([*argv, "--out", str(out)])
-    digest = None
+    digest = raw = None
     if out.exists():
-        report = json.loads(out.read_text(encoding="utf-8"))
+        text = out.read_text(encoding="utf-8")
+        report = json.loads(text)
+        raw = _sha256(_masked(text, report))
         del report["wall_time_s"], report["command"]
         canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
         digest = _sha256(canonical)
@@ -97,19 +117,45 @@ def run_one(argv, out_dir) -> dict:
     return {
         "exit": code,
         "sha256": digest,
+        "raw_sha256": raw,
         "stdout_sha256": _sha256(streams[0]),
         "stderr_sha256": _sha256(streams[1]),
     }
 
 
-def test_golden_reports(tmp_path):
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    """The entry of every argv, and each object the CLI serialized
+    (cli.to_jsonable wrapped to record its argument)."""
     argvs = _argvs()
     assert all(" " not in arg for argv in argvs for arg in argv)
+    serialized = []
+
+    def recorded(obj):
+        serialized.append(obj)
+        return to_jsonable(obj)
+
+    out_dir = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "to_jsonable", recorded)
+        got = {" ".join(argv): run_one(argv, out_dir) for argv in argvs}
+    return got, serialized
+
+
+def test_golden_reports(golden_runs):
+    got = golden_runs[0]
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = {" ".join(argv): run_one(argv, tmp_path) for argv in argvs}
     assert sorted(got) == sorted(golden)
     changed = {key: (golden[key], got[key]) for key in got if got[key] != golden[key]}
     assert not changed, changed
+
+
+def test_to_jsonable_matches_the_isinstance_walk_on_every_golden_run(golden_runs):
+    serialized = golden_runs[1]
+    assert len(serialized) >= 46  # one or more per run that writes a report
+    for obj in serialized:
+        got, want = to_jsonable(obj), isinstance_to_jsonable(obj)
+        assert got == want and canonical_json(got) == encoder_canonical_json(want)
 
 
 def regenerate():
